@@ -319,17 +319,27 @@ impl BoundIndex {
     /// Panics when `query.bin` is outside this index's bin range (the same
     /// contract as `RuleEngine::bounds`; callers validate wire input first).
     pub fn lookup(&self, query: &ColorRangeQuery) -> IndexedLookup {
+        let mut ids = Vec::new();
+        let scanned = self.lookup_into(query, &mut ids);
+        record_lookup(scanned);
+        IndexedLookup { ids, scanned }
+    }
+
+    /// [`BoundIndex::lookup`] appending to a caller-owned vector and leaving
+    /// the counters to the caller ([`record_lookup`]): the shards of a
+    /// scattered query share one result vector and count as one lookup.
+    /// Returns the number of intervals scanned.
+    ///
+    /// # Panics
+    /// As [`BoundIndex::lookup`].
+    pub fn lookup_into(&self, query: &ColorRangeQuery, out: &mut Vec<ImageId>) -> usize {
         assert!(
             query.bin < self.bins.len(),
             "bin {} out of range for index with {} bins",
             query.bin,
             self.bins.len()
         );
-        let mut ids = Vec::new();
-        let scanned = self.bins[query.bin].overlapping(query.pct_min, query.pct_max, &mut ids);
-        counter!("mmdb_boundidx_lookups_total").inc();
-        counter!("mmdb_boundidx_hits_total").add(scanned as u64);
-        IndexedLookup { ids, scanned }
+        self.bins[query.bin].overlapping(query.pct_min, query.pct_max, out)
     }
 
     /// The memoized bounds for `(id, bin)`, if resident — the BWM fast path
@@ -419,6 +429,13 @@ impl BoundIndex {
             self.dependents.entry(r).or_default().insert(id);
         }
     }
+}
+
+/// Counts one indexed range query that scanned `scanned` resident intervals
+/// (`mmdb_boundidx_lookups_total`, `mmdb_boundidx_hits_total`).
+pub fn record_lookup(scanned: usize) {
+    counter!("mmdb_boundidx_lookups_total").inc();
+    counter!("mmdb_boundidx_hits_total").add(scanned as u64);
 }
 
 impl crate::EpochStamped for BoundIndex {

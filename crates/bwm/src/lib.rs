@@ -29,7 +29,7 @@ pub mod query;
 pub mod structure;
 
 pub use query::{
-    execute, execute_traced, execute_with_cache, BoundsCache, BwmQueryStats, QueryOutcome,
+    execute, flush_query_metrics, BoundsCache, BwmQueryStats, QueryCtx, QueryOutcome, ShardRecord,
 };
 pub use structure::{BwmStructure, Classification, SequenceStore};
 

@@ -4,7 +4,7 @@ use crate::structure::{BwmStructure, SequenceStore};
 use mmdb_editops::ImageId;
 use mmdb_rules::{BoundRange, ColorRangeQuery, InfoResolver, Result, RuleEngine, RuleError};
 use mmdb_telemetry::{counter, QueryTrace};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A read-only source of memoized BOUNDS results. When a bounds cache is
 /// supplied, `bounds_test` consults it before walking the operation list —
@@ -40,8 +40,22 @@ pub struct BwmQueryStats {
     pub ops_processed: usize,
     /// Unclassified-Component entries scanned.
     pub unclassified_scanned: usize,
-    /// Bounds served from a [`BoundsCache`] instead of a rule walk.
+    /// Bounds served from a [`BoundsCache`] (or intervals scanned by an
+    /// indexed lookup) instead of a rule walk.
     pub bound_cache_hits: usize,
+}
+
+impl std::ops::AddAssign for BwmQueryStats {
+    fn add_assign(&mut self, other: Self) {
+        self.clusters_visited += other.clusters_visited;
+        self.base_hits += other.base_hits;
+        self.shortcut_emissions += other.shortcut_emissions;
+        self.bounds_computed += other.bounds_computed;
+        self.bounds_widened += other.bounds_widened;
+        self.ops_processed += other.ops_processed;
+        self.unclassified_scanned += other.unclassified_scanned;
+        self.bound_cache_hits += other.bound_cache_hits;
+    }
 }
 
 /// The result of a BWM (or RBM) range-query execution.
@@ -65,171 +79,247 @@ impl QueryOutcome {
     }
 }
 
-/// Executes the Figure 2 algorithm over a BWM structure.
+/// One shard's share of a scattered range query: what its slice added to the
+/// [`QueryCtx`], and how long that took.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShardRecord {
+    /// Wall time of the slice.
+    pub elapsed: Duration,
+    /// Candidates the slice emitted.
+    pub results: usize,
+    /// Full BOUNDS computations the slice executed.
+    pub bounds_computed: usize,
+    /// Memoized bounds the slice consulted (index intervals scanned, or
+    /// cache probes that hit) instead of walking rules.
+    pub scanned: usize,
+}
+
+/// Everything one range query accumulates while it executes. Execution only
+/// *adds* to a context — results, work counters, trace stages — and never
+/// touches process-wide telemetry, so any number of slices (one per shard)
+/// can share one context and the layer that owns the whole query observes
+/// it once, afterwards.
+#[derive(Debug, Default)]
+pub struct QueryCtx {
+    /// Candidate images, in emission order.
+    pub results: Vec<ImageId>,
+    /// Work counters, summed over every slice.
+    pub stats: BwmQueryStats,
+    /// When present, each scan phase is timed and recorded as a stage.
+    pub trace: Option<QueryTrace>,
+    /// One record per shard slice; empty when the query ran as one slice.
+    pub shards: Vec<ShardRecord>,
+}
+
+impl QueryCtx {
+    /// A context that records a per-stage trace rooted at `name`.
+    pub fn traced(name: impl Into<String>) -> Self {
+        QueryCtx {
+            trace: Some(QueryTrace::new(name)),
+            ..QueryCtx::default()
+        }
+    }
+
+    /// Runs `slice` as shard `index`'s share of the query. What the slice
+    /// added since `since` (the previous slice's end) becomes one
+    /// [`ShardRecord`], and the trace stages it recorded move under a
+    /// `shard{index}` stage. Returns the slice's end time.
+    pub fn shard_slice<E>(
+        &mut self,
+        index: usize,
+        since: Instant,
+        slice: impl FnOnce(&mut Self) -> std::result::Result<(), E>,
+    ) -> std::result::Result<Instant, E> {
+        let (results, stats) = (self.results.len(), self.stats);
+        let stages = self.trace.as_ref().map_or(0, |t| t.root().children.len());
+        slice(self)?;
+        let now = Instant::now();
+        let record = ShardRecord {
+            elapsed: now - since,
+            results: self.results.len() - results,
+            bounds_computed: self.stats.bounds_computed - stats.bounds_computed,
+            scanned: self.stats.bound_cache_hits - stats.bound_cache_hits,
+        };
+        if let Some(trace) = &mut self.trace {
+            trace
+                .nest(stages, format!("shard{index}"), record.elapsed)
+                .counter("results", record.results as u64)
+                .counter("bounds_computed", record.bounds_computed as u64)
+                .counter("scanned", record.scanned as u64);
+        }
+        self.shards.push(record);
+        Ok(now)
+    }
+
+    /// The results and work counters, dropping the rest.
+    pub fn into_outcome(self) -> QueryOutcome {
+        QueryOutcome {
+            results: self.results,
+            stats: self.stats,
+        }
+    }
+
+    /// The outcome plus the trace of a [`QueryCtx::traced`] context.
+    ///
+    /// # Panics
+    /// Panics when the context was not created with [`QueryCtx::traced`].
+    pub fn into_traced_outcome(mut self) -> (QueryOutcome, QueryTrace) {
+        let trace = self.trace.take().expect("context was created traced");
+        (self.into_outcome(), trace)
+    }
+}
+
+/// The read-only inputs of one Figure 2 execution.
+struct Scan<'a, S> {
+    query: &'a ColorRangeQuery,
+    engine: &'a RuleEngine<'a>,
+    resolver: &'a dyn InfoResolver,
+    store: &'a S,
+    cache: Option<&'a dyn BoundsCache>,
+}
+
+/// Executes the Figure 2 algorithm over a BWM structure, adding candidates
+/// and work counters to `ctx`.
 ///
 /// For every Main-Component cluster: if the base's (exact) histogram
 /// fraction satisfies the query, the base and its whole cluster are emitted
 /// without touching any operation list; otherwise each clustered edited
 /// image runs the full BOUNDS computation. Unclassified entries always run
-/// BOUNDS.
+/// BOUNDS. With a `cache`, both fallbacks probe it for a memoized range
+/// before walking rules; result sets are identical with or without one.
+/// A traced context gets one timed stage per component. Process-wide
+/// counters are the caller's business: see [`flush_query_metrics`].
 pub fn execute<S: SequenceStore>(
     structure: &BwmStructure,
     query: &ColorRangeQuery,
     engine: &RuleEngine<'_>,
     resolver: &dyn InfoResolver,
     store: &S,
-) -> Result<QueryOutcome> {
-    execute_with_cache(structure, query, engine, resolver, store, None)
-}
-
-/// [`execute`] with an optional memoized-bounds fast path: clusters whose
-/// base misses (and Unclassified entries) probe `cache` before running the
-/// BOUNDS rules. Result sets are identical with or without a cache.
-pub fn execute_with_cache<S: SequenceStore>(
-    structure: &BwmStructure,
-    query: &ColorRangeQuery,
-    engine: &RuleEngine<'_>,
-    resolver: &dyn InfoResolver,
-    store: &S,
     cache: Option<&dyn BoundsCache>,
-) -> Result<QueryOutcome> {
-    let mut out = QueryOutcome::default();
-    scan_main(structure, query, engine, resolver, store, cache, &mut out)?;
-    scan_unclassified(structure, query, engine, resolver, store, cache, &mut out)?;
-    flush_query_metrics(&out.stats);
-    Ok(out)
-}
-
-/// [`execute`] with a per-stage [`QueryTrace`]: the Main-Component and
-/// Unclassified scans each become a timed stage carrying their work
-/// counters. Used by `mmdbctl explain` and the facade's traced query path.
-pub fn execute_traced<S: SequenceStore>(
-    structure: &BwmStructure,
-    query: &ColorRangeQuery,
-    engine: &RuleEngine<'_>,
-    resolver: &dyn InfoResolver,
-    store: &S,
-) -> Result<(QueryOutcome, QueryTrace)> {
-    let mut out = QueryOutcome::default();
-    let started = Instant::now();
-    scan_main(structure, query, engine, resolver, store, None, &mut out)?;
-    let main_elapsed = started.elapsed();
-    let main_stats = out.stats;
-
-    let uncl_started = Instant::now();
-    scan_unclassified(structure, query, engine, resolver, store, None, &mut out)?;
-    let uncl_elapsed = uncl_started.elapsed();
-    flush_query_metrics(&out.stats);
-
-    let mut trace = QueryTrace::new("bwm_range");
-    trace.counter("results", out.results.len() as u64);
-    trace.counter("bounds_computed", out.stats.bounds_computed as u64);
-    trace.counter("bounds_widened", out.stats.bounds_widened as u64);
-    trace
-        .stage("main_component", main_elapsed)
-        .counter("clusters_visited", main_stats.clusters_visited as u64)
-        .counter("base_hits", main_stats.base_hits as u64)
-        .counter("shortcut_emissions", main_stats.shortcut_emissions as u64)
-        .counter("bounds_computed", main_stats.bounds_computed as u64)
-        .counter("ops_processed", main_stats.ops_processed as u64);
-    trace
-        .stage("unclassified", uncl_elapsed)
-        .counter("scanned", out.stats.unclassified_scanned as u64)
-        .counter(
-            "bounds_computed",
-            (out.stats.bounds_computed - main_stats.bounds_computed) as u64,
-        )
-        .counter(
-            "ops_processed",
-            (out.stats.ops_processed - main_stats.ops_processed) as u64,
-        );
-    trace.finish(started.elapsed());
-    Ok((out, trace))
-}
-
-/// Step 4: each element `<B_id, E_list>` of the Main Component.
-fn scan_main<S: SequenceStore>(
-    structure: &BwmStructure,
-    query: &ColorRangeQuery,
-    engine: &RuleEngine<'_>,
-    resolver: &dyn InfoResolver,
-    store: &S,
-    cache: Option<&dyn BoundsCache>,
-    out: &mut QueryOutcome,
+    ctx: &mut QueryCtx,
 ) -> Result<()> {
-    for (base, cluster) in structure.clusters() {
-        out.stats.clusters_visited += 1;
-        let info = resolver.require(base)?;
-        let fraction = info.histogram.fraction(query.bin);
-        if query.matches_fraction(fraction) {
-            // 4.2: base satisfies → base and every clustered edited image.
-            out.stats.base_hits += 1;
-            out.results.push(base);
-            out.results.extend_from_slice(cluster);
-            out.stats.shortcut_emissions += cluster.len();
-        } else {
-            // 4.3: fall back to the BOUNDS algorithm per edited image.
-            for &edited in cluster {
-                bounds_test(edited, query, engine, resolver, store, cache, out)?;
+    let scan = Scan {
+        query,
+        engine,
+        resolver,
+        store,
+        cache,
+    };
+    // Slice-local counters, so the stages below report this structure's
+    // work even when `ctx` already carries other shards' totals.
+    let mut stats = BwmQueryStats::default();
+    let started = Instant::now();
+    scan.main(structure, &mut ctx.results, &mut stats)?;
+    let main_elapsed = started.elapsed();
+    let main_stats = stats;
+    scan.unclassified(structure, &mut ctx.results, &mut stats)?;
+    ctx.stats += stats;
+
+    if let Some(trace) = &mut ctx.trace {
+        trace
+            .stage("main_component", main_elapsed)
+            .counter("clusters_visited", main_stats.clusters_visited as u64)
+            .counter("base_hits", main_stats.base_hits as u64)
+            .counter("shortcut_emissions", main_stats.shortcut_emissions as u64)
+            .counter("bounds_computed", main_stats.bounds_computed as u64)
+            .counter("ops_processed", main_stats.ops_processed as u64);
+        trace
+            .stage("unclassified", started.elapsed() - main_elapsed)
+            .counter("scanned", stats.unclassified_scanned as u64)
+            .counter(
+                "bounds_computed",
+                (stats.bounds_computed - main_stats.bounds_computed) as u64,
+            )
+            .counter(
+                "ops_processed",
+                (stats.ops_processed - main_stats.ops_processed) as u64,
+            );
+    }
+    Ok(())
+}
+
+impl<S: SequenceStore> Scan<'_, S> {
+    /// Step 4: each element `<B_id, E_list>` of the Main Component.
+    fn main(
+        &self,
+        structure: &BwmStructure,
+        results: &mut Vec<ImageId>,
+        stats: &mut BwmQueryStats,
+    ) -> Result<()> {
+        for (base, cluster) in structure.clusters() {
+            stats.clusters_visited += 1;
+            let info = self.resolver.require(base)?;
+            let fraction = info.histogram.fraction(self.query.bin);
+            if self.query.matches_fraction(fraction) {
+                // 4.2: base satisfies → base and every clustered edited image.
+                stats.base_hits += 1;
+                results.push(base);
+                results.extend_from_slice(cluster);
+                stats.shortcut_emissions += cluster.len();
+            } else {
+                // 4.3: fall back to the BOUNDS algorithm per edited image.
+                for &edited in cluster {
+                    self.bounds_test(edited, results, stats)?;
+                }
             }
         }
+        Ok(())
     }
-    Ok(())
-}
 
-/// Step 5: the Unclassified Component.
-fn scan_unclassified<S: SequenceStore>(
-    structure: &BwmStructure,
-    query: &ColorRangeQuery,
-    engine: &RuleEngine<'_>,
-    resolver: &dyn InfoResolver,
-    store: &S,
-    cache: Option<&dyn BoundsCache>,
-    out: &mut QueryOutcome,
-) -> Result<()> {
-    for &edited in structure.unclassified() {
-        out.stats.unclassified_scanned += 1;
-        bounds_test(edited, query, engine, resolver, store, cache, out)?;
-    }
-    Ok(())
-}
-
-/// Runs BOUNDS for one edited image (serving a memoized range from `cache`
-/// when available) and emits it when the range overlaps.
-fn bounds_test<S: SequenceStore>(
-    edited: ImageId,
-    query: &ColorRangeQuery,
-    engine: &RuleEngine<'_>,
-    resolver: &dyn InfoResolver,
-    store: &S,
-    cache: Option<&dyn BoundsCache>,
-    out: &mut QueryOutcome,
-) -> Result<()> {
-    if let Some(bounds) = cache.and_then(|c| c.cached_bounds(edited, query.bin)) {
-        out.stats.bound_cache_hits += 1;
-        if bounds.overlaps_fraction(query.pct_min, query.pct_max) {
-            out.results.push(edited);
+    /// Step 5: the Unclassified Component.
+    fn unclassified(
+        &self,
+        structure: &BwmStructure,
+        results: &mut Vec<ImageId>,
+        stats: &mut BwmQueryStats,
+    ) -> Result<()> {
+        for &edited in structure.unclassified() {
+            stats.unclassified_scanned += 1;
+            self.bounds_test(edited, results, stats)?;
         }
-        return Ok(());
+        Ok(())
     }
-    let seq = store
-        .sequence(edited)
-        .ok_or(RuleError::UnknownImage(edited))?;
-    out.stats.bounds_computed += 1;
-    out.stats.ops_processed += seq.len();
-    let bounds = engine.bounds(&seq, query.bin, resolver)?;
-    if !bounds.is_exact() {
-        out.stats.bounds_widened += 1;
+
+    /// Runs BOUNDS for one edited image (serving a memoized range from the
+    /// cache when available) and emits it when the range overlaps.
+    fn bounds_test(
+        &self,
+        edited: ImageId,
+        results: &mut Vec<ImageId>,
+        stats: &mut BwmQueryStats,
+    ) -> Result<()> {
+        let query = self.query;
+        let bounds = match self.cache.and_then(|c| c.cached_bounds(edited, query.bin)) {
+            Some(bounds) => {
+                stats.bound_cache_hits += 1;
+                bounds
+            }
+            None => {
+                let seq = self
+                    .store
+                    .sequence(edited)
+                    .ok_or(RuleError::UnknownImage(edited))?;
+                stats.bounds_computed += 1;
+                stats.ops_processed += seq.len();
+                let bounds = self.engine.bounds(&seq, query.bin, self.resolver)?;
+                if !bounds.is_exact() {
+                    stats.bounds_widened += 1;
+                }
+                bounds
+            }
+        };
+        if bounds.overlaps_fraction(query.pct_min, query.pct_max) {
+            results.push(edited);
+        }
+        Ok(())
     }
-    if bounds.overlaps_fraction(query.pct_min, query.pct_max) {
-        out.results.push(edited);
-    }
-    Ok(())
 }
 
-/// Flushes the per-query work counters to the global registry in one batch —
-/// the Figure 2 loops above touch only the `BwmQueryStats` struct.
-fn flush_query_metrics(stats: &BwmQueryStats) {
+/// Adds one executed BWM query's work counters to the global registry in
+/// one batch — the Figure 2 loops above touch only a `BwmQueryStats`. Called
+/// once per *query* by whoever observes it, with the counters summed over
+/// every shard slice.
+pub fn flush_query_metrics(stats: &BwmQueryStats) {
     counter!("mmdb_bwm_queries_total").inc();
     counter!("mmdb_bwm_clusters_visited_total").add(stats.clusters_visited as u64);
     counter!("mmdb_bwm_base_hits_total").add(stats.base_hits as u64);
@@ -326,6 +416,26 @@ mod tests {
         }
     }
 
+    /// One whole query against the fixture: fresh context in, outcome out.
+    fn run(
+        f: &Fixture,
+        engine: &RuleEngine<'_>,
+        q: &ColorRangeQuery,
+        cache: Option<&dyn BoundsCache>,
+    ) -> Result<QueryOutcome> {
+        let mut ctx = QueryCtx::default();
+        execute(
+            &f.structure,
+            q,
+            engine,
+            &f.resolver,
+            &f.store,
+            cache,
+            &mut ctx,
+        )?;
+        Ok(ctx.into_outcome())
+    }
+
     #[test]
     fn shortcut_taken_when_base_satisfies() {
         let f = fixture();
@@ -333,7 +443,7 @@ mod tests {
         let red = f.quant.bin_of(Rgb::RED);
         // Base 1 is 50% red: query [0.4, 0.6] hits it; base 2 (10%) misses.
         let q = ColorRangeQuery::new(red, 0.4, 0.6);
-        let out = execute(&f.structure, &q, &engine, &f.resolver, &f.store).unwrap();
+        let out = run(&f, &engine, &q, None).unwrap();
         assert!(out.results.contains(&ImageId::new(1)));
         assert!(
             out.results.contains(&ImageId::new(10)),
@@ -360,7 +470,7 @@ mod tests {
         let red = f.quant.bin_of(Rgb::RED);
         // 90..100% red: no base satisfies.
         let q = ColorRangeQuery::new(red, 0.9, 1.0);
-        let out = execute(&f.structure, &q, &engine, &f.resolver, &f.store).unwrap();
+        let out = run(&f, &engine, &q, None).unwrap();
         assert_eq!(out.stats.base_hits, 0);
         assert_eq!(out.stats.shortcut_emissions, 0);
         // All three edited images ran BOUNDS.
@@ -375,7 +485,7 @@ mod tests {
         let engine = RuleEngine::new(&f.quant, RuleProfile::Conservative);
         let q = ColorRangeQuery::new(0, 0.9, 1.0);
         assert!(matches!(
-            execute(&f.structure, &q, &engine, &f.resolver, &f.store),
+            run(&f, &engine, &q, None),
             Err(RuleError::UnknownImage(id)) if id == ImageId::new(11)
         ));
     }
@@ -385,7 +495,7 @@ mod tests {
         let f = fixture();
         let engine = RuleEngine::new(&f.quant, RuleProfile::Conservative);
         let q = ColorRangeQuery::new(f.quant.bin_of(Rgb::RED), 0.9, 1.0);
-        let out = execute(&f.structure, &q, &engine, &f.resolver, &f.store).unwrap();
+        let out = run(&f, &engine, &q, None).unwrap();
         // #10 has 2 ops, #11 has 2 ops, #12 has 2 ops.
         assert_eq!(out.stats.ops_processed, 6);
         assert_eq!(out.stats.clusters_visited, 2);
@@ -419,16 +529,8 @@ mod tests {
             ColorRangeQuery::new(red, 0.9, 1.0),
             ColorRangeQuery::new(0, 0.0, 1.0),
         ] {
-            let plain = execute(&f.structure, &q, &engine, &f.resolver, &f.store).unwrap();
-            let cached = execute_with_cache(
-                &f.structure,
-                &q,
-                &engine,
-                &f.resolver,
-                &f.store,
-                Some(&cache),
-            )
-            .unwrap();
+            let plain = run(&f, &engine, &q, None).unwrap();
+            let cached = run(&f, &engine, &q, Some(&cache)).unwrap();
             assert_eq!(plain.sorted_results(), cached.sorted_results());
             assert_eq!(
                 cached.stats.bounds_computed, 0,
@@ -441,29 +543,28 @@ mod tests {
         }
     }
 
-    /// Satellite check: `bounds_widened` reaches the Prometheus registry —
-    /// the counter delta across an execution must cover the per-query stat
-    /// (`>=` because tests in this binary run concurrently).
+    /// Execution leaves the process-wide registry alone; `flush_query_metrics`
+    /// is what exports a query's counters, `bounds_widened` included. Exact,
+    /// because nothing else in this test binary flushes.
     #[test]
-    fn widened_counter_is_flushed() {
+    fn counters_reach_the_registry_only_when_flushed() {
         let f = fixture();
         let engine = RuleEngine::new(&f.quant, RuleProfile::Conservative);
         let q = ColorRangeQuery::new(f.quant.bin_of(Rgb::RED), 0.9, 1.0);
-        let before = mmdb_telemetry::global()
-            .snapshot()
-            .get("mmdb_bwm_bounds_widened_total");
-        let out = execute(&f.structure, &q, &engine, &f.resolver, &f.store).unwrap();
+        let widened = || {
+            mmdb_telemetry::global()
+                .snapshot()
+                .get("mmdb_bwm_bounds_widened_total")
+        };
+        let before = widened();
+        let out = run(&f, &engine, &q, None).unwrap();
         assert!(
             out.stats.bounds_widened > 0,
             "fixture must widen some bound"
         );
-        let after = mmdb_telemetry::global()
-            .snapshot()
-            .get("mmdb_bwm_bounds_widened_total");
-        assert!(
-            after - before >= out.stats.bounds_widened as u64,
-            "flush_query_metrics must export bounds_widened ({before} -> {after})"
-        );
+        assert_eq!(widened(), before, "execute must not observe the query");
+        flush_query_metrics(&out.stats);
+        assert_eq!(widened() - before, out.stats.bounds_widened as u64);
     }
 
     #[test]

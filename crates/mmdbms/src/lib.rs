@@ -40,7 +40,7 @@
 use mmdb_boundidx::{
     profile_slot, BoundIndex, EpochSlot, StalenessReport, SyncStats, PROFILE_SLOTS,
 };
-use mmdb_bwm::{BoundsCache, BwmQueryStats, BwmStructure, SequenceStore};
+use mmdb_bwm::{BoundsCache, BwmStructure, QueryCtx, SequenceStore};
 use mmdb_conc::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use mmdb_conc::sync::RwLock;
 use mmdb_datagen::edits::TargetInfo;
@@ -48,7 +48,7 @@ use mmdb_datagen::{VariantConfig, VariantGenerator};
 use mmdb_editops::{EditSequence, ImageId};
 use mmdb_histogram::{quantizer::from_description, ColorHistogram, Quantizer};
 use mmdb_imaging::{ppm, RasterImage, Rgb};
-use mmdb_query::executor::{QueryError, QueryProcessor};
+use mmdb_query::executor::{observed, QueryError, QueryProcessor, Slice};
 use mmdb_query::{QueryPlan, SignatureIndex};
 use mmdb_rules::{ColorRangeQuery, RuleProfile};
 use mmdb_storage::{
@@ -635,39 +635,57 @@ impl MultimediaDatabase {
     /// entry point the network server uses: the wire protocol selects plan
     /// and profile per request.
     ///
-    /// On a sharded database the query scatters: every shard answers over
-    /// its own slice of the catalog (with its own BWM structure and bound
-    /// index), and the per-shard outcomes merge by concatenation — shard id
-    /// spaces are disjoint, so no dedup is needed — followed by an
-    /// ascending sort for deterministic output. Work counters sum.
+    /// On a sharded database the query scatters: every shard's slice adds
+    /// to one shared [`QueryCtx`] (its own BWM structure and bound index, one
+    /// result vector — shard id spaces are disjoint, so no dedup is needed),
+    /// followed by an ascending sort for deterministic output. Work
+    /// counters sum. The query is observed once, after the gather.
     pub fn query_range_with(
         &self,
         query: &ColorRangeQuery,
         plan: QueryPlan,
         profile: RuleProfile,
     ) -> Result<mmdb_bwm::QueryOutcome> {
-        if self.shards.len() == 1 {
-            return self.shard_query_range(&self.shards[0], query, plan, profile);
-        }
-        let mut results = Vec::new();
-        let mut stats = BwmQueryStats::default();
-        for shard in &self.shards {
-            let out = self.shard_query_range(shard, query, plan, profile)?;
-            results.extend(out.results);
-            merge_stats(&mut stats, &out.stats);
-        }
-        results.sort_unstable();
-        Ok(mmdb_bwm::QueryOutcome { results, stats })
+        let mut ctx = QueryCtx::default();
+        self.run_range(query, plan, profile, &mut ctx)?;
+        Ok(ctx.into_outcome())
     }
 
-    /// One shard's slice of a range query.
-    fn shard_query_range(
+    /// The whole range query — scatter, gather, sort — as one observed
+    /// unit: telemetry is paid here once per request, whatever the shard
+    /// count. A traced `ctx` gets one `shard{i}` stage per shard so the tail
+    /// sampler sees the fan-out shape (and any straggler) in one record.
+    fn run_range(
         &self,
+        query: &ColorRangeQuery,
+        plan: QueryPlan,
+        profile: RuleProfile,
+        ctx: &mut QueryCtx,
+    ) -> Result<()> {
+        observed(plan, profile, query, ctx, |ctx| {
+            if let [shard] = &self.shards[..] {
+                return Self::shard_slice(shard, query, plan, profile, ctx);
+            }
+            ctx.shards.reserve_exact(self.shards.len());
+            let mut since = std::time::Instant::now();
+            for (i, shard) in self.shards.iter().enumerate() {
+                since = ctx.shard_slice(i, since, |ctx| {
+                    Self::shard_slice(shard, query, plan, profile, ctx)
+                })?;
+            }
+            ctx.results.sort_unstable();
+            Ok(())
+        })
+    }
+
+    /// One shard's slice of a range query, added to `ctx`.
+    fn shard_slice(
         shard: &Shard,
         query: &ColorRangeQuery,
         plan: QueryPlan,
         profile: RuleProfile,
-    ) -> Result<mmdb_bwm::QueryOutcome> {
+        ctx: &mut QueryCtx,
+    ) -> Result<()> {
         let qp = QueryProcessor::with_profile(&shard.storage, profile);
         match plan {
             QueryPlan::Bwm => {
@@ -678,16 +696,14 @@ impl MultimediaDatabase {
                 let epoch = shard.storage.current_epoch();
                 shard.bound_index[profile_slot(profile)].with_fresh(epoch, |idx| {
                     let cache = idx.map(|idx| idx as &dyn BoundsCache);
-                    qp.range_bwm_with_cache(&shard.bwm.read(), query, cache)
+                    qp.execute(Slice::Bwm(&shard.bwm.read(), cache), query, ctx)
                 })
             }
-            QueryPlan::Rbm => qp.range_rbm(query),
-            QueryPlan::Instantiate => qp.range_instantiate(query),
-            QueryPlan::Indexed => {
-                Self::with_bound_index(shard, profile, |idx, _sync| {
-                    qp.range_indexed_with(idx, query)
-                })?
-            }
+            QueryPlan::Rbm => qp.execute(Slice::Rbm { threads: 1 }, query, ctx),
+            QueryPlan::Instantiate => qp.execute(Slice::Instantiate, query, ctx),
+            QueryPlan::Indexed => Self::with_bound_index(shard, profile, |idx, sync| {
+                qp.execute(Slice::Indexed(idx, sync), query, ctx)
+            })?,
         }
     }
 
@@ -702,20 +718,14 @@ impl MultimediaDatabase {
     fn with_bound_index<T>(
         shard: &Shard,
         profile: RuleProfile,
-        f: impl FnOnce(&BoundIndex, SyncStats) -> T,
+        mut f: impl FnMut(&BoundIndex, SyncStats) -> T,
     ) -> Result<T> {
         let storage = &shard.storage;
         let slot = &shard.bound_index[profile_slot(profile)];
-        // `f` is FnOnce, so shuttle it through an Option: consumed on the
-        // fast path, recovered for the slow path when the slot was stale.
-        let mut f = Some(f);
-        let served = slot.serve_fresh(storage.current_epoch(), |idx| {
-            (f.take().expect("fast-path closure runs once"))(idx, SyncStats::default())
-        });
+        let served = slot.serve_fresh(storage.current_epoch(), |idx| f(idx, SyncStats::default()));
         if let Some(out) = served {
             return Ok(out);
         }
-        let f = f.take().expect("closure unconsumed on slow path");
         // Slow path: build or re-sync under the write lock, then serve under
         // it (this lock has no downgrade; the next query takes the read fast
         // path above). The epoch is captured before `binary_ids`/`edited_ids`
@@ -828,66 +838,20 @@ impl MultimediaDatabase {
         self.query_range_traced_with(query, plan, self.profile)
     }
 
-    /// Traced variant of [`MultimediaDatabase::query_range_with`]: explicit
-    /// plan *and* rule profile, plus the per-stage [`QueryTrace`]. This is
-    /// what the network backend runs for wire-traced requests, so the span
-    /// tree stored by the tail sampler reflects the profile the request
-    /// actually selected.
+    /// Traced variant of [`MultimediaDatabase::query_range_with`] — the same
+    /// path with a tracing context: explicit plan *and* rule profile, plus
+    /// the per-stage [`QueryTrace`]. This is what the network backend runs
+    /// for wire-traced requests, so the span tree stored by the tail sampler
+    /// reflects the profile the request actually selected.
     pub fn query_range_traced_with(
         &self,
         query: &ColorRangeQuery,
         plan: QueryPlan,
         profile: RuleProfile,
     ) -> Result<(mmdb_bwm::QueryOutcome, QueryTrace)> {
-        if self.shards.len() == 1 {
-            return self.shard_query_range_traced(&self.shards[0], query, plan, profile);
-        }
-        // Scatter across shards, then graft each shard's span tree into one
-        // outer trace as a `shard{i}` stage so the tail sampler sees the
-        // fan-out shape (and any straggler shard) in a single record.
-        let started = std::time::Instant::now();
-        let mut results = Vec::new();
-        let mut stats = BwmQueryStats::default();
-        let mut outer: Option<QueryTrace> = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let (out, child) = self.shard_query_range_traced(shard, query, plan, profile)?;
-            let outer = outer.get_or_insert_with(|| {
-                let mut t = QueryTrace::new(child.root().name.clone());
-                for (k, v) in &child.events {
-                    t.event(k.clone(), v.clone());
-                }
-                t.event("shards", self.shards.len().to_string());
-                t
-            });
-            let stage = outer.stage(format!("shard{i}"), child.root().duration);
-            stage.counters = child.root().counters.clone();
-            stage.children = child.root().children.clone();
-            results.extend(out.results);
-            merge_stats(&mut stats, &out.stats);
-        }
-        results.sort_unstable();
-        let mut trace = outer.expect("at least one shard");
-        trace.counter("results", results.len() as u64);
-        trace.finish(started.elapsed());
-        Ok((mmdb_bwm::QueryOutcome { results, stats }, trace))
-    }
-
-    /// One shard's slice of a traced range query.
-    fn shard_query_range_traced(
-        &self,
-        shard: &Shard,
-        query: &ColorRangeQuery,
-        plan: QueryPlan,
-        profile: RuleProfile,
-    ) -> Result<(mmdb_bwm::QueryOutcome, QueryTrace)> {
-        let qp = QueryProcessor::with_profile(&shard.storage, profile);
-        match plan {
-            QueryPlan::Bwm => qp.range_bwm_with_traced(&shard.bwm.read(), query),
-            QueryPlan::Indexed => Self::with_bound_index(shard, profile, |idx, sync| {
-                qp.range_indexed_with_traced(idx, query, sync)
-            })?,
-            _ => qp.range_with_plan_traced(plan, query),
-        }
+        let mut ctx = QueryCtx::traced(format!("{plan}_range"));
+        self.run_range(query, plan, profile, &mut ctx)?;
+        Ok(ctx.into_traced_outcome())
     }
 
     /// The process-global telemetry registry: every layer of the stack
@@ -1169,18 +1133,6 @@ impl MultimediaDatabase {
             }
         }
     }
-}
-
-/// Accumulates one shard's query work counters into the scatter total.
-fn merge_stats(total: &mut BwmQueryStats, shard: &BwmQueryStats) {
-    total.clusters_visited += shard.clusters_visited;
-    total.base_hits += shard.base_hits;
-    total.shortcut_emissions += shard.shortcut_emissions;
-    total.bounds_computed += shard.bounds_computed;
-    total.bounds_widened += shard.bounds_widened;
-    total.ops_processed += shard.ops_processed;
-    total.unclassified_scanned += shard.unclassified_scanned;
-    total.bound_cache_hits += shard.bound_cache_hits;
 }
 
 /// Sorts a merged neighbour list ascending by distance, tie-broken by id so

@@ -111,6 +111,13 @@ fn serve_exposes_metrics_events_and_healthz() {
         .to_string();
 
     assert!(http_get(&addr, "/healthz").contains("ok"));
+    // The address is announced before the warmup runs; `/readyz` flips to
+    // 200 once its queries have landed.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !http_get(&addr, "/readyz").starts_with("HTTP/1.1 200") {
+        assert!(std::time::Instant::now() < deadline, "never became ready");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
 
     let metrics = http_get(&addr, "/metrics");
     for series in [

@@ -1,0 +1,251 @@
+//! A range query is observed once per request, whatever the shard count:
+//! the counters, latency histograms, heat cell and flight-recorder events a
+//! query moves must not depend on topology, and the traced path must be the
+//! untraced path with a trace attached.
+//!
+//! Every assertion here reads process-global telemetry as an exact delta,
+//! so the tests take one lock.
+
+use mmdbms::datagen::flags::FlagGenerator;
+use mmdbms::datagen::VariantConfig;
+use mmdbms::prelude::*;
+use mmdbms::server::protocol::{PlanKind, ProfileKind};
+use mmdbms::server::{Client, QueryBackend, QueryServer, RangeRequest, ServerConfig};
+use mmdbms::telemetry::{global, heat, recorder, EventKind, HEAT_PLANS, HEAT_PROFILES};
+use mmdbms::MultimediaDatabase;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+const PLANS: [QueryPlan; 4] = [
+    QueryPlan::Instantiate,
+    QueryPlan::Rbm,
+    QueryPlan::Bwm,
+    QueryPlan::Indexed,
+];
+const PROFILES: [RuleProfile; 2] = [RuleProfile::Conservative, RuleProfile::PaperTable1];
+
+fn telemetry_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Twenty flags with two edited variants each, spread over `shards` shards.
+fn seeded_db(shards: usize) -> MultimediaDatabase {
+    let db = MultimediaDatabase::in_memory_sharded(Box::new(RgbQuantizer::default_64()), shards);
+    let flags = FlagGenerator::with_seed(7);
+    for i in 0..20 {
+        db.insert_image_with_augmentation(&flags.generate(i), 2, VariantConfig::default(), i)
+            .unwrap();
+    }
+    db
+}
+
+fn red_query(db: &MultimediaDatabase) -> ColorRangeQuery {
+    ColorRangeQuery::at_least(db.bin_of(Rgb::new(0xCE, 0x11, 0x26)), 0.1)
+}
+
+/// Positions of `plan` / `profile` in the telemetry label tables.
+fn label_indices(plan: QueryPlan, profile: RuleProfile) -> (usize, usize) {
+    let plan_idx = HEAT_PLANS
+        .iter()
+        .position(|label| *label == plan.to_string())
+        .unwrap();
+    let profile_idx = HEAT_PROFILES
+        .iter()
+        .position(|label| *label == profile.label())
+        .unwrap();
+    (plan_idx, profile_idx)
+}
+
+/// Everything one range query is supposed to move, read at one instant.
+#[derive(Debug, PartialEq, Eq)]
+struct Observed {
+    total: u64,
+    latency_by_plan: u64,
+    latency_by_profile: u64,
+    heat_total: u64,
+    bwm_queries: u64,
+    boundidx_lookups: u64,
+    events_recorded: u64,
+}
+
+fn observe(plan: QueryPlan, profile: RuleProfile, bin: usize) -> Observed {
+    let (plan_idx, profile_idx) = label_indices(plan, profile);
+    let profile = profile.label();
+    let g = global();
+    Observed {
+        total: g
+            .counter(&format!(r#"mmdb_query_range_total{{plan="{plan}"}}"#))
+            .get(),
+        latency_by_plan: g
+            .histogram(&format!(
+                r#"mmdb_query_range_latency_seconds{{plan="{plan}"}}"#
+            ))
+            .count(),
+        latency_by_profile: g
+            .histogram(&format!(
+                r#"mmdb_query_range_latency_seconds{{plan="{plan}",profile="{profile}"}}"#
+            ))
+            .count(),
+        heat_total: heat().total_of(bin as u32, plan_idx, profile_idx),
+        bwm_queries: g.counter("mmdb_bwm_queries_total").get(),
+        boundidx_lookups: g.counter("mmdb_boundidx_lookups_total").get(),
+        events_recorded: recorder().recorded_total(),
+    }
+}
+
+/// Asserts that between `before` and now exactly one query was observed
+/// and that its `query_end` event reports `results` candidates.
+fn assert_one_query(
+    before: &Observed,
+    plan: QueryPlan,
+    profile: RuleProfile,
+    bin: usize,
+    results: usize,
+    what: &str,
+) {
+    let after = observe(plan, profile, bin);
+    let expected = Observed {
+        total: before.total + 1,
+        latency_by_plan: before.latency_by_plan + 1,
+        latency_by_profile: before.latency_by_profile + 1,
+        heat_total: before.heat_total + 1,
+        bwm_queries: before.bwm_queries + u64::from(plan == QueryPlan::Bwm),
+        boundidx_lookups: before.boundidx_lookups + u64::from(plan == QueryPlan::Indexed),
+        events_recorded: after.events_recorded,
+    };
+    assert_eq!(after, expected, "{what}");
+    let events: Vec<_> = recorder()
+        .events()
+        .into_iter()
+        .filter(|e| e.seq >= before.events_recorded)
+        .collect();
+    let of_kind = |kind| events.iter().filter(|e| e.kind == kind).collect::<Vec<_>>();
+    assert_eq!(
+        of_kind(EventKind::QueryStart).len(),
+        1,
+        "{what}: {events:?}"
+    );
+    let ends = of_kind(EventKind::QueryEnd);
+    assert_eq!(ends.len(), 1, "{what}: {events:?}");
+    let reported = ends[0].counts.iter().find(|(name, _)| *name == "results");
+    assert_eq!(reported, Some(&("results", results as u64)), "{what}");
+}
+
+#[test]
+fn facade_observes_one_query_per_call_at_every_shard_count() {
+    let _guard = telemetry_lock();
+    for shards in [1, 4, 16] {
+        let db = seeded_db(shards);
+        let query = red_query(&db);
+        for plan in PLANS {
+            for profile in PROFILES {
+                let before = observe(plan, profile, query.bin);
+                let out = db.query_range_with(&query, plan, profile).unwrap();
+                assert!(!out.results.is_empty());
+                let what = format!("{shards} shards, {plan}, {}", profile.label());
+                assert_one_query(&before, plan, profile, query.bin, out.results.len(), &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn served_request_is_observed_once_at_every_shard_count() {
+    let _guard = telemetry_lock();
+    for shards in [1, 4, 16] {
+        let db = Arc::new(seeded_db(shards));
+        let query = red_query(&db);
+        let server = QueryServer::bind(
+            "127.0.0.1:0",
+            Arc::clone(&db) as Arc<dyn QueryBackend>,
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        for (plan, kind) in PLANS.into_iter().zip([
+            PlanKind::Instantiate,
+            PlanKind::Rbm,
+            PlanKind::Bwm,
+            PlanKind::Indexed,
+        ]) {
+            let profile = RuleProfile::Conservative;
+            let before = observe(plan, profile, query.bin);
+            let reply = client
+                .range(RangeRequest {
+                    plan: kind,
+                    profile: ProfileKind::Conservative,
+                    bin: query.bin as u32,
+                    pct_min: query.pct_min,
+                    pct_max: query.pct_max,
+                })
+                .unwrap();
+            assert!(!reply.ids.is_empty());
+            // The admission edge adds heat only for requests it refuses, so
+            // a served request moves the cell once, at execution.
+            let what = format!("served, {shards} shards, {plan}");
+            assert_one_query(&before, plan, profile, query.bin, reply.ids.len(), &what);
+        }
+        drop(client);
+        server.shutdown();
+    }
+}
+
+#[test]
+fn traced_path_is_the_untraced_path() {
+    let _guard = telemetry_lock();
+    for shards in [1, 7, 16] {
+        let db = seeded_db(shards);
+        let query = red_query(&db);
+        // Leave a fresh index behind for both profiles, so the BWM plan has
+        // a bounds cache to probe: traced and untraced must use it alike.
+        for profile in PROFILES {
+            db.query_range_with(&query, QueryPlan::Indexed, profile)
+                .unwrap();
+        }
+        for plan in PLANS {
+            for profile in PROFILES {
+                let what = format!("{shards} shards, {plan}, {}", profile.label());
+                let plain = db.query_range_with(&query, plan, profile).unwrap();
+                let (traced, trace) = db.query_range_traced_with(&query, plan, profile).unwrap();
+                assert_eq!(traced.results, plain.results, "{what}");
+                assert_eq!(traced.stats, plain.stats, "{what}");
+
+                let root = trace.root();
+                let counter = |span: &mmdbms::telemetry::Span, name: &str| {
+                    span.counters.iter().find(|(n, _)| n == name).map(|c| c.1)
+                };
+                assert_eq!(counter(root, "results"), Some(plain.results.len() as u64));
+                assert_eq!(
+                    counter(root, "bounds_computed"),
+                    Some(plain.stats.bounds_computed as u64),
+                    "{what}"
+                );
+                if shards == 1 {
+                    assert!(root.children.iter().all(|s| !s.name.starts_with("shard")));
+                    continue;
+                }
+                let names: Vec<_> = root.children.iter().map(|s| s.name.clone()).collect();
+                let expected: Vec<_> = (0..shards).map(|i| format!("shard{i}")).collect();
+                assert_eq!(names, expected, "{what}");
+                let sum = |name: &str| -> u64 {
+                    root.children
+                        .iter()
+                        .map(|shard| counter(shard, name).unwrap())
+                        .sum()
+                };
+                assert_eq!(sum("results"), plain.results.len() as u64, "{what}");
+                assert_eq!(
+                    sum("bounds_computed"),
+                    plain.stats.bounds_computed as u64,
+                    "{what}"
+                );
+                // Each shard stage keeps the plan's own stages beneath it.
+                assert!(
+                    root.children.iter().all(|s| !s.children.is_empty()),
+                    "{what}"
+                );
+            }
+        }
+    }
+}

@@ -7,10 +7,15 @@ use mmdb_bwm::{BoundsCache, BwmQueryStats, BwmStructure, QueryOutcome};
 use mmdb_editops::ImageId;
 use mmdb_rules::{ColorRangeQuery, InfoResolver, RuleEngine, RuleError, RuleProfile};
 use mmdb_storage::{StorageEngine, StorageError};
-use mmdb_telemetry::{counter, histogram, EventKind, QueryTrace};
+use mmdb_telemetry::{
+    counter, Counter, EventKind, Histogram, QueryTrace, HEAT_PLANS, HEAT_PROFILES,
+};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+pub use mmdb_bwm::{QueryCtx, ShardRecord};
 
 /// Errors from query execution.
 #[derive(Debug)]
@@ -57,9 +62,6 @@ pub type Result<T> = std::result::Result<T, QueryError>;
 /// The query's slot coordinates in the workload-observatory heat table
 /// (`mmdb_telemetry::heat`), matching [`HEAT_PLANS`]/[`HEAT_PROFILES`]
 /// label order.
-///
-/// [`HEAT_PLANS`]: mmdb_telemetry::HEAT_PLANS
-/// [`HEAT_PROFILES`]: mmdb_telemetry::HEAT_PROFILES
 fn heat_indices(plan: QueryPlan, profile: RuleProfile) -> (usize, usize) {
     let plan_idx = match plan {
         QueryPlan::Instantiate => 0,
@@ -74,118 +76,149 @@ fn heat_indices(plan: QueryPlan, profile: RuleProfile) -> (usize, usize) {
     (plan_idx, profile_idx)
 }
 
-/// Records the start of one range query in the flight recorder. Gated (with
-/// its string formatting) on the instrumentation switch.
-fn observe_range_start(plan: QueryPlan, query: &ColorRangeQuery) {
+/// What one (plan, profile) pair reports into: cached registry handles and
+/// the flight-recorder label, so observing a query formats nothing.
+struct RangeSeries {
+    total: Arc<Counter>,
+    by_plan: Arc<Histogram>,
+    by_profile: Arc<Histogram>,
+    label: String,
+}
+
+/// The `[plan][profile]` table of range-query series, registered on first
+/// use, indexed by [`heat_indices`].
+fn series(plan: QueryPlan, profile: RuleProfile) -> &'static RangeSeries {
+    static TABLE: OnceLock<[[RangeSeries; HEAT_PROFILES.len()]; HEAT_PLANS.len()]> =
+        OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let g = mmdb_telemetry::global();
+        HEAT_PLANS.map(|plan| {
+            HEAT_PROFILES.map(|profile| RangeSeries {
+                total: g.counter(&format!(r#"mmdb_query_range_total{{plan="{plan}"}}"#)),
+                by_plan: g.histogram(&format!(
+                    r#"mmdb_query_range_latency_seconds{{plan="{plan}"}}"#
+                )),
+                by_profile: g.histogram(&format!(
+                    r#"mmdb_query_range_latency_seconds{{plan="{plan}",profile="{profile}"}}"#
+                )),
+                label: format!("plan={plan} profile={profile}"),
+            })
+        })
+    });
+    let (plan_idx, profile_idx) = heat_indices(plan, profile);
+    &table[plan_idx][profile_idx]
+}
+
+/// Registers every range-query series at zero.
+pub(crate) fn register_range_series() {
+    series(QueryPlan::Rbm, RuleProfile::Conservative);
+}
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// Runs `body` as **one** observed range query: a `query_start` /
+/// `query_end` flight-recorder pair, one heat bump, one count and one
+/// latency sample per series, the batched work counters, and — on a traced
+/// context — the root totals, parameter events and total duration. `body`
+/// is everything the caller was handed: one slice for a [`QueryProcessor`]
+/// wrapper, the whole scatter-gather loop for the `mmdbms` facade. A query
+/// is observed by the layer that owns all of it, never per slice.
+pub fn observed(
+    plan: QueryPlan,
+    profile: RuleProfile,
+    query: &ColorRangeQuery,
+    ctx: &mut QueryCtx,
+    body: impl FnOnce(&mut QueryCtx) -> Result<()>,
+) -> Result<()> {
+    let started = Instant::now();
+    observe_range_start(plan, profile, query);
+    body(ctx)?;
+    let elapsed = started.elapsed();
+    if let Some(trace) = &mut ctx.trace {
+        trace.counter("results", ctx.results.len() as u64);
+        trace.counter("bounds_computed", ctx.stats.bounds_computed as u64);
+        trace.counter("bounds_widened", ctx.stats.bounds_widened as u64);
+        if plan == QueryPlan::Indexed {
+            trace.counter("index_hits", ctx.stats.bound_cache_hits as u64);
+        }
+        trace.event("plan", plan.to_string());
+        trace.event("bin", query.bin.to_string());
+        trace.event("range", format!("[{}, {}]", query.pct_min, query.pct_max));
+        if !ctx.shards.is_empty() {
+            trace.event("shards", ctx.shards.len().to_string());
+        }
+        trace.finish(elapsed);
+    }
+    observe_range(plan, profile, query, ctx, elapsed);
+    Ok(())
+}
+
+/// Records the start of one range query in the flight recorder; the query
+/// parameters travel as numeric counts (range in parts per million). Gated
+/// on the instrumentation switch.
+fn observe_range_start(plan: QueryPlan, profile: RuleProfile, query: &ColorRangeQuery) {
     if !mmdb_telemetry::instrumentation_enabled() {
         return;
     }
     mmdb_telemetry::recorder().record(
         EventKind::QueryStart,
-        format!(
-            "plan={plan} bin={} range=[{:.4}, {:.4}]",
-            query.bin, query.pct_min, query.pct_max
-        ),
-        &[("bin", query.bin as u64)],
+        series(plan, profile).label.as_str(),
+        &[
+            ("bin", query.bin as u64),
+            ("min_ppm", (query.pct_min * 1e6) as u64),
+            ("max_ppm", (query.pct_max * 1e6) as u64),
+        ],
     );
 }
 
-/// Records one completed range query: a per-plan counter, the per-plan and
+/// Records one completed range query. The work counters other tooling
+/// diffs (`mmdb_bwm_*`, `mmdb_boundidx_lookups_total`) are exact totals and
+/// always flushed; the rest — heat, the per-plan counter, the per-plan and
 /// per-(plan, profile) latency histograms, a `query_end` flight-recorder
-/// event carrying the bounds-check counts, and — past the configured
-/// threshold — a slow-query counter + event. The whole body is behind one
-/// relaxed load of the instrumentation switch, so the disabled cost is near
-/// zero and the enabled cost is a handful of relaxed RMWs per query.
+/// event carrying the work and per-shard figures, and past the configured
+/// threshold a slow-query counter + event — sits behind one relaxed load of
+/// the instrumentation switch.
 fn observe_range(
     plan: QueryPlan,
     profile: RuleProfile,
     query: &ColorRangeQuery,
-    out: &QueryOutcome,
+    ctx: &QueryCtx,
     elapsed: Duration,
 ) {
+    match plan {
+        QueryPlan::Bwm => mmdb_bwm::flush_query_metrics(&ctx.stats),
+        QueryPlan::Indexed => mmdb_boundidx::record_lookup(ctx.stats.bound_cache_hits),
+        QueryPlan::Rbm | QueryPlan::Instantiate => {}
+    }
     if !mmdb_telemetry::instrumentation_enabled() {
         return;
     }
-    // Workload-observatory heat: one slot bump per executed query. This is
-    // the single choke point every plan path (RBM/BWM/Instantiate/Indexed)
-    // funnels through, locally and via the network backend.
     let (plan_idx, profile_idx) = heat_indices(plan, profile);
     mmdb_telemetry::heat().record(query.bin as u32, plan_idx, profile_idx);
-    match plan {
-        QueryPlan::Instantiate => {
-            counter!(r#"mmdb_query_range_total{plan="instantiate"}"#).inc();
-            histogram!(r#"mmdb_query_range_latency_seconds{plan="instantiate"}"#).observe(elapsed);
-        }
-        QueryPlan::Rbm => {
-            counter!(r#"mmdb_query_range_total{plan="rbm"}"#).inc();
-            histogram!(r#"mmdb_query_range_latency_seconds{plan="rbm"}"#).observe(elapsed);
-        }
-        QueryPlan::Bwm => {
-            counter!(r#"mmdb_query_range_total{plan="bwm"}"#).inc();
-            histogram!(r#"mmdb_query_range_latency_seconds{plan="bwm"}"#).observe(elapsed);
-        }
-        QueryPlan::Indexed => {
-            counter!(r#"mmdb_query_range_total{plan="indexed"}"#).inc();
-            histogram!(r#"mmdb_query_range_latency_seconds{plan="indexed"}"#).observe(elapsed);
-        }
+    let series = series(plan, profile);
+    series.total.inc();
+    series.by_plan.observe(elapsed);
+    series.by_profile.observe(elapsed);
+    let mut counts = vec![
+        ("results", ctx.results.len() as u64),
+        ("bounds_computed", ctx.stats.bounds_computed as u64),
+        ("bounds_widened", ctx.stats.bounds_widened as u64),
+        ("duration_nanos", nanos(elapsed)),
+        ("bin", query.bin as u64),
+    ];
+    let slowest = ctx.shards.iter().enumerate().max_by_key(|(_, s)| s.elapsed);
+    if let Some((index, shard)) = slowest {
+        let with_hits = ctx.shards.iter().filter(|s| s.results > 0).count();
+        counts.extend([
+            ("shards", ctx.shards.len() as u64),
+            ("shards_with_hits", with_hits as u64),
+            ("slowest_shard", index as u64),
+            ("slowest_shard_nanos", nanos(shard.elapsed)),
+        ]);
     }
-    // Per-(plan, profile) latency distributions. Spelled out so each
-    // combination is its own `histogram!` call site with a cached handle.
-    match (plan, profile) {
-        (QueryPlan::Instantiate, RuleProfile::Conservative) => {
-            histogram!(
-                r#"mmdb_query_range_latency_seconds{plan="instantiate",profile="conservative"}"#
-            )
-            .observe(elapsed);
-        }
-        (QueryPlan::Instantiate, RuleProfile::PaperTable1) => {
-            histogram!(
-                r#"mmdb_query_range_latency_seconds{plan="instantiate",profile="paper_table1"}"#
-            )
-            .observe(elapsed);
-        }
-        (QueryPlan::Rbm, RuleProfile::Conservative) => {
-            histogram!(r#"mmdb_query_range_latency_seconds{plan="rbm",profile="conservative"}"#)
-                .observe(elapsed);
-        }
-        (QueryPlan::Rbm, RuleProfile::PaperTable1) => {
-            histogram!(r#"mmdb_query_range_latency_seconds{plan="rbm",profile="paper_table1"}"#)
-                .observe(elapsed);
-        }
-        (QueryPlan::Bwm, RuleProfile::Conservative) => {
-            histogram!(r#"mmdb_query_range_latency_seconds{plan="bwm",profile="conservative"}"#)
-                .observe(elapsed);
-        }
-        (QueryPlan::Bwm, RuleProfile::PaperTable1) => {
-            histogram!(r#"mmdb_query_range_latency_seconds{plan="bwm",profile="paper_table1"}"#)
-                .observe(elapsed);
-        }
-        (QueryPlan::Indexed, RuleProfile::Conservative) => {
-            histogram!(
-                r#"mmdb_query_range_latency_seconds{plan="indexed",profile="conservative"}"#
-            )
-            .observe(elapsed);
-        }
-        (QueryPlan::Indexed, RuleProfile::PaperTable1) => {
-            histogram!(
-                r#"mmdb_query_range_latency_seconds{plan="indexed",profile="paper_table1"}"#
-            )
-            .observe(elapsed);
-        }
-    }
-    mmdb_telemetry::recorder().record(
-        EventKind::QueryEnd,
-        format!("plan={plan} profile={} bin={}", profile.label(), query.bin),
-        &[
-            ("results", out.results.len() as u64),
-            ("bounds_computed", out.stats.bounds_computed as u64),
-            ("bounds_widened", out.stats.bounds_widened as u64),
-            (
-                "duration_nanos",
-                elapsed.as_nanos().min(u64::MAX as u128) as u64,
-            ),
-        ],
-    );
+    mmdb_telemetry::recorder().record(EventKind::QueryEnd, series.label.as_str(), &counts);
     if elapsed >= mmdb_telemetry::slow_query_threshold() {
         counter!("mmdb_query_slow_total").inc();
         mmdb_telemetry::recorder().record(
@@ -196,13 +229,44 @@ fn observe_range(
                 mmdb_telemetry::format_duration(elapsed)
             ),
             &[
-                (
-                    "duration_nanos",
-                    elapsed.as_nanos().min(u64::MAX as u128) as u64,
-                ),
-                ("results", out.results.len() as u64),
+                ("duration_nanos", nanos(elapsed)),
+                ("results", ctx.results.len() as u64),
             ],
         );
+    }
+}
+
+/// What one slice of a range query runs: the plan together with the
+/// structures it reads, borrowed for the slice. They ride here rather than
+/// in the [`QueryCtx`] because each shard lends its own, from inside its own
+/// lock guard, while the context outlives every slice.
+#[derive(Clone, Copy)]
+pub enum Slice<'s> {
+    /// Ground truth: exact histograms, instantiating edited images.
+    Instantiate,
+    /// §3's Rule-Based Method; the edited-image scan is chunked over
+    /// `threads` scoped workers when more than one.
+    Rbm {
+        /// Worker threads for the BOUNDS scan (0 and 1 both mean serial).
+        threads: usize,
+    },
+    /// §4's Figure 2 over a BWM structure, probing the cache (when given —
+    /// the caller vouches for its freshness) before walking any rule.
+    Bwm(&'s BwmStructure, Option<&'s dyn BoundsCache>),
+    /// Bound-interval index lookup; the [`SyncStats`] say what maintenance
+    /// the caller just performed on the index, for the trace.
+    Indexed(&'s BoundIndex, SyncStats),
+}
+
+impl Slice<'_> {
+    /// The plan this slice executes.
+    pub fn plan(&self) -> QueryPlan {
+        match self {
+            Slice::Instantiate => QueryPlan::Instantiate,
+            Slice::Rbm { .. } => QueryPlan::Rbm,
+            Slice::Bwm(..) => QueryPlan::Bwm,
+            Slice::Indexed(..) => QueryPlan::Indexed,
+        }
     }
 }
 
@@ -220,12 +284,7 @@ pub struct QueryProcessor<'db> {
 impl<'db> QueryProcessor<'db> {
     /// Creates a processor using the conservative rule profile.
     pub fn new(db: &'db StorageEngine) -> Self {
-        QueryProcessor {
-            db,
-            profile: RuleProfile::Conservative,
-            bwm: None,
-            boundidx: None,
-        }
+        Self::with_profile(db, RuleProfile::Conservative)
     }
 
     /// Creates a processor with an explicit rule profile.
@@ -307,160 +366,144 @@ impl<'db> QueryProcessor<'db> {
         RuleEngine::with_background(self.db.quantizer(), self.profile, self.db.background())
     }
 
-    /// Runs `query` under the preferred plan (BWM when attached, else RBM).
-    pub fn range(&self, query: &ColorRangeQuery) -> Result<QueryOutcome> {
-        match self.plan() {
-            QueryPlan::Bwm => self.range_bwm(query),
-            _ => self.range_rbm(query),
-        }
-    }
-
-    /// Runs `query` under the preferred plan, returning a per-stage
-    /// [`QueryTrace`] alongside the outcome.
-    pub fn range_traced(&self, query: &ColorRangeQuery) -> Result<(QueryOutcome, QueryTrace)> {
-        self.range_with_plan_traced(self.plan(), query)
-    }
-
-    /// Runs `query` under an explicit plan with tracing: the trace records
-    /// the chosen plan and query parameters as events, each scan phase as a
-    /// timed stage, and the work counters the stage performed.
+    /// `plan` over this processor's attached structures.
     ///
     /// # Panics
-    /// Panics when `plan` is [`QueryPlan::Bwm`] and no structure is attached.
-    pub fn range_with_plan_traced(
-        &self,
-        plan: QueryPlan,
-        query: &ColorRangeQuery,
-    ) -> Result<(QueryOutcome, QueryTrace)> {
-        let started = Instant::now();
-        observe_range_start(plan, query);
-        let (out, mut trace) = match plan {
+    /// Panics when `plan` needs a structure that is not attached, or when
+    /// the attached index's epoch trails the storage engine (a mutation
+    /// landed after the build; the stale-serving invariant makes this a hard
+    /// error here — the `mmdbms` facade is the layer that re-syncs instead).
+    fn attached(&self, plan: QueryPlan) -> Slice<'_> {
+        match plan {
+            QueryPlan::Instantiate => Slice::Instantiate,
+            QueryPlan::Rbm => Slice::Rbm { threads: 1 },
             QueryPlan::Bwm => {
-                let structure = self
-                    .bwm
-                    .as_ref()
-                    .expect("BWM plan requires an attached BWM structure");
-                let engine = self.engine();
-                mmdb_bwm::query::execute_traced(structure, query, &engine, self.db, self.db)?
-            }
-            QueryPlan::Rbm => {
-                let engine = self.engine();
-                let mut out = QueryOutcome::default();
-                let binary_started = Instant::now();
-                self.rbm_binary_scan(query, &mut out)?;
-                let binary_elapsed = binary_started.elapsed();
-                let binary_hits = out.results.len();
-
-                let edited_started = Instant::now();
-                self.rbm_edited_scan(&engine, query, &mut out)?;
-                let edited_elapsed = edited_started.elapsed();
-
-                let mut trace = QueryTrace::new("rbm_range");
-                trace.counter("results", out.results.len() as u64);
-                trace.counter("bounds_computed", out.stats.bounds_computed as u64);
-                trace.counter("bounds_widened", out.stats.bounds_widened as u64);
-                trace
-                    .stage("binary_scan", binary_elapsed)
-                    .counter("scanned", self.db.binary_ids().len() as u64)
-                    .counter("hits", binary_hits as u64);
-                trace
-                    .stage("edited_scan", edited_elapsed)
-                    .counter("bounds_computed", out.stats.bounds_computed as u64)
-                    .counter("ops_processed", out.stats.ops_processed as u64);
-                (out, trace)
-            }
-            QueryPlan::Instantiate => {
-                let scan_started = Instant::now();
-                let mut out = QueryOutcome::default();
-                self.instantiate_scan(query, &mut out)?;
-                let scan_elapsed = scan_started.elapsed();
-                let mut trace = QueryTrace::new("instantiate_range");
-                trace.counter("results", out.results.len() as u64);
-                trace
-                    .stage("exact_scan", scan_elapsed)
-                    .counter("scanned", self.db.ids().len() as u64);
-                (out, trace)
+                let structure = self.bwm.as_ref();
+                Slice::Bwm(
+                    structure.expect("BWM plan requires an attached BWM structure"),
+                    None,
+                )
             }
             QueryPlan::Indexed => {
-                let index = self
-                    .boundidx
-                    .as_ref()
-                    .expect("Indexed plan requires an attached bound index");
-                return self.range_indexed_with_traced(index, query, SyncStats::default());
-            }
-        };
-        trace.event("plan", plan.to_string());
-        trace.event("bin", query.bin.to_string());
-        trace.event("range", format!("[{}, {}]", query.pct_min, query.pct_max));
-        trace.finish(started.elapsed());
-        observe_range(plan, self.profile, query, &out, started.elapsed());
-        Ok((out, trace))
-    }
-
-    /// §3 baseline (Figures 3–4 "without data structure"): every binary
-    /// image is tested against its exact histogram; every edited image runs
-    /// the full BOUNDS computation over all of its operations.
-    pub fn range_rbm(&self, query: &ColorRangeQuery) -> Result<QueryOutcome> {
-        let started = Instant::now();
-        observe_range_start(QueryPlan::Rbm, query);
-        let engine = self.engine();
-        let mut out = QueryOutcome::default();
-        self.rbm_binary_scan(query, &mut out)?;
-        self.rbm_edited_scan(&engine, query, &mut out)?;
-        observe_range(QueryPlan::Rbm, self.profile, query, &out, started.elapsed());
-        Ok(out)
-    }
-
-    /// The exact-histogram pass over binary images shared by the RBM paths.
-    fn rbm_binary_scan(&self, query: &ColorRangeQuery, out: &mut QueryOutcome) -> Result<()> {
-        for id in self.db.binary_ids() {
-            let info = InfoResolver::require(self.db, id)?;
-            if query.matches_fraction(info.histogram.fraction(query.bin)) {
-                out.results.push(id);
+                let index = self.boundidx.as_ref();
+                let index = index.expect("Indexed plan requires an attached bound index");
+                assert_eq!(
+                    index.synced_epoch(),
+                    self.db.current_epoch(),
+                    "bound index is stale; rebuild it before serving"
+                );
+                Slice::Indexed(index, SyncStats::default())
             }
         }
-        Ok(())
     }
 
-    /// The BOUNDS pass over every edited image (the RBM fallback work).
-    fn rbm_edited_scan(
+    /// The one execution path: runs `slice` against this processor's
+    /// database, *adding* candidates, work counters and (on a traced
+    /// context) timed stages to `ctx`. Nothing here touches process-wide
+    /// telemetry — see [`observed`].
+    pub fn execute(
         &self,
-        engine: &RuleEngine<'_>,
+        slice: Slice<'_>,
         query: &ColorRangeQuery,
-        out: &mut QueryOutcome,
+        ctx: &mut QueryCtx,
     ) -> Result<()> {
-        for id in self.db.edited_ids() {
-            let seq = self
-                .db
-                .edit_sequence(id)
-                .ok_or(RuleError::UnknownImage(id))?;
-            out.stats.bounds_computed += 1;
-            out.stats.ops_processed += seq.len();
-            let bounds = engine.bounds(&seq, query.bin, self.db)?;
-            if !bounds.is_exact() {
-                out.stats.bounds_widened += 1;
+        match slice {
+            // Ground truth: instantiates every edited image, extracts its
+            // exact histogram, and applies the query predicate directly.
+            // This is the expensive path whose avoidance is the point of
+            // the paper.
+            Slice::Instantiate => {
+                let started = Instant::now();
+                let ids = self.db.ids();
+                for &id in &ids {
+                    let hist = self.db.histogram(id)?;
+                    if query.matches_fraction(hist.fraction(query.bin)) {
+                        ctx.results.push(id);
+                    }
+                }
+                if let Some(trace) = &mut ctx.trace {
+                    trace
+                        .stage("exact_scan", started.elapsed())
+                        .counter("scanned", ids.len() as u64);
+                }
             }
-            if bounds.overlaps_fraction(query.pct_min, query.pct_max) {
-                out.results.push(id);
+            // §3 baseline (Figures 3–4 "without data structure"): every
+            // binary image is tested against its exact histogram; every
+            // edited image runs the full BOUNDS computation.
+            Slice::Rbm { threads } => {
+                let started = Instant::now();
+                let found = ctx.results.len();
+                let binary = self.db.binary_ids();
+                for &id in &binary {
+                    let info = InfoResolver::require(self.db, id)?;
+                    if query.matches_fraction(info.histogram.fraction(query.bin)) {
+                        ctx.results.push(id);
+                    }
+                }
+                let binary_elapsed = started.elapsed();
+                let binary_hits = ctx.results.len() - found;
+                let stats = self.rbm_edited_scan(query, threads, &mut ctx.results)?;
+                ctx.stats += stats;
+                if let Some(trace) = &mut ctx.trace {
+                    trace
+                        .stage("binary_scan", binary_elapsed)
+                        .counter("scanned", binary.len() as u64)
+                        .counter("hits", binary_hits as u64);
+                    trace
+                        .stage("edited_scan", started.elapsed() - binary_elapsed)
+                        .counter("bounds_computed", stats.bounds_computed as u64)
+                        .counter("ops_processed", stats.ops_processed as u64);
+                }
+            }
+            Slice::Bwm(structure, cache) => mmdb_bwm::execute(
+                structure,
+                query,
+                &self.engine(),
+                self.db,
+                self.db,
+                cache,
+                ctx,
+            )?,
+            // Two galloping prefix searches and a scan of the smaller
+            // prefix — no rule walk, so not even a clock read untraced.
+            Slice::Indexed(index, sync) => {
+                let started = ctx.trace.is_some().then(Instant::now);
+                let found = ctx.results.len();
+                let scanned = index.lookup_into(query, &mut ctx.results);
+                ctx.stats.bound_cache_hits += scanned;
+                if let (Some(trace), Some(started)) = (&mut ctx.trace, started) {
+                    trace
+                        .stage("index_sync", Duration::ZERO)
+                        .counter("added", sync.added as u64)
+                        .counter("removed", sync.removed as u64)
+                        .counter("recomputed", sync.recomputed as u64);
+                    trace
+                        .stage("index_lookup", started.elapsed())
+                        .counter("entries", index.len() as u64)
+                        .counter("scanned", scanned as u64)
+                        .counter("hits", (ctx.results.len() - found) as u64);
+                }
             }
         }
         Ok(())
     }
 
-    /// Multi-threaded RBM: the edited-image scan is embarrassingly parallel,
-    /// so chunk it over `threads` crossbeam scoped workers. Results are
-    /// merged in id order; stats are summed.
-    pub fn range_rbm_parallel(
+    /// The BOUNDS pass over every edited image (the RBM fallback work),
+    /// appending hits to `results`. The scan is embarrassingly parallel:
+    /// with more than one thread it is chunked over crossbeam scoped
+    /// workers, hits merged in id order and counters summed.
+    fn rbm_edited_scan(
         &self,
         query: &ColorRangeQuery,
         threads: usize,
-    ) -> Result<QueryOutcome> {
-        assert!(threads > 0, "need at least one thread");
-        let started = Instant::now();
-        observe_range_start(QueryPlan::Rbm, query);
-        let mut out = QueryOutcome::default();
-        self.rbm_binary_scan(query, &mut out)?;
+        results: &mut Vec<ImageId>,
+    ) -> Result<BwmQueryStats> {
         let edited = self.db.edited_ids();
+        let mut stats = BwmQueryStats::default();
+        if threads <= 1 {
+            self.bounds_scan(&edited, query, results, &mut stats)?;
+            return Ok(stats);
+        }
         let chunk = edited.len().div_ceil(threads).max(1);
         let partials: Vec<Result<(Vec<ImageId>, BwmQueryStats)>> =
             crossbeam::thread::scope(|scope| {
@@ -468,24 +511,8 @@ impl<'db> QueryProcessor<'db> {
                     .chunks(chunk)
                     .map(|ids| {
                         scope.spawn(move |_| {
-                            let engine = self.engine();
-                            let mut hits = Vec::new();
-                            let mut stats = BwmQueryStats::default();
-                            for &id in ids {
-                                let seq = self
-                                    .db
-                                    .edit_sequence(id)
-                                    .ok_or(RuleError::UnknownImage(id))?;
-                                stats.bounds_computed += 1;
-                                stats.ops_processed += seq.len();
-                                let bounds = engine.bounds(&seq, query.bin, self.db)?;
-                                if !bounds.is_exact() {
-                                    stats.bounds_widened += 1;
-                                }
-                                if bounds.overlaps_fraction(query.pct_min, query.pct_max) {
-                                    hits.push(id);
-                                }
-                            }
+                            let (mut hits, mut stats) = (Vec::new(), BwmQueryStats::default());
+                            self.bounds_scan(ids, query, &mut hits, &mut stats)?;
                             Ok((hits, stats))
                         })
                     })
@@ -497,14 +524,87 @@ impl<'db> QueryProcessor<'db> {
             })
             .expect("scope panicked");
         for partial in partials {
-            let (hits, stats) = partial?;
-            out.results.extend(hits);
-            out.stats.bounds_computed += stats.bounds_computed;
-            out.stats.ops_processed += stats.ops_processed;
-            out.stats.bounds_widened += stats.bounds_widened;
+            let (hits, partial_stats) = partial?;
+            results.extend(hits);
+            stats += partial_stats;
         }
-        observe_range(QueryPlan::Rbm, self.profile, query, &out, started.elapsed());
-        Ok(out)
+        Ok(stats)
+    }
+
+    /// BOUNDS for each of `ids`, emitting those whose range overlaps.
+    fn bounds_scan(
+        &self,
+        ids: &[ImageId],
+        query: &ColorRangeQuery,
+        results: &mut Vec<ImageId>,
+        stats: &mut BwmQueryStats,
+    ) -> Result<()> {
+        let engine = self.engine();
+        for &id in ids {
+            let seq = self
+                .db
+                .edit_sequence(id)
+                .ok_or(RuleError::UnknownImage(id))?;
+            stats.bounds_computed += 1;
+            stats.ops_processed += seq.len();
+            let bounds = engine.bounds(&seq, query.bin, self.db)?;
+            if !bounds.is_exact() {
+                stats.bounds_widened += 1;
+            }
+            if bounds.overlaps_fraction(query.pct_min, query.pct_max) {
+                results.push(id);
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs `slice` as a whole query of its own — a fresh context, one
+    /// [`QueryProcessor::execute`], observed once. Every `range_*` method
+    /// below is this with the slice spelled out.
+    pub fn run(&self, slice: Slice<'_>, query: &ColorRangeQuery) -> Result<QueryOutcome> {
+        let mut ctx = QueryCtx::default();
+        observed(slice.plan(), self.profile, query, &mut ctx, |ctx| {
+            self.execute(slice, query, ctx)
+        })?;
+        Ok(ctx.into_outcome())
+    }
+
+    /// [`QueryProcessor::run`] with tracing: the trace records the plan and
+    /// query parameters as events, each scan phase as a timed stage, and the
+    /// work counters the stage performed.
+    pub fn run_traced(
+        &self,
+        slice: Slice<'_>,
+        query: &ColorRangeQuery,
+    ) -> Result<(QueryOutcome, QueryTrace)> {
+        let mut ctx = QueryCtx::traced(format!("{}_range", slice.plan()));
+        observed(slice.plan(), self.profile, query, &mut ctx, |ctx| {
+            self.execute(slice, query, ctx)
+        })?;
+        Ok(ctx.into_traced_outcome())
+    }
+
+    /// Runs `query` under the preferred plan (BWM when attached, else RBM).
+    pub fn range(&self, query: &ColorRangeQuery) -> Result<QueryOutcome> {
+        self.run(self.attached(self.plan()), query)
+    }
+
+    /// Runs `query` under an explicit plan over the attached structures,
+    /// with tracing.
+    ///
+    /// # Panics
+    /// Panics when `plan` needs a structure that is not attached.
+    pub fn range_with_plan_traced(
+        &self,
+        plan: QueryPlan,
+        query: &ColorRangeQuery,
+    ) -> Result<(QueryOutcome, QueryTrace)> {
+        self.run_traced(self.attached(plan), query)
+    }
+
+    /// §3 baseline (Figures 3–4 "without data structure"), serial.
+    pub fn range_rbm(&self, query: &ColorRangeQuery) -> Result<QueryOutcome> {
+        self.run(Slice::Rbm { threads: 1 }, query)
     }
 
     /// §4 (Figures 3–4 "with data structure"): the Figure 2 algorithm.
@@ -512,187 +612,41 @@ impl<'db> QueryProcessor<'db> {
     /// # Panics
     /// Panics when no BWM structure is attached.
     pub fn range_bwm(&self, query: &ColorRangeQuery) -> Result<QueryOutcome> {
-        let structure = self
-            .bwm
-            .as_ref()
-            .expect("range_bwm requires an attached BWM structure");
-        self.range_bwm_with(structure, query)
+        self.run(self.attached(QueryPlan::Bwm), query)
     }
 
     /// Figure 2 against an externally owned structure (used by callers that
-    /// maintain the BWM structure incrementally, like the `mmdbms` facade).
+    /// maintain the BWM structure incrementally).
     pub fn range_bwm_with(
         &self,
         structure: &BwmStructure,
         query: &ColorRangeQuery,
     ) -> Result<QueryOutcome> {
-        let started = Instant::now();
-        observe_range_start(QueryPlan::Bwm, query);
-        let engine = self.engine();
-        let out = mmdb_bwm::query::execute(structure, query, &engine, self.db, self.db)?;
-        observe_range(QueryPlan::Bwm, self.profile, query, &out, started.elapsed());
-        Ok(out)
+        self.run(Slice::Bwm(structure, None), query)
     }
 
-    /// Figure 2 with tracing against an externally owned structure.
-    pub fn range_bwm_with_traced(
-        &self,
-        structure: &BwmStructure,
-        query: &ColorRangeQuery,
-    ) -> Result<(QueryOutcome, QueryTrace)> {
-        let started = Instant::now();
-        observe_range_start(QueryPlan::Bwm, query);
-        let engine = self.engine();
-        let (out, mut trace) =
-            mmdb_bwm::query::execute_traced(structure, query, &engine, self.db, self.db)?;
-        trace.event("plan", QueryPlan::Bwm.to_string());
-        trace.event("bin", query.bin.to_string());
-        trace.event("range", format!("[{}, {}]", query.pct_min, query.pct_max));
-        trace.finish(started.elapsed());
-        observe_range(QueryPlan::Bwm, self.profile, query, &out, started.elapsed());
-        Ok((out, trace))
-    }
-
-    /// Figure 2 with a memoized-bounds fast path: clusters whose base
-    /// misses (and Unclassified entries) probe `cache` before walking any
-    /// operation list. The caller is responsible for cache freshness (the
-    /// facade only passes an index whose epoch matches the storage engine).
-    pub fn range_bwm_with_cache(
-        &self,
-        structure: &BwmStructure,
-        query: &ColorRangeQuery,
-        cache: Option<&dyn BoundsCache>,
-    ) -> Result<QueryOutcome> {
-        let started = Instant::now();
-        observe_range_start(QueryPlan::Bwm, query);
-        let engine = self.engine();
-        let out = mmdb_bwm::query::execute_with_cache(
-            structure, query, &engine, self.db, self.db, cache,
-        )?;
-        observe_range(QueryPlan::Bwm, self.profile, query, &out, started.elapsed());
-        Ok(out)
-    }
-
-    /// Answers `query` from the attached bound-interval index: two galloping
-    /// prefix searches and a scan of the smaller prefix — no rule walk.
+    /// Answers `query` from the attached bound-interval index.
     ///
     /// # Panics
-    /// Panics when no index is attached, or when the attached index's epoch
-    /// trails the storage engine (a mutation landed after the build; the
-    /// stale-serving invariant makes this a hard error here — the `mmdbms`
-    /// facade is the layer that re-syncs instead).
+    /// Panics when no index is attached, or when it is stale.
     pub fn range_indexed(&self, query: &ColorRangeQuery) -> Result<QueryOutcome> {
-        let index = self
-            .boundidx
-            .as_ref()
-            .expect("range_indexed requires an attached bound index");
-        assert_eq!(
-            index.synced_epoch(),
-            self.db.current_epoch(),
-            "bound index is stale; rebuild it before serving"
-        );
-        self.range_indexed_with(index, query)
+        self.run(self.attached(QueryPlan::Indexed), query)
     }
 
     /// Indexed lookup against an externally owned index (used by callers
-    /// that maintain the index incrementally, like the `mmdbms` facade).
+    /// that maintain the index incrementally).
     pub fn range_indexed_with(
         &self,
         index: &BoundIndex,
         query: &ColorRangeQuery,
     ) -> Result<QueryOutcome> {
-        let started = Instant::now();
-        observe_range_start(QueryPlan::Indexed, query);
-        let lookup = index.lookup(query);
-        let mut out = QueryOutcome::default();
-        out.stats.bound_cache_hits = lookup.scanned;
-        out.results = lookup.ids;
-        observe_range(
-            QueryPlan::Indexed,
-            self.profile,
-            query,
-            &out,
-            started.elapsed(),
-        );
-        Ok(out)
+        self.run(Slice::Indexed(index, SyncStats::default()), query)
     }
 
-    /// [`QueryProcessor::range_indexed_with`] with tracing: one
-    /// `index_sync` stage (what incremental maintenance the caller just
-    /// performed — zeros when the index was already fresh) and one
-    /// `index_lookup` stage with hit/scan counters, for `mmdbctl explain`.
-    pub fn range_indexed_with_traced(
-        &self,
-        index: &BoundIndex,
-        query: &ColorRangeQuery,
-        sync: SyncStats,
-    ) -> Result<(QueryOutcome, QueryTrace)> {
-        let started = Instant::now();
-        observe_range_start(QueryPlan::Indexed, query);
-        let lookup_started = Instant::now();
-        let lookup = index.lookup(query);
-        let lookup_elapsed = lookup_started.elapsed();
-        let mut out = QueryOutcome::default();
-        out.stats.bound_cache_hits = lookup.scanned;
-        out.results = lookup.ids;
-
-        let mut trace = QueryTrace::new("indexed_range");
-        trace.counter("results", out.results.len() as u64);
-        trace.counter("index_hits", lookup.scanned as u64);
-        trace.counter("index_misses", sync.recomputed as u64);
-        trace
-            .stage("index_sync", Duration::ZERO)
-            .counter("added", sync.added as u64)
-            .counter("removed", sync.removed as u64)
-            .counter("recomputed", sync.recomputed as u64);
-        trace
-            .stage("index_lookup", lookup_elapsed)
-            .counter("entries", index.len() as u64)
-            .counter("scanned", lookup.scanned as u64)
-            .counter("hits", out.results.len() as u64);
-        trace.event("plan", QueryPlan::Indexed.to_string());
-        trace.event("bin", query.bin.to_string());
-        trace.event("range", format!("[{}, {}]", query.pct_min, query.pct_max));
-        trace.finish(started.elapsed());
-        observe_range(
-            QueryPlan::Indexed,
-            self.profile,
-            query,
-            &out,
-            started.elapsed(),
-        );
-        Ok((out, trace))
-    }
-
-    /// Ground truth: instantiates every edited image, extracts its exact
-    /// histogram, and applies the query predicate directly. Binary images
-    /// use their stored histograms. This is the expensive path whose
-    /// avoidance is the point of the paper; exposed for correctness
-    /// verification and the instantiation-cost benchmarks.
+    /// Ground truth by instantiation; exposed for correctness verification
+    /// and the instantiation-cost benchmarks.
     pub fn range_instantiate(&self, query: &ColorRangeQuery) -> Result<QueryOutcome> {
-        let started = Instant::now();
-        observe_range_start(QueryPlan::Instantiate, query);
-        let mut out = QueryOutcome::default();
-        self.instantiate_scan(query, &mut out)?;
-        observe_range(
-            QueryPlan::Instantiate,
-            self.profile,
-            query,
-            &out,
-            started.elapsed(),
-        );
-        Ok(out)
-    }
-
-    /// The exact-histogram scan over every image (instantiating as needed).
-    fn instantiate_scan(&self, query: &ColorRangeQuery, out: &mut QueryOutcome) -> Result<()> {
-        for id in self.db.ids() {
-            let hist = self.db.histogram(id)?;
-            if query.matches_fraction(hist.fraction(query.bin)) {
-                out.results.push(id);
-            }
-        }
-        Ok(())
+        self.run(Slice::Instantiate, query)
     }
 
     /// §2's provenance expansion: "this connection can be used to determine
@@ -817,7 +771,7 @@ mod tests {
         for threads in [1, 2, 4, 7] {
             let q = ColorRangeQuery::new(red_bin(&db), 0.2, 0.6);
             let serial = qp.range_rbm(&q).unwrap();
-            let parallel = qp.range_rbm_parallel(&q, threads).unwrap();
+            let parallel = qp.run(Slice::Rbm { threads }, &q).unwrap();
             assert_eq!(serial.sorted_results(), parallel.sorted_results());
             assert_eq!(serial.stats.bounds_computed, parallel.stats.bounds_computed);
         }
@@ -881,13 +835,8 @@ mod tests {
         for (lo, hi) in [(0.0, 1.0), (0.45, 0.52), (0.9, 1.0)] {
             let q = ColorRangeQuery::new(red_bin(&db), lo, hi);
             let plain = qp.range_bwm_with(&structure, &q).unwrap();
-            let cached = qp
-                .range_bwm_with_cache(
-                    &structure,
-                    &q,
-                    qp.bound_index().map(|i| i as &dyn BoundsCache),
-                )
-                .unwrap();
+            let cache = qp.bound_index().map(|i| i as &dyn BoundsCache);
+            let cached = qp.run(Slice::Bwm(&structure, cache), &q).unwrap();
             assert_eq!(plain.sorted_results(), cached.sorted_results());
             assert_eq!(
                 cached.stats.bounds_computed, 0,

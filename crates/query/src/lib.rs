@@ -13,17 +13,20 @@
 //! * [`QueryProcessor::range_bwm`] — §4's Bound-Widening Method over the
 //!   Main/Unclassified structure.
 //!
-//! plus the supporting machinery: a parallel RBM scan (crossbeam scoped
-//! threads), provenance expansion (§2: when `op(x)` matches, `x` is returned
-//! too), and a k-nearest-neighbour search over the binary images' histogram
-//! signatures through the R-tree substrate.
+//! All of them (and the indexed lookup) are one un-instrumented path,
+//! [`QueryProcessor::execute`], adding to a [`QueryCtx`]; the `range_*`
+//! methods wrap it as whole queries, observed once each
+//! ([`executor::observed`]). Plus the supporting machinery: a parallel RBM
+//! scan (crossbeam scoped threads), provenance expansion (§2: when `op(x)`
+//! matches, `x` is returned too), and a k-nearest-neighbour search over the
+//! binary images' histogram signatures through the R-tree substrate.
 
 pub mod executor;
 pub mod knn;
 pub mod knn_edited;
 pub mod plan;
 
-pub use executor::QueryProcessor;
+pub use executor::{QueryCtx, QueryProcessor, ShardRecord, Slice};
 pub use knn::SignatureIndex;
 pub use knn_edited::{knn_augmented, knn_brute_force, KnnOutcome, KnnStats};
 pub use plan::QueryPlan;
@@ -32,11 +35,8 @@ pub use plan::QueryPlan;
 /// arrives) so exposition shows the full query schema from process start.
 pub fn register_metrics() {
     let g = mmdb_telemetry::global();
+    executor::register_range_series();
     for name in [
-        r#"mmdb_query_range_total{plan="instantiate"}"#,
-        r#"mmdb_query_range_total{plan="rbm"}"#,
-        r#"mmdb_query_range_total{plan="bwm"}"#,
-        r#"mmdb_query_range_total{plan="indexed"}"#,
         r#"mmdb_query_knn_total{path="augmented"}"#,
         r#"mmdb_query_knn_total{path="brute_force"}"#,
         "mmdb_query_knn_edited_pruned_total",
@@ -46,18 +46,6 @@ pub fn register_metrics() {
         let _ = g.counter(name);
     }
     for name in [
-        r#"mmdb_query_range_latency_seconds{plan="instantiate"}"#,
-        r#"mmdb_query_range_latency_seconds{plan="rbm"}"#,
-        r#"mmdb_query_range_latency_seconds{plan="bwm"}"#,
-        r#"mmdb_query_range_latency_seconds{plan="indexed"}"#,
-        r#"mmdb_query_range_latency_seconds{plan="instantiate",profile="conservative"}"#,
-        r#"mmdb_query_range_latency_seconds{plan="instantiate",profile="paper_table1"}"#,
-        r#"mmdb_query_range_latency_seconds{plan="rbm",profile="conservative"}"#,
-        r#"mmdb_query_range_latency_seconds{plan="rbm",profile="paper_table1"}"#,
-        r#"mmdb_query_range_latency_seconds{plan="bwm",profile="conservative"}"#,
-        r#"mmdb_query_range_latency_seconds{plan="bwm",profile="paper_table1"}"#,
-        r#"mmdb_query_range_latency_seconds{plan="indexed",profile="conservative"}"#,
-        r#"mmdb_query_range_latency_seconds{plan="indexed",profile="paper_table1"}"#,
         r#"mmdb_query_knn_latency_seconds{path="augmented"}"#,
         r#"mmdb_query_knn_latency_seconds{path="brute_force"}"#,
     ] {

@@ -157,6 +157,16 @@ impl QueryTrace {
         self.root.child(Span::new(name, duration))
     }
 
+    /// Moves the top-level stages from index `from` on under one new
+    /// top-level stage and returns it — how a scatter-gather query groups
+    /// the stages one shard's slice recorded.
+    pub fn nest(&mut self, from: usize, name: impl Into<String>, duration: Duration) -> &mut Span {
+        let moved = self.root.children.split_off(from);
+        let stage = self.root.child(Span::new(name, duration));
+        stage.children = moved;
+        stage
+    }
+
     /// Records a query-level counter on the root span.
     pub fn counter(&mut self, name: impl Into<String>, value: u64) {
         self.root.counter(name, value);

@@ -5,7 +5,7 @@
 use mmdb_datagen::{Collection, DatasetBuilder, QueryGenerator};
 use mmdb_editops::EditSequence;
 use mmdb_imaging::{RasterImage, Rect, Rgb};
-use mmdb_query::QueryProcessor;
+use mmdb_query::{QueryProcessor, Slice};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 #[test]
@@ -176,7 +176,10 @@ fn parallel_rbm_under_many_threads_is_stable() {
         for _ in 0..4 {
             scope.spawn(|_| {
                 for (q, expect) in queries.iter().zip(&reference) {
-                    let got = qp.range_rbm_parallel(q, 8).unwrap().sorted_results();
+                    let got = qp
+                        .run(Slice::Rbm { threads: 8 }, q)
+                        .unwrap()
+                        .sorted_results();
                     assert_eq!(&got, expect);
                 }
             });

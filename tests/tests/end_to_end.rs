@@ -3,7 +3,7 @@
 //! query.
 
 use mmdb_datagen::{Collection, DatasetBuilder, QueryGenerator, VariantConfig};
-use mmdb_query::QueryProcessor;
+use mmdb_query::{QueryProcessor, Slice};
 
 fn check_collection(collection: Collection, seed: u64) {
     let (db, info) = DatasetBuilder::new(collection)
@@ -49,7 +49,7 @@ fn check_collection(collection: Collection, seed: u64) {
             );
         }
         // Parallel RBM agrees with serial.
-        let parallel = qp.range_rbm_parallel(q, 4).unwrap();
+        let parallel = qp.run(Slice::Rbm { threads: 4 }, q).unwrap();
         assert_eq!(parallel.sorted_results(), rbm.sorted_results());
     }
 }
