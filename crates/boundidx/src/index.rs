@@ -177,7 +177,9 @@ impl BoundIndex {
 
         let mut pending: Vec<Vec<IntervalEntry>> = vec![Vec::new(); bin_count];
         for &id in binary {
-            let entry = binary_entry(id, bin_count, resolver)?;
+            let Some(entry) = unless_vanished(id, binary_entry(id, bin_count, resolver))? else {
+                continue;
+            };
             stage_entry(&mut pending, id, &entry.bounds);
             idx.link_refs(id, &entry.refs);
             idx.entries.insert(id, entry);
@@ -246,17 +248,22 @@ impl BoundIndex {
         let mut fresh: Vec<(ImageId, IndexEntry)> = Vec::new();
         for &id in binary {
             if !self.entries.contains_key(&id) {
-                fresh.push((id, binary_entry(id, bin_count, resolver)?));
-                stats.added += 1;
+                if let Some(entry) = unless_vanished(id, binary_entry(id, bin_count, resolver))? {
+                    fresh.push((id, entry));
+                    stats.added += 1;
+                }
             }
         }
         let engine = RuleEngine::with_background(quantizer, self.profile, background);
         for &id in edited {
             if !self.entries.contains_key(&id) {
-                fresh.push((id, edited_entry(&engine, id, resolver, store)?));
-                counter!("mmdb_boundidx_misses_total").inc();
-                stats.added += 1;
-                stats.recomputed += 1;
+                let entry = edited_entry(&engine, id, resolver, store);
+                if let Some(entry) = unless_vanished(id, entry)? {
+                    fresh.push((id, entry));
+                    counter!("mmdb_boundidx_misses_total").inc();
+                    stats.added += 1;
+                    stats.recomputed += 1;
+                }
             }
         }
         if fresh.len() < BATCH_SYNC_THRESHOLD {
@@ -458,6 +465,18 @@ impl mmdb_bwm::BoundsCache for BoundIndex {
     }
 }
 
+/// The entry of an image the caller listed a moment ago, or `None` when the
+/// image itself has been deleted since: it simply is not indexed. (The
+/// stamp was captured before the listing, so the delete's epoch bump already
+/// forces the next lookup to re-sync.) A missing *referenced* image is still
+/// an error.
+fn unless_vanished<T>(id: ImageId, entry: Result<T>) -> Result<Option<T>> {
+    match entry {
+        Err(RuleError::UnknownImage(missing)) if missing == id => Ok(None),
+        entry => entry.map(Some),
+    }
+}
+
 fn binary_entry<R>(id: ImageId, bin_count: usize, resolver: &R) -> Result<IndexEntry>
 where
     R: InfoResolver,
@@ -483,10 +502,11 @@ where
     R: InfoResolver,
     S: SequenceStore,
 {
-    let seq = store.sequence(id).ok_or(RuleError::UnknownImage(id))?;
-    let bounds = engine.bounds_vector(&seq, resolver)?;
-    let mut refs = seq.merge_targets();
-    refs.push(seq.base);
+    let program = store.program(id, engine, resolver)?;
+    let base = resolver.require(program.base())?;
+    let bounds = program.eval_vector(engine.profile(), &base.histogram, resolver)?;
+    let mut refs: Vec<ImageId> = program.merge_targets().collect();
+    refs.push(program.base());
     refs.sort_unstable();
     refs.dedup();
     Ok(IndexEntry { bounds, refs })
@@ -503,7 +523,10 @@ where
     S: SequenceStore,
 {
     ids.iter()
-        .map(|&id| Ok((id, edited_entry(engine, id, resolver, store)?)))
+        .filter_map(|&id| {
+            let entry = unless_vanished(id, edited_entry(engine, id, resolver, store));
+            entry.map(|e| e.map(|e| (id, e))).transpose()
+        })
         .collect()
 }
 

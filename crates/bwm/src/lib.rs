@@ -29,7 +29,8 @@ pub mod query;
 pub mod structure;
 
 pub use query::{
-    execute, flush_query_metrics, BoundsCache, BwmQueryStats, QueryCtx, QueryOutcome, ShardRecord,
+    bounds_scan, execute, flush_query_metrics, BoundsCache, BwmQueryStats, QueryCtx, QueryOutcome,
+    ShardRecord,
 };
 pub use structure::{BwmStructure, Classification, SequenceStore};
 

@@ -2,7 +2,9 @@
 
 use crate::structure::{BwmStructure, SequenceStore};
 use mmdb_editops::ImageId;
-use mmdb_rules::{BoundRange, ColorRangeQuery, InfoResolver, Result, RuleEngine, RuleError};
+use mmdb_rules::{
+    BoundRange, ColorRangeQuery, ImageInfo, InfoResolver, Result, RuleEngine, RuleError,
+};
 use mmdb_telemetry::{counter, QueryTrace};
 use std::time::{Duration, Instant};
 
@@ -176,6 +178,11 @@ struct Scan<'a, S> {
     resolver: &'a dyn InfoResolver,
     store: &'a S,
     cache: Option<&'a dyn BoundsCache>,
+    /// The ids come from a catalog listing taken a moment ago (RBM), so one
+    /// that has no stored sequence any more was deleted since and is simply
+    /// not a result. Ids from a BWM structure are guarded by its lock: a
+    /// missing one is an inconsistency and fails the query.
+    listed: bool,
 }
 
 /// Executes the Figure 2 algorithm over a BWM structure, adding candidates
@@ -204,6 +211,7 @@ pub fn execute<S: SequenceStore>(
         resolver,
         store,
         cache,
+        listed: false,
     };
     // Slice-local counters, so the stages below report this structure's
     // work even when `ctx` already carries other shards' totals.
@@ -238,6 +246,32 @@ pub fn execute<S: SequenceStore>(
     Ok(())
 }
 
+/// The §3 RBM fallback over `ids`: BOUNDS for every image, emitting those
+/// whose range overlaps the query — exactly what Figure 2 does for the
+/// images it cannot shortcut, so RBM and BWM differ only in how many images
+/// reach this loop. `ids` is taken to be a catalog listing: an id with no
+/// stored sequence any more was deleted since and is skipped. Adds `bounds_computed`, `ops_processed` and
+/// `bounds_widened` to `stats`.
+pub fn bounds_scan<S: SequenceStore>(
+    ids: &[ImageId],
+    query: &ColorRangeQuery,
+    engine: &RuleEngine<'_>,
+    resolver: &dyn InfoResolver,
+    store: &S,
+    results: &mut Vec<ImageId>,
+    stats: &mut BwmQueryStats,
+) -> Result<()> {
+    let scan = Scan {
+        query,
+        engine,
+        resolver,
+        store,
+        cache: None,
+        listed: true,
+    };
+    scan.each(ids, results, stats)
+}
+
 impl<S: SequenceStore> Scan<'_, S> {
     /// Step 4: each element `<B_id, E_list>` of the Main Component.
     fn main(
@@ -257,9 +291,11 @@ impl<S: SequenceStore> Scan<'_, S> {
                 results.extend_from_slice(cluster);
                 stats.shortcut_emissions += cluster.len();
             } else {
-                // 4.3: fall back to the BOUNDS algorithm per edited image.
+                // 4.3: fall back to the BOUNDS algorithm per edited image,
+                // each starting from the base histogram already in hand.
+                let mut base = Some((base, info));
                 for &edited in cluster {
-                    self.bounds_test(edited, results, stats)?;
+                    self.bounds_test(edited, &mut base, results, stats)?;
                 }
             }
         }
@@ -273,18 +309,33 @@ impl<S: SequenceStore> Scan<'_, S> {
         results: &mut Vec<ImageId>,
         stats: &mut BwmQueryStats,
     ) -> Result<()> {
-        for &edited in structure.unclassified() {
-            stats.unclassified_scanned += 1;
-            self.bounds_test(edited, results, stats)?;
+        stats.unclassified_scanned += structure.unclassified().len();
+        self.each(structure.unclassified(), results, stats)
+    }
+
+    /// BOUNDS for each of `ids` in turn.
+    fn each(
+        &self,
+        ids: &[ImageId],
+        results: &mut Vec<ImageId>,
+        stats: &mut BwmQueryStats,
+    ) -> Result<()> {
+        let mut base = None;
+        for &edited in ids {
+            self.bounds_test(edited, &mut base, results, stats)?;
         }
         Ok(())
     }
 
     /// Runs BOUNDS for one edited image (serving a memoized range from the
-    /// cache when available) and emits it when the range overlaps.
+    /// cache when available) and emits it when the range overlaps. `base`
+    /// is the last base info this scan resolved: a cluster scan fills it in
+    /// once for the whole cluster, and a run of unclassified images derived
+    /// from one base resolves it once.
     fn bounds_test(
         &self,
         edited: ImageId,
+        base: &mut Option<(ImageId, ImageInfo)>,
         results: &mut Vec<ImageId>,
         stats: &mut BwmQueryStats,
     ) -> Result<()> {
@@ -295,13 +346,28 @@ impl<S: SequenceStore> Scan<'_, S> {
                 bounds
             }
             None => {
-                let seq = self
-                    .store
-                    .sequence(edited)
-                    .ok_or(RuleError::UnknownImage(edited))?;
+                let program = match self.store.program(edited, self.engine, self.resolver) {
+                    Err(RuleError::UnknownImage(id)) if self.listed && id == edited => {
+                        return Ok(());
+                    }
+                    program => program?,
+                };
                 stats.bounds_computed += 1;
-                stats.ops_processed += seq.len();
-                let bounds = self.engine.bounds(&seq, query.bin, self.resolver)?;
+                stats.ops_processed += program.op_count();
+                let base = match base {
+                    Some((resolved, info)) if *resolved == program.base() => &*info,
+                    _ => {
+                        let info = self.resolver.require(program.base())?;
+                        &base.insert((program.base(), info)).1
+                    }
+                };
+                let bounds = program.eval(
+                    query.bin,
+                    self.engine.profile(),
+                    base.histogram.count(query.bin),
+                    base.histogram.total(),
+                    self.resolver,
+                )?;
                 if !bounds.is_exact() {
                     stats.bounds_widened += 1;
                 }
@@ -341,7 +407,7 @@ mod tests {
     use mmdb_editops::EditSequence;
     use mmdb_histogram::{ColorHistogram, Quantizer, RgbQuantizer};
     use mmdb_imaging::{draw, RasterImage, Rect, Rgb};
-    use mmdb_rules::{ImageInfo, MapInfoResolver, RuleProfile};
+    use mmdb_rules::{MapInfoResolver, RuleProfile};
     use std::collections::HashMap;
     use std::sync::Arc;
 
@@ -488,6 +554,30 @@ mod tests {
             run(&f, &engine, &q, None),
             Err(RuleError::UnknownImage(id)) if id == ImageId::new(11)
         ));
+    }
+
+    /// The same missing sequence under RBM's listing semantics: the id was
+    /// listed, then deleted, and is skipped rather than failing the scan.
+    #[test]
+    fn listed_id_deleted_since_is_skipped() {
+        let mut f = fixture();
+        f.store.remove(&ImageId::new(11));
+        let engine = RuleEngine::new(&f.quant, RuleProfile::Conservative);
+        let q = ColorRangeQuery::new(f.quant.bin_of(Rgb::RED), 0.0, 1.0);
+        let ids = [ImageId::new(10), ImageId::new(11), ImageId::new(12)];
+        let (mut results, mut stats) = (Vec::new(), BwmQueryStats::default());
+        bounds_scan(
+            &ids,
+            &q,
+            &engine,
+            &f.resolver,
+            &f.store,
+            &mut results,
+            &mut stats,
+        )
+        .unwrap();
+        assert_eq!(results, vec![ImageId::new(10), ImageId::new(12)]);
+        assert_eq!(stats.bounds_computed, 2);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The proposed data structure (§4.1) and its insertion algorithm (Fig. 1).
 
 use mmdb_editops::{EditSequence, ImageId};
+use mmdb_rules::{BoundProgram, InfoResolver, RuleEngine, RuleError};
 use mmdb_telemetry::counter;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -20,11 +21,41 @@ pub enum Classification {
 pub trait SequenceStore {
     /// The stored sequence of an edited image.
     fn sequence(&self, id: ImageId) -> Option<Arc<EditSequence>>;
+
+    /// The sequence of edited image `id` compiled for BOUNDS. The default
+    /// compiles on every call with the caller's engine and resolver; a
+    /// store that keeps programs (the storage engine) compiles at most once
+    /// per image, with the database's own quantizer and background — which
+    /// is what every engine over that database is built from.
+    ///
+    /// # Errors
+    /// [`RuleError::UnknownImage`] when `id` has no stored sequence, or
+    /// whatever compilation reports.
+    fn program(
+        &self,
+        id: ImageId,
+        engine: &RuleEngine<'_>,
+        resolver: &dyn InfoResolver,
+    ) -> Result<BoundProgram, RuleError> {
+        let sequence = self.sequence(id).ok_or(RuleError::UnknownImage(id))?;
+        engine.compile(&sequence, resolver)
+    }
 }
 
 impl SequenceStore for mmdb_storage::StorageEngine {
     fn sequence(&self, id: ImageId) -> Option<Arc<EditSequence>> {
         self.edit_sequence(id)
+    }
+
+    fn program(
+        &self,
+        id: ImageId,
+        engine: &RuleEngine<'_>,
+        _resolver: &dyn InfoResolver,
+    ) -> Result<BoundProgram, RuleError> {
+        debug_assert_eq!(engine.background(), self.background());
+        debug_assert_eq!(engine.quantizer().bin_count(), self.quantizer().bin_count());
+        self.bound_program(id)
     }
 }
 
@@ -68,9 +99,22 @@ impl BwmStructure {
     /// base's cluster in Main, otherwise append to Unclassified. Returns
     /// the classification.
     pub fn insert_edited(&mut self, id: ImageId, sequence: &EditSequence) -> Classification {
-        if mmdb_analysis::widening_verdict(sequence).all_widening {
+        let all_widening = mmdb_analysis::widening_verdict(sequence).all_widening;
+        self.insert_classified(id, sequence.base, all_widening)
+    }
+
+    /// [`BwmStructure::insert_edited`] for a caller that took the verdict
+    /// (`widening_verdict(sequence).all_widening`) while it still held the
+    /// sequence, and has since given the sequence away.
+    pub fn insert_classified(
+        &mut self,
+        id: ImageId,
+        base: ImageId,
+        all_widening: bool,
+    ) -> Classification {
+        if all_widening {
             counter!(r#"mmdb_bwm_edited_inserts_total{component="classified"}"#).inc();
-            self.main.entry(sequence.base).or_default().push(id);
+            self.main.entry(base).or_default().push(id);
             Classification::Main
         } else {
             counter!(r#"mmdb_bwm_edited_inserts_total{component="unclassified"}"#).inc();
@@ -98,44 +142,49 @@ impl BwmStructure {
         s
     }
 
-    /// Removes an image (binary or edited) from the structure. Removing a
-    /// binary image drops its cluster; its clustered edited images are
-    /// returned so the caller can decide what to do with them (normally they
-    /// were deleted first — the storage engine enforces that).
-    pub fn remove(&mut self, id: ImageId) -> Vec<ImageId> {
+    /// Removes a binary image: drops its cluster and returns the edited
+    /// images that were in it, so the caller can decide what to do with
+    /// them (normally they were deleted first — the storage engine enforces
+    /// that). Unknown ids are a no-op.
+    pub fn remove_binary(&mut self, id: ImageId) -> Vec<ImageId> {
         counter!("mmdb_bwm_removals_total").inc();
-        if let Some(orphans) = self.main.remove(&id) {
-            counter!("mmdb_bwm_orphaned_total").add(orphans.len() as u64);
-            if !orphans.is_empty() && mmdb_telemetry::instrumentation_enabled() {
-                mmdb_telemetry::recorder().record(
-                    mmdb_telemetry::EventKind::BwmReclassified,
-                    format!("base {id} removed, cluster dissolved"),
-                    &[("orphaned", orphans.len() as u64)],
-                );
-            }
-            return orphans;
+        let orphans = self.main.remove(&id).unwrap_or_default();
+        counter!("mmdb_bwm_orphaned_total").add(orphans.len() as u64);
+        if !orphans.is_empty() && mmdb_telemetry::instrumentation_enabled() {
+            mmdb_telemetry::recorder().record(
+                mmdb_telemetry::EventKind::BwmReclassified,
+                format!("base {id} removed, cluster dissolved"),
+                &[("orphaned", orphans.len() as u64)],
+            );
         }
-        for list in self.main.values_mut() {
-            if let Some(pos) = list.iter().position(|&e| e == id) {
-                list.remove(pos);
-                return Vec::new();
-            }
-        }
-        if let Some(pos) = self.unclassified.iter().position(|&e| e == id) {
-            self.unclassified.remove(pos);
-        }
-        Vec::new()
+        orphans
     }
 
-    /// The classification of an edited image, or `None` if untracked.
-    pub fn classification(&self, id: ImageId) -> Option<Classification> {
-        if self.unclassified.contains(&id) {
-            return Some(Classification::Unclassified);
+    /// Removes an edited image derived from `base`. An edited image is
+    /// either in its base's cluster or unclassified, so this looks at that
+    /// one cluster and the Unclassified Component — never at other
+    /// clusters. Unknown ids are a no-op.
+    pub fn remove_edited(&mut self, id: ImageId, base: ImageId) {
+        counter!("mmdb_bwm_removals_total").inc();
+        let list = match self.main.get_mut(&base) {
+            Some(cluster) if cluster.contains(&id) => cluster,
+            _ => &mut self.unclassified,
+        };
+        if let Some(pos) = list.iter().position(|&e| e == id) {
+            list.remove(pos);
         }
-        if self.main.values().any(|list| list.contains(&id)) {
-            return Some(Classification::Main);
+    }
+
+    /// The classification of an edited image derived from `base`, or
+    /// `None` if untracked.
+    pub fn classification(&self, id: ImageId, base: ImageId) -> Option<Classification> {
+        if self.cluster_of(base).is_some_and(|list| list.contains(&id)) {
+            Some(Classification::Main)
+        } else if self.unclassified.contains(&id) {
+            Some(Classification::Unclassified)
+        } else {
+            None
         }
-        None
     }
 
     /// Iterates `(base, edited-cluster)` in ascending base-id order.
@@ -206,15 +255,16 @@ mod tests {
         assert_eq!(s.unclassified(), &[ImageId::new(11)]);
         assert_eq!(s.classified_count(), 1);
         assert_eq!(s.unclassified_count(), 1);
+        let base = ImageId::new(1);
         assert_eq!(
-            s.classification(ImageId::new(10)),
+            s.classification(ImageId::new(10), base),
             Some(Classification::Main)
         );
         assert_eq!(
-            s.classification(ImageId::new(11)),
+            s.classification(ImageId::new(11), base),
             Some(Classification::Unclassified)
         );
-        assert_eq!(s.classification(ImageId::new(99)), None);
+        assert_eq!(s.classification(ImageId::new(99), base), None);
     }
 
     #[test]
@@ -246,17 +296,28 @@ mod tests {
     #[test]
     fn remove_edited_and_binary() {
         let mut s = BwmStructure::new();
-        s.insert_binary(ImageId::new(1));
+        let base = ImageId::new(1);
+        s.insert_binary(base);
+        s.insert_binary(ImageId::new(2));
         s.insert_edited(ImageId::new(10), &widening(1));
         s.insert_edited(ImageId::new(11), &non_widening(1, 2));
-        assert!(s.remove(ImageId::new(11)).is_empty());
+        s.insert_edited(ImageId::new(12), &widening(1));
+        s.insert_edited(ImageId::new(20), &widening(2));
+        s.remove_edited(ImageId::new(11), base);
         assert_eq!(s.unclassified_count(), 0);
+        s.remove_edited(ImageId::new(12), base);
+        assert_eq!(s.cluster_of(base).unwrap(), &[ImageId::new(10)]);
+        // Only the named base's cluster is searched.
+        s.remove_edited(ImageId::new(20), base);
+        assert_eq!(s.cluster_of(ImageId::new(2)).unwrap(), &[ImageId::new(20)]);
         // Removing the base returns its clustered children.
-        let orphans = s.remove(ImageId::new(1));
+        let orphans = s.remove_binary(base);
         assert_eq!(orphans, vec![ImageId::new(10)]);
-        assert_eq!(s.cluster_count(), 0);
+        assert_eq!(s.cluster_count(), 1);
         // Removing something unknown is a no-op.
-        assert!(s.remove(ImageId::new(77)).is_empty());
+        assert!(s.remove_binary(ImageId::new(77)).is_empty());
+        s.remove_edited(ImageId::new(78), ImageId::new(77));
+        assert_eq!(s.classified_count(), 1);
     }
 
     #[test]

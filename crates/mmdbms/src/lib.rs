@@ -507,10 +507,12 @@ impl MultimediaDatabase {
     /// cluster the paper builds around the base) stays shard-local; merge
     /// targets may live on any shard.
     pub fn insert_edited(&self, sequence: EditSequence) -> Result<ImageId> {
-        let shard = self.shard_for(sequence.base);
-        let seq_copy = sequence.clone();
+        let base = sequence.base;
+        let shard = self.shard_for(base);
+        // Classified from the borrow: storage takes the sequence itself.
+        let all_widening = mmdb_analysis::widening_verdict(&sequence).all_widening;
         let id = shard.storage.insert_edited(sequence)?;
-        shard.bwm.write().insert_edited(id, &seq_copy);
+        shard.bwm.write().insert_classified(id, base, all_widening);
         Ok(id)
     }
 
@@ -554,8 +556,23 @@ impl MultimediaDatabase {
     /// the storage layer). Touches only the owning shard.
     pub fn delete(&self, id: ImageId) -> Result<()> {
         let shard = self.shard_for(id);
+        // Read before the delete: afterwards the catalog no longer knows
+        // which cluster an edited image sat in.
+        let base = shard.storage.base_of(id);
+        // One critical section for catalog and structure: a BWM scan holds
+        // the structure's read lock throughout, so it never meets an id the
+        // catalog has already dropped. (Lock order structure → catalog, as
+        // in the scan.)
+        let mut bwm = shard.bwm.write();
         shard.storage.delete(id)?;
-        let orphans = shard.bwm.write().remove(id);
+        let orphans = match base {
+            Some(base) => {
+                bwm.remove_edited(id, base);
+                Vec::new()
+            }
+            None => bwm.remove_binary(id),
+        };
+        drop(bwm);
         shard.signature_index.write().take();
         // Eager index invalidation: the deleted image plus any edited images
         // the BWM reclassified (their bounds are unchanged — sequences are

@@ -59,29 +59,23 @@ fn seed_bad_database(dir: &Path) {
     let dangling = catalog.allocate_id();
     catalog.insert(
         dangling,
-        CatalogEntry::Edited {
-            sequence: Arc::new(
-                EditSequence::builder(base)
-                    .define(Rect::new(0, 0, 4, 4))
-                    .merge_into(ImageId::new(9999), 0, 0)
-                    .build(),
-            ),
-        },
+        CatalogEntry::edited(Arc::new(
+            EditSequence::builder(base)
+                .define(Rect::new(0, 0, 4, 4))
+                .merge_into(ImageId::new(9999), 0, 0)
+                .build(),
+        )),
     );
     // E004: two edited images whose bases reference each other.
     let a = catalog.allocate_id();
     let b = catalog.allocate_id();
     catalog.insert(
         a,
-        CatalogEntry::Edited {
-            sequence: Arc::new(EditSequence::builder(b).blur().build()),
-        },
+        CatalogEntry::edited(Arc::new(EditSequence::builder(b).blur().build())),
     );
     catalog.insert(
         b,
-        CatalogEntry::Edited {
-            sequence: Arc::new(EditSequence::builder(a).blur().build()),
-        },
+        CatalogEntry::edited(Arc::new(EditSequence::builder(a).blur().build())),
     );
     snaps
         .write(

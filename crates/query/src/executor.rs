@@ -435,7 +435,10 @@ impl<'db> QueryProcessor<'db> {
                 let found = ctx.results.len();
                 let binary = self.db.binary_ids();
                 for &id in &binary {
-                    let info = InfoResolver::require(self.db, id)?;
+                    // Listed a moment ago and deleted since: not a result.
+                    let Some(info) = InfoResolver::info(self.db, id) else {
+                        continue;
+                    };
                     if query.matches_fraction(info.histogram.fraction(query.bin)) {
                         ctx.results.push(id);
                     }
@@ -531,7 +534,8 @@ impl<'db> QueryProcessor<'db> {
         Ok(stats)
     }
 
-    /// BOUNDS for each of `ids`, emitting those whose range overlaps.
+    /// BOUNDS for each of `ids`, emitting those whose range overlaps — the
+    /// loop BWM runs for the images it cannot shortcut.
     fn bounds_scan(
         &self,
         ids: &[ImageId],
@@ -540,21 +544,7 @@ impl<'db> QueryProcessor<'db> {
         stats: &mut BwmQueryStats,
     ) -> Result<()> {
         let engine = self.engine();
-        for &id in ids {
-            let seq = self
-                .db
-                .edit_sequence(id)
-                .ok_or(RuleError::UnknownImage(id))?;
-            stats.bounds_computed += 1;
-            stats.ops_processed += seq.len();
-            let bounds = engine.bounds(&seq, query.bin, self.db)?;
-            if !bounds.is_exact() {
-                stats.bounds_widened += 1;
-            }
-            if bounds.overlaps_fraction(query.pct_min, query.pct_max) {
-                results.push(id);
-            }
-        }
+        mmdb_bwm::bounds_scan(ids, query, &engine, self.db, self.db, results, stats)?;
         Ok(())
     }
 

@@ -1,10 +1,16 @@
 //! The BOUNDS computation: Table 1 of the paper, executed over an edit
-//! sequence without instantiating the image.
+//! sequence without instantiating the image. Every entry point is
+//! [`RuleEngine::compile`] followed by an evaluation of the resulting
+//! [`BoundProgram`]; the rule arithmetic itself lives in `program.rs`.
 
 use crate::bounds::BoundRange;
+use crate::program::{
+    apply_to_all, base_ranges, pack, BoundProgram, ProgramBuilder, Step, MERGE_TARGET_SLOT,
+};
 use crate::query::ColorRangeQuery;
-use crate::resolver::InfoResolver;
+use crate::resolver::{ImageInfo, InfoResolver};
 use crate::{Result, RuleError};
+use mmdb_editops::exec::MAX_CANVAS_PIXELS;
 use mmdb_editops::{EditOp, EditSequence, Matrix3, OpKind};
 use mmdb_histogram::Quantizer;
 use mmdb_imaging::{Rect, Rgb};
@@ -81,14 +87,16 @@ pub(crate) fn flush_thread_metrics() {
     PENDING.with(drain_pending);
 }
 
-/// Stages one `bounds` call's telemetry into the thread-local accumulator,
-/// draining to the global registry every [`DRAIN_EVERY`] calls. The walk
-/// itself touches only locals; this path is plain (non-atomic) stores.
-fn stage_rule_metrics(kinds: &[u64; 6], widening: u64, profile: RuleProfile) {
+/// Stages one BOUNDS evaluation's telemetry — the per-kind operation counts
+/// of the sequence it covered, indexed by [`kind_slot`] — into the
+/// thread-local accumulator, draining to the global registry every
+/// [`DRAIN_EVERY`] calls. The evaluation itself touches only locals; this
+/// path is plain (non-atomic) stores.
+pub(crate) fn stage_rule_metrics(kinds: &[u32], widening: u64, profile: RuleProfile) {
     PENDING.with(|p| {
         for (slot, &n) in p.kinds.iter().zip(kinds) {
             if n > 0 {
-                slot.set(slot.get() + n);
+                slot.set(slot.get() + u64::from(n));
             }
         }
         let wi = match profile {
@@ -104,6 +112,8 @@ fn stage_rule_metrics(kinds: &[u64; 6], widening: u64, profile: RuleProfile) {
     });
 }
 
+/// Position of `kind` in the per-kind count arrays (the staging area's and
+/// a program header's), matching the `op="…"` series order above.
 fn kind_slot(kind: OpKind) -> usize {
     match kind {
         OpKind::Define => 0,
@@ -111,7 +121,7 @@ fn kind_slot(kind: OpKind) -> usize {
         OpKind::Modify => 2,
         OpKind::Mutate => 3,
         OpKind::MergeNull => 4,
-        OpKind::MergeTarget => 5,
+        OpKind::MergeTarget => MERGE_TARGET_SLOT,
     }
 }
 
@@ -140,17 +150,6 @@ impl RuleProfile {
     }
 }
 
-/// Walker state: the bound triple plus the geometry needed to evaluate |DR|
-/// and canvas sizes symbolically.
-#[derive(Clone, Copy, Debug)]
-struct BoundState {
-    range: BoundRange,
-    /// Current canvas, always `(0, 0, w, h)`.
-    image_rect: Rect,
-    /// Current defined region, always clipped to `image_rect`.
-    dr: Rect,
-}
-
 /// The RBM rule engine.
 ///
 /// One engine instance is configured with the system's quantizer, a
@@ -165,11 +164,7 @@ pub struct RuleEngine<'q> {
 impl<'q> RuleEngine<'q> {
     /// Creates an engine with the default (black) background.
     pub fn new(quantizer: &'q dyn Quantizer, profile: RuleProfile) -> Self {
-        RuleEngine {
-            quantizer,
-            profile,
-            background: Rgb::BLACK,
-        }
+        Self::with_background(quantizer, profile, Rgb::BLACK)
     }
 
     /// Creates an engine with an explicit instantiation background color.
@@ -195,10 +190,53 @@ impl<'q> RuleEngine<'q> {
         self.quantizer
     }
 
+    /// The configured instantiation background color.
+    pub fn background(&self) -> Rgb {
+        self.background
+    }
+
+    /// The bin gap-fill pixels land in (conservative `Merge` rule).
+    fn background_bin(&self) -> Result<u32> {
+        pack(self.quantizer.bin_of(self.background) as u64)
+    }
+
+    /// The bin-independent half of BOUNDS: walks `seq` once, tracking the
+    /// canvas and defined region symbolically, and records what each Table 1
+    /// rule will do to a bin's `[BOUNDmin, BOUNDmax, imagesize]` triple.
+    /// Every error a walk can meet — a non-affine or non-finite `Mutate`, a
+    /// canvas over the executor's pixel cap, `Merge(NULL)` on an empty
+    /// region, an unknown base or merge target — is met here, in operation
+    /// order. Accesses only catalog metadata (dimensions), never pixel data.
+    ///
+    /// The result does not depend on this engine's profile.
+    pub fn compile(&self, seq: &EditSequence, resolver: &dyn InfoResolver) -> Result<BoundProgram> {
+        let base = resolver.require(seq.base)?;
+        self.compile_from(seq, &base, resolver)
+    }
+
+    fn compile_from(
+        &self,
+        seq: &EditSequence,
+        base: &ImageInfo,
+        resolver: &dyn InfoResolver,
+    ) -> Result<BoundProgram> {
+        let mut program = ProgramBuilder::new(seq.base, self.background_bin()?);
+        self.walk(seq, base, resolver, |op, step| {
+            program.count_op(kind_slot(op.kind()))?;
+            if let Some(step) = step {
+                program.push(step);
+            }
+            Ok(())
+        })?;
+        Ok(program.finish())
+    }
+
     /// The BOUNDS algorithm of §3.2/§4: computes the `[BOUNDmin, BOUNDmax,
     /// imagesize]` triple for histogram bin `bin` of the edited image
     /// described by `seq`, accessing only catalog metadata (histograms and
-    /// dimensions) — never pixel data.
+    /// dimensions) — never pixel data. [`RuleEngine::compile`] followed by
+    /// [`BoundProgram::eval`]; callers that bound the same sequence again
+    /// should keep the program.
     pub fn bounds(
         &self,
         seq: &EditSequence,
@@ -211,57 +249,31 @@ impl<'q> RuleEngine<'q> {
             self.quantizer.bin_count()
         );
         let base = resolver.require(seq.base)?;
-        let image_rect = Rect::of_image(base.width, base.height);
-        let mut state = BoundState {
-            range: BoundRange::exact(base.histogram.count(bin), base.histogram.total()),
-            image_rect,
-            dr: image_rect,
-        };
-        let mut kinds = [0u64; 6];
-        let mut widening = 0u64;
-        for op in &seq.ops {
-            self.apply(&mut state, op, bin, resolver)?;
-            kinds[kind_slot(op.kind())] += 1;
-            widening += u64::from(op.is_bound_widening());
-        }
-        stage_rule_metrics(&kinds, widening, self.profile);
-        Ok(state.range)
+        self.compile_from(seq, &base, resolver)?.eval(
+            bin,
+            self.profile,
+            base.histogram.count(bin),
+            base.histogram.total(),
+            resolver,
+        )
     }
 
-    /// Computes the bound triples of **every** histogram bin in one pass
-    /// over the operation list, applying each op's rule to all bins before
-    /// moving to the next op. Exactly equivalent to calling
-    /// [`RuleEngine::bounds`] per bin (verified by property test). Used by
-    /// the bounds-pruned k-NN over edited images (the paper's §6 future
-    /// work).
+    /// Computes the bound triples of **every** histogram bin: one
+    /// [`RuleEngine::compile`], then [`BoundProgram::eval_vector`]. Exactly
+    /// equivalent to calling [`RuleEngine::bounds`] per bin (verified by
+    /// property test). Used by the bounds-pruned k-NN over edited images
+    /// (the paper's §6 future work).
     pub fn bounds_vector(
         &self,
         seq: &EditSequence,
         resolver: &dyn InfoResolver,
     ) -> Result<Vec<BoundRange>> {
-        // One counter per call, never per bin — this path is hot in the
-        // bounds-pruned k-NN.
-        counter!("mmdb_rules_bounds_vector_total").inc();
         let base = resolver.require(seq.base)?;
-        let image_rect = Rect::of_image(base.width, base.height);
-        let bins = self.quantizer.bin_count();
-        let mut states: Vec<BoundState> = (0..bins)
-            .map(|bin| BoundState {
-                range: BoundRange::exact(base.histogram.count(bin), base.histogram.total()),
-                image_rect,
-                dr: image_rect,
-            })
-            .collect();
-        for op in &seq.ops {
-            // The geometric trajectory is identical for every bin; the
-            // per-bin part of each rule only touches (min, max). Applying
-            // the scalar rule per bin keeps one source of truth for the
-            // formulas (verified equivalent to `bounds` by property test).
-            for (bin, state) in states.iter_mut().enumerate() {
-                self.apply(state, op, bin, resolver)?;
-            }
-        }
-        Ok(states.into_iter().map(|s| s.range).collect())
+        self.compile_from(seq, &base, resolver)?.eval_vector(
+            self.profile,
+            &base.histogram,
+            resolver,
+        )
     }
 
     /// Like [`RuleEngine::bounds_vector`], but additionally snapshots the
@@ -276,23 +288,17 @@ impl<'q> RuleEngine<'q> {
         resolver: &dyn InfoResolver,
     ) -> Result<Vec<Vec<BoundRange>>> {
         let base = resolver.require(seq.base)?;
-        let image_rect = Rect::of_image(base.width, base.height);
-        let bins = self.quantizer.bin_count();
-        let mut states: Vec<BoundState> = (0..bins)
-            .map(|bin| BoundState {
-                range: BoundRange::exact(base.histogram.count(bin), base.histogram.total()),
-                image_rect,
-                dr: image_rect,
-            })
-            .collect();
+        let background_bin = self.background_bin()?;
+        let mut ranges = base_ranges(&base.histogram);
         let mut trace = Vec::with_capacity(seq.ops.len() + 1);
-        trace.push(states.iter().map(|s| s.range).collect::<Vec<_>>());
-        for op in &seq.ops {
-            for (bin, state) in states.iter_mut().enumerate() {
-                self.apply(state, op, bin, resolver)?;
+        trace.push(ranges.clone());
+        self.walk(seq, &base, resolver, |_, step| {
+            if let Some(step) = step {
+                apply_to_all(step, &mut ranges, self.profile, background_bin, resolver)?;
             }
-            trace.push(states.iter().map(|s| s.range).collect::<Vec<_>>());
-        }
+            trace.push(ranges.clone());
+            Ok(())
+        })?;
         Ok(trace)
     }
 
@@ -310,265 +316,195 @@ impl<'q> RuleEngine<'q> {
             .overlaps_fraction(query.pct_min, query.pct_max))
     }
 
-    fn apply(
+    /// The geometry walk behind every entry point: follows the canvas
+    /// (always `(0, 0, w, h)`) and the defined region (always clipped to it)
+    /// through `seq`, and hands `emit` each operation together with the
+    /// [`Step`] its Table 1 rule amounts to — `None` when the operation
+    /// cannot change any bin's triple under either profile (`Define`, or a
+    /// rule applied to an empty region).
+    fn walk(
         &self,
-        state: &mut BoundState,
-        op: &EditOp,
-        bin: usize,
+        seq: &EditSequence,
+        base: &ImageInfo,
         resolver: &dyn InfoResolver,
+        mut emit: impl FnMut(&EditOp, Option<Step>) -> Result<()>,
     ) -> Result<()> {
-        match op {
-            EditOp::Define { region } => {
-                state.dr = region.intersect(&state.image_rect);
-                Ok(())
-            }
-            EditOp::Combine { weights } => {
-                self.rule_combine(state, weights);
-                Ok(())
-            }
-            EditOp::Modify { from, to } => {
-                self.rule_modify(state, *from, *to, bin);
-                Ok(())
-            }
-            EditOp::Mutate { matrix } => self.rule_mutate(state, matrix),
-            EditOp::Merge { target, xp, yp } => match target {
-                None => self.rule_merge_null(state),
-                Some(id) => {
-                    let info = resolver.require(*id)?;
-                    self.rule_merge_target(state, &info, *xp, *yp, bin)
+        let mut image_rect = Rect::of_image(base.width, base.height);
+        let mut dr = image_rect;
+        for op in &seq.ops {
+            let step = match op {
+                EditOp::Define { region } => {
+                    dr = region.intersect(&image_rect);
+                    None
                 }
-            },
+                // Table 1, `Combine` row. Literal profile: no change.
+                // Conservative profile: every DR pixel's color may change,
+                // so the bin may lose or gain up to |DR| pixels.
+                EditOp::Combine { .. } => widen(0, dr.area())?,
+                // Table 1, `Modify` row: "If RGBnew maps to HB: increase max
+                // by |DR|; else if RGBold maps to HB: decrease min by |DR|;
+                // else: no change."
+                EditOp::Modify { from, to } => match dr.area() {
+                    0 => None,
+                    d => Some(Step::Modify {
+                        from_bin: pack(self.quantizer.bin_of(*from) as u64)?,
+                        to_bin: pack(self.quantizer.bin_of(*to) as u64)?,
+                        d: pack(d)?,
+                    }),
+                },
+                EditOp::Mutate { matrix } => mutate(matrix, &mut image_rect, &mut dr)?,
+                // Table 1, `Merge` with NULL target: the image becomes the DR.
+                EditOp::Merge {
+                    target: None,
+                    xp: _,
+                    yp: _,
+                } => {
+                    let d = dr.area();
+                    if d == 0 {
+                        return Err(RuleError::InvalidSequence(
+                            "merge(NULL) with empty defined region".into(),
+                        ));
+                    }
+                    image_rect = Rect::new(0, 0, dr.width(), dr.height());
+                    dr = image_rect;
+                    Some(Step::MergeNull { d: pack(d)? })
+                }
+                // Table 1, `Merge` with a target: the canvas is the union of
+                // the target and the pasted rectangle.
+                EditOp::Merge {
+                    target: Some(id),
+                    xp,
+                    yp,
+                } => {
+                    let target = resolver.require(*id)?;
+                    let target_rect = Rect::of_image(target.width, target.height);
+                    let dest = Rect::from_origin_size(*xp, *yp, dr.width(), dr.height());
+                    let canvas = target_rect.union(&dest);
+                    let new_total = canvas.area();
+                    if new_total > MAX_CANVAS_PIXELS {
+                        return Err(RuleError::InvalidSequence(format!(
+                            "merge would produce a {}x{} canvas, over the pixel cap",
+                            canvas.width(),
+                            canvas.height()
+                        )));
+                    }
+                    let d = dr.area();
+                    let covered = dest.intersect(&target_rect).area();
+                    // canvas ⊇ target ∪ dest, so new_total + covered ≥ T + d.
+                    let gap = (new_total + covered) - target.histogram.total() - d;
+                    image_rect = Rect::new(0, 0, canvas.width(), canvas.height());
+                    dr = dest
+                        .translate(-canvas.x0, -canvas.y0)
+                        .intersect(&image_rect);
+                    Some(Step::MergeTarget {
+                        target: *id,
+                        d: pack(d)?,
+                        covered: pack(covered)?,
+                        gap: pack(gap)?,
+                        new_total: pack(new_total)?,
+                    })
+                }
+            };
+            emit(op, step)?;
         }
-    }
-
-    /// Table 1, `Combine` row. Literal profile: no change. Conservative
-    /// profile: every DR pixel's color may change, so the bin may lose or
-    /// gain up to |DR| pixels.
-    fn rule_combine(&self, state: &mut BoundState, _weights: &[f32; 9]) {
-        if self.profile == RuleProfile::PaperTable1 {
-            return;
-        }
-        let d = state.dr.area();
-        let r = &mut state.range;
-        r.min = r.min.saturating_sub(d);
-        r.max = r.max.saturating_add(d);
-        *r = r.clamped();
-    }
-
-    /// Table 1, `Modify` row: "If RGBnew maps to HB: increase max by |DR|;
-    /// else if RGBold maps to HB: decrease min by |DR|; else: no change."
-    fn rule_modify(&self, state: &mut BoundState, from: Rgb, to: Rgb, bin: usize) {
-        let bin_from = self.quantizer.bin_of(from);
-        let bin_to = self.quantizer.bin_of(to);
-        if self.profile == RuleProfile::Conservative && bin_from == bin_to {
-            // Recoloring within one bin cannot change its population.
-            return;
-        }
-        let d = state.dr.area();
-        let r = &mut state.range;
-        if bin_to == bin {
-            r.max = r.max.saturating_add(d);
-        } else if bin_from == bin {
-            r.min = r.min.saturating_sub(d);
-        }
-        *r = r.clamped();
-    }
-
-    /// Table 1, `Mutate` row: whole-image axis scaling multiplies all three
-    /// quantities by `M11 · M22`; everything else (the "rigid body" case and
-    /// its generalizations) widens by the affected pixel count with the
-    /// total unchanged.
-    fn rule_mutate(&self, state: &mut BoundState, matrix: &Matrix3) -> Result<()> {
-        if !matrix.is_affine() {
-            return Err(RuleError::InvalidSequence(
-                "mutate matrix must be affine".into(),
-            ));
-        }
-        if state.dr.is_empty() {
-            return Ok(());
-        }
-        let whole = state.dr == state.image_rect;
-        if whole && matrix.is_axis_scale() {
-            return self.rule_whole_image_scale(state, matrix);
-        }
-        // Transformed bounding box of the DR, exactly as the executor
-        // computes it.
-        let corners = [
-            (state.dr.x0 as f64, state.dr.y0 as f64),
-            (state.dr.x1 as f64, state.dr.y0 as f64),
-            (state.dr.x0 as f64, state.dr.y1 as f64),
-            (state.dr.x1 as f64, state.dr.y1 as f64),
-        ];
-        let mut min_x = f64::INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        for (cx, cy) in corners {
-            let (tx, ty) = matrix.apply(cx, cy);
-            min_x = min_x.min(tx);
-            min_y = min_y.min(ty);
-            max_x = max_x.max(tx);
-            max_y = max_y.max(ty);
-        }
-        if !(min_x.is_finite() && min_y.is_finite() && max_x.is_finite() && max_y.is_finite()) {
-            return Err(RuleError::InvalidSequence(
-                "mutate matrix produced a non-finite region".into(),
-            ));
-        }
-        let bbox = Rect::new(
-            min_x.floor() as i64,
-            min_y.floor() as i64,
-            max_x.ceil() as i64,
-            max_y.ceil() as i64,
-        );
-        let dest = bbox.intersect(&state.image_rect);
-        let delta = match self.profile {
-            // Paper: ±|DR| for the rigid-body case.
-            RuleProfile::PaperTable1 => state.dr.area(),
-            // Sound w.r.t. stamp semantics: only destination pixels change.
-            RuleProfile::Conservative => dest.area(),
-        };
-        let r = &mut state.range;
-        r.min = r.min.saturating_sub(delta);
-        r.max = r.max.saturating_add(delta);
-        *r = r.clamped();
-        state.dr = dest;
         Ok(())
     }
+}
 
-    fn rule_whole_image_scale(&self, state: &mut BoundState, matrix: &Matrix3) -> Result<()> {
-        let sx = matrix.m[0][0];
-        let sy = matrix.m[1][1];
-        let old_w = state.image_rect.width();
-        let old_h = state.image_rect.height();
-        // Must mirror the executor's dimension computation exactly.
-        let new_w = ((old_w as f64 * sx).round() as i64).max(1);
-        let new_h = ((old_h as f64 * sy).round() as i64).max(1);
-        let new_total = (new_w * new_h) as u64;
-        if new_total > mmdb_editops::exec::MAX_CANVAS_PIXELS {
-            // Matches the executor's canvas cap: such a sequence cannot be
-            // instantiated, so it cannot be bounded either.
-            return Err(RuleError::InvalidSequence(format!(
-                "mutate would produce a {new_w}x{new_h} canvas, over the pixel cap"
-            )));
-        }
-        let r = &mut state.range;
-        match self.profile {
-            RuleProfile::PaperTable1 => {
-                // "Multiply by M11 · M22" — all three quantities.
-                let factor = sx * sy;
-                r.min = (r.min as f64 * factor).floor().max(0.0) as u64;
-                r.max = (r.max as f64 * factor).ceil() as u64;
-            }
-            RuleProfile::Conservative => {
-                // Nearest-neighbour resampling uses each source row between
-                // floor(fy) and ceil(fy) times (and likewise per column), so
-                // the per-bin count is bounded by count·⌊fx⌋⌊fy⌋ and
-                // count·⌈fx⌉⌈fy⌉.
-                let fx = new_w as f64 / old_w as f64;
-                let fy = new_h as f64 / old_h as f64;
-                r.min = r.min.saturating_mul(fx.floor() as u64 * fy.floor() as u64);
-                r.max = r
-                    .max
-                    .saturating_mul((fx.ceil() as u64).max(1) * (fy.ceil() as u64).max(1));
-            }
-        }
-        r.total = new_total;
-        *r = r.clamped();
-        state.image_rect = Rect::new(0, 0, new_w, new_h);
-        state.dr = state.image_rect;
-        Ok(())
+/// A widening step, or nothing when neither profile would move a bound.
+fn widen(paper: u64, conservative: u64) -> Result<Option<Step>> {
+    Ok(match (paper, conservative) {
+        (0, 0) => None,
+        _ => Some(Step::Widen {
+            paper: pack(paper)?,
+            conservative: pack(conservative)?,
+        }),
+    })
+}
+
+/// Table 1, `Mutate` row: whole-image axis scaling multiplies all three
+/// quantities by `M11 · M22`; everything else (the "rigid body" case and its
+/// generalizations) widens by the affected pixel count with the total
+/// unchanged.
+fn mutate(matrix: &Matrix3, image_rect: &mut Rect, dr: &mut Rect) -> Result<Option<Step>> {
+    if !matrix.is_affine() {
+        return Err(RuleError::InvalidSequence(
+            "mutate matrix must be affine".into(),
+        ));
     }
-
-    /// Table 1, `Merge` with NULL target: the image becomes the DR, so
-    /// `min' = |DR| − (E − HBmin)`, `max' = MIN(HBmax, |DR|)`, `total' =
-    /// |DR|`.
-    fn rule_merge_null(&self, state: &mut BoundState) -> Result<()> {
-        let d = state.dr.area();
-        if d == 0 {
-            return Err(RuleError::InvalidSequence(
-                "merge(NULL) with empty defined region".into(),
-            ));
-        }
-        let r = &mut state.range;
-        let outside_bin = r.total - r.min; // pixels possibly not in the bin
-        r.min = d.saturating_sub(outside_bin);
-        r.max = r.max.min(d);
-        r.total = d;
-        *r = r.clamped();
-        state.image_rect = Rect::new(0, 0, state.dr.width(), state.dr.height());
-        state.dr = state.image_rect;
-        Ok(())
+    if dr.is_empty() {
+        return Ok(None);
     }
-
-    /// Table 1, `Merge` with a target: the pasted DR contributes
-    /// `[|DR| − (E − HBmin), MIN(HBmax, |DR|)]`, the surviving target pixels
-    /// contribute `[T_HB − covered, MIN(T_HB, T − covered)]`, and the canvas
-    /// is the union of the target and the pasted rectangle. The conservative
-    /// profile uses the exact paste overlap for `covered` and accounts for
-    /// background gap fill; the literal profile uses `covered = |DR|` and
-    /// ignores gaps.
-    fn rule_merge_target(
-        &self,
-        state: &mut BoundState,
-        target: &crate::resolver::ImageInfo,
-        xp: i64,
-        yp: i64,
-        bin: usize,
-    ) -> Result<()> {
-        let t_total = target.histogram.total();
-        let t_hb = target.histogram.count(bin);
-        let target_rect = Rect::of_image(target.width, target.height);
-        let dest = Rect::from_origin_size(xp, yp, state.dr.width(), state.dr.height());
-        let canvas = target_rect.union(&dest);
-        let new_total = canvas.area();
-        if new_total > mmdb_editops::exec::MAX_CANVAS_PIXELS {
-            return Err(RuleError::InvalidSequence(format!(
-                "merge would produce a {}x{} canvas, over the pixel cap",
-                canvas.width(),
-                canvas.height()
-            )));
-        }
-        let d = state.dr.area();
-
-        let r = &mut state.range;
-        let dr_min = d.saturating_sub(r.total - r.min);
-        let dr_max = r.max.min(d);
-
-        let (t_min, t_max, gap_contrib) = match self.profile {
-            RuleProfile::PaperTable1 => {
-                let t_min = t_hb.saturating_sub(d);
-                let t_max = t_hb.min(t_total.saturating_sub(d));
-                (t_min, t_max, 0)
-            }
-            RuleProfile::Conservative => {
-                let covered = dest.intersect(&target_rect).area();
-                let t_min = t_hb.saturating_sub(covered);
-                let t_max = t_hb.min(t_total - covered);
-                // Gap pixels are filled with the background color — an exact
-                // contribution, not a bound.
-                // canvas ⊇ target ∪ dest, so new_total + covered ≥ t_total + d.
-                let gap = (new_total + covered) - t_total - d;
-                let gap_contrib = if self.quantizer.bin_of(self.background) == bin {
-                    gap
-                } else {
-                    0
-                };
-                (t_min, t_max, gap_contrib)
-            }
-        };
-
-        r.min = dr_min + t_min + gap_contrib;
-        r.max = dr_max + t_max + gap_contrib;
-        r.total = new_total;
-        *r = r.clamped();
-
-        state.image_rect = Rect::new(0, 0, canvas.width(), canvas.height());
-        state.dr = dest
-            .translate(-canvas.x0, -canvas.y0)
-            .intersect(&state.image_rect);
-        Ok(())
+    if *dr == *image_rect && matrix.is_axis_scale() {
+        return whole_image_scale(matrix, image_rect, dr).map(Some);
     }
+    // Transformed bounding box of the DR, exactly as the executor computes
+    // it.
+    let corners = [
+        (dr.x0 as f64, dr.y0 as f64),
+        (dr.x1 as f64, dr.y0 as f64),
+        (dr.x0 as f64, dr.y1 as f64),
+        (dr.x1 as f64, dr.y1 as f64),
+    ];
+    let mut min_x = f64::INFINITY;
+    let mut min_y = f64::INFINITY;
+    let mut max_x = f64::NEG_INFINITY;
+    let mut max_y = f64::NEG_INFINITY;
+    for (cx, cy) in corners {
+        let (tx, ty) = matrix.apply(cx, cy);
+        min_x = min_x.min(tx);
+        min_y = min_y.min(ty);
+        max_x = max_x.max(tx);
+        max_y = max_y.max(ty);
+    }
+    if !(min_x.is_finite() && min_y.is_finite() && max_x.is_finite() && max_y.is_finite()) {
+        return Err(RuleError::InvalidSequence(
+            "mutate matrix produced a non-finite region".into(),
+        ));
+    }
+    let bbox = Rect::new(
+        min_x.floor() as i64,
+        min_y.floor() as i64,
+        max_x.ceil() as i64,
+        max_y.ceil() as i64,
+    );
+    let dest = bbox.intersect(image_rect);
+    // Paper: ±|DR| for the rigid-body case. Sound w.r.t. stamp semantics:
+    // only destination pixels change.
+    let step = widen(dr.area(), dest.area())?;
+    *dr = dest;
+    Ok(step)
+}
+
+fn whole_image_scale(matrix: &Matrix3, image_rect: &mut Rect, dr: &mut Rect) -> Result<Step> {
+    let sx = matrix.m[0][0];
+    let sy = matrix.m[1][1];
+    let old_w = image_rect.width();
+    let old_h = image_rect.height();
+    // Must mirror the executor's dimension computation exactly.
+    let new_w = ((old_w as f64 * sx).round() as i64).max(1);
+    let new_h = ((old_h as f64 * sy).round() as i64).max(1);
+    let new_total = (new_w * new_h) as u64;
+    if new_total > MAX_CANVAS_PIXELS {
+        // Matches the executor's canvas cap: such a sequence cannot be
+        // instantiated, so it cannot be bounded either.
+        return Err(RuleError::InvalidSequence(format!(
+            "mutate would produce a {new_w}x{new_h} canvas, over the pixel cap"
+        )));
+    }
+    // Nearest-neighbour resampling uses each source row between floor(fy)
+    // and ceil(fy) times (and likewise per column), so the per-bin count is
+    // bounded by count·⌊fx⌋⌊fy⌋ and count·⌈fx⌉⌈fy⌉.
+    let fx = new_w as f64 / old_w as f64;
+    let fy = new_h as f64 / old_h as f64;
+    *image_rect = Rect::new(0, 0, new_w, new_h);
+    *dr = *image_rect;
+    Ok(Step::Scale {
+        factor: sx * sy,
+        mul_min: pack(fx.floor() as u64 * fy.floor() as u64)?,
+        mul_max: pack((fx.ceil() as u64).max(1) * (fy.ceil() as u64).max(1))?,
+        new_total: pack(new_total)?,
+    })
 }
 
 #[cfg(test)]

@@ -14,6 +14,15 @@
 //! not overlap the desired query range, image E cannot satisfy the given
 //! query" — a conservative filter with **no false negatives**.
 //!
+//! ## Compile once, evaluate per bin
+//!
+//! Everything in that walk except the three quantities is the same for
+//! every bin, so BOUNDS runs in two halves: [`RuleEngine::compile`] follows
+//! the geometry through the sequence once and leaves a [`BoundProgram`];
+//! [`BoundProgram::eval`] replays it for one bin. [`RuleEngine::bounds`] and
+//! its siblings are the two composed; a caller that bounds the same stored
+//! sequence on every query (the RBM and BWM scans) keeps the program.
+//!
 //! ## Rule profiles
 //!
 //! The extracted paper text's Table 1 lists the `Combine` rule as
@@ -36,11 +45,13 @@
 
 pub mod bounds;
 pub mod engine;
+pub mod program;
 pub mod query;
 pub mod resolver;
 
 pub use bounds::BoundRange;
 pub use engine::{RuleEngine, RuleProfile};
+pub use program::BoundProgram;
 pub use query::ColorRangeQuery;
 pub use resolver::{ImageInfo, InfoResolver, MapInfoResolver};
 

@@ -7,8 +7,9 @@ use crate::Result;
 use bytes::{Buf, BufMut, BytesMut};
 use mmdb_editops::{codec as seq_codec, EditSequence, ImageId};
 use mmdb_histogram::ColorHistogram;
+use mmdb_rules::BoundProgram;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const MAGIC: &[u8; 8] = b"MMDBCAT1";
 
@@ -40,10 +41,23 @@ pub enum CatalogEntry {
     Edited {
         /// The stored sequence.
         sequence: Arc<EditSequence>,
+        /// The sequence compiled for BOUNDS, filled in by the first query
+        /// that needs it (`StorageEngine::bound_program`) and never
+        /// persisted. Everything a program depends on is fixed while the
+        /// entry exists, so it is never invalidated either.
+        program: OnceLock<BoundProgram>,
     },
 }
 
 impl CatalogEntry {
+    /// An edited-image entry whose BOUNDS program is not compiled yet.
+    pub fn edited(sequence: Arc<EditSequence>) -> Self {
+        CatalogEntry::Edited {
+            sequence,
+            program: OnceLock::new(),
+        }
+    }
+
     /// The storage kind of this entry.
     pub fn kind(&self) -> StoredKind {
         match self {
@@ -148,7 +162,7 @@ impl Catalog {
     /// Panics when `id` is already cataloged (ids come from
     /// [`Catalog::allocate_id`], so a collision is an engine bug).
     pub fn insert(&mut self, id: ImageId, entry: CatalogEntry) {
-        if let CatalogEntry::Edited { sequence } = &entry {
+        if let CatalogEntry::Edited { sequence, .. } = &entry {
             self.children.entry(sequence.base).or_default().push(id);
         }
         let prev = self.entries.insert(id, entry);
@@ -163,7 +177,7 @@ impl Catalog {
     /// Removes an entry, unlinking provenance. Returns the removed payload.
     pub fn remove(&mut self, id: ImageId) -> Option<CatalogEntry> {
         let entry = self.entries.remove(&id)?;
-        if let CatalogEntry::Edited { sequence } = &entry {
+        if let CatalogEntry::Edited { sequence, .. } = &entry {
             if let Some(kids) = self.children.get_mut(&sequence.base) {
                 kids.retain(|&k| k != id);
                 if kids.is_empty() {
@@ -183,7 +197,7 @@ impl Catalog {
     /// unknown ids.
     pub fn base_of(&self, id: ImageId) -> Option<ImageId> {
         match self.entries.get(&id)? {
-            CatalogEntry::Edited { sequence } => Some(sequence.base),
+            CatalogEntry::Edited { sequence, .. } => Some(sequence.base),
             CatalogEntry::Binary { .. } => None,
         }
     }
@@ -230,7 +244,7 @@ impl Catalog {
                         buf.put_u64_le(c);
                     }
                 }
-                CatalogEntry::Edited { sequence } => {
+                CatalogEntry::Edited { sequence, .. } => {
                     buf.put_u8(1);
                     let bytes = seq_codec::encode(sequence);
                     buf.put_u32_le(bytes.len() as u32);
@@ -316,9 +330,7 @@ impl Catalog {
                         StorageError::Corrupt(format!("bad edit sequence for {id}: {e}"))
                     })?;
                     bytes.advance(len);
-                    CatalogEntry::Edited {
-                        sequence: Arc::new(seq),
-                    }
+                    CatalogEntry::edited(Arc::new(seq))
                 }
                 other => {
                     return Err(StorageError::Corrupt(format!(
@@ -361,20 +373,16 @@ mod tests {
         let e1 = c.allocate_id();
         c.insert(
             e1,
-            CatalogEntry::Edited {
-                sequence: Arc::new(
-                    EditSequence::builder(b1)
-                        .modify(Rgb::RED, Rgb::BLUE)
-                        .build(),
-                ),
-            },
+            CatalogEntry::edited(Arc::new(
+                EditSequence::builder(b1)
+                    .modify(Rgb::RED, Rgb::BLUE)
+                    .build(),
+            )),
         );
         let e2 = c.allocate_id();
         c.insert(
             e2,
-            CatalogEntry::Edited {
-                sequence: Arc::new(EditSequence::builder(b1).blur().build()),
-            },
+            CatalogEntry::edited(Arc::new(EditSequence::builder(b1).blur().build())),
         );
         c
     }
@@ -440,7 +448,7 @@ mod tests {
             _ => panic!("entry 1 should be binary"),
         }
         match c2.get(ImageId::new(3)).unwrap() {
-            CatalogEntry::Edited { sequence } => {
+            CatalogEntry::Edited { sequence, .. } => {
                 assert_eq!(sequence.base, ImageId::new(1));
                 assert_eq!(sequence.len(), 1);
             }

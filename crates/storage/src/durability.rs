@@ -285,12 +285,7 @@ pub(crate) fn apply_record(
                 return Err(dup(id));
             }
             catalog.note_allocated(id);
-            catalog.insert(
-                id,
-                CatalogEntry::Edited {
-                    sequence: Arc::new(sequence),
-                },
-            );
+            catalog.insert(id, CatalogEntry::edited(Arc::new(sequence)));
         }
         OwnedWalRecord::Delete { id } => match catalog.remove(id) {
             None => {

@@ -21,7 +21,7 @@ use mmdb_editops::{
 use mmdb_histogram::{quantizer::from_description, ColorHistogram, Quantizer};
 use mmdb_imaging::ppm::{self, PnmFormat};
 use mmdb_imaging::{RasterImage, Rgb};
-use mmdb_rules::{ImageInfo, InfoResolver};
+use mmdb_rules::{BoundProgram, ImageInfo, InfoResolver, RuleEngine, RuleError, RuleProfile};
 use mmdb_telemetry::{counter, histogram, EventKind};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock, Weak};
@@ -594,9 +594,9 @@ impl StorageEngine {
         } else {
             // Legacy probe: a symbolic BOUNDS walk. The bound-error
             // conditions are bin-independent, so one bin suffices.
-            let engine = mmdb_rules::RuleEngine::with_background(
+            let engine = RuleEngine::with_background(
                 self.quantizer.as_ref(),
-                mmdb_rules::RuleProfile::Conservative,
+                RuleProfile::Conservative,
                 self.background,
             );
             if let Err(e) = engine.bounds(&sequence, 0, self) {
@@ -616,12 +616,9 @@ impl StorageEngine {
             sequence: &sequence,
         })?;
         let (base, ops) = (sequence.base, sequence.len());
-        inner.catalog.insert(
-            id,
-            CatalogEntry::Edited {
-                sequence: Arc::new(sequence),
-            },
-        );
+        inner
+            .catalog
+            .insert(id, CatalogEntry::edited(Arc::new(sequence)));
         self.bump_epoch();
         counter!("mmdb_storage_edited_inserts_total").inc();
         counter!(r#"mmdb_storage_ingest_total{result="accepted"}"#).inc();
@@ -691,8 +688,59 @@ impl StorageEngine {
     /// The stored edit sequence of `id`, or `None` for binary images.
     pub fn edit_sequence(&self, id: ImageId) -> Option<Arc<EditSequence>> {
         match self.inner.read().catalog.get(id) {
-            Some(CatalogEntry::Edited { sequence }) => Some(Arc::clone(sequence)),
+            Some(CatalogEntry::Edited { sequence, .. }) => Some(Arc::clone(sequence)),
             _ => None,
+        }
+    }
+
+    /// The stored sequence of edited image `id`, compiled for BOUNDS
+    /// ([`mmdb_rules::RuleEngine::compile`] with this database's quantizer
+    /// and background). Compiled by the first caller and kept on the catalog
+    /// entry from then on — ingest and `open` pay nothing, nothing is
+    /// persisted, and nothing ever invalidates it: the sequence, the
+    /// quantizer, the background and the dimensions of the binary images it
+    /// references are fixed while the entry exists, and ids are never
+    /// reused. A merge target deleted later is caught at evaluation, which
+    /// looks its histogram up afresh.
+    ///
+    /// # Errors
+    /// [`RuleError::UnknownImage`] when `id` is not a stored edited image,
+    /// or whatever compilation reports (never cached).
+    pub fn bound_program(&self, id: ImageId) -> mmdb_rules::Result<BoundProgram> {
+        let engine = RuleEngine::with_background(
+            self.quantizer.as_ref(),
+            RuleProfile::default(),
+            self.background,
+        );
+        let sequence = {
+            let inner = self.inner.read();
+            let Some(CatalogEntry::Edited { sequence, program }) = inner.catalog.get(id) else {
+                return Err(RuleError::UnknownImage(id));
+            };
+            if let Some(program) = program.get() {
+                return Ok(program.clone());
+            }
+            // First use. The base is on this shard and merge targets nearly
+            // always are, so compile against the catalog already locked:
+            // one lock round instead of three (entry, base, publish).
+            match engine.compile(sequence, &LocalInfo(&inner.catalog)) {
+                Ok(compiled) => return Ok(program.get_or_init(|| compiled).clone()),
+                // Not here — but a peer shard may own it.
+                Err(RuleError::UnknownImage(_)) if self.peers.get().is_some() => {
+                    Arc::clone(sequence)
+                }
+                Err(e) => return Err(e),
+            }
+        };
+        // Catalog lock released: peers are consulted with no lock held.
+        let compiled = engine.compile(&sequence, self)?;
+        match self.inner.read().catalog.get(id) {
+            // Two first callers may race; both compiled the same program.
+            Some(CatalogEntry::Edited { program, .. }) => {
+                Ok(program.get_or_init(|| compiled).clone())
+            }
+            // Deleted meanwhile; this caller still gets its answer.
+            _ => Ok(compiled),
         }
     }
 
@@ -716,7 +764,9 @@ impl StorageEngine {
             match inner.catalog.get(id) {
                 None => return Err(StorageError::NotFound(id)),
                 Some(CatalogEntry::Binary { blob, .. }) => Plan::Decode(inner.blobs.get(*blob)?),
-                Some(CatalogEntry::Edited { sequence }) => Plan::Instantiate(Arc::clone(sequence)),
+                Some(CatalogEntry::Edited { sequence, .. }) => {
+                    Plan::Instantiate(Arc::clone(sequence))
+                }
             }
         };
         let image = match plan {
@@ -1056,7 +1106,7 @@ impl StorageEngine {
                     s.binary_count += 1;
                     s.binary_bytes += blob.len;
                 }
-                CatalogEntry::Edited { sequence } => {
+                CatalogEntry::Edited { sequence, .. } => {
                     s.edited_count += 1;
                     s.edited_bytes += mmdb_editops::codec::encode(sequence).len() as u64;
                 }
@@ -1146,29 +1196,41 @@ impl CatalogGraph for StorageEngine {
 /// peer shard resolve through the peer (after the local lock is released).
 impl InfoResolver for StorageEngine {
     fn info(&self, id: ImageId) -> Option<ImageInfo> {
-        // `Some(None)`: locally cataloged but not binary (no info, and no
-        // peer can own it). `None`: not ours — maybe a peer's.
-        let local = {
-            let inner = self.inner.read();
-            match inner.catalog.get(id) {
-                Some(CatalogEntry::Binary {
-                    histogram,
-                    width,
-                    height,
-                    ..
-                }) => Some(Some(ImageInfo {
-                    histogram: Arc::clone(histogram),
-                    width: *width,
-                    height: *height,
-                })),
-                Some(_) => Some(None),
-                None => None,
-            }
-        };
+        // The read guard is dropped at the end of this statement, so the
+        // peer fallback runs with no local lock held.
+        let local = local_info(&self.inner.read().catalog, id);
         match local {
             Some(res) => res,
             None => self.peer_for(id).and_then(|p| p.info(id)),
         }
+    }
+}
+
+/// What this shard's catalog knows about `id`. `Some(None)`: cataloged here
+/// but not binary (no info, and no peer can own it). `None`: not ours —
+/// maybe a peer's.
+fn local_info(catalog: &Catalog, id: ImageId) -> Option<Option<ImageInfo>> {
+    Some(match catalog.get(id)? {
+        CatalogEntry::Binary {
+            histogram,
+            width,
+            height,
+            ..
+        } => Some(ImageInfo {
+            histogram: Arc::clone(histogram),
+            width: *width,
+            height: *height,
+        }),
+        CatalogEntry::Edited { .. } => None,
+    })
+}
+
+/// Resolves against one shard's catalog under a lock the caller holds.
+struct LocalInfo<'a>(&'a Catalog);
+
+impl InfoResolver for LocalInfo<'_> {
+    fn info(&self, id: ImageId) -> Option<ImageInfo> {
+        local_info(self.0, id).flatten()
     }
 }
 
@@ -1718,14 +1780,12 @@ mod tests {
             let id = inner.catalog.allocate_id();
             inner.catalog.insert(
                 id,
-                CatalogEntry::Edited {
-                    sequence: Arc::new(
-                        EditSequence::builder(base)
-                            .define(Rect::new(0, 0, 4, 4))
-                            .merge_into(ImageId::new(4242), 0, 0)
-                            .build(),
-                    ),
-                },
+                CatalogEntry::edited(Arc::new(
+                    EditSequence::builder(base)
+                        .define(Rect::new(0, 0, 4, 4))
+                        .merge_into(ImageId::new(4242), 0, 0)
+                        .build(),
+                )),
             );
         }
         let problems = db.verify();

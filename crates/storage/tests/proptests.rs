@@ -180,15 +180,13 @@ fn arb_catalog() -> impl Strategy<Value = Catalog> {
                 let base: ImageId = binary_ids[rgb[0] as usize % binary_ids.len()];
                 catalog.insert(
                     id,
-                    CatalogEntry::Edited {
-                        sequence: Arc::new(
-                            EditSequence::builder(base)
-                                .define(Rect::new(0, 0, w as i64, h as i64))
-                                .modify(Rgb::new(rgb[0], rgb[1], rgb[2]), Rgb::WHITE)
-                                .mutate(Matrix3::translation(1.0, 2.0))
-                                .build(),
-                        ),
-                    },
+                    CatalogEntry::edited(Arc::new(
+                        EditSequence::builder(base)
+                            .define(Rect::new(0, 0, w as i64, h as i64))
+                            .modify(Rgb::new(rgb[0], rgb[1], rgb[2]), Rgb::WHITE)
+                            .mutate(Matrix3::translation(1.0, 2.0))
+                            .build(),
+                    )),
                 );
             } else {
                 let img = RasterImage::filled(w, h, Rgb::new(rgb[0], rgb[1], rgb[2])).unwrap();
@@ -241,8 +239,8 @@ proptest! {
                     prop_assert_eq!(g1.counts(), g2.counts());
                 }
                 (
-                    CatalogEntry::Edited { sequence: s1 },
-                    CatalogEntry::Edited { sequence: s2 },
+                    CatalogEntry::Edited { sequence: s1, .. },
+                    CatalogEntry::Edited { sequence: s2, .. },
                 ) => prop_assert_eq!(s1.as_ref(), s2.as_ref()),
                 _ => prop_assert!(false, "entry kind changed for {}", id),
             }

@@ -72,9 +72,9 @@ fn bwm_classification_matches_op_level_definition() {
         } else {
             Classification::Unclassified
         };
-        assert_eq!(bwm.classification(id), Some(expected), "{id}");
+        let base = db.base_of(id).unwrap();
+        assert_eq!(bwm.classification(id, base), Some(expected), "{id}");
         if expected == Classification::Main {
-            let base = db.base_of(id).unwrap();
             assert!(bwm.cluster_of(base).unwrap().contains(&id));
         }
     }
