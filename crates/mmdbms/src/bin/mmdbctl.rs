@@ -1119,7 +1119,12 @@ fn cmd_fsck(args: &Args) -> Result<(), String> {
     let shard_dirs: Vec<PathBuf> = match mmdbms::read_shard_manifest(&dir) {
         Ok(Some(n)) => (0..n).map(|i| mmdbms::shard_dir(&dir, i)).collect(),
         Ok(None) => vec![dir.clone()],
-        Err(e) => return Err(format!("unreadable shards manifest in {}: {e}", dir.display())),
+        Err(e) => {
+            return Err(format!(
+                "unreadable shards manifest in {}: {e}",
+                dir.display()
+            ))
+        }
     };
     let sharded = shard_dirs.len() > 1 || shard_dirs[0] != dir;
     let mut errors = 0usize;

@@ -330,7 +330,10 @@ impl MultimediaDatabase {
             .is_some()
             .then(|| MaintenanceThread::spawn(engines.clone()));
         MultimediaDatabase {
-            shards: engines.into_iter().map(|e| Arc::new(Shard::new(e))).collect(),
+            shards: engines
+                .into_iter()
+                .map(|e| Arc::new(Shard::new(e)))
+                .collect(),
             profile: RuleProfile::Conservative,
             round_robin: AtomicU64::new(0),
             _maintenance: maintenance,
@@ -493,8 +496,8 @@ impl MultimediaDatabase {
     /// Stores an image conventionally (feature extraction happens now).
     /// Binary images are placed round-robin across shards.
     pub fn insert_image(&self, image: &RasterImage) -> Result<ImageId> {
-        let shard = &self.shards
-            [(self.round_robin.fetch_add(1, Ordering::Relaxed) % self.shards.len() as u64) as usize];
+        let shard = &self.shards[(self.round_robin.fetch_add(1, Ordering::Relaxed)
+            % self.shards.len() as u64) as usize];
         let id = shard.storage.insert_binary(image)?;
         shard.bwm.write().insert_binary(id);
         shard.signature_index.write().take();
@@ -803,9 +806,8 @@ impl MultimediaDatabase {
                 let epoch = shard.storage.current_epoch();
                 let binary = shard.storage.binary_ids();
                 let edited = shard.storage.edited_ids();
-                let report = shard.bound_index[profile_slot(profile)].peek(|idx| {
-                    StalenessReport::compute(idx, epoch, &binary, &edited)
-                });
+                let report = shard.bound_index[profile_slot(profile)]
+                    .peek(|idx| StalenessReport::compute(idx, epoch, &binary, &edited));
                 worst = match worst {
                     None => Some(report),
                     Some(prev)
@@ -1050,7 +1052,11 @@ impl MultimediaDatabase {
         if self.shards.len() == 1 {
             return self.shards[0].bwm.read().clone();
         }
-        BwmStructure::build(self.binary_ids(), self.edited_ids(), &MultiStore(&self.shards))
+        BwmStructure::build(
+            self.binary_ids(),
+            self.edited_ids(),
+            &MultiStore(&self.shards),
+        )
     }
 
     /// Storage statistics (space usage, cache behaviour), summed across

@@ -141,7 +141,11 @@ fn apply(db: &MultimediaDatabase, pools: &mut Pools, m: &Mutation) -> Option<Ima
 type Key = (usize, usize);
 
 /// Replays one thread's history, recording id → birth key.
-fn replay_thread(db: &MultimediaDatabase, thread: usize, history: &[Mutation]) -> Vec<(ImageId, Key)> {
+fn replay_thread(
+    db: &MultimediaDatabase,
+    thread: usize,
+    history: &[Mutation],
+) -> Vec<(ImageId, Key)> {
     let mut pools = Pools::default();
     let mut born = Vec::new();
     for m in history {
@@ -168,7 +172,10 @@ fn replay_all(db: &MultimediaDatabase, histories: &[Vec<Mutation>]) -> HashMap<I
 fn keys_of(map: &HashMap<ImageId, Key>, ids: &[ImageId], ctx: &str) -> Vec<Key> {
     let mut keys: Vec<Key> = ids
         .iter()
-        .map(|id| *map.get(id).unwrap_or_else(|| panic!("{ctx}: unknown id {id:?}")))
+        .map(|id| {
+            *map.get(id)
+                .unwrap_or_else(|| panic!("{ctx}: unknown id {id:?}"))
+        })
         .collect();
     keys.sort_unstable();
     keys
@@ -267,7 +274,8 @@ fn assert_knn_equiv(
             .into_iter()
             .map(|(distance, id)| {
                 (
-                    *map.get(&id).unwrap_or_else(|| panic!("{ctx}: unknown id {id:?}")),
+                    *map.get(&id)
+                        .unwrap_or_else(|| panic!("{ctx}: unknown id {id:?}")),
                     distance,
                 )
             })

@@ -634,8 +634,8 @@ impl QueryServer {
         let quiesced = Arc::new(QuiesceGate::new());
         let (completion_tx, completion_rx) = mpsc::channel::<Completion>();
 
-        let queues = (config.workers > 0)
-            .then(|| Arc::new(ShardQueues::new(shards, config.queue_depth)));
+        let queues =
+            (config.workers > 0).then(|| Arc::new(ShardQueues::new(shards, config.queue_depth)));
         let workers = queues
             .as_ref()
             .map(|queues| {
@@ -650,7 +650,15 @@ impl QueryServer {
                         std::thread::Builder::new()
                             .name(format!("mmdb-server-worker-{i}"))
                             .spawn(move || {
-                                worker_loop(&queues, backend.as_ref(), trace_mode, i, &completions, &wake, &metrics);
+                                worker_loop(
+                                    &queues,
+                                    backend.as_ref(),
+                                    trace_mode,
+                                    i,
+                                    &completions,
+                                    &wake,
+                                    &metrics,
+                                );
                             })
                     })
                     .collect::<std::io::Result<Vec<_>>>()
@@ -1333,7 +1341,12 @@ fn worker_loop(
 /// `catch_unwind`, metrics, trace assembly — and returns the encoded reply
 /// payload. Runs on executor threads (pool mode) or the reactor (inline
 /// mode, where `waited` is effectively zero).
-fn run_job(backend: &dyn QueryBackend, job: Job, waited: Duration, trace_mode: TraceMode) -> Vec<u8> {
+fn run_job(
+    backend: &dyn QueryBackend,
+    job: Job,
+    waited: Duration,
+    trace_mode: TraceMode,
+) -> Vec<u8> {
     histogram!("mmdb_server_queue_wait_seconds").observe(waited);
     let id = job.request.id;
     let opcode = job.request.body.opcode();
@@ -1386,7 +1399,13 @@ fn run_job(backend: &dyn QueryBackend, job: Job, waited: Duration, trace_mode: T
             job.request.deadline_ms,
             mmdb_telemetry::format_duration(waited)
         );
-        return encode_err(id, wire_trace_id, Status::DeadlineExceeded, &msg, job.version);
+        return encode_err(
+            id,
+            wire_trace_id,
+            Status::DeadlineExceeded,
+            &msg,
+            job.version,
+        );
     }
     let exec_start = Instant::now();
     // A panic in the backend must not unwind the executor (or the reactor,

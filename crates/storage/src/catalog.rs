@@ -117,7 +117,10 @@ impl Catalog {
     /// Panics when `stride == 0` or `phase >= stride`.
     pub fn set_stride(&mut self, phase: u64, stride: u64) {
         assert!(stride > 0, "id stride must be positive");
-        assert!(phase < stride, "id phase {phase} out of range for stride {stride}");
+        assert!(
+            phase < stride,
+            "id phase {phase} out of range for stride {stride}"
+        );
         self.stride = stride;
         self.phase = phase;
         self.next_id = self.align_up(self.next_id);
