@@ -8,15 +8,12 @@
 //! Subcommands: `table2`, `fig3`, `fig4`, `headline`, `ablation-nbw`,
 //! `ablation-selectivity`, `ablation-profile`, `ablation-knn`,
 //! `ablation-bins`, `fig3-constmix`, `fig4-constmix`, `storage`, `lint`,
-//! `overhead`, `cold-start`, `serve-load`, `trace-overhead`,
-//! `observatory-overhead`, `all`. `--fast` runs a reduced configuration;
-//! CSVs land in `results/`. `cold-start` measures restart time-to-ready
-//! (re-ingest vs snapshot+replay vs persisted warm index).
-//! `serve-load [--connect HOST:PORT]` drives the network query server
-//! (self-hosted unless `--connect` points at a running `mmdbctl
-//! serve-queries`); `trace-overhead` measures the serving cost of the
-//! request-tracing modes; `observatory-overhead` measures the cost of heat
-//! accounting plus the SLO engine against instrumentation-off serving.
+//! `overhead`, `serve-load`, `trace-overhead`, `all`. `--fast` runs a
+//! reduced configuration; CSVs land in `results/`. `serve-load --connect
+//! HOST:PORT` is a closed-loop load generator for a running `mmdbctl
+//! serve-queries`; `trace-overhead` measures the serving cost of the
+//! request-tracing modes. Serving throughput, shard fan-out, cold start and
+//! telemetry cost are measured by `bash benchmark/run.sh`, not here.
 
 use mmdb_bench::csvout;
 use mmdb_bench::experiments::{self, Figure, SweepConfig, METRICS_HEADERS, SWEEP_HEADERS};
@@ -573,27 +570,23 @@ fn run_serve_load(fast: bool, raw_args: &[String]) {
         .iter()
         .position(|a| a == "--connect")
         .and_then(|i| raw_args.get(i + 1));
-    println!();
-    let points = match connect {
-        Some(addr) => {
-            use std::net::ToSocketAddrs;
-            println!("Serve-load — closed-loop throughput against {addr}");
-            let addr = addr
-                .to_socket_addrs()
-                .ok()
-                .and_then(|mut it| it.next())
-                .unwrap_or_else(|| panic!("bad --connect address {addr:?}"));
-            serveload::run_sweep_against(addr, &cfg)
-        }
-        None => {
-            println!(
-                "Serve-load — closed-loop throughput, self-hosted helmet database \
-                 ({} base images, +{} variants each)",
-                cfg.base_images, cfg.augment
-            );
-            serveload::run_self_hosted(&cfg)
-        }
+    let Some(addr) = connect else {
+        eprintln!(
+            "serve-load needs --connect HOST:PORT (a running `mmdbctl serve-queries`); the \
+             self-hosted throughput and shard sweeps are now `bash benchmark/run.sh --workload \
+             point_1shard` and `--workload fanout_16shard`"
+        );
+        std::process::exit(2);
     };
+    use std::net::ToSocketAddrs;
+    println!();
+    println!("Serve-load — closed-loop throughput against {addr}");
+    let addr = addr
+        .to_socket_addrs()
+        .ok()
+        .and_then(|mut it| it.next())
+        .unwrap_or_else(|| panic!("bad --connect address {addr:?}"));
+    let points = serveload::run_sweep_against(addr, &cfg);
     print_rule(96);
     println!(
         "{:>8} {:>6} {:>9} {:>7} {:>7} {:>9} {:>10} {:>9} {:>9} {:>9}",
@@ -628,40 +621,6 @@ fn run_serve_load(fast: bool, raw_args: &[String]) {
     let path = results_dir().join("serve_throughput.csv");
     csvout::write_csv(&path, &LOAD_HEADERS, &rows).expect("write csv");
     println!("[csv] {}", path.display());
-
-    // Shard-count sweep (self-hosted only: it boots one server per count).
-    if connect.is_none() {
-        use mmdb_bench::serveload::SHARD_SWEEP_HEADERS;
-        let shard_counts: &[usize] = if fast { &[1, 4] } else { &[1, 2, 4, 8, 16] };
-        println!();
-        println!(
-            "Shard sweep — identical dataset and workload vs. catalog partition count \
-             (scatter-gather merge per query)"
-        );
-        print_rule(96);
-        println!(
-            "{:>8} {:>6} {:>9} {:>7} {:>10} {:>9} {:>9}",
-            "shards", "conc", "requests", "ok", "qps", "p50 ms", "p99 ms"
-        );
-        let sweep = serveload::run_shard_sweep(&cfg, shard_counts);
-        let mut rows = Vec::new();
-        for p in &sweep {
-            println!(
-                "{:>8} {:>6} {:>9} {:>7} {:>10.1} {:>9.3} {:>9.3}",
-                p.shards,
-                p.point.concurrency,
-                p.point.requests,
-                p.point.ok,
-                p.point.qps,
-                p.point.p50_ms,
-                p.point.p99_ms
-            );
-            rows.push(p.csv_row());
-        }
-        let path = results_dir().join("shard_sweep.csv");
-        csvout::write_csv(&path, &SHARD_SWEEP_HEADERS, &rows).expect("write csv");
-        println!("[csv] {}", path.display());
-    }
 }
 
 fn run_trace_overhead(fast: bool) {
@@ -718,107 +677,6 @@ fn run_trace_overhead(fast: bool) {
     println!("[csv] {}", path.display());
 }
 
-fn run_observatory_overhead(fast: bool) {
-    use mmdb_bench::serveload::{self, LoadConfig, OBSERVATORY_OVERHEAD_HEADERS};
-    let cfg = if fast {
-        LoadConfig::fast()
-    } else {
-        LoadConfig::default_sweep()
-    };
-    println!();
-    println!(
-        "Observatory overhead — identical closed-loop workload with instrumentation off vs. \
-         heat accounting + SLO engine on (plus a 100ms scraper thread)"
-    );
-    print_rule(92);
-    println!(
-        "{:>16} {:>6} {:>9} {:>10} {:>9} {:>9} {:>9} {:>12}",
-        "observatory", "conc", "requests", "qps", "p50 ms", "p95 ms", "p99 ms", "qps vs off"
-    );
-    let points = serveload::run_observatory_overhead(&cfg);
-    let mut rows = Vec::new();
-    for p in &points {
-        println!(
-            "{:>16} {:>6} {:>9} {:>10.1} {:>9.3} {:>9.3} {:>9.3} {:>11.1}%",
-            p.label,
-            p.point.concurrency,
-            p.point.requests,
-            p.point.qps,
-            p.point.p50_ms,
-            p.point.p95_ms,
-            p.point.p99_ms,
-            p.qps_vs_off_pct
-        );
-        rows.push(p.csv_row());
-    }
-    print_rule(92);
-    let on = &points[1];
-    println!(
-        "observatory-on throughput is {:.1}% of fully-off (acceptance bar: >= 98%)",
-        on.qps_vs_off_pct
-    );
-    let path = results_dir().join("observatory_overhead.csv");
-    csvout::write_csv(&path, &OBSERVATORY_OVERHEAD_HEADERS, &rows).expect("write csv");
-    println!("[csv] {}", path.display());
-}
-
-fn run_cold_start(fast: bool, seed: u64) {
-    use mmdb_bench::coldstart::{self, COLD_START_HEADERS};
-    // The issue's scales; `--fast` shrinks them an order of magnitude.
-    let scales: &[u64] = if fast {
-        &[1_000, 10_000]
-    } else {
-        &[10_000, 100_000]
-    };
-    println!();
-    println!("Cold start (S4) — time-to-ready: re-ingest vs snapshot+replay vs persisted index");
-    print_rule(100);
-    println!(
-        "{:>8} {:>16} {:>10} {:>12} {:>12} {:>9} {:>8} {:>9}",
-        "images", "arm", "open s", "1st query s", "ready s", "replayed", "results", "speedup"
-    );
-    let scratch = std::env::temp_dir().join(format!("mmdb_coldstart_{}", std::process::id()));
-    let mut rows = Vec::new();
-    let mut warm_speedups = Vec::new();
-    for &images in scales {
-        let points = coldstart::run_scale(&scratch, images, seed);
-        let baseline = points[0].total_seconds();
-        for p in &points {
-            let speedup = baseline / p.total_seconds();
-            println!(
-                "{:>8} {:>16} {:>10.4} {:>12.4} {:>12.4} {:>9} {:>8} {:>8.1}x",
-                p.images,
-                p.arm,
-                p.open_seconds,
-                p.first_query_seconds,
-                p.total_seconds(),
-                p.replayed_records,
-                p.results,
-                speedup
-            );
-            // The acceptance bar applies at the issue's scales; the smallest
-            // fast-mode point is fixed-cost dominated and only reported.
-            if p.arm == "warm_index" && p.images >= 10_000 {
-                warm_speedups.push(speedup);
-            }
-            rows.push(p.csv_row(speedup));
-        }
-    }
-    print_rule(100);
-    let min_speedup = warm_speedups.iter().copied().fold(f64::INFINITY, f64::min);
-    println!(
-        "warm persisted-index start vs full re-ingest: {min_speedup:.1}x at worst \
-         (acceptance bar: >= 5x)"
-    );
-    assert!(
-        min_speedup >= 5.0,
-        "warm start only {min_speedup:.1}x faster than re-ingest (bar: 5x)"
-    );
-    let path = results_dir().join("cold_start.csv");
-    csvout::write_csv(&path, &COLD_START_HEADERS, &rows).expect("write csv");
-    println!("[csv] {}", path.display());
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let fast = args.iter().any(|a| a == "--fast");
@@ -855,10 +713,8 @@ fn main() {
         "storage" => run_storage(&cfg),
         "lint" => run_lint(&cfg),
         "overhead" => run_overhead(&cfg),
-        "cold-start" => run_cold_start(fast, cfg.seed),
         "serve-load" => run_serve_load(fast, &args),
         "trace-overhead" => run_trace_overhead(fast),
-        "observatory-overhead" => run_observatory_overhead(fast),
         "all" => {
             run_table2(cfg.seed);
             run_figure(Figure::Fig3Helmet, &cfg);
@@ -878,8 +734,7 @@ fn main() {
             eprintln!(
                 "usage: repro [table2|fig3|fig4|headline|ablation-nbw|ablation-selectivity|\
                  ablation-profile|ablation-knn|ablation-bins|fig3-constmix|fig4-constmix|storage|\
-                 lint|overhead|cold-start|serve-load [--connect HOST:PORT]|trace-overhead|\
-                 observatory-overhead|all] [--fast]"
+                 lint|overhead|serve-load --connect HOST:PORT|trace-overhead|all] [--fast]"
             );
             std::process::exit(2);
         }

@@ -339,13 +339,15 @@ fn measure_point(
         idx_hist.snapshot(),
     );
     let telemetry_before = g.snapshot();
-    let ((rbm_ms, rbm_out), (bwm_ms, bwm_out), (indexed_ms, idx_out)) =
-        crate::timing::time_interleaved3(
+    let [(rbm_ms, rbm_out), (bwm_ms, bwm_out), (indexed_ms, idx_out)] =
+        crate::timing::time_interleaved(
             &queries,
             cfg.repeats,
-            |q| qp.range_rbm(q).unwrap(),
-            |q| qp.range_bwm(q).unwrap(),
-            |q| qp.range_indexed(q).unwrap(),
+            [
+                &mut |q| qp.range_rbm(q).unwrap(),
+                &mut |q| qp.range_bwm(q).unwrap(),
+                &mut |q| qp.range_indexed(q).unwrap(),
+            ],
         );
     mmdb_rules::flush_metrics();
     let metrics = g.snapshot().delta(&telemetry_before);
@@ -449,17 +451,19 @@ pub fn overhead_experiment(collection: Collection, cfg: &SweepConfig) -> Overhea
         .thresholds(0.02, 0.15)
         .two_sided_probability(0.0)
         .batch(cfg.queries.max(60));
-    let ((enabled_ms, _), (disabled_ms, _)) = crate::timing::time_interleaved(
+    let [(enabled_ms, _), (disabled_ms, _)] = crate::timing::time_interleaved(
         &queries,
         cfg.repeats.max(15),
-        |q| {
-            mmdb_telemetry::set_instrumentation(true);
-            qp.range_bwm(q).unwrap()
-        },
-        |q| {
-            mmdb_telemetry::set_instrumentation(false);
-            qp.range_bwm(q).unwrap()
-        },
+        [
+            &mut |q| {
+                mmdb_telemetry::set_instrumentation(true);
+                qp.range_bwm(q).unwrap()
+            },
+            &mut |q| {
+                mmdb_telemetry::set_instrumentation(false);
+                qp.range_bwm(q).unwrap()
+            },
+        ],
     );
     mmdb_telemetry::set_instrumentation(true);
     OverheadReport {
@@ -640,8 +644,11 @@ pub fn bins_ablation(
                 .batch(cfg.queries.min(12));
             let mut candidates = 0usize;
             let mut truth = 0usize;
-            let (rbm_ms, outs) =
-                crate::timing::time_batch(&queries, cfg.repeats, |q| qp.range_rbm(q).unwrap());
+            let [(rbm_ms, outs)] = crate::timing::time_interleaved(
+                &queries,
+                cfg.repeats,
+                [&mut |q| qp.range_rbm(q).unwrap()],
+            );
             for (q, out) in queries.iter().zip(&outs) {
                 candidates += out.results.len();
                 truth += qp.range_instantiate(q).unwrap().results.len();

@@ -2,15 +2,16 @@
 
 //! # mmdb-bench
 //!
-//! The performance-evaluation harness (§5 of the paper). The library half
+//! The paper-side evaluation harness (§5 of the paper). The library half
 //! holds the experiment logic — dataset construction per sweep point, query
-//! batches, wall-clock measurement, CSV output — shared between:
-//!
-//! * the `repro` binary (`cargo run -p mmdb-bench --release --bin repro`),
-//!   which regenerates every table/figure as formatted text + CSV under
-//!   `results/`;
-//! * the criterion benches in `benches/`, which measure the same code paths
-//!   with statistical rigour.
+//! batches, wall-clock measurement, CSV output — behind the `repro` binary
+//! (`cargo run -p mmdb-bench --release --bin repro`), which regenerates
+//! every table/figure as formatted text + CSV under `results/`. Serving
+//! throughput, shard fan-out, cold start, telemetry cost and per-layer
+//! micro-costs are measured by the standalone `benchmark/` package instead
+//! (`bash benchmark/run.sh`, contract in `BENCHMARK.json`); what remains of
+//! the load generator here ([`serveload`]) drives a remote server for CI and
+//! the tracing-mode comparison.
 //!
 //! ## Sweep semantics (Figures 3 and 4)
 //!
@@ -24,7 +25,6 @@
 //! (fixed non-bound-widening *share*) is available as an ablation
 //! (`repro ablation-nbw` sweeps the share directly).
 
-pub mod coldstart;
 pub mod csvout;
 pub mod experiments;
 pub mod serveload;

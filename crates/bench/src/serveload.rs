@@ -1,10 +1,11 @@
-//! Closed-loop load generator for the network query server (`repro
-//! serve-load`). N client threads each run a fixed budget of range queries
-//! back-to-back over their own connection; a sweep over N measures
-//! throughput (qps) and latency percentiles per concurrency level, plus a
-//! deliberately under-provisioned "tight" scenario that exercises the
-//! admission-control (`OVERLOADED`) and deadline (`DEADLINE_EXCEEDED`)
-//! paths. Results land in `results/serve_throughput.csv`.
+//! Closed-loop load generator for the network query server. N client
+//! threads each run a fixed budget of range queries back-to-back over their
+//! own connection ([`run_level`]). Two drivers share it: `repro serve-load
+//! --connect ADDR` sweeps N against an already-running `mmdbctl
+//! serve-queries` (CI's load generator), and `repro trace-overhead`
+//! self-hosts one server per tracing mode (EXPERIMENTS S2). Serving
+//! throughput, tail latency, shard fan-out and telemetry cost are measured
+//! by `benchmark/` (`bash benchmark/run.sh`), not here.
 
 use mmdbms::datagen::helmets::HelmetGenerator;
 use mmdbms::prelude::*;
@@ -31,7 +32,8 @@ pub const LOAD_HEADERS: [&str; 10] = [
     "p99_ms",
 ];
 
-/// Load-generator shape: how much data to self-host and how hard to push.
+/// Load-generator shape: how hard to push, and (for `trace-overhead`) how
+/// much data to self-host.
 #[derive(Clone, Debug)]
 pub struct LoadConfig {
     /// Binary base images in the self-hosted database.
@@ -73,8 +75,7 @@ impl LoadConfig {
 /// One measured concurrency level.
 #[derive(Clone, Debug)]
 pub struct LoadPoint {
-    /// `sweep` for the normal capacity server, `tight` for the
-    /// under-provisioned overload/deadline scenario.
+    /// Which driver produced the point (`sweep`, or a tracing-mode label).
     pub scenario: &'static str,
     /// Client threads driving the closed loop.
     pub concurrency: usize,
@@ -114,15 +115,9 @@ impl LoadPoint {
     }
 }
 
-/// Builds the self-hosted helmet database the server fronts.
-pub fn build_database(cfg: &LoadConfig) -> Arc<MultimediaDatabase> {
-    build_database_sharded(cfg, 1)
-}
-
-/// Builds the same dataset on a catalog partitioned into `shards` shards
-/// (binary images land round-robin, variants follow their base).
-pub fn build_database_sharded(cfg: &LoadConfig, shards: usize) -> Arc<MultimediaDatabase> {
-    let db = MultimediaDatabase::in_memory_sharded(Box::new(RgbQuantizer::default_64()), shards);
+/// Builds the self-hosted helmet database the `trace-overhead` servers front.
+fn build_database(cfg: &LoadConfig) -> Arc<MultimediaDatabase> {
+    let db = MultimediaDatabase::in_memory(Box::new(RgbQuantizer::default_64()));
     let generator = HelmetGenerator::with_seed(cfg.seed);
     for i in 0..cfg.base_images as u64 {
         let image = generator.generate(i);
@@ -250,118 +245,12 @@ fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
     sorted_ms[rank.clamp(1, sorted_ms.len()) - 1]
 }
 
-/// The concurrency sweep against an already-running server (the
-/// `--connect` path; also used by the CI smoke job).
+/// The concurrency sweep against an already-running server (`repro
+/// serve-load --connect`; CI's smoke jobs use it as their load generator).
 pub fn run_sweep_against(addr: SocketAddr, cfg: &LoadConfig) -> Vec<LoadPoint> {
     cfg.concurrency_levels
         .iter()
         .map(|&n| run_level(addr, "sweep", n, cfg.queries_per_client, 0, cfg.seed))
-        .collect()
-}
-
-/// Self-hosted mode: builds the dataset, boots a full-capacity server for
-/// the sweep, then an under-provisioned one (one worker, queue depth 2) at
-/// the highest concurrency with a short deadline, so the `OVERLOADED` and
-/// `DEADLINE_EXCEEDED` paths show up in the results and in `/metrics`.
-pub fn run_self_hosted(cfg: &LoadConfig) -> Vec<LoadPoint> {
-    let db = build_database(cfg);
-
-    let server = QueryServer::bind(
-        "127.0.0.1:0",
-        Arc::<MultimediaDatabase>::clone(&db) as Arc<dyn mmdbms::server::QueryBackend>,
-        ServerConfig::default(),
-    )
-    .expect("bind load-gen server");
-    let mut points = run_sweep_against(server.local_addr(), cfg);
-    server.shutdown();
-
-    let tight = QueryServer::bind(
-        "127.0.0.1:0",
-        Arc::<MultimediaDatabase>::clone(&db) as Arc<dyn mmdbms::server::QueryBackend>,
-        ServerConfig {
-            workers: 1,
-            queue_depth: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind tight server");
-    let stress_concurrency = cfg.concurrency_levels.iter().copied().max().unwrap_or(8);
-    points.push(run_level(
-        tight.local_addr(),
-        "tight",
-        stress_concurrency,
-        cfg.queries_per_client,
-        2,
-        cfg.seed,
-    ));
-    tight.shutdown();
-    points
-}
-
-/// CSV header for [`ShardSweepPoint::csv_row`].
-pub const SHARD_SWEEP_HEADERS: [&str; 7] = [
-    "shards",
-    "concurrency",
-    "requests",
-    "ok",
-    "qps",
-    "p50_ms",
-    "p99_ms",
-];
-
-/// One shard count measured against the identical workload.
-#[derive(Clone, Debug)]
-pub struct ShardSweepPoint {
-    /// Catalog partition count for this measurement.
-    pub shards: usize,
-    /// The underlying load measurement.
-    pub point: LoadPoint,
-}
-
-impl ShardSweepPoint {
-    /// The row matching [`SHARD_SWEEP_HEADERS`].
-    pub fn csv_row(&self) -> Vec<String> {
-        vec![
-            self.shards.to_string(),
-            self.point.concurrency.to_string(),
-            self.point.requests.to_string(),
-            self.point.ok.to_string(),
-            format!("{:.1}", self.point.qps),
-            format!("{:.3}", self.point.p50_ms),
-            format!("{:.3}", self.point.p99_ms),
-        ]
-    }
-}
-
-/// The shard-count sweep: the identical dataset and closed-loop workload
-/// measured against a self-hosted server per shard count, at the sweep's
-/// highest concurrency. Each arm gets an unmeasured warm pass so lazy
-/// structures (per-shard bound indexes, raster caches) are built before
-/// the clock starts.
-pub fn run_shard_sweep(cfg: &LoadConfig, shard_counts: &[usize]) -> Vec<ShardSweepPoint> {
-    let concurrency = cfg.concurrency_levels.iter().copied().max().unwrap_or(8);
-    shard_counts
-        .iter()
-        .map(|&shards| {
-            let db = build_database_sharded(cfg, shards);
-            let server = QueryServer::bind(
-                "127.0.0.1:0",
-                db as Arc<dyn mmdbms::server::QueryBackend>,
-                ServerConfig::default(),
-            )
-            .expect("bind shard-sweep server");
-            run_level(server.local_addr(), "warm", 2, 20, 0, cfg.seed ^ 0xCAFE);
-            let point = run_level(
-                server.local_addr(),
-                "shard-sweep",
-                concurrency,
-                cfg.queries_per_client,
-                0,
-                cfg.seed,
-            );
-            server.shutdown();
-            ShardSweepPoint { shards, point }
-        })
         .collect()
 }
 
@@ -473,137 +362,9 @@ pub fn run_trace_overhead(cfg: &LoadConfig) -> Vec<TraceOverheadPoint> {
     out
 }
 
-/// CSV header for [`ObservatoryOverheadPoint::csv_row`].
-pub const OBSERVATORY_OVERHEAD_HEADERS: [&str; 8] = [
-    "observatory",
-    "concurrency",
-    "requests",
-    "qps",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "qps_vs_off_pct",
-];
-
-/// One observatory setting measured against the identical workload.
-#[derive(Clone, Debug)]
-pub struct ObservatoryOverheadPoint {
-    /// Row label (`observatory-off`, `observatory-on`).
-    pub label: &'static str,
-    /// Throughput relative to the `off` baseline, percent (100 = equal).
-    pub qps_vs_off_pct: f64,
-    /// The underlying load measurement.
-    pub point: LoadPoint,
-}
-
-impl ObservatoryOverheadPoint {
-    /// The row matching [`OBSERVATORY_OVERHEAD_HEADERS`].
-    pub fn csv_row(&self) -> Vec<String> {
-        vec![
-            self.label.to_string(),
-            self.point.concurrency.to_string(),
-            self.point.requests.to_string(),
-            format!("{:.1}", self.point.qps),
-            format!("{:.3}", self.point.p50_ms),
-            format!("{:.3}", self.point.p95_ms),
-            format!("{:.3}", self.point.p99_ms),
-            format!("{:.1}", self.qps_vs_off_pct),
-        ]
-    }
-}
-
-/// Measures the serving cost of the workload observatory: the same
-/// closed-loop workload with hot-path instrumentation (histograms, heat
-/// recording) disabled entirely, then with heat accounting *and* an SLO
-/// engine on while a scraper thread does what a metrics poller would —
-/// publish heat gauges, refresh staleness gauges, and run SLO burn-rate
-/// evaluations every 100ms. The acceptance bar is observatory-on
-/// throughput ≥ 98% of fully-off (a stricter bar than heat+SLO alone,
-/// since the on arm also carries the pre-existing histogram costs).
-pub fn run_observatory_overhead(cfg: &LoadConfig) -> Vec<ObservatoryOverheadPoint> {
-    let db = build_database(cfg);
-    let concurrency = cfg.concurrency_levels.iter().copied().max().unwrap_or(8);
-    let run_arm = |label: &'static str| {
-        let server = QueryServer::bind(
-            "127.0.0.1:0",
-            Arc::<MultimediaDatabase>::clone(&db) as Arc<dyn mmdbms::server::QueryBackend>,
-            ServerConfig {
-                trace_mode: TraceMode::Off,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind observatory-overhead server");
-        // A short unmeasured warm pass so lazy structures (bound index,
-        // raster cache) are identical across the measured runs.
-        run_level(server.local_addr(), "warm", 2, 20, 0, cfg.seed ^ 0xFEED);
-        let point = run_level(
-            server.local_addr(),
-            label,
-            concurrency,
-            cfg.queries_per_client,
-            0,
-            cfg.seed,
-        );
-        server.shutdown();
-        ObservatoryOverheadPoint {
-            label,
-            qps_vs_off_pct: 0.0,
-            point,
-        }
-    };
-
-    let was_on = mmdbms::telemetry::instrumentation_enabled();
-    mmdbms::telemetry::set_instrumentation(false);
-    let off = run_arm("observatory-off");
-
-    mmdbms::telemetry::set_instrumentation(true);
-    mmdbms::telemetry::heat().clear();
-    // First-configure wins process-wide, so the off arm above must have
-    // already run; a tight p99 keeps the engine's evaluation loop honest
-    // (it actually walks burn-rate windows, not an empty objective set).
-    let _ = mmdbms::telemetry::configure_slo(
-        mmdbms::telemetry::SloConfig::parse("range=5ms@p99,err<1%").expect("static spec parses"),
-    );
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let scraper = {
-        let stop = Arc::clone(&stop);
-        let db = Arc::clone(&db);
-        std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                if let Some(engine) = mmdbms::telemetry::slo_engine() {
-                    engine.evaluate();
-                }
-                mmdbms::telemetry::publish_heat_gauges(50);
-                db.refresh_staleness_gauges();
-                std::thread::sleep(std::time::Duration::from_millis(100));
-            }
-        })
-    };
-    let on = run_arm("observatory-on");
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    scraper.join().expect("scraper thread joins");
-    mmdbms::telemetry::set_instrumentation(was_on);
-
-    let mut out = vec![off, on];
-    let baseline = out[0].point.qps.max(1e-9);
-    for p in &mut out {
-        p.qps_vs_off_pct = 100.0 * p.point.qps / baseline;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes tests that touch the process-global trace store (the
-    /// default server config tail-samples, so even the plain load test can
-    /// write to it).
-    fn store_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     #[test]
     fn percentile_indexing() {
@@ -614,53 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn tiny_self_hosted_run_completes() {
-        let _guard = store_lock();
-        let cfg = LoadConfig {
-            base_images: 4,
-            augment: 1,
-            seed: 7,
-            concurrency_levels: vec![1, 2],
-            queries_per_client: 5,
-        };
-        let points = run_self_hosted(&cfg);
-        assert_eq!(points.len(), 3); // two sweep levels + tight scenario
-        for p in &points {
-            assert_eq!(
-                p.requests,
-                p.concurrency * cfg.queries_per_client,
-                "closed loop must answer every request"
-            );
-            assert_eq!(p.requests, p.ok + p.overloaded + p.deadline_exceeded);
-            assert!(p.qps > 0.0);
-        }
-        assert!(points.iter().all(|p| p.p50_ms <= p.p99_ms));
-    }
-
-    #[test]
-    fn tiny_shard_sweep_completes() {
-        let _guard = store_lock();
-        let cfg = LoadConfig {
-            base_images: 4,
-            augment: 1,
-            seed: 11,
-            concurrency_levels: vec![2],
-            queries_per_client: 5,
-        };
-        let points = run_shard_sweep(&cfg, &[1, 3]);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].shards, 1);
-        assert_eq!(points[1].shards, 3);
-        for p in &points {
-            assert_eq!(p.point.requests, 2 * cfg.queries_per_client);
-            assert!(p.point.qps > 0.0);
-            assert!(p.point.p50_ms <= p.point.p99_ms);
-        }
-    }
-
-    #[test]
     fn trace_overhead_covers_all_modes() {
-        let _guard = store_lock();
         let cfg = LoadConfig {
             base_images: 4,
             augment: 1,

@@ -1,154 +1,89 @@
-//! Wall-clock measurement helpers.
+//! Wall-clock measurement helper.
 
 use mmdb_bwm::QueryOutcome;
 use mmdb_rules::ColorRangeQuery;
 use std::time::Instant;
 
-/// Runs `f` once per query as a warm-up, then `repeats` independently timed
-/// passes over the whole batch, returning the **best-of** (minimum) time per
-/// query in milliseconds. Best-of is the standard microbenchmark estimator
-/// on noisy machines: scheduler preemption and frequency dips only ever add
-/// time, so the minimum is the least-contaminated observation.
-///
-/// The per-query results of the warm-up pass are returned too, so callers
-/// can extract result sets / stats without paying for an extra pass.
-pub fn time_batch(
+/// One competing execution of a query batch.
+pub type Arm<'a> = &'a mut dyn FnMut(&ColorRangeQuery) -> QueryOutcome;
+
+/// Times `N` competing executions of the same batch. Each arm first runs the
+/// batch once as a warm-up; then `repeats` rounds run the arms
+/// **interleaved** (A, B, C, A, B, C, …), each pass timed on its own, so
+/// machine drift (thermal throttling, noisy neighbours) contaminates every
+/// arm equally. Returned per arm, in order: the **best-of** (minimum) pass
+/// in milliseconds per query — scheduler preemption and frequency dips only
+/// ever add time, so the minimum is the least-contaminated observation —
+/// and the warm-up pass's per-query results, so callers can read result
+/// sets and stats without paying for an extra pass.
+pub fn time_interleaved<const N: usize>(
     queries: &[ColorRangeQuery],
     repeats: usize,
-    mut f: impl FnMut(&ColorRangeQuery) -> QueryOutcome,
-) -> (f64, Vec<QueryOutcome>) {
+    mut arms: [Arm<'_>; N],
+) -> [(f64, Vec<QueryOutcome>); N] {
     assert!(repeats > 0, "need at least one timed pass");
     assert!(!queries.is_empty(), "empty query batch");
-    let warmup: Vec<QueryOutcome> = queries.iter().map(&mut f).collect();
-    let mut best = f64::INFINITY;
+    let mut warmups: [Vec<QueryOutcome>; N] =
+        std::array::from_fn(|i| queries.iter().map(&mut *arms[i]).collect());
+    let mut best = [f64::INFINITY; N];
     for _ in 0..repeats {
-        let start = Instant::now();
-        for q in queries {
-            std::hint::black_box(f(q));
+        for (arm, best) in arms.iter_mut().zip(&mut best) {
+            let start = Instant::now();
+            for q in queries {
+                std::hint::black_box(arm(q));
+            }
+            *best = best.min(start.elapsed().as_secs_f64());
         }
-        best = best.min(start.elapsed().as_secs_f64());
     }
-    let per_query_ms = best * 1e3 / queries.len() as f64;
-    (per_query_ms, warmup)
-}
-
-/// Times two competing executions with **interleaved** passes (A, B, A, B,
-/// …) so machine drift (thermal throttling, noisy neighbours) contaminates
-/// both sides equally, and returns the best-of per-query milliseconds for
-/// each. Results/stats from a warm-up pass of each side are returned too.
-#[allow(clippy::type_complexity)]
-pub fn time_interleaved(
-    queries: &[ColorRangeQuery],
-    repeats: usize,
-    mut fa: impl FnMut(&ColorRangeQuery) -> QueryOutcome,
-    mut fb: impl FnMut(&ColorRangeQuery) -> QueryOutcome,
-) -> ((f64, Vec<QueryOutcome>), (f64, Vec<QueryOutcome>)) {
-    assert!(repeats > 0, "need at least one timed pass");
-    assert!(!queries.is_empty(), "empty query batch");
-    let warm_a: Vec<QueryOutcome> = queries.iter().map(&mut fa).collect();
-    let warm_b: Vec<QueryOutcome> = queries.iter().map(&mut fb).collect();
-    let mut best_a = f64::INFINITY;
-    let mut best_b = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        for q in queries {
-            std::hint::black_box(fa(q));
-        }
-        best_a = best_a.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        for q in queries {
-            std::hint::black_box(fb(q));
-        }
-        best_b = best_b.min(start.elapsed().as_secs_f64());
-    }
-    let n = queries.len() as f64;
-    ((best_a * 1e3 / n, warm_a), (best_b * 1e3 / n, warm_b))
-}
-
-/// [`time_interleaved`] for three competing executions (A, B, C, A, B, C,
-/// …): used by the Figure-3/4 sweeps to race RBM, BWM, and the indexed plan
-/// under identical machine conditions.
-#[allow(clippy::type_complexity)]
-pub fn time_interleaved3(
-    queries: &[ColorRangeQuery],
-    repeats: usize,
-    mut fa: impl FnMut(&ColorRangeQuery) -> QueryOutcome,
-    mut fb: impl FnMut(&ColorRangeQuery) -> QueryOutcome,
-    mut fc: impl FnMut(&ColorRangeQuery) -> QueryOutcome,
-) -> (
-    (f64, Vec<QueryOutcome>),
-    (f64, Vec<QueryOutcome>),
-    (f64, Vec<QueryOutcome>),
-) {
-    assert!(repeats > 0, "need at least one timed pass");
-    assert!(!queries.is_empty(), "empty query batch");
-    let warm_a: Vec<QueryOutcome> = queries.iter().map(&mut fa).collect();
-    let warm_b: Vec<QueryOutcome> = queries.iter().map(&mut fb).collect();
-    let warm_c: Vec<QueryOutcome> = queries.iter().map(&mut fc).collect();
-    let mut best_a = f64::INFINITY;
-    let mut best_b = f64::INFINITY;
-    let mut best_c = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        for q in queries {
-            std::hint::black_box(fa(q));
-        }
-        best_a = best_a.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        for q in queries {
-            std::hint::black_box(fb(q));
-        }
-        best_b = best_b.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        for q in queries {
-            std::hint::black_box(fc(q));
-        }
-        best_c = best_c.min(start.elapsed().as_secs_f64());
-    }
-    let n = queries.len() as f64;
-    (
-        (best_a * 1e3 / n, warm_a),
-        (best_b * 1e3 / n, warm_b),
-        (best_c * 1e3 / n, warm_c),
-    )
-}
-
-/// Times a single closure, returning milliseconds.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let out = f();
-    (start.elapsed().as_secs_f64() * 1e3, out)
+    let per_query_ms = 1e3 / queries.len() as f64;
+    std::array::from_fn(|i| (best[i] * per_query_ms, std::mem::take(&mut warmups[i])))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_bwm::QueryOutcome;
+    use std::cell::RefCell;
+    use std::time::Duration;
 
     #[test]
-    fn time_batch_counts_calls() {
-        let queries = vec![ColorRangeQuery::at_least(0, 0.1); 4];
-        let mut calls = 0;
-        let (ms, warmup) = time_batch(&queries, 3, |_| {
-            calls += 1;
-            QueryOutcome::default()
-        });
-        // 1 warmup pass + 3 timed passes over 4 queries.
-        assert_eq!(calls, 16);
-        assert_eq!(warmup.len(), 4);
-        assert!(ms >= 0.0);
-    }
-
-    #[test]
-    fn time_once_returns_value() {
-        let (ms, v) = time_once(|| 41 + 1);
-        assert_eq!(v, 42);
-        assert!(ms >= 0.0);
+    fn arms_interleave_and_report_best_of_per_arm() {
+        const SLOW: Duration = Duration::from_millis(10);
+        let queries = vec![ColorRangeQuery::at_least(0, 0.1); 2];
+        let order = RefCell::new(String::new());
+        // Each arm logs its name, answers with a recognisable
+        // `bounds_computed`, and sleeps `SLOW` per query in every pass but
+        // `fast_pass` (pass 0 is the warm-up).
+        let arm = |name: char, bounds_computed: usize, fast_pass: Option<usize>| {
+            let order = &order;
+            let mut calls = 0;
+            move |_: &ColorRangeQuery| {
+                order.borrow_mut().push(name);
+                if fast_pass != Some(calls / 2) {
+                    std::thread::sleep(SLOW);
+                }
+                calls += 1;
+                let mut outcome = QueryOutcome::default();
+                outcome.stats.bounds_computed = bounds_computed;
+                outcome
+            }
+        };
+        let (mut a, mut b) = (arm('a', 1, None), arm('b', 2, Some(2)));
+        let [(a_ms, a_warm), (b_ms, b_warm)] = time_interleaved(&queries, 3, [&mut a, &mut b]);
+        // Warm-ups arm by arm, then three rounds of A-pass, B-pass.
+        assert_eq!(*order.borrow(), "aabb".repeat(4));
+        assert_eq!((a_warm.len(), b_warm.len()), (2, 2));
+        assert!(a_warm.iter().all(|o| o.stats.bounds_computed == 1));
+        assert!(b_warm.iter().all(|o| o.stats.bounds_computed == 2));
+        // The minimum, per arm: B's one fast pass (the second of three) is
+        // its time, and does not leak into A's.
+        let slow_ms = SLOW.as_secs_f64() * 1e3;
+        assert!(a_ms >= slow_ms, "a best-of {a_ms} ms/query");
+        assert!(b_ms < slow_ms, "b best-of {b_ms} ms/query");
     }
 
     #[test]
     #[should_panic(expected = "empty query batch")]
     fn empty_batch_rejected() {
-        time_batch(&[], 1, |_| QueryOutcome::default());
+        time_interleaved(&[], 1, [&mut |_| QueryOutcome::default()]);
     }
 }

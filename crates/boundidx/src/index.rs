@@ -152,7 +152,7 @@ impl BoundIndex {
     /// (capture the storage epoch *before* reading the id lists — a
     /// concurrent mutation then leaves the stamp behind the real epoch and
     /// the next lookup re-syncs, never the reverse). Edited images' bounds
-    /// vectors are computed on `threads` crossbeam scoped workers, each with
+    /// vectors are computed on `threads` scoped workers, each with
     /// its own rule engine.
     #[allow(clippy::too_many_arguments)]
     pub fn build<R, S>(
@@ -544,11 +544,11 @@ where
     S: SequenceStore + Sync,
 {
     let chunk = edited.len().div_ceil(threads).max(1);
-    let results = crossbeam::thread::scope(|scope| {
+    let results = std::thread::scope(|scope| {
         let handles: Vec<_> = edited
             .chunks(chunk)
             .map(|ids| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let engine = RuleEngine::with_background(quantizer, profile, background);
                     compute_chunk(&engine, ids, resolver, store)
                 })
@@ -558,8 +558,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("bound-index build worker panicked"))
             .collect::<Vec<_>>()
-    })
-    .expect("bound-index build scope panicked");
+    });
     let mut out = Vec::with_capacity(edited.len());
     for r in results {
         out.extend(r?);

@@ -2,8 +2,7 @@
 //!
 //! In normal builds every type here is a thin wrapper over the `std::sync`
 //! primitive of the same name (with `parking_lot`-style non-poisoning
-//! guards, matching the vendored `parking_lot` stub the workspace already
-//! uses). With the `model` cargo feature, any operation executed *inside a
+//! guards). With the `model` cargo feature, any operation executed *inside a
 //! [`crate::model::Model::check`] run* becomes a scheduling point of the
 //! model checker instead; outside a model run the facade still behaves
 //! exactly like std, so production crates compiled with the feature keep

@@ -1,6 +1,5 @@
 //! Image identifiers shared across the storage and retrieval layers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Opaque identifier of an image object in the MMDBMS.
@@ -9,7 +8,7 @@ use std::fmt;
 /// operation sequences carry an `ImageId`; an [`crate::EditSequence`] refers
 /// to its base image — and a `Merge` operation to its target image — by this
 /// id.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ImageId(pub u64);
 
 impl ImageId {

@@ -12,10 +12,8 @@
 //!
 //! with affine transforms keeping the last row at `(0, 0, 1)`.
 
-use serde::{Deserialize, Serialize};
-
 /// A row-major 3×3 matrix over `f64`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Matrix3 {
     /// Rows of the matrix; `m[r][c]` is row `r`, column `c`.
     pub m: [[f64; 3]; 3],

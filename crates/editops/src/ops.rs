@@ -17,11 +17,10 @@
 use crate::ids::ImageId;
 use crate::matrix::Matrix3;
 use mmdb_imaging::{Rect, Rgb};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One editing operation in a stored sequence.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum EditOp {
     /// Selects the group of pixels — the *Defined Region* — that subsequent
     /// operations edit. The rectangle is clipped to the image at execution
@@ -64,7 +63,7 @@ pub enum EditOp {
 
 /// Discriminant-only view of an operation, used for statistics and
 /// classification tables.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// `Define`.
     Define,

@@ -4,7 +4,6 @@ use crate::ids::ImageId;
 use crate::matrix::Matrix3;
 use crate::ops::{EditOp, OpKind};
 use mmdb_imaging::{Rect, Rgb};
-use serde::{Deserialize, Serialize};
 
 /// An edited image stored "as a reference to b along with the sequence of
 /// operations used to change b into e" (§2).
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// This is the space-saving storage format the paper is built around: an
 /// `EditSequence` occupies tens of bytes where the instantiated raster would
 /// occupy megabytes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EditSequence {
     /// The referenced base image.
     pub base: ImageId,

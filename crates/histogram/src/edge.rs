@@ -10,7 +10,6 @@
 //! by instantiation for edited ones.
 
 use mmdb_imaging::RasterImage;
-use serde::{Deserialize, Serialize};
 
 /// A histogram over gradient orientations.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// shape evidence) and quantized uniformly into `bins`. Only pixels whose
 /// gradient magnitude exceeds the extraction threshold contribute — `total`
 /// counts *edge* pixels, not all pixels.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EdgeHistogram {
     bins: Vec<u64>,
     total: u64,

@@ -7,10 +7,9 @@
 
 use crate::quantizer::Quantizer;
 use mmdb_imaging::RasterImage;
-use serde::{Deserialize, Serialize};
 
 /// A color histogram over a fixed quantizer.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ColorHistogram {
     bins: Vec<u64>,
     total: u64,

@@ -10,10 +10,9 @@
 //! for binary images and via instantiation for edited ones.
 
 use mmdb_imaging::RasterImage;
-use serde::{Deserialize, Serialize};
 
 /// Which LBP encoding to use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LbpKind {
     /// All 256 raw 8-bit codes.
     Full256,
@@ -23,7 +22,7 @@ pub enum LbpKind {
 }
 
 /// A texture histogram of local binary patterns.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TextureHistogram {
     kind: LbpKind,
     bins: Vec<u64>,

@@ -6,12 +6,11 @@
 //! [`crate::RasterImage`]; [`Hsv`] and [`Luv`] are derived views used by the
 //! alternative quantizers in `mmdb-histogram`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An 8-bit-per-channel RGB color — the pixel type of every raster image in
 /// the system.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Rgb {
     /// Red channel, `0..=255`.
     pub r: u8,

@@ -4,13 +4,11 @@
 //! `Define` operation takes "the coordinates of the desired group of pixels"),
 //! and also back the drawing primitives in [`crate::draw`].
 
-use serde::{Deserialize, Serialize};
-
 /// An integer pixel coordinate. `x` is the column, `y` the row; the origin is
 /// the top-left corner of an image. Coordinates are signed so that geometry
 /// produced by `Mutate` transforms can temporarily leave image bounds before
 /// being clipped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub struct Point {
     /// Column.
     pub x: i64,
@@ -28,7 +26,7 @@ impl Point {
 
 /// A half-open axis-aligned rectangle: pixels with `x0 <= x < x1` and
 /// `y0 <= y < y1`. An empty rectangle has `x1 <= x0` or `y1 <= y0`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Rect {
     /// Inclusive left edge.
     pub x0: i64,

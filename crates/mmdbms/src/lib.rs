@@ -382,10 +382,7 @@ impl MultimediaDatabase {
             )?]));
         }
         std::fs::create_dir_all(dir).map_err(StorageError::from)?;
-        if read_shard_manifest(dir).unwrap_or(Some(0)).is_some()
-            || dir.join("meta").exists()
-            || dir.join("catalog.mmdb").exists()
-        {
+        if read_shard_manifest(dir).unwrap_or(Some(0)).is_some() || dir.join("meta").exists() {
             return Err(StorageError::Corrupt(format!(
                 "database already exists at {}",
                 dir.display()
@@ -719,7 +716,7 @@ impl MultimediaDatabase {
                     qp.execute(Slice::Bwm(&shard.bwm.read(), cache), query, ctx)
                 })
             }
-            QueryPlan::Rbm => qp.execute(Slice::Rbm { threads: 1 }, query, ctx),
+            QueryPlan::Rbm => qp.execute(Slice::Rbm, query, ctx),
             QueryPlan::Instantiate => qp.execute(Slice::Instantiate, query, ctx),
             QueryPlan::Indexed => Self::with_bound_index(shard, profile, |idx, sync| {
                 qp.execute(Slice::Indexed(idx, sync), query, ctx)
@@ -1034,14 +1031,6 @@ impl MultimediaDatabase {
             &*shard.storage,
         );
         Ok(analyzer.analyze_sequence(&sequence))
-    }
-
-    /// Enables or disables analyzer-backed ingest validation (on by
-    /// default); see [`StorageEngine::set_ingest_validation`].
-    pub fn set_ingest_validation(&self, enabled: bool) {
-        for shard in &self.shards {
-            shard.storage.set_ingest_validation(enabled);
-        }
     }
 
     /// A read-only snapshot view of the BWM structure covering the whole

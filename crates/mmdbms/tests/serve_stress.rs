@@ -100,9 +100,10 @@ fn concurrent_queries_survive_inserts_and_deletes() {
                 let mut answered = 0usize;
                 for q in 0..QUERIES_PER_CLIENT {
                     let request = RangeRequest {
-                        plan: match q % 3 {
+                        plan: match q % 4 {
                             0 => PlanKind::Bwm,
                             1 => PlanKind::Rbm,
+                            2 => PlanKind::Instantiate,
                             _ => PlanKind::Indexed,
                         },
                         profile: ProfileKind::Conservative,

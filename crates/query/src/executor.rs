@@ -244,12 +244,8 @@ fn observe_range(
 pub enum Slice<'s> {
     /// Ground truth: exact histograms, instantiating edited images.
     Instantiate,
-    /// §3's Rule-Based Method; the edited-image scan is chunked over
-    /// `threads` scoped workers when more than one.
-    Rbm {
-        /// Worker threads for the BOUNDS scan (0 and 1 both mean serial).
-        threads: usize,
-    },
+    /// §3's Rule-Based Method.
+    Rbm,
     /// §4's Figure 2 over a BWM structure, probing the cache (when given —
     /// the caller vouches for its freshness) before walking any rule.
     Bwm(&'s BwmStructure, Option<&'s dyn BoundsCache>),
@@ -263,7 +259,7 @@ impl Slice<'_> {
     pub fn plan(&self) -> QueryPlan {
         match self {
             Slice::Instantiate => QueryPlan::Instantiate,
-            Slice::Rbm { .. } => QueryPlan::Rbm,
+            Slice::Rbm => QueryPlan::Rbm,
             Slice::Bwm(..) => QueryPlan::Bwm,
             Slice::Indexed(..) => QueryPlan::Indexed,
         }
@@ -314,7 +310,7 @@ impl<'db> QueryProcessor<'db> {
         self.bwm.as_ref()
     }
 
-    /// Bulk-builds (parallel, crossbeam scoped workers) and attaches the
+    /// Bulk-builds (parallel, scoped workers) and attaches the
     /// bound-interval index for this processor's profile, enabling
     /// [`QueryProcessor::range_indexed`].
     ///
@@ -376,7 +372,7 @@ impl<'db> QueryProcessor<'db> {
     fn attached(&self, plan: QueryPlan) -> Slice<'_> {
         match plan {
             QueryPlan::Instantiate => Slice::Instantiate,
-            QueryPlan::Rbm => Slice::Rbm { threads: 1 },
+            QueryPlan::Rbm => Slice::Rbm,
             QueryPlan::Bwm => {
                 let structure = self.bwm.as_ref();
                 Slice::Bwm(
@@ -416,7 +412,12 @@ impl<'db> QueryProcessor<'db> {
                 let started = Instant::now();
                 let ids = self.db.ids();
                 for &id in &ids {
-                    let hist = self.db.histogram(id)?;
+                    let hist = match self.db.histogram(id) {
+                        // Listed a moment ago and deleted since: not a
+                        // result. A missing *referenced* image still fails.
+                        Err(StorageError::NotFound(gone)) if gone == id => continue,
+                        hist => hist?,
+                    };
                     if query.matches_fraction(hist.fraction(query.bin)) {
                         ctx.results.push(id);
                     }
@@ -430,7 +431,7 @@ impl<'db> QueryProcessor<'db> {
             // §3 baseline (Figures 3–4 "without data structure"): every
             // binary image is tested against its exact histogram; every
             // edited image runs the full BOUNDS computation.
-            Slice::Rbm { threads } => {
+            Slice::Rbm => {
                 let started = Instant::now();
                 let found = ctx.results.len();
                 let binary = self.db.binary_ids();
@@ -445,7 +446,16 @@ impl<'db> QueryProcessor<'db> {
                 }
                 let binary_elapsed = started.elapsed();
                 let binary_hits = ctx.results.len() - found;
-                let stats = self.rbm_edited_scan(query, threads, &mut ctx.results)?;
+                let mut stats = BwmQueryStats::default();
+                mmdb_bwm::bounds_scan(
+                    &self.db.edited_ids(),
+                    query,
+                    &self.engine(),
+                    self.db,
+                    self.db,
+                    &mut ctx.results,
+                    &mut stats,
+                )?;
                 ctx.stats += stats;
                 if let Some(trace) = &mut ctx.trace {
                     trace
@@ -488,63 +498,6 @@ impl<'db> QueryProcessor<'db> {
                 }
             }
         }
-        Ok(())
-    }
-
-    /// The BOUNDS pass over every edited image (the RBM fallback work),
-    /// appending hits to `results`. The scan is embarrassingly parallel:
-    /// with more than one thread it is chunked over crossbeam scoped
-    /// workers, hits merged in id order and counters summed.
-    fn rbm_edited_scan(
-        &self,
-        query: &ColorRangeQuery,
-        threads: usize,
-        results: &mut Vec<ImageId>,
-    ) -> Result<BwmQueryStats> {
-        let edited = self.db.edited_ids();
-        let mut stats = BwmQueryStats::default();
-        if threads <= 1 {
-            self.bounds_scan(&edited, query, results, &mut stats)?;
-            return Ok(stats);
-        }
-        let chunk = edited.len().div_ceil(threads).max(1);
-        let partials: Vec<Result<(Vec<ImageId>, BwmQueryStats)>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = edited
-                    .chunks(chunk)
-                    .map(|ids| {
-                        scope.spawn(move |_| {
-                            let (mut hits, mut stats) = (Vec::new(), BwmQueryStats::default());
-                            self.bounds_scan(ids, query, &mut hits, &mut stats)?;
-                            Ok((hits, stats))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            })
-            .expect("scope panicked");
-        for partial in partials {
-            let (hits, partial_stats) = partial?;
-            results.extend(hits);
-            stats += partial_stats;
-        }
-        Ok(stats)
-    }
-
-    /// BOUNDS for each of `ids`, emitting those whose range overlaps — the
-    /// loop BWM runs for the images it cannot shortcut.
-    fn bounds_scan(
-        &self,
-        ids: &[ImageId],
-        query: &ColorRangeQuery,
-        results: &mut Vec<ImageId>,
-        stats: &mut BwmQueryStats,
-    ) -> Result<()> {
-        let engine = self.engine();
-        mmdb_bwm::bounds_scan(ids, query, &engine, self.db, self.db, results, stats)?;
         Ok(())
     }
 
@@ -592,9 +545,9 @@ impl<'db> QueryProcessor<'db> {
         self.run_traced(self.attached(plan), query)
     }
 
-    /// §3 baseline (Figures 3–4 "without data structure"), serial.
+    /// §3 baseline (Figures 3–4 "without data structure").
     pub fn range_rbm(&self, query: &ColorRangeQuery) -> Result<QueryOutcome> {
-        self.run(Slice::Rbm { threads: 1 }, query)
+        self.run(Slice::Rbm, query)
     }
 
     /// §4 (Figures 3–4 "with data structure"): the Figure 2 algorithm.
@@ -740,6 +693,36 @@ mod tests {
     }
 
     #[test]
+    fn instantiate_skips_an_image_deleted_after_it_was_listed() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (db, _bases, _edits) = setup();
+        let qp = QueryProcessor::new(&db);
+        let q = ColorRangeQuery::new(red_bin(&db), 0.0, 1.0);
+        let stable = qp.range_instantiate(&q).unwrap().sorted_results();
+        let stop = AtomicBool::new(false);
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            // Churn one binary image at the end of the id space: the scan
+            // lists it, then often finds it gone.
+            scope.spawn(|| {
+                let img = RasterImage::filled(4, 4, Rgb::RED).unwrap();
+                while !stop.load(Ordering::SeqCst) {
+                    let id = db.insert_binary(&img).unwrap();
+                    db.delete(id).unwrap();
+                }
+            });
+            let outcomes = (0..2_000).map(|_| qp.range_instantiate(&q)).collect();
+            stop.store(true, Ordering::SeqCst);
+            outcomes
+        });
+        for outcome in outcomes {
+            let got = outcome
+                .expect("a listed image deleted since is skipped, not an error")
+                .sorted_results();
+            assert!(stable.iter().all(|id| got.contains(id)));
+        }
+    }
+
+    #[test]
     fn results_superset_of_ground_truth_and_no_false_negatives() {
         let (db, _bases, _edits) = setup();
         let mut qp = QueryProcessor::new(&db);
@@ -751,19 +734,6 @@ mod tests {
             for id in &truth {
                 assert!(rbm.contains(id), "false negative {id} in [{lo},{hi}]");
             }
-        }
-    }
-
-    #[test]
-    fn parallel_rbm_matches_serial() {
-        let (db, _bases, _edits) = setup();
-        let qp = QueryProcessor::new(&db);
-        for threads in [1, 2, 4, 7] {
-            let q = ColorRangeQuery::new(red_bin(&db), 0.2, 0.6);
-            let serial = qp.range_rbm(&q).unwrap();
-            let parallel = qp.run(Slice::Rbm { threads }, &q).unwrap();
-            assert_eq!(serial.sorted_results(), parallel.sorted_results());
-            assert_eq!(serial.stats.bounds_computed, parallel.stats.bounds_computed);
         }
     }
 

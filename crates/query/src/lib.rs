@@ -16,10 +16,10 @@
 //! All of them (and the indexed lookup) are one un-instrumented path,
 //! [`QueryProcessor::execute`], adding to a [`QueryCtx`]; the `range_*`
 //! methods wrap it as whole queries, observed once each
-//! ([`executor::observed`]). Plus the supporting machinery: a parallel RBM
-//! scan (crossbeam scoped threads), provenance expansion (§2: when `op(x)`
-//! matches, `x` is returned too), and a k-nearest-neighbour search over the
-//! binary images' histogram signatures through the R-tree substrate.
+//! ([`executor::observed`]). Plus the supporting machinery: provenance
+//! expansion (§2: when `op(x)` matches, `x` is returned too), and a
+//! k-nearest-neighbour search over the binary images' histogram signatures
+//! through the R-tree substrate.
 
 pub mod executor;
 pub mod knn;

@@ -1,12 +1,10 @@
 //! The `[BOUNDmin, BOUNDmax]` / `imagesize` triple the rules manipulate.
 
-use serde::{Deserialize, Serialize};
-
 /// Bounds on the number of pixels of an edited image that map to one
 /// histogram bin, plus the image's total pixel count.
 ///
 /// Invariant (enforced by [`BoundRange::clamped`]): `min <= max <= total`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BoundRange {
     /// `BOUNDmin` — fewest pixels possibly in the bin.
     pub min: u64,

@@ -1,12 +1,10 @@
 //! The color range query of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// A color-percentage range query: "Retrieve all images that are at least
 /// 25% blue" becomes `ColorRangeQuery { bin: bin_of(blue), pct_min: 0.25,
 /// pct_max: 1.0 }` (§3.1). The paper's Figure 2 algorithm takes exactly the
 /// parameters `HB`, `PCTmin`, `PCTmax`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ColorRangeQuery {
     /// The histogram bin `HB` the query constrains.
     pub bin: usize,

@@ -71,8 +71,8 @@ pub struct Client {
     /// Negotiated protocol version for this connection.
     version: u16,
     /// Trace id echoed by the server on the most recent call (success or
-    /// structured error); `None` before any call, on v1 connections, or
-    /// when the server traced nothing.
+    /// structured error); `None` before any call or when the server traced
+    /// nothing.
     last_trace_id: Option<u64>,
 }
 
@@ -195,9 +195,8 @@ impl Client {
 
     /// Color range query carrying an explicit wire trace context. Returns
     /// the reply plus the trace id the server recorded the request under
-    /// (normally the one sent; `None` only on v1 connections). Mark the
-    /// context `sampled` to force the server's tail sampler to keep the
-    /// trace regardless of latency.
+    /// (normally the one sent). Mark the context `sampled` to force the
+    /// server's tail sampler to keep the trace regardless of latency.
     pub fn range_traced(
         &mut self,
         req: RangeRequest,

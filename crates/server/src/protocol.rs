@@ -6,10 +6,10 @@
 //! Immediately after connecting, the client sends `MMDB` (4 bytes) followed
 //! by its protocol version (`u16`). The server answers with the same magic,
 //! its own version, and one status byte (0 = accepted, 1 = unsupported
-//! version). On rejection the server closes the connection. The server
-//! accepts any version in `[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]` and
-//! speaks the *client's* version on that connection, so old clients keep
-//! working against new servers unchanged.
+//! version). On rejection the server closes the connection. One version is
+//! accepted (`MIN_PROTOCOL_VERSION == PROTOCOL_VERSION`); the codec
+//! functions take the negotiated version so a future dialect has a place to
+//! branch.
 //!
 //! ## Frames
 //!
@@ -19,10 +19,7 @@
 //! u32 payload_len | payload
 //! ```
 //!
-//! A version-1 request payload is `u64 request_id | u8 opcode |
-//! u32 deadline_ms | body`; a version-1 response payload is
-//! `u64 request_id | u8 status | body`. Version 2 inserts an optional
-//! trace context between the fixed header and the body:
+//! A payload is a fixed header, an optional trace context, and the body:
 //!
 //! ```text
 //! request:  u64 id | u8 opcode | u32 deadline_ms | u8 trace_flags | [u64 trace_id] | body
@@ -59,24 +56,21 @@ pub use mmdb_telemetry::TraceContext;
 /// Connection preamble bytes.
 pub const MAGIC: [u8; 4] = *b"MMDB";
 
-/// The protocol version this build speaks (v2 adds the optional wire trace
-/// context).
+/// The protocol version this build speaks.
 pub const PROTOCOL_VERSION: u16 = 2;
 
-/// Oldest protocol version the server still accepts; v1 connections simply
-/// never carry trace contexts.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
+/// Oldest protocol version the server accepts: only the current one.
+pub const MIN_PROTOCOL_VERSION: u16 = PROTOCOL_VERSION;
 
 /// Default cap on `payload_len`; larger frames are rejected as malformed.
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 4 << 20;
 
-/// Fixed prefix of every v1 request payload: id (8) + opcode (1) +
-/// deadline (4). Version 2 appends a trace-flags byte (and optionally a
-/// trace id) to this prefix.
+/// Fixed prefix of every request payload: id (8) + opcode (1) +
+/// deadline (4). A trace-flags byte (and optionally a trace id) follows.
 pub const REQUEST_HEADER_LEN: usize = 13;
 
-/// Fixed prefix of every v1 response payload: id (8) + status (1).
-/// Version 2 appends a trace-flags byte (and optionally a trace id).
+/// Fixed prefix of every response payload: id (8) + status (1). A
+/// trace-flags byte (and optionally a trace id) follows.
 pub const RESPONSE_HEADER_LEN: usize = 9;
 
 /// Trace-flags bit: a `u64 trace_id` follows the flags byte.
@@ -361,8 +355,7 @@ pub struct Request {
     pub id: u64,
     /// Deadline in milliseconds from server receipt; 0 = none.
     pub deadline_ms: u32,
-    /// Wire-propagated trace context (protocol v2+; always `None` on v1
-    /// connections).
+    /// Wire-propagated trace context.
     pub trace: Option<TraceContext>,
     /// The opcode-specific body.
     pub body: RequestBody,
@@ -465,7 +458,7 @@ impl std::error::Error for DecodeError {}
 
 // ── Trace-context encode / decode ──────────────────────────────────────
 
-/// Appends the v2 trace-flags byte (and trace id when present).
+/// Appends the trace-flags byte (and trace id when present).
 /// `allow_sampled` distinguishes requests (which carry the sampling bit)
 /// from responses (which only echo the id).
 fn put_trace(out: &mut Vec<u8>, trace: Option<&TraceContext>, allow_sampled: bool) {
@@ -482,7 +475,7 @@ fn put_trace(out: &mut Vec<u8>, trace: Option<&TraceContext>, allow_sampled: boo
     }
 }
 
-/// Reads the v2 trace-flags byte (and trace id when present).
+/// Reads the trace-flags byte (and trace id when present).
 fn read_trace(
     r: &mut Reader<'_>,
     allow_sampled: bool,
@@ -512,16 +505,13 @@ fn read_trace(
 // ── Request encode / decode ────────────────────────────────────────────
 
 /// Encodes a request payload (without the length prefix) for the given
-/// negotiated protocol version. Version 1 silently drops the trace context
-/// — v1 peers have no field to carry it in.
-pub fn encode_request(req: &Request, version: u16) -> Vec<u8> {
+/// negotiated protocol version.
+pub fn encode_request(req: &Request, _version: u16) -> Vec<u8> {
     let mut out = Vec::with_capacity(REQUEST_HEADER_LEN + 32);
     put_u64(&mut out, req.id);
     out.push(req.body.opcode().as_u8());
     put_u32(&mut out, req.deadline_ms);
-    if version >= 2 {
-        put_trace(&mut out, req.trace.as_ref(), true);
-    }
+    put_trace(&mut out, req.trace.as_ref(), true);
     match &req.body {
         RequestBody::Ping | RequestBody::Stats => {}
         RequestBody::Range(r) => {
@@ -545,26 +535,22 @@ pub fn encode_request(req: &Request, version: u16) -> Vec<u8> {
 /// Decodes a request payload under the given negotiated protocol version.
 /// On failure the caller still learns the request id (when at least 8 bytes
 /// arrived) so the error response can be correlated.
-pub fn decode_request(payload: &[u8], version: u16) -> Result<Request, (u64, DecodeError)> {
+pub fn decode_request(payload: &[u8], _version: u16) -> Result<Request, (u64, DecodeError)> {
     let id = if payload.len() >= 8 {
         u64::from_le_bytes(payload[..8].try_into().unwrap())
     } else {
         0
     };
-    decode_request_inner(payload, version).map_err(|e| (id, e))
+    decode_request_inner(payload).map_err(|e| (id, e))
 }
 
-fn decode_request_inner(payload: &[u8], version: u16) -> Result<Request, DecodeError> {
+fn decode_request_inner(payload: &[u8]) -> Result<Request, DecodeError> {
     let mut r = Reader::new(payload);
     let id = r.u64()?;
     let opcode_byte = r.u8()?;
     let opcode = Opcode::from_u8(opcode_byte).ok_or(DecodeError::UnknownOpcode(opcode_byte))?;
     let deadline_ms = r.u32()?;
-    let trace = if version >= 2 {
-        read_trace(&mut r, true)?
-    } else {
-        None
-    };
+    let trace = read_trace(&mut r, true)?;
     let body = match opcode {
         Opcode::Ping => RequestBody::Ping,
         Opcode::Stats => RequestBody::Stats,
@@ -629,7 +615,7 @@ pub enum Response {
     Ok {
         /// Echoed request id.
         id: u64,
-        /// Trace id the server recorded this request under (v2+); fetchable
+        /// Trace id the server recorded this request under; fetchable
         /// from the exposition server's `/traces/<id>` when kept.
         trace_id: Option<u64>,
         /// The decoded body.
@@ -640,7 +626,7 @@ pub enum Response {
         /// Echoed request id (0 when the request could not be parsed far
         /// enough to learn it).
         id: u64,
-        /// Trace id the server recorded this request under (v2+).
+        /// Trace id the server recorded this request under.
         trace_id: Option<u64>,
         /// The structured error class.
         status: Status,
@@ -659,19 +645,16 @@ impl Response {
 }
 
 /// Encodes a success response payload (without the length prefix) for the
-/// given negotiated protocol version; `trace_id` is echoed on v2+ and
-/// dropped on v1.
-pub fn encode_ok(id: u64, trace_id: Option<u64>, body: &ReplyBody, version: u16) -> Vec<u8> {
+/// given negotiated protocol version, echoing `trace_id`.
+pub fn encode_ok(id: u64, trace_id: Option<u64>, body: &ReplyBody, _version: u16) -> Vec<u8> {
     let mut out = Vec::with_capacity(RESPONSE_HEADER_LEN + 32);
     put_u64(&mut out, id);
     out.push(Status::Ok.as_u8());
-    if version >= 2 {
-        let ctx = trace_id.map(|trace_id| TraceContext {
-            trace_id,
-            sampled: false,
-        });
-        put_trace(&mut out, ctx.as_ref(), false);
-    }
+    let ctx = trace_id.map(|trace_id| TraceContext {
+        trace_id,
+        sampled: false,
+    });
+    put_trace(&mut out, ctx.as_ref(), false);
     match body {
         ReplyBody::Pong => {}
         ReplyBody::Range(r) => {
@@ -714,26 +697,23 @@ pub fn encode_ok(id: u64, trace_id: Option<u64>, body: &ReplyBody, version: u16)
 }
 
 /// Encodes an error response payload (without the length prefix) for the
-/// given negotiated protocol version; `trace_id` is echoed on v2+ and
-/// dropped on v1.
+/// given negotiated protocol version, echoing `trace_id`.
 pub fn encode_err(
     id: u64,
     trace_id: Option<u64>,
     status: Status,
     message: &str,
-    version: u16,
+    _version: u16,
 ) -> Vec<u8> {
     debug_assert_ne!(status, Status::Ok);
     let mut out = Vec::with_capacity(RESPONSE_HEADER_LEN + message.len());
     put_u64(&mut out, id);
     out.push(status.as_u8());
-    if version >= 2 {
-        let ctx = trace_id.map(|trace_id| TraceContext {
-            trace_id,
-            sampled: false,
-        });
-        put_trace(&mut out, ctx.as_ref(), false);
-    }
+    let ctx = trace_id.map(|trace_id| TraceContext {
+        trace_id,
+        sampled: false,
+    });
+    put_trace(&mut out, ctx.as_ref(), false);
     out.extend_from_slice(message.as_bytes());
     out
 }
@@ -743,18 +723,14 @@ pub fn encode_err(
 pub fn decode_response(
     payload: &[u8],
     opcode: Opcode,
-    version: u16,
+    _version: u16,
 ) -> Result<Response, DecodeError> {
     let mut r = Reader::new(payload);
     let id = r.u64()?;
     let status_byte = r.u8()?;
     let status =
         Status::from_u8(status_byte).ok_or(DecodeError::BadSelector("status", status_byte))?;
-    let trace_id = if version >= 2 {
-        read_trace(&mut r, false)?.map(|ctx| ctx.trace_id)
-    } else {
-        None
-    };
+    let trace_id = read_trace(&mut r, false)?.map(|ctx| ctx.trace_id);
     if status != Status::Ok {
         let message = String::from_utf8_lossy(r.rest()).into_owned();
         return Ok(Response::Err {
@@ -844,18 +820,9 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> std::io::Result<Vec<u8>> {
 }
 
 /// Client side of the handshake: sends magic + version, checks the reply.
-/// Returns the version this connection speaks (always [`PROTOCOL_VERSION`]
-/// on success; the server adapts to us, never the reverse).
+/// Returns the version this connection speaks ([`PROTOCOL_VERSION`]).
 pub fn client_handshake(stream: &mut (impl Read + Write)) -> std::io::Result<u16> {
-    client_handshake_with_version(stream, PROTOCOL_VERSION)
-}
-
-/// Client handshake announcing a specific `version` (used by compatibility
-/// tests and by clients deliberately speaking an older dialect).
-pub fn client_handshake_with_version(
-    stream: &mut (impl Read + Write),
-    version: u16,
-) -> std::io::Result<u16> {
+    let version = PROTOCOL_VERSION;
     let mut hello = [0u8; 6];
     hello[..4].copy_from_slice(&MAGIC);
     hello[4..].copy_from_slice(&version.to_le_bytes());
@@ -904,7 +871,7 @@ mod tests {
     use super::*;
 
     fn roundtrip_request(body: RequestBody) {
-        // v2, no trace context.
+        // No trace context.
         let req = Request {
             id: 42,
             deadline_ms: 250,
@@ -915,7 +882,7 @@ mod tests {
         let back = decode_request(&bytes, PROTOCOL_VERSION).unwrap();
         assert_eq!(back, req);
 
-        // v2, traced + sampled.
+        // Traced + sampled.
         let traced = Request {
             trace: Some(TraceContext {
                 trace_id: 0xDEAD_BEEF_CAFE_F00D,
@@ -926,11 +893,6 @@ mod tests {
         let bytes = encode_request(&traced, PROTOCOL_VERSION);
         let back = decode_request(&bytes, PROTOCOL_VERSION).unwrap();
         assert_eq!(back, traced);
-
-        // v1 drops the trace context but carries everything else.
-        let bytes = encode_request(&traced, 1);
-        let back = decode_request(&bytes, 1).unwrap();
-        assert_eq!(back, req);
     }
 
     #[test]
@@ -991,7 +953,7 @@ mod tests {
             ),
         ];
         for (opcode, body) in cases {
-            // v2 with a trace echo.
+            // With a trace echo.
             let bytes = encode_ok(7, Some(0x1234), &body, PROTOCOL_VERSION);
             match decode_response(&bytes, opcode, PROTOCOL_VERSION).unwrap() {
                 Response::Ok {
@@ -1005,39 +967,31 @@ mod tests {
                 }
                 other => panic!("expected Ok, got {other:?}"),
             }
-            // v1 carries no trace echo.
-            let bytes = encode_ok(7, Some(0x1234), &body, 1);
-            match decode_response(&bytes, opcode, 1).unwrap() {
-                Response::Ok { trace_id, .. } => assert_eq!(trace_id, None),
-                other => panic!("expected Ok, got {other:?}"),
-            }
         }
     }
 
     #[test]
     fn error_response_roundtrips() {
-        for version in [1u16, PROTOCOL_VERSION] {
-            let bytes = encode_err(
-                3,
-                Some(0xFEED),
-                Status::Overloaded,
-                "queue full (depth 64)",
-                version,
-            );
-            match decode_response(&bytes, Opcode::Range, version).unwrap() {
-                Response::Err {
-                    id,
-                    trace_id,
-                    status,
-                    message,
-                } => {
-                    assert_eq!(id, 3);
-                    assert_eq!(trace_id, (version >= 2).then_some(0xFEED));
-                    assert_eq!(status, Status::Overloaded);
-                    assert_eq!(message, "queue full (depth 64)");
-                }
-                other => panic!("expected Err, got {other:?}"),
+        let bytes = encode_err(
+            3,
+            Some(0xFEED),
+            Status::Overloaded,
+            "queue full (depth 64)",
+            PROTOCOL_VERSION,
+        );
+        match decode_response(&bytes, Opcode::Range, PROTOCOL_VERSION).unwrap() {
+            Response::Err {
+                id,
+                trace_id,
+                status,
+                message,
+            } => {
+                assert_eq!(id, 3);
+                assert_eq!(trace_id, Some(0xFEED));
+                assert_eq!(status, Status::Overloaded);
+                assert_eq!(message, "queue full (depth 64)");
             }
+            other => panic!("expected Err, got {other:?}"),
         }
     }
 
@@ -1121,18 +1075,19 @@ mod tests {
             decode_request(&long, PROTOCOL_VERSION).unwrap_err().1,
             DecodeError::TrailingBytes
         );
-        // NaN percentage (hand-built v1 layout, decoded as v1).
+        // NaN percentage (hand-built layout).
         let mut nan = Vec::new();
         nan.extend_from_slice(&1u64.to_le_bytes());
         nan.push(Opcode::Range.as_u8());
         nan.extend_from_slice(&0u32.to_le_bytes());
+        nan.push(0); // trace flags: none
         nan.push(0);
         nan.push(0);
         nan.extend_from_slice(&0u32.to_le_bytes());
         nan.extend_from_slice(&f64::NAN.to_le_bytes());
         nan.extend_from_slice(&1.0f64.to_le_bytes());
         assert_eq!(
-            decode_request(&nan, 1).unwrap_err().1,
+            decode_request(&nan, PROTOCOL_VERSION).unwrap_err().1,
             DecodeError::BadValue("percentage range")
         );
     }
@@ -1198,29 +1153,17 @@ mod tests {
             Some(PROTOCOL_VERSION)
         );
 
-        // An old v1 client is still accepted, and the connection speaks v1.
-        let mut v1_hello = Vec::new();
-        v1_hello.extend_from_slice(&MAGIC);
-        v1_hello.extend_from_slice(&MIN_PROTOCOL_VERSION.to_le_bytes());
-        let mut server = Duplex {
-            input: std::io::Cursor::new(v1_hello),
-            output: Vec::new(),
-        };
-        assert_eq!(
-            server_handshake(&mut server).unwrap(),
-            Some(MIN_PROTOCOL_VERSION)
-        );
-        assert_eq!(server.output[6], 0, "v1 accepted");
-
-        // Wrong version is refused.
-        let mut bad_hello = Vec::new();
-        bad_hello.extend_from_slice(&MAGIC);
-        bad_hello.extend_from_slice(&999u16.to_le_bytes());
-        let mut server = Duplex {
-            input: std::io::Cursor::new(bad_hello),
-            output: Vec::new(),
-        };
-        assert_eq!(server_handshake(&mut server).unwrap(), None);
-        assert_eq!(server.output[6], 1, "rejection byte set");
+        // Any other version is refused — the retired v1 dialect included.
+        for version in [1u16, 999] {
+            let mut bad_hello = Vec::new();
+            bad_hello.extend_from_slice(&MAGIC);
+            bad_hello.extend_from_slice(&version.to_le_bytes());
+            let mut server = Duplex {
+                input: std::io::Cursor::new(bad_hello),
+                output: Vec::new(),
+            };
+            assert_eq!(server_handshake(&mut server).unwrap(), None);
+            assert_eq!(server.output[6], 1, "v{version}: rejection byte set");
+        }
     }
 }

@@ -271,22 +271,26 @@ fn version_mismatch_is_rejected_in_handshake() {
         ServerConfig::default(),
     )
     .unwrap();
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut hello = [0u8; 6];
-    hello[..4].copy_from_slice(&MAGIC);
-    hello[4..].copy_from_slice(&999u16.to_le_bytes());
-    stream.write_all(&hello).unwrap();
-    let mut reply = [0u8; 7];
-    stream.read_exact(&mut reply).unwrap();
-    assert_eq!(reply[..4], MAGIC);
-    assert_eq!(reply[6], 1, "rejection byte must be set");
-    // And then the server hangs up.
-    let mut rest = Vec::new();
-    stream.read_to_end(&mut rest).unwrap();
-    assert!(rest.is_empty());
+    // The retired v1 dialect is refused like any version this build does
+    // not speak.
+    for version in [1u16, 999] {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut hello = [0u8; 6];
+        hello[..4].copy_from_slice(&MAGIC);
+        hello[4..].copy_from_slice(&version.to_le_bytes());
+        stream.write_all(&hello).unwrap();
+        let mut reply = [0u8; 7];
+        stream.read_exact(&mut reply).unwrap();
+        assert_eq!(reply[..4], MAGIC);
+        assert_eq!(reply[6], 1, "v{version}: rejection byte must be set");
+        // And then the server hangs up.
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty());
+    }
     server.shutdown();
 }
 

@@ -68,8 +68,8 @@ pub(crate) fn map_durable(e: DurableError) -> StorageError {
     }
 }
 
-/// Blob file name of generation `gen`. Generation 0 keeps the legacy name
-/// so pre-durability directories migrate without a blob-file rename.
+/// Blob file name of generation `gen`. Generation 0 is the unnumbered
+/// `blobs.mmdb`, the on-disk name in every existing directory.
 pub fn blob_file_name(gen: u64) -> String {
     if gen == 0 {
         "blobs.mmdb".to_string()

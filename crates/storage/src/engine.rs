@@ -11,7 +11,7 @@ use crate::error::StorageError;
 use crate::lru::LruCache;
 use crate::Result;
 use mmdb_analysis::{Analyzer, CatalogGraph, NodeKind, Severity};
-use mmdb_conc::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use mmdb_conc::sync::atomic::{AtomicU64, Ordering};
 use mmdb_conc::sync::{Mutex, RwLock};
 use mmdb_durable::meta::{read_meta, write_meta, Meta};
 use mmdb_durable::{FsyncPolicy, SnapshotStore, Wal, WalOptions};
@@ -102,7 +102,6 @@ pub struct StorageEngine {
     quantizer: Box<dyn Quantizer>,
     background: Rgb,
     durable: Option<DurableState>,
-    validate_ingest: AtomicBool,
     /// Mutation epoch: bumped (under the exclusive catalog lock) by every
     /// insert and delete. Derived structures such as the bound-interval
     /// index stamp themselves with the epoch they were built from and must
@@ -140,14 +139,14 @@ impl StorageEngine {
     /// and recoverable from the moment `create` returns.
     ///
     /// # Errors
-    /// Fails when a database (durable or legacy) already exists in `dir`.
+    /// Fails when a database already exists in `dir`.
     pub fn create_with(
         dir: &Path,
         quantizer: Box<dyn Quantizer>,
         opts: DurabilityOptions,
     ) -> Result<Self> {
         std::fs::create_dir_all(dir)?;
-        if read_meta(dir).map_err(map_durable)?.is_some() || dir.join("catalog.mmdb").exists() {
+        if read_meta(dir).map_err(map_durable)?.is_some() {
             return Err(StorageError::Corrupt(format!(
                 "database already exists at {}",
                 dir.display()
@@ -179,7 +178,6 @@ impl StorageEngine {
                 opts,
                 recovery: RecoveryInfo::default(),
             }),
-            validate_ingest: AtomicBool::new(true),
             epoch: MutationEpoch::new(),
             peers: OnceLock::new(),
         };
@@ -198,25 +196,15 @@ impl StorageEngine {
     /// Recovery contract: load the newest snapshot that validates (falling
     /// back to the previous one if the newest is damaged), replay every WAL
     /// record above its cover point, and tolerate a torn final record at
-    /// the very end of the log. A directory in the pre-durability layout
-    /// (bare `catalog.mmdb`) is migrated in place on first open.
+    /// the very end of the log. A directory without a `meta` header is not
+    /// a database.
     pub fn open_with(dir: &Path, opts: DurabilityOptions) -> Result<Self> {
         let started = Instant::now();
-        match read_meta(dir).map_err(map_durable)? {
-            Some(meta) => {
-                meta.check_readable().map_err(map_durable)?;
-                // Debris from a migration that crashed after committing the
-                // meta header.
-                let _ = std::fs::remove_file(dir.join("catalog.mmdb"));
-            }
-            None if dir.join("catalog.mmdb").exists() => migrate_legacy_dir(dir)?,
-            None => {
-                return Err(StorageError::Corrupt(format!(
-                    "no database at {}",
-                    dir.display()
-                )))
-            }
-        }
+        read_meta(dir)
+            .map_err(map_durable)?
+            .ok_or_else(|| StorageError::Corrupt(format!("no database at {}", dir.display())))?
+            .check_readable()
+            .map_err(map_durable)?;
         let snap_dir = dir.join("snapshots");
         mmdb_durable::snapshot::remove_tmp_files(&snap_dir);
         let snaps = SnapshotStore::open(&snap_dir).map_err(map_durable)?;
@@ -300,7 +288,6 @@ impl StorageEngine {
                 opts,
                 recovery,
             }),
-            validate_ingest: AtomicBool::new(true),
             epoch: MutationEpoch::new(),
             peers: OnceLock::new(),
         };
@@ -322,7 +309,6 @@ impl StorageEngine {
             quantizer,
             background: Rgb::BLACK,
             durable: None,
-            validate_ingest: AtomicBool::new(true),
             epoch: MutationEpoch::new(),
             peers: OnceLock::new(),
         }
@@ -439,22 +425,6 @@ impl StorageEngine {
         self.background
     }
 
-    /// Enables or disables analyzer-backed ingest validation (on by
-    /// default). With validation off, `insert_edited` falls back to the
-    /// legacy single-bin BOUNDS probe, which still refuses sequences the
-    /// rule engine cannot bound but skips the full static-analysis passes.
-    pub fn set_ingest_validation(&self, enabled: bool) {
-        // Relaxed is deliberate: a standalone mode flag guarding no other
-        // data — no reader infers anything about memory from its value.
-        self.validate_ingest.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether analyzer-backed ingest validation is enabled.
-    pub fn ingest_validation(&self) -> bool {
-        // Relaxed is deliberate: see `set_ingest_validation`.
-        self.validate_ingest.load(Ordering::Relaxed)
-    }
-
     /// Inserts a conventionally stored image; its exact histogram is
     /// extracted now, at insert time (§1: feature extraction happens "as
     /// [each object] is inserted into the underlying database").
@@ -493,8 +463,7 @@ impl StorageEngine {
     /// (well-formedness, dead ops, soundness audit): any Error-level
     /// diagnostic refuses the insert, which guarantees every stored edited
     /// image is processable by RBM, BWM and the executor alike. Warn/Note
-    /// findings are recorded in telemetry but do not block. See
-    /// [`StorageEngine::set_ingest_validation`] for the legacy fallback.
+    /// findings are recorded in telemetry but do not block.
     pub fn insert_edited(&self, sequence: EditSequence) -> Result<ImageId> {
         let started = Instant::now();
         let reject = |detail: String, errors: u64| {
@@ -570,39 +539,24 @@ impl StorageEngine {
             }
         }
         check_refs(&self.inner.read(), &remote_ok)?;
-        // Relaxed: mode flag only (see `set_ingest_validation`).
-        if self.validate_ingest.load(Ordering::Relaxed) {
-            let analyzer = Analyzer::with_resolver(self.quantizer.as_ref(), self.background, self);
-            let analysis = analyzer.analyze_sequence(&sequence);
-            mmdb_analysis::record_diagnostics(&analysis.diagnostics);
-            let errors: Vec<String> = analysis
+        let analyzer = Analyzer::with_resolver(self.quantizer.as_ref(), self.background, self);
+        let analysis = analyzer.analyze_sequence(&sequence);
+        mmdb_analysis::record_diagnostics(&analysis.diagnostics);
+        let errors: Vec<String> = analysis
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity() == Severity::Error)
+            .map(std::string::ToString::to_string)
+            .collect();
+        if !errors.is_empty() {
+            let codes: Vec<&str> = analysis
                 .diagnostics
                 .iter()
                 .filter(|d| d.severity() == Severity::Error)
-                .map(std::string::ToString::to_string)
+                .map(|d| d.code.code())
                 .collect();
-            if !errors.is_empty() {
-                let codes: Vec<&str> = analysis
-                    .diagnostics
-                    .iter()
-                    .filter(|d| d.severity() == Severity::Error)
-                    .map(|d| d.code.code())
-                    .collect();
-                reject(format!("codes={}", codes.join(",")), errors.len() as u64);
-                return Err(StorageError::InvalidSequence(errors.join("; ")));
-            }
-        } else {
-            // Legacy probe: a symbolic BOUNDS walk. The bound-error
-            // conditions are bin-independent, so one bin suffices.
-            let engine = RuleEngine::with_background(
-                self.quantizer.as_ref(),
-                RuleProfile::Conservative,
-                self.background,
-            );
-            if let Err(e) = engine.bounds(&sequence, 0, self) {
-                reject(format!("probe: {e}"), 1);
-                return Err(StorageError::InvalidSequence(e.to_string()));
-            }
+            reject(format!("codes={}", codes.join(",")), errors.len() as u64);
+            return Err(StorageError::InvalidSequence(errors.join("; ")));
         }
         // Phase 2: re-verify local references under the exclusive lock (a
         // concurrent delete may have raced phase 1), then insert. Peer
@@ -1130,24 +1084,6 @@ impl Drop for StorageEngine {
     }
 }
 
-/// Migrates a pre-durability directory (bare `catalog.mmdb` + `blobs.mmdb`)
-/// into the durable layout: the catalog file becomes the initial snapshot
-/// (covering seqno 0, blob generation 0 — the legacy blob file's name *is*
-/// generation 0's name), then the meta header commits the migration and the
-/// legacy file is removed. Idempotent under crashes: until the meta header
-/// exists the next open retries the whole migration.
-fn migrate_legacy_dir(dir: &Path) -> Result<()> {
-    let legacy = dir.join("catalog.mmdb");
-    let bytes = std::fs::read(&legacy)?;
-    // Validate before committing to the new layout.
-    Catalog::decode(&bytes)?;
-    let snaps = SnapshotStore::open(&dir.join("snapshots")).map_err(map_durable)?;
-    snaps.write(0, 0, &bytes).map_err(map_durable)?;
-    write_meta(dir, Meta::current()).map_err(map_durable)?;
-    std::fs::remove_file(&legacy)?;
-    Ok(())
-}
-
 /// Lets the instantiation engine pull base/target rasters out of this
 /// database. In sharded deployments an id this shard does not own is
 /// fetched from its owning peer (no local lock is held at this point —
@@ -1518,25 +1454,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_layout_migrates_on_open() {
-        let dir = std::env::temp_dir().join(format!("mmdb_legacy_{}", std::process::id()));
+    fn directory_without_meta_is_not_a_database() {
+        let dir = std::env::temp_dir().join(format!("mmdb_nometa_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        // A pre-durability directory: bare catalog.mmdb (+ blobs.mmdb).
-        let catalog = Catalog::new(RgbQuantizer::default_64().describe());
-        std::fs::write(dir.join("catalog.mmdb"), catalog.encode(&[])).unwrap();
+        // Stray files do not make a database; only the meta header does.
         std::fs::write(dir.join("blobs.mmdb"), b"").unwrap();
-
-        let db = StorageEngine::open(&dir).unwrap();
-        assert!(!dir.join("catalog.mmdb").exists(), "legacy file removed");
-        assert!(dir.join("meta").exists(), "meta header written");
-        let img = two_tone(4, 4, Rgb::RED, Rgb::WHITE);
-        let id = db.insert_binary(&img).unwrap();
-        drop(db);
-        let db = StorageEngine::open(&dir).unwrap();
-        assert_eq!(*db.raster(id).unwrap(), img);
-        // Migrated directories refuse a second `create`, like any other.
-        assert!(StorageEngine::create(&dir, Box::new(RgbQuantizer::default_64())).is_err());
+        match StorageEngine::open(&dir) {
+            Err(StorageError::Corrupt(msg)) => assert!(msg.contains("no database at"), "{msg}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+        assert!(!dir.join("meta").exists(), "a refused open writes nothing");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1707,7 +1635,6 @@ mod tests {
     fn ingest_validation_rejects_errors_and_records_lints() {
         mmdb_analysis::register_metrics();
         let db = engine();
-        assert!(db.ingest_validation());
         let base = db
             .insert_binary(&two_tone(8, 8, Rgb::RED, Rgb::WHITE))
             .unwrap();
@@ -1742,28 +1669,6 @@ mod tests {
     }
 
     #[test]
-    fn ingest_validation_can_fall_back_to_bounds_probe() {
-        let db = engine();
-        db.set_ingest_validation(false);
-        assert!(!db.ingest_validation());
-        let base = db
-            .insert_binary(&two_tone(8, 8, Rgb::RED, Rgb::WHITE))
-            .unwrap();
-        // The legacy probe still refuses unboundable sequences...
-        let bad = EditSequence::builder(base)
-            .define(Rect::new(100, 100, 120, 120))
-            .crop_to_region()
-            .build();
-        assert!(matches!(
-            db.insert_edited(bad),
-            Err(StorageError::InvalidSequence(_))
-        ));
-        // ...and still accepts healthy ones.
-        let good = EditSequence::builder(base).blur().build();
-        assert!(db.insert_edited(good).is_ok());
-    }
-
-    #[test]
     fn verify_reports_analyzer_errors_with_lint_codes() {
         let db = engine();
         let base = db
@@ -1774,7 +1679,6 @@ mod tests {
         // Deleting the child first, then the base, then re-adding an edited
         // image is the supported path; to simulate corruption we bypass
         // validation with a dangling merge target via the catalog itself.
-        db.set_ingest_validation(false);
         {
             let mut inner = db.inner.write();
             let id = inner.catalog.allocate_id();

@@ -5,7 +5,7 @@
 //!
 //! Named counters, gauges and fixed-bucket latency histograms, all backed by
 //! `AtomicU64`. Handles are registered once in the global [`Registry`]
-//! (`parking_lot::RwLock` protects only the name→handle map, never the hot
+//! (an `RwLock` protects only the name→handle map, never the hot
 //! increment path) and cached per call site by the [`counter!`],
 //! [`gauge!`] and [`histogram!`] macros, so steady-state cost is one relaxed
 //! atomic RMW per increment.

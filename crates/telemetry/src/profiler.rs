@@ -19,7 +19,7 @@
 //! window and returns the rendered profile; it is wired to
 //! `/debug/profile?seconds=N` on the exposition server.
 
-use parking_lot::RwLock;
+use mmdb_conc::sync::RwLock;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

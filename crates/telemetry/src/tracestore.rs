@@ -17,7 +17,7 @@
 //! oldest-first.
 
 use crate::trace::QueryTrace;
-use parking_lot::Mutex;
+use mmdb_conc::sync::Mutex;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +31,7 @@ pub const DEFAULT_TRACE_STORE_CAPACITY: usize = 256;
 pub const DEFAULT_TRACE_KEEP_THRESHOLD: Duration = Duration::from_millis(100);
 
 /// Wire-propagated trace context: a nonzero id plus the client's
-/// head-sampling decision. Carried in protocol v2 request frames and echoed
+/// head-sampling decision. Carried in request frames and echoed
 /// in responses so clients can correlate their calls with server-side spans.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceContext {

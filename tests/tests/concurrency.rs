@@ -5,7 +5,7 @@
 use mmdb_datagen::{Collection, DatasetBuilder, QueryGenerator};
 use mmdb_editops::EditSequence;
 use mmdb_imaging::{RasterImage, Rect, Rgb};
-use mmdb_query::{QueryProcessor, Slice};
+use mmdb_query::QueryProcessor;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 #[test]
@@ -18,9 +18,9 @@ fn concurrent_readers_during_inserts() {
     let initial_ids = db.ids();
     let stop = AtomicBool::new(false);
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // Writer: keeps inserting new binary images and edited variants.
-        scope.spawn(|_| {
+        scope.spawn(|| {
             for i in 0..60u32 {
                 let img = RasterImage::filled(20, 20, Rgb::new((i * 4) as u8, 100, 50)).unwrap();
                 let base = db.insert_binary(&img).expect("insert under contention");
@@ -37,7 +37,7 @@ fn concurrent_readers_during_inserts() {
         // Readers: rasters and histograms of the *initial* ids stay valid
         // and bit-stable throughout.
         for _ in 0..3 {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let baseline: Vec<_> = initial_ids
                     .iter()
                     .map(|&id| db.raster(id).expect("raster"))
@@ -51,7 +51,7 @@ fn concurrent_readers_during_inserts() {
             });
         }
         // Query reader: RBM over a snapshot processor keeps succeeding.
-        scope.spawn(|_| {
+        scope.spawn(|| {
             let qp = QueryProcessor::new(&db);
             let mut qgen = QueryGenerator::weighted_from_db(3, &db);
             while !stop.load(Ordering::SeqCst) {
@@ -64,8 +64,7 @@ fn concurrent_readers_during_inserts() {
                 }
             }
         });
-    })
-    .expect("no thread panicked");
+    });
 
     // Everything inserted made it.
     assert_eq!(db.ids().len(), info.total_images + 120);
@@ -135,23 +134,22 @@ fn staleness_gauges_zero_after_sync_and_spike_under_churn() {
     // refresh panics racing the sync path) and a final indexed query after
     // the dust settles returns them to zero.
     let stop = AtomicBool::new(false);
-    crossbeam::thread::scope(|scope| {
-        scope.spawn(|_| {
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
             for i in 0..20u8 {
                 db.insert_image(&RasterImage::filled(12, 12, Rgb::new(i, 90, 60)).unwrap())
                     .expect("insert under contention");
             }
             stop.store(true, Ordering::SeqCst);
         });
-        scope.spawn(|_| {
+        scope.spawn(|| {
             while !stop.load(Ordering::SeqCst) {
                 db.query_range_with_plan(&q, QueryPlan::Indexed)
                     .expect("indexed query under churn");
                 db.refresh_staleness_gauges();
             }
         });
-    })
-    .expect("no thread panicked");
+    });
     db.query_range_with_plan(&q, QueryPlan::Indexed).unwrap();
     db.refresh_staleness_gauges();
     assert_eq!(gauge("mmdb_boundidx_epoch_lag"), 0);
@@ -172,18 +170,14 @@ fn parallel_rbm_under_many_threads_is_stable() {
         .iter()
         .map(|q| qp.range_rbm(q).unwrap().sorted_results())
         .collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..4 {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 for (q, expect) in queries.iter().zip(&reference) {
-                    let got = qp
-                        .run(Slice::Rbm { threads: 8 }, q)
-                        .unwrap()
-                        .sorted_results();
+                    let got = qp.range_rbm(q).unwrap().sorted_results();
                     assert_eq!(&got, expect);
                 }
             });
         }
-    })
-    .expect("no panic");
+    });
 }

@@ -5,7 +5,7 @@
 use mmdb_editops::{EditOp, EditSequence, ImageId, Matrix3};
 use mmdb_histogram::RgbQuantizer;
 use mmdb_imaging::{draw, RasterImage, Rect, Rgb};
-use mmdb_query::{QueryProcessor, Slice};
+use mmdb_query::QueryProcessor;
 use mmdb_rules::ColorRangeQuery;
 use mmdb_storage::StorageEngine;
 use proptest::prelude::*;
@@ -150,10 +150,6 @@ proptest! {
             let r = qp.range_rbm(&q).expect("validated database: RBM succeeds");
             let b = qp.range_bwm(&q).expect("validated database: BWM succeeds");
             prop_assert_eq!(r.sorted_results(), b.sorted_results());
-            let par = qp
-                .run(Slice::Rbm { threads: 3 }, &q)
-                .expect("validated database: parallel RBM succeeds");
-            prop_assert_eq!(par.sorted_results(), r.sorted_results());
             let truth = qp
                 .range_instantiate(&q)
                 .expect("validated database: instantiation succeeds");
