@@ -1,6 +1,8 @@
 //! Model-checks the worker-pool submission/drain handshake using the
-//! *real* [`mmdb_server::BoundedQueue`]: producers `try_push`, a consumer
-//! `pop`s until `None`, the main thread `close`s after producers finish.
+//! *real* [`mmdb_server::BoundedQueue`] — the admission queue
+//! `QueryServer` feeds its executor pool from: producers `try_push`, a
+//! consumer `pop`s until `None`, the main thread `close`s after producers
+//! finish.
 //!
 //! Invariant: **drain never loses an accepted request** — every item whose
 //! `try_push` returned `Ok` is popped exactly once before the consumer

@@ -133,12 +133,6 @@ impl RasterImage {
         &mut self.pixels
     }
 
-    /// Consumes the image, returning its pixel buffer.
-    #[inline]
-    pub fn into_pixels(self) -> Vec<Rgb> {
-        self.pixels
-    }
-
     /// Unchecked-by-construction pixel read; panics if out of bounds (debug
     /// builds assert, release builds bounds-check through the slice).
     #[inline]

@@ -931,9 +931,9 @@ fn print_heat_and_staleness(args: &Args, db: &MultimediaDatabase) -> Result<(), 
 }
 
 /// The `shards` section of `mmdbctl top`: one row per storage shard with
-/// its object counts, byte footprint, and mutation epoch, so placement
-/// imbalance is visible offline (the live per-shard queue/qps gauges are
-/// the serving-time counterpart on `/metrics`).
+/// its object counts, byte footprint, and mutation epoch — where placement
+/// imbalance is measured (what one served query did per shard is in its
+/// `query_end` record).
 fn print_shards(db: &MultimediaDatabase) {
     println!(
         "{:>5}  {:>7}  {:>7}  {:>12}  {:>12}  {:>8}",

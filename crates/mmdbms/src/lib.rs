@@ -37,27 +37,23 @@
 //! assert!(outcome.results.contains(&edited));
 //! ```
 
-use mmdb_boundidx::{
-    profile_slot, BoundIndex, EpochSlot, StalenessReport, SyncStats, PROFILE_SLOTS,
-};
-use mmdb_bwm::{BoundsCache, BwmStructure, QueryCtx, SequenceStore};
-use mmdb_conc::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use mmdb_conc::sync::RwLock;
+use mmdb_boundidx::{profile_slot, StalenessReport};
+use mmdb_bwm::{BwmStructure, QueryCtx};
+use mmdb_conc::sync::atomic::{AtomicBool, Ordering};
 use mmdb_datagen::edits::TargetInfo;
 use mmdb_datagen::{VariantConfig, VariantGenerator};
 use mmdb_editops::{EditSequence, ImageId};
-use mmdb_histogram::{quantizer::from_description, ColorHistogram, Quantizer};
+use mmdb_histogram::{ColorHistogram, Quantizer};
 use mmdb_imaging::{ppm, RasterImage, Rgb};
-use mmdb_query::executor::{observed, QueryError, QueryProcessor, Slice};
-use mmdb_query::{QueryPlan, SignatureIndex};
+use mmdb_query::executor::{observed, QueryError};
+use mmdb_query::QueryPlan;
 use mmdb_rules::{ColorRangeQuery, RuleProfile};
-use mmdb_storage::{
-    DurabilityOptions, RecoveryInfo, StorageEngine, StorageError, StorageStats, StoredKind,
-};
+use mmdb_storage::{DurabilityOptions, RecoveryInfo, StorageEngine, StorageStats, StoredKind};
 use mmdb_telemetry::QueryTrace;
+use shards::Shards;
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Weak};
+use std::path::Path;
+use std::sync::Arc;
 
 // Re-export the component crates under stable names.
 pub use mmdb_analysis as analysis;
@@ -76,6 +72,9 @@ pub use mmdb_storage as storage;
 pub use mmdb_telemetry as telemetry;
 
 mod serve;
+mod shards;
+
+pub use shards::{read_shard_manifest, shard_dir};
 
 /// Convenient glob-import surface for applications.
 pub mod prelude {
@@ -136,52 +135,6 @@ pub fn configure_observability(config: &ObservabilityConfig) {
     mmdb_telemetry::recorder().set_capacity(config.recorder_capacity);
 }
 
-/// One shard of the database: a complete, self-contained storage engine
-/// (own lock, own mutation epoch, own WAL) plus the derived structures
-/// built from *its* slice of the catalog — an incrementally maintained BWM
-/// structure, a lazily built histogram R-tree, and one epoch-guarded
-/// [`BoundIndex`] slot per rule profile.
-///
-/// Shards own disjoint id spaces (shard `i` of `N` allocates ids
-/// `≡ i + 1 (mod N)` via strided allocation), so scatter-gather merges
-/// never see a duplicate and `(id - 1) % N` routes any id to its owner.
-struct Shard {
-    storage: Arc<StorageEngine>,
-    bwm: RwLock<BwmStructure>,
-    signature_index: RwLock<Option<Arc<SignatureIndex>>>,
-    /// One lazily built [`BoundIndex`] per rule profile, each in an
-    /// epoch-guarded slot. The serving invariant is
-    /// `index.synced_epoch() == storage.current_epoch()` *for this shard's
-    /// engine*: a slot whose epoch trails it is never consulted — it is
-    /// re-synced (or built) under the slot's write lock first.
-    /// [`EpochSlot`] enforces the invariant structurally; the protocol is
-    /// model-checked in `crates/conc/tests/model_boundidx.rs`.
-    bound_index: [EpochSlot<BoundIndex>; PROFILE_SLOTS],
-}
-
-impl Shard {
-    fn new(storage: Arc<StorageEngine>) -> Self {
-        let bwm = BwmStructure::build(storage.binary_ids(), storage.edited_ids(), &*storage);
-        Shard {
-            storage,
-            bwm: RwLock::new(bwm),
-            signature_index: RwLock::new(None),
-            bound_index: std::array::from_fn(|_| EpochSlot::new()),
-        }
-    }
-}
-
-/// Resolves sequences across every shard — the merged-view [`SequenceStore`]
-/// behind [`MultimediaDatabase::bwm_snapshot`] on sharded databases.
-struct MultiStore<'a>(&'a [Arc<Shard>]);
-
-impl SequenceStore for MultiStore<'_> {
-    fn sequence(&self, id: ImageId) -> Option<Arc<EditSequence>> {
-        let slot = (id.raw().wrapping_sub(1) % self.0.len() as u64) as usize;
-        self.0[slot].storage.edit_sequence(id)
-    }
-}
-
 /// The top-level multimedia database handle.
 ///
 /// Thread-safe. The catalog is partitioned into one or more shards with
@@ -194,67 +147,15 @@ impl SequenceStore for MultiStore<'_> {
 /// "the proposed data structure can be constructed as images are inserted
 /// into the database"), and the histogram R-tree is built lazily and
 /// invalidated on mutation. The default constructors build a single shard,
-/// which is exactly the historical single-engine behavior.
+/// which is exactly the historical single-engine behavior. Everything about
+/// the partition itself — wiring, layout, routing, placement, gathers — is
+/// the `shards` module's.
 pub struct MultimediaDatabase {
-    shards: Vec<Arc<Shard>>,
-    profile: RuleProfile,
-    /// Round-robin cursor for binary-insert placement.
-    round_robin: AtomicU64,
+    shards: Shards,
     /// Background snapshot / group-commit driver for on-disk databases
     /// (`None` in memory); one thread ticks every shard. Stopped and
     /// joined on drop.
     _maintenance: Option<MaintenanceThread>,
-}
-
-/// Magic line of the shard-manifest file (`<dir>/shards`) marking a data
-/// directory as the root of an N-shard layout. Directories without the
-/// manifest are single-shard databases in the historical layout — both
-/// directions stay compatible: a 1-shard create writes no manifest, and
-/// open treats "no manifest" as "one shard rooted here".
-const SHARD_MANIFEST_MAGIC: &str = "MMDBSHRD v1";
-
-/// The engine directory of shard `index` inside a sharded database root
-/// (`shard-00/`, `shard-01/`, …). Exposed for tools (`mmdbctl fsck`) that
-/// descend the sharded layout without opening the database.
-pub fn shard_dir(root: &Path, index: usize) -> PathBuf {
-    root.join(format!("shard-{index:02}"))
-}
-
-fn write_shard_manifest(root: &Path, count: usize) -> std::io::Result<()> {
-    std::fs::write(
-        root.join("shards"),
-        format!("{SHARD_MANIFEST_MAGIC}\ncount={count}\n"),
-    )
-}
-
-/// Reads `<root>/shards`: `Ok(None)` when absent (single-shard layout),
-/// `Ok(Some(n))` for a valid manifest, `Err` on a malformed one.
-pub fn read_shard_manifest(root: &Path) -> Result<Option<usize>> {
-    let path = root.join("shards");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(StorageError::from(e).into()),
-    };
-    let corrupt = || {
-        QueryError::from(StorageError::Corrupt(format!(
-            "malformed shard manifest at {}",
-            path.display()
-        )))
-    };
-    let mut lines = text.lines();
-    if lines.next() != Some(SHARD_MANIFEST_MAGIC) {
-        return Err(corrupt());
-    }
-    let count: usize = lines
-        .next()
-        .and_then(|l| l.strip_prefix("count="))
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(corrupt)?;
-    if count == 0 {
-        return Err(corrupt());
-    }
-    Ok(Some(count))
 }
 
 /// The facade's background maintenance loop: periodically ticks every
@@ -308,43 +209,16 @@ impl Drop for MaintenanceThread {
 }
 
 impl MultimediaDatabase {
-    /// Assembles the facade from per-shard engines: wires the shard routing
-    /// (strided id allocation + peer table for cross-shard references),
-    /// builds each shard's BWM structure, and starts the maintenance thread
-    /// for on-disk databases.
-    fn wrap_engines(engines: Vec<StorageEngine>) -> Self {
-        assert!(!engines.is_empty(), "at least one shard");
-        let n = engines.len();
-        let engines: Vec<Arc<StorageEngine>> = engines.into_iter().map(Arc::new).collect();
-        if n > 1 {
-            let weak: Vec<Weak<StorageEngine>> = engines.iter().map(Arc::downgrade).collect();
-            for (i, engine) in engines.iter().enumerate() {
-                // Order matters: the stride must be in place before any
-                // allocation, and both before the engine is shared.
-                engine.set_id_stride(i as u64, n as u64);
-                engine.set_peers(i, weak.clone());
-            }
-        }
-        let maintenance = engines[0]
-            .data_dir()
-            .is_some()
-            .then(|| MaintenanceThread::spawn(engines.clone()));
+    /// Assembles the facade over a wired partition, starting the
+    /// maintenance thread for on-disk databases.
+    fn over(shards: Shards) -> Self {
+        let maintenance = shards[0].storage.data_dir().is_some().then(|| {
+            MaintenanceThread::spawn(shards.iter().map(|s| Arc::clone(&s.storage)).collect())
+        });
         MultimediaDatabase {
-            shards: engines
-                .into_iter()
-                .map(|e| Arc::new(Shard::new(e)))
-                .collect(),
-            profile: RuleProfile::Conservative,
-            round_robin: AtomicU64::new(0),
+            shards,
             _maintenance: maintenance,
         }
-    }
-
-    /// Clones a quantizer through its self-description (the same mechanism
-    /// `open` uses to reconstruct it from a recovered catalog).
-    fn clone_quantizer(quantizer: &dyn Quantizer) -> Box<dyn Quantizer> {
-        from_description(&quantizer.describe())
-            .expect("quantizer description round-trips through from_description")
     }
 
     /// Creates a new on-disk database under `dir` with default durability
@@ -375,30 +249,7 @@ impl MultimediaDatabase {
         opts: DurabilityOptions,
         shards: usize,
     ) -> Result<Self> {
-        assert!(shards >= 1, "shard count must be at least 1");
-        if shards == 1 {
-            return Ok(Self::wrap_engines(vec![StorageEngine::create_with(
-                dir, quantizer, opts,
-            )?]));
-        }
-        std::fs::create_dir_all(dir).map_err(StorageError::from)?;
-        if read_shard_manifest(dir).unwrap_or(Some(0)).is_some() || dir.join("meta").exists() {
-            return Err(StorageError::Corrupt(format!(
-                "database already exists at {}",
-                dir.display()
-            ))
-            .into());
-        }
-        write_shard_manifest(dir, shards).map_err(StorageError::from)?;
-        let mut engines = Vec::with_capacity(shards);
-        for i in 0..shards {
-            engines.push(StorageEngine::create_with(
-                &shard_dir(dir, i),
-                Self::clone_quantizer(quantizer.as_ref()),
-                opts,
-            )?);
-        }
-        Ok(Self::wrap_engines(engines))
+        Ok(Self::over(Shards::create(dir, quantizer, opts, shards)?))
     }
 
     /// Opens an existing on-disk database: recovers each shard's catalog
@@ -413,34 +264,20 @@ impl MultimediaDatabase {
 
     /// [`MultimediaDatabase::open`] with explicit durability settings.
     pub fn open_with(dir: &Path, opts: DurabilityOptions) -> Result<Self> {
-        let engines = match read_shard_manifest(dir)? {
-            None => vec![StorageEngine::open_with(dir, opts)?],
-            Some(n) => {
-                let mut engines = Vec::with_capacity(n);
-                for i in 0..n {
-                    engines.push(StorageEngine::open_with(&shard_dir(dir, i), opts)?);
-                }
-                engines
-            }
-        };
-        let db = Self::wrap_engines(engines);
+        let db = Self::over(Shards::open(dir, opts)?);
         db.warm_load_indexes();
         Ok(db)
     }
 
     /// Creates an ephemeral in-memory database (one shard).
     pub fn in_memory(quantizer: Box<dyn Quantizer>) -> Self {
-        Self::wrap_engines(vec![StorageEngine::in_memory(quantizer)])
+        Self::over(Shards::in_memory(quantizer, 1))
     }
 
     /// Creates an ephemeral in-memory database partitioned into `shards`
     /// engines (tests, benchmarks).
     pub fn in_memory_sharded(quantizer: Box<dyn Quantizer>, shards: usize) -> Self {
-        assert!(shards >= 1, "shard count must be at least 1");
-        let engines = (0..shards)
-            .map(|_| StorageEngine::in_memory(Self::clone_quantizer(quantizer.as_ref())))
-            .collect();
-        Self::wrap_engines(engines)
+        Self::over(Shards::in_memory(quantizer, shards))
     }
 
     // ── Shard topology ─────────────────────────────────────────────────
@@ -452,22 +289,12 @@ impl MultimediaDatabase {
 
     /// The shard owning `id`'s congruence class: `(id - 1) % shard_count`.
     pub fn shard_of(&self, id: ImageId) -> usize {
-        (id.raw().wrapping_sub(1) % self.shards.len() as u64) as usize
+        self.shards.index_of(id)
     }
 
     /// The storage engine of shard `index` (panics when out of range).
     pub fn shard_storage(&self, index: usize) -> &StorageEngine {
         &self.shards[index].storage
-    }
-
-    fn shard_for(&self, id: ImageId) -> &Shard {
-        &self.shards[self.shard_of(id)]
-    }
-
-    /// Sets the rule profile used by RBM/BWM queries (default:
-    /// [`RuleProfile::Conservative`]).
-    pub fn set_rule_profile(&mut self, profile: RuleProfile) {
-        self.profile = profile;
     }
 
     /// The storage engine of shard 0, for advanced use (benchmarks attach
@@ -493,8 +320,7 @@ impl MultimediaDatabase {
     /// Stores an image conventionally (feature extraction happens now).
     /// Binary images are placed round-robin across shards.
     pub fn insert_image(&self, image: &RasterImage) -> Result<ImageId> {
-        let shard = &self.shards[(self.round_robin.fetch_add(1, Ordering::Relaxed)
-            % self.shards.len() as u64) as usize];
+        let shard = self.shards.place_binary();
         let id = shard.storage.insert_binary(image)?;
         shard.bwm.write().insert_binary(id);
         shard.signature_index.write().take();
@@ -508,7 +334,7 @@ impl MultimediaDatabase {
     /// targets may live on any shard.
     pub fn insert_edited(&self, sequence: EditSequence) -> Result<ImageId> {
         let base = sequence.base;
-        let shard = self.shard_for(base);
+        let shard = self.shards.owner(base);
         // Classified from the borrow: storage takes the sequence itself.
         let all_widening = mmdb_analysis::widening_verdict(&sequence).all_widening;
         let id = shard.storage.insert_edited(sequence)?;
@@ -534,7 +360,7 @@ impl MultimediaDatabase {
             .filter(|&id| id != base)
             .filter_map(|id| {
                 use mmdb_rules::InfoResolver;
-                let info = self.shard_for(id).storage.info(id)?;
+                let info = self.shards.owner(id).storage.info(id)?;
                 Some(TargetInfo {
                     id,
                     width: info.width,
@@ -555,7 +381,7 @@ impl MultimediaDatabase {
     /// Deletes an image (binary images with derived children are refused by
     /// the storage layer). Touches only the owning shard.
     pub fn delete(&self, id: ImageId) -> Result<()> {
-        let shard = self.shard_for(id);
+        let shard = self.shards.owner(id);
         // Read before the delete: afterwards the catalog no longer knows
         // which cluster an edited image sat in.
         let base = shard.storage.base_of(id);
@@ -581,7 +407,7 @@ impl MultimediaDatabase {
         // Orphans share the deleted image's shard (provenance is local).
         let mut victims = vec![id];
         victims.extend(orphans);
-        Self::invalidate_indexes(shard, &victims);
+        shard.invalidate_indexes(&victims);
         Ok(())
     }
 
@@ -589,46 +415,33 @@ impl MultimediaDatabase {
 
     /// All ids across every shard, ascending.
     pub fn ids(&self) -> Vec<ImageId> {
-        self.merged_ids(StorageEngine::ids)
+        self.shards.merged_ids(StorageEngine::ids)
     }
 
     /// Ids of all binary images across every shard, ascending.
     pub fn binary_ids(&self) -> Vec<ImageId> {
-        self.merged_ids(StorageEngine::binary_ids)
+        self.shards.merged_ids(StorageEngine::binary_ids)
     }
 
     /// Ids of all edited images across every shard, ascending.
     pub fn edited_ids(&self) -> Vec<ImageId> {
-        self.merged_ids(StorageEngine::edited_ids)
-    }
-
-    fn merged_ids(&self, per_shard: impl Fn(&StorageEngine) -> Vec<ImageId>) -> Vec<ImageId> {
-        if self.shards.len() == 1 {
-            return per_shard(&self.shards[0].storage);
-        }
-        let mut ids: Vec<ImageId> = self
-            .shards
-            .iter()
-            .flat_map(|s| per_shard(&s.storage))
-            .collect();
-        ids.sort_unstable();
-        ids
+        self.shards.merged_ids(StorageEngine::edited_ids)
     }
 
     /// True when `id` exists (on its owning shard).
     pub fn contains(&self, id: ImageId) -> bool {
-        self.shard_for(id).storage.contains(id)
+        self.shards.owner(id).storage.contains(id)
     }
 
     /// The storage kind of `id`.
     pub fn stored_kind(&self, id: ImageId) -> Result<StoredKind> {
-        Ok(self.shard_for(id).storage.kind(id)?)
+        Ok(self.shards.owner(id).storage.kind(id)?)
     }
 
     /// The base image of an edited image (`None` for binary images and
     /// unknown ids).
     pub fn base_of(&self, id: ImageId) -> Option<ImageId> {
-        self.shard_for(id).storage.base_of(id)
+        self.shards.owner(id).storage.base_of(id)
     }
 
     // ── Retrieval ──────────────────────────────────────────────────────
@@ -638,19 +451,19 @@ impl MultimediaDatabase {
         self.query_range_with_plan(query, QueryPlan::Bwm)
     }
 
-    /// Runs a color range query under an explicit plan.
+    /// Runs a color range query under an explicit plan (conservative rule
+    /// profile).
     pub fn query_range_with_plan(
         &self,
         query: &ColorRangeQuery,
         plan: QueryPlan,
     ) -> Result<mmdb_bwm::QueryOutcome> {
-        self.query_range_with(query, plan, self.profile)
+        self.query_range_with(query, plan, RuleProfile::Conservative)
     }
 
-    /// Runs a color range query under an explicit plan *and* rule profile,
-    /// overriding the handle-level default for this one query. This is the
-    /// entry point the network server uses: the wire protocol selects plan
-    /// and profile per request.
+    /// Runs a color range query under an explicit plan *and* rule profile.
+    /// This is the entry point the network server uses: the wire protocol
+    /// selects plan and profile per request.
     ///
     /// On a sharded database the query scatters: every shard's slice adds
     /// to one shared [`QueryCtx`] (its own BWM structure and bound index, one
@@ -664,128 +477,10 @@ impl MultimediaDatabase {
         profile: RuleProfile,
     ) -> Result<mmdb_bwm::QueryOutcome> {
         let mut ctx = QueryCtx::default();
-        self.run_range(query, plan, profile, &mut ctx)?;
+        observed(plan, profile, query, &mut ctx, |ctx| {
+            self.shards.range(query, plan, profile, ctx)
+        })?;
         Ok(ctx.into_outcome())
-    }
-
-    /// The whole range query — scatter, gather, sort — as one observed
-    /// unit: telemetry is paid here once per request, whatever the shard
-    /// count. A traced `ctx` gets one `shard{i}` stage per shard so the tail
-    /// sampler sees the fan-out shape (and any straggler) in one record.
-    fn run_range(
-        &self,
-        query: &ColorRangeQuery,
-        plan: QueryPlan,
-        profile: RuleProfile,
-        ctx: &mut QueryCtx,
-    ) -> Result<()> {
-        observed(plan, profile, query, ctx, |ctx| {
-            if let [shard] = &self.shards[..] {
-                return Self::shard_slice(shard, query, plan, profile, ctx);
-            }
-            ctx.shards.reserve_exact(self.shards.len());
-            let mut since = std::time::Instant::now();
-            for (i, shard) in self.shards.iter().enumerate() {
-                since = ctx.shard_slice(i, since, |ctx| {
-                    Self::shard_slice(shard, query, plan, profile, ctx)
-                })?;
-            }
-            ctx.results.sort_unstable();
-            Ok(())
-        })
-    }
-
-    /// One shard's slice of a range query, added to `ctx`.
-    fn shard_slice(
-        shard: &Shard,
-        query: &ColorRangeQuery,
-        plan: QueryPlan,
-        profile: RuleProfile,
-        ctx: &mut QueryCtx,
-    ) -> Result<()> {
-        let qp = QueryProcessor::with_profile(&shard.storage, profile);
-        match plan {
-            QueryPlan::Bwm => {
-                // Fast path: when a fresh index exists for this profile, BWM
-                // probes it for memoized bounds instead of walking operation
-                // lists. A stale (or absent) index is simply skipped — the
-                // BWM plan never pays a sync.
-                let epoch = shard.storage.current_epoch();
-                shard.bound_index[profile_slot(profile)].with_fresh(epoch, |idx| {
-                    let cache = idx.map(|idx| idx as &dyn BoundsCache);
-                    qp.execute(Slice::Bwm(&shard.bwm.read(), cache), query, ctx)
-                })
-            }
-            QueryPlan::Rbm => qp.execute(Slice::Rbm, query, ctx),
-            QueryPlan::Instantiate => qp.execute(Slice::Instantiate, query, ctx),
-            QueryPlan::Indexed => Self::with_bound_index(shard, profile, |idx, sync| {
-                qp.execute(Slice::Indexed(idx, sync), query, ctx)
-            })?,
-        }
-    }
-
-    /// Runs `f` against a bound index for `profile` on `shard` that
-    /// satisfies the serving invariant (`synced_epoch == current_epoch` of
-    /// the shard's engine), building or incrementally re-syncing the slot
-    /// first when needed.
-    ///
-    /// The epoch is captured *before* the id lists are read: a mutation that
-    /// races the snapshot leaves the stamp behind the real epoch, so the next
-    /// query re-syncs — stale entries are never served.
-    fn with_bound_index<T>(
-        shard: &Shard,
-        profile: RuleProfile,
-        mut f: impl FnMut(&BoundIndex, SyncStats) -> T,
-    ) -> Result<T> {
-        let storage = &shard.storage;
-        let slot = &shard.bound_index[profile_slot(profile)];
-        let served = slot.serve_fresh(storage.current_epoch(), |idx| f(idx, SyncStats::default()));
-        if let Some(out) = served {
-            return Ok(out);
-        }
-        // Slow path: build or re-sync under the write lock, then serve under
-        // it (this lock has no downgrade; the next query takes the read fast
-        // path above). The epoch is captured before `binary_ids`/`edited_ids`
-        // so a racing mutation leaves the stamp behind, never ahead.
-        let mut guard = slot.write();
-        let epoch = storage.current_epoch();
-        let binary = storage.binary_ids();
-        let edited = storage.edited_ids();
-        let stats = match guard.as_mut() {
-            Some(idx) if idx.synced_epoch() == epoch => SyncStats::default(),
-            Some(idx) => idx.sync(
-                epoch,
-                &binary,
-                &edited,
-                storage.quantizer(),
-                storage.background(),
-                &**storage,
-                &**storage,
-            )?,
-            None => {
-                let threads =
-                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-                let built = BoundIndex::build(
-                    profile,
-                    storage.quantizer(),
-                    storage.background(),
-                    &binary,
-                    &edited,
-                    &**storage,
-                    &**storage,
-                    epoch,
-                    threads,
-                )?;
-                *guard = Some(built);
-                SyncStats::default()
-            }
-        };
-        let idx = guard.as_ref().expect("slot populated above");
-        // The slot just reconciled to `epoch`; republish its staleness
-        // gauges (lag and backlog drop to zero) without waiting for the
-        // next exposition-driven refresh.
-        StalenessReport::compute(Some(idx), epoch, &binary, &edited).publish(profile);
-        Ok(f(idx, stats))
     }
 
     /// Recomputes and publishes the per-profile bound-index staleness and
@@ -799,7 +494,7 @@ impl MultimediaDatabase {
     pub fn refresh_staleness_gauges(&self) {
         for profile in [RuleProfile::Conservative, RuleProfile::PaperTable1] {
             let mut worst: Option<StalenessReport> = None;
-            for shard in &self.shards {
+            for shard in self.shards.iter() {
                 let epoch = shard.storage.current_epoch();
                 let binary = shard.storage.binary_ids();
                 let edited = shard.storage.edited_ids();
@@ -822,25 +517,6 @@ impl MultimediaDatabase {
         }
     }
 
-    /// Eagerly drops `ids` (and, transitively, every indexed image whose
-    /// sequence references them) from both of `shard`'s profile slots.
-    /// Correctness does not depend on this — the storage epoch already
-    /// forces a re-sync — but eager removal frees deleted entries
-    /// immediately instead of at the next indexed query.
-    fn invalidate_indexes(shard: &Shard, ids: &[ImageId]) {
-        if ids.is_empty() {
-            return;
-        }
-        for slot in &shard.bound_index {
-            let mut guard = slot.write();
-            if let Some(idx) = guard.as_mut() {
-                for &id in ids {
-                    idx.invalidate(id);
-                }
-            }
-        }
-    }
-
     /// Runs a color range query under an explicit plan with tracing: the
     /// returned [`QueryTrace`] records the plan and query parameters, each
     /// scan phase as a timed stage, and the work the stage performed (base
@@ -851,7 +527,7 @@ impl MultimediaDatabase {
         query: &ColorRangeQuery,
         plan: QueryPlan,
     ) -> Result<(mmdb_bwm::QueryOutcome, QueryTrace)> {
-        self.query_range_traced_with(query, plan, self.profile)
+        self.query_range_traced_with(query, plan, RuleProfile::Conservative)
     }
 
     /// Traced variant of [`MultimediaDatabase::query_range_with`] — the same
@@ -866,7 +542,9 @@ impl MultimediaDatabase {
         profile: RuleProfile,
     ) -> Result<(mmdb_bwm::QueryOutcome, QueryTrace)> {
         let mut ctx = QueryCtx::traced(format!("{plan}_range"));
-        self.run_range(query, plan, profile, &mut ctx)?;
+        observed(plan, profile, query, &mut ctx, |ctx| {
+            self.shards.range(query, plan, profile, ctx)
+        })?;
         Ok(ctx.into_traced_outcome())
     }
 
@@ -920,19 +598,7 @@ impl MultimediaDatabase {
     /// cached until the next mutation.
     pub fn similar_to(&self, example: &RasterImage, k: usize) -> Vec<(f64, ImageId)> {
         let hist = ColorHistogram::extract(example, self.quantizer());
-        if self.shards.len() == 1 {
-            return Self::ensure_index(&self.shards[0]).nearest(&hist, k);
-        }
-        // Per-shard top-k merge: each shard's k nearest are a superset of
-        // its contribution to the global top-k, so concatenating and
-        // truncating after a distance sort is exact.
-        let mut merged: Vec<(f64, ImageId)> = Vec::new();
-        for shard in &self.shards {
-            merged.extend(Self::ensure_index(shard).nearest(&hist, k));
-        }
-        sort_neighbours(&mut merged);
-        merged.truncate(k);
-        merged
+        self.shards.nearest(&hist, k)
     }
 
     /// The `k` images most similar to `example` over the **whole** augmented
@@ -947,45 +613,18 @@ impl MultimediaDatabase {
         k: usize,
     ) -> Result<mmdb_query::KnnOutcome> {
         let hist = ColorHistogram::extract(example, self.quantizer());
-        if self.shards.len() == 1 {
-            return mmdb_query::knn_augmented(&self.shards[0].storage, &hist, k, self.profile);
-        }
-        // Exactness under sharding: each shard returns its own exact top-k,
-        // and the global k nearest are distributed among the shards somehow,
-        // so every one of them appears in some shard's local top-k. Merging
-        // the per-shard lists and truncating therefore loses nothing. Prune
-        // counters sum — they still bound the work an unsharded run saves.
-        let mut neighbours: Vec<(f64, ImageId)> = Vec::new();
-        let mut stats = mmdb_query::KnnStats::default();
-        for shard in &self.shards {
-            let out = mmdb_query::knn_augmented(&shard.storage, &hist, k, self.profile)?;
-            neighbours.extend(out.neighbours);
-            stats.binary_scored += out.stats.binary_scored;
-            stats.edited_pruned += out.stats.edited_pruned;
-            stats.edited_instantiated += out.stats.edited_instantiated;
-        }
-        sort_neighbours(&mut neighbours);
-        neighbours.truncate(k);
-        Ok(mmdb_query::KnnOutcome { neighbours, stats })
-    }
-
-    fn ensure_index(shard: &Shard) -> Arc<SignatureIndex> {
-        if let Some(index) = shard.signature_index.read().as_ref() {
-            return Arc::clone(index);
-        }
-        let built = Arc::new(SignatureIndex::build(&shard.storage));
-        *shard.signature_index.write() = Some(Arc::clone(&built));
-        built
+        self.shards
+            .nearest_augmented(&hist, k, RuleProfile::Conservative)
     }
 
     /// The instantiated raster of any image.
     pub fn image(&self, id: ImageId) -> Result<Arc<RasterImage>> {
-        Ok(self.shard_for(id).storage.raster(id)?)
+        Ok(self.shards.owner(id).storage.raster(id)?)
     }
 
     /// Exports an image (instantiating if needed) as a binary PPM file.
     pub fn export_ppm(&self, id: ImageId, path: &Path) -> Result<()> {
-        let raster = self.shard_for(id).storage.raster(id)?;
+        let raster = self.shards.owner(id).storage.raster(id)?;
         ppm::write_file(&raster, path, ppm::PnmFormat::RawRgb)
             .map_err(mmdb_storage::StorageError::from)?;
         Ok(())
@@ -998,7 +637,7 @@ impl MultimediaDatabase {
     /// counters land in [`MultimediaDatabase::metrics`].
     pub fn lint(&self) -> mmdb_analysis::AnalysisReport {
         let mut merged = mmdb_analysis::AnalysisReport::default();
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             // Each shard lints its own slice of the catalog. The analyzer's
             // resolver is the shard engine, whose lookups fall back to peer
             // shards, so cross-shard base references resolve rather than
@@ -1020,7 +659,7 @@ impl MultimediaDatabase {
     /// Analyzes one stored edit sequence in detail: diagnostics, removable
     /// dead ops, the soundness audit, and the BWM widening verdict.
     pub fn analyze(&self, id: ImageId) -> Result<mmdb_analysis::SequenceAnalysis> {
-        let shard = self.shard_for(id);
+        let shard = self.shards.owner(id);
         let sequence = shard
             .storage
             .edit_sequence(id)
@@ -1041,18 +680,14 @@ impl MultimediaDatabase {
         if self.shards.len() == 1 {
             return self.shards[0].bwm.read().clone();
         }
-        BwmStructure::build(
-            self.binary_ids(),
-            self.edited_ids(),
-            &MultiStore(&self.shards),
-        )
+        BwmStructure::build(self.binary_ids(), self.edited_ids(), &self.shards)
     }
 
     /// Storage statistics (space usage, cache behaviour), summed across
     /// shards.
     pub fn stats(&self) -> StorageStats {
         let mut total = StorageStats::default();
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let s = shard.storage.stats();
             total.binary_count += s.binary_count;
             total.edited_count += s.edited_count;
@@ -1069,7 +704,7 @@ impl MultimediaDatabase {
     /// to `<shard-dir>/boundidx/` so the next open starts warm. Each shard
     /// flushes independently.
     pub fn flush(&self) -> Result<()> {
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             shard.storage.flush()?;
         }
         self.persist_indexes();
@@ -1084,7 +719,7 @@ impl MultimediaDatabase {
     /// since shards recover sequentially within one open call today.
     pub fn recovery_info(&self) -> Option<RecoveryInfo> {
         let mut combined: Option<RecoveryInfo> = None;
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let Some(info) = shard.storage.recovery_info() else {
                 continue;
             };
@@ -1108,7 +743,7 @@ impl MultimediaDatabase {
     /// under `fsync = never`), so the file is discarded — as is anything
     /// torn, version-skewed, or built over a different quantizer.
     fn warm_load_indexes(&self) {
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let Some(dir) = shard.storage.data_dir().map(|d| d.join("boundidx")) else {
                 continue;
             };
@@ -1132,7 +767,7 @@ impl MultimediaDatabase {
     /// `<shard-dir>/boundidx/` (best-effort: a failed persist costs the
     /// next open a rebuild, never correctness).
     fn persist_indexes(&self) {
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let Some(dir) = shard.storage.data_dir().map(|d| d.join("boundidx")) else {
                 continue;
             };
@@ -1145,16 +780,6 @@ impl MultimediaDatabase {
             }
         }
     }
-}
-
-/// Sorts a merged neighbour list ascending by distance, tie-broken by id so
-/// scatter-gather output is deterministic across shard counts.
-fn sort_neighbours(neighbours: &mut [(f64, ImageId)]) {
-    neighbours.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.1.cmp(&b.1))
-    });
 }
 
 #[cfg(test)]

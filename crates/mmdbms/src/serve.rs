@@ -129,14 +129,6 @@ impl QueryBackend for MultimediaDatabase {
         })
     }
 
-    fn shard_count(&self) -> usize {
-        MultimediaDatabase::shard_count(self)
-    }
-
-    fn shard_of(&self, id: u64) -> usize {
-        MultimediaDatabase::shard_of(self, ImageId(id))
-    }
-
     fn stats(&self) -> StatsReply {
         let s = MultimediaDatabase::stats(self);
         StatsReply {

@@ -1,0 +1,447 @@
+//! The partition. Everything this crate knows about sharding lives here:
+//! what a shard is, how N storage engines are wired into disjoint id
+//! spaces, the on-disk layout and its manifest, where a new binary image is
+//! placed, which shard owns an id, and how per-shard answers are gathered
+//! into one. The facade (`lib.rs`) holds one [`Shards`] and asks it; the
+//! query server does not know shards exist.
+//!
+//! The routing rule itself — `(id - 1) mod N` — is defined once, next to
+//! the strided allocator that creates it: [`mmdb_storage::id_class`].
+
+use crate::Result;
+use mmdb_boundidx::{
+    profile_slot, BoundIndex, EpochSlot, StalenessReport, SyncStats, PROFILE_SLOTS,
+};
+use mmdb_bwm::{BoundsCache, BwmStructure, QueryCtx, SequenceStore};
+use mmdb_conc::sync::atomic::{AtomicU64, Ordering};
+use mmdb_conc::sync::RwLock;
+use mmdb_editops::{EditSequence, ImageId};
+use mmdb_histogram::{quantizer::from_description, ColorHistogram, Quantizer};
+use mmdb_query::executor::{QueryError, QueryProcessor, Slice};
+use mmdb_query::{QueryPlan, SignatureIndex};
+use mmdb_rules::{ColorRangeQuery, RuleProfile};
+use mmdb_storage::{id_class, DurabilityOptions, StorageEngine, StorageError};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Weak};
+
+/// One shard of the database: a complete, self-contained storage engine
+/// (own lock, own mutation epoch, own WAL) plus the derived structures
+/// built from *its* slice of the catalog — an incrementally maintained BWM
+/// structure, a lazily built histogram R-tree, and one epoch-guarded
+/// [`BoundIndex`] slot per rule profile.
+///
+/// Shards own disjoint id spaces (shard `i` of `N` allocates ids
+/// `≡ i + 1 (mod N)` via strided allocation), so scatter-gather merges
+/// never see a duplicate and [`id_class`] routes any id to its owner.
+pub(crate) struct Shard {
+    pub(crate) storage: Arc<StorageEngine>,
+    pub(crate) bwm: RwLock<BwmStructure>,
+    pub(crate) signature_index: RwLock<Option<Arc<SignatureIndex>>>,
+    /// One lazily built [`BoundIndex`] per rule profile, each in an
+    /// epoch-guarded slot. The serving invariant is
+    /// `index.synced_epoch() == storage.current_epoch()` *for this shard's
+    /// engine*: a slot whose epoch trails it is never consulted — it is
+    /// re-synced (or built) under the slot's write lock first.
+    /// [`EpochSlot`] enforces the invariant structurally; the protocol is
+    /// model-checked in `crates/conc/tests/model_boundidx.rs`.
+    pub(crate) bound_index: [EpochSlot<BoundIndex>; PROFILE_SLOTS],
+}
+
+impl Shard {
+    fn new(storage: Arc<StorageEngine>) -> Self {
+        let bwm = BwmStructure::build(storage.binary_ids(), storage.edited_ids(), &*storage);
+        Shard {
+            storage,
+            bwm: RwLock::new(bwm),
+            signature_index: RwLock::new(None),
+            bound_index: std::array::from_fn(|_| EpochSlot::new()),
+        }
+    }
+
+    /// This shard's slice of a range query, added to `ctx`.
+    fn range(
+        &self,
+        query: &ColorRangeQuery,
+        plan: QueryPlan,
+        profile: RuleProfile,
+        ctx: &mut QueryCtx,
+    ) -> Result<()> {
+        let qp = QueryProcessor::with_profile(&self.storage, profile);
+        match plan {
+            QueryPlan::Bwm => {
+                // Fast path: when a fresh index exists for this profile, BWM
+                // probes it for memoized bounds instead of walking operation
+                // lists. A stale (or absent) index is simply skipped — the
+                // BWM plan never pays a sync.
+                let epoch = self.storage.current_epoch();
+                self.bound_index[profile_slot(profile)].with_fresh(epoch, |idx| {
+                    let cache = idx.map(|idx| idx as &dyn BoundsCache);
+                    qp.execute(Slice::Bwm(&self.bwm.read(), cache), query, ctx)
+                })
+            }
+            QueryPlan::Rbm => qp.execute(Slice::Rbm, query, ctx),
+            QueryPlan::Instantiate => qp.execute(Slice::Instantiate, query, ctx),
+            QueryPlan::Indexed => self.with_bound_index(profile, |idx, sync| {
+                qp.execute(Slice::Indexed(idx, sync), query, ctx)
+            })?,
+        }
+    }
+
+    /// Runs `f` against a bound index for `profile` that satisfies the
+    /// serving invariant (`synced_epoch == current_epoch` of this shard's
+    /// engine), building or incrementally re-syncing the slot first when
+    /// needed.
+    ///
+    /// The epoch is captured *before* the id lists are read: a mutation that
+    /// races the snapshot leaves the stamp behind the real epoch, so the next
+    /// query re-syncs — stale entries are never served.
+    fn with_bound_index<T>(
+        &self,
+        profile: RuleProfile,
+        mut f: impl FnMut(&BoundIndex, SyncStats) -> T,
+    ) -> Result<T> {
+        let storage = &self.storage;
+        let slot = &self.bound_index[profile_slot(profile)];
+        let served = slot.serve_fresh(storage.current_epoch(), |idx| f(idx, SyncStats::default()));
+        if let Some(out) = served {
+            return Ok(out);
+        }
+        // Slow path: build or re-sync under the write lock, then serve under
+        // it (this lock has no downgrade; the next query takes the read fast
+        // path above). The epoch is captured before `binary_ids`/`edited_ids`
+        // so a racing mutation leaves the stamp behind, never ahead.
+        let mut guard = slot.write();
+        let epoch = storage.current_epoch();
+        let binary = storage.binary_ids();
+        let edited = storage.edited_ids();
+        let stats = match guard.as_mut() {
+            Some(idx) if idx.synced_epoch() == epoch => SyncStats::default(),
+            Some(idx) => idx.sync(
+                epoch,
+                &binary,
+                &edited,
+                storage.quantizer(),
+                storage.background(),
+                &**storage,
+                &**storage,
+            )?,
+            None => {
+                let threads =
+                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+                let built = BoundIndex::build(
+                    profile,
+                    storage.quantizer(),
+                    storage.background(),
+                    &binary,
+                    &edited,
+                    &**storage,
+                    &**storage,
+                    epoch,
+                    threads,
+                )?;
+                *guard = Some(built);
+                SyncStats::default()
+            }
+        };
+        let idx = guard.as_ref().expect("slot populated above");
+        // The slot just reconciled to `epoch`; republish its staleness
+        // gauges (lag and backlog drop to zero) without waiting for the
+        // next exposition-driven refresh.
+        StalenessReport::compute(Some(idx), epoch, &binary, &edited).publish(profile);
+        Ok(f(idx, stats))
+    }
+
+    /// Eagerly drops `ids` (and, transitively, every indexed image whose
+    /// sequence references them) from both profile slots. Correctness does
+    /// not depend on this — the storage epoch already forces a re-sync —
+    /// but eager removal frees deleted entries immediately instead of at
+    /// the next indexed query.
+    pub(crate) fn invalidate_indexes(&self, ids: &[ImageId]) {
+        if ids.is_empty() {
+            return;
+        }
+        for slot in &self.bound_index {
+            let mut guard = slot.write();
+            if let Some(idx) = guard.as_mut() {
+                for &id in ids {
+                    idx.invalidate(id);
+                }
+            }
+        }
+    }
+
+    /// The histogram R-tree over this shard's binary images, built lazily
+    /// and cached until the next mutation.
+    fn ensure_index(&self) -> Arc<SignatureIndex> {
+        if let Some(index) = self.signature_index.read().as_ref() {
+            return Arc::clone(index);
+        }
+        let built = Arc::new(SignatureIndex::build(&self.storage));
+        *self.signature_index.write() = Some(Arc::clone(&built));
+        built
+    }
+}
+
+/// Magic line of the shard-manifest file (`<dir>/shards`) marking a data
+/// directory as the root of an N-shard layout. Directories without the
+/// manifest are single-shard databases in the historical layout — both
+/// directions stay compatible: a 1-shard create writes no manifest, and
+/// open treats "no manifest" as "one shard rooted here".
+const SHARD_MANIFEST_MAGIC: &str = "MMDBSHRD v1";
+
+/// The engine directory of shard `index` inside a sharded database root
+/// (`shard-00/`, `shard-01/`, …). Exposed for tools (`mmdbctl fsck`) that
+/// descend the sharded layout without opening the database.
+pub fn shard_dir(root: &Path, index: usize) -> PathBuf {
+    root.join(format!("shard-{index:02}"))
+}
+
+fn write_shard_manifest(root: &Path, count: usize) -> std::io::Result<()> {
+    std::fs::write(
+        root.join("shards"),
+        format!("{SHARD_MANIFEST_MAGIC}\ncount={count}\n"),
+    )
+}
+
+/// Reads `<root>/shards`: `Ok(None)` when absent (single-shard layout),
+/// `Ok(Some(n))` for a valid manifest, `Err` on a malformed one.
+pub fn read_shard_manifest(root: &Path) -> Result<Option<usize>> {
+    let path = root.join("shards");
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(StorageError::from(e).into()),
+    };
+    let corrupt = || {
+        QueryError::from(StorageError::Corrupt(format!(
+            "malformed shard manifest at {}",
+            path.display()
+        )))
+    };
+    let mut lines = text.lines();
+    if lines.next() != Some(SHARD_MANIFEST_MAGIC) {
+        return Err(corrupt());
+    }
+    let count: usize = lines
+        .next()
+        .and_then(|l| l.strip_prefix("count="))
+        .and_then(|n| n.parse().ok())
+        .ok_or_else(corrupt)?;
+    if count == 0 {
+        return Err(corrupt());
+    }
+    Ok(Some(count))
+}
+
+/// Clones a quantizer through its self-description (the same mechanism
+/// `open` uses to reconstruct it from a recovered catalog).
+fn clone_quantizer(quantizer: &dyn Quantizer) -> Box<dyn Quantizer> {
+    from_description(&quantizer.describe())
+        .expect("quantizer description round-trips through from_description")
+}
+
+/// The shards of one database, in id-class order, plus the placement cursor.
+/// Dereferences to the shard slice for whole-catalog loops.
+pub(crate) struct Shards {
+    shards: Vec<Shard>,
+    /// Round-robin cursor for binary-insert placement.
+    round_robin: AtomicU64,
+}
+
+impl std::ops::Deref for Shards {
+    type Target = [Shard];
+
+    fn deref(&self) -> &[Shard] {
+        &self.shards
+    }
+}
+
+/// Resolves sequences across every shard — the merged-view store behind
+/// `MultimediaDatabase::bwm_snapshot` on sharded databases.
+impl SequenceStore for Shards {
+    fn sequence(&self, id: ImageId) -> Option<Arc<EditSequence>> {
+        self.owner(id).storage.edit_sequence(id)
+    }
+}
+
+impl Shards {
+    /// Wires per-shard engines into one partition: strided id allocation
+    /// plus the peer table for cross-shard references, then each shard's
+    /// derived structures.
+    fn wire(engines: Vec<StorageEngine>) -> Self {
+        assert!(!engines.is_empty(), "at least one shard");
+        let n = engines.len();
+        let engines: Vec<Arc<StorageEngine>> = engines.into_iter().map(Arc::new).collect();
+        if n > 1 {
+            let weak: Vec<Weak<StorageEngine>> = engines.iter().map(Arc::downgrade).collect();
+            for (i, engine) in engines.iter().enumerate() {
+                // Order matters: the stride must be in place before any
+                // allocation, and both before the engine is shared.
+                engine.set_id_stride(i as u64, n as u64);
+                engine.set_peers(i, weak.clone());
+            }
+        }
+        Shards {
+            shards: engines.into_iter().map(Shard::new).collect(),
+            round_robin: AtomicU64::new(0),
+        }
+    }
+
+    /// The on-disk layout behind `MultimediaDatabase::create_sharded_with`.
+    pub(crate) fn create(
+        dir: &Path,
+        quantizer: Box<dyn Quantizer>,
+        opts: DurabilityOptions,
+        count: usize,
+    ) -> Result<Self> {
+        assert!(count >= 1, "shard count must be at least 1");
+        if count == 1 {
+            return Ok(Self::wire(vec![StorageEngine::create_with(
+                dir, quantizer, opts,
+            )?]));
+        }
+        std::fs::create_dir_all(dir).map_err(StorageError::from)?;
+        if read_shard_manifest(dir).unwrap_or(Some(0)).is_some() || dir.join("meta").exists() {
+            return Err(StorageError::Corrupt(format!(
+                "database already exists at {}",
+                dir.display()
+            ))
+            .into());
+        }
+        write_shard_manifest(dir, count).map_err(StorageError::from)?;
+        let mut engines = Vec::with_capacity(count);
+        for i in 0..count {
+            engines.push(StorageEngine::create_with(
+                &shard_dir(dir, i),
+                clone_quantizer(quantizer.as_ref()),
+                opts,
+            )?);
+        }
+        Ok(Self::wire(engines))
+    }
+
+    /// Opens every engine of the layout found under `dir`.
+    pub(crate) fn open(dir: &Path, opts: DurabilityOptions) -> Result<Self> {
+        let engines = match read_shard_manifest(dir)? {
+            None => vec![StorageEngine::open_with(dir, opts)?],
+            Some(n) => {
+                let mut engines = Vec::with_capacity(n);
+                for i in 0..n {
+                    engines.push(StorageEngine::open_with(&shard_dir(dir, i), opts)?);
+                }
+                engines
+            }
+        };
+        Ok(Self::wire(engines))
+    }
+
+    /// `count` ephemeral in-memory shards.
+    pub(crate) fn in_memory(quantizer: Box<dyn Quantizer>, count: usize) -> Self {
+        assert!(count >= 1, "shard count must be at least 1");
+        let clones: Vec<_> = (1..count)
+            .map(|_| clone_quantizer(quantizer.as_ref()))
+            .collect();
+        let quantizers = std::iter::once(quantizer).chain(clones);
+        Self::wire(quantizers.map(StorageEngine::in_memory).collect())
+    }
+
+    /// The index of the shard owning `id`'s congruence class.
+    pub(crate) fn index_of(&self, id: ImageId) -> usize {
+        id_class(id, self.len())
+    }
+
+    /// The shard owning `id`'s congruence class.
+    pub(crate) fn owner(&self, id: ImageId) -> &Shard {
+        &self[self.index_of(id)]
+    }
+
+    /// Where the next binary image goes: round-robin. (An edited image is
+    /// not placed: it follows its base.)
+    pub(crate) fn place_binary(&self) -> &Shard {
+        &self[(self.round_robin.fetch_add(1, Ordering::Relaxed) % self.len() as u64) as usize]
+    }
+
+    /// One id list per shard, merged ascending (id spaces are disjoint, so
+    /// there is nothing to deduplicate).
+    pub(crate) fn merged_ids(
+        &self,
+        per_shard: impl Fn(&StorageEngine) -> Vec<ImageId>,
+    ) -> Vec<ImageId> {
+        let mut ids: Vec<ImageId> = self.iter().flat_map(|s| per_shard(&s.storage)).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Scatter, gather, sort: every shard's slice adds to the one `ctx`. A
+    /// traced `ctx` gets one `shard{i}` stage per shard so the tail sampler
+    /// sees the fan-out shape (and any straggler) in one record; a single
+    /// shard runs as one slice and leaves no shard records.
+    pub(crate) fn range(
+        &self,
+        query: &ColorRangeQuery,
+        plan: QueryPlan,
+        profile: RuleProfile,
+        ctx: &mut QueryCtx,
+    ) -> Result<()> {
+        if let [shard] = &self[..] {
+            return shard.range(query, plan, profile, ctx);
+        }
+        ctx.shards.reserve_exact(self.len());
+        let mut since = std::time::Instant::now();
+        for (i, shard) in self.iter().enumerate() {
+            since = ctx.shard_slice(i, since, |ctx| shard.range(query, plan, profile, ctx))?;
+        }
+        ctx.results.sort_unstable();
+        Ok(())
+    }
+
+    /// The `k` binary images nearest `hist` (R-tree k-NN per shard). Each
+    /// shard's k nearest are a superset of its contribution to the global
+    /// top-k, so concatenating and truncating after a distance sort is
+    /// exact.
+    pub(crate) fn nearest(&self, hist: &ColorHistogram, k: usize) -> Vec<(f64, ImageId)> {
+        let mut merged: Vec<(f64, ImageId)> = Vec::new();
+        for shard in self.iter() {
+            merged.extend(shard.ensure_index().nearest(hist, k));
+        }
+        sort_neighbours(&mut merged);
+        merged.truncate(k);
+        merged
+    }
+
+    /// The `k` images nearest `hist` over binary *and* edited images.
+    /// Exactness under sharding: each shard returns its own exact top-k,
+    /// and the global k nearest are distributed among the shards somehow,
+    /// so every one of them appears in some shard's local top-k. Merging
+    /// the per-shard lists and truncating therefore loses nothing. Prune
+    /// counters sum — they still bound the work an unsharded run saves.
+    pub(crate) fn nearest_augmented(
+        &self,
+        hist: &ColorHistogram,
+        k: usize,
+        profile: RuleProfile,
+    ) -> Result<mmdb_query::KnnOutcome> {
+        let mut neighbours: Vec<(f64, ImageId)> = Vec::new();
+        let mut stats = mmdb_query::KnnStats::default();
+        for shard in self.iter() {
+            let out = mmdb_query::knn_augmented(&shard.storage, hist, k, profile)?;
+            neighbours.extend(out.neighbours);
+            stats.binary_scored += out.stats.binary_scored;
+            stats.edited_pruned += out.stats.edited_pruned;
+            stats.edited_instantiated += out.stats.edited_instantiated;
+        }
+        sort_neighbours(&mut neighbours);
+        neighbours.truncate(k);
+        Ok(mmdb_query::KnnOutcome { neighbours, stats })
+    }
+}
+
+/// Sorts a merged neighbour list ascending by distance, tie-broken by id so
+/// scatter-gather output is deterministic across shard counts.
+fn sort_neighbours(neighbours: &mut [(f64, ImageId)]) {
+    neighbours.sort_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.1.cmp(&b.1))
+    });
+}

@@ -191,6 +191,53 @@ fn served_request_is_observed_once_at_every_shard_count() {
     }
 }
 
+/// The executor pool against a real 16-shard backend, through the one
+/// admission queue: the server registers nothing per shard, the queue gauge
+/// settles at zero, and what was queued at stop fits the admission bound.
+#[test]
+fn pooled_server_keeps_no_per_shard_series() {
+    let _guard = telemetry_lock();
+    let db = Arc::new(seeded_db(16));
+    let query = red_query(&db);
+    let config = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let server = QueryServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&db) as Arc<dyn QueryBackend>,
+        config,
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let expected = db
+        .query_range_with(&query, QueryPlan::Indexed, RuleProfile::Conservative)
+        .unwrap();
+    let expected: Vec<_> = expected.results.iter().map(|id| id.0).collect();
+    for _ in 0..32 {
+        let reply = client
+            .range(RangeRequest {
+                plan: PlanKind::Indexed,
+                profile: ProfileKind::Conservative,
+                bin: query.bin as u32,
+                pct_min: query.pct_min,
+                pct_max: query.pct_max,
+            })
+            .unwrap();
+        assert_eq!(reply.ids, expected);
+    }
+    drop(client);
+    let drained = server.shutdown();
+    assert!(drained.queued_at_stop <= config.queue_depth);
+    assert_eq!(global().gauge("mmdb_server_queue_depth").get(), 0);
+    let exposition = global().render_prometheus();
+    let per_shard: Vec<_> = exposition
+        .lines()
+        .filter(|line| line.contains("mmdb_shard_"))
+        .collect();
+    assert!(per_shard.is_empty(), "{per_shard:?}");
+}
+
 #[test]
 fn traced_path_is_the_untraced_path() {
     let _guard = telemetry_lock();

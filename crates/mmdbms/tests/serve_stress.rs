@@ -18,9 +18,22 @@ const QUERIES_PER_CLIENT: usize = 60;
 
 #[test]
 fn concurrent_queries_survive_inserts_and_deletes() {
-    let db = Arc::new(MultimediaDatabase::in_memory(Box::new(
-        RgbQuantizer::default_64(),
-    )));
+    stress(1);
+}
+
+/// The same workload against a real sharded backend: every request fans
+/// out over four shards from whichever pool thread popped it off the one
+/// admission queue.
+#[test]
+fn concurrent_queries_survive_inserts_and_deletes_on_four_shards() {
+    stress(4);
+}
+
+fn stress(shards: usize) {
+    let db = Arc::new(MultimediaDatabase::in_memory_sharded(
+        Box::new(RgbQuantizer::default_64()),
+        shards,
+    ));
     let generator = HelmetGenerator::with_seed(7);
     for i in 0..10 {
         db.insert_image(&generator.generate(i)).unwrap();

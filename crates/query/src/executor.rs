@@ -268,8 +268,8 @@ impl Slice<'_> {
 
 /// A query processor bound to one database.
 ///
-/// Attach a [`BwmStructure`] with [`QueryProcessor::attach_bwm`] (or build
-/// one with [`QueryProcessor::build_bwm`]) to enable the BWM plan.
+/// Build a [`BwmStructure`] with [`QueryProcessor::build_bwm`] to enable
+/// the BWM plan.
 pub struct QueryProcessor<'db> {
     db: &'db StorageEngine,
     profile: RuleProfile,
@@ -291,11 +291,6 @@ impl<'db> QueryProcessor<'db> {
             bwm: None,
             boundidx: None,
         }
-    }
-
-    /// Attaches a prebuilt BWM structure.
-    pub fn attach_bwm(&mut self, structure: BwmStructure) {
-        self.bwm = Some(structure);
     }
 
     /// Builds (Figure 1, over the whole database) and attaches the BWM
@@ -332,20 +327,6 @@ impl<'db> QueryProcessor<'db> {
         )?;
         self.boundidx = Some(index);
         Ok(())
-    }
-
-    /// Attaches a prebuilt bound-interval index.
-    ///
-    /// # Panics
-    /// Panics when the index was built for a different rule profile — its
-    /// memoized bounds would be wrong for this processor's queries.
-    pub fn attach_bound_index(&mut self, index: BoundIndex) {
-        assert_eq!(
-            index.profile(),
-            self.profile,
-            "bound index profile must match the processor profile"
-        );
-        self.boundidx = Some(index);
     }
 
     /// The attached bound-interval index, if any.

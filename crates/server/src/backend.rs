@@ -2,6 +2,9 @@
 //! *below* the `mmdbms` facade in the dependency graph (so the facade's
 //! `mmdbctl` binary can embed the server); the facade implements
 //! [`QueryBackend`] for `MultimediaDatabase`, and tests plug in mocks.
+//! The trait speaks in requests and replies only: how the database is
+//! partitioned is the backend's business, and a call fans out over its
+//! shards (or not) without the server knowing.
 
 use crate::protocol::{LookupReply, RangeReply, RangeRequest, StatsReply, Status};
 use mmdb_telemetry::QueryTrace;
@@ -63,20 +66,4 @@ pub trait QueryBackend: Send + Sync {
 
     /// Storage statistics.
     fn stats(&self) -> StatsReply;
-
-    /// Number of storage shards behind this backend (1 when unsharded).
-    /// The server sizes its per-shard work queues and per-shard gauges
-    /// from this; the default suits single-shard and mock backends.
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    /// The shard a given image id routes to, in `0..shard_count()`. Used
-    /// by the server to land id-affine requests (lookup, knn) on the owning
-    /// shard's work queue; requests without id affinity are spread
-    /// round-robin.
-    fn shard_of(&self, id: u64) -> usize {
-        let _ = id;
-        0
-    }
 }

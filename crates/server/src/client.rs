@@ -94,13 +94,6 @@ impl Client {
         })
     }
 
-    /// Overrides the 30s default read timeout (e.g. for huge scans).
-    pub fn set_timeout(&mut self, timeout: Duration) -> Result<(), ClientError> {
-        self.stream.set_read_timeout(Some(timeout))?;
-        self.stream.set_write_timeout(Some(timeout))?;
-        Ok(())
-    }
-
     /// The protocol version negotiated at connect time.
     pub fn protocol_version(&self) -> u16 {
         self.version

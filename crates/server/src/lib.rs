@@ -8,12 +8,11 @@
 //! thread multiplexes every connection over nonblocking sockets and
 //! `poll(2)`, so thousands of idle connections cost no threads. Requests
 //! execute either inline on the reactor (`workers == 0`, the default on
-//! small machines) or on a fixed executor pool fed through **bounded
-//! per-shard work queues with admission control** (overload returns a
-//! structured `OVERLOADED` error instead of queueing unboundedly;
-//! id-affine requests land on the owning shard's queue). **Per-request
-//! deadlines** refuse expired work (`DEADLINE_EXCEEDED` without
-//! executing), and **graceful shutdown** stops accepting, drains
+//! small machines) or on a fixed executor pool fed through **one bounded
+//! queue with admission control** ([`BoundedQueue`]: overload returns a
+//! structured `OVERLOADED` error instead of queueing unboundedly).
+//! **Per-request deadlines** refuse expired work (`DEADLINE_EXCEEDED`
+//! without executing), and **graceful shutdown** stops accepting, drains
 //! in-flight work, and closes; a blocking [`Client`] serves tests and the
 //! load generator.
 //!

@@ -1,4 +1,5 @@
-//! A bounded multi-producer/multi-consumer submission queue with
+//! The server's admission queue — the reactor pushes, the executor pool
+//! pops: a bounded multi-producer/multi-consumer submission queue with
 //! non-blocking admission: [`BoundedQueue::try_push`] never waits — when the
 //! queue is at capacity the item is handed straight back so the caller can
 //! answer `OVERLOADED` instead of queueing unboundedly.

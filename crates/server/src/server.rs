@@ -2,8 +2,8 @@
 //! plus `poll(2)`, dependency-free) multiplexing every connection onto one
 //! reactor thread, with request execution either inline on the reactor
 //! (`workers == 0`, optimal at low core counts) or handed to a
-//! core-count-sized executor pool fed through bounded **per-shard work
-//! queues**.
+//! core-count-sized executor pool fed through one bounded **admission
+//! queue** ([`BoundedQueue`]).
 //!
 //! ## Request lifecycle
 //!
@@ -14,13 +14,13 @@
 //!    prefixes — a clean disconnect after the error is flushed).
 //! 2. `Ping` is answered directly by the reactor, so liveness probes
 //!    succeed even when the executor is saturated.
-//! 3. Everything else is routed to a shard work queue: id-affine requests
-//!    (lookup, knn) land on the owning shard's queue
-//!    ([`QueryBackend::shard_of`]); range and stats requests spread
-//!    round-robin. A full shard queue means the request is *refused
-//!    immediately* with `OVERLOADED` — admission control instead of an
-//!    unbounded backlog. With `workers == 0` the queue is skipped and the
-//!    request executes inline on the reactor.
+//! 3. Everything else is pushed onto the admission queue. A full queue
+//!    means the request is *refused immediately* with `OVERLOADED` —
+//!    admission control instead of an unbounded backlog. The server knows
+//!    nothing of the backend's partitioning: a request fans out over the
+//!    shards inside the backend call, wherever it was queued. With
+//!    `workers == 0` the queue is skipped and the request executes inline
+//!    on the reactor.
 //! 4. An executor thread dequeues the job. If its deadline expired while
 //!    queued it is answered `DEADLINE_EXCEEDED` without executing;
 //!    otherwise the backend runs it and the framed reply is returned to
@@ -31,7 +31,7 @@
 //! ## Graceful shutdown
 //!
 //! [`QueryServer::shutdown`] stops the accept path and all frame reading,
-//! closes the shard queues so the executor drains the backlog and exits,
+//! closes the admission queue so the executor drains the backlog and exits,
 //! then lets the reactor deliver and flush every in-flight response before
 //! joining it. No accepted request is dropped.
 
@@ -41,27 +41,27 @@ use crate::protocol::{
     RequestBody, Status, TraceContext, DEFAULT_MAX_FRAME_LEN, MAGIC, MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
 };
-use crate::queue::PushError;
+use crate::queue::{BoundedQueue, PushError};
 use mmdb_telemetry::{counter, gauge, histogram, EventKind, KeepReason, QueryTrace, StoredTrace};
-// Stop-flag atomics and the shard-queue lock go through the mmdb-conc
-// facade so the shutdown handshake and queue drain can be exercised under
-// the model-checking scheduler; `mpsc` and the socket plumbing stay on std
-// (they guard OS-level I/O paths the model never drives).
+// Stop-flag atomics (like the admission queue's lock, in `queue.rs`) go
+// through the mmdb-conc facade so the shutdown handshake and queue drain
+// can be exercised under the model-checking scheduler; `mpsc` and the
+// socket plumbing stay on std (they guard OS-level I/O paths the model
+// never drives).
 use mmdb_conc::sync::atomic::{AtomicBool, Ordering};
-use mmdb_conc::sync::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Handshake window: a connection that has not completed the 6-byte hello
-/// within this long is dropped.
+/// within this long is dropped (swept once per reactor pass, so a peer that
+/// never sends a byte is dropped too).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Reactor park time when nothing is ready (also the per-shard qps gauge
-/// refresh resolution floor). Completions and shutdown wake it early via
-/// the wake socket.
+/// Reactor park time when nothing is ready (also the resolution of the
+/// handshake-window sweep). Completions and shutdown wake it early via the
+/// wake socket.
 const POLL_TIMEOUT_MS: i32 = 250;
 
 /// Soft cap on a connection's pending (unsent) output bytes; reads from
@@ -120,10 +120,11 @@ pub struct ServerConfig {
     /// the reactor's event loop — no queue hand-off, no context switch per
     /// request — which is the fastest configuration on 1–2 core machines
     /// (and the default there). With `workers >= 1` requests flow through
-    /// the bounded per-shard queues to a fixed pool.
+    /// the bounded admission queue to a fixed pool.
     pub workers: usize,
-    /// Bounded work-queue depth **per shard**; requests beyond it are
-    /// refused with `OVERLOADED` (min 1). Ignored when `workers == 0`.
+    /// Admission bound: the total number of requests that may wait for an
+    /// executor thread; requests beyond it are refused with `OVERLOADED`
+    /// (min 1). Ignored when `workers == 0`.
     pub queue_depth: usize,
     /// Maximum accepted frame payload length.
     pub max_frame_len: u32,
@@ -157,8 +158,6 @@ pub struct DrainStats {
     pub queued_at_stop: usize,
 }
 
-// ── Per-shard bounded work queues ──────────────────────────────────────
-
 /// One queued unit of work. `Ping` never becomes a job.
 struct Job {
     request: Request,
@@ -169,157 +168,6 @@ struct Job {
     /// Reactor connection slot + generation the reply routes back to.
     conn: usize,
     generation: u64,
-    /// The shard this request was routed to (queue index + gauges label).
-    shard: usize,
-}
-
-struct ShardState {
-    queues: Vec<VecDeque<Job>>,
-    closed: bool,
-}
-
-/// Bounded multi-queue: one FIFO per shard behind a single lock, executor
-/// threads popping from any non-empty shard (scan order rotated per worker
-/// for fairness). Admission is per shard — a hot shard refuses while cold
-/// shards keep accepting — which is the head-of-line-blocking isolation
-/// the sharded engine needs.
-struct ShardQueues {
-    state: Mutex<ShardState>,
-    not_empty: Condvar,
-    /// Admission limit per shard queue.
-    capacity: usize,
-}
-
-impl ShardQueues {
-    fn new(shards: usize, capacity: usize) -> Self {
-        ShardQueues {
-            state: Mutex::new(ShardState {
-                queues: (0..shards.max(1)).map(|_| VecDeque::new()).collect(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Non-blocking submission to `shard`'s queue. Returns the depths
-    /// `(shard_len, total_len)` after the push, or the job back with the
-    /// refusal reason — admission control, never backpressure-by-blocking.
-    #[allow(clippy::result_large_err)]
-    fn try_push(&self, job: Job) -> Result<(usize, usize), (Job, PushError)> {
-        let mut state = self.state.lock();
-        if state.closed {
-            return Err((job, PushError::Closed));
-        }
-        let shard = job.shard;
-        if state.queues[shard].len() >= self.capacity {
-            return Err((job, PushError::Full));
-        }
-        state.queues[shard].push_back(job);
-        let shard_len = state.queues[shard].len();
-        let total: usize = state.queues.iter().map(VecDeque::len).sum();
-        drop(state);
-        self.not_empty.notify_one();
-        Ok((shard_len, total))
-    }
-
-    /// Blocks until a job is available on any shard and returns it with the
-    /// post-pop depths `(job, shard_len, total_len)`, or `None` once the
-    /// queues are closed **and** fully drained. `hint` rotates the scan
-    /// start so workers don't all gang up on shard 0.
-    fn pop(&self, hint: usize) -> Option<(Job, usize, usize)> {
-        let mut state = self.state.lock();
-        loop {
-            let n = state.queues.len();
-            for i in 0..n {
-                let s = (hint + i) % n;
-                if let Some(job) = state.queues[s].pop_front() {
-                    let shard_len = state.queues[s].len();
-                    let total: usize = state.queues.iter().map(VecDeque::len).sum();
-                    return Some((job, shard_len, total));
-                }
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state);
-        }
-    }
-
-    /// Closes the queues: future pushes fail, consumers drain what is left
-    /// and then observe `None`.
-    fn close(&self) {
-        self.state.lock().closed = true;
-        self.not_empty.notify_all();
-    }
-
-    /// Total requests currently queued across all shards.
-    fn total_len(&self) -> usize {
-        self.state.lock().queues.iter().map(VecDeque::len).sum()
-    }
-}
-
-// ── Per-shard observability ────────────────────────────────────────────
-
-/// Per-shard metric handles, registered at bind so `/metrics` exposes the
-/// full shard schema from the first scrape.
-struct ShardMetrics {
-    /// `mmdb_shard_requests_total{shard="i"}` — replies produced per shard
-    /// (executed, deadline-refused, and panicked alike: routed demand).
-    requests: Vec<Arc<mmdb_telemetry::Counter>>,
-    /// `mmdb_shard_queue_depth{shard="i"}`.
-    depth: Vec<Arc<mmdb_telemetry::Gauge>>,
-    /// `mmdb_shard_qps{shard="i"}` — completions per second over the last
-    /// reactor tick (~1s resolution).
-    qps: Vec<Arc<mmdb_telemetry::Gauge>>,
-    /// `mmdb_shard_imbalance_permille` — max-shard throughput over the
-    /// mean, in permille; 1000 = perfectly balanced, 2000 = the hottest
-    /// shard carries twice its fair share. 1000 when idle.
-    imbalance: Arc<mmdb_telemetry::Gauge>,
-}
-
-impl ShardMetrics {
-    fn new(shards: usize) -> Self {
-        let reg = mmdb_telemetry::global();
-        ShardMetrics {
-            requests: (0..shards)
-                .map(|s| reg.counter(&format!("mmdb_shard_requests_total{{shard=\"{s}\"}}")))
-                .collect(),
-            depth: (0..shards)
-                .map(|s| reg.gauge(&format!("mmdb_shard_queue_depth{{shard=\"{s}\"}}")))
-                .collect(),
-            qps: (0..shards)
-                .map(|s| reg.gauge(&format!("mmdb_shard_qps{{shard=\"{s}\"}}")))
-                .collect(),
-            imbalance: reg.gauge("mmdb_shard_imbalance_permille"),
-        }
-    }
-
-    /// Recomputes the qps and imbalance gauges from the per-shard request
-    /// counters. `prev` carries the counter snapshot of the previous tick.
-    fn tick(&self, prev: &mut [u64], elapsed: Duration) {
-        let secs = elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return;
-        }
-        let mut deltas = Vec::with_capacity(self.requests.len());
-        for (i, c) in self.requests.iter().enumerate() {
-            let now = c.get();
-            let delta = now.saturating_sub(prev[i]);
-            prev[i] = now;
-            deltas.push(delta);
-            self.qps[i].set((delta as f64 / secs) as u64);
-        }
-        let total: u64 = deltas.iter().sum();
-        let max = deltas.iter().copied().max().unwrap_or(0);
-        let imbalance = if total == 0 {
-            1000
-        } else {
-            let mean = total as f64 / deltas.len() as f64;
-            ((max as f64 / mean) * 1000.0) as u64
-        };
-        self.imbalance.set(imbalance);
-    }
 }
 
 // ── poll(2) readiness ──────────────────────────────────────────────────
@@ -545,7 +393,6 @@ struct Completion {
     generation: u64,
     /// Reply payload (unframed; the reactor adds the length prefix).
     payload: Vec<u8>,
-    shard: usize,
 }
 
 /// One-shot gate the reactor raises when it has quiesced reads during
@@ -601,9 +448,10 @@ pub struct QueryServer {
     /// mode); tells the reactor it may exit after flushing.
     drained: Arc<AtomicBool>,
     /// Raised by the reactor once shutdown reads have quiesced — the
-    /// signal that it is safe to close the work queues.
+    /// signal that it is safe to close the admission queue.
     quiesced: Arc<QuiesceGate>,
-    queues: Option<Arc<ShardQueues>>,
+    /// `None` in inline mode (`workers == 0`).
+    queue: Option<Arc<BoundedQueue<Job>>>,
     /// Write end of the reactor wake socket.
     wake_tx: TcpStream,
     reactor: Option<std::thread::JoinHandle<()>>,
@@ -627,37 +475,31 @@ impl QueryServer {
         // reactor out of `poll` by writing a byte.
         let (wake_tx, wake_rx) = wake_pair()?;
 
-        let shards = backend.shard_count().max(1);
-        let metrics = Arc::new(ShardMetrics::new(shards));
         let stop = Arc::new(AtomicBool::new(false));
         let drained = Arc::new(AtomicBool::new(false));
         let quiesced = Arc::new(QuiesceGate::new());
         let (completion_tx, completion_rx) = mpsc::channel::<Completion>();
 
-        let queues =
-            (config.workers > 0).then(|| Arc::new(ShardQueues::new(shards, config.queue_depth)));
-        let workers = queues
+        let queue = (config.workers > 0).then(|| Arc::new(BoundedQueue::new(config.queue_depth)));
+        let workers = queue
             .as_ref()
-            .map(|queues| {
+            .map(|queue| {
                 (0..config.workers)
                     .map(|i| {
-                        let queues = Arc::clone(queues);
+                        let queue = Arc::clone(queue);
                         let backend = Arc::clone(&backend);
                         let completions = completion_tx.clone();
                         let wake = wake_tx.try_clone()?;
-                        let metrics = Arc::clone(&metrics);
                         let trace_mode = config.trace_mode;
                         std::thread::Builder::new()
                             .name(format!("mmdb-server-worker-{i}"))
                             .spawn(move || {
                                 worker_loop(
-                                    &queues,
+                                    &queue,
                                     backend.as_ref(),
                                     trace_mode,
-                                    i,
                                     &completions,
                                     &wake,
-                                    &metrics,
                                 );
                             })
                     })
@@ -670,8 +512,7 @@ impl QueryServer {
             let stop = Arc::clone(&stop);
             let drained = Arc::clone(&drained);
             let quiesced = Arc::clone(&quiesced);
-            let queues = queues.clone();
-            let metrics = Arc::clone(&metrics);
+            let queue = queue.clone();
             std::thread::Builder::new()
                 .name("mmdb-server-reactor".into())
                 .spawn(move || {
@@ -679,17 +520,15 @@ impl QueryServer {
                         listener,
                         backend,
                         config,
-                        queues,
+                        queue,
                         stop,
                         drained,
                         quiesced,
                         completion_rx,
                         wake_rx,
-                        metrics,
                         conns: Vec::new(),
                         free: Vec::new(),
                         next_generation: 0,
-                        round_robin: 0,
                     };
                     reactor.run();
                     // Raised unconditionally so shutdown never waits out the
@@ -703,7 +542,7 @@ impl QueryServer {
             stop,
             drained,
             quiesced,
-            queues,
+            queue,
             wake_tx,
             reactor: Some(reactor),
             workers,
@@ -715,10 +554,10 @@ impl QueryServer {
         self.addr
     }
 
-    /// Requests currently waiting in the shard work queues (always 0 in
+    /// Requests currently waiting in the admission queue (always 0 in
     /// inline mode).
     pub fn queue_len(&self) -> usize {
-        self.queues.as_ref().map_or(0, |q| q.total_len())
+        self.queue.as_ref().map_or(0, |q| q.len())
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight requests, close.
@@ -748,17 +587,20 @@ impl QueryServer {
         // quiet (requests in flight at stop — e.g. Nagle-delayed payloads —
         // are still admitted, matching the blocking server's semantics of
         // readers noticing `stop` only at a quiet read timeout). Only after
-        // that is it safe to close the queues: the executor then drains the
+        // that is it safe to close the queue: the executor then drains the
         // backlog and exits, and every drained completion is delivered
         // before the reactor is released below — no accepted request is
         // dropped.
         self.quiesced.wait(Duration::from_secs(10));
-        if let Some(queues) = &self.queues {
-            queues.close();
+        if let Some(queue) = &self.queue {
+            queue.close();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+        // The executor has drained; a reactor-side reading taken before the
+        // last pop must not outlive the queue it described.
+        gauge!("mmdb_server_queue_depth").set(0);
         self.drained.store(true, Ordering::SeqCst);
         self.wake();
         let _ = reactor.join();
@@ -792,8 +634,7 @@ fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
 // ── Metrics ────────────────────────────────────────────────────────────
 
 /// Eagerly registers every `mmdb_server_*` series so exposition shows the
-/// full schema from process start. Per-shard series (`mmdb_shard_*`) are
-/// registered at [`QueryServer::bind`], when the shard count is known.
+/// full schema from process start.
 pub fn register_metrics() {
     for opcode in [
         Opcode::Ping,
@@ -902,25 +743,21 @@ struct Reactor {
     backend: Arc<dyn QueryBackend>,
     config: ServerConfig,
     /// `None` in inline mode (`workers == 0`).
-    queues: Option<Arc<ShardQueues>>,
+    queue: Option<Arc<BoundedQueue<Job>>>,
     stop: Arc<AtomicBool>,
     drained: Arc<AtomicBool>,
     quiesced: Arc<QuiesceGate>,
     completion_rx: mpsc::Receiver<Completion>,
     wake_rx: TcpStream,
-    metrics: Arc<ShardMetrics>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_generation: u64,
-    round_robin: usize,
 }
 
 impl Reactor {
     fn run(&mut self) {
         let _prof = mmdb_telemetry::register_profiler_thread("reactor");
         let mut scratch = vec![0u8; 64 << 10];
-        let mut qps_prev = vec![0u64; self.metrics.requests.len()];
-        let mut last_tick = Instant::now();
         let mut drain_deadline: Option<Instant> = None;
         // Shutdown read quiescing: after `stop`, reads continue until the
         // connections have been quiet this long (bytes already in flight at
@@ -994,12 +831,6 @@ impl Reactor {
             }
 
             self.reap();
-
-            // ~1s cadence: refresh the per-shard qps + imbalance gauges.
-            if last_tick.elapsed() >= Duration::from_secs(1) {
-                self.metrics.tick(&mut qps_prev, last_tick.elapsed());
-                last_tick = Instant::now();
-            }
 
             if stopping && self.drained.load(Ordering::SeqCst) {
                 let deadline =
@@ -1119,9 +950,9 @@ impl Reactor {
     /// past it (i.e. frame parsing may proceed).
     fn handshake(&mut self, conn: &mut Conn) -> bool {
         if conn.inbuf.len() < 6 {
-            if conn.opened.elapsed() >= HANDSHAKE_TIMEOUT || conn.read_closed {
-                conn.dead = true;
-            }
+            // A peer that hung up mid-hello; one that merely stalls is
+            // dropped by `reap` when the handshake window closes.
+            conn.dead |= conn.read_closed;
             return false;
         }
         if conn.inbuf[..4] != MAGIC {
@@ -1169,32 +1000,27 @@ impl Reactor {
             conn.push_reply(&encode_ok(request.id, trace_id, &ReplyBody::Pong, version));
             return;
         }
-        let shard = self.route(&request.body);
         let job = Job {
             request,
             version,
             accepted_at: Instant::now(),
             conn: slot,
             generation: conn.generation,
-            shard,
         };
-        match &self.queues {
+        match &self.queue {
             None => {
                 // Inline mode: execute on the reactor, no hand-off.
                 let waited = job.accepted_at.elapsed();
-                let shard = job.shard;
                 let payload = run_job(self.backend.as_ref(), job, waited, self.config.trace_mode);
-                self.metrics.requests[shard].inc();
                 conn.push_reply(&payload);
             }
-            Some(queues) => match queues.try_push(job) {
-                Ok((shard_len, total)) => {
+            Some(queue) => match queue.try_push(job) {
+                Ok(()) => {
                     conn.inflight += 1;
-                    self.metrics.depth[shard].set(shard_len as u64);
-                    gauge!("mmdb_server_queue_depth").set(total as u64);
+                    gauge!("mmdb_server_queue_depth").set(queue.len() as u64);
                 }
                 Err((job, push_err)) => {
-                    self.refuse(conn, job, push_err, queues.capacity);
+                    self.refuse(conn, job, push_err, queue.capacity());
                 }
             },
         }
@@ -1249,25 +1075,10 @@ impl Reactor {
         ));
     }
 
-    /// Which shard queue a request lands on: id-affine opcodes go to the
-    /// owning shard, the rest round-robin.
-    fn route(&mut self, body: &RequestBody) -> usize {
-        let shards = self.metrics.requests.len();
-        match body {
-            RequestBody::Lookup { id } => self.backend.shard_of(*id) % shards,
-            RequestBody::Knn { probe_id, .. } => self.backend.shard_of(*probe_id) % shards,
-            _ => {
-                self.round_robin = (self.round_robin + 1) % shards;
-                self.round_robin
-            }
-        }
-    }
-
     /// Routes one executor completion into its connection's outbox (the
     /// generation check discards replies for connections that died while
     /// the job was in flight).
     fn deliver(&mut self, c: Completion) {
-        self.metrics.requests[c.shard].inc();
         if let Some(conn) = self.conns.get_mut(c.conn).and_then(Option::as_mut) {
             if conn.generation == c.generation {
                 conn.inflight = conn.inflight.saturating_sub(1);
@@ -1280,14 +1091,18 @@ impl Reactor {
     }
 
     /// Closes finished connections: dead ones immediately, read-closed
-    /// ones once every reply has been delivered and flushed.
+    /// ones once every reply has been delivered and flushed, and ones that
+    /// have sat past the handshake window without completing the hello.
     fn reap(&mut self) {
         for slot in 0..self.conns.len() {
             let Some(conn) = self.conns[slot].as_ref() else {
                 continue;
             };
             let flushed = conn.pending_out() == 0 && conn.inflight == 0;
-            let done = conn.dead || (conn.read_closed && flushed);
+            let silent = conn.version.is_none()
+                && !conn.read_closed
+                && conn.opened.elapsed() >= HANDSHAKE_TIMEOUT;
+            let done = conn.dead || silent || (conn.read_closed && flushed);
             if done {
                 if let Some(conn) = self.conns[slot].take() {
                     let _ = conn.stream.shutdown(std::net::Shutdown::Both);
@@ -1301,37 +1116,32 @@ impl Reactor {
 // ── Request execution (shared by executor threads and inline mode) ─────
 
 fn worker_loop(
-    queues: &ShardQueues,
+    queue: &BoundedQueue<Job>,
     backend: &dyn QueryBackend,
     trace_mode: TraceMode,
-    hint: usize,
     completions: &mpsc::Sender<Completion>,
     wake: &TcpStream,
-    metrics: &ShardMetrics,
 ) {
     let _prof = mmdb_telemetry::register_profiler_thread("worker");
     loop {
-        let (job, shard_len, total) = {
+        let job = {
             // Published while blocked on the queue so idle workers show up
             // as `worker;idle` in profiles rather than vanishing.
             let _idle = mmdb_telemetry::profile_frame("idle");
-            match queues.pop(hint) {
-                Some(popped) => popped,
+            match queue.pop() {
+                Some(job) => job,
                 None => break,
             }
         };
-        metrics.depth[job.shard].set(shard_len as u64);
-        gauge!("mmdb_server_queue_depth").set(total as u64);
+        gauge!("mmdb_server_queue_depth").set(queue.len() as u64);
         let waited = job.accepted_at.elapsed();
         let conn = job.conn;
         let generation = job.generation;
-        let shard = job.shard;
         let payload = run_job(backend, job, waited, trace_mode);
         let _ = completions.send(Completion {
             conn,
             generation,
             payload,
-            shard,
         });
         let _ = (&*wake).write(&[1]);
     }

@@ -494,3 +494,42 @@ fn invalid_percentage_range_is_rejected_before_execution() {
     assert_eq!(backend.range_calls.load(Ordering::SeqCst), 0);
     server.shutdown();
 }
+
+#[test]
+fn silent_connection_is_dropped_after_the_handshake_window() {
+    // The server's handshake window (5 s) plus one reactor park (250 ms),
+    // with slack for a loaded machine.
+    const WINDOW: Duration = Duration::from_secs(5);
+    const SLACK: Duration = Duration::from_millis(250 + 1000);
+
+    let server = QueryServer::bind(
+        "127.0.0.1:0",
+        MockBackend::instant(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let opened = std::time::Instant::now();
+    // Nothing at all, and half a hello: neither ever produces a readable
+    // event past its last byte, so only a sweep can close them.
+    let silent = TcpStream::connect(server.local_addr()).unwrap();
+    let mut partial = TcpStream::connect(server.local_addr()).unwrap();
+    partial.write_all(&MAGIC[..3]).unwrap();
+    // A connection that did complete the hello and then idles is not swept.
+    let mut idle = Client::connect(server.local_addr()).unwrap();
+
+    for (what, mut stream) in [("silent", silent), ("3-byte", partial)] {
+        stream.set_read_timeout(Some(WINDOW + SLACK)).unwrap();
+        let mut reply = Vec::new();
+        match stream.read_to_end(&mut reply) {
+            Ok(_) => assert!(reply.is_empty(), "{what}: no hello, no reply"),
+            Err(e) => panic!("{what} connection still open after the window: {e}"),
+        }
+        assert!(
+            opened.elapsed() >= WINDOW,
+            "{what} connection dropped early, after {:?}",
+            opened.elapsed()
+        );
+    }
+    idle.ping().unwrap();
+    server.shutdown();
+}

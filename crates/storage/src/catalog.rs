@@ -67,6 +67,15 @@ impl CatalogEntry {
     }
 }
 
+/// The congruence class of `id` among `classes` strided allocators:
+/// `(id - 1) % classes`. A catalog configured with
+/// [`Catalog::set_stride`]`(phase, classes)` only allocates ids of class
+/// `phase`, so this is the one routing rule of a sharded deployment — the
+/// facade's shard lookup and the engine's peer fallback both call it.
+pub fn id_class(id: ImageId, classes: usize) -> usize {
+    (id.raw().wrapping_sub(1) % classes as u64) as usize
+}
+
 /// The in-memory catalog. Thread safety is provided by the engine's lock.
 #[derive(Debug)]
 pub struct Catalog {

@@ -1,7 +1,7 @@
 //! The storage engine facade.
 
 use crate::blobstore::BlobStore;
-use crate::catalog::{Catalog, CatalogEntry, StoredKind};
+use crate::catalog::{id_class, Catalog, CatalogEntry, StoredKind};
 use crate::durability::{
     apply_record, blob_file_name, gc_blob_generations, map_durable, DurabilityOptions,
     RecoveryInfo, WalRecord,
@@ -328,11 +328,6 @@ impl StorageEngine {
         self.durable.as_ref().map(|d| d.dir.as_path())
     }
 
-    /// The durability options this engine runs with.
-    pub fn durability_options(&self) -> Option<DurabilityOptions> {
-        self.durable.as_ref().map(|d| d.opts)
-    }
-
     /// Appends one mutation record to the WAL. Called under the exclusive
     /// catalog lock *before* the in-memory apply: the record is durable
     /// (per the fsync policy) by the time the mutation is acknowledged, and
@@ -385,11 +380,6 @@ impl StorageEngine {
         self.inner.write().catalog.set_stride(phase, stride);
     }
 
-    /// The id allocator's `(phase, stride)`.
-    pub fn id_stride(&self) -> (u64, u64) {
-        self.inner.read().catalog.id_stride()
-    }
-
     /// Installs the shard routing table: this engine's phase and one weak
     /// handle per shard, indexed by phase (the entry at `phase` — this
     /// engine itself — is never consulted). One-shot; a second call is
@@ -403,7 +393,7 @@ impl StorageEngine {
     /// of this engine's locks while touching the returned peer.
     fn peer_for(&self, id: ImageId) -> Option<Arc<StorageEngine>> {
         let (phase, peers) = self.peers.get()?;
-        let slot = (id.raw().wrapping_sub(1) % peers.len() as u64) as usize;
+        let slot = id_class(id, peers.len());
         if slot == *phase {
             return None;
         }

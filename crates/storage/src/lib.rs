@@ -33,7 +33,7 @@ pub mod error;
 pub mod lru;
 
 pub use blobstore::{BlobRef, BlobStore};
-pub use catalog::{Catalog, CatalogEntry, StoredKind};
+pub use catalog::{id_class, Catalog, CatalogEntry, StoredKind};
 pub use durability::{blob_file_name, DurabilityOptions, RecoveryInfo, WalRecord};
 pub use engine::{StorageEngine, StorageStats};
 pub use epoch::MutationEpoch;
