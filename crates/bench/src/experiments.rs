@@ -328,7 +328,6 @@ fn measure_point(
         std::hint::black_box(qp.range_bwm(q).unwrap());
         std::hint::black_box(qp.range_indexed(q).unwrap());
     }
-    mmdb_rules::flush_metrics(); // drain warm-up remnants out of the window
     let g = mmdb_telemetry::global();
     let rbm_hist = g.histogram(r#"mmdb_query_range_latency_seconds{plan="rbm"}"#);
     let bwm_hist = g.histogram(r#"mmdb_query_range_latency_seconds{plan="bwm"}"#);
@@ -349,7 +348,6 @@ fn measure_point(
                 &mut |q| qp.range_indexed(q).unwrap(),
             ],
         );
-    mmdb_rules::flush_metrics();
     let metrics = g.snapshot().delta(&telemetry_before);
     let rbm_latency = LatencyPercentiles::from_window(&rbm_hist.snapshot().diff(&rbm_before));
     let bwm_latency = LatencyPercentiles::from_window(&bwm_hist.snapshot().diff(&bwm_before));

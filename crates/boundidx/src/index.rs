@@ -328,13 +328,14 @@ impl BoundIndex {
     pub fn lookup(&self, query: &ColorRangeQuery) -> IndexedLookup {
         let mut ids = Vec::new();
         let scanned = self.lookup_into(query, &mut ids);
-        record_lookup(scanned);
+        counter!("mmdb_boundidx_lookups_total").inc();
+        counter!("mmdb_boundidx_hits_total").add(scanned as u64);
         IndexedLookup { ids, scanned }
     }
 
     /// [`BoundIndex::lookup`] appending to a caller-owned vector and leaving
-    /// the counters to the caller ([`record_lookup`]): the shards of a
-    /// scattered query share one result vector and count as one lookup.
+    /// the counters to the caller: the shards of a scattered query share
+    /// one result vector and count as one lookup.
     /// Returns the number of intervals scanned.
     ///
     /// # Panics
@@ -438,13 +439,6 @@ impl BoundIndex {
     }
 }
 
-/// Counts one indexed range query that scanned `scanned` resident intervals
-/// (`mmdb_boundidx_lookups_total`, `mmdb_boundidx_hits_total`).
-pub fn record_lookup(scanned: usize) {
-    counter!("mmdb_boundidx_lookups_total").inc();
-    counter!("mmdb_boundidx_hits_total").add(scanned as u64);
-}
-
 impl crate::EpochStamped for BoundIndex {
     /// The freshness stamp an [`crate::EpochSlot`] compares against the
     /// engine's current mutation epoch.
@@ -455,13 +449,7 @@ impl crate::EpochStamped for BoundIndex {
 
 impl mmdb_bwm::BoundsCache for BoundIndex {
     fn cached_bounds(&self, id: ImageId, bin: usize) -> Option<BoundRange> {
-        let cached = BoundIndex::cached_bounds(self, id, bin);
-        if cached.is_some() {
-            counter!("mmdb_boundidx_hits_total").inc();
-        } else {
-            counter!("mmdb_boundidx_misses_total").inc();
-        }
-        cached
+        BoundIndex::cached_bounds(self, id, bin)
     }
 }
 

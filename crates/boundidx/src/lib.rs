@@ -27,7 +27,7 @@ mod interval;
 pub mod persist;
 
 pub use guard::{EpochSlot, EpochStamped};
-pub use index::{profile_slot, record_lookup, BoundIndex, IndexedLookup, SyncStats, PROFILE_SLOTS};
+pub use index::{profile_slot, BoundIndex, IndexedLookup, SyncStats, PROFILE_SLOTS};
 pub use interval::{BinIntervals, IntervalEntry};
 
 use mmdb_editops::ImageId;

@@ -22,6 +22,7 @@
 
 use crate::BoundIndex;
 use mmdb_durable::crc32;
+use mmdb_editops::codec::Reader;
 use mmdb_editops::ImageId;
 use mmdb_rules::{BoundRange, RuleProfile};
 use mmdb_telemetry::{counter, histogram};
@@ -130,48 +131,52 @@ fn encode(idx: &BoundIndex) -> Vec<u8> {
 }
 
 fn decode(bytes: &[u8], profile: RuleProfile, bin_count: usize) -> io::Result<BoundIndex> {
-    let mut c = Cursor::new(bytes);
-    if c.take(INDEX_MAGIC.len())? != INDEX_MAGIC {
+    let Some(body_len) = bytes.len().checked_sub(INDEX_MAGIC.len() + 4) else {
+        return Err(corrupt("index file truncated"));
+    };
+    let (magic, rest) = bytes.split_at(INDEX_MAGIC.len());
+    if magic != INDEX_MAGIC {
         return Err(corrupt("bad index file magic"));
     }
-    if bytes.len() < INDEX_MAGIC.len() + 4 {
-        return Err(corrupt("index file truncated"));
-    }
-    let body = &bytes[INDEX_MAGIC.len()..bytes.len() - 4];
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(body) != stored {
+    let (body, stored) = rest.split_at(body_len);
+    if crc32(body).to_le_bytes() != stored {
         return Err(corrupt("index file checksum mismatch"));
     }
-    let version = c.u32()?;
+    let mut r = Reader::new(body, "index file");
+    let version = r.u32("format version")?;
     if version != INDEX_FORMAT_VERSION {
         return Err(corrupt(format!(
             "index format version {version} (this build reads {INDEX_FORMAT_VERSION})"
         )));
     }
-    let label_len = c.u16()? as usize;
-    let label = c.take(label_len)?;
+    let label_len = r.u16("profile label length")? as usize;
+    let label = r.take(label_len, "profile label")?;
     if label != profile.label().as_bytes() {
         return Err(corrupt("index file is for a different rule profile"));
     }
-    let epoch = c.u64()?;
-    let width = c.u32()? as usize;
+    let epoch = r.u64("synced epoch")?;
+    let width = r.u32("bin count")? as usize;
     if width != bin_count {
         return Err(corrupt(format!(
             "index has {width} bins, quantizer has {bin_count}"
         )));
     }
-    let count = c.u64()? as usize;
+    let count = r.u64("entry count")? as usize;
     let mut entries = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
-        let id = ImageId::new(c.u64()?);
-        let ref_count = c.u32()? as usize;
+        let id = ImageId::new(r.u64("entry id")?);
+        let ref_count = r.u32("reference count")? as usize;
         let mut refs = Vec::with_capacity(ref_count.min(1 << 16));
         for _ in 0..ref_count {
-            refs.push(ImageId::new(c.u64()?));
+            refs.push(ImageId::new(r.u64("reference")?));
         }
         let mut bounds = Vec::with_capacity(width);
         for _ in 0..width {
-            let (min, max, total) = (c.u64()?, c.u64()?, c.u64()?);
+            let (min, max, total) = (
+                r.u64("bound min")?,
+                r.u64("bound max")?,
+                r.u64("bound total")?,
+            );
             if min > max || max > total {
                 return Err(corrupt("bound triple violates min <= max <= total"));
             }
@@ -179,45 +184,10 @@ fn decode(bytes: &[u8], profile: RuleProfile, bin_count: usize) -> io::Result<Bo
         }
         entries.push((id, bounds, refs));
     }
-    if c.pos != bytes.len() - 4 {
+    if r.remaining() != 0 {
         return Err(corrupt("trailing bytes after last index entry"));
     }
     Ok(BoundIndex::assemble(profile, bin_count, epoch, entries))
-}
-
-/// Minimal bounds-checked little-endian reader over the file bytes.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| corrupt("index file truncated"))?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u16(&mut self) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
 }
 
 #[cfg(test)]
@@ -321,6 +291,14 @@ mod tests {
         };
         std::fs::write(&path, &good[..good.len() - 5]).unwrap();
         assert!(load(&dir, RuleProfile::Conservative, 2).is_err());
+        // At every byte: an error, never a panic.
+        assert!(decode(&good, RuleProfile::Conservative, 2).is_ok());
+        for cut in 0..good.len() {
+            assert!(
+                decode(&good[..cut], RuleProfile::Conservative, 2).is_err(),
+                "cut {cut}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

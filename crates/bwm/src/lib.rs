@@ -29,8 +29,7 @@ pub mod query;
 pub mod structure;
 
 pub use query::{
-    bounds_scan, execute, flush_query_metrics, BoundsCache, BwmQueryStats, QueryCtx, QueryOutcome,
-    ShardRecord,
+    bounds_scan, execute, BoundsCache, BwmQueryStats, QueryCtx, QueryOutcome, ShardRecord,
 };
 pub use structure::{BwmStructure, Classification, SequenceStore};
 

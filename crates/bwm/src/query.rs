@@ -5,7 +5,7 @@ use mmdb_editops::ImageId;
 use mmdb_rules::{
     BoundRange, ColorRangeQuery, ImageInfo, InfoResolver, Result, RuleEngine, RuleError,
 };
-use mmdb_telemetry::{counter, QueryTrace};
+use mmdb_telemetry::QueryTrace;
 use std::time::{Duration, Instant};
 
 /// A read-only source of memoized BOUNDS results. When a bounds cache is
@@ -40,11 +40,18 @@ pub struct BwmQueryStats {
     pub bounds_widened: usize,
     /// Individual editing operations whose rules were applied.
     pub ops_processed: usize,
+    /// `ops_processed` by operation kind, in
+    /// [`BoundProgram::kind_counts`](mmdb_rules::BoundProgram::kind_counts)
+    /// order: define, combine, modify, mutate, merge_null, merge_target.
+    pub rule_applications: [usize; 6],
     /// Unclassified-Component entries scanned.
     pub unclassified_scanned: usize,
     /// Bounds served from a [`BoundsCache`] (or intervals scanned by an
     /// indexed lookup) instead of a rule walk.
     pub bound_cache_hits: usize,
+    /// [`BoundsCache`] probes that found nothing and fell back to a rule
+    /// walk.
+    pub bound_cache_misses: usize,
 }
 
 impl std::ops::AddAssign for BwmQueryStats {
@@ -55,8 +62,16 @@ impl std::ops::AddAssign for BwmQueryStats {
         self.bounds_computed += other.bounds_computed;
         self.bounds_widened += other.bounds_widened;
         self.ops_processed += other.ops_processed;
+        for (kind, n) in self
+            .rule_applications
+            .iter_mut()
+            .zip(other.rule_applications)
+        {
+            *kind += n;
+        }
         self.unclassified_scanned += other.unclassified_scanned;
         self.bound_cache_hits += other.bound_cache_hits;
+        self.bound_cache_misses += other.bound_cache_misses;
     }
 }
 
@@ -195,7 +210,7 @@ struct Scan<'a, S> {
 /// BOUNDS. With a `cache`, both fallbacks probe it for a memoized range
 /// before walking rules; result sets are identical with or without one.
 /// A traced context gets one timed stage per component. Process-wide
-/// counters are the caller's business: see [`flush_query_metrics`].
+/// counters are the business of whoever owns the whole query.
 pub fn execute<S: SequenceStore>(
     structure: &BwmStructure,
     query: &ColorRangeQuery,
@@ -340,12 +355,14 @@ impl<S: SequenceStore> Scan<'_, S> {
         stats: &mut BwmQueryStats,
     ) -> Result<()> {
         let query = self.query;
-        let bounds = match self.cache.and_then(|c| c.cached_bounds(edited, query.bin)) {
+        let cached = self.cache.map(|c| c.cached_bounds(edited, query.bin));
+        let bounds = match cached.flatten() {
             Some(bounds) => {
                 stats.bound_cache_hits += 1;
                 bounds
             }
             None => {
+                stats.bound_cache_misses += usize::from(cached.is_some());
                 let program = match self.store.program(edited, self.engine, self.resolver) {
                     Err(RuleError::UnknownImage(id)) if self.listed && id == edited => {
                         return Ok(());
@@ -354,6 +371,13 @@ impl<S: SequenceStore> Scan<'_, S> {
                 };
                 stats.bounds_computed += 1;
                 stats.ops_processed += program.op_count();
+                for (kind, &n) in stats
+                    .rule_applications
+                    .iter_mut()
+                    .zip(program.kind_counts())
+                {
+                    *kind += n as usize;
+                }
                 let base = match base {
                     Some((resolved, info)) if *resolved == program.base() => &*info,
                     _ => {
@@ -379,26 +403,6 @@ impl<S: SequenceStore> Scan<'_, S> {
         }
         Ok(())
     }
-}
-
-/// Adds one executed BWM query's work counters to the global registry in
-/// one batch — the Figure 2 loops above touch only a `BwmQueryStats`. Called
-/// once per *query* by whoever observes it, with the counters summed over
-/// every shard slice.
-pub fn flush_query_metrics(stats: &BwmQueryStats) {
-    counter!("mmdb_bwm_queries_total").inc();
-    counter!("mmdb_bwm_clusters_visited_total").add(stats.clusters_visited as u64);
-    counter!("mmdb_bwm_base_hits_total").add(stats.base_hits as u64);
-    counter!("mmdb_bwm_shortcut_emissions_total").add(stats.shortcut_emissions as u64);
-    counter!("mmdb_bwm_ops_processed_total").add(stats.ops_processed as u64);
-    counter!("mmdb_bwm_bounds_widened_total").add(stats.bounds_widened as u64);
-    counter!("mmdb_bwm_bound_cache_hits_total").add(stats.bound_cache_hits as u64);
-    let classified = stats
-        .bounds_computed
-        .saturating_sub(stats.unclassified_scanned);
-    counter!(r#"mmdb_bwm_scans_total{component="classified"}"#).add(classified as u64);
-    counter!(r#"mmdb_bwm_scans_total{component="unclassified"}"#)
-        .add(stats.unclassified_scanned as u64);
 }
 
 #[cfg(test)]
@@ -633,28 +637,42 @@ mod tests {
         }
     }
 
-    /// Execution leaves the process-wide registry alone; `flush_query_metrics`
-    /// is what exports a query's counters, `bounds_widened` included. Exact,
-    /// because nothing else in this test binary flushes.
+    /// Execution leaves the process-wide registry alone: the work of a walk
+    /// is in the returned stats, and whoever owns the whole query exports
+    /// them (`mmdb_query::executor::observed`; the exact deltas are checked
+    /// in `crates/mmdbms/tests/observe_once.rs`).
     #[test]
     fn counters_reach_the_registry_only_when_flushed() {
         let f = fixture();
         let engine = RuleEngine::new(&f.quant, RuleProfile::Conservative);
         let q = ColorRangeQuery::new(f.quant.bin_of(Rgb::RED), 0.9, 1.0);
-        let widened = || {
-            mmdb_telemetry::global()
-                .snapshot()
-                .get("mmdb_bwm_bounds_widened_total")
+        let work_series = || {
+            let snapshot = mmdb_telemetry::global().snapshot();
+            [
+                "mmdb_bwm_queries_total",
+                "mmdb_bwm_bounds_widened_total",
+                "mmdb_bwm_ops_processed_total",
+                "mmdb_rules_bounds_computed_total",
+                r#"mmdb_rules_applications_total{op="define"}"#,
+                r#"mmdb_rules_widening_ops_total{profile="conservative"}"#,
+            ]
+            .map(|name| snapshot.get(name))
         };
-        let before = widened();
+        let before = work_series();
         let out = run(&f, &engine, &q, None).unwrap();
         assert!(
             out.stats.bounds_widened > 0,
             "fixture must widen some bound"
         );
-        assert_eq!(widened(), before, "execute must not observe the query");
-        flush_query_metrics(&out.stats);
-        assert_eq!(widened() - before, out.stats.bounds_widened as u64);
+        assert_eq!(
+            out.stats.rule_applications.iter().sum::<usize>(),
+            out.stats.ops_processed
+        );
+        assert!(
+            out.stats.rule_applications[0] > 0,
+            "fixture defines regions"
+        );
+        assert_eq!(work_series(), before, "execute must not observe the query");
     }
 
     #[test]

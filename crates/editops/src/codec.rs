@@ -8,13 +8,16 @@
 //!   edited images as operations in the first place (§2);
 //! * a **line-oriented text format** (`to_text`/`from_text`) — a
 //!   human-readable script form for examples, debugging and golden tests.
+//!
+//! [`Reader`] is the bounds-checked little-endian reader the binary decoder
+//! is written with; the catalog, WAL-record and index-file decoders above
+//! this crate read through it too.
 
 use crate::ids::ImageId;
 use crate::matrix::Matrix3;
 use crate::ops::EditOp;
 use crate::sequence::EditSequence;
 use crate::{EditError, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mmdb_imaging::{Rect, Rgb};
 
 const MAGIC: &[u8; 4] = b"EDSQ";
@@ -27,37 +30,147 @@ const TAG_MUTATE: u8 = 3;
 const TAG_MERGE_NULL: u8 = 4;
 const TAG_MERGE_TARGET: u8 = 5;
 
+/// A read past the end of encoded input: what was being decoded, and the
+/// field that was cut short.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Truncated {
+    /// What the [`Reader`] was decoding ("catalog", "WAL record", …).
+    pub context: &'static str,
+    /// The field that did not fit in the remaining bytes.
+    pub field: &'static str,
+}
+
+impl std::fmt::Display for Truncated {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "truncated {}: {}", self.context, self.field)
+    }
+}
+
+impl std::error::Error for Truncated {}
+
+impl From<Truncated> for std::io::Error {
+    fn from(t: Truncated) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, t)
+    }
+}
+
+impl From<Truncated> for EditError {
+    fn from(t: Truncated) -> Self {
+        EditError::Codec(t.to_string())
+    }
+}
+
+type Read<T> = std::result::Result<T, Truncated>;
+
+/// A little-endian reader over encoded bytes, consuming from the front.
+/// Every read is bounds-checked and names the field it reads, so input cut
+/// at any byte decodes to a [`Truncated`] error, never a panic.
+#[derive(Clone, Copy, Debug)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    context: &'static str,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader over `bytes`; `context` says what they encode, for errors.
+    pub fn new(bytes: &'a [u8], context: &'static str) -> Self {
+        Reader { bytes, context }
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize, field: &'static str) -> Read<&'a [u8]> {
+        if n > self.bytes.len() {
+            return Err(Truncated {
+                context: self.context,
+                field,
+            });
+        }
+        let (head, rest) = self.bytes.split_at(n);
+        self.bytes = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, field: &'static str) -> Read<[u8; N]> {
+        Ok(self
+            .take(N, field)?
+            .try_into()
+            .expect("take returned N bytes"))
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, field: &'static str) -> Read<u8> {
+        Ok(self.array::<1>(field)?[0])
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self, field: &'static str) -> Read<u16> {
+        self.array(field).map(u16::from_le_bytes)
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, field: &'static str) -> Read<u32> {
+        self.array(field).map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, field: &'static str) -> Read<u64> {
+        self.array(field).map(u64::from_le_bytes)
+    }
+
+    /// A little-endian `i64`.
+    pub fn i64(&mut self, field: &'static str) -> Read<i64> {
+        self.array(field).map(i64::from_le_bytes)
+    }
+
+    /// A little-endian `f32`.
+    pub fn f32(&mut self, field: &'static str) -> Read<f32> {
+        self.array(field).map(f32::from_le_bytes)
+    }
+
+    /// A little-endian `f64`.
+    pub fn f64(&mut self, field: &'static str) -> Read<f64> {
+        self.array(field).map(f64::from_le_bytes)
+    }
+}
+
 /// Encodes a sequence into the compact binary format.
-pub fn encode(seq: &EditSequence) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + seq.ops.len() * 40);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u64_le(seq.base.raw());
-    buf.put_u32_le(seq.ops.len() as u32);
+pub fn encode(seq: &EditSequence) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(16 + seq.ops.len() * 40);
+    let put_i64s = |buf: &mut Vec<u8>, values: &[i64]| {
+        for v in values {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+    };
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
+    buf.extend_from_slice(&seq.base.raw().to_le_bytes());
+    buf.extend_from_slice(&(seq.ops.len() as u32).to_le_bytes());
     for op in &seq.ops {
         match op {
             EditOp::Define { region } => {
-                buf.put_u8(TAG_DEFINE);
-                buf.put_i64_le(region.x0);
-                buf.put_i64_le(region.y0);
-                buf.put_i64_le(region.x1);
-                buf.put_i64_le(region.y1);
+                buf.push(TAG_DEFINE);
+                put_i64s(&mut buf, &[region.x0, region.y0, region.x1, region.y1]);
             }
             EditOp::Combine { weights } => {
-                buf.put_u8(TAG_COMBINE);
+                buf.push(TAG_COMBINE);
                 for w in weights {
-                    buf.put_f32_le(*w);
+                    buf.extend_from_slice(&w.to_le_bytes());
                 }
             }
             EditOp::Modify { from, to } => {
-                buf.put_u8(TAG_MODIFY);
-                buf.put_slice(&from.channels());
-                buf.put_slice(&to.channels());
+                buf.push(TAG_MODIFY);
+                buf.extend_from_slice(&from.channels());
+                buf.extend_from_slice(&to.channels());
             }
             EditOp::Mutate { matrix } => {
-                buf.put_u8(TAG_MUTATE);
+                buf.push(TAG_MUTATE);
                 for v in matrix.flatten() {
-                    buf.put_f64_le(v);
+                    buf.extend_from_slice(&v.to_le_bytes());
                 }
             }
             EditOp::Merge {
@@ -65,112 +178,87 @@ pub fn encode(seq: &EditSequence) -> Bytes {
                 xp,
                 yp,
             } => {
-                buf.put_u8(TAG_MERGE_NULL);
-                buf.put_i64_le(*xp);
-                buf.put_i64_le(*yp);
+                buf.push(TAG_MERGE_NULL);
+                put_i64s(&mut buf, &[*xp, *yp]);
             }
             EditOp::Merge {
                 target: Some(id),
                 xp,
                 yp,
             } => {
-                buf.put_u8(TAG_MERGE_TARGET);
-                buf.put_u64_le(id.raw());
-                buf.put_i64_le(*xp);
-                buf.put_i64_le(*yp);
+                buf.push(TAG_MERGE_TARGET);
+                buf.extend_from_slice(&id.raw().to_le_bytes());
+                put_i64s(&mut buf, &[*xp, *yp]);
             }
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Decodes the compact binary format.
-pub fn decode(mut bytes: &[u8]) -> Result<EditSequence> {
-    fn need(buf: &[u8], n: usize, what: &str) -> Result<()> {
-        if buf.remaining() < n {
-            Err(EditError::Codec(format!("truncated {what}")))
-        } else {
-            Ok(())
-        }
-    }
-    need(bytes, 4 + 1 + 8 + 4, "header")?;
-    let mut magic = [0u8; 4];
-    bytes.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+pub fn decode(bytes: &[u8]) -> Result<EditSequence> {
+    let mut r = Reader::new(bytes, "edit sequence");
+    let magic = r.take(MAGIC.len(), "magic")?;
+    if magic != MAGIC {
         return Err(EditError::Codec(format!("bad magic {magic:?}")));
     }
-    let version = bytes.get_u8();
+    let version = r.u8("version")?;
     if version != VERSION {
         return Err(EditError::Codec(format!("unsupported version {version}")));
     }
-    let base = ImageId::new(bytes.get_u64_le());
-    let count = bytes.get_u32_le() as usize;
+    let base = ImageId::new(r.u64("base id")?);
+    let count = r.u32("op count")? as usize;
     // Each op is at least 7 bytes (tag + modify payload); reject counts the
     // remaining buffer cannot possibly satisfy before allocating.
-    if count > bytes.remaining() {
+    if count > r.remaining() {
         return Err(EditError::Codec(format!(
             "op count {count} exceeds remaining payload"
         )));
     }
     let mut ops = Vec::with_capacity(count);
     for i in 0..count {
-        need(bytes, 1, "op tag")?;
-        let tag = bytes.get_u8();
-        let op = match tag {
-            TAG_DEFINE => {
-                need(bytes, 32, "define payload")?;
-                EditOp::Define {
-                    region: Rect::new(
-                        bytes.get_i64_le(),
-                        bytes.get_i64_le(),
-                        bytes.get_i64_le(),
-                        bytes.get_i64_le(),
-                    ),
-                }
-            }
+        let op = match r.u8("op tag")? {
+            TAG_DEFINE => EditOp::Define {
+                region: Rect::new(
+                    r.i64("define x0")?,
+                    r.i64("define y0")?,
+                    r.i64("define x1")?,
+                    r.i64("define y1")?,
+                ),
+            },
             TAG_COMBINE => {
-                need(bytes, 36, "combine payload")?;
                 let mut weights = [0.0f32; 9];
                 for w in &mut weights {
-                    *w = bytes.get_f32_le();
+                    *w = r.f32("combine weight")?;
                 }
                 EditOp::Combine { weights }
             }
             TAG_MODIFY => {
-                need(bytes, 6, "modify payload")?;
-                let mut c = [0u8; 6];
-                bytes.copy_to_slice(&mut c);
+                let c = r.take(6, "modify colors")?;
                 EditOp::Modify {
                     from: Rgb::new(c[0], c[1], c[2]),
                     to: Rgb::new(c[3], c[4], c[5]),
                 }
             }
             TAG_MUTATE => {
-                need(bytes, 72, "mutate payload")?;
                 let mut v = [0.0f64; 9];
                 for x in &mut v {
-                    *x = bytes.get_f64_le();
+                    *x = r.f64("mutate matrix")?;
                 }
                 EditOp::Mutate {
                     matrix: Matrix3::from_flat(v),
                 }
             }
-            TAG_MERGE_NULL => {
-                need(bytes, 16, "merge payload")?;
-                EditOp::Merge {
-                    target: None,
-                    xp: bytes.get_i64_le(),
-                    yp: bytes.get_i64_le(),
-                }
-            }
-            TAG_MERGE_TARGET => {
-                need(bytes, 24, "merge payload")?;
-                EditOp::Merge {
-                    target: Some(ImageId::new(bytes.get_u64_le())),
-                    xp: bytes.get_i64_le(),
-                    yp: bytes.get_i64_le(),
-                }
-            }
+            TAG_MERGE_NULL => EditOp::Merge {
+                target: None,
+                xp: r.i64("merge xp")?,
+                yp: r.i64("merge yp")?,
+            },
+            TAG_MERGE_TARGET => EditOp::Merge {
+                target: Some(ImageId::new(r.u64("merge target")?)),
+                xp: r.i64("merge xp")?,
+                yp: r.i64("merge yp")?,
+            },
             other => {
                 return Err(EditError::Codec(format!(
                     "unknown op tag {other} at op {i}"
@@ -322,6 +410,34 @@ mod tests {
             .crop_to_region()
             .merge_into(ImageId::new(99), -3, 7)
             .build()
+    }
+
+    #[test]
+    fn reader_reads_little_endian_and_refuses_to_overrun() {
+        let mut buf = vec![7u8];
+        buf.extend_from_slice(&0xBEEFu16.to_le_bytes());
+        buf.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        buf.extend_from_slice(&42u64.to_le_bytes());
+        buf.extend_from_slice(&(-42i64).to_le_bytes());
+        buf.extend_from_slice(&0.25f32.to_le_bytes());
+        buf.extend_from_slice(&1.5f64.to_le_bytes());
+        buf.extend_from_slice(b"xy");
+        let mut r = Reader::new(&buf, "sample");
+        assert_eq!(r.u8("a"), Ok(7));
+        assert_eq!(r.u16("b"), Ok(0xBEEF));
+        assert_eq!(r.u32("c"), Ok(0xDEAD_BEEF));
+        assert_eq!(r.u64("d"), Ok(42));
+        assert_eq!(r.i64("e"), Ok(-42));
+        assert_eq!(r.f32("f"), Ok(0.25));
+        assert_eq!(r.f64("g"), Ok(1.5));
+        assert_eq!(r.remaining(), 2);
+        // A read that does not fit consumes nothing and names its field.
+        let short = r.u32("trailer").unwrap_err();
+        assert_eq!(short.to_string(), "truncated sample: trailer");
+        assert_eq!(r.take(2, "tail"), Ok(&b"xy"[..]));
+        assert_eq!(r.remaining(), 0);
+        assert!(r.u8("past the end").is_err());
+        assert_eq!(r.take(0, "nothing"), Ok(&[][..]));
     }
 
     #[test]

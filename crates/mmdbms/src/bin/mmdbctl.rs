@@ -395,7 +395,6 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
 fn cmd_explain(args: &Args) -> Result<(), String> {
     let db = open_db(args)?;
     let (query, plan) = parse_query(args, &db)?;
-    mmdbms::telemetry::set_tracing(true);
     let (outcome, trace) = db
         .query_range_traced(&query, plan)
         .map_err(|e| e.to_string())?;
@@ -444,7 +443,6 @@ fn run_warmup(db: &MultimediaDatabase, n: u64, seed: u64) -> Result<usize, Strin
             ran += 1;
         }
     }
-    mmdbms::rules::flush_metrics();
     Ok(ran)
 }
 
@@ -499,12 +497,11 @@ impl ReadyLatch {
 const HEAT_GAUGE_LIMIT: usize = 50;
 
 /// Binds the metrics/exposition server with the standard prerender hook —
-/// flush the rules layer's thread-local counters, refresh the bound-index
-/// staleness gauges, publish the ranked `mmdb_heat` series, and run an SLO
-/// evaluation (when one is configured) — plus a readiness probe. Every
-/// scrape therefore sees a current observatory reading, and a scraper
-/// polling `/metrics` is what drives the SLO state machine between
-/// `/alerts` fetches.
+/// refresh the bound-index staleness gauges, publish the ranked `mmdb_heat`
+/// series, and run an SLO evaluation (when one is configured) — plus a
+/// readiness probe. Every scrape therefore sees a current observatory
+/// reading, and a scraper polling `/metrics` is what drives the SLO state
+/// machine between `/alerts` fetches.
 fn bind_exposition(
     listen: &str,
     latch: &ReadyLatch,
@@ -513,9 +510,6 @@ fn bind_exposition(
     let hook_db = std::sync::Arc::clone(db);
     let options = mmdbms::telemetry::ServeOptions {
         prerender: Some(std::sync::Arc::new(move || {
-            // Scrapes must see exact counts: the rules layer batches its
-            // metrics in thread-locals, so flush right before every render.
-            mmdbms::rules::flush_metrics();
             hook_db.refresh_staleness_gauges();
             mmdbms::telemetry::publish_heat_gauges(HEAT_GAUGE_LIMIT);
             if let Some(engine) = mmdbms::telemetry::slo_engine() {

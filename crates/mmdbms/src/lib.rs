@@ -45,7 +45,7 @@ use mmdb_datagen::{VariantConfig, VariantGenerator};
 use mmdb_editops::{EditSequence, ImageId};
 use mmdb_histogram::{ColorHistogram, Quantizer};
 use mmdb_imaging::{ppm, RasterImage, Rgb};
-use mmdb_query::executor::{observed, QueryError};
+use mmdb_query::executor::{observed, observed_knn, QueryError};
 use mmdb_query::QueryPlan;
 use mmdb_rules::{ColorRangeQuery, RuleProfile};
 use mmdb_storage::{DurabilityOptions, RecoveryInfo, StorageEngine, StorageStats, StoredKind};
@@ -99,12 +99,13 @@ pub type Result<T> = std::result::Result<T, QueryError>;
 pub fn register_all_metrics() {
     mmdb_durable::register_metrics();
     mmdb_storage::register_metrics();
-    mmdb_rules::register_metrics();
     mmdb_bwm::register_metrics();
     mmdb_boundidx::register_metrics();
     mmdb_query::register_metrics();
     mmdb_analysis::register_metrics();
     mmdb_server::register_metrics();
+    // The exposition server refreshes it before every render.
+    let _ = mmdb_telemetry::global().gauge("mmdb_uptime_seconds");
 }
 
 /// Tuning knobs for the always-on observability pipeline. Both settings are
@@ -554,13 +555,9 @@ impl MultimediaDatabase {
     /// [`Registry::render_prometheus`](mmdb_telemetry::Registry::render_prometheus)
     /// or [`Registry::render_json`](mmdb_telemetry::Registry::render_json),
     /// or diff [`Registry::snapshot`](mmdb_telemetry::Registry::snapshot)s
-    /// around a workload.
-    ///
-    /// Drains the calling thread's staged rule-engine counts first, so
-    /// totals are exact for single-threaded callers (worker threads drain
-    /// automatically every few hundred BOUNDS calls).
+    /// around a workload. Work counters are exact as soon as the query that
+    /// did the work has returned, on whichever thread it ran.
     pub fn metrics(&self) -> &'static mmdb_telemetry::Registry {
-        mmdb_rules::flush_metrics();
         mmdb_telemetry::global()
     }
 
@@ -606,15 +603,17 @@ impl MultimediaDatabase {
     /// Edited images are pruned with Table 1 bound-derived distance lower
     /// bounds and only instantiated when they might enter the top-k (the
     /// paper's §6 nearest-neighbour future work). Exact: identical to brute
-    /// force.
+    /// force. Observed once, after the shard gather.
     pub fn similar_to_augmented(
         &self,
         example: &RasterImage,
         k: usize,
     ) -> Result<mmdb_query::KnnOutcome> {
         let hist = ColorHistogram::extract(example, self.quantizer());
-        self.shards
-            .nearest_augmented(&hist, k, RuleProfile::Conservative)
+        observed_knn(|| {
+            self.shards
+                .nearest_augmented(&hist, k, RuleProfile::Conservative)
+        })
     }
 
     /// The instantiated raster of any image.

@@ -296,3 +296,133 @@ fn traced_path_is_the_untraced_path() {
         }
     }
 }
+
+/// The rule engine's series, as the registry holds them right now:
+/// applications by kind (define … merge_target), bound-widening operations
+/// under `profile`, BOUNDS computations.
+fn rule_series(profile: RuleProfile) -> ([u64; 6], u64, u64) {
+    let g = global();
+    let applications = [
+        "define",
+        "combine",
+        "modify",
+        "mutate",
+        "merge_null",
+        "merge_target",
+    ]
+    .map(|op| {
+        g.counter(&format!(r#"mmdb_rules_applications_total{{op="{op}"}}"#))
+            .get()
+    });
+    let widening = g
+        .counter(&format!(
+            r#"mmdb_rules_widening_ops_total{{profile="{}"}}"#,
+            profile.label()
+        ))
+        .get();
+    (
+        applications,
+        widening,
+        g.counter("mmdb_rules_bounds_computed_total").get(),
+    )
+}
+
+/// The paper's work counters are exact the moment a query returns, whoever
+/// ran it: a thread that executes range queries and exits — no flush call
+/// anywhere — leaves every rule series moved by what its outcomes report.
+#[test]
+fn rule_series_are_exact_from_a_thread_that_exits() {
+    let _guard = telemetry_lock();
+    for shards in [1, 4] {
+        let db = seeded_db(shards);
+        let query = red_query(&db);
+        for plan in [QueryPlan::Rbm, QueryPlan::Bwm] {
+            for profile in PROFILES {
+                let (apps_before, widening_before, bounds_before) = rule_series(profile);
+                let stats = std::thread::scope(|scope| {
+                    scope
+                        .spawn(|| db.query_range_with(&query, plan, profile).unwrap().stats)
+                        .join()
+                        .unwrap()
+                });
+                let (apps, widening, bounds) = rule_series(profile);
+                let what = format!("{shards} shards, {plan}, {}", profile.label());
+                assert!(stats.bounds_computed > 0, "{what}: nothing walked");
+                assert_eq!(
+                    bounds - bounds_before,
+                    stats.bounds_computed as u64,
+                    "{what}"
+                );
+                let moved: Vec<u64> = apps.iter().zip(apps_before).map(|(a, b)| a - b).collect();
+                let reported: Vec<u64> =
+                    stats.rule_applications.iter().map(|&n| n as u64).collect();
+                assert_eq!(moved, reported, "{what}");
+                assert_eq!(
+                    moved.iter().sum::<u64>(),
+                    stats.ops_processed as u64,
+                    "{what}"
+                );
+                assert_eq!(
+                    widening - widening_before,
+                    (stats.ops_processed - stats.rule_applications[5]) as u64,
+                    "{what}"
+                );
+            }
+        }
+    }
+}
+
+/// What one augmented k-NN request moves.
+fn knn_series() -> [u64; 4] {
+    let g = global();
+    [
+        g.counter(r#"mmdb_query_knn_total{path="augmented"}"#).get(),
+        g.histogram(r#"mmdb_query_knn_latency_seconds{path="augmented"}"#)
+            .count(),
+        g.counter("mmdb_query_knn_edited_pruned_total").get(),
+        g.counter("mmdb_query_knn_edited_instantiated_total").get(),
+    ]
+}
+
+/// A similarity search is one request at any shard count: one count, one
+/// latency sample, prune counters equal to the gathered `KnnStats` — in
+/// process and over the wire.
+#[test]
+fn knn_is_observed_once_at_every_shard_count() {
+    let _guard = telemetry_lock();
+    for shards in [1, 16] {
+        let db = Arc::new(seeded_db(shards));
+        let probe_id = db.binary_ids()[3];
+        let probe = db.image(probe_id).unwrap();
+
+        let before = knn_series();
+        let stats = db.similar_to_augmented(&probe, 5).unwrap().stats;
+        assert!(stats.edited_pruned + stats.edited_instantiated > 0);
+        let expected = [
+            before[0] + 1,
+            before[1] + 1,
+            before[2] + stats.edited_pruned as u64,
+            before[3] + stats.edited_instantiated as u64,
+        ];
+        assert_eq!(knn_series(), expected, "facade, {shards} shards");
+
+        let server = QueryServer::bind(
+            "127.0.0.1:0",
+            Arc::clone(&db) as Arc<dyn QueryBackend>,
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let before = knn_series();
+        assert_eq!(client.knn(probe_id.0, 5).unwrap().len(), 5);
+        let expected = [
+            before[0] + 1,
+            before[1] + 1,
+            before[2] + stats.edited_pruned as u64,
+            before[3] + stats.edited_instantiated as u64,
+        ];
+        assert_eq!(knn_series(), expected, "served, {shards} shards");
+        drop(client);
+        server.shutdown();
+    }
+}

@@ -1,6 +1,7 @@
 //! The query processor: Instantiate / RBM / BWM execution over a storage
 //! engine.
 
+use crate::knn_edited::KnnOutcome;
 use crate::plan::QueryPlan;
 use mmdb_boundidx::{BoundIndex, SyncStats};
 use mmdb_bwm::{BoundsCache, BwmQueryStats, BwmStructure, QueryOutcome};
@@ -8,7 +9,7 @@ use mmdb_editops::ImageId;
 use mmdb_rules::{ColorRangeQuery, InfoResolver, RuleEngine, RuleError, RuleProfile};
 use mmdb_storage::{StorageEngine, StorageError};
 use mmdb_telemetry::{
-    counter, Counter, EventKind, Histogram, QueryTrace, HEAT_PLANS, HEAT_PROFILES,
+    counter, histogram, Counter, EventKind, Histogram, QueryTrace, HEAT_PLANS, HEAT_PROFILES,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -155,6 +156,20 @@ pub fn observed(
     Ok(())
 }
 
+/// Runs `body` as **one** observed augmented k-NN request: one count, one
+/// latency sample of the whole request, and the prune counters of the
+/// outcome it returns — for a sharded database, summed over the gather.
+pub fn observed_knn(body: impl FnOnce() -> Result<KnnOutcome>) -> Result<KnnOutcome> {
+    let started = Instant::now();
+    let outcome = body()?;
+    counter!(r#"mmdb_query_knn_total{path="augmented"}"#).inc();
+    histogram!(r#"mmdb_query_knn_latency_seconds{path="augmented"}"#).observe(started.elapsed());
+    counter!("mmdb_query_knn_edited_pruned_total").add(outcome.stats.edited_pruned as u64);
+    counter!("mmdb_query_knn_edited_instantiated_total")
+        .add(outcome.stats.edited_instantiated as u64);
+    Ok(outcome)
+}
+
 /// Records the start of one range query in the flight recorder; the query
 /// parameters travel as numeric counts (range in parts per million). Gated
 /// on the instrumentation switch.
@@ -174,12 +189,12 @@ fn observe_range_start(plan: QueryPlan, profile: RuleProfile, query: &ColorRange
 }
 
 /// Records one completed range query. The work counters other tooling
-/// diffs (`mmdb_bwm_*`, `mmdb_boundidx_lookups_total`) are exact totals and
-/// always flushed; the rest — heat, the per-plan counter, the per-plan and
-/// per-(plan, profile) latency histograms, a `query_end` flight-recorder
-/// event carrying the work and per-shard figures, and past the configured
-/// threshold a slow-query counter + event — sits behind one relaxed load of
-/// the instrumentation switch.
+/// diffs are exact totals and always flushed ([`flush_work_counters`]); the
+/// rest — heat, the per-plan counter, the per-plan and per-(plan, profile)
+/// latency histograms, a `query_end` flight-recorder event carrying the
+/// work and per-shard figures, and past the configured threshold a
+/// slow-query counter + event — sits behind one relaxed load of the
+/// instrumentation switch.
 fn observe_range(
     plan: QueryPlan,
     profile: RuleProfile,
@@ -187,11 +202,7 @@ fn observe_range(
     ctx: &QueryCtx,
     elapsed: Duration,
 ) {
-    match plan {
-        QueryPlan::Bwm => mmdb_bwm::flush_query_metrics(&ctx.stats),
-        QueryPlan::Indexed => mmdb_boundidx::record_lookup(ctx.stats.bound_cache_hits),
-        QueryPlan::Rbm | QueryPlan::Instantiate => {}
-    }
+    flush_work_counters(plan, profile, &ctx.stats);
     if !mmdb_telemetry::instrumentation_enabled() {
         return;
     }
@@ -233,6 +244,68 @@ fn observe_range(
                 ("results", ctx.results.len() as u64),
             ],
         );
+    }
+}
+
+/// Adds one executed query's work counters — summed over every shard
+/// slice — to the process-wide registry: the rule engine's series (Table 1
+/// applications by kind, BOUNDS computations, bound-widening operations),
+/// the BWM scan series of a BWM query, and the bound index's lookup, hit
+/// and miss counts. Execution itself only fills in the [`BwmQueryStats`],
+/// so the series are exact as soon as the query returns, whichever thread
+/// ran it.
+fn flush_work_counters(plan: QueryPlan, profile: RuleProfile, stats: &BwmQueryStats) {
+    // A plan that walked no rule (Indexed, Instantiate, a fully cached BWM
+    // scan) leaves the rule series alone rather than adding zeros.
+    if stats.bounds_computed > 0 {
+        counter!("mmdb_rules_bounds_computed_total").add(stats.bounds_computed as u64);
+        let applications = [
+            counter!(r#"mmdb_rules_applications_total{op="define"}"#),
+            counter!(r#"mmdb_rules_applications_total{op="combine"}"#),
+            counter!(r#"mmdb_rules_applications_total{op="modify"}"#),
+            counter!(r#"mmdb_rules_applications_total{op="mutate"}"#),
+            counter!(r#"mmdb_rules_applications_total{op="merge_null"}"#),
+            counter!(r#"mmdb_rules_applications_total{op="merge_target"}"#),
+        ];
+        for (series, &n) in applications.iter().zip(&stats.rule_applications) {
+            series.add(n as u64);
+        }
+        // Every rule but `Merge` with a target is bound-widening (§4).
+        let [.., merge_target] = stats.rule_applications;
+        let widening = match profile {
+            RuleProfile::PaperTable1 => {
+                counter!(r#"mmdb_rules_widening_ops_total{profile="paper_table1"}"#)
+            }
+            RuleProfile::Conservative => {
+                counter!(r#"mmdb_rules_widening_ops_total{profile="conservative"}"#)
+            }
+        };
+        widening.add((stats.ops_processed - merge_target) as u64);
+    }
+    match plan {
+        QueryPlan::Bwm => {
+            counter!("mmdb_bwm_queries_total").inc();
+            counter!("mmdb_bwm_clusters_visited_total").add(stats.clusters_visited as u64);
+            counter!("mmdb_bwm_base_hits_total").add(stats.base_hits as u64);
+            counter!("mmdb_bwm_shortcut_emissions_total").add(stats.shortcut_emissions as u64);
+            counter!("mmdb_bwm_ops_processed_total").add(stats.ops_processed as u64);
+            counter!("mmdb_bwm_bounds_widened_total").add(stats.bounds_widened as u64);
+            counter!("mmdb_bwm_bound_cache_hits_total").add(stats.bound_cache_hits as u64);
+            let classified = stats
+                .bounds_computed
+                .saturating_sub(stats.unclassified_scanned);
+            counter!(r#"mmdb_bwm_scans_total{component="classified"}"#).add(classified as u64);
+            counter!(r#"mmdb_bwm_scans_total{component="unclassified"}"#)
+                .add(stats.unclassified_scanned as u64);
+            // Probes of a fresh bound index lent to the scan as its cache.
+            counter!("mmdb_boundidx_hits_total").add(stats.bound_cache_hits as u64);
+            counter!("mmdb_boundidx_misses_total").add(stats.bound_cache_misses as u64);
+        }
+        QueryPlan::Indexed => {
+            counter!("mmdb_boundidx_lookups_total").inc();
+            counter!("mmdb_boundidx_hits_total").add(stats.bound_cache_hits as u64);
+        }
+        QueryPlan::Rbm | QueryPlan::Instantiate => {}
     }
 }
 

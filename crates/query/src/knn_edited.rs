@@ -30,8 +30,6 @@ use mmdb_editops::ImageId;
 use mmdb_histogram::{l1_distance, ColorHistogram};
 use mmdb_rules::{BoundRange, RuleEngine, RuleProfile};
 use mmdb_storage::StorageEngine;
-use mmdb_telemetry::{counter, histogram};
-use std::time::Instant;
 
 /// Work counters for one k-NN execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -68,7 +66,9 @@ pub fn l1_lower_bound(query_signature: &[f64], bounds: &[BoundRange]) -> f64 {
 
 /// Exact k-nearest-neighbour search by L1 histogram distance over **all**
 /// images (binary and edited), pruning edited images with rule-derived
-/// lower bounds.
+/// lower bounds. Observes nothing: a sharded database runs this once per
+/// shard, and whoever owns the whole request reports it
+/// ([`observed_knn`](crate::executor::observed_knn)).
 pub fn knn_augmented(
     db: &StorageEngine,
     query: &ColorHistogram,
@@ -87,7 +87,6 @@ pub fn knn_augmented(
             stats,
         });
     }
-    let started = Instant::now();
     let query_sig = query.signature();
 
     // Phase 1: exact distances for binary images.
@@ -121,10 +120,6 @@ pub fn knn_augmented(
     }
 
     best.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-    counter!(r#"mmdb_query_knn_total{path="augmented"}"#).inc();
-    histogram!(r#"mmdb_query_knn_latency_seconds{path="augmented"}"#).observe(started.elapsed());
-    counter!("mmdb_query_knn_edited_pruned_total").add(stats.edited_pruned as u64);
-    counter!("mmdb_query_knn_edited_instantiated_total").add(stats.edited_instantiated as u64);
     Ok(KnnOutcome {
         neighbours: best,
         stats,
@@ -138,7 +133,6 @@ pub fn knn_brute_force(
     query: &ColorHistogram,
     k: usize,
 ) -> crate::executor::Result<Vec<(f64, ImageId)>> {
-    let started = Instant::now();
     let mut all: Vec<(f64, ImageId)> = Vec::new();
     for id in db.ids() {
         let hist = db.histogram(id)?;
@@ -146,8 +140,6 @@ pub fn knn_brute_force(
     }
     all.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
     all.truncate(k);
-    counter!(r#"mmdb_query_knn_total{path="brute_force"}"#).inc();
-    histogram!(r#"mmdb_query_knn_latency_seconds{path="brute_force"}"#).observe(started.elapsed());
     Ok(all)
 }
 

@@ -32,23 +32,28 @@ pub use knn_edited::{knn_augmented, knn_brute_force, KnnOutcome, KnnStats};
 pub use plan::QueryPlan;
 
 /// Eagerly registers this layer's metric series (zero-valued until traffic
-/// arrives) so exposition shows the full query schema from process start.
+/// arrives) so exposition shows the full query schema from process start —
+/// the rule engine's series included: `mmdb-rules` computes and returns,
+/// and this layer exports the work of each query it observes.
 pub fn register_metrics() {
     let g = mmdb_telemetry::global();
     executor::register_range_series();
     for name in [
+        "mmdb_rules_bounds_computed_total",
+        r#"mmdb_rules_applications_total{op="define"}"#,
+        r#"mmdb_rules_applications_total{op="combine"}"#,
+        r#"mmdb_rules_applications_total{op="modify"}"#,
+        r#"mmdb_rules_applications_total{op="mutate"}"#,
+        r#"mmdb_rules_applications_total{op="merge_null"}"#,
+        r#"mmdb_rules_applications_total{op="merge_target"}"#,
+        r#"mmdb_rules_widening_ops_total{profile="paper_table1"}"#,
+        r#"mmdb_rules_widening_ops_total{profile="conservative"}"#,
         r#"mmdb_query_knn_total{path="augmented"}"#,
-        r#"mmdb_query_knn_total{path="brute_force"}"#,
         "mmdb_query_knn_edited_pruned_total",
         "mmdb_query_knn_edited_instantiated_total",
         "mmdb_query_slow_total",
     ] {
         let _ = g.counter(name);
     }
-    for name in [
-        r#"mmdb_query_knn_latency_seconds{path="augmented"}"#,
-        r#"mmdb_query_knn_latency_seconds{path="brute_force"}"#,
-    ] {
-        let _ = g.histogram(name);
-    }
+    let _ = g.histogram(r#"mmdb_query_knn_latency_seconds{path="augmented"}"#);
 }

@@ -14,106 +14,9 @@ use mmdb_editops::exec::MAX_CANVAS_PIXELS;
 use mmdb_editops::{EditOp, EditSequence, Matrix3, OpKind};
 use mmdb_histogram::Quantizer;
 use mmdb_imaging::{Rect, Rgb};
-use mmdb_telemetry::counter;
-use std::cell::Cell;
 
-/// BOUNDS computations between drains of the thread-local accumulator. At
-/// ~8 relaxed RMWs per drain this amortizes the global-registry cost to a
-/// small fraction of an atomic per `bounds` call — a query scanning hundreds
-/// of edited images pays a handful of drains, not hundreds of flushes.
-const DRAIN_EVERY: u64 = 256;
-
-/// Thread-local staging area for the rule engine's counters. Registry
-/// exposition can lag by up to [`DRAIN_EVERY`] BOUNDS calls per thread;
-/// call [`crate::flush_metrics`] on a thread before snapshotting to drain
-/// its pending counts.
-struct PendingRuleMetrics {
-    kinds: [Cell<u64>; 6],
-    /// Indexed like [`RuleProfile`]: 0 = PaperTable1, 1 = Conservative.
-    widening: [Cell<u64>; 2],
-    bounds: Cell<u64>,
-}
-
-thread_local! {
-    static PENDING: PendingRuleMetrics = const {
-        PendingRuleMetrics {
-            kinds: [
-                Cell::new(0),
-                Cell::new(0),
-                Cell::new(0),
-                Cell::new(0),
-                Cell::new(0),
-                Cell::new(0),
-            ],
-            widening: [Cell::new(0), Cell::new(0)],
-            bounds: Cell::new(0),
-        }
-    };
-}
-
-fn drain_pending(p: &PendingRuleMetrics) {
-    let bounds = p.bounds.replace(0);
-    if bounds > 0 {
-        counter!("mmdb_rules_bounds_computed_total").add(bounds);
-    }
-    let series = [
-        counter!(r#"mmdb_rules_applications_total{op="define"}"#),
-        counter!(r#"mmdb_rules_applications_total{op="combine"}"#),
-        counter!(r#"mmdb_rules_applications_total{op="modify"}"#),
-        counter!(r#"mmdb_rules_applications_total{op="mutate"}"#),
-        counter!(r#"mmdb_rules_applications_total{op="merge_null"}"#),
-        counter!(r#"mmdb_rules_applications_total{op="merge_target"}"#),
-    ];
-    for (c, slot) in series.iter().zip(&p.kinds) {
-        let n = slot.replace(0);
-        if n > 0 {
-            c.add(n);
-        }
-    }
-    let widening = [
-        counter!(r#"mmdb_rules_widening_ops_total{profile="paper_table1"}"#),
-        counter!(r#"mmdb_rules_widening_ops_total{profile="conservative"}"#),
-    ];
-    for (c, slot) in widening.iter().zip(&p.widening) {
-        let n = slot.replace(0);
-        if n > 0 {
-            c.add(n);
-        }
-    }
-}
-
-/// Drains this thread's pending rule-engine counts into the global registry.
-pub(crate) fn flush_thread_metrics() {
-    PENDING.with(drain_pending);
-}
-
-/// Stages one BOUNDS evaluation's telemetry — the per-kind operation counts
-/// of the sequence it covered, indexed by [`kind_slot`] — into the
-/// thread-local accumulator, draining to the global registry every
-/// [`DRAIN_EVERY`] calls. The evaluation itself touches only locals; this
-/// path is plain (non-atomic) stores.
-pub(crate) fn stage_rule_metrics(kinds: &[u32], widening: u64, profile: RuleProfile) {
-    PENDING.with(|p| {
-        for (slot, &n) in p.kinds.iter().zip(kinds) {
-            if n > 0 {
-                slot.set(slot.get() + u64::from(n));
-            }
-        }
-        let wi = match profile {
-            RuleProfile::PaperTable1 => 0,
-            RuleProfile::Conservative => 1,
-        };
-        p.widening[wi].set(p.widening[wi].get() + widening);
-        let bounds = p.bounds.get() + 1;
-        p.bounds.set(bounds);
-        if bounds >= DRAIN_EVERY {
-            drain_pending(p);
-        }
-    });
-}
-
-/// Position of `kind` in the per-kind count arrays (the staging area's and
-/// a program header's), matching the `op="…"` series order above.
+/// Position of `kind` in a program header's per-kind count array, matching
+/// the `mmdb_rules_applications_total{op="…"}` series order.
 fn kind_slot(kind: OpKind) -> usize {
     match kind {
         OpKind::Define => 0,

@@ -81,31 +81,3 @@ impl std::error::Error for RuleError {}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, RuleError>;
-
-/// Drains the calling thread's pending rule-engine counts into the global
-/// registry. The hot BOUNDS path stages its telemetry in a thread-local
-/// accumulator (drained automatically every few hundred calls); call this
-/// before snapshotting or rendering the registry when exact totals matter.
-pub fn flush_metrics() {
-    engine::flush_thread_metrics();
-}
-
-/// Eagerly registers this layer's metric series (zero-valued until traffic
-/// arrives) so exposition shows the full rules schema from process start.
-pub fn register_metrics() {
-    let g = mmdb_telemetry::global();
-    for name in [
-        "mmdb_rules_bounds_computed_total",
-        "mmdb_rules_bounds_vector_total",
-        r#"mmdb_rules_applications_total{op="define"}"#,
-        r#"mmdb_rules_applications_total{op="combine"}"#,
-        r#"mmdb_rules_applications_total{op="modify"}"#,
-        r#"mmdb_rules_applications_total{op="mutate"}"#,
-        r#"mmdb_rules_applications_total{op="merge_null"}"#,
-        r#"mmdb_rules_applications_total{op="merge_target"}"#,
-        r#"mmdb_rules_widening_ops_total{profile="paper_table1"}"#,
-        r#"mmdb_rules_widening_ops_total{profile="conservative"}"#,
-    ] {
-        let _ = g.counter(name);
-    }
-}

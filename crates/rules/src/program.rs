@@ -10,12 +10,11 @@
 //! [`BoundProgram::eval`] replays for one bin.
 
 use crate::bounds::BoundRange;
-use crate::engine::{stage_rule_metrics, RuleProfile};
+use crate::engine::RuleProfile;
 use crate::resolver::InfoResolver;
 use crate::{Result, RuleError};
 use mmdb_editops::ImageId;
 use mmdb_histogram::ColorHistogram;
-use mmdb_telemetry::counter;
 use std::sync::Arc;
 
 /// One bin-dependent adjustment of the bound triple. Where the two rule
@@ -385,8 +384,6 @@ impl BoundProgram {
     /// factor. A merge target's histogram is read through `targets` now, not
     /// at compile time, so a target deleted since fails closed with
     /// [`RuleError::UnknownImage`].
-    ///
-    /// Counts as one BOUNDS computation in the rule-engine telemetry.
     pub fn eval(
         &self,
         bin: usize,
@@ -407,9 +404,6 @@ impl BoundProgram {
             };
             step.apply(&mut range, bin, profile, background_bin, target);
         }
-        let kinds = self.kind_counts();
-        let widening = self.op_count() - kinds[MERGE_TARGET_SLOT] as usize;
-        stage_rule_metrics(kinds, widening as u64, profile);
         Ok(range)
     }
 
@@ -422,9 +416,6 @@ impl BoundProgram {
         base: &ColorHistogram,
         targets: &dyn InfoResolver,
     ) -> Result<Vec<BoundRange>> {
-        // One counter per call, never per bin — this path is hot in the
-        // bounds-pruned k-NN and the index build.
-        counter!("mmdb_rules_bounds_vector_total").inc();
         let mut ranges = base_ranges(base);
         for step in self.steps() {
             apply_to_all(step, &mut ranges, profile, self.background_bin(), targets)?;

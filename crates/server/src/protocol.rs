@@ -845,25 +845,24 @@ pub fn client_handshake(stream: &mut (impl Read + Write)) -> std::io::Result<u16
     Ok(version)
 }
 
-/// Server side of the handshake: checks magic + version, answers. Returns
-/// the version this connection must speak (the client's), or `None` when
-/// the connection must be closed (bad magic or unsupported version).
-pub fn server_handshake(stream: &mut (impl Read + Write)) -> std::io::Result<Option<u16>> {
-    let mut hello = [0u8; 6];
-    stream.read_exact(&mut hello)?;
+/// Server side of the handshake, as a decision: what to answer a client's
+/// six hello bytes. `None` when they do not open with [`MAGIC`] — not our
+/// protocol, so the connection closes without a reply (it could be HTTP or
+/// garbage; echoing bytes at it helps nobody). Otherwise the seven reply
+/// bytes to send, with the version the connection will speak (the client's)
+/// or, for a version outside the supported range, `None`: the reply carries
+/// the rejection byte and the connection closes once it is written.
+pub fn answer_hello(hello: &[u8; 6]) -> Option<([u8; 7], Option<u16>)> {
     if hello[..4] != MAGIC {
-        // Not our protocol — close without a reply (it could be HTTP or
-        // garbage; echoing bytes at it helps nobody).
-        return Ok(None);
+        return None;
     }
-    let client_version = u16::from_le_bytes(hello[4..6].try_into().unwrap());
+    let client_version = u16::from_le_bytes([hello[4], hello[5]]);
     let ok = (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&client_version);
     let mut reply = [0u8; 7];
     reply[..4].copy_from_slice(&MAGIC);
     reply[4..6].copy_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     reply[6] = u8::from(!ok);
-    stream.write_all(&reply)?;
-    Ok(ok.then_some(client_version))
+    Some((reply, ok.then_some(client_version)))
 }
 
 #[cfg(test)]
@@ -1143,27 +1142,24 @@ mod tests {
         client.input = std::io::Cursor::new(reply);
         assert_eq!(client_handshake(&mut client).unwrap(), PROTOCOL_VERSION);
 
-        // …and fed to the server side.
-        let mut server = Duplex {
-            input: std::io::Cursor::new(client.output.clone()),
-            output: Vec::new(),
-        };
-        assert_eq!(
-            server_handshake(&mut server).unwrap(),
-            Some(PROTOCOL_VERSION)
-        );
+        // …and fed to the server side: the reply it answers with is the
+        // one the client was handed above.
+        let hello: [u8; 6] = client.output[..].try_into().unwrap();
+        let (answer, version) = answer_hello(&hello).unwrap();
+        assert_eq!(version, Some(PROTOCOL_VERSION));
+        assert_eq!(answer[..], client.input.get_ref()[..]);
 
         // Any other version is refused — the retired v1 dialect included.
         for version in [1u16, 999] {
-            let mut bad_hello = Vec::new();
-            bad_hello.extend_from_slice(&MAGIC);
-            bad_hello.extend_from_slice(&version.to_le_bytes());
-            let mut server = Duplex {
-                input: std::io::Cursor::new(bad_hello),
-                output: Vec::new(),
-            };
-            assert_eq!(server_handshake(&mut server).unwrap(), None);
-            assert_eq!(server.output[6], 1, "v{version}: rejection byte set");
+            let mut bad_hello = [0u8; 6];
+            bad_hello[..4].copy_from_slice(&MAGIC);
+            bad_hello[4..].copy_from_slice(&version.to_le_bytes());
+            let (answer, accepted) = answer_hello(&bad_hello).unwrap();
+            assert_eq!(accepted, None);
+            assert_eq!(answer[6], 1, "v{version}: rejection byte set");
         }
+
+        // Anything that is not MMDB gets no reply at all.
+        assert_eq!(answer_hello(b"GET / "), None);
     }
 }

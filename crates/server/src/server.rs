@@ -37,9 +37,8 @@
 
 use crate::backend::QueryBackend;
 use crate::protocol::{
-    decode_request, encode_err, encode_ok, Opcode, PlanKind, ProfileKind, ReplyBody, Request,
-    RequestBody, Status, TraceContext, DEFAULT_MAX_FRAME_LEN, MAGIC, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    answer_hello, decode_request, encode_err, encode_ok, Opcode, PlanKind, ProfileKind, ReplyBody,
+    Request, RequestBody, Status, TraceContext, DEFAULT_MAX_FRAME_LEN,
 };
 use crate::queue::{BoundedQueue, PushError};
 use mmdb_telemetry::{counter, gauge, histogram, EventKind, KeepReason, QueryTrace, StoredTrace};
@@ -955,27 +954,17 @@ impl Reactor {
             conn.dead |= conn.read_closed;
             return false;
         }
-        if conn.inbuf[..4] != MAGIC {
-            // Not our protocol — close without a reply (it could be HTTP or
-            // garbage; echoing bytes at it helps nobody).
+        let hello: &[u8; 6] = conn.inbuf[..6].try_into().expect("6 bytes");
+        let Some((reply, version)) = answer_hello(hello) else {
             conn.dead = true;
             return false;
-        }
-        let client_version = u16::from_le_bytes(conn.inbuf[4..6].try_into().expect("2 bytes"));
-        let ok = (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&client_version);
-        let mut reply = [0u8; 7];
-        reply[..4].copy_from_slice(&MAGIC);
-        reply[4..6].copy_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-        reply[6] = u8::from(!ok);
+        };
         conn.outbuf.extend_from_slice(&reply);
         conn.consumed += 6;
-        if ok {
-            conn.version = Some(client_version);
-            true
-        } else {
-            conn.read_closed = true;
-            false
-        }
+        conn.version = version;
+        // A refused version still gets its reply; nothing more is read.
+        conn.read_closed |= version.is_none();
+        version.is_some()
     }
 
     /// Decodes and dispatches one frame payload.

@@ -4,8 +4,8 @@
 use crate::blobstore::BlobRef;
 use crate::error::StorageError;
 use crate::Result;
-use bytes::{Buf, BufMut, BytesMut};
-use mmdb_editops::{codec as seq_codec, EditSequence, ImageId};
+use mmdb_editops::codec::{self as seq_codec, Reader};
+use mmdb_editops::{EditSequence, ImageId};
 use mmdb_histogram::ColorHistogram;
 use mmdb_rules::BoundProgram;
 use std::collections::{BTreeMap, HashMap};
@@ -226,19 +226,19 @@ impl Catalog {
 
     /// Serializes the catalog plus the blob store's free list.
     pub fn encode(&self, free_list: &[(u64, u64)]) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(1024 + self.entries.len() * 128);
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(self.quantizer_desc.len() as u16);
-        buf.put_slice(self.quantizer_desc.as_bytes());
-        buf.put_u64_le(self.next_id);
-        buf.put_u32_le(free_list.len() as u32);
+        let mut buf = Vec::with_capacity(1024 + self.entries.len() * 128);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&(self.quantizer_desc.len() as u16).to_le_bytes());
+        buf.extend_from_slice(self.quantizer_desc.as_bytes());
+        buf.extend_from_slice(&self.next_id.to_le_bytes());
+        buf.extend_from_slice(&(free_list.len() as u32).to_le_bytes());
         for &(off, len) in free_list {
-            buf.put_u64_le(off);
-            buf.put_u64_le(len);
+            buf.extend_from_slice(&off.to_le_bytes());
+            buf.extend_from_slice(&len.to_le_bytes());
         }
-        buf.put_u32_le(self.entries.len() as u32);
+        buf.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         for (id, entry) in &self.entries {
-            buf.put_u64_le(id.raw());
+            buf.extend_from_slice(&id.raw().to_le_bytes());
             match entry {
                 CatalogEntry::Binary {
                     blob,
@@ -246,79 +246,62 @@ impl Catalog {
                     height,
                     histogram,
                 } => {
-                    buf.put_u8(0);
-                    buf.put_u64_le(blob.offset);
-                    buf.put_u64_le(blob.len);
-                    buf.put_u32_le(*width);
-                    buf.put_u32_le(*height);
-                    buf.put_u32_le(histogram.bin_count() as u32);
+                    buf.push(0);
+                    buf.extend_from_slice(&blob.offset.to_le_bytes());
+                    buf.extend_from_slice(&blob.len.to_le_bytes());
+                    buf.extend_from_slice(&width.to_le_bytes());
+                    buf.extend_from_slice(&height.to_le_bytes());
+                    buf.extend_from_slice(&(histogram.bin_count() as u32).to_le_bytes());
                     for &c in histogram.counts() {
-                        buf.put_u64_le(c);
+                        buf.extend_from_slice(&c.to_le_bytes());
                     }
                 }
                 CatalogEntry::Edited { sequence, .. } => {
-                    buf.put_u8(1);
+                    buf.push(1);
                     let bytes = seq_codec::encode(sequence);
-                    buf.put_u32_le(bytes.len() as u32);
-                    buf.put_slice(&bytes);
+                    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                    buf.extend_from_slice(&bytes);
                 }
             }
         }
-        buf.to_vec()
+        buf
     }
 
     /// Deserializes a catalog, returning it along with the persisted blob
     /// free list.
-    pub fn decode(mut bytes: &[u8]) -> Result<(Catalog, Vec<(u64, u64)>)> {
-        fn need(buf: &[u8], n: usize, what: &str) -> Result<()> {
-            if buf.remaining() < n {
-                Err(StorageError::Corrupt(format!("truncated catalog: {what}")))
-            } else {
-                Ok(())
-            }
-        }
-        need(bytes, 8, "magic")?;
-        let mut magic = [0u8; 8];
-        bytes.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+    pub fn decode(bytes: &[u8]) -> Result<(Catalog, Vec<(u64, u64)>)> {
+        let mut r = Reader::new(bytes, "catalog");
+        let magic = r.take(MAGIC.len(), "magic")?;
+        if magic != MAGIC {
             return Err(StorageError::Corrupt(format!("bad magic {magic:?}")));
         }
-        need(bytes, 2, "quantizer length")?;
-        let qlen = bytes.get_u16_le() as usize;
-        need(bytes, qlen, "quantizer description")?;
-        let qdesc = String::from_utf8(bytes[..qlen].to_vec())
+        let qlen = r.u16("quantizer length")? as usize;
+        let qdesc = String::from_utf8(r.take(qlen, "quantizer description")?.to_vec())
             .map_err(|_| StorageError::Corrupt("non-UTF8 quantizer description".into()))?;
-        bytes.advance(qlen);
-        need(bytes, 8 + 4, "header counters")?;
-        let next_id = bytes.get_u64_le();
-        let free_count = bytes.get_u32_le() as usize;
-        need(bytes, free_count.saturating_mul(16), "free list")?;
-        let mut free_list = Vec::with_capacity(free_count);
+        let next_id = r.u64("next id")?;
+        let free_count = r.u32("free-list length")? as usize;
+        // Bound the allocation by what the input can hold (16 bytes each).
+        let mut free_list = Vec::with_capacity(free_count.min(r.remaining() / 16));
         for _ in 0..free_count {
-            free_list.push((bytes.get_u64_le(), bytes.get_u64_le()));
+            free_list.push((r.u64("free-list offset")?, r.u64("free-list length")?));
         }
-        need(bytes, 4, "entry count")?;
-        let count = bytes.get_u32_le() as usize;
+        let count = r.u32("entry count")? as usize;
         let mut catalog = Catalog::new(qdesc);
         catalog.next_id = next_id;
         for _ in 0..count {
-            need(bytes, 9, "entry header")?;
-            let id = ImageId::new(bytes.get_u64_le());
-            let tag = bytes.get_u8();
-            let entry = match tag {
+            let id = ImageId::new(r.u64("entry id")?);
+            let entry = match r.u8("entry tag")? {
                 0 => {
-                    need(bytes, 8 + 8 + 4 + 4 + 4, "binary entry")?;
                     let blob = BlobRef {
-                        offset: bytes.get_u64_le(),
-                        len: bytes.get_u64_le(),
+                        offset: r.u64("blob offset")?,
+                        len: r.u64("blob length")?,
                     };
-                    let width = bytes.get_u32_le();
-                    let height = bytes.get_u32_le();
-                    let bins = bytes.get_u32_le() as usize;
-                    need(bytes, bins.saturating_mul(8), "histogram bins")?;
-                    let mut counts = Vec::with_capacity(bins);
+                    let width = r.u32("width")?;
+                    let height = r.u32("height")?;
+                    let bins = r.u32("histogram bin count")? as usize;
+                    let mut counts = Vec::with_capacity(bins.min(r.remaining() / 8));
                     for _ in 0..bins {
-                        counts.push(bytes.get_u64_le());
+                        counts.push(r.u64("histogram bins")?);
                     }
                     let total: u64 = counts.iter().sum();
                     if total != width as u64 * height as u64 {
@@ -335,13 +318,10 @@ impl Catalog {
                     }
                 }
                 1 => {
-                    need(bytes, 4, "sequence length")?;
-                    let len = bytes.get_u32_le() as usize;
-                    need(bytes, len, "sequence bytes")?;
-                    let seq = seq_codec::decode(&bytes[..len]).map_err(|e| {
+                    let len = r.u32("sequence length")? as usize;
+                    let seq = seq_codec::decode(r.take(len, "sequence bytes")?).map_err(|e| {
                         StorageError::Corrupt(format!("bad edit sequence for {id}: {e}"))
                     })?;
-                    bytes.advance(len);
                     CatalogEntry::edited(Arc::new(seq))
                 }
                 other => {
@@ -471,12 +451,12 @@ mod tests {
     #[test]
     fn decode_rejects_corruption() {
         let c = sample_catalog();
-        let bytes = c.encode(&[]);
-        assert!(Catalog::decode(&bytes[..4]).is_err());
+        let bytes = c.encode(&[(40, 8)]);
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(Catalog::decode(&bad).is_err());
-        for cut in (1..bytes.len()).step_by(7) {
+        // Truncation at every byte must error, never panic.
+        for cut in 0..bytes.len() {
             assert!(Catalog::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }

@@ -16,9 +16,9 @@ use crate::blobstore::BlobStore;
 use crate::catalog::{Catalog, CatalogEntry};
 use crate::error::StorageError;
 use crate::Result;
-use bytes::{Buf, BufMut, BytesMut};
 use mmdb_durable::{DurableError, FsyncPolicy};
-use mmdb_editops::{codec as seq_codec, EditSequence, ImageId};
+use mmdb_editops::codec::{self as seq_codec, Reader};
+use mmdb_editops::{EditSequence, ImageId};
 use mmdb_histogram::{ColorHistogram, Quantizer};
 use mmdb_imaging::ppm;
 use std::path::Path;
@@ -124,7 +124,7 @@ pub enum WalRecord<'a> {
 impl WalRecord<'_> {
     /// Serializes the record for a WAL append.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(32);
+        let mut buf = Vec::with_capacity(32);
         match self {
             WalRecord::InsertBinary {
                 id,
@@ -132,26 +132,26 @@ impl WalRecord<'_> {
                 height,
                 ppm,
             } => {
-                buf.put_u8(TAG_INSERT_BINARY);
-                buf.put_u64_le(id.raw());
-                buf.put_u32_le(*width);
-                buf.put_u32_le(*height);
-                buf.put_u32_le(ppm.len() as u32);
-                buf.put_slice(ppm);
+                buf.push(TAG_INSERT_BINARY);
+                buf.extend_from_slice(&id.raw().to_le_bytes());
+                buf.extend_from_slice(&width.to_le_bytes());
+                buf.extend_from_slice(&height.to_le_bytes());
+                buf.extend_from_slice(&(ppm.len() as u32).to_le_bytes());
+                buf.extend_from_slice(ppm);
             }
             WalRecord::InsertEdited { id, sequence } => {
-                buf.put_u8(TAG_INSERT_EDITED);
-                buf.put_u64_le(id.raw());
+                buf.push(TAG_INSERT_EDITED);
+                buf.extend_from_slice(&id.raw().to_le_bytes());
                 let bytes = seq_codec::encode(sequence);
-                buf.put_u32_le(bytes.len() as u32);
-                buf.put_slice(&bytes);
+                buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                buf.extend_from_slice(&bytes);
             }
             WalRecord::Delete { id } => {
-                buf.put_u8(TAG_DELETE);
-                buf.put_u64_le(id.raw());
+                buf.push(TAG_DELETE);
+                buf.extend_from_slice(&id.raw().to_le_bytes());
             }
         }
-        buf.to_vec()
+        buf
     }
 }
 
@@ -184,49 +184,32 @@ pub enum OwnedWalRecord {
 }
 
 /// Parses one WAL record payload.
-pub fn decode_record(mut bytes: &[u8]) -> Result<OwnedWalRecord> {
-    fn need(buf: &[u8], n: usize, what: &str) -> Result<()> {
-        if buf.remaining() < n {
-            Err(StorageError::Corrupt(format!(
-                "truncated WAL record: {what}"
-            )))
-        } else {
-            Ok(())
-        }
-    }
-    need(bytes, 1, "tag")?;
-    let tag = bytes.get_u8();
-    match tag {
+pub fn decode_record(bytes: &[u8]) -> Result<OwnedWalRecord> {
+    let mut r = Reader::new(bytes, "WAL record");
+    match r.u8("tag")? {
         TAG_INSERT_BINARY => {
-            need(bytes, 8 + 4 + 4 + 4, "insert-binary header")?;
-            let id = ImageId::new(bytes.get_u64_le());
-            let width = bytes.get_u32_le();
-            let height = bytes.get_u32_le();
-            let len = bytes.get_u32_le() as usize;
-            need(bytes, len, "ppm bytes")?;
+            let id = ImageId::new(r.u64("insert-binary id")?);
+            let width = r.u32("width")?;
+            let height = r.u32("height")?;
+            let len = r.u32("ppm length")? as usize;
             Ok(OwnedWalRecord::InsertBinary {
                 id,
                 width,
                 height,
-                ppm: bytes[..len].to_vec(),
+                ppm: r.take(len, "ppm bytes")?.to_vec(),
             })
         }
         TAG_INSERT_EDITED => {
-            need(bytes, 8 + 4, "insert-edited header")?;
-            let id = ImageId::new(bytes.get_u64_le());
-            let len = bytes.get_u32_le() as usize;
-            need(bytes, len, "sequence bytes")?;
-            let sequence = seq_codec::decode(&bytes[..len]).map_err(|e| {
+            let id = ImageId::new(r.u64("insert-edited id")?);
+            let len = r.u32("sequence length")? as usize;
+            let sequence = seq_codec::decode(r.take(len, "sequence bytes")?).map_err(|e| {
                 StorageError::Corrupt(format!("bad edit sequence in WAL record for {id}: {e}"))
             })?;
             Ok(OwnedWalRecord::InsertEdited { id, sequence })
         }
-        TAG_DELETE => {
-            need(bytes, 8, "delete id")?;
-            Ok(OwnedWalRecord::Delete {
-                id: ImageId::new(bytes.get_u64_le()),
-            })
-        }
+        TAG_DELETE => Ok(OwnedWalRecord::Delete {
+            id: ImageId::new(r.u64("delete id")?),
+        }),
         other => Err(StorageError::Corrupt(format!(
             "unknown WAL record tag {other}"
         ))),
@@ -396,10 +379,31 @@ mod tests {
     fn truncated_and_unknown_records_rejected() {
         assert!(decode_record(&[]).is_err());
         assert!(decode_record(&[99]).is_err());
-        let rec = WalRecord::Delete {
-            id: ImageId::new(1),
+        // Truncation at every byte of every record kind must error, never
+        // panic.
+        let seq = EditSequence::builder(ImageId::new(1))
+            .modify(Rgb::RED, Rgb::BLUE)
+            .build();
+        for rec in [
+            WalRecord::InsertBinary {
+                id: ImageId::new(1),
+                width: 2,
+                height: 1,
+                ppm: b"P6 2 1 255 rgbrgb",
+            },
+            WalRecord::InsertEdited {
+                id: ImageId::new(2),
+                sequence: &seq,
+            },
+            WalRecord::Delete {
+                id: ImageId::new(1),
+            },
+        ] {
+            let bytes = rec.encode();
+            assert!(decode_record(&bytes).is_ok());
+            for cut in 0..bytes.len() {
+                assert!(decode_record(&bytes[..cut]).is_err(), "{rec:?} cut {cut}");
+            }
         }
-        .encode();
-        assert!(decode_record(&rec[..rec.len() - 1]).is_err());
     }
 }

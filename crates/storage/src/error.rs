@@ -92,6 +92,12 @@ impl From<mmdb_imaging::ImagingError> for StorageError {
     }
 }
 
+impl From<mmdb_editops::codec::Truncated> for StorageError {
+    fn from(t: mmdb_editops::codec::Truncated) -> Self {
+        StorageError::Corrupt(t.to_string())
+    }
+}
+
 impl From<mmdb_editops::EditError> for StorageError {
     fn from(e: mmdb_editops::EditError) -> Self {
         StorageError::Edit(e)

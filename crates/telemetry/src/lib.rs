@@ -19,9 +19,9 @@
 //!
 //! [`QueryTrace`] records a tree of stages (each with a wall-clock duration
 //! and structured counters) plus query-level events such as the chosen plan.
-//! Tracing is explicit: untraced query paths never build a trace, and
-//! layer-internal stage timing is gated on [`tracing_enabled`] — a single
-//! relaxed atomic load — so the disabled cost is near zero.
+//! Tracing is explicit: a query is traced when its caller hands it a traced
+//! context, and untraced query paths never build a trace or read a clock
+//! for one.
 //!
 //! # Always-on observability
 //!
@@ -81,14 +81,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-// Both switches below use Relaxed loads/stores deliberately: they are
-// standalone mode flags — no caller infers the state of other memory from
-// a flag value, so no acquire/release pairing is needed.
-static TRACING: AtomicBool = AtomicBool::new(false);
-
 /// Master switch for hot-path instrumentation (latency histograms, flight
 /// recorder events, slow-query detection). On by default; the bench
 /// harness's `overhead` mode turns it off to measure instrumentation cost.
+/// Relaxed loads/stores deliberately: it is a standalone mode flag — no
+/// caller infers the state of other memory from its value, so no
+/// acquire/release pairing is needed.
 static INSTRUMENTATION: AtomicBool = AtomicBool::new(true);
 
 /// Enables or disables hot-path instrumentation process-wide.
@@ -101,18 +99,6 @@ pub fn set_instrumentation(enabled: bool) {
 #[inline]
 pub fn instrumentation_enabled() -> bool {
     INSTRUMENTATION.load(Ordering::Relaxed)
-}
-
-/// Globally enables or disables detailed stage timing inside query layers.
-pub fn set_tracing(enabled: bool) {
-    TRACING.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether detailed stage timing is on. A single relaxed load — safe to call
-/// on hot paths.
-#[inline]
-pub fn tracing_enabled() -> bool {
-    TRACING.load(Ordering::Relaxed)
 }
 
 static PROCESS_START: OnceLock<Instant> = OnceLock::new();
@@ -178,15 +164,6 @@ macro_rules! histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tracing_toggle() {
-        assert!(!tracing_enabled());
-        set_tracing(true);
-        assert!(tracing_enabled());
-        set_tracing(false);
-        assert!(!tracing_enabled());
-    }
 
     #[test]
     fn instrumentation_defaults_on_and_toggles() {

@@ -30,9 +30,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Callback run before each `/metrics` render, letting the embedder flush
-/// thread-local staging (e.g. `mmdb_rules::flush_metrics`) so scrapes see
-/// exact totals.
+/// Callback run before each `/metrics` render, letting the embedder
+/// refresh series that are computed on demand (staleness gauges, ranked
+/// heat, an SLO evaluation). Counters need no flush: they are exact at
+/// scrape time.
 pub type PrerenderHook = Arc<dyn Fn() + Send + Sync>;
 
 /// Readiness callback for `/readyz`: `Ok(detail)` answers 200, `Err(detail)`
