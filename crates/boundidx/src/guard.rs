@@ -9,9 +9,9 @@
 //! snapshot leaves the stamp *behind* the real epoch (never ahead), so the
 //! worst case is a spurious re-sync — a stale value is never served.
 //!
-//! [`EpochSlot`] packages that invariant: the only read access is
-//! [`EpochSlot::with_fresh`], which hands the closure `Some(&T)` exactly
-//! when the stamp matches the epoch the caller observed. Writers go through
+//! [`EpochSlot`] packages that invariant: the only serving read is
+//! [`EpochSlot::serve_fresh`], which runs the closure exactly when the
+//! stamp matches the epoch the caller observed. Writers go through
 //! [`EpochSlot::write`], which holds the slot exclusively for the whole
 //! capture-epoch → read-catalog → install sequence.
 //!
@@ -43,19 +43,12 @@ impl<T: EpochStamped> EpochSlot<T> {
         }
     }
 
-    /// Runs `f` with `Some(&value)` when the slot holds a value whose stamp
-    /// equals `epoch` (the engine epoch the caller just observed), and with
-    /// `None` when the slot is empty or stale. The read lock is held for the
-    /// duration of `f`, so a concurrent re-sync cannot swap the value out
-    /// from under the closure — it can only run after, stamping a newer
-    /// epoch.
-    pub fn with_fresh<R>(&self, epoch: u64, f: impl FnOnce(Option<&T>) -> R) -> R {
-        let guard = self.inner.read();
-        f(guard.as_ref().filter(|v| v.stamp() == epoch))
-    }
-
-    /// Like [`EpochSlot::with_fresh`] but returns `None` instead of calling
-    /// the closure when no fresh value is present.
+    /// Runs `f` on the slot's value when its stamp equals `epoch` (the
+    /// engine epoch the caller just observed); returns `None` without
+    /// calling `f` when the slot is empty or stale. The read lock is held
+    /// for the duration of `f`, so a concurrent re-sync cannot swap the
+    /// value out from under the closure — it can only run after, stamping
+    /// a newer epoch.
     pub fn serve_fresh<R>(&self, epoch: u64, f: impl FnOnce(&T) -> R) -> Option<R> {
         let guard = self.inner.read();
         guard.as_ref().filter(|v| v.stamp() == epoch).map(f)
@@ -64,7 +57,7 @@ impl<T: EpochStamped> EpochSlot<T> {
     /// Runs `f` over the slot's current contents **regardless of
     /// freshness** — the stamp is not checked. For observability only
     /// (staleness accounting must read a stale value to measure its lag);
-    /// never a substitute for [`EpochSlot::with_fresh`] when serving.
+    /// never a substitute for [`EpochSlot::serve_fresh`] when serving.
     pub fn peek<R>(&self, f: impl FnOnce(Option<&T>) -> R) -> R {
         f(self.inner.read().as_ref())
     }
@@ -91,7 +84,6 @@ mod tests {
     #[test]
     fn empty_slot_serves_nothing() {
         let slot: EpochSlot<Stamped> = EpochSlot::new();
-        assert!(slot.with_fresh(0, |v| v.is_none()));
         assert_eq!(slot.serve_fresh(0, |v| v.0), None);
     }
 
@@ -102,7 +94,6 @@ mod tests {
         assert_eq!(slot.serve_fresh(3, |v| v.0), Some(3));
         // Engine moved on: the stamped value is stale and must be refused.
         assert_eq!(slot.serve_fresh(4, |v| v.0), None);
-        assert!(slot.with_fresh(4, |v| v.is_none()));
     }
 
     #[test]

@@ -72,8 +72,7 @@ struct IndexEntry {
 /// All mutation goes through `&mut self`; the facade wraps the index in a
 /// `RwLock` and enforces the serving invariant that a lookup is only
 /// answered when [`BoundIndex::synced_epoch`] equals the storage engine's
-/// current mutation epoch — a stale entry is therefore never served even if
-/// an eager invalidation hook was missed.
+/// current mutation epoch — a stale entry is therefore never served.
 #[derive(Clone, Debug)]
 pub struct BoundIndex {
     profile: RuleProfile,
@@ -84,9 +83,6 @@ pub struct BoundIndex {
     synced_epoch: u64,
     /// When the index last reconciled to a catalog snapshot (build or sync).
     last_synced_at: Instant,
-    /// Entries dropped by [`BoundIndex::invalidate`] since the last
-    /// reconciliation — the eager-invalidation share of the resync backlog.
-    invalidated_since_sync: u64,
 }
 
 impl BoundIndex {
@@ -99,7 +95,6 @@ impl BoundIndex {
             dependents: HashMap::new(),
             synced_epoch: 0,
             last_synced_at: Instant::now(),
-            invalidated_since_sync: 0,
         }
     }
 
@@ -140,12 +135,6 @@ impl BoundIndex {
     /// long ago the reconciliation happened.
     pub fn since_last_sync(&self) -> std::time::Duration {
         self.last_synced_at.elapsed()
-    }
-
-    /// Entries eagerly invalidated since the last reconciliation (they will
-    /// be re-admitted by the next sync if still in the catalog).
-    pub fn invalidated_since_sync(&self) -> u64 {
-        self.invalidated_since_sync
     }
 
     /// Bulk build over the full catalog, stamping the result with `epoch`
@@ -286,7 +275,6 @@ impl BoundIndex {
         }
         self.synced_epoch = epoch;
         self.last_synced_at = Instant::now();
-        self.invalidated_since_sync = 0;
         histogram!("mmdb_boundidx_sync_seconds").observe(started.elapsed());
         gauge!("mmdb_boundidx_entries").set(self.len() as u64);
         Ok(stats)
@@ -294,10 +282,10 @@ impl BoundIndex {
 
     /// Removes `id`'s entry *and, transitively, every resident entry whose
     /// bounds reference it* (base links and Merge/Combine targets) — the
-    /// reference-graph closure that makes eager invalidation sound. Returns
-    /// the number of entries dropped. Does not advance the epoch: the next
-    /// lookup still re-syncs, which re-admits any victim that is still in
-    /// the catalog.
+    /// reference-graph closure [`BoundIndex::sync`] applies to every entry
+    /// the catalog dropped. Returns the number of entries dropped. Does not
+    /// advance the epoch; a sync re-admits any victim that is still in the
+    /// catalog.
     pub fn invalidate(&mut self, id: ImageId) -> usize {
         let mut affected = Vec::new();
         let mut seen = HashSet::new();
@@ -316,7 +304,6 @@ impl BoundIndex {
             removed += usize::from(self.remove_entry(victim));
         }
         counter!("mmdb_boundidx_invalidations_total").add(removed as u64);
-        self.invalidated_since_sync += removed as u64;
         removed
     }
 
@@ -348,12 +335,6 @@ impl BoundIndex {
             self.bins.len()
         );
         self.bins[query.bin].overlapping(query.pct_min, query.pct_max, out)
-    }
-
-    /// The memoized bounds for `(id, bin)`, if resident — the BWM fast path
-    /// consults this before falling back to a full rule walk.
-    pub fn cached_bounds(&self, id: ImageId, bin: usize) -> Option<BoundRange> {
-        self.entries.get(&id).map(|e| e.bounds[bin])
     }
 
     /// Exports every resident entry as an `(id, bounds, refs)` triple,
@@ -444,12 +425,6 @@ impl crate::EpochStamped for BoundIndex {
     /// engine's current mutation epoch.
     fn stamp(&self) -> u64 {
         self.synced_epoch
-    }
-}
-
-impl mmdb_bwm::BoundsCache for BoundIndex {
-    fn cached_bounds(&self, id: ImageId, bin: usize) -> Option<BoundRange> {
-        BoundIndex::cached_bounds(self, id, bin)
     }
 }
 
@@ -716,8 +691,8 @@ mod tests {
         let removed = idx.invalidate(ImageId::new(1));
         assert_eq!(removed, 3);
         assert_eq!(idx.len(), 2);
-        assert!(idx.cached_bounds(ImageId::new(12), 0).is_none());
-        assert!(idx.cached_bounds(ImageId::new(11), 0).is_some());
+        assert!(!idx.contains(ImageId::new(12)));
+        assert!(idx.contains(ImageId::new(11)));
         // Invalidating something unknown is a no-op.
         assert_eq!(idx.invalidate(ImageId::new(999)), 0);
     }
@@ -759,7 +734,7 @@ mod tests {
             .unwrap();
         assert_eq!(stats.removed, 1);
         assert_eq!(idx.len(), 4);
-        assert!(idx.cached_bounds(ImageId::new(11), 0).is_none());
+        assert!(!idx.contains(ImageId::new(11)));
         let q = ColorRangeQuery::new(0, 0.0, 1.0);
         assert!(!idx.lookup(&q).ids.contains(&ImageId::new(11)));
     }

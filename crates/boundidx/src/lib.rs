@@ -17,9 +17,10 @@
 //! Freshness is epoch-based: the storage engine stamps every catalog
 //! mutation, [`BoundIndex::sync`] reconciles the index to a stamped catalog
 //! snapshot, and the facade refuses to serve a lookup whose
-//! [`BoundIndex::synced_epoch`] is behind the engine. Deletion invalidates
-//! transitively through the reference graph (base links and Merge targets),
-//! so an entry whose inputs vanished is never consulted.
+//! [`BoundIndex::synced_epoch`] is behind the engine. The sync that catches
+//! up after a deletion drops entries transitively through the reference
+//! graph (base links and Merge targets), so an entry whose inputs vanished
+//! is never consulted.
 
 mod guard;
 mod index;
@@ -35,10 +36,9 @@ use mmdb_rules::RuleProfile;
 
 /// Per-profile staleness gauge series (each exported with a
 /// `{profile="..."}` label for both rule profiles).
-const STALENESS_GAUGES: [&str; 5] = [
+const STALENESS_GAUGES: [&str; 4] = [
     "mmdb_boundidx_epoch_lag",
     "mmdb_boundidx_entries_resident",
-    "mmdb_boundidx_entries_invalidated",
     "mmdb_boundidx_resync_backlog",
     "mmdb_boundidx_seconds_since_sync",
 ];
@@ -59,8 +59,6 @@ pub struct StalenessReport {
     pub epoch_lag: u64,
     /// Entries resident in the index right now.
     pub entries_resident: u64,
-    /// Entries eagerly invalidated since the last reconciliation.
-    pub entries_invalidated: u64,
     /// Work the next sync must do: catalog images with no resident entry
     /// plus resident entries no longer in the catalog.
     pub resync_backlog: u64,
@@ -101,7 +99,6 @@ impl StalenessReport {
                 StalenessReport {
                     epoch_lag,
                     entries_resident: resident,
-                    entries_invalidated: idx.invalidated_since_sync(),
                     resync_backlog: backlog,
                     seconds_since_sync: idx.since_last_sync().as_secs(),
                 }
@@ -109,13 +106,12 @@ impl StalenessReport {
         }
     }
 
-    /// Publishes the report as the five `{profile=...}` gauge series.
+    /// Publishes the report as the four `{profile=...}` gauge series.
     pub fn publish(&self, profile: RuleProfile) {
         let g = mmdb_telemetry::global();
         let series = |metric: &str| g.gauge(&labeled(metric, profile.label()));
         series("mmdb_boundidx_epoch_lag").set(self.epoch_lag);
         series("mmdb_boundidx_entries_resident").set(self.entries_resident);
-        series("mmdb_boundidx_entries_invalidated").set(self.entries_invalidated);
         series("mmdb_boundidx_resync_backlog").set(self.resync_backlog);
         series("mmdb_boundidx_seconds_since_sync").set(self.seconds_since_sync);
     }

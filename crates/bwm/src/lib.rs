@@ -28,9 +28,7 @@
 pub mod query;
 pub mod structure;
 
-pub use query::{
-    bounds_scan, execute, BoundsCache, BwmQueryStats, QueryCtx, QueryOutcome, ShardRecord,
-};
+pub use query::{bounds_scan, execute, BwmQueryStats, QueryCtx, QueryOutcome, ShardRecord};
 pub use structure::{BwmStructure, Classification, SequenceStore};
 
 /// Eagerly registers this layer's metric series (zero-valued until traffic
@@ -49,7 +47,6 @@ pub fn register_metrics() {
         "mmdb_bwm_shortcut_emissions_total",
         "mmdb_bwm_ops_processed_total",
         "mmdb_bwm_bounds_widened_total",
-        "mmdb_bwm_bound_cache_hits_total",
         r#"mmdb_bwm_scans_total{component="classified"}"#,
         r#"mmdb_bwm_scans_total{component="unclassified"}"#,
     ] {

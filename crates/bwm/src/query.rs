@@ -2,24 +2,9 @@
 
 use crate::structure::{BwmStructure, SequenceStore};
 use mmdb_editops::ImageId;
-use mmdb_rules::{
-    BoundRange, ColorRangeQuery, ImageInfo, InfoResolver, Result, RuleEngine, RuleError,
-};
+use mmdb_rules::{ColorRangeQuery, ImageInfo, InfoResolver, Result, RuleEngine, RuleError};
 use mmdb_telemetry::QueryTrace;
 use std::time::{Duration, Instant};
-
-/// A read-only source of memoized BOUNDS results. When a bounds cache is
-/// supplied, `bounds_test` consults it before walking the operation list —
-/// the bound-interval index (`mmdb-boundidx`) implements this, turning the
-/// per-edited-image cost of a non-shortcut cluster from `O(ops)` into a map
-/// probe. The cache must serve bounds computed with the *same* rule profile
-/// and a catalog state at least as fresh as the structure being queried;
-/// the facade enforces both.
-pub trait BoundsCache {
-    /// The memoized range for `(id, bin)`, or `None` to fall back to the
-    /// rule engine.
-    fn cached_bounds(&self, id: ImageId, bin: usize) -> Option<BoundRange>;
-}
 
 /// Work counters for one query execution — these are what Figures 3/4 of
 /// the paper measure indirectly (execution time tracks the number of rule
@@ -46,12 +31,10 @@ pub struct BwmQueryStats {
     pub rule_applications: [usize; 6],
     /// Unclassified-Component entries scanned.
     pub unclassified_scanned: usize,
-    /// Bounds served from a [`BoundsCache`] (or intervals scanned by an
-    /// indexed lookup) instead of a rule walk.
-    pub bound_cache_hits: usize,
-    /// [`BoundsCache`] probes that found nothing and fell back to a rule
-    /// walk.
-    pub bound_cache_misses: usize,
+    /// Resident intervals an indexed lookup scanned — each a rule walk or
+    /// histogram probe the Indexed plan did not make. Zero under every
+    /// other plan.
+    pub intervals_scanned: usize,
 }
 
 impl std::ops::AddAssign for BwmQueryStats {
@@ -70,8 +53,7 @@ impl std::ops::AddAssign for BwmQueryStats {
             *kind += n;
         }
         self.unclassified_scanned += other.unclassified_scanned;
-        self.bound_cache_hits += other.bound_cache_hits;
-        self.bound_cache_misses += other.bound_cache_misses;
+        self.intervals_scanned += other.intervals_scanned;
     }
 }
 
@@ -106,8 +88,7 @@ pub struct ShardRecord {
     pub results: usize,
     /// Full BOUNDS computations the slice executed.
     pub bounds_computed: usize,
-    /// Memoized bounds the slice consulted (index intervals scanned, or
-    /// cache probes that hit) instead of walking rules.
+    /// Index intervals the slice scanned instead of walking rules.
     pub scanned: usize,
 }
 
@@ -155,7 +136,7 @@ impl QueryCtx {
             elapsed: now - since,
             results: self.results.len() - results,
             bounds_computed: self.stats.bounds_computed - stats.bounds_computed,
-            scanned: self.stats.bound_cache_hits - stats.bound_cache_hits,
+            scanned: self.stats.intervals_scanned - stats.intervals_scanned,
         };
         if let Some(trace) = &mut self.trace {
             trace
@@ -192,7 +173,6 @@ struct Scan<'a, S> {
     engine: &'a RuleEngine<'a>,
     resolver: &'a dyn InfoResolver,
     store: &'a S,
-    cache: Option<&'a dyn BoundsCache>,
     /// The ids come from a catalog listing taken a moment ago (RBM), so one
     /// that has no stored sequence any more was deleted since and is simply
     /// not a result. Ids from a BWM structure are guarded by its lock: a
@@ -207,8 +187,7 @@ struct Scan<'a, S> {
 /// fraction satisfies the query, the base and its whole cluster are emitted
 /// without touching any operation list; otherwise each clustered edited
 /// image runs the full BOUNDS computation. Unclassified entries always run
-/// BOUNDS. With a `cache`, both fallbacks probe it for a memoized range
-/// before walking rules; result sets are identical with or without one.
+/// BOUNDS. What it computes depends on the query and the structure alone.
 /// A traced context gets one timed stage per component. Process-wide
 /// counters are the business of whoever owns the whole query.
 pub fn execute<S: SequenceStore>(
@@ -217,7 +196,6 @@ pub fn execute<S: SequenceStore>(
     engine: &RuleEngine<'_>,
     resolver: &dyn InfoResolver,
     store: &S,
-    cache: Option<&dyn BoundsCache>,
     ctx: &mut QueryCtx,
 ) -> Result<()> {
     let scan = Scan {
@@ -225,7 +203,6 @@ pub fn execute<S: SequenceStore>(
         engine,
         resolver,
         store,
-        cache,
         listed: false,
     };
     // Slice-local counters, so the stages below report this structure's
@@ -281,7 +258,6 @@ pub fn bounds_scan<S: SequenceStore>(
         engine,
         resolver,
         store,
-        cache: None,
         listed: true,
     };
     scan.each(ids, results, stats)
@@ -342,11 +318,10 @@ impl<S: SequenceStore> Scan<'_, S> {
         Ok(())
     }
 
-    /// Runs BOUNDS for one edited image (serving a memoized range from the
-    /// cache when available) and emits it when the range overlaps. `base`
-    /// is the last base info this scan resolved: a cluster scan fills it in
-    /// once for the whole cluster, and a run of unclassified images derived
-    /// from one base resolves it once.
+    /// Runs BOUNDS for one edited image and emits it when the range
+    /// overlaps. `base` is the last base info this scan resolved: a cluster
+    /// scan fills it in once for the whole cluster, and a run of
+    /// unclassified images derived from one base resolves it once.
     fn bounds_test(
         &self,
         edited: ImageId,
@@ -355,49 +330,38 @@ impl<S: SequenceStore> Scan<'_, S> {
         stats: &mut BwmQueryStats,
     ) -> Result<()> {
         let query = self.query;
-        let cached = self.cache.map(|c| c.cached_bounds(edited, query.bin));
-        let bounds = match cached.flatten() {
-            Some(bounds) => {
-                stats.bound_cache_hits += 1;
-                bounds
+        let program = match self.store.program(edited, self.engine, self.resolver) {
+            Err(RuleError::UnknownImage(id)) if self.listed && id == edited => {
+                return Ok(());
             }
-            None => {
-                stats.bound_cache_misses += usize::from(cached.is_some());
-                let program = match self.store.program(edited, self.engine, self.resolver) {
-                    Err(RuleError::UnknownImage(id)) if self.listed && id == edited => {
-                        return Ok(());
-                    }
-                    program => program?,
-                };
-                stats.bounds_computed += 1;
-                stats.ops_processed += program.op_count();
-                for (kind, &n) in stats
-                    .rule_applications
-                    .iter_mut()
-                    .zip(program.kind_counts())
-                {
-                    *kind += n as usize;
-                }
-                let base = match base {
-                    Some((resolved, info)) if *resolved == program.base() => &*info,
-                    _ => {
-                        let info = self.resolver.require(program.base())?;
-                        &base.insert((program.base(), info)).1
-                    }
-                };
-                let bounds = program.eval(
-                    query.bin,
-                    self.engine.profile(),
-                    base.histogram.count(query.bin),
-                    base.histogram.total(),
-                    self.resolver,
-                )?;
-                if !bounds.is_exact() {
-                    stats.bounds_widened += 1;
-                }
-                bounds
+            program => program?,
+        };
+        stats.bounds_computed += 1;
+        stats.ops_processed += program.op_count();
+        for (kind, &n) in stats
+            .rule_applications
+            .iter_mut()
+            .zip(program.kind_counts())
+        {
+            *kind += n as usize;
+        }
+        let base = match base {
+            Some((resolved, info)) if *resolved == program.base() => &*info,
+            _ => {
+                let info = self.resolver.require(program.base())?;
+                &base.insert((program.base(), info)).1
             }
         };
+        let bounds = program.eval(
+            query.bin,
+            self.engine.profile(),
+            base.histogram.count(query.bin),
+            base.histogram.total(),
+            self.resolver,
+        )?;
+        if !bounds.is_exact() {
+            stats.bounds_widened += 1;
+        }
         if bounds.overlaps_fraction(query.pct_min, query.pct_max) {
             results.push(edited);
         }
@@ -487,22 +451,9 @@ mod tests {
     }
 
     /// One whole query against the fixture: fresh context in, outcome out.
-    fn run(
-        f: &Fixture,
-        engine: &RuleEngine<'_>,
-        q: &ColorRangeQuery,
-        cache: Option<&dyn BoundsCache>,
-    ) -> Result<QueryOutcome> {
+    fn run(f: &Fixture, engine: &RuleEngine<'_>, q: &ColorRangeQuery) -> Result<QueryOutcome> {
         let mut ctx = QueryCtx::default();
-        execute(
-            &f.structure,
-            q,
-            engine,
-            &f.resolver,
-            &f.store,
-            cache,
-            &mut ctx,
-        )?;
+        execute(&f.structure, q, engine, &f.resolver, &f.store, &mut ctx)?;
         Ok(ctx.into_outcome())
     }
 
@@ -513,7 +464,7 @@ mod tests {
         let red = f.quant.bin_of(Rgb::RED);
         // Base 1 is 50% red: query [0.4, 0.6] hits it; base 2 (10%) misses.
         let q = ColorRangeQuery::new(red, 0.4, 0.6);
-        let out = run(&f, &engine, &q, None).unwrap();
+        let out = run(&f, &engine, &q).unwrap();
         assert!(out.results.contains(&ImageId::new(1)));
         assert!(
             out.results.contains(&ImageId::new(10)),
@@ -540,7 +491,7 @@ mod tests {
         let red = f.quant.bin_of(Rgb::RED);
         // 90..100% red: no base satisfies.
         let q = ColorRangeQuery::new(red, 0.9, 1.0);
-        let out = run(&f, &engine, &q, None).unwrap();
+        let out = run(&f, &engine, &q).unwrap();
         assert_eq!(out.stats.base_hits, 0);
         assert_eq!(out.stats.shortcut_emissions, 0);
         // All three edited images ran BOUNDS.
@@ -555,7 +506,7 @@ mod tests {
         let engine = RuleEngine::new(&f.quant, RuleProfile::Conservative);
         let q = ColorRangeQuery::new(0, 0.9, 1.0);
         assert!(matches!(
-            run(&f, &engine, &q, None),
+            run(&f, &engine, &q),
             Err(RuleError::UnknownImage(id)) if id == ImageId::new(11)
         ));
     }
@@ -589,52 +540,10 @@ mod tests {
         let f = fixture();
         let engine = RuleEngine::new(&f.quant, RuleProfile::Conservative);
         let q = ColorRangeQuery::new(f.quant.bin_of(Rgb::RED), 0.9, 1.0);
-        let out = run(&f, &engine, &q, None).unwrap();
+        let out = run(&f, &engine, &q).unwrap();
         // #10 has 2 ops, #11 has 2 ops, #12 has 2 ops.
         assert_eq!(out.stats.ops_processed, 6);
         assert_eq!(out.stats.clusters_visited, 2);
-    }
-
-    /// A cache holding every edited image's true bounds must produce the
-    /// identical result set with zero rule walks outside shortcut clusters.
-    #[test]
-    fn bounds_cache_preserves_results_and_skips_rule_walks() {
-        struct MapCache(HashMap<(ImageId, usize), mmdb_rules::BoundRange>);
-        impl BoundsCache for MapCache {
-            fn cached_bounds(&self, id: ImageId, bin: usize) -> Option<mmdb_rules::BoundRange> {
-                self.0.get(&(id, bin)).copied()
-            }
-        }
-
-        let f = fixture();
-        let engine = RuleEngine::new(&f.quant, RuleProfile::Conservative);
-        let red = f.quant.bin_of(Rgb::RED);
-        let mut cache = MapCache(HashMap::new());
-        for (&id, seq) in &f.store {
-            for bin in [red, 0] {
-                cache
-                    .0
-                    .insert((id, bin), engine.bounds(seq, bin, &f.resolver).unwrap());
-            }
-        }
-
-        for q in [
-            ColorRangeQuery::new(red, 0.4, 0.6),
-            ColorRangeQuery::new(red, 0.9, 1.0),
-            ColorRangeQuery::new(0, 0.0, 1.0),
-        ] {
-            let plain = run(&f, &engine, &q, None).unwrap();
-            let cached = run(&f, &engine, &q, Some(&cache)).unwrap();
-            assert_eq!(plain.sorted_results(), cached.sorted_results());
-            assert_eq!(
-                cached.stats.bounds_computed, 0,
-                "cache must cover every walk"
-            );
-            assert_eq!(
-                cached.stats.bound_cache_hits, plain.stats.bounds_computed,
-                "every avoided rule walk must be a counted hit"
-            );
-        }
     }
 
     /// Execution leaves the process-wide registry alone: the work of a walk
@@ -659,7 +568,7 @@ mod tests {
             .map(|name| snapshot.get(name))
         };
         let before = work_series();
-        let out = run(&f, &engine, &q, None).unwrap();
+        let out = run(&f, &engine, &q).unwrap();
         assert!(
             out.stats.bounds_widened > 0,
             "fixture must widen some bound"

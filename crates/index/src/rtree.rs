@@ -186,7 +186,7 @@ impl<T> RTree<T> {
             dist: 0.0,
             item: Item::Node(&self.root),
         });
-        let mut out = Vec::with_capacity(k);
+        let mut out = Vec::with_capacity(k.min(self.len));
         while let Some(Queued { dist, item }) = heap.pop() {
             match item {
                 Item::Entry(v) => {
@@ -617,9 +617,11 @@ mod tests {
         let mut t = RTree::new(2);
         t.insert(point(0.0, 0.0), 'a');
         t.insert(point(1.0, 1.0), 'b');
-        let nn = t.nearest(&[0.0, 0.0], 10);
-        assert_eq!(nn.len(), 2);
-        assert_eq!(*nn[0].1, 'a');
+        for k in [10, usize::MAX] {
+            let nn = t.nearest(&[0.0, 0.0], k);
+            assert_eq!(nn.len(), 2);
+            assert_eq!(*nn[0].1, 'a');
+        }
     }
 
     #[test]

@@ -338,8 +338,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let elapsed = start.elapsed();
     let results = if args.options.contains_key("expand") {
-        let qp = mmdbms::query::QueryProcessor::new(db.storage());
-        qp.expand_with_bases(&outcome.results)
+        db.expand_with_bases(&outcome.results)
     } else {
         outcome.sorted_results()
     };
@@ -908,15 +907,14 @@ fn print_heat_and_staleness(args: &Args, db: &MultimediaDatabase) -> Result<(), 
         }
     }
     println!(
-        "{:<14}  {:>6}  {:>9}  {:>12}  {:>8}  {:>11}",
-        "index profile", "lag", "resident", "invalidated", "backlog", "synced-ago"
+        "{:<14}  {:>6}  {:>9}  {:>8}  {:>11}",
+        "index profile", "lag", "resident", "backlog", "synced-ago"
     );
     for profile in ["conservative", "paper_table1"] {
         println!(
-            "{profile:<14}  {:>6}  {:>9}  {:>12}  {:>8}  {:>10}s",
+            "{profile:<14}  {:>6}  {:>9}  {:>8}  {:>10}s",
             staleness("mmdb_boundidx_epoch_lag", profile),
             staleness("mmdb_boundidx_entries_resident", profile),
-            staleness("mmdb_boundidx_entries_invalidated", profile),
             staleness("mmdb_boundidx_resync_backlog", profile),
             staleness("mmdb_boundidx_seconds_since_sync", profile),
         );

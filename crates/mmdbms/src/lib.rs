@@ -146,8 +146,9 @@ pub fn configure_observability(config: &ObservabilityConfig) {
 /// sort; k-NN = merge of per-shard top-k). Per shard, the BWM structure is
 /// maintained incrementally on every insert/delete (the paper's Figure 1:
 /// "the proposed data structure can be constructed as images are inserted
-/// into the database"), and the histogram R-tree is built lazily and
-/// invalidated on mutation. The default constructors build a single shard,
+/// into the database"); the histogram R-tree and the bound indexes are
+/// built lazily and catch up with the shard's mutation epoch when next
+/// read. The default constructors build a single shard,
 /// which is exactly the historical single-engine behavior. Everything about
 /// the partition itself — wiring, layout, routing, placement, gathers — is
 /// the `shards` module's.
@@ -324,7 +325,6 @@ impl MultimediaDatabase {
         let shard = self.shards.place_binary();
         let id = shard.storage.insert_binary(image)?;
         shard.bwm.write().insert_binary(id);
-        shard.signature_index.write().take();
         Ok(id)
     }
 
@@ -392,23 +392,14 @@ impl MultimediaDatabase {
         // in the scan.)
         let mut bwm = shard.bwm.write();
         shard.storage.delete(id)?;
-        let orphans = match base {
-            Some(base) => {
-                bwm.remove_edited(id, base);
-                Vec::new()
+        match base {
+            Some(base) => bwm.remove_edited(id, base),
+            // The cluster is empty: storage refuses to delete a binary
+            // image that still has derived children.
+            None => {
+                bwm.remove_binary(id);
             }
-            None => bwm.remove_binary(id),
-        };
-        drop(bwm);
-        shard.signature_index.write().take();
-        // Eager index invalidation: the deleted image plus any edited images
-        // the BWM reclassified (their bounds are unchanged — sequences are
-        // immutable — but dropping them keeps both layers' views aligned;
-        // the epoch bump re-admits survivors on the next indexed query).
-        // Orphans share the deleted image's shard (provenance is local).
-        let mut victims = vec![id];
-        victims.extend(orphans);
-        shard.invalidate_indexes(&victims);
+        }
         Ok(())
     }
 
@@ -578,21 +569,23 @@ impl MultimediaDatabase {
     pub fn find_at_least(&self, color: Rgb, pct: f64) -> Result<Vec<ImageId>> {
         let query = ColorRangeQuery::at_least(self.bin_of(color), pct);
         let outcome = self.query_range(&query)?;
-        // Provenance expansion is shard-agnostic: a matching edited image's
-        // base may live on another shard, so resolve bases through the
-        // facade-level view rather than any one shard's processor.
-        let mut expanded: BTreeSet<ImageId> = outcome.results.iter().copied().collect();
-        for &id in &outcome.results {
-            if let Some(base) = self.base_of(id) {
-                expanded.insert(base);
-            }
-        }
-        Ok(expanded.into_iter().collect())
+        Ok(self.expand_with_bases(&outcome.results))
+    }
+
+    /// §2's provenance expansion over the whole catalog: `results` plus the
+    /// base of every edited image among them, ascending. Each id is
+    /// resolved on the shard that owns it, so this is the expansion to use
+    /// on a sharded database (a shard-local query processor only knows its
+    /// own shard's bases).
+    pub fn expand_with_bases(&self, results: &[ImageId]) -> Vec<ImageId> {
+        let mut expanded: BTreeSet<ImageId> = results.iter().copied().collect();
+        expanded.extend(results.iter().filter_map(|&id| self.base_of(id)));
+        expanded.into_iter().collect()
     }
 
     /// The `k` binary images most similar to `example` by histogram-
-    /// signature distance (R-tree k-NN). The index is built lazily and
-    /// cached until the next mutation.
+    /// signature distance (R-tree k-NN). Each shard's tree is built on
+    /// first use and rebuilt when the shard's mutation epoch has moved.
     pub fn similar_to(&self, example: &RasterImage, k: usize) -> Vec<(f64, ImageId)> {
         let hist = ColorHistogram::extract(example, self.quantizer());
         self.shards.nearest(&hist, k)
@@ -609,10 +602,19 @@ impl MultimediaDatabase {
         example: &RasterImage,
         k: usize,
     ) -> Result<mmdb_query::KnnOutcome> {
-        let hist = ColorHistogram::extract(example, self.quantizer());
+        self.nearest_augmented(&ColorHistogram::extract(example, self.quantizer()), k)
+    }
+
+    /// [`MultimediaDatabase::similar_to_augmented`] for a probe whose
+    /// histogram is already in hand (the wire `knn` probes by stored id).
+    pub(crate) fn nearest_augmented(
+        &self,
+        hist: &ColorHistogram,
+        k: usize,
+    ) -> Result<mmdb_query::KnnOutcome> {
         observed_knn(|| {
             self.shards
-                .nearest_augmented(&hist, k, RuleProfile::Conservative)
+                .nearest_augmented(hist, k, RuleProfile::Conservative)
         })
     }
 

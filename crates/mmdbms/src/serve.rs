@@ -10,7 +10,7 @@ use mmdb_query::QueryPlan;
 use mmdb_rules::{ColorRangeQuery, RuleProfile};
 use mmdb_server::protocol::{PlanKind, ProfileKind};
 use mmdb_server::{BackendError, LookupReply, QueryBackend, RangeReply, RangeRequest, StatsReply};
-use mmdb_storage::StoredKind;
+use mmdb_storage::{StorageError, StoredKind};
 use mmdb_telemetry::{profile_frame, QueryTrace};
 
 fn plan_of(kind: PlanKind) -> QueryPlan {
@@ -92,14 +92,16 @@ impl QueryBackend for MultimediaDatabase {
 
     fn knn(&self, probe_id: u64, k: u32) -> Result<Vec<(u64, f64)>, BackendError> {
         let id = ImageId(probe_id);
-        if !self.contains(id) {
-            return Err(BackendError::NotFound(probe_id));
-        }
-        let probe = self
-            .image(id)
-            .map_err(|e| BackendError::Internal(e.to_string()))?;
+        // The stored histogram for a binary probe; only an edited probe
+        // is instantiated.
+        let hist = match self.shards.owner(id).storage.histogram(id) {
+            Err(StorageError::NotFound(missing)) if missing == id => {
+                return Err(BackendError::NotFound(probe_id));
+            }
+            hist => hist.map_err(|e| BackendError::Internal(e.to_string()))?,
+        };
         let outcome = self
-            .similar_to_augmented(&probe, k as usize)
+            .nearest_augmented(&hist, k as usize)
             .map_err(|e| BackendError::Internal(e.to_string()))?;
         Ok(outcome
             .neighbours

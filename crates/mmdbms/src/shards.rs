@@ -9,10 +9,8 @@
 //! the strided allocator that creates it: [`mmdb_storage::id_class`].
 
 use crate::Result;
-use mmdb_boundidx::{
-    profile_slot, BoundIndex, EpochSlot, StalenessReport, SyncStats, PROFILE_SLOTS,
-};
-use mmdb_bwm::{BoundsCache, BwmStructure, QueryCtx, SequenceStore};
+use mmdb_boundidx::{profile_slot, BoundIndex, EpochSlot, EpochStamped, SyncStats, PROFILE_SLOTS};
+use mmdb_bwm::{BwmStructure, QueryCtx, SequenceStore};
 use mmdb_conc::sync::atomic::{AtomicU64, Ordering};
 use mmdb_conc::sync::RwLock;
 use mmdb_editops::{EditSequence, ImageId};
@@ -25,10 +23,18 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Weak};
 
 /// One shard of the database: a complete, self-contained storage engine
-/// (own lock, own mutation epoch, own WAL) plus the derived structures
-/// built from *its* slice of the catalog — an incrementally maintained BWM
-/// structure, a lazily built histogram R-tree, and one epoch-guarded
-/// [`BoundIndex`] slot per rule profile.
+/// (own lock, own mutation epoch, own WAL) plus the structures derived from
+/// *its* slice of the catalog. A write touches `storage` and `bwm` and
+/// nothing else. The BWM structure is maintained eagerly, under its own
+/// lock, because a scan must not meet an id the catalog has dropped; every
+/// other derived structure sits in an [`EpochSlot`] and catches up on read.
+///
+/// The slots' serving invariant is `value.stamp() == storage.current_epoch()`
+/// *for this shard's engine*: a value whose stamp trails it is never
+/// consulted — it is re-synced or rebuilt under the slot's write lock
+/// first, stamped with the epoch captured before the catalog listing it is
+/// built from. [`EpochSlot`] enforces the invariant structurally; the
+/// protocol is model-checked in `crates/conc/tests/model_boundidx.rs`.
 ///
 /// Shards own disjoint id spaces (shard `i` of `N` allocates ids
 /// `≡ i + 1 (mod N)` via strided allocation), so scatter-gather merges
@@ -36,14 +42,9 @@ use std::sync::{Arc, Weak};
 pub(crate) struct Shard {
     pub(crate) storage: Arc<StorageEngine>,
     pub(crate) bwm: RwLock<BwmStructure>,
-    pub(crate) signature_index: RwLock<Option<Arc<SignatureIndex>>>,
-    /// One lazily built [`BoundIndex`] per rule profile, each in an
-    /// epoch-guarded slot. The serving invariant is
-    /// `index.synced_epoch() == storage.current_epoch()` *for this shard's
-    /// engine*: a slot whose epoch trails it is never consulted — it is
-    /// re-synced (or built) under the slot's write lock first.
-    /// [`EpochSlot`] enforces the invariant structurally; the protocol is
-    /// model-checked in `crates/conc/tests/model_boundidx.rs`.
+    /// The histogram R-tree over this shard's binary images.
+    pub(crate) signature_index: EpochSlot<SignatureIndex>,
+    /// One [`BoundIndex`] per rule profile.
     pub(crate) bound_index: [EpochSlot<BoundIndex>; PROFILE_SLOTS],
 }
 
@@ -53,7 +54,7 @@ impl Shard {
         Shard {
             storage,
             bwm: RwLock::new(bwm),
-            signature_index: RwLock::new(None),
+            signature_index: EpochSlot::new(),
             bound_index: std::array::from_fn(|_| EpochSlot::new()),
         }
     }
@@ -68,17 +69,7 @@ impl Shard {
     ) -> Result<()> {
         let qp = QueryProcessor::with_profile(&self.storage, profile);
         match plan {
-            QueryPlan::Bwm => {
-                // Fast path: when a fresh index exists for this profile, BWM
-                // probes it for memoized bounds instead of walking operation
-                // lists. A stale (or absent) index is simply skipped — the
-                // BWM plan never pays a sync.
-                let epoch = self.storage.current_epoch();
-                self.bound_index[profile_slot(profile)].with_fresh(epoch, |idx| {
-                    let cache = idx.map(|idx| idx as &dyn BoundsCache);
-                    qp.execute(Slice::Bwm(&self.bwm.read(), cache), query, ctx)
-                })
-            }
+            QueryPlan::Bwm => qp.execute(Slice::Bwm(&self.bwm.read()), query, ctx),
             QueryPlan::Rbm => qp.execute(Slice::Rbm, query, ctx),
             QueryPlan::Instantiate => qp.execute(Slice::Instantiate, query, ctx),
             QueryPlan::Indexed => self.with_bound_index(profile, |idx, sync| {
@@ -143,42 +134,26 @@ impl Shard {
                 SyncStats::default()
             }
         };
-        let idx = guard.as_ref().expect("slot populated above");
-        // The slot just reconciled to `epoch`; republish its staleness
-        // gauges (lag and backlog drop to zero) without waiting for the
-        // next exposition-driven refresh.
-        StalenessReport::compute(Some(idx), epoch, &binary, &edited).publish(profile);
-        Ok(f(idx, stats))
+        Ok(f(guard.as_ref().expect("slot populated above"), stats))
     }
 
-    /// Eagerly drops `ids` (and, transitively, every indexed image whose
-    /// sequence references them) from both profile slots. Correctness does
-    /// not depend on this — the storage epoch already forces a re-sync —
-    /// but eager removal frees deleted entries immediately instead of at
-    /// the next indexed query.
-    pub(crate) fn invalidate_indexes(&self, ids: &[ImageId]) {
-        if ids.is_empty() {
-            return;
+    /// This shard's `k` binary images nearest `hist`, from an R-tree that
+    /// satisfies the serving invariant — rebuilt first when the slot is
+    /// empty or trails the engine, as [`Shard::with_bound_index`] does.
+    fn nearest(&self, hist: &ColorHistogram, k: usize) -> Vec<(f64, ImageId)> {
+        let storage = &self.storage;
+        let slot = &self.signature_index;
+        let served = slot.serve_fresh(storage.current_epoch(), |index| index.nearest(hist, k));
+        if let Some(out) = served {
+            return out;
         }
-        for slot in &self.bound_index {
-            let mut guard = slot.write();
-            if let Some(idx) = guard.as_mut() {
-                for &id in ids {
-                    idx.invalidate(id);
-                }
-            }
-        }
-    }
-
-    /// The histogram R-tree over this shard's binary images, built lazily
-    /// and cached until the next mutation.
-    fn ensure_index(&self) -> Arc<SignatureIndex> {
-        if let Some(index) = self.signature_index.read().as_ref() {
-            return Arc::clone(index);
-        }
-        let built = Arc::new(SignatureIndex::build(&self.storage));
-        *self.signature_index.write() = Some(Arc::clone(&built));
-        built
+        let mut guard = slot.write();
+        let index = match &mut *guard {
+            // Another reader rebuilt it while this one waited for the lock.
+            Some(index) if index.stamp() == storage.current_epoch() => index,
+            stale => stale.insert(SignatureIndex::build(storage)),
+        };
+        index.nearest(hist, k)
     }
 }
 
@@ -402,7 +377,7 @@ impl Shards {
     pub(crate) fn nearest(&self, hist: &ColorHistogram, k: usize) -> Vec<(f64, ImageId)> {
         let mut merged: Vec<(f64, ImageId)> = Vec::new();
         for shard in self.iter() {
-            merged.extend(shard.ensure_index().nearest(hist, k));
+            merged.extend(shard.nearest(hist, k));
         }
         sort_neighbours(&mut merged);
         merged.truncate(k);
@@ -444,4 +419,40 @@ fn sort_neighbours(neighbours: &mut [(f64, ImageId)]) {
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.1.cmp(&b.1))
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MultimediaDatabase;
+    use mmdb_histogram::RgbQuantizer;
+    use mmdb_imaging::{draw, RasterImage, Rect, Rgb};
+
+    fn blue_rows(rows: i64) -> RasterImage {
+        let mut img = RasterImage::filled(30, 20, Rgb::WHITE).unwrap();
+        draw::fill_rect(&mut img, &Rect::new(0, 0, 30, rows), Rgb::BLUE);
+        img
+    }
+
+    /// The lost update of a build that raced an insert: the tree was built
+    /// from a listing that predates the insert and lands in the slot after
+    /// it. Its stamp trails the engine, so it is rebuilt, never served.
+    #[test]
+    fn signature_index_installed_after_a_racing_insert_is_not_served() {
+        let db = MultimediaDatabase::in_memory(Box::new(RgbQuantizer::default_64()));
+        let far = db.insert_image(&blue_rows(2)).unwrap();
+        let shard = &db.shards[0];
+        let built_before_insert = SignatureIndex::build(&shard.storage);
+        let closer = db.insert_image(&blue_rows(11)).unwrap();
+        *shard.signature_index.write() = Some(built_before_insert);
+
+        let nn = db.similar_to(&blue_rows(11), 2);
+        assert_eq!(nn[0].1, closer);
+        assert_eq!(nn[1].1, far);
+        let epoch = shard.storage.current_epoch();
+        let served = shard
+            .signature_index
+            .serve_fresh(epoch, SignatureIndex::len);
+        assert_eq!(served, Some(2), "the slot caught up with the engine");
+    }
 }

@@ -120,6 +120,46 @@ fn insert_external_ppm() {
     std::fs::remove_dir_all(&db).ok();
 }
 
+/// `--expand` resolves each match's base on the shard that owns it, so the
+/// expansion does not depend on how the catalog is partitioned.
+#[test]
+fn expand_finds_bases_on_every_shard() {
+    let count_of = |out: &str| -> usize {
+        let first = out.lines().next().unwrap_or_default();
+        first
+            .split(' ')
+            .next()
+            .unwrap()
+            .parse()
+            .expect("N result(s)")
+    };
+    for shards in ["1", "4"] {
+        let db = temp_db(&format!("expand{shards}"));
+        let db_s = db.to_str().unwrap();
+        ok(&["create", "--db", db_s, "--shards", shards]);
+        ok(&[
+            "gen",
+            "--db",
+            db_s,
+            "--collection",
+            "flags",
+            "--count",
+            "24",
+            "--augment",
+            "3",
+            "--seed",
+            "5",
+        ]);
+        let query = [
+            "query", "--db", db_s, "--color", "#ff0000", "--min", "0.3", "--plan", "rbm",
+        ];
+        assert_eq!(count_of(&ok(&query)), 80, "{shards} shard(s)");
+        let expanded = ok(&[&query[..], &["--expand", "true"]].concat());
+        assert_eq!(count_of(&expanded), 90, "{shards} shard(s), expanded");
+        std::fs::remove_dir_all(&db).ok();
+    }
+}
+
 #[test]
 fn errors_are_reported_not_panicked() {
     let db = temp_db("errs");

@@ -4,7 +4,7 @@
 use crate::knn_edited::KnnOutcome;
 use crate::plan::QueryPlan;
 use mmdb_boundidx::{BoundIndex, SyncStats};
-use mmdb_bwm::{BoundsCache, BwmQueryStats, BwmStructure, QueryOutcome};
+use mmdb_bwm::{BwmQueryStats, BwmStructure, QueryOutcome};
 use mmdb_editops::ImageId;
 use mmdb_rules::{ColorRangeQuery, InfoResolver, RuleEngine, RuleError, RuleProfile};
 use mmdb_storage::{StorageEngine, StorageError};
@@ -142,7 +142,7 @@ pub fn observed(
         trace.counter("bounds_computed", ctx.stats.bounds_computed as u64);
         trace.counter("bounds_widened", ctx.stats.bounds_widened as u64);
         if plan == QueryPlan::Indexed {
-            trace.counter("index_hits", ctx.stats.bound_cache_hits as u64);
+            trace.counter("index_hits", ctx.stats.intervals_scanned as u64);
         }
         trace.event("plan", plan.to_string());
         trace.event("bin", query.bin.to_string());
@@ -250,13 +250,14 @@ fn observe_range(
 /// Adds one executed query's work counters — summed over every shard
 /// slice — to the process-wide registry: the rule engine's series (Table 1
 /// applications by kind, BOUNDS computations, bound-widening operations),
-/// the BWM scan series of a BWM query, and the bound index's lookup, hit
-/// and miss counts. Execution itself only fills in the [`BwmQueryStats`],
-/// so the series are exact as soon as the query returns, whichever thread
-/// ran it.
+/// the BWM scan series of a BWM query, and the bound index's lookup and hit
+/// counts of an Indexed one. Execution itself only fills in the
+/// [`BwmQueryStats`], so the series are exact as soon as the query returns,
+/// whichever thread ran it.
 fn flush_work_counters(plan: QueryPlan, profile: RuleProfile, stats: &BwmQueryStats) {
-    // A plan that walked no rule (Indexed, Instantiate, a fully cached BWM
-    // scan) leaves the rule series alone rather than adding zeros.
+    // A plan that walked no rule (Indexed, Instantiate, a BWM scan that
+    // shortcut every cluster) leaves the rule series alone rather than
+    // adding zeros.
     if stats.bounds_computed > 0 {
         counter!("mmdb_rules_bounds_computed_total").add(stats.bounds_computed as u64);
         let applications = [
@@ -290,20 +291,16 @@ fn flush_work_counters(plan: QueryPlan, profile: RuleProfile, stats: &BwmQuerySt
             counter!("mmdb_bwm_shortcut_emissions_total").add(stats.shortcut_emissions as u64);
             counter!("mmdb_bwm_ops_processed_total").add(stats.ops_processed as u64);
             counter!("mmdb_bwm_bounds_widened_total").add(stats.bounds_widened as u64);
-            counter!("mmdb_bwm_bound_cache_hits_total").add(stats.bound_cache_hits as u64);
             let classified = stats
                 .bounds_computed
                 .saturating_sub(stats.unclassified_scanned);
             counter!(r#"mmdb_bwm_scans_total{component="classified"}"#).add(classified as u64);
             counter!(r#"mmdb_bwm_scans_total{component="unclassified"}"#)
                 .add(stats.unclassified_scanned as u64);
-            // Probes of a fresh bound index lent to the scan as its cache.
-            counter!("mmdb_boundidx_hits_total").add(stats.bound_cache_hits as u64);
-            counter!("mmdb_boundidx_misses_total").add(stats.bound_cache_misses as u64);
         }
         QueryPlan::Indexed => {
             counter!("mmdb_boundidx_lookups_total").inc();
-            counter!("mmdb_boundidx_hits_total").add(stats.bound_cache_hits as u64);
+            counter!("mmdb_boundidx_hits_total").add(stats.intervals_scanned as u64);
         }
         QueryPlan::Rbm | QueryPlan::Instantiate => {}
     }
@@ -319,9 +316,8 @@ pub enum Slice<'s> {
     Instantiate,
     /// §3's Rule-Based Method.
     Rbm,
-    /// §4's Figure 2 over a BWM structure, probing the cache (when given —
-    /// the caller vouches for its freshness) before walking any rule.
-    Bwm(&'s BwmStructure, Option<&'s dyn BoundsCache>),
+    /// §4's Figure 2 over a BWM structure.
+    Bwm(&'s BwmStructure),
     /// Bound-interval index lookup; the [`SyncStats`] say what maintenance
     /// the caller just performed on the index, for the trace.
     Indexed(&'s BoundIndex, SyncStats),
@@ -429,10 +425,7 @@ impl<'db> QueryProcessor<'db> {
             QueryPlan::Rbm => Slice::Rbm,
             QueryPlan::Bwm => {
                 let structure = self.bwm.as_ref();
-                Slice::Bwm(
-                    structure.expect("BWM plan requires an attached BWM structure"),
-                    None,
-                )
+                Slice::Bwm(structure.expect("BWM plan requires an attached BWM structure"))
             }
             QueryPlan::Indexed => {
                 let index = self.boundidx.as_ref();
@@ -522,22 +515,16 @@ impl<'db> QueryProcessor<'db> {
                         .counter("ops_processed", stats.ops_processed as u64);
                 }
             }
-            Slice::Bwm(structure, cache) => mmdb_bwm::execute(
-                structure,
-                query,
-                &self.engine(),
-                self.db,
-                self.db,
-                cache,
-                ctx,
-            )?,
+            Slice::Bwm(structure) => {
+                mmdb_bwm::execute(structure, query, &self.engine(), self.db, self.db, ctx)?;
+            }
             // Two galloping prefix searches and a scan of the smaller
             // prefix — no rule walk, so not even a clock read untraced.
             Slice::Indexed(index, sync) => {
                 let started = ctx.trace.is_some().then(Instant::now);
                 let found = ctx.results.len();
                 let scanned = index.lookup_into(query, &mut ctx.results);
-                ctx.stats.bound_cache_hits += scanned;
+                ctx.stats.intervals_scanned += scanned;
                 if let (Some(trace), Some(started)) = (&mut ctx.trace, started) {
                     trace
                         .stage("index_sync", Duration::ZERO)
@@ -619,7 +606,7 @@ impl<'db> QueryProcessor<'db> {
         structure: &BwmStructure,
         query: &ColorRangeQuery,
     ) -> Result<QueryOutcome> {
-        self.run(Slice::Bwm(structure, None), query)
+        self.run(Slice::Bwm(structure), query)
     }
 
     /// Answers `query` from the attached bound-interval index.
@@ -837,26 +824,6 @@ mod tests {
         db.delete(*edits.last().unwrap()).unwrap();
         let q = ColorRangeQuery::new(red_bin(&db), 0.0, 1.0);
         let _ = qp.range_indexed(&q);
-    }
-
-    #[test]
-    fn bwm_cache_fast_path_preserves_results() {
-        let (db, _bases, _edits) = setup();
-        let mut qp = QueryProcessor::new(&db);
-        qp.build_bwm();
-        qp.build_bound_index().unwrap();
-        let structure = qp.bwm().unwrap().clone();
-        for (lo, hi) in [(0.0, 1.0), (0.45, 0.52), (0.9, 1.0)] {
-            let q = ColorRangeQuery::new(red_bin(&db), lo, hi);
-            let plain = qp.range_bwm_with(&structure, &q).unwrap();
-            let cache = qp.bound_index().map(|i| i as &dyn BoundsCache);
-            let cached = qp.run(Slice::Bwm(&structure, cache), &q).unwrap();
-            assert_eq!(plain.sorted_results(), cached.sorted_results());
-            assert_eq!(
-                cached.stats.bounds_computed, 0,
-                "fresh index must serve every non-shortcut bounds test"
-            );
-        }
     }
 
     #[test]

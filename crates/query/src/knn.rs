@@ -17,11 +17,16 @@ use mmdb_storage::StorageEngine;
 pub struct SignatureIndex {
     tree: RTree<ImageId>,
     dims: usize,
+    epoch: u64,
 }
 
 impl SignatureIndex {
-    /// Bulk-loads the index from every binary image in `db` (STR packing).
+    /// Bulk-loads the index from every binary image in `db` (STR packing),
+    /// stamped with the mutation epoch captured *before* the listing: a
+    /// write racing the build leaves the stamp behind the engine, never
+    /// ahead.
     pub fn build(db: &StorageEngine) -> Self {
+        let epoch = db.current_epoch();
         let dims = db.quantizer().bin_count();
         let entries: Vec<(Mbr, ImageId)> = db
             .binary_ids()
@@ -34,6 +39,7 @@ impl SignatureIndex {
         SignatureIndex {
             tree: bulk_load_str(dims, 16, entries),
             dims,
+            epoch,
         }
     }
 
@@ -87,6 +93,13 @@ impl SignatureIndex {
             .collect();
         hits.sort_unstable();
         hits
+    }
+}
+
+impl mmdb_boundidx::EpochStamped for SignatureIndex {
+    /// The epoch captured before the listing this tree was built from.
+    fn stamp(&self) -> u64 {
+        self.epoch
     }
 }
 

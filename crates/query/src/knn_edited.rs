@@ -28,7 +28,7 @@
 
 use mmdb_editops::ImageId;
 use mmdb_histogram::{l1_distance, ColorHistogram};
-use mmdb_rules::{BoundRange, RuleEngine, RuleProfile};
+use mmdb_rules::{BoundRange, InfoResolver, RuleProfile};
 use mmdb_storage::StorageEngine;
 
 /// Work counters for one k-NN execution.
@@ -92,21 +92,19 @@ pub fn knn_augmented(
     // Phase 1: exact distances for binary images.
     let mut best: Vec<(f64, ImageId)> = Vec::new();
     for id in db.binary_ids() {
-        use mmdb_rules::InfoResolver;
         let info = InfoResolver::require(db, id)?;
         let d = l1_distance(query, &info.histogram);
         stats.binary_scored += 1;
         push_candidate(&mut best, k, (d, id));
     }
 
-    // Phase 2: filter-and-refine over edited images.
-    let engine = RuleEngine::with_background(db.quantizer(), profile, db.background());
+    // Phase 2: filter-and-refine over edited images, each evaluated from
+    // the program cached on its catalog entry.
     for id in db.edited_ids() {
-        let seq = db
-            .edit_sequence(id)
-            .ok_or(mmdb_rules::RuleError::UnknownImage(id))?;
+        let program = db.bound_program(id)?;
+        let base = InfoResolver::require(db, program.base())?;
         let tau = kth_distance(&best, k);
-        let bounds = engine.bounds_vector(&seq, db)?;
+        let bounds = program.eval_vector(profile, &base.histogram, db)?;
         let lower = l1_lower_bound(&query_sig, &bounds);
         if lower >= tau {
             stats.edited_pruned += 1;
@@ -179,6 +177,7 @@ mod tests {
     use mmdb_editops::EditSequence;
     use mmdb_histogram::RgbQuantizer;
     use mmdb_imaging::{draw, RasterImage, Rect, Rgb};
+    use mmdb_rules::RuleEngine;
 
     /// Gradient of red fractions plus edited variants.
     fn setup() -> (StorageEngine, Vec<ImageId>) {

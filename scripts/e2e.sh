@@ -134,6 +134,11 @@ index() {
   count=$(grep -F 'mmdb_query_range_latency_seconds_count{plan="indexed"}' metrics.txt | awk '{print $2}')
   echo "indexed latency count: $count"
   test "$count" -gt 0
+  # The warmup also ran BWM queries while that index was fresh. A BWM scan
+  # borrows nothing from it and a write evicts nothing from it, so neither
+  # family exists.
+  refute '^mmdb_bwm_bound_cache_hits_total' metrics.txt
+  refute '^mmdb_boundidx_entries_invalidated' metrics.txt
   stop_and_wait
 }
 
@@ -249,9 +254,12 @@ durable() {
   # Recovered catalog answers consistently, zero replay after drain.
   "$MMDBCTL" verify --db ./db
   "$MMDBCTL" query --db ./db --color '#ff0000' --min 0.05 --plan rbm > rbm.txt
+  "$MMDBCTL" query --db ./db --color '#ff0000' --min 0.05 --plan bwm > bwm.txt
   "$MMDBCTL" query --db ./db --color '#ff0000' --min 0.05 --plan indexed > indexed.txt
   grep 'img#' rbm.txt | sort > rbm.ids
+  grep 'img#' bwm.txt | sort > bwm.ids
   grep 'img#' indexed.txt | sort > indexed.ids
+  diff rbm.ids bwm.ids
   diff rbm.ids indexed.ids
   # The drained shutdown left nothing for the next open to replay.
   "$MMDBCTL" fsck ./db | tee fsck2.txt
