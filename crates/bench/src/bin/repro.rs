@@ -11,9 +11,9 @@
 //! `overhead`, `serve-load`, `trace-overhead`, `all`. `--fast` runs a
 //! reduced configuration; CSVs land in `results/`. `serve-load --connect
 //! HOST:PORT` is a closed-loop load generator for a running `mmdbctl
-//! serve-queries`; `trace-overhead` measures the serving cost of the
-//! request-tracing modes. Serving throughput, shard fan-out, cold start and
-//! telemetry cost are measured by `bash benchmark/run.sh`, not here.
+//! serve`; `trace-overhead` measures the serving cost of keeping request
+//! traces. Serving throughput, shard fan-out, cold start and telemetry cost
+//! are measured by `bash benchmark/run.sh`, not here.
 
 use mmdb_bench::csvout;
 use mmdb_bench::experiments::{self, Figure, SweepConfig, METRICS_HEADERS, SWEEP_HEADERS};
@@ -572,7 +572,7 @@ fn run_serve_load(fast: bool, raw_args: &[String]) {
         .and_then(|i| raw_args.get(i + 1));
     let Some(addr) = connect else {
         eprintln!(
-            "serve-load needs --connect HOST:PORT (a running `mmdbctl serve-queries`); the \
+            "serve-load needs --connect HOST:PORT (a running `mmdbctl serve`); the \
              self-hosted throughput and shard sweeps are now `bash benchmark/run.sh --workload \
              point_1shard` and `--workload fanout_16shard`"
         );
@@ -632,8 +632,8 @@ fn run_trace_overhead(fast: bool) {
     };
     println!();
     println!(
-        "Trace overhead — identical closed-loop workload vs. tracing mode \
-         (off / tail-sampled / 100% retention)"
+        "Trace overhead — identical closed-loop workload vs. trace-keep threshold \
+         (unreachable / default / zero = 100% retention)"
     );
     print_rule(96);
     println!(

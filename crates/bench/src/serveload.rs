@@ -1,22 +1,20 @@
 //! Closed-loop load generator for the network query server. N client
 //! threads each run a fixed budget of range queries back-to-back over their
 //! own connection ([`run_level`]). Two drivers share it: `repro serve-load
-//! --connect ADDR` sweeps N against an already-running `mmdbctl
-//! serve-queries` (CI's load generator), and `repro trace-overhead`
-//! self-hosts one server per tracing mode (EXPERIMENTS S2). Serving
+//! --connect ADDR` sweeps N against an already-running `mmdbctl serve`
+//! (CI's load generator), and `repro trace-overhead` self-hosts one server
+//! per trace-keep threshold (EXPERIMENTS S2). Serving
 //! throughput, tail latency, shard fan-out and telemetry cost are measured
 //! by `benchmark/` (`bash benchmark/run.sh`), not here.
 
 use mmdbms::datagen::helmets::HelmetGenerator;
 use mmdbms::prelude::*;
 use mmdbms::server::protocol::{PlanKind, ProfileKind};
-use mmdbms::server::{
-    Client, ClientError, QueryServer, RangeRequest, ServerConfig, Status, TraceMode,
-};
+use mmdbms::server::{Client, ClientError, QueryServer, RangeRequest, ServerConfig, Status};
 use mmdbms::MultimediaDatabase;
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// CSV header for [`LoadPoint::csv_row`].
 pub const LOAD_HEADERS: [&str; 10] = [
@@ -267,13 +265,11 @@ pub const TRACE_OVERHEAD_HEADERS: [&str; 9] = [
     "qps_vs_off_pct",
 ];
 
-/// One tracing mode measured against the identical workload.
+/// One trace-keep threshold measured against the identical workload.
 #[derive(Clone, Debug)]
 pub struct TraceOverheadPoint {
     /// Row label (`trace-off`, `trace-tail`, `trace-full`, `tail-capture`).
     pub label: &'static str,
-    /// The server's tracing mode for this run.
-    pub mode: TraceMode,
     /// Traces retained by the tail sampler during the run.
     pub kept_traces: usize,
     /// Throughput relative to the `off` baseline, percent (100 = equal).
@@ -300,23 +296,24 @@ impl TraceOverheadPoint {
 }
 
 /// Measures the serving cost of request tracing: the same closed-loop
-/// workload against self-hosted servers that differ only in [`TraceMode`]
-/// (off / tail-sampled / 100% retention). The acceptance bar is
-/// tail-sampled throughput within 5% of tracing-off; `full` quantifies what
-/// always-on retention would cost instead. A fourth `tail-capture` arm
-/// reruns tail sampling with the retroactive-keep threshold pinned to the
-/// off-run's p99, demonstrating that the store captures (roughly) the
-/// slowest 1% of requests without being told which ones in advance.
+/// workload against self-hosted servers that differ only in
+/// [`ServerConfig::trace_keep`]: unreachable (`trace-off`), the default
+/// (`trace-tail`) and zero (`trace-full`, 100% retention with stage trees).
+/// The off and tail arms run the same code unless a request is slow,
+/// errored or sampled; `full` quantifies what always-on retention costs. A
+/// fourth `tail-capture` arm pins the threshold to the off-run's p99,
+/// demonstrating that the store captures (roughly) the slowest 1% of
+/// requests without being told which ones in advance.
 pub fn run_trace_overhead(cfg: &LoadConfig) -> Vec<TraceOverheadPoint> {
     let db = build_database(cfg);
     let concurrency = cfg.concurrency_levels.iter().copied().max().unwrap_or(8);
-    let run_mode = |label, mode| {
+    let run_mode = |label, trace_keep| {
         mmdbms::telemetry::trace_store().clear();
         let server = QueryServer::bind(
             "127.0.0.1:0",
             Arc::<MultimediaDatabase>::clone(&db) as Arc<dyn mmdbms::server::QueryBackend>,
             ServerConfig {
-                trace_mode: mode,
+                trace_keep,
                 ..ServerConfig::default()
             },
         )
@@ -336,7 +333,6 @@ pub fn run_trace_overhead(cfg: &LoadConfig) -> Vec<TraceOverheadPoint> {
         server.shutdown();
         TraceOverheadPoint {
             label,
-            mode,
             kept_traces,
             qps_vs_off_pct: 0.0,
             point,
@@ -344,16 +340,17 @@ pub fn run_trace_overhead(cfg: &LoadConfig) -> Vec<TraceOverheadPoint> {
     };
 
     let mut out = vec![
-        run_mode("trace-off", TraceMode::Off),
-        run_mode("trace-tail", TraceMode::Tail),
-        run_mode("trace-full", TraceMode::Full),
+        run_mode("trace-off", Duration::MAX),
+        run_mode("trace-tail", ServerConfig::default().trace_keep),
+        run_mode("trace-full", Duration::ZERO),
     ];
     // Capture arm: keep threshold = the off-run's p99, so the tail store
     // should retain roughly the slowest 1% of the 0-deadline workload.
     let p99_off = out[0].point.p99_ms;
-    mmdbms::telemetry::set_trace_keep_threshold(std::time::Duration::from_secs_f64(p99_off / 1e3));
-    out.push(run_mode("tail-capture", TraceMode::Tail));
-    mmdbms::telemetry::set_trace_keep_threshold(mmdbms::telemetry::DEFAULT_TRACE_KEEP_THRESHOLD);
+    out.push(run_mode(
+        "tail-capture",
+        Duration::from_secs_f64(p99_off / 1e3),
+    ));
 
     let baseline = out[0].point.qps.max(1e-9);
     for p in &mut out {
@@ -385,22 +382,17 @@ mod tests {
         };
         let points = run_trace_overhead(&cfg);
         assert_eq!(points.len(), 4);
-        assert_eq!(points[0].mode, TraceMode::Off);
+        assert_eq!(points[0].label, "trace-off");
         assert_eq!(points[0].kept_traces, 0, "off must keep nothing");
-        assert_eq!(points[2].mode, TraceMode::Full);
+        assert_eq!(points[2].label, "trace-full");
         assert!(
             points[2].kept_traces > 0,
             "full retention must keep every trace"
         );
-        // The capture arm exists and restores the default threshold; the
-        // kept count is workload-dependent (at this tiny scale the p99 is
-        // the max, which a rerun may never exceed), so it is not asserted.
+        // The capture arm's kept count is workload-dependent (at this tiny
+        // scale the p99 is the max, which a rerun may never exceed), so it
+        // is not asserted.
         assert_eq!(points[3].label, "tail-capture");
-        assert_eq!(points[3].mode, TraceMode::Tail);
-        assert_eq!(
-            mmdbms::telemetry::trace_keep_threshold(),
-            mmdbms::telemetry::DEFAULT_TRACE_KEEP_THRESHOLD
-        );
         assert!((points[0].qps_vs_off_pct - 100.0).abs() < 1e-9);
     }
 }

@@ -11,8 +11,9 @@
 //!               [--plan bwm|rbm|instantiate|indexed] [--expand]
 //! mmdbctl explain --db ./mydb --color '#ce1126' --min 0.25 [--plan bwm] [--json true]
 //! mmdbctl metrics --db ./mydb [--format prometheus|json]
-//! mmdbctl serve --db ./mydb [--listen 127.0.0.1:9184] [--warmup N]
-//!               [--slow-ms MS] [--recorder-capacity N] [--slo SPEC]
+//! mmdbctl serve --db ./mydb [--listen 127.0.0.1:9190] [--metrics 127.0.0.1:9184]
+//!               [--workers N] [--queue-depth N] [--warmup N]
+//!               [--trace-keep-ms MS] [--slo SPEC]
 //! mmdbctl traces --connect 127.0.0.1:9184 [--id HEX]
 //! mmdbctl profile --connect 127.0.0.1:9184 [--seconds N]
 //! mmdbctl heat --connect 127.0.0.1:9184 [--limit N]
@@ -121,10 +122,10 @@ impl Args {
     }
 }
 
-/// Clean-shutdown drain shared by `serve` and `serve-queries`: after the
-/// network layer has stopped, push everything volatile to disk — final
-/// snapshot, persisted bound indexes, fsynced active WAL segment — so the
-/// next open replays zero records. In-memory databases are a no-op.
+/// Clean-shutdown drain of `serve`: after the network layer has stopped,
+/// push everything volatile to disk — final snapshot, persisted bound
+/// indexes, fsynced active WAL segment — so the next open replays zero
+/// records. In-memory databases are a no-op.
 fn drain_to_disk(db: &MultimediaDatabase) {
     if db.storage().data_dir().is_none() {
         return;
@@ -470,12 +471,8 @@ impl ReadyLatch {
         }
     }
 
-    fn set_detail(&self, detail: String) {
-        *self.detail.lock().unwrap() = detail;
-    }
-
     fn set_ready(&self, detail: String) {
-        self.set_detail(detail);
+        *self.detail.lock().unwrap() = detail;
         self.ready.store(true, std::sync::atomic::Ordering::Release);
     }
 
@@ -520,13 +517,17 @@ fn bind_exposition(
     mmdbms::telemetry::serve_with(listen, options).map_err(|e| format!("bind {listen}: {e}"))
 }
 
-/// Applies `--slo SPEC` when present (shared by `serve` and
-/// `serve-queries`). The spec is parsed before any socket is bound so a
-/// typo fails fast with the grammar in the error message.
+/// Applies `--slo SPEC` when present. The spec is parsed before any socket
+/// is bound so a typo fails fast with the grammar in the error message; so
+/// does a spec nothing would evaluate — the burn-rate engine runs from the
+/// exposition server's scrape hook and `/alerts`, so it needs `--metrics`.
 fn configure_slo_from_args(args: &Args) -> Result<(), String> {
     let Some(spec) = args.options.get("slo") else {
         return Ok(());
     };
+    if !args.options.contains_key("metrics") {
+        return Err("--slo needs --metrics ADDR (objectives are evaluated on scrape)".to_string());
+    }
     let config =
         mmdbms::telemetry::SloConfig::parse(spec).map_err(|e| format!("bad --slo: {e}"))?;
     for objective in &config.objectives {
@@ -539,72 +540,25 @@ fn configure_slo_from_args(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
+    configure_slo_from_args(args)?;
     let db = std::sync::Arc::new(open_db(args)?);
     mmdbms::register_all_metrics();
     mmdbms::telemetry::register_build_info(env!("CARGO_PKG_VERSION"), build_profile());
-    let config = mmdbms::ObservabilityConfig {
-        slow_query_threshold: std::time::Duration::from_millis(args.u64_opt("slow-ms", 250)?),
-        recorder_capacity: args.u64_opt(
-            "recorder-capacity",
-            mmdbms::telemetry::DEFAULT_RECORDER_CAPACITY as u64,
-        )? as usize,
-    };
-    mmdbms::configure_observability(&config);
-    configure_slo_from_args(args)?;
-    let listen = args
-        .options
-        .get("listen")
-        .map_or("127.0.0.1:9184", String::as_str);
-    // Bind *before* the warmup so `/readyz` is observable (503) while the
-    // catalog warms, then flips to 200 — orchestrators gate traffic on it.
-    let latch = ReadyLatch::new("warming up");
-    // Ctrl-C / SIGTERM: stop accepting scrapes, drain, exit 0. Installed
-    // before the address is announced so a supervisor reacting to that line
-    // can never catch the process with the default (killing) disposition.
-    let signal = mmdbms::server::ShutdownSignal::install();
-    let server = bind_exposition(listen, &latch, &db)?;
-    let addr = server.local_addr();
-    // Flush explicitly: when stdout is a pipe (the CI smoke test, scripts
-    // reading the ephemeral port) the line would otherwise sit in the block
-    // buffer until exit — which for `serve` is never.
-    println!("serving /metrics /events /healthz /readyz /traces /heat /alerts on http://{addr}");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    let warmed = run_warmup(&db, args.u64_opt("warmup", 0)?, args.u64_opt("seed", 42)?)?;
-    latch.set_ready(format!("catalog loaded, {warmed} warmup queries"));
-    signal.wait(std::time::Duration::from_millis(100));
-    eprintln!("signal received, draining metrics server");
-    server.shutdown();
-    drain_to_disk(&db);
-    Ok(())
-}
-
-fn cmd_serve_queries(args: &Args) -> Result<(), String> {
-    let db = std::sync::Arc::new(open_db(args)?);
-    mmdbms::register_all_metrics();
-    mmdbms::telemetry::register_build_info(env!("CARGO_PKG_VERSION"), build_profile());
-    configure_slo_from_args(args)?;
     let mut config = mmdbms::server::ServerConfig::default();
     config.workers = args.u64_opt("workers", config.workers as u64)? as usize;
     config.queue_depth = args.u64_opt("queue-depth", config.queue_depth as u64)? as usize;
-    config.trace_mode = match args.options.get("trace-mode") {
-        None => mmdbms::server::TraceMode::default(),
-        Some(s) => mmdbms::server::TraceMode::parse(s)
-            .ok_or_else(|| format!("unknown trace mode {s:?} (off|tail|full)"))?,
-    };
-    if let Some(raw) = args.options.get("trace-keep-ms") {
-        let ms: u64 = raw
-            .parse()
-            .map_err(|_| format!("bad --trace-keep-ms {raw:?}"))?;
-        mmdbms::telemetry::set_trace_keep_threshold(std::time::Duration::from_millis(ms));
-    }
+    config.trace_keep = std::time::Duration::from_millis(
+        args.u64_opt("trace-keep-ms", config.trace_keep.as_millis() as u64)?,
+    );
     // An optional metrics endpoint rides along so operators can watch the
     // server counters (overloads, deadline misses, latency) live, fetch
     // kept traces from /traces, and gate traffic on /readyz. Bound *before*
     // the warmup so the unready window is observable.
     let latch = ReadyLatch::new("warming up");
-    // Install before any address is announced (same reasoning as `serve`):
-    // a SIGINT arriving during warmup must drain, not kill.
+    // Ctrl-C / SIGTERM: stop accepting, drain, exit 0. Installed before any
+    // address is announced so a supervisor reacting to that line can never
+    // catch the process with the default (killing) disposition; a SIGINT
+    // arriving during warmup must drain, not kill.
     let signal = mmdbms::server::ShutdownSignal::install();
     let metrics = match args.options.get("metrics") {
         Some(addr) => {
@@ -626,13 +580,16 @@ fn cmd_serve_queries(args: &Args) -> Result<(), String> {
         "catalog loaded, serving queries on {}",
         server.local_addr()
     ));
+    // Flush explicitly: when stdout is a pipe (tests and scripts reading
+    // the ephemeral port) the line would otherwise sit in the block buffer
+    // until exit.
     println!(
-        "serving queries on {} ({} shard(s), workers {}, queue depth {}, tracing {})",
+        "serving queries on {} ({} shard(s), workers {}, queue depth {}, trace keep {}ms)",
         server.local_addr(),
         db.shard_count(),
         config.workers,
         config.queue_depth,
-        config.trace_mode.name()
+        config.trace_keep.as_millis()
     );
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
@@ -1326,7 +1283,7 @@ fn cmd_delete(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-const USAGE: &str = "usage: mmdbctl <create|gen|insert|insert-script|ls|info|query|explain|metrics|serve|serve-queries|traces|profile|heat|slo|events|top|knn|export|script|lint|analyze|verify|fsck|churn|compact|delete> [options]
+const USAGE: &str = "usage: mmdbctl <create|gen|insert|insert-script|ls|info|query|explain|metrics|serve|traces|profile|heat|slo|events|top|knn|export|script|lint|analyze|verify|fsck|churn|compact|delete> [options]
   every command taking --db DIR also accepts --data-dir DIR plus durability
   knobs [--fsync always|interval[:ms]|never] [--segment-bytes N] [--snapshot-every N]
   create        --db DIR [--quantizer rgb-uniform/4] [--shards N]
@@ -1339,11 +1296,12 @@ const USAGE: &str = "usage: mmdbctl <create|gen|insert|insert-script|ls|info|que
                 --connect HOST:PORT --bin N [--min F] [--max F] [--plan P] [--profile conservative|paper-table1] [--deadline-ms MS]
   explain       --db DIR --color '#rrggbb' [--min F] [--max F] [--plan bwm|rbm|instantiate|indexed] [--json true]
   metrics       --db DIR [--format prometheus|json]
-  serve         --db DIR [--listen HOST:PORT] [--warmup N] [--slow-ms MS] [--recorder-capacity N] [--slo SPEC]
-  serve-queries --db DIR [--listen HOST:PORT] [--workers N] [--queue-depth N] [--metrics HOST:PORT] [--warmup N]
-                # --workers 0 executes on the event loop (fastest on 1-2 cores); queue depth is per shard
-                [--trace-mode off|tail|full] [--trace-keep-ms MS] [--slo SPEC]
-                # SPEC: 'range=5ms@p99,err<0.1%;knn=20ms@p95' plus optional ';windows=5m/1h'
+  serve         --db DIR [--listen HOST:PORT] [--workers N] [--queue-depth N] [--metrics HOST:PORT] [--warmup N]
+                # the wire protocol on --listen; --metrics adds the HTTP exposition sidecar
+                # --workers 0 executes on the event loop (fastest on 1-2 cores); queue depth is the total bound
+                [--trace-keep-ms MS] [--slo SPEC]
+                # a trace is kept for errors, sampled requests and requests of at least MS (default 100; 0 keeps all)
+                # SPEC: 'range=5ms@p99,err<0.1%;knn=20ms@p95' plus optional ';windows=5m/1h' (needs --metrics)
   traces        --connect HOST:PORT [--id HEX]       # HOST:PORT = metrics address
   profile       --connect HOST:PORT [--seconds N]    # collapsed stacks for flamegraphs
   heat          --connect HOST:PORT [--limit N]      # ranked query-heat table
@@ -1394,7 +1352,6 @@ fn main() -> ExitCode {
         "explain" => cmd_explain(&args),
         "metrics" => cmd_metrics(&args),
         "serve" => cmd_serve(&args),
-        "serve-queries" => cmd_serve_queries(&args),
         "traces" => cmd_traces(&args),
         "profile" => cmd_profile(&args),
         "heat" => cmd_heat(&args),
@@ -1411,7 +1368,10 @@ fn main() -> ExitCode {
         "churn" => cmd_churn(&args),
         "compact" => cmd_compact(&args),
         "delete" => cmd_delete(&args),
-        other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
+        other => {
+            eprintln!("error: unknown subcommand {other:?}\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -108,34 +108,6 @@ pub fn register_all_metrics() {
     let _ = mmdb_telemetry::global().gauge("mmdb_uptime_seconds");
 }
 
-/// Tuning knobs for the always-on observability pipeline. Both settings are
-/// process-wide: the flight recorder and the slow-query threshold are shared
-/// by every database handle in the process (they instrument the global
-/// telemetry layer, not one catalog).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ObservabilityConfig {
-    /// Queries at or above this duration emit a `slow_query` flight-recorder
-    /// event and bump `mmdb_query_slow_total`. Default 250ms.
-    pub slow_query_threshold: std::time::Duration,
-    /// How many recent events the flight recorder retains. Default 1024.
-    pub recorder_capacity: usize,
-}
-
-impl Default for ObservabilityConfig {
-    fn default() -> Self {
-        ObservabilityConfig {
-            slow_query_threshold: mmdb_telemetry::DEFAULT_SLOW_QUERY_THRESHOLD,
-            recorder_capacity: mmdb_telemetry::DEFAULT_RECORDER_CAPACITY,
-        }
-    }
-}
-
-/// Applies an [`ObservabilityConfig`] to the process-wide telemetry layer.
-pub fn configure_observability(config: &ObservabilityConfig) {
-    mmdb_telemetry::set_slow_query_threshold(config.slow_query_threshold);
-    mmdb_telemetry::recorder().set_capacity(config.recorder_capacity);
-}
-
 /// The top-level multimedia database handle.
 ///
 /// Thread-safe. The catalog is partitioned into one or more shards with
@@ -557,8 +529,7 @@ impl MultimediaDatabase {
     /// reclassifications, ingest accept/reject, cache evictions). Drain
     /// with [`FlightRecorder::events`](mmdb_telemetry::FlightRecorder::events)
     /// or serialize with
-    /// [`FlightRecorder::render_json`](mmdb_telemetry::FlightRecorder::render_json);
-    /// size it with [`configure_observability`].
+    /// [`FlightRecorder::render_json`](mmdb_telemetry::FlightRecorder::render_json).
     pub fn flight_recorder(&self) -> &'static mmdb_telemetry::FlightRecorder {
         mmdb_telemetry::recorder()
     }
@@ -1043,19 +1014,41 @@ mod tests {
     }
 
     #[test]
-    fn observability_config_and_flight_recorder() {
+    fn create_refuses_an_existing_database_at_any_shard_count() {
+        let tmp = TempDir::new("recreate");
+        let dir = tmp.path();
+        let quantizer = || Box::new(RgbQuantizer::default_64());
+        let opts = DurabilityOptions::default();
+        let listing = || {
+            let mut names: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        drop(MultimediaDatabase::create_sharded_with(dir, quantizer(), opts, 4).unwrap());
+        let before = listing();
+        // A sharded root has no `meta`; the manifest must stop a
+        // single-shard create from laying an engine beside the shards.
+        for shards in [1, 4] {
+            assert!(
+                MultimediaDatabase::create_sharded_with(dir, quantizer(), opts, shards).is_err(),
+                "create with {shards} shard(s) over a 4-shard database"
+            );
+            assert_eq!(listing(), before);
+        }
+        assert_eq!(MultimediaDatabase::open(dir).unwrap().shard_count(), 4);
+    }
+
+    #[test]
+    fn slow_query_reaches_flight_recorder() {
         let db = MultimediaDatabase::in_memory(Box::new(RgbQuantizer::default_64()));
         let base = db.insert_image(&red_flag()).unwrap();
         db.insert_edited(EditSequence::builder(base).blur().build())
             .unwrap();
-        assert_eq!(ObservabilityConfig::default().recorder_capacity, 1024);
-        // A zero threshold marks every query slow; capacity is applied to
-        // the process-global recorder.
-        configure_observability(&ObservabilityConfig {
-            slow_query_threshold: std::time::Duration::ZERO,
-            recorder_capacity: 512,
-        });
-        assert_eq!(db.flight_recorder().capacity(), 512);
+        // A zero threshold marks every query slow.
+        telemetry::set_slow_query_threshold(std::time::Duration::ZERO);
         let q = ColorRangeQuery::at_least(db.bin_of(Rgb::RED), 0.2);
         db.query_range(&q).unwrap();
         let events = db.flight_recorder().events();
@@ -1064,8 +1057,8 @@ mod tests {
         assert!(kind_count(telemetry::EventKind::QueryStart) >= 1);
         assert!(kind_count(telemetry::EventKind::QueryEnd) >= 1);
         assert!(kind_count(telemetry::EventKind::SlowQuery) >= 1);
-        // Restore process-wide defaults for other tests.
-        configure_observability(&ObservabilityConfig::default());
+        // Restore the process-wide default for other tests.
+        telemetry::set_slow_query_threshold(telemetry::DEFAULT_SLOW_QUERY_THRESHOLD);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Network backend: implements [`mmdb_server::QueryBackend`] for
-//! [`MultimediaDatabase`], which is what `mmdbctl serve-queries` hands to
+//! [`MultimediaDatabase`], which is what `mmdbctl serve` hands to
 //! the [`mmdb_server::QueryServer`]. The trait requires `Send + Sync`, so
 //! this impl is also a standing compile-time audit that the whole query
 //! path works through `&self` from concurrent worker threads.

@@ -270,18 +270,20 @@ impl Shards {
         count: usize,
     ) -> Result<Self> {
         assert!(count >= 1, "shard count must be at least 1");
-        if count == 1 {
-            return Ok(Self::wire(vec![StorageEngine::create_with(
-                dir, quantizer, opts,
-            )?]));
-        }
         std::fs::create_dir_all(dir).map_err(StorageError::from)?;
+        // Checked at every count: a sharded root has no `meta` for a single
+        // engine's own check to find.
         if read_shard_manifest(dir).unwrap_or(Some(0)).is_some() || dir.join("meta").exists() {
             return Err(StorageError::Corrupt(format!(
                 "database already exists at {}",
                 dir.display()
             ))
             .into());
+        }
+        if count == 1 {
+            return Ok(Self::wire(vec![StorageEngine::create_with(
+                dir, quantizer, opts,
+            )?]));
         }
         write_shard_manifest(dir, count).map_err(StorageError::from)?;
         let mut engines = Vec::with_capacity(count);

@@ -151,7 +151,7 @@ fn serve_sigint_drain_leaves_zero_replay() {
         "--warmup",
         "2",
     ]);
-    wait_for_line(&mut child, |l| l.contains("serving /metrics")).expect("server came up");
+    wait_for_line(&mut child, |l| l.contains("serving queries on")).expect("server came up");
     let pid = child.id().to_string();
     let kill = Command::new("kill")
         .args(["-INT", &pid])
@@ -187,6 +187,43 @@ fn serve_sigint_drain_leaves_zero_replay() {
         ls.contains("edited"),
         "catalog incomplete after drain:\n{ls}"
     );
+
+    std::fs::remove_dir_all(&db).ok();
+}
+
+/// A second `create` must fail whatever its shard count: a sharded root has
+/// no `meta` file, so only the `shards` manifest says a database is there.
+#[test]
+fn create_over_sharded_database_is_refused() {
+    let db = temp_db("recreate");
+    let db_s = db.to_str().unwrap();
+    ok(&["create", "--db", db_s, "--shards", "4"]);
+    ok(&["gen", "--db", db_s, "--count", "8", "--augment", "2"]);
+    let listing = || {
+        let mut names: Vec<_> = std::fs::read_dir(&db)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing();
+
+    let out = mmdbctl(&["create", "--db", db_s]);
+    assert!(
+        !out.status.success(),
+        "create over a sharded database succeeded:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("already exists"),
+        "unexpected error: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(listing(), before, "refused create changed the directory");
+    // The catalog is still the sharded one.
+    let info = ok(&["info", "--db", db_s]);
+    assert!(info.contains("binary images:   8 "), "{info}");
 
     std::fs::remove_dir_all(&db).ok();
 }

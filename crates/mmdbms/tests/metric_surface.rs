@@ -10,7 +10,7 @@ use mmdbms::datagen::flags::FlagGenerator;
 use mmdbms::datagen::VariantConfig;
 use mmdbms::prelude::*;
 use mmdbms::server::protocol::{PlanKind, ProfileKind};
-use mmdbms::server::{Client, QueryBackend, QueryServer, RangeRequest, ServerConfig, TraceMode};
+use mmdbms::server::{Client, QueryBackend, QueryServer, RangeRequest, ServerConfig};
 use mmdbms::storage::DurabilityOptions;
 use mmdbms::telemetry::{self, global};
 use mmdbms::MultimediaDatabase;
@@ -97,7 +97,7 @@ fn every_series_is_registered_up_front_and_documented() {
     let db = Arc::new(db);
     let config = ServerConfig {
         workers: 2,
-        trace_mode: TraceMode::Full,
+        trace_keep: std::time::Duration::ZERO,
         ..ServerConfig::default()
     };
     let server = QueryServer::bind(

@@ -76,8 +76,8 @@ fn serve_exposes_metrics_events_and_healthz() {
     let db = seed_db("serve");
     let db_s = db.to_str().unwrap();
 
-    // Port 0: the kernel picks a free port; the server prints the bound
-    // address on its first stdout line.
+    // Port 0: the kernel picks free ports; the exposition sidecar is bound
+    // before the warmup and announces itself on stderr.
     let mut child = KillOnDrop(
         Command::new(env!("CARGO_BIN_EXE_mmdbctl"))
             .args([
@@ -86,33 +86,31 @@ fn serve_exposes_metrics_events_and_healthz() {
                 db_s,
                 "--listen",
                 "127.0.0.1:0",
+                "--metrics",
+                "127.0.0.1:0",
                 "--warmup",
                 "3",
             ])
-            .stdout(Stdio::piped())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
             .spawn()
             .expect("serve spawns"),
     );
-    let stdout = child.0.stdout.take().expect("stdout piped");
+    // Held to the end of the test so the server's stderr stays open.
+    let mut stderr = BufReader::new(child.0.stderr.take().expect("stderr piped"));
     let mut first_line = String::new();
-    BufReader::new(stdout)
+    stderr
         .read_line(&mut first_line)
         .expect("server announces its address");
-    assert!(
-        first_line
-            .contains("serving /metrics /events /healthz /readyz /traces /heat /alerts on http://"),
-        "unexpected announce line: {first_line:?}"
-    );
     let addr = first_line
-        .rsplit("http://")
-        .next()
-        .unwrap()
         .trim()
+        .strip_prefix("metrics on http://")
+        .unwrap_or_else(|| panic!("unexpected announce line: {first_line:?}"))
         .to_string();
 
     assert!(http_get(&addr, "/healthz").contains("ok"));
     // The address is announced before the warmup runs; `/readyz` flips to
-    // 200 once its queries have landed.
+    // 200 once its queries have landed and the query port is bound.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     while !http_get(&addr, "/readyz").starts_with("HTTP/1.1 200") {
         assert!(std::time::Instant::now() < deadline, "never became ready");
@@ -145,6 +143,53 @@ fn serve_exposes_metrics_events_and_healthz() {
     // Non-GET is rejected; unknown paths 404.
     assert!(http_get(&addr, "/nope").contains("404"));
 
+    std::fs::remove_dir_all(&db).ok();
+}
+
+/// The burn-rate engine is evaluated from the exposition server only, so
+/// objectives without a sidecar would never be evaluated: refused up front.
+#[test]
+fn slo_without_metrics_sidecar_is_refused() {
+    let db = seed_db("slo");
+    let db_s = db.to_str().unwrap();
+    let mut child = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_mmdbctl"))
+            .args([
+                "serve",
+                "--db",
+                db_s,
+                "--listen",
+                "127.0.0.1:0",
+                "--slo",
+                "range=5ms@p99",
+            ])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("serve spawns"),
+    );
+    // A server that starts anyway never exits on its own: bound the wait.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.0.try_wait().expect("wait") {
+            break status;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "serve --slo without --metrics kept running"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert!(!status.success());
+    let mut stderr = String::new();
+    child
+        .0
+        .stderr
+        .take()
+        .expect("stderr piped")
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert!(stderr.contains("--slo needs --metrics"), "{stderr}");
     std::fs::remove_dir_all(&db).ok();
 }
 

@@ -2,27 +2,24 @@
 //! ids, tail-sampled retroactive keeps, and queue-wait attribution visible
 //! through the `/traces/<id>` exposition endpoint.
 //!
-//! The trace store and keep threshold are process-global, so every test
-//! takes the same lock — otherwise one test's `clear()` or threshold change
-//! would race another's assertions.
+//! The trace store is process-global, so every test takes the same lock —
+//! otherwise one test's `clear()` would race another's assertions. The keep
+//! threshold is per server ([`ServerConfig::trace_keep`]).
 
 use mmdbms::datagen::helmets::HelmetGenerator;
 use mmdbms::prelude::*;
 use mmdbms::server::protocol::{PlanKind, ProfileKind};
 use mmdbms::server::{
     BackendError, Client, LookupReply, QueryBackend, QueryServer, RangeReply, RangeRequest,
-    ServerConfig, StatsReply, TraceContext, TraceMode,
+    ServerConfig, StatsReply, Status, TraceContext,
 };
-use mmdbms::telemetry::{
-    next_trace_id, serve_with, set_trace_keep_threshold, trace_store, KeepReason, ServeOptions,
-    DEFAULT_TRACE_KEEP_THRESHOLD,
-};
+use mmdbms::telemetry::{global, serve_with, trace_store, KeepReason, ServeOptions};
 use mmdbms::MultimediaDatabase;
 use std::io::{Read as _, Write as _};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Serializes tests that touch the process-global trace store/threshold.
+/// Serializes tests that touch the process-global trace store.
 fn global_trace_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     // A panic in another test must not wedge the rest of the suite.
@@ -61,7 +58,6 @@ fn trace_ids_round_trip_under_concurrency() {
         db as Arc<dyn QueryBackend>,
         ServerConfig {
             workers: 4,
-            trace_mode: TraceMode::Tail,
             ..ServerConfig::default()
         },
     )
@@ -108,29 +104,34 @@ fn trace_ids_round_trip_under_concurrency() {
 fn slow_query_is_kept_retroactively_without_sampling() {
     let _guard = global_trace_lock();
     trace_store().clear();
-    // Any real query runs longer than 1µs, so an *unsampled* trace must be
-    // kept retroactively with reason "slow".
-    set_trace_keep_threshold(Duration::from_micros(1));
     let db = seeded_db();
-    let server = QueryServer::bind(
-        "127.0.0.1:0",
-        db as Arc<dyn QueryBackend>,
-        ServerConfig {
-            trace_mode: TraceMode::Tail,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-
-    let ctx = TraceContext {
-        trace_id: next_trace_id(),
-        sampled: false,
+    let bind = |trace_keep| {
+        QueryServer::bind(
+            "127.0.0.1:0",
+            Arc::clone(&db) as Arc<dyn QueryBackend>,
+            ServerConfig {
+                trace_keep,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap()
     };
-    let (_, echoed) = client.range_traced(range_request(), 0, ctx).unwrap();
-    assert_eq!(echoed, Some(ctx.trace_id));
+    // Two servers in one process, differing only in their keep threshold,
+    // each sent the same unsampled request.
+    let eager = bind(Duration::from_micros(1));
+    let default = bind(ServerConfig::default().trace_keep);
+    let send = |server: &QueryServer| {
+        let ctx = TraceContext::generate(false);
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let (_, echoed) = client.range_traced(range_request(), 0, ctx).unwrap();
+        assert_eq!(echoed, Some(ctx.trace_id));
+        ctx.trace_id
+    };
+
+    // Any real query runs longer than 1µs, so the *unsampled* trace is kept
+    // retroactively with reason "slow".
     let stored = trace_store()
-        .get(ctx.trace_id)
+        .get(send(&eager))
         .expect("slow unsampled trace must be kept retroactively");
     assert_eq!(stored.keep_reason, KeepReason::Slow);
     assert_eq!(stored.opcode, "range");
@@ -139,18 +140,150 @@ fn slow_query_is_kept_retroactively_without_sampling() {
     assert!(stored.trace.span("queue_wait").is_some());
     assert!(stored.trace.span("execute").is_some());
 
-    // With the threshold back at its default, the same fast query is
-    // dropped: that asymmetry is the whole point of tail sampling.
-    set_trace_keep_threshold(DEFAULT_TRACE_KEEP_THRESHOLD);
-    let ctx2 = TraceContext {
-        trace_id: next_trace_id(),
-        sampled: false,
-    };
-    client.range_traced(range_request(), 0, ctx2).unwrap();
+    // Under the default threshold the same fast query is dropped: that
+    // asymmetry is the whole point of tail sampling.
     assert!(
-        trace_store().get(ctx2.trace_id).is_none(),
+        trace_store().get(send(&default)).is_none(),
         "fast unsampled trace must be dropped"
     );
+    eager.shutdown();
+    default.shutdown();
+}
+
+/// The default request path describes nothing: fast, unsampled, successful
+/// requests are counted as dropped and never reach the store.
+#[test]
+fn fast_unsampled_requests_are_counted_not_described() {
+    const N: u64 = 25;
+    let _guard = global_trace_lock();
+    let server = QueryServer::bind(
+        "127.0.0.1:0",
+        seeded_db() as Arc<dyn QueryBackend>,
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let dropped = global().counter("mmdb_trace_dropped_total");
+    let (kept_before, dropped_before) = (trace_store().len(), dropped.get());
+    for _ in 0..N {
+        client.range(range_request()).unwrap();
+        assert!(
+            client.last_trace_id().is_some(),
+            "a request without trace context is answered with a server-made id"
+        );
+    }
+    assert_eq!(trace_store().len(), kept_before);
+    assert_eq!(dropped.get(), dropped_before + N);
+    server.shutdown();
+}
+
+/// A backend whose range queries announce themselves and then park until
+/// released, so a test decides exactly when the single worker is busy.
+struct GatedBackend {
+    entered: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl QueryBackend for GatedBackend {
+    fn range(&self, req: &RangeRequest) -> Result<RangeReply, BackendError> {
+        self.entered.lock().unwrap().send(()).unwrap();
+        self.release.lock().unwrap().recv().unwrap();
+        SlowBackend(Duration::ZERO).range(req)
+    }
+
+    fn knn(&self, probe_id: u64, k: u32) -> Result<Vec<(u64, f64)>, BackendError> {
+        SlowBackend(Duration::ZERO).knn(probe_id, k)
+    }
+
+    fn lookup(&self, id: u64) -> Result<LookupReply, BackendError> {
+        SlowBackend(Duration::ZERO).lookup(id)
+    }
+
+    fn stats(&self) -> StatsReply {
+        SlowBackend(Duration::ZERO).stats()
+    }
+}
+
+/// The two error paths that never execute — refused at admission, expired
+/// in the queue — are kept by the error rule with the events they always
+/// carried.
+#[test]
+fn refused_and_expired_requests_are_kept_as_errors() {
+    let _guard = global_trace_lock();
+    trace_store().clear();
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let server = QueryServer::bind(
+        "127.0.0.1:0",
+        Arc::new(GatedBackend {
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        }) as Arc<dyn QueryBackend>,
+        ServerConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let call = move |deadline_ms| {
+        let ctx = TraceContext::generate(false);
+        let handle = std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            client.range_traced(range_request(), deadline_ms, ctx)
+        });
+        (ctx.trace_id, handle)
+    };
+    let events = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    };
+
+    // Occupy the only worker, fill the one queue slot with a request whose
+    // deadline will have passed by the time it is dequeued…
+    let (_, holder) = call(0);
+    entered.recv().unwrap();
+    let (expired_id, expired) = call(1);
+    while server.queue_len() == 0 {
+        std::thread::yield_now();
+    }
+    // …so the next request is refused at admission.
+    let (refused_id, refused) = call(0);
+    let err = refused.join().unwrap().unwrap_err();
+    assert_eq!(err.status(), Some(Status::Overloaded));
+    let stored = trace_store().get(refused_id).expect("refusal is kept");
+    assert_eq!(stored.keep_reason, KeepReason::Error);
+    assert_eq!(stored.status, "OVERLOADED");
+    assert_eq!(
+        stored.trace.events,
+        events(&[
+            ("opcode", "range"),
+            ("status", "OVERLOADED"),
+            ("detail", "queue full (depth 1)"),
+        ])
+    );
+    assert!(stored.trace.root().children.is_empty(), "spanless");
+    assert_eq!(stored.total, Duration::ZERO);
+
+    std::thread::sleep(Duration::from_millis(5));
+    release.send(()).unwrap();
+    holder.join().unwrap().unwrap();
+    let err = expired.join().unwrap().unwrap_err();
+    assert_eq!(err.status(), Some(Status::DeadlineExceeded));
+    let stored = trace_store().get(expired_id).expect("expiry is kept");
+    assert_eq!(stored.keep_reason, KeepReason::Error);
+    assert_eq!(
+        stored.trace.events,
+        events(&[("opcode", "range"), ("status", "DEADLINE_EXCEEDED")])
+    );
+    let spans: Vec<_> = stored.trace.root().children.iter().collect();
+    assert_eq!(spans.len(), 1, "queue wait only; it never executed");
+    assert_eq!(spans[0].name, "queue_wait");
+    assert_eq!(stored.total, stored.queue_wait);
+    assert_eq!(stored.trace.root().duration, stored.total);
     server.shutdown();
 }
 
@@ -223,7 +356,6 @@ fn queued_request_reports_nonzero_queue_wait_via_http() {
         ServerConfig {
             workers: 1,
             queue_depth: 8,
-            trace_mode: TraceMode::Tail,
             ..ServerConfig::default()
         },
     )

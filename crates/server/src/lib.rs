@@ -19,7 +19,7 @@
 //! The crate sits *below* the `mmdbms` facade: it talks to the database
 //! through the [`QueryBackend`] trait, which the facade implements for
 //! `MultimediaDatabase`. That keeps the dependency graph acyclic while
-//! letting `mmdbctl serve-queries` embed the server.
+//! letting `mmdbctl serve` embed the server.
 //!
 //! ```no_run
 //! use mmdb_server::{Client, QueryServer, ServerConfig};
@@ -53,5 +53,5 @@ pub use protocol::{
     TraceContext,
 };
 pub use queue::{BoundedQueue, PushError};
-pub use server::{register_metrics, DrainStats, QueryServer, ServerConfig, TraceMode};
+pub use server::{register_metrics, DrainStats, QueryServer, ServerConfig};
 pub use shutdown::ShutdownSignal;

@@ -41,7 +41,9 @@ use crate::protocol::{
     Request, RequestBody, Status, TraceContext, DEFAULT_MAX_FRAME_LEN,
 };
 use crate::queue::{BoundedQueue, PushError};
-use mmdb_telemetry::{counter, gauge, histogram, EventKind, KeepReason, QueryTrace, StoredTrace};
+use mmdb_telemetry::{
+    counter, gauge, histogram, keep_reason, EventKind, KeepReason, QueryTrace, StoredTrace,
+};
 // Stop-flag atomics (like the admission queue's lock, in `queue.rs`) go
 // through the mmdb-conc facade so the shutdown handshake and queue drain
 // can be exercised under the model-checking scheduler; `mpsc` and the
@@ -77,41 +79,6 @@ const DRAIN_FLUSH_GRACE: Duration = Duration::from_secs(10);
 /// `stop` only at a quiet read timeout of this length).
 const READ_QUIESCE_IDLE: Duration = Duration::from_millis(100);
 
-/// How much request tracing the server performs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TraceMode {
-    /// No traces are built or stored; trace ids from clients are still
-    /// echoed so correlation never silently breaks.
-    Off,
-    /// Every request is traced cheaply; the store keeps only head-sampled
-    /// requests, errors, and the slow tail (default).
-    #[default]
-    Tail,
-    /// Every trace is kept (100% retention) — measurement and debugging.
-    Full,
-}
-
-impl TraceMode {
-    /// Parses the CLI spelling (`off` / `tail` / `full`).
-    pub fn parse(s: &str) -> Option<TraceMode> {
-        match s {
-            "off" => Some(TraceMode::Off),
-            "tail" => Some(TraceMode::Tail),
-            "full" => Some(TraceMode::Full),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceMode::Off => "off",
-            TraceMode::Tail => "tail",
-            TraceMode::Full => "full",
-        }
-    }
-}
-
 /// Tuning knobs for [`QueryServer::bind`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
@@ -127,8 +94,12 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Maximum accepted frame payload length.
     pub max_frame_len: u32,
-    /// Request-tracing mode (default: tail sampling).
-    pub trace_mode: TraceMode,
+    /// Trace-keep threshold (default 100 ms): a request's trace is kept
+    /// when it ended in an error, was head-sampled by the client, or took at
+    /// least this long end to end; a fast, unsampled, successful request is
+    /// counted in `mmdb_trace_dropped_total` and never described. Zero
+    /// keeps every trace, with the backend's stage tree.
+    pub trace_keep: Duration,
 }
 
 impl Default for ServerConfig {
@@ -144,7 +115,7 @@ impl Default for ServerConfig {
             }),
             queue_depth: 64,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            trace_mode: TraceMode::default(),
+            trace_keep: Duration::from_millis(100),
         }
     }
 }
@@ -489,14 +460,14 @@ impl QueryServer {
                         let backend = Arc::clone(&backend);
                         let completions = completion_tx.clone();
                         let wake = wake_tx.try_clone()?;
-                        let trace_mode = config.trace_mode;
+                        let trace_keep = config.trace_keep;
                         std::thread::Builder::new()
                             .name(format!("mmdb-server-worker-{i}"))
                             .spawn(move || {
                                 worker_loop(
                                     &queue,
                                     backend.as_ref(),
-                                    trace_mode,
+                                    trace_keep,
                                     &completions,
                                     &wake,
                                 );
@@ -1000,7 +971,7 @@ impl Reactor {
             None => {
                 // Inline mode: execute on the reactor, no hand-off.
                 let waited = job.accepted_at.elapsed();
-                let payload = run_job(self.backend.as_ref(), job, waited, self.config.trace_mode);
+                let payload = run_job(self.backend.as_ref(), job, waited, self.config.trace_keep);
                 conn.push_reply(&payload);
             }
             Some(queue) => match queue.try_push(job) {
@@ -1033,31 +1004,22 @@ impl Reactor {
                 &[("request_id", job.request.id)],
             );
         }
-        let opcode = job.request.body.opcode();
-        let trace_ctx = resolve_trace(self.config.trace_mode, job.request.trace);
-        if self.config.trace_mode != TraceMode::Off {
-            if let Some(ctx) = trace_ctx {
-                // Admission refusals never reach the executor, so they'd
-                // otherwise be invisible to tracing; store a spanless
-                // trace (kept via the error rule) carrying the refusal.
-                let mut trace = QueryTrace::new(format!("request/{}", opcode.name()));
-                trace.event("opcode", opcode.name());
-                trace.event("status", Status::Overloaded.name());
-                trace.event("detail", &detail);
-                offer_trace(
-                    ctx,
-                    opcode,
-                    Status::Overloaded,
-                    Duration::ZERO,
-                    Duration::ZERO,
-                    trace,
-                    self.config.trace_mode,
-                );
-            }
-        }
+        let ctx = trace_context(&job.request);
+        // Admission refusals never reach the executor, so they'd otherwise
+        // be invisible to tracing; the kept trace (error rule) is spanless
+        // and carries the refusal.
+        request_trace(
+            self.config.trace_keep,
+            ctx,
+            job.request.body.opcode(),
+            Status::Overloaded,
+            Some(&detail),
+            None,
+            None,
+        );
         conn.push_reply(&encode_err(
             job.request.id,
-            trace_ctx.map(|ctx| ctx.trace_id),
+            Some(ctx.trace_id),
             Status::Overloaded,
             &detail,
             job.version,
@@ -1107,7 +1069,7 @@ impl Reactor {
 fn worker_loop(
     queue: &BoundedQueue<Job>,
     backend: &dyn QueryBackend,
-    trace_mode: TraceMode,
+    trace_keep: Duration,
     completions: &mpsc::Sender<Completion>,
     wake: &TcpStream,
 ) {
@@ -1126,7 +1088,7 @@ fn worker_loop(
         let waited = job.accepted_at.elapsed();
         let conn = job.conn;
         let generation = job.generation;
-        let payload = run_job(backend, job, waited, trace_mode);
+        let payload = run_job(backend, job, waited, trace_keep);
         let _ = completions.send(Completion {
             conn,
             generation,
@@ -1137,21 +1099,20 @@ fn worker_loop(
 }
 
 /// Executes one job end to end — deadline check, backend call under
-/// `catch_unwind`, metrics, trace assembly — and returns the encoded reply
-/// payload. Runs on executor threads (pool mode) or the reactor (inline
-/// mode, where `waited` is effectively zero).
+/// `catch_unwind`, metrics, the request's trace — and returns the encoded
+/// reply payload. Runs on executor threads (pool mode) or the reactor
+/// (inline mode, where `waited` is effectively zero).
 fn run_job(
     backend: &dyn QueryBackend,
     job: Job,
     waited: Duration,
-    trace_mode: TraceMode,
+    trace_keep: Duration,
 ) -> Vec<u8> {
     histogram!("mmdb_server_queue_wait_seconds").observe(waited);
     let id = job.request.id;
     let opcode = job.request.body.opcode();
-    let tracing = trace_mode != TraceMode::Off;
-    let ctx = resolve_trace(trace_mode, job.request.trace);
-    let wire_trace_id = ctx.map(|c| c.trace_id);
+    let ctx = trace_context(&job.request);
+    let wire_trace_id = Some(ctx.trace_id);
     if job.request.deadline_ms > 0
         && waited >= Duration::from_millis(u64::from(job.request.deadline_ms))
     {
@@ -1172,27 +1133,17 @@ fn run_job(
                 ],
             );
         }
-        if tracing {
-            if let Some(ctx) = ctx {
-                // The whole lifetime of this request was queue wait —
-                // exactly the "slow because queued" shape the tail
-                // sampler exists to expose.
-                let mut trace = QueryTrace::new(format!("request/{}", opcode.name()));
-                trace.event("opcode", opcode.name());
-                trace.event("status", Status::DeadlineExceeded.name());
-                trace.stage("queue_wait", waited);
-                trace.finish(waited);
-                offer_trace(
-                    ctx,
-                    opcode,
-                    Status::DeadlineExceeded,
-                    waited,
-                    waited,
-                    trace,
-                    trace_mode,
-                );
-            }
-        }
+        // The whole lifetime of this request was queue wait — exactly the
+        // "slow because queued" shape the tail sampler exists to expose.
+        request_trace(
+            trace_keep,
+            ctx,
+            opcode,
+            Status::DeadlineExceeded,
+            None,
+            Some(waited),
+            None,
+        );
         let msg = format!(
             "deadline of {}ms expired after {} in queue; request not executed",
             job.request.deadline_ms,
@@ -1214,11 +1165,11 @@ fn run_job(
     // and answer INTERNAL.
     // Backend stage tracing (the per-plan span tree) costs real work —
     // traced query paths bypass caches and allocate spans — so it runs
-    // only when the trace is certain to be kept (full mode, or a
-    // sampled context). Unsampled tail-mode requests are timed with the
-    // cheap queue_wait/execute spans and remain eligible for
-    // retroactive keep; only the plan-internal detail is coarser.
-    let want_stages = trace_mode == TraceMode::Full || ctx.is_some_and(|c| c.sampled);
+    // only when the trace is certain to be kept (a zero keep threshold,
+    // or a sampled context). Other requests are timed with the cheap
+    // queue_wait/execute spans and remain eligible for retroactive keep;
+    // only the plan-internal detail is coarser.
+    let want_stages = trace_keep.is_zero() || ctx.sampled;
     let outcome = {
         let _frame = mmdb_telemetry::profile_frame(opcode.name());
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1267,86 +1218,87 @@ fn run_job(
     // Full request latency from admission, so queue_wait + execute
     // histograms decompose it.
     latency_histogram(opcode).observe(job.accepted_at.elapsed());
-    if tracing {
-        if let Some(ctx) = ctx {
-            let total = waited + exec_elapsed;
-            let mut trace = QueryTrace::new(format!("request/{}", opcode.name()));
-            trace.event("opcode", opcode.name());
-            trace.event("status", status.name());
-            if ctx.sampled {
-                trace.event("sampled", "true");
-            }
-            trace.stage("queue_wait", waited);
-            if let Some(backend_trace) = backend_trace {
-                // Graft the backend's stage tree (plan scans,
-                // index_sync/index_lookup, …) under the execute span and
-                // hoist its events (plan chosen, …) to the request level.
-                trace
-                    .stage("execute", exec_elapsed)
-                    .child(backend_trace.root().clone());
-                trace.events.extend(backend_trace.events);
-            } else {
-                trace.stage("execute", exec_elapsed);
-            }
-            trace.finish(total);
-            offer_trace(ctx, opcode, status, total, waited, trace, trace_mode);
-        }
-    }
+    request_trace(
+        trace_keep,
+        ctx,
+        opcode,
+        status,
+        None,
+        Some(waited),
+        Some((exec_elapsed, backend_trace)),
+    );
     payload
 }
 
-/// Resolves the trace context a request runs under: the client's when it
-/// sent one (any mode — ids are echoed even with tracing off), otherwise a
-/// server-generated unsampled one when tracing is on.
-fn resolve_trace(mode: TraceMode, wire: Option<TraceContext>) -> Option<TraceContext> {
-    match (wire, mode) {
-        (Some(ctx), _) => Some(ctx),
-        (None, TraceMode::Off) => None,
-        (None, _) => Some(TraceContext {
-            trace_id: mmdb_telemetry::next_trace_id(),
-            sampled: false,
-        }),
-    }
+/// The trace context a request runs under: the client's when it sent one,
+/// otherwise a server-generated unsampled one (so every reply carries a
+/// trace id to correlate on).
+fn trace_context(request: &Request) -> TraceContext {
+    request
+        .trace
+        .unwrap_or_else(|| TraceContext::generate(false))
 }
 
-fn unix_micros_now() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map_or(0, |d| d.as_micros().min(u64::MAX as u128) as u64)
-}
-
-/// Offers a finished request trace to the global tail-sampling store.
-fn offer_trace(
+/// The one place a served request is described. Decides first, from what
+/// is already known, whether the trace will be kept ([`keep_reason`]); a
+/// dropped request is counted and nothing is built. `detail` is an
+/// admission refusal's message; `queue_wait` is `None` for a request that
+/// was never queued; `executed` is the backend's elapsed time and stage
+/// tree, `None` for a request that never ran.
+fn request_trace(
+    trace_keep: Duration,
     ctx: TraceContext,
     opcode: Opcode,
     status: Status,
-    total: Duration,
-    queue_wait: Duration,
-    trace: QueryTrace,
-    mode: TraceMode,
+    detail: Option<&str>,
+    queue_wait: Option<Duration>,
+    executed: Option<(Duration, Option<QueryTrace>)>,
 ) {
-    // The hint encodes which unconditional-keep rule applies; the store
-    // falls through to the latency threshold when neither does.
-    let hint = if status != Status::Ok {
-        KeepReason::Error
-    } else if ctx.sampled {
-        KeepReason::Sampled
-    } else {
-        KeepReason::Slow
+    let waited = queue_wait.unwrap_or_default();
+    let total = waited
+        + executed
+            .as_ref()
+            .map_or(Duration::ZERO, |(elapsed, _)| *elapsed);
+    let Some(reason) = keep_reason(ctx.sampled, status != Status::Ok, total, trace_keep) else {
+        counter!("mmdb_trace_dropped_total").inc();
+        return;
     };
-    mmdb_telemetry::trace_store().offer(
-        StoredTrace {
-            trace_id: ctx.trace_id,
-            unix_micros: unix_micros_now(),
-            opcode: opcode.name().to_string(),
-            status: status.name().to_string(),
-            total,
-            queue_wait,
-            keep_reason: hint,
-            trace,
-        },
-        mode == TraceMode::Full,
-    );
+    let mut trace = QueryTrace::new(format!("request/{}", opcode.name()));
+    trace.event("opcode", opcode.name());
+    trace.event("status", status.name());
+    if let Some(detail) = detail {
+        trace.event("detail", detail);
+    }
+    if let Some(waited) = queue_wait {
+        trace.stage("queue_wait", waited);
+    }
+    if let Some((elapsed, backend_trace)) = executed {
+        if ctx.sampled {
+            trace.event("sampled", "true");
+        }
+        let execute = trace.stage("execute", elapsed);
+        if let Some(backend_trace) = backend_trace {
+            // Graft the backend's stage tree (plan scans,
+            // index_sync/index_lookup, …) under the execute span and hoist
+            // its events (plan chosen, …) to the request level.
+            execute.child(backend_trace.root().clone());
+            trace.events.extend(backend_trace.events);
+        }
+    }
+    trace.finish(total);
+    let unix_micros = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_micros().min(u64::MAX as u128) as u64);
+    mmdb_telemetry::trace_store().keep(StoredTrace {
+        trace_id: ctx.trace_id,
+        unix_micros,
+        opcode: opcode.name().to_string(),
+        status: status.name().to_string(),
+        total,
+        queue_wait: waited,
+        keep_reason: reason,
+        trace,
+    });
 }
 
 /// Best-effort extraction of a panic payload's message.

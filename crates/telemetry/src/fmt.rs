@@ -1,6 +1,8 @@
 //! Human-readable duration formatting shared by `mmdbctl explain`,
-//! `mmdbctl top`, and the slow-query log.
+//! `mmdbctl top`, and the slow-query log; and the JSON string escaping the
+//! trace and flight-recorder renderers share.
 
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Formats `d` with a stable unit ladder (µs below 1 ms, ms below 1 s,
@@ -16,6 +18,25 @@ pub fn format_duration(d: Duration) -> String {
     } else {
         format!("{:.2}s", nanos as f64 / 1e9)
     }
+}
+
+/// Escapes `s` for use inside a JSON string literal.
+pub(crate) fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -65,16 +65,15 @@ pub use recorder::{
     FlightRecorder, DEFAULT_RECORDER_CAPACITY, DEFAULT_SLOW_QUERY_THRESHOLD,
 };
 pub use registry::{global, Counter, Gauge, Histogram, Registry, Snapshot};
-pub use server::{serve, serve_with, MetricsServer, PrerenderHook, ReadinessProbe, ServeOptions};
+pub use server::{serve_with, MetricsServer, PrerenderHook, ReadinessProbe, ServeOptions};
 pub use slo::{
     alerts_json, configure_slo, slo_engine, LatencyObjective, SloConfig, SloEngine, SloObjective,
     SloState, CRIT_BURN, DEFAULT_FAST_WINDOW, DEFAULT_SLOW_WINDOW, WARN_BURN,
 };
 pub use trace::{QueryTrace, Span};
 pub use tracestore::{
-    next_trace_id, parse_trace_id, set_trace_keep_threshold, trace_keep_threshold, trace_store,
-    KeepReason, StoredTrace, TraceContext, TraceStore, DEFAULT_TRACE_KEEP_THRESHOLD,
-    DEFAULT_TRACE_STORE_CAPACITY,
+    keep_reason, next_trace_id, parse_trace_id, trace_store, KeepReason, StoredTrace, TraceContext,
+    TraceStore, DEFAULT_TRACE_STORE_CAPACITY,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -7,6 +7,7 @@
 //! sequence, and writes through that slot's own mutex. The write lock is
 //! taken only by [`FlightRecorder::set_capacity`], which rebuilds the ring.
 
+use crate::fmt::json_escape;
 use mmdb_conc::sync::atomic::{AtomicU64, Ordering};
 use mmdb_conc::sync::{Mutex, RwLock};
 use std::sync::OnceLock;
@@ -245,24 +246,6 @@ fn unix_micros_now() -> u64 {
         .map_or(0, |d| d.as_micros().min(u64::MAX as u128) as u64)
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders events as `{"events": [...]}` with one object per event:
 /// `{"seq": 5, "ts_micros": ..., "kind": "query_end", "detail": "...",
 /// "counts": {"results": 3}}`.
@@ -277,11 +260,11 @@ pub fn events_to_json(events: &[Event]) -> String {
             e.seq,
             e.unix_micros,
             e.kind.as_str(),
-            escape_json(&e.detail)
+            json_escape(&e.detail)
         );
         for (j, (name, value)) in e.counts.iter().enumerate() {
             let sep = if j == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}\"{}\": {value}", escape_json(name));
+            let _ = write!(out, "{sep}\"{}\": {value}", json_escape(name));
         }
         out.push_str("}}");
     }

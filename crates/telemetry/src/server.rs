@@ -96,21 +96,9 @@ impl Drop for MetricsServer {
 }
 
 /// Binds `addr` (e.g. `127.0.0.1:9184`, or `:0` for an ephemeral port) and
-/// serves the observability routes from a background thread. Compatibility
-/// wrapper over [`serve_with`] for embedders without a readiness probe.
-pub fn serve(addr: &str, prerender: Option<PrerenderHook>) -> std::io::Result<MetricsServer> {
-    serve_with(
-        addr,
-        ServeOptions {
-            prerender,
-            readiness: None,
-        },
-    )
-}
-
-/// Binds `addr` and serves the observability routes with full embedder
-/// configuration. In-flight handler threads are detached; they answer one
-/// request each and exit on their own socket timeouts.
+/// serves the observability routes from a background thread. In-flight
+/// handler threads are detached; they answer one request each and exit on
+/// their own socket timeouts.
 pub fn serve_with(addr: &str, options: ServeOptions) -> std::io::Result<MetricsServer> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
@@ -313,7 +301,7 @@ mod tests {
     fn serves_metrics_events_and_healthz() {
         crate::global().counter("mmdb_server_test_total").add(7);
         crate::recorder().record(crate::EventKind::LintRun, "server-test", &[]);
-        let server = serve("127.0.0.1:0", None).unwrap();
+        let server = serve_with("127.0.0.1:0", ServeOptions::default()).unwrap();
         let addr = server.local_addr();
 
         let health = get(addr, "/healthz");
@@ -345,7 +333,7 @@ mod tests {
         crate::recorder().record(crate::EventKind::LintRun, "cursor-b", &[]);
         let events = crate::recorder().events();
         let seq_b = events.iter().find(|e| e.detail == "cursor-b").unwrap().seq;
-        let server = serve("127.0.0.1:0", None).unwrap();
+        let server = serve_with("127.0.0.1:0", ServeOptions::default()).unwrap();
         let addr = server.local_addr();
 
         // A cursor at cursor-b excludes it (and everything older).
@@ -367,7 +355,7 @@ mod tests {
     #[test]
     fn readyz_follows_probe_and_defaults_ready() {
         // No probe: liveness and readiness coincide.
-        let plain = serve("127.0.0.1:0", None).unwrap();
+        let plain = serve_with("127.0.0.1:0", ServeOptions::default()).unwrap();
         let ready = get(plain.local_addr(), "/readyz");
         assert!(ready.starts_with("HTTP/1.1 200"), "{ready}");
         plain.shutdown();
@@ -406,20 +394,17 @@ mod tests {
         let mut trace = crate::QueryTrace::new("request");
         trace.stage("queue_wait", D::from_micros(7));
         trace.finish(D::from_millis(1));
-        crate::trace_store().offer(
-            crate::StoredTrace {
-                trace_id: 0xABCD,
-                unix_micros: 1,
-                opcode: "range".into(),
-                status: "OK".into(),
-                total: D::from_millis(1),
-                queue_wait: D::from_micros(7),
-                keep_reason: crate::KeepReason::Slow,
-                trace,
-            },
-            true,
-        );
-        let server = serve("127.0.0.1:0", None).unwrap();
+        crate::trace_store().keep(crate::StoredTrace {
+            trace_id: 0xABCD,
+            unix_micros: 1,
+            opcode: "range".into(),
+            status: "OK".into(),
+            total: D::from_millis(1),
+            queue_wait: D::from_micros(7),
+            keep_reason: crate::KeepReason::Forced,
+            trace,
+        });
+        let server = serve_with("127.0.0.1:0", ServeOptions::default()).unwrap();
         let addr = server.local_addr();
 
         let list = get(addr, "/traces");
@@ -450,7 +435,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
         });
-        let server = serve("127.0.0.1:0", None).unwrap();
+        let server = serve_with("127.0.0.1:0", ServeOptions::default()).unwrap();
         let profile = get(server.local_addr(), "/debug/profile?seconds=1");
         stop.store(true, Ordering::Relaxed);
         worker.join().unwrap();
@@ -466,9 +451,12 @@ mod tests {
     fn prerender_hook_runs_before_scrape() {
         let hook_ran = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&hook_ran);
-        let server = serve(
+        let server = serve_with(
             "127.0.0.1:0",
-            Some(Arc::new(move || flag.store(true, Ordering::SeqCst))),
+            ServeOptions {
+                prerender: Some(Arc::new(move || flag.store(true, Ordering::SeqCst))),
+                readiness: None,
+            },
         )
         .unwrap();
         let _ = get(server.local_addr(), "/metrics");
@@ -478,7 +466,7 @@ mod tests {
 
     #[test]
     fn rejects_non_get() {
-        let server = serve("127.0.0.1:0", None).unwrap();
+        let server = serve_with("127.0.0.1:0", ServeOptions::default()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         write!(stream, "POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
         let mut response = String::new();

@@ -1,6 +1,7 @@
 //! Per-query traces: a tree of timed stages with structured counters and
 //! events, rendered as an `explain`-style tree.
 
+use crate::fmt::json_escape;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -109,24 +110,6 @@ impl Span {
         }
         out.push_str("]}");
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A completed (or in-progress) query trace: query-level events plus the

@@ -1,20 +1,20 @@
 //! Tail-sampled trace store: a bounded ring of completed request traces.
 //!
-//! Every traced request is *built* cheaply and then *offered* to the store,
-//! which decides retroactively whether to keep it. A trace is kept when any
-//! of the following holds:
+//! Whether a finished request's trace is kept is one pure decision,
+//! [`keep_reason`], taken from facts the server has before it builds
+//! anything: a trace is kept when
 //!
-//! * the caller forces it (server running in trace mode `full`),
-//! * the client marked the request as head-sampled on the wire,
-//! * the request ended in a non-OK status, or
-//! * its total duration reached the keep threshold
-//!   ([`set_trace_keep_threshold`], default 100ms).
+//! * the server's keep threshold is zero (keep everything),
+//! * the request ended in a non-OK status,
+//! * the client marked the request as head-sampled on the wire, or
+//! * its total duration reached the keep threshold.
 //!
 //! This is classic tail-based sampling: the slow tail and every error are
 //! always retrievable by trace id, while the fast common case costs one
-//! branch and a dropped allocation. The store holds the most recent
-//! [`DEFAULT_TRACE_STORE_CAPACITY`] kept traces; older ones are evicted
-//! oldest-first.
+//! branch and no allocation — only a request whose trace will be kept is
+//! described at all, and handed to [`TraceStore::keep`]. The store holds
+//! the most recent [`DEFAULT_TRACE_STORE_CAPACITY`] kept traces; older ones
+//! are evicted oldest-first.
 
 use crate::trace::QueryTrace;
 use mmdb_conc::sync::Mutex;
@@ -26,9 +26,6 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Default number of kept traces the store retains.
 pub const DEFAULT_TRACE_STORE_CAPACITY: usize = 256;
-
-/// Default retroactive-keep latency threshold.
-pub const DEFAULT_TRACE_KEEP_THRESHOLD: Duration = Duration::from_millis(100);
 
 /// Wire-propagated trace context: a nonzero id plus the client's
 /// head-sampling decision. Carried in request frames and echoed
@@ -55,7 +52,7 @@ impl TraceContext {
 /// Why a trace was kept.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KeepReason {
-    /// The server runs with 100% trace retention (`full` mode).
+    /// The server keeps every trace (keep threshold zero).
     Forced,
     /// The client head-sampled the request on the wire.
     Sampled,
@@ -73,6 +70,38 @@ impl KeepReason {
             KeepReason::Error => "error",
             KeepReason::Slow => "slow",
         }
+    }
+
+    fn kept_counter(self) -> &'static crate::Counter {
+        match self {
+            KeepReason::Forced => crate::counter!(r#"mmdb_trace_kept_total{reason="forced"}"#),
+            KeepReason::Sampled => crate::counter!(r#"mmdb_trace_kept_total{reason="sampled"}"#),
+            KeepReason::Error => crate::counter!(r#"mmdb_trace_kept_total{reason="error"}"#),
+            KeepReason::Slow => crate::counter!(r#"mmdb_trace_kept_total{reason="slow"}"#),
+        }
+    }
+}
+
+/// The tail-sampling decision: why a finished request's trace is kept, or
+/// `None` when it is not. A zero `threshold` keeps everything; otherwise
+/// errors, then head-sampled requests, then requests whose `total` reached
+/// the threshold.
+pub fn keep_reason(
+    sampled: bool,
+    is_error: bool,
+    total: Duration,
+    threshold: Duration,
+) -> Option<KeepReason> {
+    if threshold.is_zero() {
+        Some(KeepReason::Forced)
+    } else if is_error {
+        Some(KeepReason::Error)
+    } else if sampled {
+        Some(KeepReason::Sampled)
+    } else if total >= threshold {
+        Some(KeepReason::Slow)
+    } else {
+        None
     }
 }
 
@@ -118,41 +147,16 @@ impl TraceStore {
         }
     }
 
-    /// Applies the tail-sampling keep decision and stores the trace if it
-    /// survives. Returns the reason when kept, `None` when dropped.
-    ///
-    /// `force` corresponds to the server's `full` trace mode; `sampled` is
-    /// the client's wire-propagated head-sampling bit; `is_error` covers
-    /// every non-OK status; the latency test compares `total` against the
-    /// process-wide keep threshold.
-    pub fn offer(&self, candidate: StoredTrace, force: bool) -> Option<KeepReason> {
-        let reason = if force {
-            KeepReason::Forced
-        } else if candidate.keep_reason == KeepReason::Sampled {
-            KeepReason::Sampled
-        } else if candidate.keep_reason == KeepReason::Error {
-            KeepReason::Error
-        } else if candidate.total >= trace_keep_threshold() {
-            KeepReason::Slow
-        } else {
-            crate::counter!("mmdb_trace_dropped_total").inc();
-            return None;
-        };
-        crate::global()
-            .counter(&format!(
-                "mmdb_trace_kept_total{{reason=\"{}\"}}",
-                reason.as_str()
-            ))
-            .inc();
-        let mut stored = candidate;
-        stored.keep_reason = reason;
+    /// Stores a trace the caller decided to keep ([`keep_reason`]),
+    /// evicting the oldest when full.
+    pub fn keep(&self, trace: StoredTrace) {
+        trace.keep_reason.kept_counter().inc();
         let mut inner = self.inner.lock();
         if inner.len() == self.capacity {
             inner.pop_front();
         }
-        inner.push_back(stored);
+        inner.push_back(trace);
         crate::gauge!("mmdb_trace_store_entries").set(inner.len() as u64);
-        Some(reason)
     }
 
     /// The kept trace with this id, if still retained (newest wins when the
@@ -237,23 +241,6 @@ impl TraceStore {
     }
 }
 
-// Relaxed is deliberate: a standalone tuning knob, read per request; no
-// other memory state is inferred from its value.
-static TRACE_KEEP_NANOS: AtomicU64 = AtomicU64::new(100_000_000);
-
-/// Sets the process-wide retroactive-keep threshold: any traced request
-/// whose end-to-end duration reaches it is kept by the store even when
-/// unsampled.
-pub fn set_trace_keep_threshold(threshold: Duration) {
-    let nanos = threshold.as_nanos().min(u64::MAX as u128) as u64;
-    TRACE_KEEP_NANOS.store(nanos, Ordering::Relaxed);
-}
-
-/// The current retroactive-keep threshold (default 100ms).
-pub fn trace_keep_threshold() -> Duration {
-    Duration::from_nanos(TRACE_KEEP_NANOS.load(Ordering::Relaxed))
-}
-
 // Relaxed is deliberate: uniqueness comes from the RMW itself (every
 // fetch_add returns a distinct value under any ordering); ids carry no
 // publication obligation.
@@ -323,43 +310,37 @@ mod tests {
 
     #[test]
     fn tail_sampling_keeps_slow_sampled_error_and_forced() {
-        let before = trace_keep_threshold();
-        set_trace_keep_threshold(Duration::from_millis(10));
-        let store = TraceStore::with_capacity(16);
-
-        // Fast, unsampled, OK → dropped.
-        let fast = candidate(1, Duration::from_micros(50), KeepReason::Slow);
-        assert_eq!(store.offer(fast, false), None);
-        assert!(store.get(1).is_none());
-
-        // Slow → retroactively kept.
-        let slow = candidate(2, Duration::from_millis(20), KeepReason::Slow);
-        assert_eq!(store.offer(slow, false), Some(KeepReason::Slow));
-        assert_eq!(store.get(2).unwrap().keep_reason, KeepReason::Slow);
-
-        // Head-sampled → kept even though fast.
-        let sampled = candidate(3, Duration::from_micros(50), KeepReason::Sampled);
-        assert_eq!(store.offer(sampled, false), Some(KeepReason::Sampled));
-
-        // Error → kept even though fast and unsampled.
-        let mut err = candidate(4, Duration::from_micros(50), KeepReason::Error);
-        err.status = "INTERNAL".into();
-        assert_eq!(store.offer(err, false), Some(KeepReason::Error));
-
-        // Forced (full mode) → kept no matter what.
-        let forced = candidate(5, Duration::from_micros(1), KeepReason::Slow);
-        assert_eq!(store.offer(forced, true), Some(KeepReason::Forced));
-
-        assert_eq!(store.len(), 4);
-        set_trace_keep_threshold(before);
+        use KeepReason::{Error, Forced, Sampled, Slow};
+        let keep = Duration::from_millis(10);
+        let (fast, slow) = (Duration::from_micros(50), Duration::from_millis(20));
+        // (sampled, is_error, total, threshold) → reason
+        let table = [
+            (false, false, fast, keep, None),
+            (false, false, slow, keep, Some(Slow)),
+            (true, false, fast, keep, Some(Sampled)),
+            (false, true, fast, keep, Some(Error)),
+            // A sampled request that failed is an error first.
+            (true, true, fast, keep, Some(Error)),
+            // Zero keeps no matter what; an unreachable threshold still
+            // keeps errors.
+            (false, false, fast, Duration::ZERO, Some(Forced)),
+            (false, false, slow, Duration::MAX, None),
+            (false, true, fast, Duration::MAX, Some(Error)),
+        ];
+        for (sampled, is_error, total, threshold, expected) in table {
+            assert_eq!(
+                keep_reason(sampled, is_error, total, threshold),
+                expected,
+                "sampled={sampled} is_error={is_error} total={total:?} threshold={threshold:?}"
+            );
+        }
     }
 
     #[test]
     fn eviction_is_oldest_first_and_bounded() {
         let store = TraceStore::with_capacity(3);
         for id in 1..=5u64 {
-            let c = candidate(id, Duration::from_micros(1), KeepReason::Slow);
-            store.offer(c, true);
+            store.keep(candidate(id, Duration::from_micros(1), KeepReason::Forced));
         }
         assert_eq!(store.len(), 3);
         assert!(store.get(1).is_none());
@@ -371,14 +352,8 @@ mod tests {
     #[test]
     fn json_summaries_are_newest_first_and_balanced() {
         let store = TraceStore::with_capacity(8);
-        store.offer(
-            candidate(10, Duration::from_micros(1), KeepReason::Slow),
-            true,
-        );
-        store.offer(
-            candidate(11, Duration::from_micros(1), KeepReason::Slow),
-            true,
-        );
+        store.keep(candidate(10, Duration::from_micros(1), KeepReason::Forced));
+        store.keep(candidate(11, Duration::from_micros(1), KeepReason::Forced));
         let json = store.render_summaries_json();
         let first = json.find("000000000000000b").unwrap();
         let second = json.find("000000000000000a").unwrap();

@@ -47,10 +47,8 @@ wait_ready() {
   return 1
 }
 
-# The address a started server announced: `serve` prints its exposition
-# address on stdout, `serve-queries` its query address on stdout and its
-# `--metrics` sidecar on stderr.
-serve_addr() { sed -n 's/^serving .* on http:\/\/\([0-9.:]*\)$/\1/p' serve.log; }
+# The addresses a started `serve` announced: its query address on stdout and
+# its `--metrics` sidecar on stderr.
 query_addr() { sed -n 's/serving queries on \([0-9.:]*\) .*/\1/p' serve.log; }
 metrics_addr() { sed -n 's/^metrics on http:\/\/\([0-9.:]*\)$/\1/p' serve.err; }
 
@@ -65,10 +63,11 @@ stop_and_wait() {
   cat serve.log
 }
 
-# start_queries <serve-queries args...>: starts a query server with a
-# metrics sidecar, waits for it, sets $ADDR (queries) and $HTTP (sidecar).
+# start_queries <serve args...>: starts a query server with a metrics
+# sidecar, waits for it (the warmup, when one is asked for, has run by then),
+# sets $ADDR (queries) and $HTTP (sidecar).
 start_queries() {
-  start serve-queries --listen 127.0.0.1:0 --metrics 127.0.0.1:0 "$@"
+  start serve --listen 127.0.0.1:0 --metrics 127.0.0.1:0 "$@"
   wait_ready 'serving queries on' serve.log
   ADDR=$(query_addr)
   HTTP=$(metrics_addr)
@@ -91,13 +90,9 @@ series_value() { grep -E "^$1 " metrics.txt | awk '{print $2}'; }
 observability() {
   "$MMDBCTL" create --db ./db
   "$MMDBCTL" gen --db ./db --collection flags --count 10 --augment 2 --seed 9
-  start serve --db ./db --listen 127.0.0.1:0 --warmup 25
-  wait_ready '^serving ' serve.log
-  HTTP=$(serve_addr)
-  wait_ready "http://$HTTP/healthz"
+  start_queries --db ./db --warmup 25
   scrape /healthz | grep -q ok
-  # /readyz answers once the warmup has run.
-  wait_ready "http://$HTTP/readyz"
+  scrape /readyz | grep -q ready
   scrape /metrics > metrics.txt
   # Both plans' latency histograms must expose buckets and have recorded
   # the warmup queries.
@@ -115,11 +110,7 @@ observability() {
 index() {
   "$MMDBCTL" create --db ./db
   "$MMDBCTL" gen --db ./db --collection flags --count 12 --augment 3 --seed 13
-  start serve --db ./db --listen 127.0.0.1:0 --warmup 25
-  wait_ready '^serving ' serve.log
-  HTTP=$(serve_addr)
-  # /readyz answers once the warmup has run.
-  wait_ready "http://$HTTP/readyz"
+  start_queries --db ./db --warmup 25
   scrape /metrics > metrics.txt
   # The warmup ran the indexed plan, so the index must have been built and
   # must have produced hits — a zero here means queries silently fell back
@@ -162,18 +153,25 @@ serve() {
   grep -F 'mmdb_server_deadline_exceeded_total' metrics.txt
   total=$(grep -F 'mmdb_server_requests_total{opcode="range"}' metrics.txt | awk '{print $2}')
   test "$total" -gt 0
+  # Default settings describe no fast request: the load was counted as
+  # dropped and /traces stayed empty.
+  dropped=$(series_value mmdb_trace_dropped_total)
+  echo "traces dropped: $dropped"
+  test "$dropped" -gt 0
+  scrape /traces > traces.json
+  refute '"trace_id"' traces.json
   stop_and_wait
 }
 
 trace() {
   "$MMDBCTL" create --db ./db
   "$MMDBCTL" gen --db ./db --collection helmets --count 12 --augment 2 --seed 17
-  # Full retention so every load-gen request lands in /traces; a warmup so
-  # /readyz has an observable unready -> ready flip. The metrics sidecar
+  # Keep threshold 0 so every load-gen request lands in /traces; a warmup
+  # so /readyz has an observable unready -> ready flip. The metrics sidecar
   # binds before the warmup: /healthz is live while /readyz still reports
   # 503.
-  start serve-queries --db ./db --listen 127.0.0.1:0 --metrics 127.0.0.1:0 \
-    --warmup 25 --trace-mode full
+  start serve --db ./db --listen 127.0.0.1:0 --metrics 127.0.0.1:0 \
+    --warmup 25 --trace-keep-ms 0
   wait_ready '^metrics on ' serve.err
   HTTP=$(metrics_addr)
   wait_ready "http://$HTTP/healthz"
@@ -232,10 +230,7 @@ durable() {
   refute 'error \[' fsck.txt
   # Restart on the crashed directory. /readyz flips to 200 once recovery
   # (snapshot + WAL replay) and the warmup finish.
-  start serve --db ./db --listen 127.0.0.1:0 --warmup 10
-  wait_ready '^serving ' serve.log
-  HTTP=$(serve_addr)
-  wait_ready "http://$HTTP/readyz"
+  start_queries --db ./db --warmup 10
   scrape /readyz | grep -q ready
   # The durability series are live: recovery replayed the acknowledged WAL
   # tail, and the WAL/snapshot gauges describe the directory.
@@ -270,6 +265,13 @@ durable() {
 observatory() {
   "$MMDBCTL" create --db ./db
   "$MMDBCTL" gen --db ./db --collection helmets --count 10 --augment 2 --seed 19
+  # Objectives are evaluated from the exposition server only, so without
+  # a sidecar they would be inert: refused at startup.
+  if "$MMDBCTL" serve --db ./db --listen 127.0.0.1:0 --slo 'range=1us@p99' 2> refused.err; then
+    echo "e2e: serve --slo without --metrics started" >&2
+    return 1
+  fi
+  grep -q -- '--slo needs --metrics' refused.err
   # A 1us p99 objective trips under any real traffic; short burn windows
   # make the trip and the recovery observable within the job.
   start_queries --db ./db --slo 'range=1us@p99,err<50%;windows=2s/4s'

@@ -10,6 +10,9 @@ use mmdb_datagen::Collection;
 #[test]
 fn both_figures_run_and_agree() {
     let cfg = SweepConfig::fast();
+    // Work saved by the structure, `1 − bwm/rbm` BOUNDS computations per
+    // query: the paper's curves as deterministic counters, not clocks.
+    let mut saved = Vec::new();
     for figure in [Figure::Fig3Helmet, Figure::Fig4Flag] {
         let points = figure_sweep(figure, &cfg);
         assert_eq!(points.len(), cfg.pcts.len());
@@ -23,6 +26,23 @@ fn both_figures_run_and_agree() {
             // RBM's bound count is exactly the edited-image count.
             assert!((p.rbm_bounds_per_query - p.edited as f64).abs() < 1e-9);
         }
+        saved.push(
+            points
+                .iter()
+                .map(|p| 1.0 - p.bwm_bounds_per_query / p.rbm_bounds_per_query)
+                .collect::<Vec<f64>>(),
+        );
+    }
+    // The shape the paper reports (Figures 3 and 4): the structure always
+    // helps, helps the helmet collection more than the flags at every
+    // point, and helps less as the edited share grows past the fixed pool
+    // of bound-widening-only images.
+    let (helmet, flag) = (&saved[0], &saved[1]);
+    for (h, f) in helmet.iter().zip(flag) {
+        assert!(*f >= 0.0 && h > f, "helmet {helmet:?} vs flag {flag:?}");
+    }
+    for series in &saved {
+        assert!(series.windows(2).all(|w| w[1] <= w[0]), "{series:?}");
     }
 }
 
