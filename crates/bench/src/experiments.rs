@@ -308,7 +308,6 @@ fn measure_point(
         p_merge,
     );
     let mut qp = QueryProcessor::new(&db);
-    qp.build_bwm();
     qp.build_bound_index().expect("bound index build");
     // Mass-weighted colors with modest thresholds: the paper's users query
     // for colors the collection actually contains.
@@ -440,8 +439,7 @@ pub fn overhead_experiment(collection: Collection, cfg: &SweepConfig) -> Overhea
         cfg.variant_ops,
         0.25,
     );
-    let mut qp = QueryProcessor::new(&db);
-    qp.build_bwm();
+    let qp = QueryProcessor::new(&db);
     // The effect under measurement is sub-microsecond per query, so this
     // experiment needs a bigger batch and more best-of passes than the
     // figure sweeps to keep scheduler noise from swamping it.

@@ -28,7 +28,10 @@
 pub mod query;
 pub mod structure;
 
-pub use query::{bounds_scan, execute, BwmQueryStats, QueryCtx, QueryOutcome, ShardRecord};
+pub use query::{
+    bounds_scan, execute, finish_deferred, BwmQueryStats, Deferred, QueryCtx, QueryOutcome,
+    ShardRecord,
+};
 pub use structure::{BwmStructure, Classification, SequenceStore};
 
 /// Eagerly registers this layer's metric series (zero-valued until traffic

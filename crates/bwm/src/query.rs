@@ -1,9 +1,12 @@
 //! The BWM query processing algorithm (§4.1, Figure 2).
 
 use crate::structure::{BwmStructure, SequenceStore};
-use mmdb_editops::ImageId;
-use mmdb_rules::{ColorRangeQuery, ImageInfo, InfoResolver, Result, RuleEngine, RuleError};
+use mmdb_editops::{EditSequence, ImageId};
+use mmdb_rules::{
+    BoundProgram, ColorRangeQuery, ImageInfo, InfoResolver, Result, RuleEngine, RuleError,
+};
 use mmdb_telemetry::QueryTrace;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Work counters for one query execution — these are what Figures 3/4 of
@@ -167,17 +170,44 @@ impl QueryCtx {
     }
 }
 
-/// The read-only inputs of one Figure 2 execution.
-struct Scan<'a, S> {
+/// An edited image a scan could not finish under its view: its BOUNDS walk
+/// names an image the view does not resolve — a merge target held by another
+/// shard, if by anyone. Reaching for a second shard while the view pins the
+/// first is how two scans and two queued writers deadlock, so the scan hands
+/// these back; whoever took the view drops it, then calls
+/// [`finish_deferred`].
+#[derive(Debug)]
+pub struct Deferred {
+    /// The image.
+    pub edited: ImageId,
+    /// Its compiled program — or its stored sequence, when it was never
+    /// compiled (compiling needs the missing image's dimensions).
+    pub walk: std::result::Result<BoundProgram, Arc<EditSequence>>,
+    /// Its base image, as the view held it.
+    pub base: ImageInfo,
+}
+
+/// The read-only inputs of one BOUNDS test.
+struct Bounds<'a> {
     query: &'a ColorRangeQuery,
     engine: &'a RuleEngine<'a>,
     resolver: &'a dyn InfoResolver,
+}
+
+/// The read-only inputs of one Figure 2 execution. Every id it meets comes
+/// from the same consistent state `store` and the resolver read (a structure
+/// and a catalog under one lock), so one with no stored sequence is an
+/// inconsistency and fails the query.
+struct Scan<'a, S> {
+    bounds: Bounds<'a>,
     store: &'a S,
-    /// The ids come from a catalog listing taken a moment ago (RBM), so one
-    /// that has no stored sequence any more was deleted since and is simply
-    /// not a result. Ids from a BWM structure are guarded by its lock: a
-    /// missing one is an inconsistency and fails the query.
-    listed: bool,
+}
+
+/// What a scan adds to.
+struct Out<'o> {
+    results: &'o mut Vec<ImageId>,
+    stats: &'o mut BwmQueryStats,
+    deferred: Vec<Deferred>,
 }
 
 /// Executes the Figure 2 algorithm over a BWM structure, adding candidates
@@ -190,6 +220,9 @@ struct Scan<'a, S> {
 /// BOUNDS. What it computes depends on the query and the structure alone.
 /// A traced context gets one timed stage per component. Process-wide
 /// counters are the business of whoever owns the whole query.
+///
+/// `resolver` and `store` are one read view of the shard `structure`
+/// describes; the images it could not finish under that view come back.
 pub fn execute<S: SequenceStore>(
     structure: &BwmStructure,
     query: &ColorRangeQuery,
@@ -197,22 +230,27 @@ pub fn execute<S: SequenceStore>(
     resolver: &dyn InfoResolver,
     store: &S,
     ctx: &mut QueryCtx,
-) -> Result<()> {
-    let scan = Scan {
+) -> Result<Vec<Deferred>> {
+    let bounds = Bounds {
         query,
         engine,
         resolver,
-        store,
-        listed: false,
     };
+    let scan = Scan { bounds, store };
     // Slice-local counters, so the stages below report this structure's
     // work even when `ctx` already carries other shards' totals.
     let mut stats = BwmQueryStats::default();
+    let mut out = Out {
+        results: &mut ctx.results,
+        stats: &mut stats,
+        deferred: Vec::new(),
+    };
     let started = Instant::now();
-    scan.main(structure, &mut ctx.results, &mut stats)?;
+    scan.main(structure, &mut out)?;
     let main_elapsed = started.elapsed();
-    let main_stats = stats;
-    scan.unclassified(structure, &mut ctx.results, &mut stats)?;
+    let main_stats = *out.stats;
+    scan.unclassified(structure, &mut out)?;
+    let deferred = out.deferred;
     ctx.stats += stats;
 
     if let Some(trace) = &mut ctx.trace {
@@ -235,107 +273,99 @@ pub fn execute<S: SequenceStore>(
                 (stats.ops_processed - main_stats.ops_processed) as u64,
             );
     }
-    Ok(())
+    Ok(deferred)
 }
 
 /// The §3 RBM fallback over `ids`: BOUNDS for every image, emitting those
 /// whose range overlaps the query — exactly what Figure 2 does for the
 /// images it cannot shortcut, so RBM and BWM differ only in how many images
-/// reach this loop. `ids` is taken to be a catalog listing: an id with no
-/// stored sequence any more was deleted since and is skipped. Adds `bounds_computed`, `ops_processed` and
-/// `bounds_widened` to `stats`.
+/// reach this loop. `ids`, `resolver` and `store` are one read view, as for
+/// [`execute`]. Adds `bounds_computed`, `ops_processed` and `bounds_widened`
+/// to `stats`.
 pub fn bounds_scan<S: SequenceStore>(
-    ids: &[ImageId],
+    ids: impl IntoIterator<Item = ImageId>,
     query: &ColorRangeQuery,
     engine: &RuleEngine<'_>,
     resolver: &dyn InfoResolver,
     store: &S,
     results: &mut Vec<ImageId>,
     stats: &mut BwmQueryStats,
-) -> Result<()> {
-    let scan = Scan {
+) -> Result<Vec<Deferred>> {
+    let bounds = Bounds {
         query,
         engine,
         resolver,
-        store,
-        listed: true,
     };
-    scan.each(ids, results, stats)
+    let mut out = Out {
+        results,
+        stats,
+        deferred: Vec::new(),
+    };
+    Scan { bounds, store }.each(ids, &mut out)?;
+    Ok(out.deferred)
 }
 
-impl<S: SequenceStore> Scan<'_, S> {
-    /// Step 4: each element `<B_id, E_list>` of the Main Component.
-    fn main(
-        &self,
-        structure: &BwmStructure,
-        results: &mut Vec<ImageId>,
-        stats: &mut BwmQueryStats,
-    ) -> Result<()> {
-        for (base, cluster) in structure.clusters() {
-            stats.clusters_visited += 1;
-            let info = self.resolver.require(base)?;
-            let fraction = info.histogram.fraction(self.query.bin);
-            if self.query.matches_fraction(fraction) {
-                // 4.2: base satisfies → base and every clustered edited image.
-                stats.base_hits += 1;
-                results.push(base);
-                results.extend_from_slice(cluster);
-                stats.shortcut_emissions += cluster.len();
-            } else {
-                // 4.3: fall back to the BOUNDS algorithm per edited image,
-                // each starting from the base histogram already in hand.
-                let mut base = Some((base, info));
-                for &edited in cluster {
-                    self.bounds_test(edited, &mut base, results, stats)?;
-                }
-            }
-        }
-        Ok(())
+/// Finishes the walks a scan handed back, now that its view is dropped:
+/// `targets` resolves any image (for a shard, through its peers, one short
+/// lock at a time) and `compile` turns a never-compiled sequence into its
+/// program against the base the view held. Counted as if each walk had run
+/// in place; an image nobody holds fails the query with
+/// [`RuleError::UnknownImage`]. A traced context gets a `deferred` stage.
+pub fn finish_deferred(
+    deferred: Vec<Deferred>,
+    query: &ColorRangeQuery,
+    engine: &RuleEngine<'_>,
+    targets: &dyn InfoResolver,
+    compile: impl Fn(ImageId, &EditSequence, &ImageInfo) -> Result<BoundProgram>,
+    ctx: &mut QueryCtx,
+) -> Result<()> {
+    if deferred.is_empty() {
+        return Ok(());
     }
-
-    /// Step 5: the Unclassified Component.
-    fn unclassified(
-        &self,
-        structure: &BwmStructure,
-        results: &mut Vec<ImageId>,
-        stats: &mut BwmQueryStats,
-    ) -> Result<()> {
-        stats.unclassified_scanned += structure.unclassified().len();
-        self.each(structure.unclassified(), results, stats)
+    let started = Instant::now();
+    let bounds = Bounds {
+        query,
+        engine,
+        resolver: targets,
+    };
+    let mut stats = BwmQueryStats::default();
+    for Deferred { edited, walk, base } in deferred {
+        let program = match walk {
+            Ok(program) => program,
+            Err(sequence) => compile(edited, &sequence, &base)?,
+        };
+        bounds.test(edited, &program, &base, &mut ctx.results, &mut stats)?;
     }
-
-    /// BOUNDS for each of `ids` in turn.
-    fn each(
-        &self,
-        ids: &[ImageId],
-        results: &mut Vec<ImageId>,
-        stats: &mut BwmQueryStats,
-    ) -> Result<()> {
-        let mut base = None;
-        for &edited in ids {
-            self.bounds_test(edited, &mut base, results, stats)?;
-        }
-        Ok(())
+    ctx.stats += stats;
+    if let Some(trace) = &mut ctx.trace {
+        trace
+            .stage("deferred", started.elapsed())
+            .counter("bounds_computed", stats.bounds_computed as u64)
+            .counter("ops_processed", stats.ops_processed as u64);
     }
+    Ok(())
+}
 
-    /// Runs BOUNDS for one edited image and emits it when the range
-    /// overlaps. `base` is the last base info this scan resolved: a cluster
-    /// scan fills it in once for the whole cluster, and a run of
-    /// unclassified images derived from one base resolves it once.
-    fn bounds_test(
+impl Bounds<'_> {
+    /// Runs BOUNDS for one edited image from its compiled program and its
+    /// base's histogram, and emits it when the range overlaps. Nothing is
+    /// counted unless the walk completes.
+    fn test(
         &self,
         edited: ImageId,
-        base: &mut Option<(ImageId, ImageInfo)>,
+        program: &BoundProgram,
+        base: &ImageInfo,
         results: &mut Vec<ImageId>,
         stats: &mut BwmQueryStats,
     ) -> Result<()> {
         let query = self.query;
-        let program = match self.store.program(edited, self.engine, self.resolver) {
-            Err(RuleError::UnknownImage(id)) if self.listed && id == edited => {
-                return Ok(());
-            }
-            program => program?,
-        };
+        let bounds = program.eval(
+            query.bin,
+            self.engine.profile(),
+            base.histogram.count(query.bin),
+            base.histogram.total(),
+            self.resolver,
+        )?;
         stats.bounds_computed += 1;
         stats.ops_processed += program.op_count();
         for (kind, &n) in stats
@@ -345,20 +375,6 @@ impl<S: SequenceStore> Scan<'_, S> {
         {
             *kind += n as usize;
         }
-        let base = match base {
-            Some((resolved, info)) if *resolved == program.base() => &*info,
-            _ => {
-                let info = self.resolver.require(program.base())?;
-                &base.insert((program.base(), info)).1
-            }
-        };
-        let bounds = program.eval(
-            query.bin,
-            self.engine.profile(),
-            base.histogram.count(query.bin),
-            base.histogram.total(),
-            self.resolver,
-        )?;
         if !bounds.is_exact() {
             stats.bounds_widened += 1;
         }
@@ -369,15 +385,102 @@ impl<S: SequenceStore> Scan<'_, S> {
     }
 }
 
+impl<S: SequenceStore> Scan<'_, S> {
+    /// Step 4: each element `<B_id, E_list>` of the Main Component.
+    fn main(&self, structure: &BwmStructure, out: &mut Out<'_>) -> Result<()> {
+        let query = self.bounds.query;
+        for (base, cluster) in structure.clusters() {
+            out.stats.clusters_visited += 1;
+            let info = self.bounds.resolver.require(base)?;
+            let fraction = info.histogram.fraction(query.bin);
+            if query.matches_fraction(fraction) {
+                // 4.2: base satisfies → base and every clustered edited image.
+                out.stats.base_hits += 1;
+                out.results.push(base);
+                out.results.extend_from_slice(cluster);
+                out.stats.shortcut_emissions += cluster.len();
+            } else {
+                // 4.3: fall back to the BOUNDS algorithm per edited image,
+                // each starting from the base histogram already in hand.
+                let mut base = Some((base, info));
+                for &edited in cluster {
+                    self.bounds_test(edited, &mut base, out)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Step 5: the Unclassified Component.
+    fn unclassified(&self, structure: &BwmStructure, out: &mut Out<'_>) -> Result<()> {
+        out.stats.unclassified_scanned += structure.unclassified().len();
+        self.each(structure.unclassified().iter().copied(), out)
+    }
+
+    /// BOUNDS for each of `ids` in turn.
+    fn each(&self, ids: impl IntoIterator<Item = ImageId>, out: &mut Out<'_>) -> Result<()> {
+        let mut base = None;
+        for edited in ids {
+            self.bounds_test(edited, &mut base, out)?;
+        }
+        Ok(())
+    }
+
+    /// BOUNDS for one edited image, or its deferral. `base` is the last
+    /// base info this scan resolved: a cluster scan fills it in once for the
+    /// whole cluster, and a run of unclassified images derived from one base
+    /// resolves it once.
+    fn bounds_test(
+        &self,
+        edited: ImageId,
+        base: &mut Option<(ImageId, ImageInfo)>,
+        out: &mut Out<'_>,
+    ) -> Result<()> {
+        let Bounds {
+            engine, resolver, ..
+        } = self.bounds;
+        let program = match self.store.program(edited, engine, resolver) {
+            // Never compiled, and compiling needs an image out of reach.
+            Err(RuleError::UnknownImage(missing)) if missing != edited => {
+                let sequence = self.store.sequence(edited);
+                let sequence = sequence.ok_or(RuleError::UnknownImage(edited))?;
+                let base = resolver.require(sequence.base)?;
+                let walk = Err(sequence);
+                out.deferred.push(Deferred { edited, walk, base });
+                return Ok(());
+            }
+            program => program?,
+        };
+        let base = match base {
+            Some((resolved, info)) if *resolved == program.base() => &*info,
+            _ => {
+                let info = resolver.require(program.base())?;
+                &base.insert((program.base(), info)).1
+            }
+        };
+        match self
+            .bounds
+            .test(edited, &program, base, out.results, out.stats)
+        {
+            // Only a merge target is looked up during evaluation.
+            Err(RuleError::UnknownImage(_)) => out.deferred.push(Deferred {
+                edited,
+                walk: Ok(program.into_owned()),
+                base: base.clone(),
+            }),
+            done => return done,
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_editops::EditSequence;
     use mmdb_histogram::{ColorHistogram, Quantizer, RgbQuantizer};
     use mmdb_imaging::{draw, RasterImage, Rect, Rgb};
     use mmdb_rules::{MapInfoResolver, RuleProfile};
     use std::collections::HashMap;
-    use std::sync::Arc;
 
     struct Fixture {
         structure: BwmStructure,
@@ -453,7 +556,8 @@ mod tests {
     /// One whole query against the fixture: fresh context in, outcome out.
     fn run(f: &Fixture, engine: &RuleEngine<'_>, q: &ColorRangeQuery) -> Result<QueryOutcome> {
         let mut ctx = QueryCtx::default();
-        execute(&f.structure, q, engine, &f.resolver, &f.store, &mut ctx)?;
+        let deferred = execute(&f.structure, q, engine, &f.resolver, &f.store, &mut ctx)?;
+        assert!(deferred.is_empty(), "the fixture resolves every image");
         Ok(ctx.into_outcome())
     }
 
@@ -511,28 +615,35 @@ mod tests {
         ));
     }
 
-    /// The same missing sequence under RBM's listing semantics: the id was
-    /// listed, then deleted, and is skipped rather than failing the scan.
+    /// A merge target the view does not hold: the walk comes back instead
+    /// of failing, and finishing it against a resolver that does hold the
+    /// target counts and answers as the in-place walk would have.
     #[test]
-    fn listed_id_deleted_since_is_skipped() {
-        let mut f = fixture();
-        f.store.remove(&ImageId::new(11));
+    fn walk_naming_an_image_out_of_reach_is_deferred_then_finished() {
+        let f = fixture();
         let engine = RuleEngine::new(&f.quant, RuleProfile::Conservative);
-        let q = ColorRangeQuery::new(f.quant.bin_of(Rgb::RED), 0.0, 1.0);
-        let ids = [ImageId::new(10), ImageId::new(11), ImageId::new(12)];
-        let (mut results, mut stats) = (Vec::new(), BwmQueryStats::default());
-        bounds_scan(
-            &ids,
-            &q,
-            &engine,
-            &f.resolver,
-            &f.store,
-            &mut results,
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(results, vec![ImageId::new(10), ImageId::new(12)]);
-        assert_eq!(stats.bounds_computed, 2);
+        let q = ColorRangeQuery::new(f.quant.bin_of(Rgb::RED), 0.4, 0.6);
+        let (base, pasted) = (ImageId::new(2), ImageId::new(12));
+        let mut structure = BwmStructure::new();
+        structure.insert_binary(base);
+        structure.insert_edited(pasted, &f.store[&pasted]);
+        let mut view = MapInfoResolver::new();
+        view.insert(base, f.resolver.require(base).unwrap());
+        let scan = |resolver: &MapInfoResolver| {
+            let mut ctx = QueryCtx::default();
+            let walks = execute(&structure, &q, &engine, resolver, &f.store, &mut ctx);
+            (ctx, walks.unwrap())
+        };
+        let (in_place, none) = scan(&f.resolver);
+        assert!(none.is_empty());
+        assert_eq!(in_place.results, vec![pasted]);
+
+        let (mut ctx, deferred) = scan(&view);
+        assert_eq!((deferred.len(), ctx.stats.bounds_computed), (1, 0));
+        let compile = |_, seq: &EditSequence, _: &ImageInfo| engine.compile(seq, &f.resolver);
+        finish_deferred(deferred, &q, &engine, &f.resolver, compile, &mut ctx).unwrap();
+        assert_eq!(ctx.results, in_place.results);
+        assert_eq!(ctx.stats, in_place.stats);
     }
 
     #[test]

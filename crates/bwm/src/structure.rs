@@ -3,6 +3,7 @@
 use mmdb_editops::{EditSequence, ImageId};
 use mmdb_rules::{BoundProgram, InfoResolver, RuleEngine, RuleError};
 use mmdb_telemetry::counter;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -16,8 +17,8 @@ pub enum Classification {
     Unclassified,
 }
 
-/// Access to stored edit sequences by id. Implemented by the storage engine;
-/// tests can use a closure-backed map.
+/// Access to stored edit sequences by id. Implemented by the storage engine
+/// and by its read view; tests can use a map.
 pub trait SequenceStore {
     /// The stored sequence of an edited image.
     fn sequence(&self, id: ImageId) -> Option<Arc<EditSequence>>;
@@ -26,7 +27,8 @@ pub trait SequenceStore {
     /// compiles on every call with the caller's engine and resolver; a
     /// store that keeps programs (the storage engine) compiles at most once
     /// per image, with the database's own quantizer and background — which
-    /// is what every engine over that database is built from.
+    /// is what every engine over that database is built from — and a store
+    /// that is a lock guard over those programs lends them.
     ///
     /// # Errors
     /// [`RuleError::UnknownImage`] when `id` has no stored sequence, or
@@ -36,26 +38,9 @@ pub trait SequenceStore {
         id: ImageId,
         engine: &RuleEngine<'_>,
         resolver: &dyn InfoResolver,
-    ) -> Result<BoundProgram, RuleError> {
+    ) -> Result<Cow<'_, BoundProgram>, RuleError> {
         let sequence = self.sequence(id).ok_or(RuleError::UnknownImage(id))?;
-        engine.compile(&sequence, resolver)
-    }
-}
-
-impl SequenceStore for mmdb_storage::StorageEngine {
-    fn sequence(&self, id: ImageId) -> Option<Arc<EditSequence>> {
-        self.edit_sequence(id)
-    }
-
-    fn program(
-        &self,
-        id: ImageId,
-        engine: &RuleEngine<'_>,
-        _resolver: &dyn InfoResolver,
-    ) -> Result<BoundProgram, RuleError> {
-        debug_assert_eq!(engine.background(), self.background());
-        debug_assert_eq!(engine.quantizer().bin_count(), self.quantizer().bin_count());
-        self.bound_program(id)
+        engine.compile(&sequence, resolver).map(Cow::Owned)
     }
 }
 
@@ -140,6 +125,16 @@ impl BwmStructure {
             }
         }
         s
+    }
+
+    /// Takes over every cluster and unclassified entry of `other`, a
+    /// structure over other base images (another shard's). Ids are allocated
+    /// in insertion order, so the merged Unclassified Component is kept
+    /// ascending — what [`BwmStructure::build`] over both catalogs yields.
+    pub fn absorb(&mut self, other: BwmStructure) {
+        self.main.extend(other.main);
+        self.unclassified.extend(other.unclassified);
+        self.unclassified.sort_unstable();
     }
 
     /// Removes a binary image: drops its cluster and returns the edited

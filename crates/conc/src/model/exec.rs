@@ -357,10 +357,14 @@ impl ExecState {
                 Some(Op::MutexLock { loc }) => {
                     self.mutexes.get(&loc).map_or(true, |m| m.owner.is_none())
                 }
-                Some(Op::RwRead { loc }) => self
-                    .rwlocks
-                    .get(&loc)
-                    .map_or(true, |rw| rw.writer.is_none()),
+                // std's futex `RwLock` prefers writers: once a writer is
+                // blocked on a lock that readers hold, a new reader queues
+                // behind it (so a thread reading two locks nested, or one
+                // lock twice, can deadlock with two writers). A reader that
+                // arrives while the lock is free still races the writer.
+                Some(Op::RwRead { loc }) => self.rwlocks.get(&loc).map_or(true, |rw| {
+                    rw.writer.is_none() && (rw.readers.is_empty() || !self.writer_pending(loc))
+                }),
                 Some(Op::RwWrite { loc }) => self
                     .rwlocks
                     .get(&loc)
@@ -371,6 +375,14 @@ impl ExecState {
             },
             _ => false,
         }
+    }
+
+    /// True when some thread is parked at `rwlock.write` on `loc`.
+    fn writer_pending(&self, loc: usize) -> bool {
+        self.threads.iter().any(|t| {
+            t.status == Status::Ready
+                && matches!(t.pending, Some(Op::RwWrite { loc: wanted }) if wanted == loc)
+        })
     }
 
     /// Picks the next thread to run. Called with no thread running and

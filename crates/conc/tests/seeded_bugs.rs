@@ -11,7 +11,7 @@
 use mmdb_conc::cell::RaceCell;
 use mmdb_conc::model::Model;
 use mmdb_conc::sync::atomic::{AtomicU64, Ordering};
-use mmdb_conc::sync::{Arc, Condvar, Mutex};
+use mmdb_conc::sync::{Arc, Condvar, Mutex, RwLock};
 use mmdb_conc::thread;
 
 /// Runs `scenario` expecting a failure, then replays the recorded schedule
@@ -211,4 +211,44 @@ fn catches_condvar_if_instead_of_while() {
         msg.contains("woke to an empty queue") || msg.contains("deadlock"),
         "unexpected failure: {msg}"
     );
+}
+
+/// Bug 6: a scan reading a second shard while it still holds its view of
+/// the first. Two such scans in opposite orders, and a writer queued on
+/// each shard: each scan's second `read` waits behind the other shard's
+/// writer, which waits for the other scan — the reader–writer–reader cycle
+/// of a writer-preferring lock. (Production drops the view first:
+/// `mmdb_bwm::Deferred`, modelled in `model_read_view.rs`.)
+fn nested_reads_across_two_shards() {
+    let shards = [Arc::new(RwLock::new(0u64)), Arc::new(RwLock::new(0u64))];
+    let scans: Vec<_> = [(0, 1), (1, 0)]
+        .into_iter()
+        .map(|(local, peer)| {
+            let (local, peer) = (Arc::clone(&shards[local]), Arc::clone(&shards[peer]));
+            thread::spawn(move || {
+                let view = local.read();
+                // BUG: the peer is consulted with the local view still held.
+                let _ = *view + *peer.read();
+            })
+        })
+        .collect();
+    let writers: Vec<_> = shards
+        .iter()
+        .map(|shard| {
+            let shard = Arc::clone(shard);
+            thread::spawn(move || *shard.write() += 1)
+        })
+        .collect();
+    for handle in scans.into_iter().chain(writers) {
+        handle.join().unwrap();
+    }
+}
+
+#[test]
+fn catches_nested_reads_across_two_shards() {
+    let msg = assert_caught_and_replayable(
+        "nested_reads_across_two_shards",
+        nested_reads_across_two_shards,
+    );
+    assert!(msg.contains("deadlock"), "unexpected failure: {msg}");
 }

@@ -7,8 +7,8 @@
 //! Editing Operations"* (Brown & Gruenwald, ICDE 2006).
 //!
 //! [`MultimediaDatabase`] is the top-level handle: a storage engine for
-//! binary and edit-sequence images, an incrementally maintained BWM
-//! structure (Figure 1 of the paper), and query entry points for the three
+//! binary and edit-sequence images that maintains the BWM structure
+//! (Figure 1 of the paper) with its catalog, and query entry points for the three
 //! execution strategies (instantiate / RBM / BWM) plus histogram k-NN over
 //! an R-tree.
 //!
@@ -115,12 +115,13 @@ pub fn register_all_metrics() {
 /// round-robin; an edited image lands on its base's shard, keeping
 /// provenance links shard-local), and range/k-NN queries scatter across all
 /// shards and merge (range = concatenate — id spaces are disjoint — and
-/// sort; k-NN = merge of per-shard top-k). Per shard, the BWM structure is
-/// maintained incrementally on every insert/delete (the paper's Figure 1:
-/// "the proposed data structure can be constructed as images are inserted
-/// into the database"); the histogram R-tree and the bound indexes are
-/// built lazily and catch up with the shard's mutation epoch when next
-/// read. The default constructors build a single shard,
+/// sort; k-NN = merge of per-shard top-k). Per shard, the storage engine
+/// maintains the BWM structure inside every insert/delete, under the same
+/// lock as the catalog (the paper's Figure 1: "the proposed data structure
+/// can be constructed as images are inserted into the database") — through
+/// this facade or through [`MultimediaDatabase::storage`] alike; the
+/// histogram R-tree and the bound indexes are built lazily and catch up
+/// with the shard's mutation epoch when next read. The default constructors build a single shard,
 /// which is exactly the historical single-engine behavior. Everything about
 /// the partition itself — wiring, layout, routing, placement, gathers — is
 /// the `shards` module's.
@@ -294,10 +295,7 @@ impl MultimediaDatabase {
     /// Stores an image conventionally (feature extraction happens now).
     /// Binary images are placed round-robin across shards.
     pub fn insert_image(&self, image: &RasterImage) -> Result<ImageId> {
-        let shard = self.shards.place_binary();
-        let id = shard.storage.insert_binary(image)?;
-        shard.bwm.write().insert_binary(id);
-        Ok(id)
+        Ok(self.shards.place_binary().storage.insert_binary(image)?)
     }
 
     /// Stores an image as a sequence of editing operations; it is
@@ -306,13 +304,8 @@ impl MultimediaDatabase {
     /// cluster the paper builds around the base) stays shard-local; merge
     /// targets may live on any shard.
     pub fn insert_edited(&self, sequence: EditSequence) -> Result<ImageId> {
-        let base = sequence.base;
-        let shard = self.shards.owner(base);
-        // Classified from the borrow: storage takes the sequence itself.
-        let all_widening = mmdb_analysis::widening_verdict(&sequence).all_widening;
-        let id = shard.storage.insert_edited(sequence)?;
-        shard.bwm.write().insert_classified(id, base, all_widening);
-        Ok(id)
+        let shard = self.shards.owner(sequence.base);
+        Ok(shard.storage.insert_edited(sequence)?)
     }
 
     /// The §2 augmentation pipeline: stores `image` conventionally, then
@@ -354,25 +347,7 @@ impl MultimediaDatabase {
     /// Deletes an image (binary images with derived children are refused by
     /// the storage layer). Touches only the owning shard.
     pub fn delete(&self, id: ImageId) -> Result<()> {
-        let shard = self.shards.owner(id);
-        // Read before the delete: afterwards the catalog no longer knows
-        // which cluster an edited image sat in.
-        let base = shard.storage.base_of(id);
-        // One critical section for catalog and structure: a BWM scan holds
-        // the structure's read lock throughout, so it never meets an id the
-        // catalog has already dropped. (Lock order structure → catalog, as
-        // in the scan.)
-        let mut bwm = shard.bwm.write();
-        shard.storage.delete(id)?;
-        match base {
-            Some(base) => bwm.remove_edited(id, base),
-            // The cluster is empty: storage refuses to delete a binary
-            // image that still has derived children.
-            None => {
-                bwm.remove_binary(id);
-            }
-        }
-        Ok(())
+        Ok(self.shards.owner(id).storage.delete(id)?)
     }
 
     // ── Whole-catalog views ────────────────────────────────────────────
@@ -644,15 +619,15 @@ impl MultimediaDatabase {
         Ok(analyzer.analyze_sequence(&sequence))
     }
 
-    /// A read-only snapshot view of the BWM structure covering the whole
-    /// catalog. On a sharded database this materializes a merged structure
-    /// from every shard's members (shards keep disjoint BWM structures at
-    /// runtime), so callers see one coherent clustering.
+    /// A read-only snapshot of the BWM structure covering the whole
+    /// catalog: every shard's own structure, merged (shards cluster
+    /// disjoint base images), so callers see one coherent clustering.
     pub fn bwm_snapshot(&self) -> BwmStructure {
-        if self.shards.len() == 1 {
-            return self.shards[0].bwm.read().clone();
+        let mut merged = BwmStructure::new();
+        for shard in self.shards.iter() {
+            merged.absorb(shard.storage.bwm_snapshot());
         }
-        BwmStructure::build(self.binary_ids(), self.edited_ids(), &self.shards)
+        merged
     }
 
     /// Storage statistics (space usage, cache behaviour), summed across

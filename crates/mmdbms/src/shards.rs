@@ -10,10 +10,9 @@
 
 use crate::Result;
 use mmdb_boundidx::{profile_slot, BoundIndex, EpochSlot, EpochStamped, SyncStats, PROFILE_SLOTS};
-use mmdb_bwm::{BwmStructure, QueryCtx, SequenceStore};
+use mmdb_bwm::QueryCtx;
 use mmdb_conc::sync::atomic::{AtomicU64, Ordering};
-use mmdb_conc::sync::RwLock;
-use mmdb_editops::{EditSequence, ImageId};
+use mmdb_editops::ImageId;
 use mmdb_histogram::{quantizer::from_description, ColorHistogram, Quantizer};
 use mmdb_query::executor::{QueryError, QueryProcessor, Slice};
 use mmdb_query::{QueryPlan, SignatureIndex};
@@ -23,11 +22,12 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Weak};
 
 /// One shard of the database: a complete, self-contained storage engine
-/// (own lock, own mutation epoch, own WAL) plus the structures derived from
-/// *its* slice of the catalog. A write touches `storage` and `bwm` and
-/// nothing else. The BWM structure is maintained eagerly, under its own
-/// lock, because a scan must not meet an id the catalog has dropped; every
-/// other derived structure sits in an [`EpochSlot`] and catches up on read.
+/// (own lock, own mutation epoch, own WAL) plus the structures derived
+/// lazily from *its* slice of the catalog. A write touches `storage` and
+/// nothing else: what is true of the shard — the catalog and the Figure 1
+/// structure over it — sits under the engine's one lock, which an RBM or BWM
+/// scan takes once ([`StorageEngine::read_view`]); everything derived sits
+/// in an [`EpochSlot`] and catches up on read.
 ///
 /// The slots' serving invariant is `value.stamp() == storage.current_epoch()`
 /// *for this shard's engine*: a value whose stamp trails it is never
@@ -41,7 +41,6 @@ use std::sync::{Arc, Weak};
 /// never see a duplicate and [`id_class`] routes any id to its owner.
 pub(crate) struct Shard {
     pub(crate) storage: Arc<StorageEngine>,
-    pub(crate) bwm: RwLock<BwmStructure>,
     /// The histogram R-tree over this shard's binary images.
     pub(crate) signature_index: EpochSlot<SignatureIndex>,
     /// One [`BoundIndex`] per rule profile.
@@ -50,10 +49,8 @@ pub(crate) struct Shard {
 
 impl Shard {
     fn new(storage: Arc<StorageEngine>) -> Self {
-        let bwm = BwmStructure::build(storage.binary_ids(), storage.edited_ids(), &*storage);
         Shard {
             storage,
-            bwm: RwLock::new(bwm),
             signature_index: EpochSlot::new(),
             bound_index: std::array::from_fn(|_| EpochSlot::new()),
         }
@@ -69,7 +66,7 @@ impl Shard {
     ) -> Result<()> {
         let qp = QueryProcessor::with_profile(&self.storage, profile);
         match plan {
-            QueryPlan::Bwm => qp.execute(Slice::Bwm(&self.bwm.read()), query, ctx),
+            QueryPlan::Bwm => qp.execute(Slice::Bwm(None), query, ctx),
             QueryPlan::Rbm => qp.execute(Slice::Rbm, query, ctx),
             QueryPlan::Instantiate => qp.execute(Slice::Instantiate, query, ctx),
             QueryPlan::Indexed => self.with_bound_index(profile, |idx, sync| {
@@ -228,14 +225,6 @@ impl std::ops::Deref for Shards {
 
     fn deref(&self) -> &[Shard] {
         &self.shards
-    }
-}
-
-/// Resolves sequences across every shard — the merged-view store behind
-/// `MultimediaDatabase::bwm_snapshot` on sharded databases.
-impl SequenceStore for Shards {
-    fn sequence(&self, id: ImageId) -> Option<Arc<EditSequence>> {
-        self.owner(id).storage.edit_sequence(id)
     }
 }
 

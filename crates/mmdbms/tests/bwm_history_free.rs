@@ -121,3 +121,37 @@ fn wire_reply_counters_do_not_depend_on_index_warmth_or_write_history() {
         server.shutdown();
     }
 }
+
+/// Figure 1 belongs to the storage engine, so a write through the public
+/// storage handle reaches it like a facade write: the three bound-based
+/// plans keep agreeing, and a delete leaves `plan=bwm` answering.
+#[test]
+fn writes_through_the_storage_handle_reach_figure_1() {
+    let db = MultimediaDatabase::in_memory(Box::new(RgbQuantizer::default_64()));
+    let everything = ColorRangeQuery::new(db.bin_of(Rgb::RED), 0.0, 1.0);
+    let answer = |plan| {
+        let out = db.query_range_with_plan(&everything, plan);
+        out.unwrap_or_else(|e| panic!("plan={plan}: {e}"))
+            .sorted_results()
+    };
+    let agree = |expected: &[ImageId]| {
+        for plan in [QueryPlan::Rbm, QueryPlan::Bwm, QueryPlan::Indexed] {
+            assert_eq!(answer(plan), expected, "plan={plan}");
+        }
+    };
+    let red = RasterImage::filled(8, 8, Rgb::RED).unwrap();
+    let base = db.insert_image(&red).unwrap();
+    let edited = db
+        .storage()
+        .insert_edited(EditSequence::builder(base).blur().build())
+        .unwrap();
+    let binary = db.storage().insert_binary(&red).unwrap();
+    agree(&[base, edited, binary]);
+
+    let via_facade = db
+        .insert_edited(EditSequence::builder(base).blur().build())
+        .unwrap();
+    db.storage().delete(via_facade).unwrap();
+    db.storage().delete(edited).unwrap();
+    agree(&[base, binary]);
+}

@@ -185,10 +185,11 @@ fn quantizer() -> Box<dyn Quantizer> {
     Box::new(RgbQuantizer::default_64())
 }
 
-/// A query racing the churn must never panic or fail — except for the
-/// engine's documented non-snapshot-isolated scan race, where an id listed
-/// at the start of a scan is deleted before the scan reaches it
-/// (`UnknownImage`/`NotFound`); anything else is a real scatter-gather bug.
+/// A query racing the churn must never panic or fail. RBM and BWM scans
+/// read one view per shard and are held to that. The Indexed plan's sync
+/// (ROADMAP item 3) and the augmented k-NN (item 4) still list ids and look
+/// each up again, so an id deleted in between may surface as
+/// `UnknownImage`/`NotFound`; anything else is a real scatter-gather bug.
 fn tolerate_churn_race(e: mmdb_query::executor::QueryError, what: &str) {
     match e {
         mmdb_query::executor::QueryError::Rule(mmdb_rules::RuleError::UnknownImage(_))
@@ -385,14 +386,17 @@ proptest! {
                     let stop = done.load(Ordering::Relaxed);
                     {
                         for spec in &queries {
-                            for plan in [QueryPlan::Rbm, QueryPlan::Bwm, QueryPlan::Indexed] {
-                                if let Err(e) = db.query_range_with(
-                                    &query_of(&db, spec),
-                                    plan,
-                                    RuleProfile::Conservative,
-                                ) {
-                                    tolerate_churn_race(e, "range");
-                                }
+                            let query = query_of(&db, spec);
+                            for plan in [QueryPlan::Rbm, QueryPlan::Bwm] {
+                                db.query_range_with(&query, plan, RuleProfile::Conservative)
+                                    .unwrap();
+                            }
+                            if let Err(e) = db.query_range_with(
+                                &query,
+                                QueryPlan::Indexed,
+                                RuleProfile::Conservative,
+                            ) {
+                                tolerate_churn_race(e, "indexed range");
                             }
                         }
                         if let Err(e) = db.similar_to_augmented(&probe, 3) {

@@ -4,9 +4,9 @@
 use crate::knn_edited::KnnOutcome;
 use crate::plan::QueryPlan;
 use mmdb_boundidx::{BoundIndex, SyncStats};
-use mmdb_bwm::{BwmQueryStats, BwmStructure, QueryOutcome};
+use mmdb_bwm::{BwmQueryStats, BwmStructure, Deferred, QueryOutcome};
 use mmdb_editops::ImageId;
-use mmdb_rules::{ColorRangeQuery, InfoResolver, RuleEngine, RuleError, RuleProfile};
+use mmdb_rules::{ColorRangeQuery, RuleEngine, RuleError, RuleProfile};
 use mmdb_storage::{StorageEngine, StorageError};
 use mmdb_telemetry::{
     counter, histogram, Counter, EventKind, Histogram, QueryTrace, HEAT_PLANS, HEAT_PROFILES,
@@ -306,18 +306,20 @@ fn flush_work_counters(plan: QueryPlan, profile: RuleProfile, stats: &BwmQuerySt
     }
 }
 
-/// What one slice of a range query runs: the plan together with the
-/// structures it reads, borrowed for the slice. They ride here rather than
-/// in the [`QueryCtx`] because each shard lends its own, from inside its own
-/// lock guard, while the context outlives every slice.
+/// What one slice of a range query runs: the plan together with any
+/// structure it reads that the storage engine does not hold, borrowed for
+/// the slice. They ride here rather than in the [`QueryCtx`] because each
+/// shard lends its own, from inside its own lock guard, while the context
+/// outlives every slice.
 #[derive(Clone, Copy)]
 pub enum Slice<'s> {
     /// Ground truth: exact histograms, instantiating edited images.
     Instantiate,
     /// §3's Rule-Based Method.
     Rbm,
-    /// §4's Figure 2 over a BWM structure.
-    Bwm(&'s BwmStructure),
+    /// §4's Figure 2 — over the engine's own Figure 1 structure, or over one
+    /// the caller built and keeps.
+    Bwm(Option<&'s BwmStructure>),
     /// Bound-interval index lookup; the [`SyncStats`] say what maintenance
     /// the caller just performed on the index, for the trace.
     Indexed(&'s BoundIndex, SyncStats),
@@ -336,13 +338,9 @@ impl Slice<'_> {
 }
 
 /// A query processor bound to one database.
-///
-/// Build a [`BwmStructure`] with [`QueryProcessor::build_bwm`] to enable
-/// the BWM plan.
 pub struct QueryProcessor<'db> {
     db: &'db StorageEngine,
     profile: RuleProfile,
-    bwm: Option<BwmStructure>,
     boundidx: Option<BoundIndex>,
 }
 
@@ -357,21 +355,8 @@ impl<'db> QueryProcessor<'db> {
         QueryProcessor {
             db,
             profile,
-            bwm: None,
             boundidx: None,
         }
-    }
-
-    /// Builds (Figure 1, over the whole database) and attaches the BWM
-    /// structure.
-    pub fn build_bwm(&mut self) {
-        let structure = BwmStructure::build(self.db.binary_ids(), self.db.edited_ids(), self.db);
-        self.bwm = Some(structure);
-    }
-
-    /// The attached BWM structure, if any.
-    pub fn bwm(&self) -> Option<&BwmStructure> {
-        self.bwm.as_ref()
     }
 
     /// Bulk-builds (parallel, scoped workers) and attaches the
@@ -403,11 +388,6 @@ impl<'db> QueryProcessor<'db> {
         self.boundidx.as_ref()
     }
 
-    /// The plan [`QueryProcessor::range`] will use.
-    pub fn plan(&self) -> QueryPlan {
-        QueryPlan::choose(self.bwm.is_some())
-    }
-
     fn engine(&self) -> RuleEngine<'_> {
         RuleEngine::with_background(self.db.quantizer(), self.profile, self.db.background())
     }
@@ -415,18 +395,15 @@ impl<'db> QueryProcessor<'db> {
     /// `plan` over this processor's attached structures.
     ///
     /// # Panics
-    /// Panics when `plan` needs a structure that is not attached, or when
-    /// the attached index's epoch trails the storage engine (a mutation
+    /// Panics when `plan` is Indexed and no index is attached, or when the
+    /// attached index's epoch trails the storage engine (a mutation
     /// landed after the build; the stale-serving invariant makes this a hard
     /// error here — the `mmdbms` facade is the layer that re-syncs instead).
     fn attached(&self, plan: QueryPlan) -> Slice<'_> {
         match plan {
             QueryPlan::Instantiate => Slice::Instantiate,
             QueryPlan::Rbm => Slice::Rbm,
-            QueryPlan::Bwm => {
-                let structure = self.bwm.as_ref();
-                Slice::Bwm(structure.expect("BWM plan requires an attached BWM structure"))
-            }
+            QueryPlan::Bwm => Slice::Bwm(None),
             QueryPlan::Indexed => {
                 let index = self.boundidx.as_ref();
                 let index = index.expect("Indexed plan requires an attached bound index");
@@ -454,7 +431,9 @@ impl<'db> QueryProcessor<'db> {
             // Ground truth: instantiates every edited image, extracts its
             // exact histogram, and applies the query predicate directly.
             // This is the expensive path whose avoidance is the point of
-            // the paper.
+            // the paper. The one scan that lists ids and looks each up
+            // again: instantiating re-takes the catalog lock (`raster`) and
+            // must run with it released, so it cannot sit under a view.
             Slice::Instantiate => {
                 let started = Instant::now();
                 let ids = self.db.ids();
@@ -481,42 +460,47 @@ impl<'db> QueryProcessor<'db> {
             Slice::Rbm => {
                 let started = Instant::now();
                 let found = ctx.results.len();
-                let binary = self.db.binary_ids();
-                for &id in &binary {
-                    // Listed a moment ago and deleted since: not a result.
-                    let Some(info) = InfoResolver::info(self.db, id) else {
-                        continue;
-                    };
-                    if query.matches_fraction(info.histogram.fraction(query.bin)) {
+                let view = self.db.read_view();
+                let mut binary = 0;
+                for (id, histogram) in view.binaries() {
+                    binary += 1;
+                    if query.matches_fraction(histogram.fraction(query.bin)) {
                         ctx.results.push(id);
                     }
                 }
                 let binary_elapsed = started.elapsed();
                 let binary_hits = ctx.results.len() - found;
                 let mut stats = BwmQueryStats::default();
-                mmdb_bwm::bounds_scan(
-                    &self.db.edited_ids(),
+                let deferred = mmdb_bwm::bounds_scan(
+                    view.edited(),
                     query,
                     &self.engine(),
-                    self.db,
-                    self.db,
+                    &view,
+                    &view,
                     &mut ctx.results,
                     &mut stats,
                 )?;
+                drop(view);
                 ctx.stats += stats;
                 if let Some(trace) = &mut ctx.trace {
                     trace
                         .stage("binary_scan", binary_elapsed)
-                        .counter("scanned", binary.len() as u64)
+                        .counter("scanned", binary)
                         .counter("hits", binary_hits as u64);
                     trace
                         .stage("edited_scan", started.elapsed() - binary_elapsed)
                         .counter("bounds_computed", stats.bounds_computed as u64)
                         .counter("ops_processed", stats.ops_processed as u64);
                 }
+                self.finish(deferred, query, ctx)?;
             }
-            Slice::Bwm(structure) => {
-                mmdb_bwm::execute(structure, query, &self.engine(), self.db, self.db, ctx)?;
+            Slice::Bwm(own) => {
+                let view = self.db.read_view();
+                let structure = own.unwrap_or_else(|| view.structure());
+                let deferred =
+                    mmdb_bwm::execute(structure, query, &self.engine(), &view, &view, ctx)?;
+                drop(view);
+                self.finish(deferred, query, ctx)?;
             }
             // Two galloping prefix searches and a scan of the smaller
             // prefix — no rule walk, so not even a clock read untraced.
@@ -539,6 +523,21 @@ impl<'db> QueryProcessor<'db> {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Walks the images a scan could not finish under its view (their merge
+    /// targets belong to other shards), through the engine's peer fallback.
+    /// Only ever called with the view dropped: no thread holds two shards'
+    /// locks, and none takes this shard's twice.
+    fn finish(
+        &self,
+        deferred: Vec<Deferred>,
+        query: &ColorRangeQuery,
+        ctx: &mut QueryCtx,
+    ) -> Result<()> {
+        let compile = |id, sequence: &_, base: &_| self.db.compile_deferred(id, sequence, base);
+        mmdb_bwm::finish_deferred(deferred, query, &self.engine(), self.db, compile, ctx)?;
         Ok(())
     }
 
@@ -568,16 +567,16 @@ impl<'db> QueryProcessor<'db> {
         Ok(ctx.into_traced_outcome())
     }
 
-    /// Runs `query` under the preferred plan (BWM when attached, else RBM).
+    /// Runs `query` under the paper's proposal, BWM.
     pub fn range(&self, query: &ColorRangeQuery) -> Result<QueryOutcome> {
-        self.run(self.attached(self.plan()), query)
+        self.range_bwm(query)
     }
 
     /// Runs `query` under an explicit plan over the attached structures,
     /// with tracing.
     ///
     /// # Panics
-    /// Panics when `plan` needs a structure that is not attached.
+    /// Panics when `plan` is Indexed and no fresh index is attached.
     pub fn range_with_plan_traced(
         &self,
         plan: QueryPlan,
@@ -591,12 +590,10 @@ impl<'db> QueryProcessor<'db> {
         self.run(Slice::Rbm, query)
     }
 
-    /// §4 (Figures 3–4 "with data structure"): the Figure 2 algorithm.
-    ///
-    /// # Panics
-    /// Panics when no BWM structure is attached.
+    /// §4 (Figures 3–4 "with data structure"): the Figure 2 algorithm over
+    /// the structure the storage engine maintains.
     pub fn range_bwm(&self, query: &ColorRangeQuery) -> Result<QueryOutcome> {
-        self.run(self.attached(QueryPlan::Bwm), query)
+        self.run(Slice::Bwm(None), query)
     }
 
     /// Figure 2 against an externally owned structure (used by callers that
@@ -606,7 +603,7 @@ impl<'db> QueryProcessor<'db> {
         structure: &BwmStructure,
         query: &ColorRangeQuery,
     ) -> Result<QueryOutcome> {
-        self.run(Slice::Bwm(structure), query)
+        self.run(Slice::Bwm(Some(structure)), query)
     }
 
     /// Answers `query` from the attached bound-interval index.
@@ -698,8 +695,7 @@ mod tests {
     #[test]
     fn rbm_and_bwm_agree() {
         let (db, _bases, _edits) = setup();
-        let mut qp = QueryProcessor::new(&db);
-        qp.build_bwm();
+        let qp = QueryProcessor::new(&db);
         for (lo, hi) in [
             (0.0, 1.0),
             (0.25, 0.55),
@@ -721,8 +717,7 @@ mod tests {
     #[test]
     fn bwm_does_less_work_when_bases_hit() {
         let (db, _bases, _edits) = setup();
-        let mut qp = QueryProcessor::new(&db);
-        qp.build_bwm();
+        let qp = QueryProcessor::new(&db);
         // A wide query hits every base: BWM shortcuts every Main cluster.
         let q = ColorRangeQuery::new(red_bin(&db), 0.0, 1.0);
         let rbm = qp.range_rbm(&q).unwrap();
@@ -763,11 +758,49 @@ mod tests {
         }
     }
 
+    /// A view lists no id the catalog has dropped and holds every base it
+    /// lists an edited image of: whole images come and go under the scans,
+    /// and no scan fails or loses a stable image.
+    #[test]
+    fn rbm_and_bwm_scans_read_one_consistent_view_under_churn() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (db, bases, edits) = setup();
+        let qp = QueryProcessor::new(&db);
+        let q = ColorRangeQuery::new(red_bin(&db), 0.0, 1.0);
+        let stop = AtomicBool::new(false);
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let img = RasterImage::filled(4, 4, Rgb::RED).unwrap();
+                while !stop.load(Ordering::SeqCst) {
+                    let base = db.insert_binary(&img).unwrap();
+                    let seq = EditSequence::builder(base)
+                        .define(Rect::new(0, 0, 2, 2))
+                        .merge_into(bases[0], 1, 1)
+                        .build();
+                    let edited = db.insert_edited(seq).unwrap();
+                    db.delete(edited).unwrap();
+                    db.delete(base).unwrap();
+                }
+            });
+            let outcomes = (0..2_000)
+                .flat_map(|_| [qp.range_rbm(&q), qp.range_bwm(&q)])
+                .collect();
+            stop.store(true, Ordering::SeqCst);
+            outcomes
+        });
+        for outcome in outcomes {
+            let got = outcome.expect("no scan meets a half-deleted image");
+            assert!(bases
+                .iter()
+                .chain(&edits)
+                .all(|id| got.results.contains(id)));
+        }
+    }
+
     #[test]
     fn results_superset_of_ground_truth_and_no_false_negatives() {
         let (db, _bases, _edits) = setup();
-        let mut qp = QueryProcessor::new(&db);
-        qp.build_bwm();
+        let qp = QueryProcessor::new(&db);
         for (lo, hi) in [(0.0, 0.3), (0.28, 0.32), (0.5, 1.0)] {
             let q = ColorRangeQuery::new(red_bin(&db), lo, hi);
             let truth = qp.range_instantiate(&q).unwrap().sorted_results();
@@ -783,7 +816,6 @@ mod tests {
         let (db, _bases, _edits) = setup();
         for profile in [RuleProfile::Conservative, RuleProfile::PaperTable1] {
             let mut qp = QueryProcessor::with_profile(&db, profile);
-            qp.build_bwm();
             qp.build_bound_index().unwrap();
             for (lo, hi) in [
                 (0.0, 1.0),
@@ -824,21 +856,6 @@ mod tests {
         db.delete(*edits.last().unwrap()).unwrap();
         let q = ColorRangeQuery::new(red_bin(&db), 0.0, 1.0);
         let _ = qp.range_indexed(&q);
-    }
-
-    #[test]
-    fn plan_selection() {
-        let (db, _, _) = setup();
-        let mut qp = QueryProcessor::new(&db);
-        assert_eq!(qp.plan(), QueryPlan::Rbm);
-        qp.build_bwm();
-        assert_eq!(qp.plan(), QueryPlan::Bwm);
-        let q = ColorRangeQuery::new(red_bin(&db), 0.0, 1.0);
-        // `range` dispatches to BWM and matches the explicit call.
-        assert_eq!(
-            qp.range(&q).unwrap().sorted_results(),
-            qp.range_bwm(&q).unwrap().sorted_results()
-        );
     }
 
     #[test]

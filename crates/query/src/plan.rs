@@ -20,21 +20,6 @@ pub enum QueryPlan {
     Indexed,
 }
 
-impl QueryPlan {
-    /// Picks the preferred scan plan: BWM when a structure is attached, RBM
-    /// otherwise. Instantiation is never chosen automatically, and neither
-    /// is `Indexed` — the facade upgrades to it explicitly because serving
-    /// from the index carries a freshness obligation (epoch sync) that plain
-    /// scans do not.
-    pub fn choose(bwm_available: bool) -> QueryPlan {
-        if bwm_available {
-            QueryPlan::Bwm
-        } else {
-            QueryPlan::Rbm
-        }
-    }
-}
-
 impl fmt::Display for QueryPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -50,12 +35,6 @@ impl fmt::Display for QueryPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn choose_prefers_bwm() {
-        assert_eq!(QueryPlan::choose(true), QueryPlan::Bwm);
-        assert_eq!(QueryPlan::choose(false), QueryPlan::Rbm);
-    }
 
     #[test]
     fn display_names() {

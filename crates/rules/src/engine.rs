@@ -117,7 +117,9 @@ impl<'q> RuleEngine<'q> {
         self.compile_from(seq, &base, resolver)
     }
 
-    fn compile_from(
+    /// [`RuleEngine::compile`] from a base already in hand; `resolver` is
+    /// asked for merge targets only.
+    pub fn compile_from(
         &self,
         seq: &EditSequence,
         base: &ImageInfo,

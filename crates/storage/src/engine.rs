@@ -11,8 +11,9 @@ use crate::error::StorageError;
 use crate::lru::LruCache;
 use crate::Result;
 use mmdb_analysis::{Analyzer, CatalogGraph, NodeKind, Severity};
+use mmdb_bwm::{BwmStructure, SequenceStore};
 use mmdb_conc::sync::atomic::{AtomicU64, Ordering};
-use mmdb_conc::sync::{Mutex, RwLock};
+use mmdb_conc::sync::{Mutex, RwLock, RwLockReadGuard};
 use mmdb_durable::meta::{read_meta, write_meta, Meta};
 use mmdb_durable::{FsyncPolicy, SnapshotStore, Wal, WalOptions};
 use mmdb_editops::{
@@ -23,6 +24,7 @@ use mmdb_imaging::ppm::{self, PnmFormat};
 use mmdb_imaging::{RasterImage, Rgb};
 use mmdb_rules::{BoundProgram, ImageInfo, InfoResolver, RuleEngine, RuleError, RuleProfile};
 use mmdb_telemetry::{counter, histogram, EventKind};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
@@ -64,9 +66,96 @@ impl StorageStats {
     }
 }
 
+/// What is true of a shard, under the engine's one lock: the catalog and
+/// the paper's Figure 1 structure over it, which every insert and delete
+/// keeps in step inside the write section it already has. Everything else
+/// derived from a catalog is built lazily, outside, against the epoch.
 struct Inner {
     catalog: Catalog,
     blobs: BlobStore,
+    structure: BwmStructure,
+}
+
+/// Figure 1 over a whole catalog: what inserting its images one by one
+/// would have built.
+fn figure_1(catalog: &Catalog) -> BwmStructure {
+    let mut structure = BwmStructure::new();
+    for (id, entry) in catalog.iter() {
+        match entry {
+            CatalogEntry::Binary { .. } => structure.insert_binary(id),
+            CatalogEntry::Edited { sequence, .. } => {
+                structure.insert_edited(id, sequence);
+            }
+        }
+    }
+    structure
+}
+
+/// One consistent read of a shard — catalog and Figure 1 structure under
+/// the engine's one lock — held for as long as a scan runs (the shape of an
+/// LMDB reader: taken once, then many gets). It resolves **this shard's**
+/// ids only and takes no further lock: an id it does not hold is unknown to
+/// it, and whoever needs that one asks the engine after dropping the view
+/// (`mmdb_bwm::Deferred`). The view is nothing but the lock guard, so no
+/// locking engine method can be reached through it — under a view, one
+/// would deadlock behind a queued writer.
+pub struct ReadView<'a>(RwLockReadGuard<'a, Inner>);
+
+impl ReadView<'_> {
+    /// The shard's Main and Unclassified components.
+    pub fn structure(&self) -> &BwmStructure {
+        &self.0.structure
+    }
+
+    /// Every binary image with its exact histogram, ascending by id.
+    pub fn binaries(&self) -> impl Iterator<Item = (ImageId, &ColorHistogram)> + '_ {
+        self.0.catalog.iter().filter_map(|(id, e)| match e {
+            CatalogEntry::Binary { histogram, .. } => Some((id, &**histogram)),
+            CatalogEntry::Edited { .. } => None,
+        })
+    }
+
+    /// Ids of all edited images, ascending.
+    pub fn edited(&self) -> impl Iterator<Item = ImageId> + '_ {
+        let entries = self.0.catalog.iter();
+        entries.filter_map(|(id, e)| (e.kind() == StoredKind::Edited).then_some(id))
+    }
+}
+
+impl InfoResolver for ReadView<'_> {
+    fn info(&self, id: ImageId) -> Option<ImageInfo> {
+        local_info(&self.0.catalog, id).flatten()
+    }
+}
+
+impl SequenceStore for ReadView<'_> {
+    fn sequence(&self, id: ImageId) -> Option<Arc<EditSequence>> {
+        match self.0.catalog.get(id) {
+            Some(CatalogEntry::Edited { sequence, .. }) => Some(Arc::clone(sequence)),
+            _ => None,
+        }
+    }
+
+    /// The program kept on the entry, compiled on first use — by `engine`,
+    /// which every caller builds from this database's quantizer and
+    /// background — and lent for as long as the view lives.
+    fn program(
+        &self,
+        id: ImageId,
+        engine: &RuleEngine<'_>,
+        resolver: &dyn InfoResolver,
+    ) -> mmdb_rules::Result<Cow<'_, BoundProgram>> {
+        let Some(CatalogEntry::Edited { sequence, program }) = self.0.catalog.get(id) else {
+            return Err(RuleError::UnknownImage(id));
+        };
+        Ok(Cow::Borrowed(match program.get() {
+            Some(compiled) => compiled,
+            None => {
+                let compiled = engine.compile(sequence, resolver)?;
+                program.get_or_init(|| compiled)
+            }
+        }))
+    }
 }
 
 /// Durable-layer state of a file-backed engine: the WAL, the snapshot
@@ -164,6 +253,7 @@ impl StorageEngine {
             inner: RwLock::new(Inner {
                 catalog: Catalog::new(quantizer.describe()),
                 blobs,
+                structure: BwmStructure::new(),
             }),
             cache: Mutex::new(LruCache::new(CACHE_ENTRIES, CACHE_BYTES)),
             quantizer,
@@ -253,6 +343,7 @@ impl StorageEngine {
                     .map_err(|e| mmdb_durable::DurableError::Corrupt(e.to_string()))
             })
             .map_err(map_durable)?;
+        let structure = figure_1(&catalog);
         let last_seqno = wal.last_seqno();
         let recovery = RecoveryInfo {
             snapshot_seqno: snap.covered_seqno,
@@ -274,7 +365,11 @@ impl StorageEngine {
         );
 
         let engine = StorageEngine {
-            inner: RwLock::new(Inner { catalog, blobs }),
+            inner: RwLock::new(Inner {
+                catalog,
+                blobs,
+                structure,
+            }),
             cache: Mutex::new(LruCache::new(CACHE_ENTRIES, CACHE_BYTES)),
             quantizer,
             background: Rgb::BLACK,
@@ -304,6 +399,7 @@ impl StorageEngine {
             inner: RwLock::new(Inner {
                 catalog: Catalog::new(quantizer.describe()),
                 blobs: BlobStore::in_memory(),
+                structure: BwmStructure::new(),
             }),
             cache: Mutex::new(LruCache::new(CACHE_ENTRIES, CACHE_BYTES)),
             quantizer,
@@ -441,6 +537,7 @@ impl StorageEngine {
                 histogram,
             },
         );
+        inner.structure.insert_binary(id);
         self.bump_epoch();
         Ok(id)
     }
@@ -548,6 +645,7 @@ impl StorageEngine {
             reject(format!("codes={}", codes.join(",")), errors.len() as u64);
             return Err(StorageError::InvalidSequence(errors.join("; ")));
         }
+        let all_widening = mmdb_analysis::widening_verdict(&sequence).all_widening;
         // Phase 2: re-verify local references under the exclusive lock (a
         // concurrent delete may have raced phase 1), then insert. Peer
         // shards are *not* re-consulted here: holding this shard's write
@@ -563,6 +661,7 @@ impl StorageEngine {
         inner
             .catalog
             .insert(id, CatalogEntry::edited(Arc::new(sequence)));
+        inner.structure.insert_classified(id, base, all_widening);
         self.bump_epoch();
         counter!("mmdb_storage_edited_inserts_total").inc();
         counter!(r#"mmdb_storage_ingest_total{result="accepted"}"#).inc();
@@ -599,24 +698,12 @@ impl StorageEngine {
 
     /// Ids of all binary images, ascending.
     pub fn binary_ids(&self) -> Vec<ImageId> {
-        self.inner
-            .read()
-            .catalog
-            .iter()
-            .filter(|(_, e)| e.kind() == StoredKind::Binary)
-            .map(|(id, _)| id)
-            .collect()
+        self.read_view().binaries().map(|(id, _)| id).collect()
     }
 
     /// Ids of all edited images, ascending.
     pub fn edited_ids(&self) -> Vec<ImageId> {
-        self.inner
-            .read()
-            .catalog
-            .iter()
-            .filter(|(_, e)| e.kind() == StoredKind::Edited)
-            .map(|(id, _)| id)
-            .collect()
+        self.read_view().edited().collect()
     }
 
     /// Edited images derived from `base`.
@@ -631,10 +718,26 @@ impl StorageEngine {
 
     /// The stored edit sequence of `id`, or `None` for binary images.
     pub fn edit_sequence(&self, id: ImageId) -> Option<Arc<EditSequence>> {
-        match self.inner.read().catalog.get(id) {
-            Some(CatalogEntry::Edited { sequence, .. }) => Some(Arc::clone(sequence)),
-            _ => None,
-        }
+        self.read_view().sequence(id)
+    }
+
+    /// Takes this shard's one lock, shared, for a whole scan. The caller
+    /// works through the view alone until it drops it: see [`ReadView`].
+    pub fn read_view(&self) -> ReadView<'_> {
+        ReadView(self.inner.read())
+    }
+
+    /// A copy of this shard's Figure 1 structure as of now.
+    pub fn bwm_snapshot(&self) -> BwmStructure {
+        self.read_view().structure().clone()
+    }
+
+    fn rule_engine(&self) -> RuleEngine<'_> {
+        RuleEngine::with_background(
+            self.quantizer.as_ref(),
+            RuleProfile::default(),
+            self.background,
+        )
     }
 
     /// The stored sequence of edited image `id`, compiled for BOUNDS
@@ -651,41 +754,43 @@ impl StorageEngine {
     /// [`RuleError::UnknownImage`] when `id` is not a stored edited image,
     /// or whatever compilation reports (never cached).
     pub fn bound_program(&self, id: ImageId) -> mmdb_rules::Result<BoundProgram> {
-        let engine = RuleEngine::with_background(
-            self.quantizer.as_ref(),
-            RuleProfile::default(),
-            self.background,
-        );
-        let sequence = {
-            let inner = self.inner.read();
-            let Some(CatalogEntry::Edited { sequence, program }) = inner.catalog.get(id) else {
-                return Err(RuleError::UnknownImage(id));
-            };
-            if let Some(program) = program.get() {
-                return Ok(program.clone());
-            }
-            // First use. The base is on this shard and merge targets nearly
-            // always are, so compile against the catalog already locked:
-            // one lock round instead of three (entry, base, publish).
-            match engine.compile(sequence, &LocalInfo(&inner.catalog)) {
-                Ok(compiled) => return Ok(program.get_or_init(|| compiled).clone()),
-                // Not here — but a peer shard may own it.
-                Err(RuleError::UnknownImage(_)) if self.peers.get().is_some() => {
-                    Arc::clone(sequence)
+        let (sequence, base) = {
+            let view = self.read_view();
+            match view.program(id, &self.rule_engine(), &view) {
+                // Names an image this shard does not hold — a peer's, if
+                // anyone's.
+                Err(RuleError::UnknownImage(other))
+                    if other != id && self.peers.get().is_some() =>
+                {
+                    let sequence = view.sequence(id).ok_or(RuleError::UnknownImage(id))?;
+                    let base = view.require(sequence.base)?;
+                    (sequence, base)
                 }
-                Err(e) => return Err(e),
+                program => return program.map(Cow::into_owned),
             }
         };
-        // Catalog lock released: peers are consulted with no lock held.
-        let compiled = engine.compile(&sequence, self)?;
-        match self.inner.read().catalog.get(id) {
+        // View dropped: peers are consulted with no lock held.
+        self.compile_deferred(id, &sequence, &base)
+    }
+
+    /// Compiles `sequence` — `id`'s stored sequence, which names an image a
+    /// view of this shard could not resolve — from `base`, the base image
+    /// that view held. Called with no lock held: merge targets resolve
+    /// through [`InfoResolver::info`], peers included. The program is kept
+    /// on `id`'s entry when that is still there.
+    pub fn compile_deferred(
+        &self,
+        id: ImageId,
+        sequence: &EditSequence,
+        base: &ImageInfo,
+    ) -> mmdb_rules::Result<BoundProgram> {
+        let compiled = self.rule_engine().compile_from(sequence, base, self)?;
+        Ok(match self.inner.read().catalog.get(id) {
             // Two first callers may race; both compiled the same program.
-            Some(CatalogEntry::Edited { program, .. }) => {
-                Ok(program.get_or_init(|| compiled).clone())
-            }
+            Some(CatalogEntry::Edited { program, .. }) => program.get_or_init(|| compiled).clone(),
             // Deleted meanwhile; this caller still gets its answer.
-            _ => Ok(compiled),
-        }
+            _ => compiled,
+        })
     }
 
     /// The instantiated raster for `id` — decoded from the blob store for
@@ -754,9 +859,7 @@ impl StorageEngine {
         if let Some(CatalogEntry::Binary { histogram, .. }) = self.inner.read().catalog.get(id) {
             return Ok(Arc::clone(histogram));
         }
-        if !self.contains(id) {
-            return Err(StorageError::NotFound(id));
-        }
+        // An unknown id is `raster`'s to report, as `NotFound(id)`.
         let raster = self.raster(id)?;
         Ok(Arc::new(ColorHistogram::extract(
             &raster,
@@ -779,8 +882,16 @@ impl StorageEngine {
             Some(CatalogEntry::Edited { .. }) => {}
         }
         self.log_mutation(&WalRecord::Delete { id })?;
-        if let Some(CatalogEntry::Binary { blob, .. }) = inner.catalog.remove(id) {
-            inner.blobs.delete(blob);
+        match inner.catalog.remove(id) {
+            Some(CatalogEntry::Binary { blob, .. }) => {
+                inner.blobs.delete(blob);
+                // The cluster is empty: children were refused above.
+                inner.structure.remove_binary(id);
+            }
+            Some(CatalogEntry::Edited { sequence, .. }) => {
+                inner.structure.remove_edited(id, sequence.base);
+            }
+            None => unreachable!("found above, under this same lock"),
         }
         self.bump_epoch();
         drop(inner);
@@ -1151,12 +1262,22 @@ fn local_info(catalog: &Catalog, id: ImageId) -> Option<Option<ImageInfo>> {
     })
 }
 
-/// Resolves against one shard's catalog under a lock the caller holds.
-struct LocalInfo<'a>(&'a Catalog);
+/// Lets the bound index and Figure 1 builders fetch sequences and programs
+/// by id, one short lock round each (a scan holds a [`ReadView`] instead).
+impl SequenceStore for StorageEngine {
+    fn sequence(&self, id: ImageId) -> Option<Arc<EditSequence>> {
+        self.edit_sequence(id)
+    }
 
-impl InfoResolver for LocalInfo<'_> {
-    fn info(&self, id: ImageId) -> Option<ImageInfo> {
-        local_info(self.0, id).flatten()
+    fn program(
+        &self,
+        id: ImageId,
+        engine: &RuleEngine<'_>,
+        _resolver: &dyn InfoResolver,
+    ) -> mmdb_rules::Result<Cow<'_, BoundProgram>> {
+        debug_assert_eq!(engine.background(), self.background());
+        debug_assert_eq!(engine.quantizer().bin_count(), self.quantizer().bin_count());
+        self.bound_program(id).map(Cow::Owned)
     }
 }
 

@@ -35,7 +35,7 @@ pub mod lru;
 pub use blobstore::{BlobRef, BlobStore};
 pub use catalog::{id_class, Catalog, CatalogEntry, StoredKind};
 pub use durability::{blob_file_name, DurabilityOptions, RecoveryInfo, WalRecord};
-pub use engine::{StorageEngine, StorageStats};
+pub use engine::{ReadView, StorageEngine, StorageStats};
 pub use epoch::MutationEpoch;
 pub use error::StorageError;
 pub use lru::LruCache;

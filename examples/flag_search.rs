@@ -34,9 +34,8 @@ fn main() {
         println!("  {desc:<68} {value:>6}");
     }
 
-    let mut qp = QueryProcessor::new(&db);
-    qp.build_bwm();
-    let bwm = qp.bwm().expect("structure attached");
+    let qp = QueryProcessor::new(&db);
+    let bwm = db.bwm_snapshot();
     println!(
         "BWM structure: {} clusters, {} classified, {} unclassified",
         bwm.cluster_count(),

@@ -6,7 +6,6 @@
 use mmdb_bwm::Classification;
 use mmdb_datagen::{Collection, DatasetBuilder};
 use mmdb_histogram::ColorHistogram;
-use mmdb_query::QueryProcessor;
 use mmdb_rules::{RuleEngine, RuleProfile};
 
 fn check(collection: Collection, seed: u64) {
@@ -62,9 +61,7 @@ fn bwm_classification_matches_op_level_definition() {
         .pct_edited(0.7)
         .seed(5)
         .build();
-    let mut qp = QueryProcessor::new(&db);
-    qp.build_bwm();
-    let bwm = qp.bwm().unwrap();
+    let bwm = db.bwm_snapshot();
     for &id in &info.edited_ids {
         let seq = db.edit_sequence(id).unwrap();
         let expected = if seq.all_bound_widening() {

@@ -16,11 +16,10 @@ fn check_collection(collection: Collection, seed: u64) {
             p_merge_target: 0.3,
         })
         .build();
-    let mut qp = QueryProcessor::new(&db);
-    qp.build_bwm();
+    let qp = QueryProcessor::new(&db);
 
     // The BWM structure tracks exactly the dataset's classification stats.
-    let bwm = qp.bwm().unwrap();
+    let bwm = db.bwm_snapshot();
     assert_eq!(bwm.cluster_count(), info.binary_images);
     assert_eq!(bwm.classified_count(), info.bound_widening_only);
     assert_eq!(bwm.unclassified_count(), info.non_bound_widening);
@@ -109,8 +108,7 @@ fn facade_matches_raw_processor() {
         }
         id_map.insert(old, facade.insert_edited(remapped).unwrap());
     }
-    let mut qp = QueryProcessor::new(&db);
-    qp.build_bwm();
+    let qp = QueryProcessor::new(&db);
     let q = ColorRangeQuery::at_least(0, 0.1);
     let raw: Vec<_> = qp
         .range_bwm(&q)

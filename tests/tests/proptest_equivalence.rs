@@ -139,8 +139,7 @@ proptest! {
             }
         }
 
-        let mut qp = QueryProcessor::new(&db);
-        qp.build_bwm();
+        let qp = QueryProcessor::new(&db);
         for (color_idx, lo, span) in &queries {
             use mmdb_histogram::Quantizer;
             let bin = RgbQuantizer::default_64().bin_of(PALETTE[*color_idx]);

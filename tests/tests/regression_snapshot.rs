@@ -35,8 +35,7 @@ fn pinned_seed_snapshot() {
     );
 
     // Query-path work counters over a pinned batch.
-    let mut qp = QueryProcessor::new(&db);
-    qp.build_bwm();
+    let qp = QueryProcessor::new(&db);
     let queries = QueryGenerator::weighted_from_db(7, &db)
         .thresholds(0.05, 0.3)
         .two_sided_probability(0.0)

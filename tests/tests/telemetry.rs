@@ -77,8 +77,7 @@ fn bwm_trace_reports_zero_widening_for_never_edited_database() {
         .build();
     assert_eq!(info.edited_images, 0, "dataset must be binary-only");
 
-    let mut qp = QueryProcessor::new(&db);
-    qp.build_bwm();
+    let qp = QueryProcessor::new(&db);
     let queries = QueryGenerator::weighted_from_db(99, &db).batch(10);
     for q in &queries {
         let (outcome, trace) = qp.range_with_plan_traced(QueryPlan::Bwm, q).unwrap();
