@@ -49,7 +49,7 @@ pub enum LintCode {
     /// the executor rejects this.
     EmptyCrop,
     /// `E006` — an operation would grow the canvas past the executor's
-    /// pixel cap, or carries paste coordinates far outside any canvas.
+    /// pixel cap.
     CanvasOverflow,
     /// `E007` — a `Mutate` matrix with a projective last row; only affine
     /// transforms are executable.
@@ -60,8 +60,10 @@ pub enum LintCode {
     /// `E009` — the soundness audit caught a widening rule narrowing a
     /// bound, or a `Combine` containment failure: a rule-engine bug.
     MonotonicityViolation,
-    /// `E010` — the bound computation failed for a reason the
-    /// well-formedness pass did not anticipate.
+    /// `E010` — the bound computation failed on a sequence whose geometry
+    /// the executor accepts: a pixel or operation count that does not fit a
+    /// bound-program word (a base image over 2³² pixels), or a catalog entry
+    /// that changed while the sequence was being analyzed.
     Unboundable,
     /// `W101` — a `Define` whose region is never read before the next
     /// `Define` (or the end of the sequence).

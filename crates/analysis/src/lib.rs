@@ -122,8 +122,10 @@ impl<'a> Analyzer<'a> {
                         audit = Some(a);
                     }
                     Err(e) => {
-                        // The well-formedness pass mirrors every rule-engine
-                        // rejection; reaching this means a check is missing.
+                        // The well-formedness pass stepped the same frame the
+                        // rule engine walks, so this is not geometry: a count
+                        // that does not fit a bound-program word, or a catalog
+                        // entry that changed between the two passes.
                         diagnostics.push(Diagnostic::new(
                             LintCode::Unboundable,
                             format!("bound computation failed: {e}"),
@@ -195,8 +197,10 @@ pub fn analyze_catalog(graph: &dyn CatalogGraph, analyzer: &Analyzer<'_>) -> Ana
     report
 }
 
-/// The analyzer's §4 classification verdict: is every operation's rule
-/// bound-widening? `bwm` consumes this instead of recomputing it.
+/// The §4 classification of a sequence, with the evidence: is every
+/// operation's rule bound-widening (`EditSequence::all_bound_widening`, which
+/// is all Figure 1 asks), and if not, where does it stop being so?
+/// `mmdbctl analyze` prints it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WideningVerdict {
     /// True when every op is bound-widening (BWM Main eligibility).
@@ -208,7 +212,7 @@ pub struct WideningVerdict {
     pub non_widening_count: usize,
 }
 
-/// Classifies `seq` for the BWM structure.
+/// Classifies `seq` as Figure 1 would.
 pub fn widening_verdict(seq: &EditSequence) -> WideningVerdict {
     let mut first = None;
     let mut count = 0usize;

@@ -2,11 +2,10 @@
 //!
 //! Structural checks (non-finite parameters, degenerate regions, zero-sum
 //! kernels, non-affine matrices) need nothing but the op list. When an
-//! [`InfoResolver`] is supplied, the pass additionally walks the sequence's
-//! canvas/region geometry — mirroring the rule engine's `BoundState`
-//! trajectory — and catches errors the executor would only hit at
-//! instantiation time: crops of an empty region, canvas growth past the
-//! pixel cap, and pastes landing entirely outside their target.
+//! [`InfoResolver`] is supplied, the pass additionally steps the executor's
+//! own [`Frame`] through the sequence and reports what the executor would
+//! only hit at instantiation time: crops of an empty region, canvas growth
+//! past the pixel cap, and pastes landing entirely outside their target.
 //!
 //! Reference existence/kind checks (`E001`–`E004`) are deliberately *not*
 //! here: they belong to the catalog graph pass ([`crate::graph`]), so a
@@ -14,32 +13,16 @@
 //! double-reporting.
 
 use crate::diagnostics::{Diagnostic, LintCode};
-use mmdb_editops::exec::MAX_CANVAS_PIXELS;
-use mmdb_editops::{EditOp, EditSequence};
-use mmdb_imaging::Rect;
+use mmdb_editops::{EditOp, EditSequence, Frame, GeometryError, Motion};
 use mmdb_rules::InfoResolver;
 
-/// Paste coordinates beyond this magnitude cannot intersect any canvas the
-/// executor accepts (the cap bounds every dimension by `MAX_CANVAS_PIXELS`)
-/// and risk `i64` overflow in rectangle arithmetic, so they are rejected
-/// outright.
-const MAX_PASTE_COORD: i64 = (MAX_CANVAS_PIXELS as i64) * 2;
-
-/// Symbolic walker state. `canvas`/`dr` are exact when the base dimensions
-/// resolved; otherwise only the certainty flag `dr_empty` is tracked (set
-/// by a statically empty `Define`, cleared by anything that replaces the
-/// region wholesale).
-struct Geometry {
-    canvas: Option<Rect>,
-    dr: Option<Rect>,
-    dr_empty: bool,
-}
-
-impl Geometry {
-    fn lose_precision(&mut self) {
-        self.canvas = None;
-        self.dr = None;
-        self.dr_empty = false;
+/// The lint an operation the executor refuses is reported under.
+fn refusal_code(err: GeometryError) -> LintCode {
+    match err {
+        GeometryError::EmptyCrop => LintCode::EmptyCrop,
+        GeometryError::CanvasOverflow { .. } => LintCode::CanvasOverflow,
+        GeometryError::NonAffine => LintCode::NonAffineMutate,
+        GeometryError::NonFinite => LintCode::NonFiniteParams,
     }
 }
 
@@ -47,297 +30,138 @@ impl Geometry {
 /// merge-target dimensions for the geometric checks.
 pub fn check(seq: &EditSequence, resolver: Option<&dyn InfoResolver>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let base_rect = resolver
-        .and_then(|r| r.info(seq.base))
-        .map(|info| Rect::of_image(info.width, info.height));
-    let mut geo = Geometry {
-        canvas: base_rect,
-        dr: base_rect,
-        dr_empty: false,
+    let dims = |id| {
+        resolver
+            .and_then(|r| r.info(id))
+            .map(|info| (info.width, info.height))
     };
+    // Exact while every dimension needed so far has resolved and no
+    // operation has been refused.
+    let mut frame = dims(seq.base).map(|(w, h)| Frame::new(w, h));
+    // What is still certain without a frame: the last `Define` was empty as
+    // written and nothing has replaced the region wholesale since.
+    let mut empty_as_written = false;
     let mut saw_define = false;
     let mut noted_early_edit = false;
 
     for (i, op) in seq.ops.iter().enumerate() {
+        let mut note = |code, message: String| diags.push(Diagnostic::new(code, message).at_op(i));
         if !saw_define && !noted_early_edit && op.reads_region() {
             noted_early_edit = true;
-            diags.push(
-                Diagnostic::new(
-                    LintCode::EditBeforeDefine,
-                    format!(
-                        "{} runs before any Define and edits the whole image",
-                        op.kind()
-                    ),
-                )
-                .at_op(i),
+            note(
+                LintCode::EditBeforeDefine,
+                format!(
+                    "{} runs before any Define and edits the whole image",
+                    op.kind()
+                ),
             );
         }
         match op {
             EditOp::Define { region } => {
                 saw_define = true;
-                if region.is_empty() {
-                    diags.push(
-                        Diagnostic::new(
-                            LintCode::DegenerateRegion,
-                            "Define region is empty as written".to_string(),
-                        )
-                        .at_op(i),
-                    );
-                    geo.dr_empty = true;
-                    if let Some(canvas) = geo.canvas {
-                        geo.dr = Some(region.intersect(&canvas));
-                    }
-                } else if let Some(canvas) = geo.canvas {
-                    let clipped = region.intersect(&canvas);
-                    if clipped.is_empty() {
-                        diags.push(
-                            Diagnostic::new(
-                                LintCode::DegenerateRegion,
-                                format!(
-                                    "Define region clips to empty on the {}x{} canvas",
-                                    canvas.width(),
-                                    canvas.height()
-                                ),
-                            )
-                            .at_op(i),
-                        );
-                    }
-                    geo.dr_empty = clipped.is_empty();
-                    geo.dr = Some(clipped);
-                } else {
-                    geo.dr_empty = false;
-                }
+                empty_as_written = region.is_empty();
             }
             EditOp::Combine { weights } => {
                 if weights.iter().any(|w| !w.is_finite()) {
-                    diags.push(
-                        Diagnostic::new(
-                            LintCode::NonFiniteParams,
-                            "Combine weights contain NaN or infinity".to_string(),
-                        )
-                        .at_op(i),
+                    note(
+                        LintCode::NonFiniteParams,
+                        "Combine weights contain NaN or infinity".to_string(),
                     );
                 } else if weights.iter().sum::<f32>() == 0.0 {
-                    diags.push(
-                        Diagnostic::new(
-                            LintCode::ZeroCombine,
-                            "Combine weights sum to zero; the executor leaves pixels unchanged"
-                                .to_string(),
-                        )
-                        .at_op(i),
+                    note(
+                        LintCode::ZeroCombine,
+                        "Combine weights sum to zero; the executor leaves pixels unchanged"
+                            .to_string(),
                     );
                 }
             }
-            EditOp::Modify { .. } => {}
             EditOp::Mutate { matrix } => {
-                let finite = matrix.m.iter().flatten().all(|v| v.is_finite());
-                if !finite {
-                    diags.push(
-                        Diagnostic::new(
-                            LintCode::NonFiniteParams,
-                            "Mutate matrix contains NaN or infinity".to_string(),
-                        )
-                        .at_op(i),
+                if !matrix.m.iter().flatten().all(|v| v.is_finite()) {
+                    note(
+                        LintCode::NonFiniteParams,
+                        "Mutate matrix contains NaN or infinity".to_string(),
                     );
-                    geo.lose_precision();
+                    frame = None;
+                    empty_as_written = false;
                     continue;
                 }
-                if !matrix.is_affine() {
-                    diags.push(
-                        Diagnostic::new(
-                            LintCode::NonAffineMutate,
-                            "Mutate matrix is projective (last row is not 0 0 1); only affine \
-                             transforms are executable"
-                                .to_string(),
-                        )
-                        .at_op(i),
+                if matrix.is_affine() && !matrix.is_identity() && matrix.affine_inverse().is_none()
+                {
+                    note(
+                        LintCode::SingularMutate,
+                        "Mutate matrix is singular; the defined region collapses".to_string(),
                     );
-                    geo.lose_precision();
-                    continue;
-                }
-                if !matrix.is_identity() && matrix.affine_inverse().is_none() {
-                    diags.push(
-                        Diagnostic::new(
-                            LintCode::SingularMutate,
-                            "Mutate matrix is singular; the defined region collapses".to_string(),
-                        )
-                        .at_op(i),
-                    );
-                }
-                apply_mutate_geometry(&mut geo, matrix, i, &mut diags);
-            }
-            EditOp::Merge { target: None, .. } => {
-                if geo.dr_empty || geo.dr.is_some_and(|dr| dr.is_empty()) {
-                    diags.push(
-                        Diagnostic::new(
-                            LintCode::EmptyCrop,
-                            "Merge(NULL) crops to an empty defined region; the executor rejects \
-                             this sequence"
-                                .to_string(),
-                        )
-                        .at_op(i),
-                    );
-                    // Best effort beyond the error: the sequence cannot run,
-                    // so stop tracking geometry.
-                    geo.lose_precision();
-                } else if let Some(dr) = geo.dr {
-                    let canvas = Rect::new(0, 0, dr.width(), dr.height());
-                    geo.canvas = Some(canvas);
-                    geo.dr = Some(canvas);
-                } else {
-                    geo.lose_precision();
                 }
             }
-            EditOp::Merge {
-                target: Some(id),
-                xp,
-                yp,
-            } => {
-                if xp.abs() > MAX_PASTE_COORD || yp.abs() > MAX_PASTE_COORD {
-                    diags.push(
-                        Diagnostic::new(
-                            LintCode::CanvasOverflow,
-                            format!(
-                                "Merge paste coordinates ({xp}, {yp}) are out of range for any \
-                                 executable canvas"
-                            ),
-                        )
-                        .at_op(i),
-                    );
-                    geo.lose_precision();
-                    continue;
+            EditOp::Modify { .. } | EditOp::Merge { .. } => {}
+        }
+
+        let target_dims = op.merge_target().map(dims);
+        if target_dims == Some(None) {
+            frame = None;
+        }
+        let moved = match &mut frame {
+            Some(frame) => frame.step(op, target_dims.flatten()),
+            // Refusals that need no dimensions.
+            None => match op {
+                EditOp::Mutate { matrix } if !matrix.is_affine() => Err(GeometryError::NonAffine),
+                EditOp::Merge { target: None, .. } if empty_as_written => {
+                    Err(GeometryError::EmptyCrop)
                 }
-                let target_rect = resolver
-                    .and_then(|r| r.info(*id))
-                    .map(|info| Rect::of_image(info.width, info.height));
-                match (target_rect, geo.dr) {
-                    (Some(target_rect), Some(dr)) => {
-                        let dest = Rect::from_origin_size(*xp, *yp, dr.width(), dr.height());
-                        let canvas = target_rect.union(&dest);
-                        if canvas.area() > MAX_CANVAS_PIXELS {
-                            diags.push(
-                                Diagnostic::new(
-                                    LintCode::CanvasOverflow,
-                                    format!(
-                                        "Merge would produce a {}x{} canvas, over the executor's \
-                                         pixel cap",
-                                        canvas.width(),
-                                        canvas.height()
-                                    ),
-                                )
-                                .at_op(i),
-                            );
-                            geo.lose_precision();
-                            continue;
-                        }
-                        if !dr.is_empty() && dest.intersect(&target_rect).is_empty() {
-                            diags.push(
-                                Diagnostic::new(
-                                    LintCode::DisjointPaste,
-                                    format!(
-                                        "Merge pastes the region at ({xp}, {yp}), entirely \
-                                         outside the {}x{} target; only background gap fill \
-                                         connects them",
-                                        target_rect.width(),
-                                        target_rect.height()
-                                    ),
-                                )
-                                .at_op(i),
-                            );
-                        }
-                        let new_canvas = Rect::new(0, 0, canvas.width(), canvas.height());
-                        geo.canvas = Some(new_canvas);
-                        geo.dr = Some(
-                            dest.translate(-canvas.x0, -canvas.y0)
-                                .intersect(&new_canvas),
-                        );
-                        geo.dr_empty = geo.dr.is_some_and(|d| d.is_empty());
-                    }
-                    _ => geo.lose_precision(),
+                _ => Ok(Motion::Still),
+            },
+        };
+        match (op, moved) {
+            (_, Err(err)) => {
+                note(
+                    refusal_code(err),
+                    format!("{err}; the executor rejects this sequence"),
+                );
+                // Best effort beyond the error: the sequence cannot run, so
+                // stop tracking geometry.
+                frame = None;
+                empty_as_written = false;
+            }
+            (EditOp::Define { region }, _) if region.is_empty() => note(
+                LintCode::DegenerateRegion,
+                "Define region is empty as written".to_string(),
+            ),
+            (EditOp::Define { .. }, _) => {
+                if let Some(canvas) = frame.filter(|f| f.region().is_empty()).map(|f| f.canvas()) {
+                    note(
+                        LintCode::DegenerateRegion,
+                        format!(
+                            "Define region clips to empty on the {}x{} canvas",
+                            canvas.width(),
+                            canvas.height()
+                        ),
+                    );
                 }
             }
+            (
+                EditOp::Merge { xp, yp, .. },
+                Ok(Motion::Paste {
+                    source,
+                    dest,
+                    target,
+                    ..
+                }),
+            ) if !source.is_empty() && dest.intersect(&target).is_empty() => note(
+                LintCode::DisjointPaste,
+                format!(
+                    "Merge pastes the region at ({xp}, {yp}), entirely outside the {}x{} target; \
+                     only background gap fill connects them",
+                    target.width(),
+                    target.height()
+                ),
+            ),
+            _ => {}
+        }
+        if matches!(op, EditOp::Merge { .. }) {
+            empty_as_written = false;
         }
     }
     diags
-}
-
-/// Mirrors the rule engine's `Mutate` geometry: whole-image axis scales
-/// resize the canvas; everything else replaces the DR with the clipped
-/// bounding box of its transform.
-fn apply_mutate_geometry(
-    geo: &mut Geometry,
-    matrix: &mmdb_editops::Matrix3,
-    op_index: usize,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let (Some(canvas), Some(dr)) = (geo.canvas, geo.dr) else {
-        return;
-    };
-    if dr.is_empty() {
-        return;
-    }
-    if dr == canvas && matrix.is_axis_scale() {
-        let new_w = ((canvas.width() as f64 * matrix.m[0][0]).round() as i64).max(1);
-        let new_h = ((canvas.height() as f64 * matrix.m[1][1]).round() as i64).max(1);
-        if (new_w as u64).saturating_mul(new_h as u64) > MAX_CANVAS_PIXELS {
-            diags.push(
-                Diagnostic::new(
-                    LintCode::CanvasOverflow,
-                    format!(
-                        "Mutate would produce a {new_w}x{new_h} canvas, over the executor's \
-                         pixel cap"
-                    ),
-                )
-                .at_op(op_index),
-            );
-            geo.lose_precision();
-            return;
-        }
-        let rect = Rect::new(0, 0, new_w, new_h);
-        geo.canvas = Some(rect);
-        geo.dr = Some(rect);
-        geo.dr_empty = false;
-        return;
-    }
-    let corners = [
-        (dr.x0 as f64, dr.y0 as f64),
-        (dr.x1 as f64, dr.y0 as f64),
-        (dr.x0 as f64, dr.y1 as f64),
-        (dr.x1 as f64, dr.y1 as f64),
-    ];
-    let mut min_x = f64::INFINITY;
-    let mut min_y = f64::INFINITY;
-    let mut max_x = f64::NEG_INFINITY;
-    let mut max_y = f64::NEG_INFINITY;
-    for (cx, cy) in corners {
-        let (tx, ty) = matrix.apply(cx, cy);
-        min_x = min_x.min(tx);
-        min_y = min_y.min(ty);
-        max_x = max_x.max(tx);
-        max_y = max_y.max(ty);
-    }
-    if !(min_x.is_finite() && min_y.is_finite() && max_x.is_finite() && max_y.is_finite()) {
-        // Finite matrices on finite rects only overflow for absurd scales;
-        // treat like the executor's non-finite region error.
-        diags.push(
-            Diagnostic::new(
-                LintCode::NonFiniteParams,
-                "Mutate transform produced a non-finite region".to_string(),
-            )
-            .at_op(op_index),
-        );
-        geo.lose_precision();
-        return;
-    }
-    let bbox = Rect::new(
-        min_x.floor() as i64,
-        min_y.floor() as i64,
-        max_x.ceil() as i64,
-        max_y.ceil() as i64,
-    );
-    let dest = bbox.intersect(&canvas);
-    geo.dr = Some(dest);
-    geo.dr_empty = dest.is_empty();
 }
 
 #[cfg(test)]
@@ -345,7 +169,7 @@ mod tests {
     use super::*;
     use mmdb_editops::{ImageId, Matrix3};
     use mmdb_histogram::{ColorHistogram, RgbQuantizer};
-    use mmdb_imaging::{RasterImage, Rgb};
+    use mmdb_imaging::{RasterImage, Rect, Rgb};
     use mmdb_rules::{ImageInfo, MapInfoResolver};
 
     fn resolver() -> MapInfoResolver {
@@ -465,8 +289,10 @@ mod tests {
             .define(Rect::new(0, 0, 4, 4))
             .merge_into(ImageId::new(2), i64::MAX / 2, 0)
             .build();
-        // Out-of-range paste coordinates are structural: no resolver needed.
-        assert!(codes(&check(&seq, None)).contains(&LintCode::CanvasOverflow));
+        // Paste coordinates are no special case: the canvas they ask for is
+        // over the cap, which takes the target's dimensions to know.
+        assert!(codes(&check(&seq, Some(&resolver()))).contains(&LintCode::CanvasOverflow));
+        assert!(check(&seq, None).is_empty());
     }
 
     #[test]

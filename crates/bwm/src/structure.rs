@@ -79,18 +79,16 @@ impl BwmStructure {
         self.main.entry(id).or_default();
     }
 
-    /// Fig. 1 for an edited image: ask the static analyzer for the
-    /// sequence's widening verdict; all bound-widening → append to the
-    /// base's cluster in Main, otherwise append to Unclassified. Returns
+    /// Fig. 1 for an edited image: all operations bound-widening → append to
+    /// the base's cluster in Main, otherwise append to Unclassified. Returns
     /// the classification.
     pub fn insert_edited(&mut self, id: ImageId, sequence: &EditSequence) -> Classification {
-        let all_widening = mmdb_analysis::widening_verdict(sequence).all_widening;
-        self.insert_classified(id, sequence.base, all_widening)
+        self.insert_classified(id, sequence.base, sequence.all_bound_widening())
     }
 
     /// [`BwmStructure::insert_edited`] for a caller that took the verdict
-    /// (`widening_verdict(sequence).all_widening`) while it still held the
-    /// sequence, and has since given the sequence away.
+    /// (`sequence.all_bound_widening()`) while it still held the sequence,
+    /// and has since given the sequence away.
     pub fn insert_classified(
         &mut self,
         id: ImageId,

@@ -7,6 +7,7 @@
 //! is also the ground truth: the property tests in `mmdb-rules` check the
 //! rule-derived bounds against histograms of images produced here.
 
+use crate::geometry::{Frame, Motion};
 use crate::ids::ImageId;
 use crate::ops::EditOp;
 use crate::sequence::EditSequence;
@@ -14,9 +15,7 @@ use crate::{EditError, Result};
 use mmdb_imaging::{RasterImage, Rect, Rgb};
 use std::collections::HashMap;
 
-/// Upper bound on instantiated canvas size (pixels), guarding against
-/// pathological transform parameters blowing up memory.
-pub const MAX_CANVAS_PIXELS: u64 = 1 << 26; // 64 Mpx ≈ 256 MiB of RGB
+pub use crate::geometry::MAX_CANVAS_PIXELS;
 
 /// Resolves image ids to rasters. The storage engine implements this; tests
 /// use [`MapResolver`].
@@ -69,21 +68,21 @@ impl Default for ExecOptions {
 }
 
 /// Mutable execution state threaded through the operation list: the working
-/// raster plus the current defined region (always clipped to the raster).
+/// raster plus its [`Frame`], whose canvas is always the raster's bounds.
 #[derive(Clone, Debug)]
 pub struct ExecState {
     /// The working image.
     pub image: RasterImage,
-    /// The current defined region, clipped to `image`.
-    pub region: Rect,
+    /// The canvas and the current defined region.
+    pub frame: Frame,
 }
 
 impl ExecState {
     /// Initializes state from a base image; the initial DR covers the whole
     /// image (ops before any `Define` edit everything).
     pub fn new(image: RasterImage) -> Self {
-        let region = image.bounds();
-        ExecState { image, region }
+        let frame = Frame::new(image.width(), image.height());
+        ExecState { image, frame }
     }
 }
 
@@ -117,42 +116,67 @@ impl<'r, R: ImageResolver + ?Sized> InstantiationEngine<'r, R> {
         Ok(state.image)
     }
 
-    /// Applies a single operation to `state`.
+    /// Applies a single operation to `state`: the frame decides where
+    /// things go, the pixel work for that [`Motion`] happens here.
     pub fn apply(&self, state: &mut ExecState, op: &EditOp) -> Result<()> {
-        match op {
-            EditOp::Define { region } => {
-                state.region = region.intersect(&state.image.bounds());
-                Ok(())
+        let target = match op.merge_target() {
+            Some(id) => Some(self.resolver.resolve(id)?),
+            None => None,
+        };
+        let motion = state
+            .frame
+            .step(op, target.as_ref().map(|t| (t.width(), t.height())))?;
+        match (op, motion) {
+            (EditOp::Combine { weights }, _) => {
+                apply_combine(&mut state.image, state.frame.region(), weights);
             }
-            EditOp::Combine { weights } => {
-                apply_combine(state, weights);
-                Ok(())
+            (EditOp::Modify { from, to }, _) => {
+                apply_modify(&mut state.image, state.frame.region(), *from, *to);
             }
-            EditOp::Modify { from, to } => {
-                apply_modify(state, *from, *to);
-                Ok(())
+            (_, Motion::Resize { to: (w, h), .. }) => state.image = resample(&state.image, w, h)?,
+            (EditOp::Mutate { matrix }, Motion::Stamp { source, dest }) => {
+                stamp(&mut state.image, matrix, source, dest);
             }
-            EditOp::Mutate { matrix } => apply_mutate(state, matrix, self.options.background),
-            EditOp::Merge { target, xp, yp } => match target {
-                None => apply_crop(state),
-                Some(id) => {
-                    let target_img = self.resolver.resolve(*id)?;
-                    apply_merge(state, &target_img, *xp, *yp, self.options.background)
-                }
-            },
+            (_, Motion::Crop { source }) => {
+                state.image = state
+                    .image
+                    .crop(&source)
+                    .expect("a cropped region is non-empty and inside the image");
+            }
+            (
+                _,
+                Motion::Paste {
+                    source,
+                    dest,
+                    canvas,
+                    ..
+                },
+            ) => {
+                let target = target.expect("resolved above");
+                state.image = paste(
+                    &state.image,
+                    source,
+                    &target,
+                    dest,
+                    canvas,
+                    self.options.background,
+                )?;
+            }
+            _ => {}
         }
+        Ok(())
     }
 }
 
-fn apply_combine(state: &mut ExecState, weights: &[f32; 9]) {
+fn apply_combine(image: &mut RasterImage, region: Rect, weights: &[f32; 9]) {
     let sum: f32 = weights.iter().sum();
-    if sum == 0.0 || state.region.is_empty() {
+    if sum == 0.0 || region.is_empty() {
         return;
     }
-    let src = state.image.clone();
+    let src = image.clone();
     let (w, h) = (src.width() as i64, src.height() as i64);
-    for y in state.region.y0..state.region.y1 {
-        for x in state.region.x0..state.region.x1 {
+    for y in region.y0..region.y1 {
+        for x in region.x0..region.x1 {
             let (mut r, mut g, mut b) = (0.0f32, 0.0f32, 0.0f32);
             for (i, &wt) in weights.iter().enumerate() {
                 if wt == 0.0 {
@@ -166,21 +190,19 @@ fn apply_combine(state: &mut ExecState, weights: &[f32; 9]) {
                 b += wt * c.b as f32;
             }
             let quant = |v: f32| (v / sum).round().clamp(0.0, 255.0) as u8;
-            state
-                .image
-                .set(x as u32, y as u32, Rgb::new(quant(r), quant(g), quant(b)));
+            image.set(x as u32, y as u32, Rgb::new(quant(r), quant(g), quant(b)));
         }
     }
 }
 
-fn apply_modify(state: &mut ExecState, from: Rgb, to: Rgb) {
-    if state.region.is_empty() {
+fn apply_modify(image: &mut RasterImage, region: Rect, from: Rgb, to: Rgb) {
+    if region.is_empty() {
         return;
     }
-    let w = state.image.width() as usize;
-    let (x0, x1) = (state.region.x0 as usize, state.region.x1 as usize);
-    for y in state.region.y0 as usize..state.region.y1 as usize {
-        for p in &mut state.image.pixels_mut()[y * w + x0..y * w + x1] {
+    let w = image.width() as usize;
+    let (x0, x1) = (region.x0 as usize, region.x1 as usize);
+    for y in region.y0 as usize..region.y1 as usize {
+        for p in &mut image.pixels_mut()[y * w + x0..y * w + x1] {
             if *p == from {
                 *p = to;
             }
@@ -188,99 +210,26 @@ fn apply_modify(state: &mut ExecState, from: Rgb, to: Rgb) {
     }
 }
 
-fn apply_mutate(state: &mut ExecState, matrix: &crate::Matrix3, background: Rgb) -> Result<()> {
-    if !matrix.is_affine() {
-        // Rotations, scales and translations — the transformations the paper
-        // names — are all affine. Rejecting projective matrices keeps the
-        // geometry reasoning of the rule engine exact (the bounding box of
-        // transformed corners bounds the transformed region).
-        return Err(EditError::InvalidOperation(
-            "mutate matrix must be affine (last row 0 0 1)".into(),
-        ));
-    }
-    if state.region.is_empty() {
-        return Ok(());
-    }
-    let whole = state.region == state.image.bounds();
-    if whole && matrix.is_axis_scale() {
-        return apply_whole_image_scale(state, matrix, background);
-    }
-    apply_region_transform(state, matrix)
-}
-
-/// Whole-image axis-aligned scale (+translation, which is irrelevant for a
-/// full-canvas resize): the canvas is resized by `M11 × M22` and resampled
-/// with nearest-neighbour inverse mapping — Table 1's "DR contains image"
-/// case.
-fn apply_whole_image_scale(
-    state: &mut ExecState,
-    matrix: &crate::Matrix3,
-    _background: Rgb,
-) -> Result<()> {
-    let sx = matrix.m[0][0];
-    let sy = matrix.m[1][1];
-    let old_w = state.image.width();
-    let old_h = state.image.height();
-    let new_w = ((old_w as f64 * sx).round() as i64).max(1) as u32;
-    let new_h = ((old_h as f64 * sy).round() as i64).max(1) as u32;
-    if new_w as u64 * new_h as u64 > MAX_CANVAS_PIXELS {
-        return Err(EditError::InvalidOperation(format!(
-            "mutate would produce a {new_w}x{new_h} canvas, over the {MAX_CANVAS_PIXELS}-pixel cap"
-        )));
-    }
-    let src = state.image.clone();
-    let resized = RasterImage::from_fn(new_w, new_h, |x, y| {
+/// Whole-image axis-aligned scale: the canvas is resampled to `new_w` ×
+/// `new_h` with nearest-neighbour inverse mapping.
+fn resample(src: &RasterImage, new_w: u32, new_h: u32) -> Result<RasterImage> {
+    let (old_w, old_h) = (src.width(), src.height());
+    Ok(RasterImage::from_fn(new_w, new_h, |x, y| {
         let sxf = ((x as f64 + 0.5) * old_w as f64 / new_w as f64) as u32;
         let syf = ((y as f64 + 0.5) * old_h as f64 / new_h as f64) as u32;
         src.get(sxf.min(old_w - 1), syf.min(old_h - 1))
-    })?;
-    state.image = resized;
-    state.region = state.image.bounds();
-    Ok(())
+    })?)
 }
 
 /// Sub-region (or non-axis-scale whole-image) transform with copy ("stamp")
-/// semantics: the DR content appears at its transformed position; source
-/// pixels not overwritten keep their value. Canvas dimensions are unchanged
-/// (Table 1's rigid-body case keeps the total constant).
-fn apply_region_transform(state: &mut ExecState, matrix: &crate::Matrix3) -> Result<()> {
-    let src = state.image.clone();
-    let dr = state.region;
-    // Transformed bounding box of the DR corners.
-    let corners = [
-        (dr.x0 as f64, dr.y0 as f64),
-        (dr.x1 as f64, dr.y0 as f64),
-        (dr.x0 as f64, dr.y1 as f64),
-        (dr.x1 as f64, dr.y1 as f64),
-    ];
-    let mut min_x = f64::INFINITY;
-    let mut min_y = f64::INFINITY;
-    let mut max_x = f64::NEG_INFINITY;
-    let mut max_y = f64::NEG_INFINITY;
-    for (cx, cy) in corners {
-        let (tx, ty) = matrix.apply(cx, cy);
-        min_x = min_x.min(tx);
-        min_y = min_y.min(ty);
-        max_x = max_x.max(tx);
-        max_y = max_y.max(ty);
-    }
-    if !(min_x.is_finite() && min_y.is_finite() && max_x.is_finite() && max_y.is_finite()) {
-        return Err(EditError::InvalidOperation(
-            "mutate matrix produced a non-finite region".into(),
-        ));
-    }
-    let bbox = Rect::new(
-        min_x.floor() as i64,
-        min_y.floor() as i64,
-        max_x.ceil() as i64,
-        max_y.ceil() as i64,
-    );
-    let dest = bbox.intersect(&state.image.bounds());
+/// semantics: the content of `dr` appears at its transformed position inside
+/// `dest`; source pixels not overwritten keep their value.
+fn stamp(image: &mut RasterImage, matrix: &crate::Matrix3, dr: Rect, dest: Rect) {
     if dest.is_empty() {
         // The region moved entirely off-canvas; stamp nothing.
-        state.region = Rect::EMPTY;
-        return Ok(());
+        return;
     }
+    let src = image.clone();
     match matrix.affine_inverse() {
         Some(inv) => {
             // Inverse mapping: no holes under rotation or up-scaling.
@@ -291,7 +240,7 @@ fn apply_region_transform(state: &mut ExecState, matrix: &crate::Matrix3) -> Res
                     let sy = syf.floor() as i64;
                     if dr.contains(sx, sy) {
                         if let Some(c) = src.get_signed(sx, sy) {
-                            state.image.set(x as u32, y as u32, c);
+                            image.set(x as u32, y as u32, c);
                         }
                     }
                 }
@@ -305,51 +254,28 @@ fn apply_region_transform(state: &mut ExecState, matrix: &crate::Matrix3) -> Res
                 let tx = txf.floor() as i64;
                 let ty = tyf.floor() as i64;
                 if let Some(c) = src.get_signed(sx, sy) {
-                    if tx >= 0
-                        && ty >= 0
-                        && tx < state.image.width() as i64
-                        && ty < state.image.height() as i64
+                    if tx >= 0 && ty >= 0 && tx < image.width() as i64 && ty < image.height() as i64
                     {
-                        state.image.set(tx as u32, ty as u32, c);
+                        image.set(tx as u32, ty as u32, c);
                     }
                 }
             }
         }
     }
-    state.region = dest;
-    Ok(())
 }
 
-/// NULL-target `Merge`: the image becomes the DR content alone.
-fn apply_crop(state: &mut ExecState) -> Result<()> {
-    let cropped = state.image.crop(&state.region).ok_or_else(|| {
-        EditError::InvalidOperation("merge(NULL) with empty defined region".into())
-    })?;
-    state.image = cropped;
-    state.region = state.image.bounds();
-    Ok(())
-}
-
-/// Target `Merge`: paste the DR into `target` at `(xp, yp)`. The canvas is
-/// the union of the target's bounds and the pasted rectangle (Table 1's
-/// total-pixels formula); gaps are `background`.
-fn apply_merge(
-    state: &mut ExecState,
+/// Target `Merge`: a `canvas`-sized raster with `target` blitted at its
+/// offset position, the `dr` content of `image` pasted over it at `dest`,
+/// and gaps filled with `background`. `dest` and `canvas` are in the
+/// target's coordinates.
+fn paste(
+    image: &RasterImage,
+    dr: Rect,
     target: &RasterImage,
-    xp: i64,
-    yp: i64,
+    dest: Rect,
+    canvas_rect: Rect,
     background: Rgb,
-) -> Result<()> {
-    let dr = state.region;
-    let dest = Rect::from_origin_size(xp, yp, dr.width(), dr.height());
-    let canvas_rect = target.bounds().union(&dest);
-    if canvas_rect.area() > MAX_CANVAS_PIXELS {
-        return Err(EditError::InvalidOperation(format!(
-            "merge would produce a {}x{} canvas, over the {MAX_CANVAS_PIXELS}-pixel cap",
-            canvas_rect.width(),
-            canvas_rect.height()
-        )));
-    }
+) -> Result<RasterImage> {
     let (off_x, off_y) = (-canvas_rect.x0, -canvas_rect.y0);
     let mut canvas = RasterImage::filled(
         canvas_rect.width() as u32,
@@ -367,20 +293,15 @@ fn apply_merge(
         }
     }
     // Paste the DR content over it.
-    if !dr.is_empty() {
-        for (sx, sy) in dr.pixels() {
-            let c = state
-                .image
-                .get_signed(sx, sy)
-                .expect("DR is clipped to the image");
-            let tx = sx - dr.x0 + xp + off_x;
-            let ty = sy - dr.y0 + yp + off_y;
-            canvas.set(tx as u32, ty as u32, c);
-        }
+    for (sx, sy) in dr.pixels() {
+        let c = image
+            .get_signed(sx, sy)
+            .expect("DR is clipped to the image");
+        let tx = sx - dr.x0 + dest.x0 + off_x;
+        let ty = sy - dr.y0 + dest.y0 + off_y;
+        canvas.set(tx as u32, ty as u32, c);
     }
-    state.region = dest.translate(off_x, off_y).intersect(&canvas.bounds());
-    state.image = canvas;
-    Ok(())
+    Ok(canvas)
 }
 
 #[cfg(test)]
@@ -712,7 +633,7 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(state.region, Rect::new(0, 0, 4, 2));
+        assert_eq!(state.frame.region(), Rect::new(0, 0, 4, 2));
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! * the **instantiation engine** ([`exec`]) that reconstructs the raster by
 //!   "accessing the referenced base image and sequentially executing the
 //!   associated editing operations",
+//! * the **geometry** ([`geometry`]) of that execution — how each operation
+//!   moves the canvas and the defined region — which the executor, the rule
+//!   engine and the static analyzer all read from the one [`Frame::step`],
 //! * compact binary and human-readable text codecs for persisting sequences.
 //!
 //! ## Semantics the paper leaves open (documented choices)
@@ -33,12 +36,14 @@
 
 pub mod codec;
 pub mod exec;
+pub mod geometry;
 pub mod ids;
 pub mod matrix;
 pub mod ops;
 pub mod sequence;
 
 pub use exec::{ExecOptions, ImageResolver, InstantiationEngine, MapResolver};
+pub use geometry::{Frame, GeometryError, Motion};
 pub use ids::ImageId;
 pub use matrix::Matrix3;
 pub use ops::{EditOp, OpKind};
@@ -77,6 +82,12 @@ impl std::error::Error for EditError {
             EditError::Imaging(err) => Some(err),
             _ => None,
         }
+    }
+}
+
+impl From<GeometryError> for EditError {
+    fn from(err: GeometryError) -> Self {
+        EditError::InvalidOperation(err.to_string())
     }
 }
 

@@ -236,6 +236,14 @@ mod tests {
     }
 
     #[test]
+    fn define_all_region_can_be_measured_before_clipping() {
+        let EditOp::Define { region } = EditOp::define_all() else {
+            unreachable!()
+        };
+        assert_eq!(region.area(), u64::MAX);
+    }
+
+    #[test]
     fn merge_target_absent_for_other_ops() {
         assert_eq!(EditOp::box_blur().merge_target(), None);
         assert_eq!(

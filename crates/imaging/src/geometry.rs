@@ -78,10 +78,10 @@ impl Rect {
         (self.y1 - self.y0).max(0)
     }
 
-    /// Number of pixels covered.
+    /// Number of pixels covered, saturating at `u64::MAX`.
     #[inline]
     pub fn area(&self) -> u64 {
-        (self.width() as u64) * (self.height() as u64)
+        (self.width() as u64).saturating_mul(self.height() as u64)
     }
 
     /// True when the rectangle covers no pixel.
@@ -167,6 +167,13 @@ mod tests {
         assert!(Rect::new(5, 3, 2, 7).is_empty());
         assert_eq!(Rect::new(5, 3, 2, 7).area(), 0);
         assert!(Rect::EMPTY.is_empty());
+    }
+
+    #[test]
+    fn area_saturates() {
+        let square = Rect::from_origin_size(1 << 33, 1 << 33, 1 << 33, 1 << 33);
+        assert_eq!(square.area(), u64::MAX);
+        assert_eq!(Rect::new(0, 0, 1 << 32, 1 << 31).area(), 1 << 63);
     }
 
     #[test]

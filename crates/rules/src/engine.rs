@@ -9,11 +9,10 @@ use crate::program::{
 };
 use crate::query::ColorRangeQuery;
 use crate::resolver::{ImageInfo, InfoResolver};
-use crate::{Result, RuleError};
-use mmdb_editops::exec::MAX_CANVAS_PIXELS;
-use mmdb_editops::{EditOp, EditSequence, Matrix3, OpKind};
+use crate::Result;
+use mmdb_editops::{EditOp, EditSequence, Frame, Motion, OpKind};
 use mmdb_histogram::Quantizer;
-use mmdb_imaging::{Rect, Rgb};
+use mmdb_imaging::Rgb;
 
 /// Position of `kind` in a program header's per-kind count array, matching
 /// the `mmdb_rules_applications_total{op="…"}` series order.
@@ -104,8 +103,9 @@ impl<'q> RuleEngine<'q> {
     }
 
     /// The bin-independent half of BOUNDS: walks `seq` once, tracking the
-    /// canvas and defined region symbolically, and records what each Table 1
-    /// rule will do to a bin's `[BOUNDmin, BOUNDmax, imagesize]` triple.
+    /// canvas and defined region as the executor would move them, and
+    /// records what each Table 1 rule will do to a bin's `[BOUNDmin,
+    /// BOUNDmax, imagesize]` triple.
     /// Every error a walk can meet — a non-affine or non-finite `Mutate`, a
     /// canvas over the executor's pixel cap, `Merge(NULL)` on an empty
     /// region, an unknown base or merge target — is met here, in operation
@@ -221,12 +221,11 @@ impl<'q> RuleEngine<'q> {
             .overlaps_fraction(query.pct_min, query.pct_max))
     }
 
-    /// The geometry walk behind every entry point: follows the canvas
-    /// (always `(0, 0, w, h)`) and the defined region (always clipped to it)
+    /// The walk behind every entry point: follows the executor's [`Frame`]
     /// through `seq`, and hands `emit` each operation together with the
-    /// [`Step`] its Table 1 rule amounts to — `None` when the operation
-    /// cannot change any bin's triple under either profile (`Define`, or a
-    /// rule applied to an empty region).
+    /// [`Step`] its Table 1 rule amounts to for the [`Motion`] it made —
+    /// `None` when the operation cannot change any bin's triple under either
+    /// profile (`Define`, or a rule applied to an empty region).
     fn walk(
         &self,
         seq: &EditSequence,
@@ -234,22 +233,22 @@ impl<'q> RuleEngine<'q> {
         resolver: &dyn InfoResolver,
         mut emit: impl FnMut(&EditOp, Option<Step>) -> Result<()>,
     ) -> Result<()> {
-        let mut image_rect = Rect::of_image(base.width, base.height);
-        let mut dr = image_rect;
+        let mut frame = Frame::new(base.width, base.height);
         for op in &seq.ops {
-            let step = match op {
-                EditOp::Define { region } => {
-                    dr = region.intersect(&image_rect);
-                    None
-                }
+            let target = match op.merge_target() {
+                Some(id) => Some((id, resolver.require(id)?)),
+                None => None,
+            };
+            let dims = target.as_ref().map(|(_, t)| (t.width, t.height));
+            let step = match (op, frame.step(op, dims)?) {
                 // Table 1, `Combine` row. Literal profile: no change.
                 // Conservative profile: every DR pixel's color may change,
                 // so the bin may lose or gain up to |DR| pixels.
-                EditOp::Combine { .. } => widen(0, dr.area())?,
+                (EditOp::Combine { .. }, _) => widen(0, frame.region().area())?,
                 // Table 1, `Modify` row: "If RGBnew maps to HB: increase max
                 // by |DR|; else if RGBold maps to HB: decrease min by |DR|;
                 // else: no change."
-                EditOp::Modify { from, to } => match dr.area() {
+                (EditOp::Modify { from, to }, _) => match frame.region().area() {
                     0 => None,
                     d => Some(Step::Modify {
                         from_bin: pack(self.quantizer.bin_of(*from) as u64)?,
@@ -257,58 +256,56 @@ impl<'q> RuleEngine<'q> {
                         d: pack(d)?,
                     }),
                 },
-                EditOp::Mutate { matrix } => mutate(matrix, &mut image_rect, &mut dr)?,
-                // Table 1, `Merge` with NULL target: the image becomes the DR.
-                EditOp::Merge {
-                    target: None,
-                    xp: _,
-                    yp: _,
-                } => {
-                    let d = dr.area();
-                    if d == 0 {
-                        return Err(RuleError::InvalidSequence(
-                            "merge(NULL) with empty defined region".into(),
-                        ));
-                    }
-                    image_rect = Rect::new(0, 0, dr.width(), dr.height());
-                    dr = image_rect;
-                    Some(Step::MergeNull { d: pack(d)? })
+                // Table 1, `Mutate` row: whole-image axis scaling multiplies
+                // all three quantities by `M11 · M22`. Nearest-neighbour
+                // resampling uses each source row between floor(fy) and
+                // ceil(fy) times (and likewise per column), so the per-bin
+                // count is bounded by count·⌊fx⌋⌊fy⌋ and count·⌈fx⌉⌈fy⌉.
+                (EditOp::Mutate { matrix }, Motion::Resize { from, to }) => {
+                    let fx = to.0 as f64 / from.0 as f64;
+                    let fy = to.1 as f64 / from.1 as f64;
+                    Some(Step::Scale {
+                        factor: matrix.m[0][0] * matrix.m[1][1],
+                        mul_min: pack(fx.floor() as u64 * fy.floor() as u64)?,
+                        mul_max: pack((fx.ceil() as u64).max(1) * (fy.ceil() as u64).max(1))?,
+                        new_total: pack(to.0 as u64 * to.1 as u64)?,
+                    })
                 }
+                // Everything else (the "rigid body" case and its
+                // generalizations) widens by the affected pixel count with
+                // the total unchanged. Paper: ±|DR|. Sound w.r.t. stamp
+                // semantics: only destination pixels change.
+                (_, Motion::Stamp { source, dest }) => widen(source.area(), dest.area())?,
+                // Table 1, `Merge` with NULL target: the image becomes the DR.
+                (_, Motion::Crop { source }) => Some(Step::MergeNull {
+                    d: pack(source.area())?,
+                }),
                 // Table 1, `Merge` with a target: the canvas is the union of
                 // the target and the pasted rectangle.
-                EditOp::Merge {
-                    target: Some(id),
-                    xp,
-                    yp,
-                } => {
-                    let target = resolver.require(*id)?;
-                    let target_rect = Rect::of_image(target.width, target.height);
-                    let dest = Rect::from_origin_size(*xp, *yp, dr.width(), dr.height());
-                    let canvas = target_rect.union(&dest);
+                (
+                    _,
+                    Motion::Paste {
+                        source,
+                        dest,
+                        target: target_rect,
+                        canvas,
+                    },
+                ) => {
+                    let (id, target) = target.expect("resolved above");
+                    let d = source.area();
                     let new_total = canvas.area();
-                    if new_total > MAX_CANVAS_PIXELS {
-                        return Err(RuleError::InvalidSequence(format!(
-                            "merge would produce a {}x{} canvas, over the pixel cap",
-                            canvas.width(),
-                            canvas.height()
-                        )));
-                    }
-                    let d = dr.area();
                     let covered = dest.intersect(&target_rect).area();
                     // canvas ⊇ target ∪ dest, so new_total + covered ≥ T + d.
                     let gap = (new_total + covered) - target.histogram.total() - d;
-                    image_rect = Rect::new(0, 0, canvas.width(), canvas.height());
-                    dr = dest
-                        .translate(-canvas.x0, -canvas.y0)
-                        .intersect(&image_rect);
                     Some(Step::MergeTarget {
-                        target: *id,
+                        target: id,
                         d: pack(d)?,
                         covered: pack(covered)?,
                         gap: pack(gap)?,
                         new_total: pack(new_total)?,
                     })
                 }
+                _ => None,
             };
             emit(op, step)?;
         }
@@ -327,98 +324,14 @@ fn widen(paper: u64, conservative: u64) -> Result<Option<Step>> {
     })
 }
 
-/// Table 1, `Mutate` row: whole-image axis scaling multiplies all three
-/// quantities by `M11 · M22`; everything else (the "rigid body" case and its
-/// generalizations) widens by the affected pixel count with the total
-/// unchanged.
-fn mutate(matrix: &Matrix3, image_rect: &mut Rect, dr: &mut Rect) -> Result<Option<Step>> {
-    if !matrix.is_affine() {
-        return Err(RuleError::InvalidSequence(
-            "mutate matrix must be affine".into(),
-        ));
-    }
-    if dr.is_empty() {
-        return Ok(None);
-    }
-    if *dr == *image_rect && matrix.is_axis_scale() {
-        return whole_image_scale(matrix, image_rect, dr).map(Some);
-    }
-    // Transformed bounding box of the DR, exactly as the executor computes
-    // it.
-    let corners = [
-        (dr.x0 as f64, dr.y0 as f64),
-        (dr.x1 as f64, dr.y0 as f64),
-        (dr.x0 as f64, dr.y1 as f64),
-        (dr.x1 as f64, dr.y1 as f64),
-    ];
-    let mut min_x = f64::INFINITY;
-    let mut min_y = f64::INFINITY;
-    let mut max_x = f64::NEG_INFINITY;
-    let mut max_y = f64::NEG_INFINITY;
-    for (cx, cy) in corners {
-        let (tx, ty) = matrix.apply(cx, cy);
-        min_x = min_x.min(tx);
-        min_y = min_y.min(ty);
-        max_x = max_x.max(tx);
-        max_y = max_y.max(ty);
-    }
-    if !(min_x.is_finite() && min_y.is_finite() && max_x.is_finite() && max_y.is_finite()) {
-        return Err(RuleError::InvalidSequence(
-            "mutate matrix produced a non-finite region".into(),
-        ));
-    }
-    let bbox = Rect::new(
-        min_x.floor() as i64,
-        min_y.floor() as i64,
-        max_x.ceil() as i64,
-        max_y.ceil() as i64,
-    );
-    let dest = bbox.intersect(image_rect);
-    // Paper: ±|DR| for the rigid-body case. Sound w.r.t. stamp semantics:
-    // only destination pixels change.
-    let step = widen(dr.area(), dest.area())?;
-    *dr = dest;
-    Ok(step)
-}
-
-fn whole_image_scale(matrix: &Matrix3, image_rect: &mut Rect, dr: &mut Rect) -> Result<Step> {
-    let sx = matrix.m[0][0];
-    let sy = matrix.m[1][1];
-    let old_w = image_rect.width();
-    let old_h = image_rect.height();
-    // Must mirror the executor's dimension computation exactly.
-    let new_w = ((old_w as f64 * sx).round() as i64).max(1);
-    let new_h = ((old_h as f64 * sy).round() as i64).max(1);
-    let new_total = (new_w * new_h) as u64;
-    if new_total > MAX_CANVAS_PIXELS {
-        // Matches the executor's canvas cap: such a sequence cannot be
-        // instantiated, so it cannot be bounded either.
-        return Err(RuleError::InvalidSequence(format!(
-            "mutate would produce a {new_w}x{new_h} canvas, over the pixel cap"
-        )));
-    }
-    // Nearest-neighbour resampling uses each source row between floor(fy)
-    // and ceil(fy) times (and likewise per column), so the per-bin count is
-    // bounded by count·⌊fx⌋⌊fy⌋ and count·⌈fx⌉⌈fy⌉.
-    let fx = new_w as f64 / old_w as f64;
-    let fy = new_h as f64 / old_h as f64;
-    *image_rect = Rect::new(0, 0, new_w, new_h);
-    *dr = *image_rect;
-    Ok(Step::Scale {
-        factor: sx * sy,
-        mul_min: pack(fx.floor() as u64 * fy.floor() as u64)?,
-        mul_max: pack((fx.ceil() as u64).max(1) * (fy.ceil() as u64).max(1))?,
-        new_total: pack(new_total)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::resolver::{ImageInfo, MapInfoResolver};
-    use mmdb_editops::{EditSequence, ImageId};
+    use crate::RuleError;
+    use mmdb_editops::{EditSequence, ImageId, Matrix3};
     use mmdb_histogram::{ColorHistogram, RgbQuantizer};
-    use mmdb_imaging::{draw, RasterImage};
+    use mmdb_imaging::{draw, RasterImage, Rect};
 
     fn q() -> RgbQuantizer {
         RgbQuantizer::default_64()

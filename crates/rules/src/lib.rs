@@ -55,7 +55,7 @@ pub use program::BoundProgram;
 pub use query::ColorRangeQuery;
 pub use resolver::{ImageInfo, InfoResolver, MapInfoResolver};
 
-use mmdb_editops::ImageId;
+use mmdb_editops::{GeometryError, ImageId};
 use std::fmt;
 
 /// Errors from bound computation.
@@ -78,6 +78,14 @@ impl fmt::Display for RuleError {
 }
 
 impl std::error::Error for RuleError {}
+
+/// The executor could not carry the operation out, so it cannot be bounded
+/// either.
+impl From<GeometryError> for RuleError {
+    fn from(err: GeometryError) -> Self {
+        RuleError::InvalidSequence(err.to_string())
+    }
+}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, RuleError>;

@@ -645,7 +645,7 @@ impl StorageEngine {
             reject(format!("codes={}", codes.join(",")), errors.len() as u64);
             return Err(StorageError::InvalidSequence(errors.join("; ")));
         }
-        let all_widening = mmdb_analysis::widening_verdict(&sequence).all_widening;
+        let all_widening = sequence.all_bound_widening();
         // Phase 2: re-verify local references under the exclusive lock (a
         // concurrent delete may have raced phase 1), then insert. Peer
         // shards are *not* re-consulted here: holding this shard's write
