@@ -20,7 +20,7 @@
 //! mmdbctl slo --connect 127.0.0.1:9184
 //! mmdbctl events --db ./mydb [--warmup N] [--limit N]
 //! mmdbctl top --db ./mydb [--queries N] [--seed S] [--sort heat|total] [--limit N]
-//! mmdbctl knn --db ./mydb probe.ppm --k 5 [--augmented]
+//! mmdbctl knn --db ./mydb probe.ppm --k 5
 //! mmdbctl export --db ./mydb --id 7 out.ppm
 //! mmdbctl script --db ./mydb --id 9        # print an edited image's script
 //! mmdbctl lint --db ./mydb [--format text|json]   # static analysis
@@ -910,24 +910,17 @@ fn cmd_knn(args: &Args) -> Result<(), String> {
         .ok_or_else(|| "expected a probe PPM file".to_string())?;
     let probe = mmdbms::imaging::ppm::read_file(Path::new(file)).map_err(|e| e.to_string())?;
     let k = args.u64_opt("k", 5)? as usize;
-    if args.options.contains_key("augmented") {
-        let out = db
-            .similar_to_augmented(&probe, k)
-            .map_err(|e| e.to_string())?;
-        println!(
-            "augmented k-NN ({} pruned / {} instantiated of {} edited):",
-            out.stats.edited_pruned,
-            out.stats.edited_instantiated,
-            out.stats.edited_pruned + out.stats.edited_instantiated
-        );
-        for (d, id) in out.neighbours {
-            println!("  {id}  L1 = {d:.4}");
-        }
-    } else {
-        println!("binary-image k-NN (R-tree):");
-        for (d, id) in db.similar_to(&probe, k) {
-            println!("  {id}  L2 = {d:.4}");
-        }
+    let out = db
+        .similar_to_augmented(&probe, k)
+        .map_err(|e| e.to_string())?;
+    println!(
+        "k-NN over binary and edited images ({} pruned / {} instantiated of {} edited):",
+        out.stats.edited_pruned,
+        out.stats.edited_instantiated,
+        out.stats.edited_pruned + out.stats.edited_instantiated
+    );
+    for (d, id) in out.neighbours {
+        println!("  {id}  L1 = {d:.4}");
     }
     Ok(())
 }
@@ -1308,7 +1301,7 @@ const USAGE: &str = "usage: mmdbctl <create|gen|insert|insert-script|ls|info|que
   slo           --connect HOST:PORT                  # SLO alert states / burn rates
   events        --db DIR [--warmup N] [--limit N]
   top           --db DIR [--queries N] [--seed S] [--sort heat|total] [--limit N]
-  knn           --db DIR PROBE.ppm [--k N] [--augmented true]
+  knn           --db DIR PROBE.ppm [--k N]
   export        --db DIR --id N OUT.ppm
   script        --db DIR --id N
   lint          --db DIR [--format text|json]

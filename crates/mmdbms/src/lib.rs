@@ -10,7 +10,7 @@
 //! binary and edit-sequence images that maintains the BWM structure
 //! (Figure 1 of the paper) with its catalog, and query entry points for the three
 //! execution strategies (instantiate / RBM / BWM) plus histogram k-NN over
-//! an R-tree.
+//! binary and edited images.
 //!
 //! ```
 //! use mmdbms::prelude::*;
@@ -64,7 +64,6 @@ pub use mmdb_durable as durable;
 pub use mmdb_editops as editops;
 pub use mmdb_histogram as histogram;
 pub use mmdb_imaging as imaging;
-pub use mmdb_index as index;
 pub use mmdb_query as query;
 pub use mmdb_rules as rules;
 pub use mmdb_server as server;
@@ -529,14 +528,6 @@ impl MultimediaDatabase {
         expanded.into_iter().collect()
     }
 
-    /// The `k` binary images most similar to `example` by histogram-
-    /// signature distance (R-tree k-NN). Each shard's tree is built on
-    /// first use and rebuilt when the shard's mutation epoch has moved.
-    pub fn similar_to(&self, example: &RasterImage, k: usize) -> Vec<(f64, ImageId)> {
-        let hist = ColorHistogram::extract(example, self.quantizer());
-        self.shards.nearest(&hist, k)
-    }
-
     /// The `k` images most similar to `example` over the **whole** augmented
     /// database — binary *and* edited images — by L1 histogram distance.
     /// Edited images are pruned with Table 1 bound-derived distance lower
@@ -820,17 +811,14 @@ mod tests {
         }
         let mut probe = RasterImage::filled(30, 20, Rgb::WHITE).unwrap();
         mmdb_imaging::draw::fill_rect(&mut probe, &Rect::new(0, 0, 30, 11), Rgb::BLUE);
-        let nn = db.similar_to(&probe, 1);
+        let nn = db.similar_to_augmented(&probe, 1).unwrap().neighbours;
         assert_eq!(nn[0].1, ids[1]);
-        // Index invalidation: a new closer image wins after insert.
+        // A later insert is seen: an exact match now wins.
         let mut closer = RasterImage::filled(30, 20, Rgb::WHITE).unwrap();
         mmdb_imaging::draw::fill_rect(&mut closer, &Rect::new(0, 0, 30, 11), Rgb::BLUE);
         let new_id = db.insert_image(&closer).unwrap();
-        let nn = db.similar_to(&probe, 1);
-        assert!(
-            nn[0].1 == new_id || nn[0].1 == ids[1],
-            "exact-signature match"
-        );
+        let nn = db.similar_to_augmented(&probe, 1).unwrap().neighbours;
+        assert_eq!(nn[0].1, new_id, "exact-histogram match");
         assert!(nn[0].0 < 1e-9);
     }
 
@@ -853,10 +841,6 @@ mod tests {
         let out = db.similar_to_augmented(&probe, 1).unwrap();
         assert_eq!(out.neighbours[0].1, variant);
         assert!(out.neighbours[0].0 < 1e-12);
-        // Plain binary-only k-NN cannot see the variant.
-        let nn = db.similar_to(&probe, 1);
-        assert_eq!(nn[0].1, base);
-        assert!(nn[0].0 > 0.5);
     }
 
     #[test]

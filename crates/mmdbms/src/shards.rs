@@ -9,13 +9,13 @@
 //! the strided allocator that creates it: [`mmdb_storage::id_class`].
 
 use crate::Result;
-use mmdb_boundidx::{profile_slot, BoundIndex, EpochSlot, EpochStamped, SyncStats, PROFILE_SLOTS};
+use mmdb_boundidx::{profile_slot, BoundIndex, EpochSlot, SyncStats, PROFILE_SLOTS};
 use mmdb_bwm::QueryCtx;
 use mmdb_conc::sync::atomic::{AtomicU64, Ordering};
 use mmdb_editops::ImageId;
 use mmdb_histogram::{quantizer::from_description, ColorHistogram, Quantizer};
 use mmdb_query::executor::{QueryError, QueryProcessor, Slice};
-use mmdb_query::{QueryPlan, SignatureIndex};
+use mmdb_query::{sort_neighbours, QueryPlan};
 use mmdb_rules::{ColorRangeQuery, RuleProfile};
 use mmdb_storage::{id_class, DurabilityOptions, StorageEngine, StorageError};
 use std::path::{Path, PathBuf};
@@ -41,8 +41,6 @@ use std::sync::{Arc, Weak};
 /// never see a duplicate and [`id_class`] routes any id to its owner.
 pub(crate) struct Shard {
     pub(crate) storage: Arc<StorageEngine>,
-    /// The histogram R-tree over this shard's binary images.
-    pub(crate) signature_index: EpochSlot<SignatureIndex>,
     /// One [`BoundIndex`] per rule profile.
     pub(crate) bound_index: [EpochSlot<BoundIndex>; PROFILE_SLOTS],
 }
@@ -51,7 +49,6 @@ impl Shard {
     fn new(storage: Arc<StorageEngine>) -> Self {
         Shard {
             storage,
-            signature_index: EpochSlot::new(),
             bound_index: std::array::from_fn(|_| EpochSlot::new()),
         }
     }
@@ -132,25 +129,6 @@ impl Shard {
             }
         };
         Ok(f(guard.as_ref().expect("slot populated above"), stats))
-    }
-
-    /// This shard's `k` binary images nearest `hist`, from an R-tree that
-    /// satisfies the serving invariant — rebuilt first when the slot is
-    /// empty or trails the engine, as [`Shard::with_bound_index`] does.
-    fn nearest(&self, hist: &ColorHistogram, k: usize) -> Vec<(f64, ImageId)> {
-        let storage = &self.storage;
-        let slot = &self.signature_index;
-        let served = slot.serve_fresh(storage.current_epoch(), |index| index.nearest(hist, k));
-        if let Some(out) = served {
-            return out;
-        }
-        let mut guard = slot.write();
-        let index = match &mut *guard {
-            // Another reader rebuilt it while this one waited for the lock.
-            Some(index) if index.stamp() == storage.current_epoch() => index,
-            stale => stale.insert(SignatureIndex::build(storage)),
-        };
-        index.nearest(hist, k)
     }
 }
 
@@ -361,20 +339,6 @@ impl Shards {
         Ok(())
     }
 
-    /// The `k` binary images nearest `hist` (R-tree k-NN per shard). Each
-    /// shard's k nearest are a superset of its contribution to the global
-    /// top-k, so concatenating and truncating after a distance sort is
-    /// exact.
-    pub(crate) fn nearest(&self, hist: &ColorHistogram, k: usize) -> Vec<(f64, ImageId)> {
-        let mut merged: Vec<(f64, ImageId)> = Vec::new();
-        for shard in self.iter() {
-            merged.extend(shard.nearest(hist, k));
-        }
-        sort_neighbours(&mut merged);
-        merged.truncate(k);
-        merged
-    }
-
     /// The `k` images nearest `hist` over binary *and* edited images.
     /// Exactness under sharding: each shard returns its own exact top-k,
     /// and the global k nearest are distributed among the shards somehow,
@@ -399,51 +363,5 @@ impl Shards {
         sort_neighbours(&mut neighbours);
         neighbours.truncate(k);
         Ok(mmdb_query::KnnOutcome { neighbours, stats })
-    }
-}
-
-/// Sorts a merged neighbour list ascending by distance, tie-broken by id so
-/// scatter-gather output is deterministic across shard counts.
-fn sort_neighbours(neighbours: &mut [(f64, ImageId)]) {
-    neighbours.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.1.cmp(&b.1))
-    });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::MultimediaDatabase;
-    use mmdb_histogram::RgbQuantizer;
-    use mmdb_imaging::{draw, RasterImage, Rect, Rgb};
-
-    fn blue_rows(rows: i64) -> RasterImage {
-        let mut img = RasterImage::filled(30, 20, Rgb::WHITE).unwrap();
-        draw::fill_rect(&mut img, &Rect::new(0, 0, 30, rows), Rgb::BLUE);
-        img
-    }
-
-    /// The lost update of a build that raced an insert: the tree was built
-    /// from a listing that predates the insert and lands in the slot after
-    /// it. Its stamp trails the engine, so it is rebuilt, never served.
-    #[test]
-    fn signature_index_installed_after_a_racing_insert_is_not_served() {
-        let db = MultimediaDatabase::in_memory(Box::new(RgbQuantizer::default_64()));
-        let far = db.insert_image(&blue_rows(2)).unwrap();
-        let shard = &db.shards[0];
-        let built_before_insert = SignatureIndex::build(&shard.storage);
-        let closer = db.insert_image(&blue_rows(11)).unwrap();
-        *shard.signature_index.write() = Some(built_before_insert);
-
-        let nn = db.similar_to(&blue_rows(11), 2);
-        assert_eq!(nn[0].1, closer);
-        assert_eq!(nn[1].1, far);
-        let epoch = shard.storage.current_epoch();
-        let served = shard
-            .signature_index
-            .serve_fresh(epoch, SignatureIndex::len);
-        assert_eq!(served, Some(2), "the slot caught up with the engine");
     }
 }

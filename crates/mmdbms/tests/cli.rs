@@ -78,16 +78,6 @@ fn full_admin_session() {
     ok(&["export", "--db", db_s, "--id", "1", probe.to_str().unwrap()]);
     let out = ok(&["knn", "--db", db_s, probe.to_str().unwrap(), "--k", "2"]);
     assert!(out.contains("img#1"), "{out}");
-    let out = ok(&[
-        "knn",
-        "--db",
-        db_s,
-        probe.to_str().unwrap(),
-        "--k",
-        "2",
-        "--augmented",
-        "true",
-    ]);
     assert!(out.contains("L1 = 0.0000"), "{out}");
 
     // print an edited image's script, round-trip it back in

@@ -28,8 +28,8 @@
 
 use mmdb_editops::ImageId;
 use mmdb_histogram::{l1_distance, ColorHistogram};
-use mmdb_rules::{BoundRange, InfoResolver, RuleProfile};
-use mmdb_storage::StorageEngine;
+use mmdb_rules::{BoundRange, InfoResolver, RuleError, RuleProfile};
+use mmdb_storage::{StorageEngine, StorageError};
 
 /// Work counters for one k-NN execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -89,19 +89,24 @@ pub fn knn_augmented(
     }
     let query_sig = query.signature();
 
-    // Phase 1: exact distances for binary images.
+    // Phase 1: exact distances for binary images, from one view of the
+    // catalog (the RBM scan's shape).
     let mut best: Vec<(f64, ImageId)> = Vec::new();
-    for id in db.binary_ids() {
-        let info = InfoResolver::require(db, id)?;
-        let d = l1_distance(query, &info.histogram);
+    for (id, histogram) in db.read_view().binaries() {
         stats.binary_scored += 1;
-        push_candidate(&mut best, k, (d, id));
+        push_candidate(&mut best, k, (l1_distance(query, histogram), id));
     }
 
     // Phase 2: filter-and-refine over edited images, each evaluated from
-    // the program cached on its catalog entry.
+    // the program cached on its catalog entry. Refining instantiates, which
+    // re-takes the catalog lock, so this phase lists ids and looks each up
+    // again: one deleted in between is not a neighbour (the Instantiate
+    // scan's rule). A missing *referenced* image still fails.
     for id in db.edited_ids() {
-        let program = db.bound_program(id)?;
+        let program = match db.bound_program(id) {
+            Err(RuleError::UnknownImage(gone)) if gone == id => continue,
+            program => program?,
+        };
         let base = InfoResolver::require(db, program.base())?;
         let tau = kth_distance(&best, k);
         let bounds = program.eval_vector(profile, &base.histogram, db)?;
@@ -111,13 +116,16 @@ pub fn knn_augmented(
             continue;
         }
         // Refine: instantiate and rank exactly.
-        let exact_hist = db.histogram(id)?;
+        let exact_hist = match db.histogram(id) {
+            Err(StorageError::NotFound(gone)) if gone == id => continue,
+            hist => hist?,
+        };
         let d = l1_distance(query, &exact_hist);
         stats.edited_instantiated += 1;
         push_candidate(&mut best, k, (d, id));
     }
 
-    best.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    sort_neighbours(&mut best);
     Ok(KnnOutcome {
         neighbours: best,
         stats,
@@ -139,6 +147,12 @@ pub fn knn_brute_force(
     all.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
     all.truncate(k);
     Ok(all)
+}
+
+/// The one neighbour order: ascending by distance, tie-broken by id, so a
+/// shard-merged list reads the same at every shard count.
+pub fn sort_neighbours(neighbours: &mut [(f64, ImageId)]) {
+    neighbours.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 }
 
 /// Maintains the best-k list (unsorted; the final sort happens once).

@@ -17,18 +17,16 @@
 //! [`QueryProcessor::execute`], adding to a [`QueryCtx`]; the `range_*`
 //! methods wrap it as whole queries, observed once each
 //! ([`executor::observed`]). Plus the supporting machinery: provenance
-//! expansion (§2: when `op(x)` matches, `x` is returned too), and a
-//! k-nearest-neighbour search over the binary images' histogram signatures
-//! through the R-tree substrate.
+//! expansion (§2: when `op(x)` matches, `x` is returned too), and the one
+//! similarity search — k-nearest-neighbour by L1 histogram distance over
+//! binary *and* edited images ([`knn_augmented`]).
 
 pub mod executor;
-pub mod knn;
 pub mod knn_edited;
 pub mod plan;
 
 pub use executor::{QueryCtx, QueryProcessor, ShardRecord, Slice};
-pub use knn::SignatureIndex;
-pub use knn_edited::{knn_augmented, knn_brute_force, KnnOutcome, KnnStats};
+pub use knn_edited::{knn_augmented, knn_brute_force, sort_neighbours, KnnOutcome, KnnStats};
 pub use plan::QueryPlan;
 
 /// Eagerly registers this layer's metric series (zero-valued until traffic

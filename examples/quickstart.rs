@@ -63,12 +63,14 @@ fn main() {
     // [0%, 50%], which overlaps the query — illustrating §2's trade: no
     // false negatives, at the price of some false positives.
 
-    // ── 4. Similarity search over binary images ─────────────────────────
+    // ── 4. Similarity search over the whole database ────────────────────
+    // Binary and edited images alike; edited ones are pruned by their
+    // Table 1 bounds unless they might be the nearest.
     let mut probe = RasterImage::filled(90, 60, Rgb::WHITE).unwrap();
     mmdbms::imaging::draw::fill_rect(&mut probe, &Rect::new(0, 0, 90, 27), red);
-    let nn = db.similar_to(&probe, 1);
+    let nn = db.similar_to_augmented(&probe, 1).unwrap().neighbours;
     println!(
-        "nearest neighbour of the probe: {} (L2 distance {:.4})",
+        "nearest neighbour of the probe: {} (L1 distance {:.4})",
         nn[0].1, nn[0].0
     );
 }
