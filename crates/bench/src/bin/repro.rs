@@ -55,6 +55,46 @@ fn run_table2(seed: u64) {
     }
 }
 
+/// The console table of a Figure 3/4 sweep: work saved (BOUNDS computations
+/// per query) beside time saved.
+fn print_sweep_header() {
+    println!(
+        "{:>4}% {:>8} {:>8} {:>8} {:>8} {:>12} {:>12} {:>10} {:>10} {:>11} {:>9} {:>9} {:>7}",
+        "pct",
+        "binary",
+        "edited",
+        "bw-only",
+        "non-bw",
+        "RBM ms/q",
+        "BWM ms/q",
+        "work sv %",
+        "time sv %",
+        "IDX ms/q",
+        "idx-spdup",
+        "base-hit",
+        "equal"
+    );
+}
+
+fn print_sweep_point(p: &mmdb_bench::SweepPoint) {
+    println!(
+        "{:>4.0}% {:>8} {:>8} {:>8} {:>8} {:>12.4} {:>12.4} {:>10.2} {:>10.2} {:>11.4} {:>8.1}x {:>9.3} {:>7}",
+        p.pct * 100.0,
+        p.binary,
+        p.edited,
+        p.bw_only,
+        p.nbw,
+        p.rbm_ms,
+        p.bwm_ms,
+        p.work_saved_pct(),
+        p.reduction_pct,
+        p.indexed_ms,
+        p.indexed_speedup_vs_bwm,
+        p.base_hit_rate,
+        p.results_equal
+    );
+}
+
 fn run_figure(figure: Figure, cfg: &SweepConfig) {
     let (name, label) = match figure {
         Figure::Fig3Helmet => (
@@ -69,47 +109,22 @@ fn run_figure(figure: Figure, cfg: &SweepConfig) {
         "execution time per range query vs. percentage of images stored as editing operations"
     );
     print_rule(120);
-    println!(
-        "{:>4}% {:>8} {:>8} {:>8} {:>8} {:>12} {:>12} {:>10} {:>11} {:>9} {:>9} {:>7}",
-        "pct",
-        "binary",
-        "edited",
-        "bw-only",
-        "non-bw",
-        "RBM ms/q",
-        "BWM ms/q",
-        "saved %",
-        "IDX ms/q",
-        "idx-spdup",
-        "base-hit",
-        "equal"
-    );
+    print_sweep_header();
     let points = experiments::figure_sweep(figure, cfg);
     let mut rows = Vec::new();
     for p in &points {
-        println!(
-            "{:>4.0}% {:>8} {:>8} {:>8} {:>8} {:>12.4} {:>12.4} {:>10.2} {:>11.4} {:>8.1}x {:>9.3} {:>7}",
-            p.pct * 100.0,
-            p.binary,
-            p.edited,
-            p.bw_only,
-            p.nbw,
-            p.rbm_ms,
-            p.bwm_ms,
-            p.reduction_pct,
-            p.indexed_ms,
-            p.indexed_speedup_vs_bwm,
-            p.base_hit_rate,
-            p.results_equal
-        );
+        print_sweep_point(p);
         rows.push(p.csv_row());
     }
-    let avg = points.iter().map(|p| p.reduction_pct).sum::<f64>() / points.len() as f64;
-    let avg_speedup =
-        points.iter().map(|p| p.indexed_speedup_vs_bwm).sum::<f64>() / points.len() as f64;
+    let mean = |f: fn(&mmdb_bench::SweepPoint) -> f64| {
+        points.iter().map(f).sum::<f64>() / points.len() as f64
+    };
+    let avg = mean(|p| p.reduction_pct);
+    let avg_work = mean(mmdb_bench::SweepPoint::work_saved_pct);
+    let avg_speedup = mean(|p| p.indexed_speedup_vs_bwm);
     print_rule(120);
     println!(
-        "average reduction: {avg:.2}%   (paper reports {:.2}%)   indexed avg speedup vs BWM: {avg_speedup:.1}x",
+        "average reduction: {avg:.2}% of time, {avg_work:.2}% of BOUNDS work   (paper reports {:.2}%)   indexed avg speedup vs BWM: {avg_speedup:.1}x",
         figure.paper_reduction_pct()
     );
     let path = results_dir().join(format!("{name}.csv"));
@@ -318,39 +333,11 @@ fn run_figure_constmix(figure: Figure, cfg: &SweepConfig) {
         "(contrast with the fixed-pool sweep: here BWM's advantage grows with the edited share)"
     );
     print_rule(120);
-    println!(
-        "{:>4}% {:>8} {:>8} {:>8} {:>8} {:>12} {:>12} {:>10} {:>11} {:>9} {:>9} {:>7}",
-        "pct",
-        "binary",
-        "edited",
-        "bw-only",
-        "non-bw",
-        "RBM ms/q",
-        "BWM ms/q",
-        "saved %",
-        "IDX ms/q",
-        "idx-spdup",
-        "base-hit",
-        "equal"
-    );
+    print_sweep_header();
     let points = experiments::figure_sweep_constant_mix(figure, cfg, 0.25);
     let mut rows = Vec::new();
     for p in &points {
-        println!(
-            "{:>4.0}% {:>8} {:>8} {:>8} {:>8} {:>12.4} {:>12.4} {:>10.2} {:>11.4} {:>8.1}x {:>9.3} {:>7}",
-            p.pct * 100.0,
-            p.binary,
-            p.edited,
-            p.bw_only,
-            p.nbw,
-            p.rbm_ms,
-            p.bwm_ms,
-            p.reduction_pct,
-            p.indexed_ms,
-            p.indexed_speedup_vs_bwm,
-            p.base_hit_rate,
-            p.results_equal
-        );
+        print_sweep_point(p);
         rows.push(p.csv_row());
     }
     let path = results_dir().join(format!("{name}.csv"));

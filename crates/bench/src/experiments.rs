@@ -168,6 +168,18 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
+    /// `100 × (rbm − bwm) / rbm` over BOUNDS computations per query: the
+    /// rule walks the structure saved — the paper's claim as a counter,
+    /// which the time saved should track.
+    pub fn work_saved_pct(&self) -> f64 {
+        if self.rbm_bounds_per_query > 0.0 {
+            100.0 * (self.rbm_bounds_per_query - self.bwm_bounds_per_query)
+                / self.rbm_bounds_per_query
+        } else {
+            0.0
+        }
+    }
+
     /// CSV row (matches [`SWEEP_HEADERS`]).
     pub fn csv_row(&self) -> Vec<String> {
         vec![
@@ -192,6 +204,9 @@ impl SweepPoint {
             format!("{:.4}", self.indexed_latency.p50_ms),
             format!("{:.4}", self.indexed_latency.p95_ms),
             format!("{:.4}", self.indexed_latency.p99_ms),
+            format!("{:.2}", self.rbm_bounds_per_query),
+            format!("{:.2}", self.bwm_bounds_per_query),
+            format!("{:.2}", self.work_saved_pct()),
         ]
     }
 
@@ -248,7 +263,7 @@ pub const METRICS_HEADERS: [&str; 16] = [
 ];
 
 /// CSV headers for sweep outputs.
-pub const SWEEP_HEADERS: [&str; 21] = [
+pub const SWEEP_HEADERS: [&str; 24] = [
     "pct_edited",
     "binary_images",
     "edited_images",
@@ -270,6 +285,9 @@ pub const SWEEP_HEADERS: [&str; 21] = [
     "indexed_p50_ms",
     "indexed_p95_ms",
     "indexed_p99_ms",
+    "rbm_bounds_per_query",
+    "bwm_bounds_per_query",
+    "work_saved_pct",
 ];
 
 fn build_dataset(

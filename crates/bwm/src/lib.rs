@@ -23,14 +23,16 @@
 //! Component, fall back to the full BOUNDS computation.
 //!
 //! Both methods return identical result sets; BWM is purely a work-avoidance
-//! structure (verified by integration tests).
+//! structure (verified by integration tests). Each entry carries what a scan
+//! reads — a cluster its base's exact histogram, every edited image its
+//! BOUNDS program once compiled — and both methods run one loop over the
+//! entries ([`execute`]), RBM with the shortcut off.
 
 pub mod query;
 pub mod structure;
 
 pub use query::{
-    bounds_scan, execute, finish_deferred, BwmQueryStats, Deferred, QueryCtx, QueryOutcome,
-    ShardRecord,
+    execute, finish_deferred, BwmQueryStats, Deferred, Method, QueryCtx, QueryOutcome, ShardRecord,
 };
 pub use structure::{BwmStructure, Classification, SequenceStore};
 

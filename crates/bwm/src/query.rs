@@ -2,11 +2,12 @@
 
 use crate::structure::{BwmStructure, SequenceStore};
 use mmdb_editops::{EditSequence, ImageId};
+use mmdb_histogram::ColorHistogram;
 use mmdb_rules::{
     BoundProgram, ColorRangeQuery, ImageInfo, InfoResolver, Result, RuleEngine, RuleError,
 };
 use mmdb_telemetry::QueryTrace;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Work counters for one query execution — these are what Figures 3/4 of
@@ -187,6 +188,18 @@ pub struct Deferred {
     pub base: ImageInfo,
 }
 
+/// Which of the paper's two methods a scan of Figure 1 runs. They walk the
+/// same entries in the same loop and differ only in the shortcut.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Method {
+    /// §3's Rule-Based Method: every base tested against its exact
+    /// histogram, every edited image's BOUNDS computed.
+    Rbm,
+    /// §4's Figure 2: a cluster whose base satisfies the query is emitted
+    /// whole, without touching an operation list.
+    Bwm,
+}
+
 /// The read-only inputs of one BOUNDS test.
 struct Bounds<'a> {
     query: &'a ColorRangeQuery,
@@ -194,10 +207,10 @@ struct Bounds<'a> {
     resolver: &'a dyn InfoResolver,
 }
 
-/// The read-only inputs of one Figure 2 execution. Every id it meets comes
-/// from the same consistent state `store` and the resolver read (a structure
-/// and a catalog under one lock), so one with no stored sequence is an
-/// inconsistency and fails the query.
+/// The read-only inputs of one scan. Every id it meets comes from the same
+/// consistent state the structure, the resolver and `store` read (a shard's
+/// catalog and Figure 1 under one lock), so one with no stored sequence is
+/// an inconsistency and fails the query.
 struct Scan<'a, S> {
     bounds: Bounds<'a>,
     store: &'a S,
@@ -210,20 +223,24 @@ struct Out<'o> {
     deferred: Vec<Deferred>,
 }
 
-/// Executes the Figure 2 algorithm over a BWM structure, adding candidates
-/// and work counters to `ctx`.
+/// Runs `method` over a Figure 1 structure, adding candidates and work
+/// counters to `ctx`.
 ///
-/// For every Main-Component cluster: if the base's (exact) histogram
-/// fraction satisfies the query, the base and its whole cluster are emitted
-/// without touching any operation list; otherwise each clustered edited
-/// image runs the full BOUNDS computation. Unclassified entries always run
-/// BOUNDS. What it computes depends on the query and the structure alone.
-/// A traced context gets one timed stage per component. Process-wide
-/// counters are the business of whoever owns the whole query.
+/// One loop over the Main Component tests each cluster's base against the
+/// histogram the cluster carries. Under [`Method::Bwm`] (Figure 2) a base
+/// that satisfies the query is emitted with its whole cluster and no
+/// operation list is touched; every other clustered image — under
+/// [`Method::Rbm`], every one — runs BOUNDS from the program its entry
+/// keeps, compiled on first use. The Unclassified Component always runs
+/// BOUNDS. What it computes depends on the method, the query and the
+/// structure alone. A traced context gets one timed stage per component
+/// (BWM) or the binary and edited scans of §3 (RBM). Process-wide counters
+/// are the business of whoever owns the whole query.
 ///
 /// `resolver` and `store` are one read view of the shard `structure`
 /// describes; the images it could not finish under that view come back.
 pub fn execute<S: SequenceStore>(
+    method: Method,
     structure: &BwmStructure,
     query: &ColorRangeQuery,
     engine: &RuleEngine<'_>,
@@ -246,63 +263,58 @@ pub fn execute<S: SequenceStore>(
         deferred: Vec::new(),
     };
     let started = Instant::now();
-    scan.main(structure, &mut out)?;
+    let base_hits = scan.main(structure, method == Method::Bwm, &mut out)?;
     let main_elapsed = started.elapsed();
     let main_stats = *out.stats;
     scan.unclassified(structure, &mut out)?;
     let deferred = out.deferred;
+    let clusters = structure.cluster_count();
+    if method == Method::Bwm {
+        stats.clusters_visited = clusters;
+        stats.base_hits = base_hits;
+        stats.unclassified_scanned = structure.unclassified_count();
+    }
     ctx.stats += stats;
 
-    if let Some(trace) = &mut ctx.trace {
-        trace
-            .stage("main_component", main_elapsed)
-            .counter("clusters_visited", main_stats.clusters_visited as u64)
-            .counter("base_hits", main_stats.base_hits as u64)
-            .counter("shortcut_emissions", main_stats.shortcut_emissions as u64)
-            .counter("bounds_computed", main_stats.bounds_computed as u64)
-            .counter("ops_processed", main_stats.ops_processed as u64);
-        trace
-            .stage("unclassified", started.elapsed() - main_elapsed)
-            .counter("scanned", stats.unclassified_scanned as u64)
-            .counter(
-                "bounds_computed",
-                (stats.bounds_computed - main_stats.bounds_computed) as u64,
-            )
-            .counter(
-                "ops_processed",
-                (stats.ops_processed - main_stats.ops_processed) as u64,
-            );
+    let Some(trace) = &mut ctx.trace else {
+        return Ok(deferred);
+    };
+    match method {
+        Method::Bwm => {
+            trace
+                .stage("main_component", main_elapsed)
+                .counter("clusters_visited", clusters as u64)
+                .counter("base_hits", base_hits as u64)
+                .counter("shortcut_emissions", main_stats.shortcut_emissions as u64)
+                .counter("bounds_computed", main_stats.bounds_computed as u64)
+                .counter("ops_processed", main_stats.ops_processed as u64);
+            trace
+                .stage("unclassified", started.elapsed() - main_elapsed)
+                .counter("scanned", stats.unclassified_scanned as u64)
+                .counter(
+                    "bounds_computed",
+                    (stats.bounds_computed - main_stats.bounds_computed) as u64,
+                )
+                .counter(
+                    "ops_processed",
+                    (stats.ops_processed - main_stats.ops_processed) as u64,
+                );
+        }
+        // One loop tests each base and walks its cluster, so the two §3
+        // stages split the work, not the time: the walk's is on
+        // `edited_scan`, beside the rule walks that are nearly all of it.
+        Method::Rbm => {
+            trace
+                .stage("binary_scan", Duration::ZERO)
+                .counter("scanned", clusters as u64)
+                .counter("hits", base_hits as u64);
+            trace
+                .stage("edited_scan", started.elapsed())
+                .counter("bounds_computed", stats.bounds_computed as u64)
+                .counter("ops_processed", stats.ops_processed as u64);
+        }
     }
     Ok(deferred)
-}
-
-/// The §3 RBM fallback over `ids`: BOUNDS for every image, emitting those
-/// whose range overlaps the query — exactly what Figure 2 does for the
-/// images it cannot shortcut, so RBM and BWM differ only in how many images
-/// reach this loop. `ids`, `resolver` and `store` are one read view, as for
-/// [`execute`]. Adds `bounds_computed`, `ops_processed` and `bounds_widened`
-/// to `stats`.
-pub fn bounds_scan<S: SequenceStore>(
-    ids: impl IntoIterator<Item = ImageId>,
-    query: &ColorRangeQuery,
-    engine: &RuleEngine<'_>,
-    resolver: &dyn InfoResolver,
-    store: &S,
-    results: &mut Vec<ImageId>,
-    stats: &mut BwmQueryStats,
-) -> Result<Vec<Deferred>> {
-    let bounds = Bounds {
-        query,
-        engine,
-        resolver,
-    };
-    let mut out = Out {
-        results,
-        stats,
-        deferred: Vec::new(),
-    };
-    Scan { bounds, store }.each(ids, &mut out)?;
-    Ok(out.deferred)
 }
 
 /// Finishes the walks a scan handed back, now that its view is dropped:
@@ -334,7 +346,8 @@ pub fn finish_deferred(
             Ok(program) => program,
             Err(sequence) => compile(edited, &sequence, &base)?,
         };
-        bounds.test(edited, &program, &base, &mut ctx.results, &mut stats)?;
+        let histogram = &base.histogram;
+        bounds.test(edited, &program, histogram, &mut ctx.results, &mut stats)?;
     }
     ctx.stats += stats;
     if let Some(trace) = &mut ctx.trace {
@@ -354,7 +367,7 @@ impl Bounds<'_> {
         &self,
         edited: ImageId,
         program: &BoundProgram,
-        base: &ImageInfo,
+        base: &ColorHistogram,
         results: &mut Vec<ImageId>,
         stats: &mut BwmQueryStats,
     ) -> Result<()> {
@@ -362,8 +375,8 @@ impl Bounds<'_> {
         let bounds = program.eval(
             query.bin,
             self.engine.profile(),
-            base.histogram.count(query.bin),
-            base.histogram.total(),
+            base.count(query.bin),
+            base.total(),
             self.resolver,
         )?;
         stats.bounds_computed += 1;
@@ -386,87 +399,80 @@ impl Bounds<'_> {
 }
 
 impl<S: SequenceStore> Scan<'_, S> {
-    /// Step 4: each element `<B_id, E_list>` of the Main Component.
-    fn main(&self, structure: &BwmStructure, out: &mut Out<'_>) -> Result<()> {
+    /// Step 4: each element `<B_id, E_list>` of the Main Component, its
+    /// base tested against the histogram the element carries. Returns how
+    /// many bases satisfied the query.
+    fn main(&self, structure: &BwmStructure, shortcut: bool, out: &mut Out<'_>) -> Result<usize> {
         let query = self.bounds.query;
-        for (base, cluster) in structure.clusters() {
-            out.stats.clusters_visited += 1;
-            let info = self.bounds.resolver.require(base)?;
-            let fraction = info.histogram.fraction(query.bin);
-            if query.matches_fraction(fraction) {
-                // 4.2: base satisfies → base and every clustered edited image.
-                out.stats.base_hits += 1;
+        let mut base_hits = 0;
+        for (&base, cluster) in &structure.main {
+            if query.matches_fraction(cluster.histogram.fraction(query.bin)) {
+                base_hits += 1;
                 out.results.push(base);
-                out.results.extend_from_slice(cluster);
-                out.stats.shortcut_emissions += cluster.len();
-            } else {
-                // 4.3: fall back to the BOUNDS algorithm per edited image,
-                // each starting from the base histogram already in hand.
-                let mut base = Some((base, info));
-                for &edited in cluster {
-                    self.bounds_test(edited, &mut base, out)?;
+                if shortcut {
+                    // 4.2: base satisfies → base and every clustered edited
+                    // image.
+                    out.results.extend_from_slice(&cluster.ids);
+                    out.stats.shortcut_emissions += cluster.ids.len();
+                    continue;
                 }
             }
+            // 4.3: the BOUNDS algorithm per edited image, each starting
+            // from the base histogram in hand.
+            for (&edited, program) in cluster.ids.iter().zip(&cluster.programs) {
+                self.bounds_test(edited, program, &cluster.histogram, out)?;
+            }
         }
-        Ok(())
+        Ok(base_hits)
     }
 
     /// Step 5: the Unclassified Component.
     fn unclassified(&self, structure: &BwmStructure, out: &mut Out<'_>) -> Result<()> {
-        out.stats.unclassified_scanned += structure.unclassified().len();
-        self.each(structure.unclassified().iter().copied(), out)
-    }
-
-    /// BOUNDS for each of `ids` in turn.
-    fn each(&self, ids: impl IntoIterator<Item = ImageId>, out: &mut Out<'_>) -> Result<()> {
-        let mut base = None;
-        for edited in ids {
-            self.bounds_test(edited, &mut base, out)?;
+        for entry in &structure.unclassified {
+            self.bounds_test(entry.id, &entry.program, &entry.base, out)?;
         }
         Ok(())
     }
 
-    /// BOUNDS for one edited image, or its deferral. `base` is the last
-    /// base info this scan resolved: a cluster scan fills it in once for the
-    /// whole cluster, and a run of unclassified images derived from one base
-    /// resolves it once.
+    /// BOUNDS for one edited image from the program its entry keeps —
+    /// compiled under the view on first use — or its deferral.
     fn bounds_test(
         &self,
         edited: ImageId,
-        base: &mut Option<(ImageId, ImageInfo)>,
+        cell: &OnceLock<BoundProgram>,
+        base: &ColorHistogram,
         out: &mut Out<'_>,
     ) -> Result<()> {
         let Bounds {
             engine, resolver, ..
         } = self.bounds;
-        let program = match self.store.program(edited, engine, resolver) {
-            // Never compiled, and compiling needs an image out of reach.
-            Err(RuleError::UnknownImage(missing)) if missing != edited => {
+        let program = match cell.get() {
+            Some(program) => program,
+            None => {
                 let sequence = self.store.sequence(edited);
                 let sequence = sequence.ok_or(RuleError::UnknownImage(edited))?;
-                let base = resolver.require(sequence.base)?;
-                let walk = Err(sequence);
-                out.deferred.push(Deferred { edited, walk, base });
-                return Ok(());
-            }
-            program => program?,
-        };
-        let base = match base {
-            Some((resolved, info)) if *resolved == program.base() => &*info,
-            _ => {
-                let info = resolver.require(program.base())?;
-                &base.insert((program.base(), info)).1
+                match engine.compile(&sequence, resolver) {
+                    Ok(program) => cell.get_or_init(|| program),
+                    // Compiling needs an image out of reach.
+                    Err(RuleError::UnknownImage(_)) => {
+                        let base = resolver.require(sequence.base)?;
+                        let walk = Err(sequence);
+                        out.deferred.push(Deferred { edited, walk, base });
+                        return Ok(());
+                    }
+                    Err(e) => return Err(e),
+                }
             }
         };
         match self
             .bounds
-            .test(edited, &program, base, out.results, out.stats)
+            .test(edited, program, base, out.results, out.stats)
         {
             // Only a merge target is looked up during evaluation.
             Err(RuleError::UnknownImage(_)) => out.deferred.push(Deferred {
                 edited,
-                walk: Ok(program.into_owned()),
-                base: base.clone(),
+                walk: Ok(program.clone()),
+                base: resolver.require(program.base())?,
             }),
             done => return done,
         }
@@ -540,8 +546,9 @@ mod tests {
         );
 
         let mut structure = BwmStructure::new();
-        structure.insert_binary(ImageId::new(1));
-        structure.insert_binary(ImageId::new(2));
+        for base in [1, 2].map(ImageId::new) {
+            structure.insert_binary(base, resolver.require(base).unwrap().histogram);
+        }
         structure.insert_edited(ImageId::new(10), &store[&ImageId::new(10)]);
         structure.insert_edited(ImageId::new(11), &store[&ImageId::new(11)]);
         structure.insert_edited(ImageId::new(12), &store[&ImageId::new(12)]);
@@ -554,11 +561,28 @@ mod tests {
     }
 
     /// One whole query against the fixture: fresh context in, outcome out.
-    fn run(f: &Fixture, engine: &RuleEngine<'_>, q: &ColorRangeQuery) -> Result<QueryOutcome> {
+    fn run_method(
+        f: &Fixture,
+        method: Method,
+        engine: &RuleEngine<'_>,
+        q: &ColorRangeQuery,
+    ) -> Result<QueryOutcome> {
         let mut ctx = QueryCtx::default();
-        let deferred = execute(&f.structure, q, engine, &f.resolver, &f.store, &mut ctx)?;
+        let deferred = execute(
+            method,
+            &f.structure,
+            q,
+            engine,
+            &f.resolver,
+            &f.store,
+            &mut ctx,
+        )?;
         assert!(deferred.is_empty(), "the fixture resolves every image");
         Ok(ctx.into_outcome())
+    }
+
+    fn run(f: &Fixture, engine: &RuleEngine<'_>, q: &ColorRangeQuery) -> Result<QueryOutcome> {
+        run_method(f, Method::Bwm, engine, q)
     }
 
     #[test]
@@ -624,26 +648,66 @@ mod tests {
         let engine = RuleEngine::new(&f.quant, RuleProfile::Conservative);
         let q = ColorRangeQuery::new(f.quant.bin_of(Rgb::RED), 0.4, 0.6);
         let (base, pasted) = (ImageId::new(2), ImageId::new(12));
+        let info = f.resolver.require(base).unwrap();
         let mut structure = BwmStructure::new();
-        structure.insert_binary(base);
+        structure.insert_binary(base, Arc::clone(&info.histogram));
         structure.insert_edited(pasted, &f.store[&pasted]);
         let mut view = MapInfoResolver::new();
-        view.insert(base, f.resolver.require(base).unwrap());
-        let scan = |resolver: &MapInfoResolver| {
+        view.insert(base, info);
+        let scan = |structure: &BwmStructure, resolver: &MapInfoResolver| {
             let mut ctx = QueryCtx::default();
-            let walks = execute(&structure, &q, &engine, resolver, &f.store, &mut ctx);
+            let walks = execute(
+                Method::Bwm,
+                structure,
+                &q,
+                &engine,
+                resolver,
+                &f.store,
+                &mut ctx,
+            );
             (ctx, walks.unwrap())
         };
-        let (in_place, none) = scan(&f.resolver);
+        let never_compiled = structure.clone();
+        let (in_place, none) = scan(&structure, &f.resolver);
         assert!(none.is_empty());
         assert_eq!(in_place.results, vec![pasted]);
 
-        let (mut ctx, deferred) = scan(&view);
-        assert_eq!((deferred.len(), ctx.stats.bounds_computed), (1, 0));
-        let compile = |_, seq: &EditSequence, _: &ImageInfo| engine.compile(seq, &f.resolver);
-        finish_deferred(deferred, &q, &engine, &f.resolver, compile, &mut ctx).unwrap();
-        assert_eq!(ctx.results, in_place.results);
-        assert_eq!(ctx.stats, in_place.stats);
+        // Never compiled (compiling needs the target's dimensions), then
+        // compiled and cached (evaluating needs its histogram).
+        for structure in [&never_compiled, &structure] {
+            let (mut ctx, deferred) = scan(structure, &view);
+            assert_eq!((deferred.len(), ctx.stats.bounds_computed), (1, 0));
+            let cached = structure.program_cell(pasted, base).unwrap().get();
+            assert_eq!(deferred[0].walk.is_ok(), cached.is_some());
+            let compile = |_, seq: &EditSequence, _: &ImageInfo| engine.compile(seq, &f.resolver);
+            finish_deferred(deferred, &q, &engine, &f.resolver, compile, &mut ctx).unwrap();
+            assert_eq!(ctx.results, in_place.results);
+            assert_eq!(ctx.stats, in_place.stats);
+        }
+    }
+
+    /// RBM walks the same entries with the shortcut off: every base tested,
+    /// every edited image bounded, and the same answers as Figure 2.
+    #[test]
+    fn rbm_walks_every_entry_without_the_shortcut() {
+        let f = fixture();
+        let engine = RuleEngine::new(&f.quant, RuleProfile::Conservative);
+        let red = f.quant.bin_of(Rgb::RED);
+        for (lo, hi) in [(0.4, 0.6), (0.0, 1.0), (0.9, 1.0)] {
+            let q = ColorRangeQuery::new(red, lo, hi);
+            let rbm = run_method(&f, Method::Rbm, &engine, &q).unwrap();
+            let bwm = run(&f, &engine, &q).unwrap();
+            assert_eq!(rbm.sorted_results(), bwm.sorted_results(), "[{lo}, {hi}]");
+            assert_eq!(rbm.stats.bounds_computed, 3);
+            assert_eq!(rbm.stats.ops_processed, 6);
+            let figure_2_only = (
+                rbm.stats.clusters_visited,
+                rbm.stats.base_hits,
+                rbm.stats.shortcut_emissions,
+                rbm.stats.unclassified_scanned,
+            );
+            assert_eq!(figure_2_only, (0, 0, 0, 0));
+        }
     }
 
     #[test]

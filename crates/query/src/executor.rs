@@ -4,7 +4,7 @@
 use crate::knn_edited::KnnOutcome;
 use crate::plan::QueryPlan;
 use mmdb_boundidx::{BoundIndex, SyncStats};
-use mmdb_bwm::{BwmQueryStats, BwmStructure, Deferred, QueryOutcome};
+use mmdb_bwm::{BwmQueryStats, BwmStructure, Method, QueryOutcome};
 use mmdb_editops::ImageId;
 use mmdb_rules::{ColorRangeQuery, RuleEngine, RuleError, RuleProfile};
 use mmdb_storage::{StorageEngine, StorageError};
@@ -454,54 +454,13 @@ impl<'db> QueryProcessor<'db> {
                         .counter("scanned", ids.len() as u64);
                 }
             }
-            // §3 baseline (Figures 3–4 "without data structure"): every
-            // binary image is tested against its exact histogram; every
-            // edited image runs the full BOUNDS computation.
-            Slice::Rbm => {
-                let started = Instant::now();
-                let found = ctx.results.len();
-                let view = self.db.read_view();
-                let mut binary = 0;
-                for (id, histogram) in view.binaries() {
-                    binary += 1;
-                    if query.matches_fraction(histogram.fraction(query.bin)) {
-                        ctx.results.push(id);
-                    }
-                }
-                let binary_elapsed = started.elapsed();
-                let binary_hits = ctx.results.len() - found;
-                let mut stats = BwmQueryStats::default();
-                let deferred = mmdb_bwm::bounds_scan(
-                    view.edited(),
-                    query,
-                    &self.engine(),
-                    &view,
-                    &view,
-                    &mut ctx.results,
-                    &mut stats,
-                )?;
-                drop(view);
-                ctx.stats += stats;
-                if let Some(trace) = &mut ctx.trace {
-                    trace
-                        .stage("binary_scan", binary_elapsed)
-                        .counter("scanned", binary)
-                        .counter("hits", binary_hits as u64);
-                    trace
-                        .stage("edited_scan", started.elapsed() - binary_elapsed)
-                        .counter("bounds_computed", stats.bounds_computed as u64)
-                        .counter("ops_processed", stats.ops_processed as u64);
-                }
-                self.finish(deferred, query, ctx)?;
-            }
-            Slice::Bwm(own) => {
-                let view = self.db.read_view();
-                let structure = own.unwrap_or_else(|| view.structure());
-                let deferred =
-                    mmdb_bwm::execute(structure, query, &self.engine(), &view, &view, ctx)?;
-                drop(view);
-                self.finish(deferred, query, ctx)?;
-            }
+            // §3 baseline (Figures 3–4 "without data structure") and §4's
+            // Figure 2: one walk of the shard's Figure 1 entries, every base
+            // tested against its exact histogram; RBM runs the full BOUNDS
+            // computation for every edited image, BWM only where the
+            // shortcut does not apply.
+            Slice::Rbm => self.scan(Method::Rbm, None, query, ctx)?,
+            Slice::Bwm(own) => self.scan(Method::Bwm, own, query, ctx)?,
             // Two galloping prefix searches and a scan of the smaller
             // prefix — no rule walk, so not even a clock read untraced.
             Slice::Indexed(index, sync) => {
@@ -526,18 +485,25 @@ impl<'db> QueryProcessor<'db> {
         Ok(())
     }
 
-    /// Walks the images a scan could not finish under its view (their merge
-    /// targets belong to other shards), through the engine's peer fallback.
-    /// Only ever called with the view dropped: no thread holds two shards'
+    /// Runs `method` over Figure 1 — the engine's own, or `own` — under one
+    /// read view, then walks the images the scan could not finish under it
+    /// (their merge targets belong to other shards) through the engine's
+    /// peer fallback, with the view dropped: no thread holds two shards'
     /// locks, and none takes this shard's twice.
-    fn finish(
+    fn scan(
         &self,
-        deferred: Vec<Deferred>,
+        method: Method,
+        own: Option<&BwmStructure>,
         query: &ColorRangeQuery,
         ctx: &mut QueryCtx,
     ) -> Result<()> {
+        let engine = self.engine();
+        let view = self.db.read_view();
+        let structure = own.unwrap_or_else(|| view.structure());
+        let deferred = mmdb_bwm::execute(method, structure, query, &engine, &view, &view, ctx)?;
+        drop(view);
         let compile = |id, sequence: &_, base: &_| self.db.compile_deferred(id, sequence, base);
-        mmdb_bwm::finish_deferred(deferred, query, &self.engine(), self.db, compile, ctx)?;
+        mmdb_bwm::finish_deferred(deferred, query, &engine, self.db, compile, ctx)?;
         Ok(())
     }
 
@@ -726,6 +692,43 @@ mod tests {
         // Only the unclassified image needed bounds under BWM.
         assert_eq!(bwm.stats.bounds_computed, 1);
         assert_eq!(rbm.stats.bounds_computed, 5);
+    }
+
+    /// RBM walks Figure 1 with the shortcut off; its §3 stages still count
+    /// every binary image scanned and matched, and every edited image's
+    /// rule walk.
+    #[test]
+    fn rbm_trace_counts_every_binary_and_edited_image() {
+        let (db, _bases, _edits) = setup();
+        let qp = QueryProcessor::new(&db);
+        let stage = |trace: &QueryTrace, stage: &str, counter: &str| {
+            let span = trace
+                .span(stage)
+                .unwrap_or_else(|| panic!("{stage} missing"));
+            let value = span.counters.iter().find(|(name, _)| name == counter);
+            value
+                .unwrap_or_else(|| panic!("{stage}.{counter} missing"))
+                .1
+        };
+        // (range, binary hits): bases are 10, 30, 50 and 70 % red.
+        for ((lo, hi), hits) in [((0.25, 0.55), 2), ((0.0, 1.0), 4), ((0.9, 1.0), 0)] {
+            let q = ColorRangeQuery::new(red_bin(&db), lo, hi);
+            let (out, trace) = qp.range_with_plan_traced(QueryPlan::Rbm, &q).unwrap();
+            let what = format!("[{lo}, {hi}]");
+            assert_eq!(stage(&trace, "binary_scan", "scanned"), 4, "{what}");
+            assert_eq!(stage(&trace, "binary_scan", "hits"), hits, "{what}");
+            // Four blurs of a defined corner (2 ops) and one paste (2 ops).
+            assert_eq!(stage(&trace, "edited_scan", "bounds_computed"), 5, "{what}");
+            assert_eq!(stage(&trace, "edited_scan", "ops_processed"), 10, "{what}");
+            assert_eq!(
+                trace.counter_value("results"),
+                Some(out.results.len() as u64)
+            );
+            assert_eq!(
+                (out.stats.bounds_computed, out.stats.ops_processed),
+                (5, 10)
+            );
+        }
     }
 
     #[test]

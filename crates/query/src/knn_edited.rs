@@ -98,7 +98,7 @@ pub fn knn_augmented(
     }
 
     // Phase 2: filter-and-refine over edited images, each evaluated from
-    // the program cached on its catalog entry. Refining instantiates, which
+    // the program kept in its Figure 1 entry. Refining instantiates, which
     // re-takes the catalog lock, so this phase lists ids and looks each up
     // again: one deleted in between is not a neighbour (the Instantiate
     // scan's rule). A missing *referenced* image still fails.

@@ -7,9 +7,8 @@ use crate::Result;
 use mmdb_editops::codec::{self as seq_codec, Reader};
 use mmdb_editops::{EditSequence, ImageId};
 use mmdb_histogram::ColorHistogram;
-use mmdb_rules::BoundProgram;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"MMDBCAT1";
 
@@ -37,25 +36,18 @@ pub enum CatalogEntry {
         /// Exact color histogram.
         histogram: Arc<ColorHistogram>,
     },
-    /// An image stored as editing operations (§2).
+    /// An image stored as editing operations (§2). Its BOUNDS program is
+    /// kept in its Figure 1 entry, not here.
     Edited {
         /// The stored sequence.
         sequence: Arc<EditSequence>,
-        /// The sequence compiled for BOUNDS, filled in by the first query
-        /// that needs it (`StorageEngine::bound_program`) and never
-        /// persisted. Everything a program depends on is fixed while the
-        /// entry exists, so it is never invalidated either.
-        program: OnceLock<BoundProgram>,
     },
 }
 
 impl CatalogEntry {
-    /// An edited-image entry whose BOUNDS program is not compiled yet.
+    /// An edited-image entry.
     pub fn edited(sequence: Arc<EditSequence>) -> Self {
-        CatalogEntry::Edited {
-            sequence,
-            program: OnceLock::new(),
-        }
+        CatalogEntry::Edited { sequence }
     }
 
     /// The storage kind of this entry.

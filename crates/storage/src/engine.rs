@@ -68,8 +68,11 @@ impl StorageStats {
 
 /// What is true of a shard, under the engine's one lock: the catalog and
 /// the paper's Figure 1 structure over it, which every insert and delete
-/// keeps in step inside the write section it already has. Everything else
-/// derived from a catalog is built lazily, outside, against the epoch.
+/// keeps in step inside the write section it already has. Figure 1 carries
+/// what a scan reads — each cluster its base's histogram, shared with the
+/// catalog, and each edited image the cell its BOUNDS program is compiled
+/// into on first use. Everything else derived from a catalog is built
+/// lazily, outside, against the epoch.
 struct Inner {
     catalog: Catalog,
     blobs: BlobStore,
@@ -77,15 +80,18 @@ struct Inner {
 }
 
 /// Figure 1 over a whole catalog: what inserting its images one by one
-/// would have built.
+/// would have built. Every cluster shares its base's histogram with the
+/// catalog; no program is compiled.
 fn figure_1(catalog: &Catalog) -> BwmStructure {
     let mut structure = BwmStructure::new();
     for (id, entry) in catalog.iter() {
-        match entry {
-            CatalogEntry::Binary { .. } => structure.insert_binary(id),
-            CatalogEntry::Edited { sequence, .. } => {
-                structure.insert_edited(id, sequence);
-            }
+        if let CatalogEntry::Binary { histogram, .. } = entry {
+            structure.insert_binary(id, Arc::clone(histogram));
+        }
+    }
+    for (id, entry) in catalog.iter() {
+        if let CatalogEntry::Edited { sequence } = entry {
+            structure.insert_edited(id, sequence);
         }
     }
     structure
@@ -102,7 +108,8 @@ fn figure_1(catalog: &Catalog) -> BwmStructure {
 pub struct ReadView<'a>(RwLockReadGuard<'a, Inner>);
 
 impl ReadView<'_> {
-    /// The shard's Main and Unclassified components.
+    /// The shard's Main and Unclassified components, with the programs
+    /// compiled so far.
     pub fn structure(&self) -> &BwmStructure {
         &self.0.structure
     }
@@ -136,18 +143,21 @@ impl SequenceStore for ReadView<'_> {
         }
     }
 
-    /// The program kept on the entry, compiled on first use — by `engine`,
-    /// which every caller builds from this database's quantizer and
-    /// background — and lent for as long as the view lives.
+    /// The program kept in the image's Figure 1 entry — found from its
+    /// base — compiled on first use by `engine`, which every caller builds
+    /// from this database's quantizer and background, and lent for as long
+    /// as the view lives.
     fn program(
         &self,
         id: ImageId,
         engine: &RuleEngine<'_>,
         resolver: &dyn InfoResolver,
     ) -> mmdb_rules::Result<Cow<'_, BoundProgram>> {
-        let Some(CatalogEntry::Edited { sequence, program }) = self.0.catalog.get(id) else {
+        let Some(CatalogEntry::Edited { sequence }) = self.0.catalog.get(id) else {
             return Err(RuleError::UnknownImage(id));
         };
+        let cell = self.0.structure.program_cell(id, sequence.base);
+        let program = cell.ok_or(RuleError::UnknownImage(id))?;
         Ok(Cow::Borrowed(match program.get() {
             Some(compiled) => compiled,
             None => {
@@ -534,10 +544,10 @@ impl StorageEngine {
                 blob,
                 width: image.width(),
                 height: image.height(),
-                histogram,
+                histogram: Arc::clone(&histogram),
             },
         );
-        inner.structure.insert_binary(id);
+        inner.structure.insert_binary(id, histogram);
         self.bump_epoch();
         Ok(id)
     }
@@ -572,8 +582,9 @@ impl StorageEngine {
             )
         };
         // References resolved on a peer shard (sharded deployments only:
-        // merge targets may live anywhere; the base is routed to its owning
-        // shard by the facade, so it is normally local). Peer shards are
+        // merge targets may live anywhere; the base must be local — the
+        // facade routes an edited image to its base's shard, and Figure 1
+        // clusters it under the base's histogram there). Peer shards are
         // consulted with no local lock held, and remote liveness is checked
         // in phase 1 only — equivalent to the single-shard contract, where
         // merge targets are likewise not delete-protected.
@@ -588,7 +599,13 @@ impl StorageEngine {
                             reason: format!("{role} must be a binary image"),
                         })
                     }
-                    None if remote_ok.contains(&rid) => {}
+                    None if remote_ok.contains(&rid) && rid != sequence.base => {}
+                    None if remote_ok.contains(&rid) => {
+                        return Err(StorageError::InvalidReference {
+                            id: rid,
+                            reason: "base must be stored on this shard".into(),
+                        })
+                    }
                     None => {
                         return Err(StorageError::InvalidReference {
                             id: rid,
@@ -742,13 +759,15 @@ impl StorageEngine {
 
     /// The stored sequence of edited image `id`, compiled for BOUNDS
     /// ([`mmdb_rules::RuleEngine::compile`] with this database's quantizer
-    /// and background). Compiled by the first caller and kept on the catalog
-    /// entry from then on — ingest and `open` pay nothing, nothing is
-    /// persisted, and nothing ever invalidates it: the sequence, the
-    /// quantizer, the background and the dimensions of the binary images it
-    /// references are fixed while the entry exists, and ids are never
-    /// reused. A merge target deleted later is caught at evaluation, which
-    /// looks its histogram up afresh.
+    /// and background). Compiled by the first caller — this, the bound
+    /// index, or an RBM/BWM scan walking the entry — and kept in `id`'s
+    /// Figure 1 entry from then on, the one place a program lives (found
+    /// from the sequence's base, then by binary search on `id`). Ingest and
+    /// `open` pay nothing, nothing is persisted, and nothing ever
+    /// invalidates it: the sequence, the quantizer, the background and the
+    /// dimensions of the binary images it references are fixed while the
+    /// image is stored, and ids are never reused. A merge target deleted
+    /// later is caught at evaluation, which looks its histogram up afresh.
     ///
     /// # Errors
     /// [`RuleError::UnknownImage`] when `id` is not a stored edited image,
@@ -777,7 +796,8 @@ impl StorageEngine {
     /// view of this shard could not resolve — from `base`, the base image
     /// that view held. Called with no lock held: merge targets resolve
     /// through [`InfoResolver::info`], peers included. The program is kept
-    /// on `id`'s entry when that is still there.
+    /// in `id`'s Figure 1 entry, found as [`StorageEngine::bound_program`]
+    /// finds it, when that is still there.
     pub fn compile_deferred(
         &self,
         id: ImageId,
@@ -785,11 +805,12 @@ impl StorageEngine {
         base: &ImageInfo,
     ) -> mmdb_rules::Result<BoundProgram> {
         let compiled = self.rule_engine().compile_from(sequence, base, self)?;
-        Ok(match self.inner.read().catalog.get(id) {
+        let view = self.read_view();
+        Ok(match view.structure().program_cell(id, sequence.base) {
             // Two first callers may race; both compiled the same program.
-            Some(CatalogEntry::Edited { program, .. }) => program.get_or_init(|| compiled).clone(),
+            Some(cell) => cell.get_or_init(|| compiled).clone(),
             // Deleted meanwhile; this caller still gets its answer.
-            _ => compiled,
+            None => compiled,
         })
     }
 

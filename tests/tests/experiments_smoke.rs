@@ -10,8 +10,8 @@ use mmdb_datagen::Collection;
 #[test]
 fn both_figures_run_and_agree() {
     let cfg = SweepConfig::fast();
-    // Work saved by the structure, `1 − bwm/rbm` BOUNDS computations per
-    // query: the paper's curves as deterministic counters, not clocks.
+    // Work saved by the structure, `100 × (1 − bwm/rbm)` BOUNDS computations
+    // per query: the paper's curves as deterministic counters, not clocks.
     let mut saved = Vec::new();
     for figure in [Figure::Fig3Helmet, Figure::Fig4Flag] {
         let points = figure_sweep(figure, &cfg);
@@ -25,11 +25,20 @@ fn both_figures_run_and_agree() {
             assert!(p.bwm_bounds_per_query <= p.rbm_bounds_per_query + 1e-9);
             // RBM's bound count is exactly the edited-image count.
             assert!((p.rbm_bounds_per_query - p.edited as f64).abs() < 1e-9);
+            // The CSV row carries both counts and the work saved.
+            let row = p.csv_row();
+            assert_eq!(row.len(), experiments::SWEEP_HEADERS.len());
+            let work_saved: f64 = row.last().unwrap().parse().unwrap();
+            assert!(
+                work_saved >= 0.0,
+                "{figure:?} at {}%: {row:?}",
+                p.pct * 100.0
+            );
         }
         saved.push(
             points
                 .iter()
-                .map(|p| 1.0 - p.bwm_bounds_per_query / p.rbm_bounds_per_query)
+                .map(experiments::SweepPoint::work_saved_pct)
                 .collect::<Vec<f64>>(),
         );
     }
