@@ -571,9 +571,7 @@ pub fn knn_experiment(collection: Collection, cfg: &SweepConfig, ks: &[usize]) -
             let t = std::time::Instant::now();
             let fast: Vec<_> = probes
                 .iter()
-                .map(|p| {
-                    mmdb_query::knn_augmented(&db_fast, p, k, RuleProfile::Conservative).unwrap()
-                })
+                .map(|p| mmdb_query::knn_augmented(&db_fast, p, k).unwrap())
                 .collect();
             let fast_ms = t.elapsed().as_secs_f64() * 1e3 / probes.len() as f64;
 

@@ -14,19 +14,6 @@ use mmdb_telemetry::{counter, gauge, histogram};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::Instant;
 
-/// Stable slot for a [`RuleProfile`] — the facade keeps one index per
-/// profile in a fixed-size array (the profile enum is deliberately small and
-/// non-`Hash`).
-pub fn profile_slot(profile: RuleProfile) -> usize {
-    match profile {
-        RuleProfile::Conservative => 0,
-        RuleProfile::PaperTable1 => 1,
-    }
-}
-
-/// Number of profile slots ([`profile_slot`] codomain size).
-pub const PROFILE_SLOTS: usize = 2;
-
 /// Below this many fresh entries, [`BoundIndex::sync`] inserts them one by
 /// one (cheap for steady-state churn); at or above it, entries are staged
 /// per bin and merged with [`BinIntervals::insert_batch`] so a large
@@ -737,13 +724,5 @@ mod tests {
         assert!(!idx.contains(ImageId::new(11)));
         let q = ColorRangeQuery::new(0, 0.0, 1.0);
         assert!(!idx.lookup(&q).ids.contains(&ImageId::new(11)));
-    }
-
-    #[test]
-    fn profile_slots_are_distinct_and_in_range() {
-        let all = [RuleProfile::Conservative, RuleProfile::PaperTable1];
-        let slots: Vec<usize> = all.iter().map(|&p| profile_slot(p)).collect();
-        assert!(slots.iter().all(|&s| s < PROFILE_SLOTS));
-        assert_ne!(slots[0], slots[1]);
     }
 }

@@ -28,23 +28,14 @@ mod interval;
 pub mod persist;
 
 pub use guard::{EpochSlot, EpochStamped};
-pub use index::{profile_slot, BoundIndex, IndexedLookup, SyncStats, PROFILE_SLOTS};
+pub use index::{BoundIndex, IndexedLookup, SyncStats};
 pub use interval::{BinIntervals, IntervalEntry};
 
 use mmdb_editops::ImageId;
-use mmdb_rules::RuleProfile;
+use mmdb_telemetry::gauge;
 
-/// Per-profile staleness gauge series (each exported with a
-/// `{profile="..."}` label for both rule profiles).
-const STALENESS_GAUGES: [&str; 4] = [
-    "mmdb_boundidx_epoch_lag",
-    "mmdb_boundidx_entries_resident",
-    "mmdb_boundidx_resync_backlog",
-    "mmdb_boundidx_seconds_since_sync",
-];
-
-/// A point-in-time staleness/residency reading for one profile's index
-/// slot, computed against the catalog state the caller just observed.
+/// A point-in-time staleness/residency reading for one index slot,
+/// computed against the catalog state the caller just observed.
 ///
 /// Staleness is **epoch lag** — the engine's mutation epoch minus the
 /// index's synced epoch — not wall-clock age: an idle catalog leaves a
@@ -106,19 +97,13 @@ impl StalenessReport {
         }
     }
 
-    /// Publishes the report as the four `{profile=...}` gauge series.
-    pub fn publish(&self, profile: RuleProfile) {
-        let g = mmdb_telemetry::global();
-        let series = |metric: &str| g.gauge(&labeled(metric, profile.label()));
-        series("mmdb_boundidx_epoch_lag").set(self.epoch_lag);
-        series("mmdb_boundidx_entries_resident").set(self.entries_resident);
-        series("mmdb_boundidx_resync_backlog").set(self.resync_backlog);
-        series("mmdb_boundidx_seconds_since_sync").set(self.seconds_since_sync);
+    /// Publishes the report as the four staleness gauges.
+    pub fn publish(&self) {
+        gauge!("mmdb_boundidx_epoch_lag").set(self.epoch_lag);
+        gauge!("mmdb_boundidx_entries_resident").set(self.entries_resident);
+        gauge!("mmdb_boundidx_resync_backlog").set(self.resync_backlog);
+        gauge!("mmdb_boundidx_seconds_since_sync").set(self.seconds_since_sync);
     }
-}
-
-fn labeled(metric: &str, profile: &str) -> String {
-    format!("{metric}{{profile=\"{profile}\"}}")
 }
 
 /// Eagerly registers this layer's metric series (zero-valued until traffic
@@ -137,11 +122,14 @@ pub fn register_metrics() {
     ] {
         let _ = g.counter(name);
     }
-    let _ = g.gauge("mmdb_boundidx_entries");
-    for metric in STALENESS_GAUGES {
-        for profile in [RuleProfile::Conservative, RuleProfile::PaperTable1] {
-            let _ = g.gauge(&labeled(metric, profile.label()));
-        }
+    for name in [
+        "mmdb_boundidx_entries",
+        "mmdb_boundidx_epoch_lag",
+        "mmdb_boundidx_entries_resident",
+        "mmdb_boundidx_resync_backlog",
+        "mmdb_boundidx_seconds_since_sync",
+    ] {
+        let _ = g.gauge(name);
     }
     for name in [
         "mmdb_boundidx_build_seconds",

@@ -38,7 +38,7 @@ fn racing_recorders_lose_nothing() {
             let writers: Vec<_> = (0..2)
                 .map(|_| {
                     let table = Arc::clone(&table);
-                    thread::spawn(move || table.record(3, 1, 0))
+                    thread::spawn(move || table.record(3, 1))
                 })
                 .collect();
             for w in writers {
@@ -46,11 +46,11 @@ fn racing_recorders_lose_nothing() {
             }
 
             assert_eq!(
-                table.total_of(3, 1, 0),
+                table.total_of(3, 1),
                 2,
                 "a racing record was lost from the lifetime total"
             );
-            let heat = table.heat_of(3, 1, 0);
+            let heat = table.heat_of(3, 1);
             assert!(
                 (heat - 2.0).abs() < 1e-9,
                 "undecayed heat must equal the record count, got {heat}"
@@ -61,7 +61,7 @@ fn racing_recorders_lose_nothing() {
 
 #[test]
 fn decay_tick_racing_recorders_bounds_heat() {
-    // The decay sweep loads every slot of the 2056-slot table, and each
+    // The decay sweep loads every slot of the 1028-slot table, and each
     // load is a schedule point, so exhaustive exploration is expensive; a
     // bounded DFS plus seeded-random schedules still covers every
     // tick/record ordering around the contended slot.
@@ -75,7 +75,7 @@ fn decay_tick_racing_recorders_bounds_heat() {
             let mut handles: Vec<_> = (0..2)
                 .map(|_| {
                     let table = Arc::clone(&table);
-                    thread::spawn(move || table.record(3, 1, 0))
+                    thread::spawn(move || table.record(3, 1))
                 })
                 .collect();
             let decayer = {
@@ -88,12 +88,12 @@ fn decay_tick_racing_recorders_bounds_heat() {
             }
 
             // Totals ignore decay: still exactly 2.
-            assert_eq!(table.total_of(3, 1, 0), 2);
+            assert_eq!(table.total_of(3, 1), 2);
 
             // Each record contributes either decayed or undecayed heat
             // depending on where the tick landed; fixed-point flooring can
             // only shave fractions off the lower bound.
-            let heat = table.heat_of(3, 1, 0);
+            let heat = table.heat_of(3, 1);
             let f = tick_factor();
             let lower = 2.0 * f - 1e-6;
             let upper = 2.0 + 1e-9;

@@ -635,14 +635,9 @@ fn cmd_query_remote(args: &Args) -> Result<(), String> {
         Some("indexed") => PlanKind::Indexed,
         Some(other) => return Err(format!("unknown plan {other:?}")),
     };
-    let profile = match args.options.get("profile").map(String::as_str) {
-        None | Some("conservative") => ProfileKind::Conservative,
-        Some("paper-table1") => ProfileKind::PaperTable1,
-        Some(other) => return Err(format!("unknown profile {other:?}")),
-    };
     let request = mmdbms::server::RangeRequest {
         plan,
-        profile,
+        profile: ProfileKind::Conservative,
         bin,
         pct_min: args.f64_opt("min", 0.0)?,
         pct_max: args.f64_opt("max", 1.0)?,
@@ -826,10 +821,9 @@ fn cmd_top(args: &Args) -> Result<(), String> {
 }
 
 /// The query-heat and index-staleness sections of `mmdbctl top`:
-/// per-(bin, plan, profile) heat rows — ranked by decayed heat (`--sort
-/// heat`, the default) or lifetime count (`--sort total`) — each annotated
-/// with its profile's epoch lag and resync backlog, then a per-profile
-/// staleness summary.
+/// per-(bin, plan) heat rows — ranked by decayed heat (`--sort heat`, the
+/// default) or lifetime count (`--sort total`) — then one row of bound-index
+/// staleness.
 fn print_heat_and_staleness(args: &Args, db: &MultimediaDatabase) -> Result<(), String> {
     let sort = args.options.get("sort").map_or("heat", String::as_str);
     let mut entries = mmdbms::telemetry::heat().snapshot();
@@ -840,42 +834,33 @@ fn print_heat_and_staleness(args: &Args, db: &MultimediaDatabase) -> Result<(), 
     }
     db.refresh_staleness_gauges();
     let g = mmdbms::telemetry::global();
-    let staleness =
-        |metric: &str, profile: &str| g.gauge(&format!("{metric}{{profile=\"{profile}\"}}")).get();
+    let staleness = |metric: &str| g.gauge(metric).get();
     if entries.is_empty() {
         println!("query heat: no queries recorded yet");
     } else {
         println!(
-            "{:>4}  {:<12}  {:<14}  {:>10}  {:>8}  {:>6}  {:>8}",
-            "bin", "plan", "profile", "heat", "total", "lag", "backlog"
+            "{:>4}  {:<12}  {:>10}  {:>8}",
+            "bin", "plan", "heat", "total"
         );
         let limit = args.u64_opt("limit", 20)? as usize;
         for e in entries.iter().take(limit.max(1)) {
             println!(
-                "{:>4}  {:<12}  {:<14}  {:>10.3}  {:>8}  {:>6}  {:>8}",
-                e.bin,
-                e.plan,
-                e.profile,
-                e.heat,
-                e.total,
-                staleness("mmdb_boundidx_epoch_lag", e.profile),
-                staleness("mmdb_boundidx_resync_backlog", e.profile),
+                "{:>4}  {:<12}  {:>10.3}  {:>8}",
+                e.bin, e.plan, e.heat, e.total
             );
         }
     }
     println!(
-        "{:<14}  {:>6}  {:>9}  {:>8}  {:>11}",
-        "index profile", "lag", "resident", "backlog", "synced-ago"
+        "{:>9}  {:>9}  {:>8}  {:>11}",
+        "index lag", "resident", "backlog", "synced-ago"
     );
-    for profile in ["conservative", "paper_table1"] {
-        println!(
-            "{profile:<14}  {:>6}  {:>9}  {:>8}  {:>10}s",
-            staleness("mmdb_boundidx_epoch_lag", profile),
-            staleness("mmdb_boundidx_entries_resident", profile),
-            staleness("mmdb_boundidx_resync_backlog", profile),
-            staleness("mmdb_boundidx_seconds_since_sync", profile),
-        );
-    }
+    println!(
+        "{:>9}  {:>9}  {:>8}  {:>10}s",
+        staleness("mmdb_boundidx_epoch_lag"),
+        staleness("mmdb_boundidx_entries_resident"),
+        staleness("mmdb_boundidx_resync_backlog"),
+        staleness("mmdb_boundidx_seconds_since_sync"),
+    );
     Ok(())
 }
 
@@ -1146,8 +1131,8 @@ fn storage_aware_fsck(dir: &Path, report: &mut mmdbms::durable::FsckReport) {
             ),
         );
     }
-    // Persisted bound indexes: each must parse and must not be stamped
-    // beyond the last catalog state reachable from disk.
+    // The persisted bound index (the one `open` reads): it must parse and
+    // must not be stamped beyond the last catalog state reachable from disk.
     let Some(quantizer) = from_description(catalog.quantizer_desc()) else {
         report.push(
             FsckCode::SnapshotUndecodable,
@@ -1160,30 +1145,22 @@ fn storage_aware_fsck(dir: &Path, report: &mut mmdbms::durable::FsckReport) {
     };
     let last_reachable = loaded.covered_seqno + report.tail_records;
     let idx_dir = dir.join("boundidx");
-    for profile in [RuleProfile::Conservative, RuleProfile::PaperTable1] {
-        match mmdbms::boundidx::persist::load(&idx_dir, profile, quantizer.bin_count()) {
-            Ok(None) => {}
-            Ok(Some(idx)) if idx.synced_epoch() > last_reachable => report.push(
-                FsckCode::IndexSegmentCorrupt,
-                format!(
-                    "{}: stamped epoch {} beyond last reachable seqno {last_reachable}",
-                    idx_dir
-                        .join(mmdbms::boundidx::persist::index_file_name(profile))
-                        .display(),
-                    idx.synced_epoch()
-                ),
+    let profile = RuleProfile::Conservative;
+    let idx_path = idx_dir.join(mmdbms::boundidx::persist::index_file_name(profile));
+    match mmdbms::boundidx::persist::load(&idx_dir, profile, quantizer.bin_count()) {
+        Ok(Some(idx)) if idx.synced_epoch() > last_reachable => report.push(
+            FsckCode::IndexSegmentCorrupt,
+            format!(
+                "{}: stamped epoch {} beyond last reachable seqno {last_reachable}",
+                idx_path.display(),
+                idx.synced_epoch()
             ),
-            Ok(Some(_)) => {}
-            Err(e) => report.push(
-                FsckCode::IndexSegmentCorrupt,
-                format!(
-                    "{}: {e}",
-                    idx_dir
-                        .join(mmdbms::boundidx::persist::index_file_name(profile))
-                        .display()
-                ),
-            ),
-        }
+        ),
+        Ok(_) => {}
+        Err(e) => report.push(
+            FsckCode::IndexSegmentCorrupt,
+            format!("{}: {e}", idx_path.display()),
+        ),
     }
 }
 
@@ -1286,7 +1263,7 @@ const USAGE: &str = "usage: mmdbctl <create|gen|insert|insert-script|ls|info|que
   ls            --db DIR
   info          --db DIR [--id N]
   query         --db DIR --color '#rrggbb' [--min F] [--max F] [--plan bwm|rbm|instantiate|indexed] [--expand true]
-                --connect HOST:PORT --bin N [--min F] [--max F] [--plan P] [--profile conservative|paper-table1] [--deadline-ms MS]
+                --connect HOST:PORT --bin N [--min F] [--max F] [--plan P] [--deadline-ms MS]
   explain       --db DIR --color '#rrggbb' [--min F] [--max F] [--plan bwm|rbm|instantiate|indexed] [--json true]
   metrics       --db DIR [--format prometheus|json]
   serve         --db DIR [--listen HOST:PORT] [--workers N] [--queue-depth N] [--metrics HOST:PORT] [--warmup N]

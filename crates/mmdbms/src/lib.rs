@@ -37,7 +37,7 @@
 //! assert!(outcome.results.contains(&edited));
 //! ```
 
-use mmdb_boundidx::{profile_slot, StalenessReport};
+use mmdb_boundidx::StalenessReport;
 use mmdb_bwm::{BwmStructure, QueryCtx};
 use mmdb_conc::sync::atomic::{AtomicBool, Ordering};
 use mmdb_datagen::edits::TargetInfo;
@@ -118,9 +118,9 @@ pub fn register_all_metrics() {
 /// maintains the BWM structure inside every insert/delete, under the same
 /// lock as the catalog (the paper's Figure 1: "the proposed data structure
 /// can be constructed as images are inserted into the database") — through
-/// this facade or through [`MultimediaDatabase::storage`] alike; the
-/// histogram R-tree and the bound indexes are built lazily and catch up
-/// with the shard's mutation epoch when next read. The default constructors build a single shard,
+/// this facade or through [`MultimediaDatabase::storage`] alike; the bound
+/// index is built lazily and catches up with the shard's mutation epoch
+/// when next read. The default constructors build a single shard,
 /// which is exactly the historical single-engine behavior. Everything about
 /// the partition itself — wiring, layout, routing, placement, gathers — is
 /// the `shards` module's.
@@ -399,9 +399,11 @@ impl MultimediaDatabase {
         self.query_range_with(query, plan, RuleProfile::Conservative)
     }
 
-    /// Runs a color range query under an explicit plan *and* rule profile.
-    /// This is the entry point the network server uses: the wire protocol
-    /// selects plan and profile per request.
+    /// Runs a color range query under an explicit plan and rule profile.
+    /// Only [`RuleProfile::Conservative`] is served: any other profile is
+    /// refused with [`QueryError::UnservedProfile`] before anything runs or
+    /// is observed (the literal Table 1 profile drops true matches, PAPER.md
+    /// caveat 2; `QueryProcessor::with_profile` still runs it in process).
     ///
     /// On a sharded database the query scatters: every shard's slice adds
     /// to one shared [`QueryCtx`] (its own BWM structure and bound index, one
@@ -414,76 +416,64 @@ impl MultimediaDatabase {
         plan: QueryPlan,
         profile: RuleProfile,
     ) -> Result<mmdb_bwm::QueryOutcome> {
-        let mut ctx = QueryCtx::default();
-        observed(plan, profile, query, &mut ctx, |ctx| {
-            self.shards.range(query, plan, profile, ctx)
-        })?;
-        Ok(ctx.into_outcome())
-    }
-
-    /// Recomputes and publishes the per-profile bound-index staleness and
-    /// residency gauges (`mmdb_boundidx_epoch_lag{profile=...}` and
-    /// friends) against the current catalog state. The gauges are
-    /// process-wide and per-profile, so on a sharded database each profile
-    /// publishes its **worst** shard (max epoch lag, then max backlog) —
-    /// the reading an operator needs for "is any part of the index stale".
-    /// Called by the metrics exposition prerender hook so every scrape sees
-    /// a fresh reading; harmless to call at any time.
-    pub fn refresh_staleness_gauges(&self) {
-        for profile in [RuleProfile::Conservative, RuleProfile::PaperTable1] {
-            let mut worst: Option<StalenessReport> = None;
-            for shard in self.shards.iter() {
-                let epoch = shard.storage.current_epoch();
-                let binary = shard.storage.binary_ids();
-                let edited = shard.storage.edited_ids();
-                let report = shard.bound_index[profile_slot(profile)]
-                    .peek(|idx| StalenessReport::compute(idx, epoch, &binary, &edited));
-                worst = match worst {
-                    None => Some(report),
-                    Some(prev)
-                        if (report.epoch_lag, report.resync_backlog)
-                            > (prev.epoch_lag, prev.resync_backlog) =>
-                    {
-                        Some(report)
-                    }
-                    keep => keep,
-                };
-            }
-            if let Some(report) = worst {
-                report.publish(profile);
-            }
+        if profile != RuleProfile::Conservative {
+            return Err(QueryError::UnservedProfile(profile));
         }
+        let mut ctx = QueryCtx::default();
+        self.run(query, plan, &mut ctx)?;
+        Ok(ctx.into_outcome())
     }
 
     /// Runs a color range query under an explicit plan with tracing: the
     /// returned [`QueryTrace`] records the plan and query parameters, each
     /// scan phase as a timed stage, and the work the stage performed (base
     /// shortcuts, bounds computed vs. widened, …). Render it with
-    /// [`QueryTrace::render`].
+    /// [`QueryTrace::render`]. This is what the network backend runs for
+    /// wire-traced requests.
     pub fn query_range_traced(
         &self,
         query: &ColorRangeQuery,
         plan: QueryPlan,
     ) -> Result<(mmdb_bwm::QueryOutcome, QueryTrace)> {
-        self.query_range_traced_with(query, plan, RuleProfile::Conservative)
+        let mut ctx = QueryCtx::traced(format!("{plan}_range"));
+        self.run(query, plan, &mut ctx)?;
+        Ok(ctx.into_traced_outcome())
     }
 
-    /// Traced variant of [`MultimediaDatabase::query_range_with`] — the same
-    /// path with a tracing context: explicit plan *and* rule profile, plus
-    /// the per-stage [`QueryTrace`]. This is what the network backend runs
-    /// for wire-traced requests, so the span tree stored by the tail sampler
-    /// reflects the profile the request actually selected.
-    pub fn query_range_traced_with(
-        &self,
-        query: &ColorRangeQuery,
-        plan: QueryPlan,
-        profile: RuleProfile,
-    ) -> Result<(mmdb_bwm::QueryOutcome, QueryTrace)> {
-        let mut ctx = QueryCtx::traced(format!("{plan}_range"));
-        observed(plan, profile, query, &mut ctx, |ctx| {
-            self.shards.range(query, plan, profile, ctx)
-        })?;
-        Ok(ctx.into_traced_outcome())
+    /// The one served range query: scatter-gather under `plan`, observed
+    /// once.
+    fn run(&self, query: &ColorRangeQuery, plan: QueryPlan, ctx: &mut QueryCtx) -> Result<()> {
+        observed(plan, RuleProfile::Conservative, query, ctx, |ctx| {
+            self.shards.range(query, plan, ctx)
+        })
+    }
+
+    /// Recomputes and publishes the bound-index staleness and residency
+    /// gauges (`mmdb_boundidx_epoch_lag` and friends) against the current
+    /// catalog state. The gauges are process-wide, so on a sharded database
+    /// they report the **worst** shard (max epoch lag, then max backlog) —
+    /// the reading an operator needs for "is any part of the index stale".
+    /// Called by the metrics exposition prerender hook so every scrape sees
+    /// a fresh reading; harmless to call at any time.
+    pub fn refresh_staleness_gauges(&self) {
+        // Reversed because `max_by_key` keeps the last of equal maxima: a
+        // tie goes to the lowest-numbered shard.
+        let worst = self
+            .shards
+            .iter()
+            .rev()
+            .map(|shard| {
+                let epoch = shard.storage.current_epoch();
+                let binary = shard.storage.binary_ids();
+                let edited = shard.storage.edited_ids();
+                shard
+                    .bound_index
+                    .peek(|idx| StalenessReport::compute(idx, epoch, &binary, &edited))
+            })
+            .max_by_key(|report| (report.epoch_lag, report.resync_backlog));
+        if let Some(report) = worst {
+            report.publish();
+        }
     }
 
     /// The process-global telemetry registry: every layer of the stack
@@ -549,10 +539,7 @@ impl MultimediaDatabase {
         hist: &ColorHistogram,
         k: usize,
     ) -> Result<mmdb_query::KnnOutcome> {
-        observed_knn(|| {
-            self.shards
-                .nearest_augmented(hist, k, RuleProfile::Conservative)
-        })
+        observed_knn(|| self.shards.nearest_augmented(hist, k))
     }
 
     /// The instantiated raster of any image.
@@ -674,28 +661,27 @@ impl MultimediaDatabase {
         combined
     }
 
-    /// Installs persisted bound indexes from `<data-dir>/boundidx/` into
-    /// the profile slots. A stamp *behind* the recovered epoch is fine (the
-    /// next indexed query syncs incrementally); a stamp *ahead* of it means
-    /// the catalog rolled back past the persisted state (lost WAL tail
-    /// under `fsync = never`), so the file is discarded — as is anything
-    /// torn, version-skewed, or built over a different quantizer.
+    /// Installs each shard's persisted bound index
+    /// (`<data-dir>/boundidx/conservative.idx`) into its slot. A stamp
+    /// *behind* the recovered epoch is fine (the next indexed query syncs
+    /// incrementally); a stamp *ahead* of it means the catalog rolled back
+    /// past the persisted state (lost WAL tail under `fsync = never`), so
+    /// the file is discarded — as is anything torn, version-skewed, or
+    /// built over a different quantizer. No other file there is read.
     fn warm_load_indexes(&self) {
+        const PROFILE: RuleProfile = RuleProfile::Conservative;
         for shard in self.shards.iter() {
             let Some(dir) = shard.storage.data_dir().map(|d| d.join("boundidx")) else {
                 continue;
             };
             let epoch = shard.storage.current_epoch();
-            let bins = shard.storage.quantizer().bin_count();
-            for profile in [RuleProfile::Conservative, RuleProfile::PaperTable1] {
-                match boundidx::persist::load(&dir, profile, bins) {
-                    Ok(Some(idx)) if idx.synced_epoch() <= epoch => {
-                        *shard.bound_index[profile_slot(profile)].write() = Some(idx);
-                    }
-                    Ok(None) => {}
-                    Ok(Some(_)) | Err(_) => {
-                        let _ = boundidx::persist::discard(&dir, profile);
-                    }
+            match boundidx::persist::load(&dir, PROFILE, shard.storage.quantizer().bin_count()) {
+                Ok(Some(idx)) if idx.synced_epoch() <= epoch => {
+                    *shard.bound_index.write() = Some(idx);
+                }
+                Ok(None) => {}
+                Ok(Some(_)) | Err(_) => {
+                    let _ = boundidx::persist::discard(&dir, PROFILE);
                 }
             }
         }
@@ -709,13 +695,11 @@ impl MultimediaDatabase {
             let Some(dir) = shard.storage.data_dir().map(|d| d.join("boundidx")) else {
                 continue;
             };
-            for slot in &shard.bound_index {
-                slot.peek(|idx| {
-                    if let Some(idx) = idx {
-                        let _ = boundidx::persist::save(idx, &dir);
-                    }
-                });
-            }
+            shard.bound_index.peek(|idx| {
+                if let Some(idx) = idx {
+                    let _ = boundidx::persist::save(idx, &dir);
+                }
+            });
         }
     }
 }
@@ -935,7 +919,8 @@ mod tests {
             // The persisted index came back *fresh*: its stamp equals the
             // recovered epoch, so it serves without any build or sync.
             let epoch = db.storage().current_epoch();
-            let served = db.shards[0].bound_index[profile_slot(RuleProfile::Conservative)]
+            let served = db.shards[0]
+                .bound_index
                 .serve_fresh(epoch, mmdb_boundidx::BoundIndex::len);
             assert_eq!(served, Some(2), "warm index serves at the recovered epoch");
             let a = db
@@ -955,7 +940,7 @@ mod tests {
         }
         let db = MultimediaDatabase::open(dir).unwrap();
         let epoch = db.storage().current_epoch();
-        let slot = &db.shards[0].bound_index[profile_slot(RuleProfile::Conservative)];
+        let slot = &db.shards[0].bound_index;
         assert_eq!(
             slot.serve_fresh(epoch, |_| ()),
             None,

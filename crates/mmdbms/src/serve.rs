@@ -7,8 +7,8 @@
 use crate::MultimediaDatabase;
 use mmdb_editops::ImageId;
 use mmdb_query::QueryPlan;
-use mmdb_rules::{ColorRangeQuery, RuleProfile};
-use mmdb_server::protocol::{PlanKind, ProfileKind};
+use mmdb_rules::ColorRangeQuery;
+use mmdb_server::protocol::PlanKind;
 use mmdb_server::{BackendError, LookupReply, QueryBackend, RangeReply, RangeRequest, StatsReply};
 use mmdb_storage::{StorageError, StoredKind};
 use mmdb_telemetry::{profile_frame, QueryTrace};
@@ -19,13 +19,6 @@ fn plan_of(kind: PlanKind) -> QueryPlan {
         PlanKind::Rbm => QueryPlan::Rbm,
         PlanKind::Instantiate => QueryPlan::Instantiate,
         PlanKind::Indexed => QueryPlan::Indexed,
-    }
-}
-
-fn profile_of(kind: ProfileKind) -> RuleProfile {
-    match kind {
-        ProfileKind::Conservative => RuleProfile::Conservative,
-        ProfileKind::PaperTable1 => RuleProfile::PaperTable1,
     }
 }
 
@@ -73,7 +66,7 @@ impl QueryBackend for MultimediaDatabase {
         let query = checked_query(self, req)?;
         let _frame = profile_frame(plan_frame_name(req.plan));
         let outcome = self
-            .query_range_with(&query, plan_of(req.plan), profile_of(req.profile))
+            .query_range_with_plan(&query, plan_of(req.plan))
             .map_err(|e| BackendError::Internal(e.to_string()))?;
         Ok(reply_of(&outcome))
     }
@@ -85,7 +78,7 @@ impl QueryBackend for MultimediaDatabase {
         let query = checked_query(self, req)?;
         let _frame = profile_frame(plan_frame_name(req.plan));
         let (outcome, trace) = self
-            .query_range_traced_with(&query, plan_of(req.plan), profile_of(req.profile))
+            .query_range_traced(&query, plan_of(req.plan))
             .map_err(|e| BackendError::Internal(e.to_string()))?;
         Ok((reply_of(&outcome), Some(trace)))
     }
@@ -148,6 +141,7 @@ impl QueryBackend for MultimediaDatabase {
 mod tests {
     use super::*;
     use mmdb_histogram::RgbQuantizer;
+    use mmdb_server::protocol::ProfileKind;
 
     /// Compile-time audit (satellite of the serving work): the database
     /// handle must be shareable across the server's worker threads with the

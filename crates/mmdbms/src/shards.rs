@@ -9,7 +9,7 @@
 //! the strided allocator that creates it: [`mmdb_storage::id_class`].
 
 use crate::Result;
-use mmdb_boundidx::{profile_slot, BoundIndex, EpochSlot, SyncStats, PROFILE_SLOTS};
+use mmdb_boundidx::{BoundIndex, EpochSlot, SyncStats};
 use mmdb_bwm::QueryCtx;
 use mmdb_conc::sync::atomic::{AtomicU64, Ordering};
 use mmdb_editops::ImageId;
@@ -41,52 +41,40 @@ use std::sync::{Arc, Weak};
 /// never see a duplicate and [`id_class`] routes any id to its owner.
 pub(crate) struct Shard {
     pub(crate) storage: Arc<StorageEngine>,
-    /// One [`BoundIndex`] per rule profile.
-    pub(crate) bound_index: [EpochSlot<BoundIndex>; PROFILE_SLOTS],
+    /// The Conservative-profile [`BoundIndex`] behind the Indexed plan.
+    pub(crate) bound_index: EpochSlot<BoundIndex>,
 }
 
 impl Shard {
     fn new(storage: Arc<StorageEngine>) -> Self {
         Shard {
             storage,
-            bound_index: std::array::from_fn(|_| EpochSlot::new()),
+            bound_index: EpochSlot::new(),
         }
     }
 
     /// This shard's slice of a range query, added to `ctx`.
-    fn range(
-        &self,
-        query: &ColorRangeQuery,
-        plan: QueryPlan,
-        profile: RuleProfile,
-        ctx: &mut QueryCtx,
-    ) -> Result<()> {
-        let qp = QueryProcessor::with_profile(&self.storage, profile);
+    fn range(&self, query: &ColorRangeQuery, plan: QueryPlan, ctx: &mut QueryCtx) -> Result<()> {
+        let qp = QueryProcessor::new(&self.storage);
         match plan {
             QueryPlan::Bwm => qp.execute(Slice::Bwm(None), query, ctx),
             QueryPlan::Rbm => qp.execute(Slice::Rbm, query, ctx),
             QueryPlan::Instantiate => qp.execute(Slice::Instantiate, query, ctx),
-            QueryPlan::Indexed => self.with_bound_index(profile, |idx, sync| {
-                qp.execute(Slice::Indexed(idx, sync), query, ctx)
-            })?,
+            QueryPlan::Indexed => self
+                .with_bound_index(|idx, sync| qp.execute(Slice::Indexed(idx, sync), query, ctx))?,
         }
     }
 
-    /// Runs `f` against a bound index for `profile` that satisfies the
-    /// serving invariant (`synced_epoch == current_epoch` of this shard's
-    /// engine), building or incrementally re-syncing the slot first when
-    /// needed.
+    /// Runs `f` against a bound index that satisfies the serving invariant
+    /// (`synced_epoch == current_epoch` of this shard's engine), building or
+    /// incrementally re-syncing the slot first when needed.
     ///
     /// The epoch is captured *before* the id lists are read: a mutation that
     /// races the snapshot leaves the stamp behind the real epoch, so the next
     /// query re-syncs — stale entries are never served.
-    fn with_bound_index<T>(
-        &self,
-        profile: RuleProfile,
-        mut f: impl FnMut(&BoundIndex, SyncStats) -> T,
-    ) -> Result<T> {
+    fn with_bound_index<T>(&self, mut f: impl FnMut(&BoundIndex, SyncStats) -> T) -> Result<T> {
         let storage = &self.storage;
-        let slot = &self.bound_index[profile_slot(profile)];
+        let slot = &self.bound_index;
         let served = slot.serve_fresh(storage.current_epoch(), |idx| f(idx, SyncStats::default()));
         if let Some(out) = served {
             return Ok(out);
@@ -94,17 +82,17 @@ impl Shard {
         // Slow path: build or re-sync under the write lock, then serve under
         // it (this lock has no downgrade; the next query takes the read fast
         // path above). The epoch is captured before `binary_ids`/`edited_ids`
-        // so a racing mutation leaves the stamp behind, never ahead.
+        // so a racing mutation leaves the stamp behind, never ahead; the ids
+        // are listed only by the arms that read them, so a reader that lost
+        // the race to a writer who already synced lists nothing.
         let mut guard = slot.write();
         let epoch = storage.current_epoch();
-        let binary = storage.binary_ids();
-        let edited = storage.edited_ids();
         let stats = match guard.as_mut() {
             Some(idx) if idx.synced_epoch() == epoch => SyncStats::default(),
             Some(idx) => idx.sync(
                 epoch,
-                &binary,
-                &edited,
+                &storage.binary_ids(),
+                &storage.edited_ids(),
                 storage.quantizer(),
                 storage.background(),
                 &**storage,
@@ -114,11 +102,11 @@ impl Shard {
                 let threads =
                     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
                 let built = BoundIndex::build(
-                    profile,
+                    RuleProfile::Conservative,
                     storage.quantizer(),
                     storage.background(),
-                    &binary,
-                    &edited,
+                    &storage.binary_ids(),
+                    &storage.edited_ids(),
                     &**storage,
                     &**storage,
                     epoch,
@@ -324,16 +312,15 @@ impl Shards {
         &self,
         query: &ColorRangeQuery,
         plan: QueryPlan,
-        profile: RuleProfile,
         ctx: &mut QueryCtx,
     ) -> Result<()> {
         if let [shard] = &self[..] {
-            return shard.range(query, plan, profile, ctx);
+            return shard.range(query, plan, ctx);
         }
         ctx.shards.reserve_exact(self.len());
         let mut since = std::time::Instant::now();
         for (i, shard) in self.iter().enumerate() {
-            since = ctx.shard_slice(i, since, |ctx| shard.range(query, plan, profile, ctx))?;
+            since = ctx.shard_slice(i, since, |ctx| shard.range(query, plan, ctx))?;
         }
         ctx.results.sort_unstable();
         Ok(())
@@ -349,12 +336,11 @@ impl Shards {
         &self,
         hist: &ColorHistogram,
         k: usize,
-        profile: RuleProfile,
     ) -> Result<mmdb_query::KnnOutcome> {
         let mut neighbours: Vec<(f64, ImageId)> = Vec::new();
         let mut stats = mmdb_query::KnnStats::default();
         for shard in self.iter() {
-            let out = mmdb_query::knn_augmented(&shard.storage, hist, k, profile)?;
+            let out = mmdb_query::knn_augmented(&shard.storage, hist, k)?;
             neighbours.extend(out.neighbours);
             stats.binary_scored += out.stats.binary_scored;
             stats.edited_pruned += out.stats.edited_pruned;

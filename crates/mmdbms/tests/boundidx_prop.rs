@@ -1,6 +1,6 @@
 //! Property tests for the bound-interval index: on random databases, the
 //! `Indexed` plan must return exactly the result set of the RBM and BWM
-//! plans, under both rule profiles, and it must keep doing so *immediately*
+//! plans, and it must keep doing so *immediately*
 //! after inserts and deletes (the epoch discipline: a mutation can never
 //! leave the served index stale).
 
@@ -116,8 +116,8 @@ fn sequence_of(base: ImageId, ops: &[Op], merge_target: ImageId) -> EditSequence
     b.build()
 }
 
-/// All three scan-equivalent plans agree on every query, under a profile.
-fn assert_plans_agree(db: &MultimediaDatabase, queries: &[QuerySpec], profile: RuleProfile) {
+/// All three scan-equivalent plans agree on every query.
+fn assert_plans_agree(db: &MultimediaDatabase, queries: &[QuerySpec]) {
     for spec in queries {
         let query = ColorRangeQuery::new(
             db.bin_of(PALETTE[spec.color]),
@@ -125,22 +125,19 @@ fn assert_plans_agree(db: &MultimediaDatabase, queries: &[QuerySpec], profile: R
             (spec.lo + spec.width).min(1.0),
         );
         let rbm = db
-            .query_range_with(&query, QueryPlan::Rbm, profile)
+            .query_range_with_plan(&query, QueryPlan::Rbm)
             .unwrap()
             .sorted_results();
         let bwm = db
-            .query_range_with(&query, QueryPlan::Bwm, profile)
+            .query_range_with_plan(&query, QueryPlan::Bwm)
             .unwrap()
             .sorted_results();
         let indexed = db
-            .query_range_with(&query, QueryPlan::Indexed, profile)
+            .query_range_with_plan(&query, QueryPlan::Indexed)
             .unwrap()
             .sorted_results();
-        assert_eq!(rbm, bwm, "RBM vs BWM under {profile:?} on {query:?}");
-        assert_eq!(
-            rbm, indexed,
-            "RBM vs Indexed under {profile:?} on {query:?}"
-        );
+        assert_eq!(rbm, bwm, "RBM vs BWM on {query:?}");
+        assert_eq!(rbm, indexed, "RBM vs Indexed on {query:?}");
     }
 }
 
@@ -169,18 +166,14 @@ proptest! {
             edited_ids.push(db.insert_edited(sequence_of(base, ops, target)).unwrap());
         }
 
-        for profile in [RuleProfile::Conservative, RuleProfile::PaperTable1] {
-            assert_plans_agree(&db, &queries, profile);
-        }
+        assert_plans_agree(&db, &queries);
 
         // Immediately after an insert the index must re-sync, never serve
         // the pre-insert view.
         let late = db
             .insert_edited(sequence_of(base_ids[0], &late_variant, base_ids[1 % base_ids.len()]))
             .unwrap();
-        for profile in [RuleProfile::Conservative, RuleProfile::PaperTable1] {
-            assert_plans_agree(&db, &queries, profile);
-        }
+        assert_plans_agree(&db, &queries);
 
         // ...and immediately after deletes (which also reclassify BWM
         // clusters and trigger transitive invalidation).
@@ -188,8 +181,6 @@ proptest! {
         if let Some(&victim) = edited_ids.first() {
             db.delete(victim).unwrap();
         }
-        for profile in [RuleProfile::Conservative, RuleProfile::PaperTable1] {
-            assert_plans_agree(&db, &queries, profile);
-        }
+        assert_plans_agree(&db, &queries);
     }
 }

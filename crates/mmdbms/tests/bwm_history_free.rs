@@ -12,11 +12,6 @@ use mmdbms::server::{Client, QueryBackend, QueryServer, RangeRequest, ServerConf
 use mmdbms::MultimediaDatabase;
 use std::sync::Arc;
 
-const PROFILES: [(RuleProfile, ProfileKind); 2] = [
-    (RuleProfile::Conservative, ProfileKind::Conservative),
-    (RuleProfile::PaperTable1, ProfileKind::PaperTable1),
-];
-
 /// Twenty-four flags with three edited variants each.
 fn seeded_db(shards: usize) -> MultimediaDatabase {
     let db = MultimediaDatabase::in_memory_sharded(Box::new(RgbQuantizer::default_64()), shards);
@@ -48,36 +43,31 @@ fn bwm_stats_do_not_depend_on_index_warmth_or_write_history() {
     for shards in [1, 4] {
         let db = seeded_db(shards);
         let query = red_band(&db);
-        for (profile, _) in PROFILES {
-            let bwm = || {
-                db.query_range_with(&query, QueryPlan::Bwm, profile)
-                    .unwrap()
-            };
-            let warm = || {
-                db.query_range_with(&query, QueryPlan::Indexed, profile)
-                    .unwrap()
-            };
-            let cold = bwm();
-            assert!(
-                cold.stats.bounds_computed > 0 && cold.stats.shortcut_emissions > 0,
-                "the query must exercise both branches of step 4: {:?}",
-                cold.stats
-            );
-            assert_eq!(cold.stats.intervals_scanned, 0);
-            let what = |stage: &str| format!("{shards} shard(s), {profile:?}, {stage}");
+        let bwm = || db.query_range_with_plan(&query, QueryPlan::Bwm).unwrap();
+        let warm = || {
+            db.query_range_with_plan(&query, QueryPlan::Indexed)
+                .unwrap()
+        };
+        let cold = bwm();
+        assert!(
+            cold.stats.bounds_computed > 0 && cold.stats.shortcut_emissions > 0,
+            "the query must exercise both branches of step 4: {:?}",
+            cold.stats
+        );
+        assert_eq!(cold.stats.intervals_scanned, 0);
+        let what = |stage: &str| format!("{shards} shard(s), {stage}");
 
-            assert_eq!(warm().sorted_results(), cold.sorted_results());
-            let after_indexed = bwm();
-            assert_eq!(after_indexed.stats, cold.stats, "{}", what("index warm"));
-            assert_eq!(after_indexed.results, cold.results);
+        assert_eq!(warm().sorted_results(), cold.sorted_results());
+        let after_indexed = bwm();
+        assert_eq!(after_indexed.stats, cold.stats, "{}", what("index warm"));
+        assert_eq!(after_indexed.results, cold.results);
 
-            write_and_undo(&db);
-            let after_write = bwm();
-            assert_eq!(after_write.stats, cold.stats, "{}", what("after a write"));
+        write_and_undo(&db);
+        let after_write = bwm();
+        assert_eq!(after_write.stats, cold.stats, "{}", what("after a write"));
 
-            warm();
-            assert_eq!(bwm().stats, cold.stats, "{}", what("index re-synced"));
-        }
+        warm();
+        assert_eq!(bwm().stats, cold.stats, "{}", what("index re-synced"));
     }
 }
 
@@ -93,30 +83,28 @@ fn wire_reply_counters_do_not_depend_on_index_warmth_or_write_history() {
         )
         .unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
-        for (_, profile) in PROFILES {
-            let mut ask = |plan| {
-                let reply = client
-                    .range(RangeRequest {
-                        plan,
-                        profile,
-                        bin: query.bin as u32,
-                        pct_min: query.pct_min,
-                        pct_max: query.pct_max,
-                    })
-                    .unwrap();
-                (reply.bounds_computed, reply.shortcut_emissions, reply.ids)
-            };
-            let cold = ask(PlanKind::Bwm);
-            assert!(cold.0 > 0, "the query must walk some rules");
-            let what = |stage: &str| format!("{shards} shard(s), {profile:?}, {stage}");
+        let mut ask = |plan| {
+            let reply = client
+                .range(RangeRequest {
+                    plan,
+                    profile: ProfileKind::Conservative,
+                    bin: query.bin as u32,
+                    pct_min: query.pct_min,
+                    pct_max: query.pct_max,
+                })
+                .unwrap();
+            (reply.bounds_computed, reply.shortcut_emissions, reply.ids)
+        };
+        let cold = ask(PlanKind::Bwm);
+        assert!(cold.0 > 0, "the query must walk some rules");
+        let what = |stage: &str| format!("{shards} shard(s), {stage}");
 
-            ask(PlanKind::Indexed);
-            assert_eq!(ask(PlanKind::Bwm), cold, "{}", what("index warm"));
-            write_and_undo(&db);
-            assert_eq!(ask(PlanKind::Bwm), cold, "{}", what("after a write"));
-            ask(PlanKind::Indexed);
-            assert_eq!(ask(PlanKind::Bwm), cold, "{}", what("index re-synced"));
-        }
+        ask(PlanKind::Indexed);
+        assert_eq!(ask(PlanKind::Bwm), cold, "{}", what("index warm"));
+        write_and_undo(&db);
+        assert_eq!(ask(PlanKind::Bwm), cold, "{}", what("after a write"));
+        ask(PlanKind::Indexed);
+        assert_eq!(ask(PlanKind::Bwm), cold, "{}", what("index re-synced"));
         drop(client);
         server.shutdown();
     }

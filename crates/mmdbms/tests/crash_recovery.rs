@@ -2,7 +2,7 @@
 //! record boundary — or mid-record, with a torn final frame — must recover
 //! to exactly the state an in-memory oracle reaches by replaying the same
 //! mutation prefix, and the recovered database must still satisfy the plan
-//! equivalence RBM ≡ BWM ≡ Indexed under both rule profiles.
+//! equivalence RBM ≡ BWM ≡ Indexed.
 //!
 //! Crash simulation: the WAL appends with plain unbuffered `write_all`, so
 //! after each acknowledged mutation the data directory *is* the crash image
@@ -184,21 +184,16 @@ fn assert_state_equiv(recovered: &MultimediaDatabase, oracle: &MultimediaDatabas
     assert_eq!(rec_ids, ora_ids, "catalog ids diverge: {ctx}");
     for (color, lo) in [(Rgb::RED, 0.05), (Rgb::new(0xCE, 0x11, 0x26), 0.20)] {
         let query = ColorRangeQuery::new(oracle.bin_of(color), lo, 1.0);
-        for profile in [RuleProfile::Conservative, RuleProfile::PaperTable1] {
-            let want = oracle
-                .query_range_with(&query, QueryPlan::Rbm, profile)
+        let want = oracle
+            .query_range_with_plan(&query, QueryPlan::Rbm)
+            .unwrap()
+            .sorted_results();
+        for plan in [QueryPlan::Rbm, QueryPlan::Bwm, QueryPlan::Indexed] {
+            let got = recovered
+                .query_range_with_plan(&query, plan)
                 .unwrap()
                 .sorted_results();
-            for plan in [QueryPlan::Rbm, QueryPlan::Bwm, QueryPlan::Indexed] {
-                let got = recovered
-                    .query_range_with(&query, plan, profile)
-                    .unwrap()
-                    .sorted_results();
-                assert_eq!(
-                    got, want,
-                    "{plan:?}/{profile:?} diverges from oracle RBM: {ctx}"
-                );
-            }
+            assert_eq!(got, want, "{plan:?} diverges from oracle RBM: {ctx}");
         }
     }
 }

@@ -191,6 +191,75 @@ fn serve_sigint_drain_leaves_zero_replay() {
     std::fs::remove_dir_all(&db).ok();
 }
 
+/// One index file is persisted and read per shard, the Conservative one. A
+/// literal-profile `paper_table1.idx` left in `boundidx/` — stamped past the
+/// catalog, so reading it at all would discard it or flag it — is never
+/// read: the database opens warm from `conservative.idx` alone, answers
+/// Indexed ≡ RBM, leaves the file untouched, and `fsck` passes without
+/// mentioning it.
+#[test]
+fn stale_literal_profile_index_file_is_ignored() {
+    use mmdbms::boundidx::{persist, BoundIndex};
+    use mmdbms::datagen::{flags::FlagGenerator, VariantConfig};
+    use mmdbms::prelude::*;
+
+    let db = temp_db("stale_idx");
+    let idx_dir = db.join("boundidx");
+    let query = |db: &MultimediaDatabase, plan| {
+        let red = ColorRangeQuery::at_least(db.bin_of(Rgb::new(0xCE, 0x11, 0x26)), 0.1);
+        db.query_range_with_plan(&red, plan)
+            .unwrap()
+            .sorted_results()
+    };
+    {
+        let mmdb = MultimediaDatabase::create(&db, Box::new(RgbQuantizer::default_64())).unwrap();
+        let flags = FlagGenerator::with_seed(3);
+        for i in 0..8 {
+            mmdb.insert_image_with_augmentation(&flags.generate(i), 2, VariantConfig::default(), i)
+                .unwrap();
+        }
+        query(&mmdb, QueryPlan::Indexed);
+        mmdb.flush().unwrap();
+        let storage = mmdb.storage();
+        let literal = BoundIndex::build(
+            RuleProfile::PaperTable1,
+            storage.quantizer(),
+            storage.background(),
+            &storage.binary_ids(),
+            &storage.edited_ids(),
+            storage,
+            storage,
+            storage.current_epoch() + 1_000,
+            1,
+        )
+        .unwrap();
+        persist::save(&literal, &idx_dir).unwrap();
+    }
+    let stale = idx_dir.join(persist::index_file_name(RuleProfile::PaperTable1));
+    let stale_bytes = std::fs::read(&stale).unwrap();
+
+    let metrics = mmdbms::telemetry::global();
+    let counter = |name| metrics.counter(name).get();
+    let (loads, builds) = (
+        counter("mmdb_boundidx_warm_loads_total"),
+        counter("mmdb_boundidx_builds_total"),
+    );
+    let mmdb = MultimediaDatabase::open(&db).unwrap();
+    let indexed = query(&mmdb, QueryPlan::Indexed);
+    assert!(!indexed.is_empty());
+    assert_eq!(indexed, query(&mmdb, QueryPlan::Rbm), "Indexed ≡ RBM");
+    assert_eq!(counter("mmdb_boundidx_warm_loads_total") - loads, 1);
+    assert_eq!(counter("mmdb_boundidx_builds_total"), builds, "served warm");
+    mmdb.flush().unwrap();
+    drop(mmdb);
+    assert_eq!(std::fs::read(&stale).unwrap(), stale_bytes, "never read");
+
+    let fsck = ok(&["fsck", db.to_str().unwrap()]);
+    assert!(!fsck.contains("paper_table1"), "{fsck}");
+
+    std::fs::remove_dir_all(&db).ok();
+}
+
 /// A second `create` must fail whatever its shard count: a sharded root has
 /// no `meta` file, so only the `shards` manifest says a database is there.
 #[test]

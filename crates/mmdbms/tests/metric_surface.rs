@@ -108,7 +108,7 @@ fn every_series_is_registered_up_front_and_documented() {
     .unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
-    // Every plan x both profiles, a k-NN, a lookup, stats, a ping.
+    // Every plan, a k-NN, a lookup, stats, a ping.
     let bin = db.bin_of(Rgb::new(0xCE, 0x11, 0x26)) as u32;
     for plan in [
         PlanKind::Instantiate,
@@ -117,17 +117,15 @@ fn every_series_is_registered_up_front_and_documented() {
         PlanKind::Indexed,
         PlanKind::Bwm, // again, now with a fresh index to probe
     ] {
-        for profile in [ProfileKind::Conservative, ProfileKind::PaperTable1] {
-            client
-                .range(RangeRequest {
-                    plan,
-                    profile,
-                    bin,
-                    pct_min: 0.05,
-                    pct_max: 1.0,
-                })
-                .unwrap();
-        }
+        client
+            .range(RangeRequest {
+                plan,
+                profile: ProfileKind::Conservative,
+                bin,
+                pct_min: 0.05,
+                pct_max: 1.0,
+            })
+            .unwrap();
     }
     let probe = db.binary_ids()[0];
     assert!(!client.knn(probe.0, 3).unwrap().is_empty());

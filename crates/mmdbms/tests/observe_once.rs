@@ -1,7 +1,8 @@
 //! A range query is observed once per request, whatever the shard count:
 //! the counters, latency histograms, heat cell and flight-recorder events a
 //! query moves must not depend on topology, and the traced path must be the
-//! untraced path with a trace attached.
+//! untraced path with a trace attached. A query for a profile the database
+//! does not serve is refused before it is observed: it moves nothing.
 //!
 //! Every assertion here reads process-global telemetry as an exact delta,
 //! so the tests take one lock.
@@ -9,9 +10,10 @@
 use mmdbms::datagen::flags::FlagGenerator;
 use mmdbms::datagen::VariantConfig;
 use mmdbms::prelude::*;
+use mmdbms::query::executor::QueryError;
 use mmdbms::server::protocol::{PlanKind, ProfileKind};
 use mmdbms::server::{Client, QueryBackend, QueryServer, RangeRequest, ServerConfig};
-use mmdbms::telemetry::{global, heat, recorder, EventKind, HEAT_PLANS, HEAT_PROFILES};
+use mmdbms::telemetry::{global, heat, recorder, EventKind, HEAT_PLANS};
 use mmdbms::MultimediaDatabase;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -21,7 +23,6 @@ const PLANS: [QueryPlan; 4] = [
     QueryPlan::Bwm,
     QueryPlan::Indexed,
 ];
-const PROFILES: [RuleProfile; 2] = [RuleProfile::Conservative, RuleProfile::PaperTable1];
 
 fn telemetry_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -44,50 +45,37 @@ fn red_query(db: &MultimediaDatabase) -> ColorRangeQuery {
     ColorRangeQuery::at_least(db.bin_of(Rgb::new(0xCE, 0x11, 0x26)), 0.1)
 }
 
-/// Positions of `plan` / `profile` in the telemetry label tables.
-fn label_indices(plan: QueryPlan, profile: RuleProfile) -> (usize, usize) {
-    let plan_idx = HEAT_PLANS
+/// Position of `plan` in the heat table's label order.
+fn heat_index(plan: QueryPlan) -> usize {
+    HEAT_PLANS
         .iter()
         .position(|label| *label == plan.to_string())
-        .unwrap();
-    let profile_idx = HEAT_PROFILES
-        .iter()
-        .position(|label| *label == profile.label())
-        .unwrap();
-    (plan_idx, profile_idx)
+        .unwrap()
 }
 
 /// Everything one range query is supposed to move, read at one instant.
 #[derive(Debug, PartialEq, Eq)]
 struct Observed {
     total: u64,
-    latency_by_plan: u64,
-    latency_by_profile: u64,
+    latency: u64,
     heat_total: u64,
     bwm_queries: u64,
     boundidx_lookups: u64,
     events_recorded: u64,
 }
 
-fn observe(plan: QueryPlan, profile: RuleProfile, bin: usize) -> Observed {
-    let (plan_idx, profile_idx) = label_indices(plan, profile);
-    let profile = profile.label();
+fn observe(plan: QueryPlan, bin: usize) -> Observed {
     let g = global();
     Observed {
         total: g
             .counter(&format!(r#"mmdb_query_range_total{{plan="{plan}"}}"#))
             .get(),
-        latency_by_plan: g
+        latency: g
             .histogram(&format!(
                 r#"mmdb_query_range_latency_seconds{{plan="{plan}"}}"#
             ))
             .count(),
-        latency_by_profile: g
-            .histogram(&format!(
-                r#"mmdb_query_range_latency_seconds{{plan="{plan}",profile="{profile}"}}"#
-            ))
-            .count(),
-        heat_total: heat().total_of(bin as u32, plan_idx, profile_idx),
+        heat_total: heat().total_of(bin as u32, heat_index(plan)),
         bwm_queries: g.counter("mmdb_bwm_queries_total").get(),
         boundidx_lookups: g.counter("mmdb_boundidx_lookups_total").get(),
         events_recorded: recorder().recorded_total(),
@@ -96,19 +84,11 @@ fn observe(plan: QueryPlan, profile: RuleProfile, bin: usize) -> Observed {
 
 /// Asserts that between `before` and now exactly one query was observed
 /// and that its `query_end` event reports `results` candidates.
-fn assert_one_query(
-    before: &Observed,
-    plan: QueryPlan,
-    profile: RuleProfile,
-    bin: usize,
-    results: usize,
-    what: &str,
-) {
-    let after = observe(plan, profile, bin);
+fn assert_one_query(before: &Observed, plan: QueryPlan, bin: usize, results: usize, what: &str) {
+    let after = observe(plan, bin);
     let expected = Observed {
         total: before.total + 1,
-        latency_by_plan: before.latency_by_plan + 1,
-        latency_by_profile: before.latency_by_profile + 1,
+        latency: before.latency + 1,
         heat_total: before.heat_total + 1,
         bwm_queries: before.bwm_queries + u64::from(plan == QueryPlan::Bwm),
         boundidx_lookups: before.boundidx_lookups + u64::from(plan == QueryPlan::Indexed),
@@ -139,14 +119,49 @@ fn facade_observes_one_query_per_call_at_every_shard_count() {
         let db = seeded_db(shards);
         let query = red_query(&db);
         for plan in PLANS {
-            for profile in PROFILES {
-                let before = observe(plan, profile, query.bin);
-                let out = db.query_range_with(&query, plan, profile).unwrap();
-                assert!(!out.results.is_empty());
-                let what = format!("{shards} shards, {plan}, {}", profile.label());
-                assert_one_query(&before, plan, profile, query.bin, out.results.len(), &what);
-            }
+            let before = observe(plan, query.bin);
+            let out = db.query_range_with_plan(&query, plan).unwrap();
+            assert!(!out.results.is_empty());
+            let what = format!("{shards} shards, {plan}");
+            assert_one_query(&before, plan, query.bin, out.results.len(), &what);
         }
+    }
+}
+
+/// The literal Table 1 profile is refused before anything runs: every plan,
+/// at 1 and 4 shards, returns the refusal and moves no series, heat cell or
+/// flight-recorder event — and the Indexed refusal builds no index.
+#[test]
+fn unserved_profile_is_refused_and_moves_nothing() {
+    let _guard = telemetry_lock();
+    for shards in [1, 4] {
+        let db = seeded_db(shards);
+        let query = red_query(&db);
+        for plan in PLANS {
+            let what = format!("{shards} shards, {plan}");
+            let series = global().snapshot();
+            let heat_total = heat().total_of(query.bin as u32, heat_index(plan));
+            let events = recorder().recorded_total();
+            match db.query_range_with(&query, plan, RuleProfile::PaperTable1) {
+                Err(e @ QueryError::UnservedProfile(RuleProfile::PaperTable1)) => {
+                    assert!(e.to_string().contains("paper_table1"), "{what}: {e}");
+                }
+                other => panic!("{what}: expected the refusal, got {other:?}"),
+            }
+            assert_eq!(global().snapshot(), series, "{what}");
+            let heat_after = heat().total_of(query.bin as u32, heat_index(plan));
+            assert_eq!(heat_after, heat_total, "{what}");
+            assert_eq!(recorder().recorded_total(), events, "{what}");
+        }
+        // Every shard's slot still reads as never built.
+        db.refresh_staleness_gauges();
+        let gauge = |name| global().gauge(name).get();
+        assert_eq!(
+            gauge("mmdb_boundidx_entries_resident"),
+            0,
+            "{shards} shards"
+        );
+        assert!(gauge("mmdb_boundidx_epoch_lag") > 0, "{shards} shards");
     }
 }
 
@@ -169,8 +184,7 @@ fn served_request_is_observed_once_at_every_shard_count() {
             PlanKind::Bwm,
             PlanKind::Indexed,
         ]) {
-            let profile = RuleProfile::Conservative;
-            let before = observe(plan, profile, query.bin);
+            let before = observe(plan, query.bin);
             let reply = client
                 .range(RangeRequest {
                     plan: kind,
@@ -184,7 +198,7 @@ fn served_request_is_observed_once_at_every_shard_count() {
             // The admission edge adds heat only for requests it refuses, so
             // a served request moves the cell once, at execution.
             let what = format!("served, {shards} shards, {plan}");
-            assert_one_query(&before, plan, profile, query.bin, reply.ids.len(), &what);
+            assert_one_query(&before, plan, query.bin, reply.ids.len(), &what);
         }
         drop(client);
         server.shutdown();
@@ -244,63 +258,59 @@ fn traced_path_is_the_untraced_path() {
     for shards in [1, 7, 16] {
         let db = seeded_db(shards);
         let query = red_query(&db);
-        // Leave a fresh index behind for both profiles, so the BWM plan has
-        // a bounds cache to probe: traced and untraced must use it alike.
-        for profile in PROFILES {
-            db.query_range_with(&query, QueryPlan::Indexed, profile)
-                .unwrap();
-        }
+        // Leave a fresh index behind, so the BWM plan has a bounds cache to
+        // probe: traced and untraced must use it alike.
+        db.query_range_with_plan(&query, QueryPlan::Indexed)
+            .unwrap();
         for plan in PLANS {
-            for profile in PROFILES {
-                let what = format!("{shards} shards, {plan}, {}", profile.label());
-                let plain = db.query_range_with(&query, plan, profile).unwrap();
-                let (traced, trace) = db.query_range_traced_with(&query, plan, profile).unwrap();
-                assert_eq!(traced.results, plain.results, "{what}");
-                assert_eq!(traced.stats, plain.stats, "{what}");
+            let what = format!("{shards} shards, {plan}");
+            let plain = db.query_range_with_plan(&query, plan).unwrap();
+            let (traced, trace) = db.query_range_traced(&query, plan).unwrap();
+            assert_eq!(traced.results, plain.results, "{what}");
+            assert_eq!(traced.stats, plain.stats, "{what}");
 
-                let root = trace.root();
-                let counter = |span: &mmdbms::telemetry::Span, name: &str| {
-                    span.counters.iter().find(|(n, _)| n == name).map(|c| c.1)
-                };
-                assert_eq!(counter(root, "results"), Some(plain.results.len() as u64));
-                assert_eq!(
-                    counter(root, "bounds_computed"),
-                    Some(plain.stats.bounds_computed as u64),
-                    "{what}"
-                );
-                if shards == 1 {
-                    assert!(root.children.iter().all(|s| !s.name.starts_with("shard")));
-                    continue;
-                }
-                let names: Vec<_> = root.children.iter().map(|s| s.name.clone()).collect();
-                let expected: Vec<_> = (0..shards).map(|i| format!("shard{i}")).collect();
-                assert_eq!(names, expected, "{what}");
-                let sum = |name: &str| -> u64 {
-                    root.children
-                        .iter()
-                        .map(|shard| counter(shard, name).unwrap())
-                        .sum()
-                };
-                assert_eq!(sum("results"), plain.results.len() as u64, "{what}");
-                assert_eq!(
-                    sum("bounds_computed"),
-                    plain.stats.bounds_computed as u64,
-                    "{what}"
-                );
-                // Each shard stage keeps the plan's own stages beneath it.
-                assert!(
-                    root.children.iter().all(|s| !s.children.is_empty()),
-                    "{what}"
-                );
+            let root = trace.root();
+            let counter = |span: &mmdbms::telemetry::Span, name: &str| {
+                span.counters.iter().find(|(n, _)| n == name).map(|c| c.1)
+            };
+            assert_eq!(counter(root, "results"), Some(plain.results.len() as u64));
+            assert_eq!(
+                counter(root, "bounds_computed"),
+                Some(plain.stats.bounds_computed as u64),
+                "{what}"
+            );
+            if shards == 1 {
+                assert!(root.children.iter().all(|s| !s.name.starts_with("shard")));
+                continue;
             }
+            let names: Vec<_> = root.children.iter().map(|s| s.name.clone()).collect();
+            let expected: Vec<_> = (0..shards).map(|i| format!("shard{i}")).collect();
+            assert_eq!(names, expected, "{what}");
+            let sum = |name: &str| -> u64 {
+                root.children
+                    .iter()
+                    .map(|shard| counter(shard, name).unwrap())
+                    .sum()
+            };
+            assert_eq!(sum("results"), plain.results.len() as u64, "{what}");
+            assert_eq!(
+                sum("bounds_computed"),
+                plain.stats.bounds_computed as u64,
+                "{what}"
+            );
+            // Each shard stage keeps the plan's own stages beneath it.
+            assert!(
+                root.children.iter().all(|s| !s.children.is_empty()),
+                "{what}"
+            );
         }
     }
 }
 
 /// The rule engine's series, as the registry holds them right now:
-/// applications by kind (define … merge_target), bound-widening operations
-/// under `profile`, BOUNDS computations.
-fn rule_series(profile: RuleProfile) -> ([u64; 6], u64, u64) {
+/// applications by kind (define … merge_target), bound-widening operations,
+/// BOUNDS computations.
+fn rule_series() -> ([u64; 6], u64, u64) {
     let g = global();
     let applications = [
         "define",
@@ -315,10 +325,7 @@ fn rule_series(profile: RuleProfile) -> ([u64; 6], u64, u64) {
             .get()
     });
     let widening = g
-        .counter(&format!(
-            r#"mmdb_rules_widening_ops_total{{profile="{}"}}"#,
-            profile.label()
-        ))
+        .counter(r#"mmdb_rules_widening_ops_total{profile="conservative"}"#)
         .get();
     (
         applications,
@@ -337,37 +344,34 @@ fn rule_series_are_exact_from_a_thread_that_exits() {
         let db = seeded_db(shards);
         let query = red_query(&db);
         for plan in [QueryPlan::Rbm, QueryPlan::Bwm] {
-            for profile in PROFILES {
-                let (apps_before, widening_before, bounds_before) = rule_series(profile);
-                let stats = std::thread::scope(|scope| {
-                    scope
-                        .spawn(|| db.query_range_with(&query, plan, profile).unwrap().stats)
-                        .join()
-                        .unwrap()
-                });
-                let (apps, widening, bounds) = rule_series(profile);
-                let what = format!("{shards} shards, {plan}, {}", profile.label());
-                assert!(stats.bounds_computed > 0, "{what}: nothing walked");
-                assert_eq!(
-                    bounds - bounds_before,
-                    stats.bounds_computed as u64,
-                    "{what}"
-                );
-                let moved: Vec<u64> = apps.iter().zip(apps_before).map(|(a, b)| a - b).collect();
-                let reported: Vec<u64> =
-                    stats.rule_applications.iter().map(|&n| n as u64).collect();
-                assert_eq!(moved, reported, "{what}");
-                assert_eq!(
-                    moved.iter().sum::<u64>(),
-                    stats.ops_processed as u64,
-                    "{what}"
-                );
-                assert_eq!(
-                    widening - widening_before,
-                    (stats.ops_processed - stats.rule_applications[5]) as u64,
-                    "{what}"
-                );
-            }
+            let (apps_before, widening_before, bounds_before) = rule_series();
+            let stats = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| db.query_range_with_plan(&query, plan).unwrap().stats)
+                    .join()
+                    .unwrap()
+            });
+            let (apps, widening, bounds) = rule_series();
+            let what = format!("{shards} shards, {plan}");
+            assert!(stats.bounds_computed > 0, "{what}: nothing walked");
+            assert_eq!(
+                bounds - bounds_before,
+                stats.bounds_computed as u64,
+                "{what}"
+            );
+            let moved: Vec<u64> = apps.iter().zip(apps_before).map(|(a, b)| a - b).collect();
+            let reported: Vec<u64> = stats.rule_applications.iter().map(|&n| n as u64).collect();
+            assert_eq!(moved, reported, "{what}");
+            assert_eq!(
+                moved.iter().sum::<u64>(),
+                stats.ops_processed as u64,
+                "{what}"
+            );
+            assert_eq!(
+                widening - widening_before,
+                (stats.ops_processed - stats.rule_applications[5]) as u64,
+                "{what}"
+            );
         }
     }
 }

@@ -2,8 +2,8 @@
 //! rule walk costs, never what it computes or counts: per query, results,
 //! work counters and rule-engine telemetry equal what the interpretive
 //! reference walker (`crates/rules/tests/reference`) reports, under RBM and
-//! BWM and both rule profiles; and a merge target deleted after a program
-//! was cached still fails the query closed.
+//! BWM; and a merge target deleted after a program was cached still fails
+//! the query closed.
 //!
 //! The telemetry assertions read process-global counters as exact deltas,
 //! so the tests take one lock.
@@ -19,8 +19,6 @@ use mmdbms::rules::{InfoResolver, RuleError};
 use mmdbms::MultimediaDatabase;
 use reference::ReferenceEngine;
 use std::sync::{Mutex, MutexGuard};
-
-const PROFILES: [RuleProfile; 2] = [RuleProfile::Conservative, RuleProfile::PaperTable1];
 
 fn telemetry_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -78,15 +76,12 @@ const OP_LABELS: [&str; 6] = [
     "merge_target",
 ];
 
-fn rule_series(db: &MultimediaDatabase, profile: RuleProfile) -> ([u64; 6], u64, u64) {
+fn rule_series(db: &MultimediaDatabase) -> ([u64; 6], u64, u64) {
     // `metrics()` drains this thread's staged rule counts first.
     let snapshot = db.metrics().snapshot();
     let applications =
         OP_LABELS.map(|op| snapshot.get(&format!(r#"mmdb_rules_applications_total{{op="{op}"}}"#)));
-    let widening = snapshot.get(&format!(
-        r#"mmdb_rules_widening_ops_total{{profile="{}"}}"#,
-        profile.label()
-    ));
+    let widening = snapshot.get(r#"mmdb_rules_widening_ops_total{profile="conservative"}"#);
     (
         applications,
         widening,
@@ -94,15 +89,10 @@ fn rule_series(db: &MultimediaDatabase, profile: RuleProfile) -> ([u64; 6], u64,
     )
 }
 
-fn observed(
-    db: &MultimediaDatabase,
-    query: &ColorRangeQuery,
-    plan: QueryPlan,
-    profile: RuleProfile,
-) -> Work {
-    let (apps_before, widening_before, bounds_before) = rule_series(db, profile);
-    let out = db.query_range_with(query, plan, profile).unwrap();
-    let (apps_after, widening_after, bounds_after) = rule_series(db, profile);
+fn observed(db: &MultimediaDatabase, query: &ColorRangeQuery, plan: QueryPlan) -> Work {
+    let (apps_before, widening_before, bounds_before) = rule_series(db);
+    let out = db.query_range_with_plan(query, plan).unwrap();
+    let (apps_after, widening_after, bounds_after) = rule_series(db);
     assert_eq!(
         bounds_after - bounds_before,
         out.stats.bounds_computed as u64,
@@ -214,30 +204,28 @@ fn work_and_answers_match_the_reference_walker() {
         // Twice over the same queries: the first pass compiles programs as
         // it meets them, the second finds every one cached.
         for pass in 0..2 {
-            for profile in PROFILES {
-                for query in &queries(&db) {
-                    let oracle = || Oracle {
-                        db: &db,
-                        reference: ReferenceEngine::new(
-                            db.quantizer(),
-                            profile,
-                            db.storage().background(),
-                        ),
-                        query,
-                        work: Work::default(),
-                    };
-                    let context = format!("{shards} shards, pass {pass}, {profile:?}, {query:?}");
-                    assert_eq!(
-                        observed(&db, query, QueryPlan::Rbm, profile),
-                        oracle().rbm(),
-                        "RBM, {context}"
-                    );
-                    assert_eq!(
-                        observed(&db, query, QueryPlan::Bwm, profile),
-                        oracle().bwm(),
-                        "BWM, {context}"
-                    );
-                }
+            for query in &queries(&db) {
+                let oracle = || Oracle {
+                    db: &db,
+                    reference: ReferenceEngine::new(
+                        db.quantizer(),
+                        RuleProfile::Conservative,
+                        db.storage().background(),
+                    ),
+                    query,
+                    work: Work::default(),
+                };
+                let context = format!("{shards} shards, pass {pass}, {query:?}");
+                assert_eq!(
+                    observed(&db, query, QueryPlan::Rbm),
+                    oracle().rbm(),
+                    "RBM, {context}"
+                );
+                assert_eq!(
+                    observed(&db, query, QueryPlan::Bwm),
+                    oracle().bwm(),
+                    "BWM, {context}"
+                );
             }
         }
     }
@@ -276,10 +264,8 @@ fn deleted_merge_target_fails_closed_after_its_program_was_cached() {
         // A query no binary image satisfies, so every edited image walks.
         let query = ColorRangeQuery::new(db.bin_of(Rgb::BLUE), 0.5, 1.0);
         for plan in [QueryPlan::Bwm, QueryPlan::Rbm] {
-            for profile in PROFILES {
-                let out = db.query_range_with(&query, plan, profile).unwrap();
-                assert_eq!(out.stats.bounds_computed, 2, "{plan} {profile:?}");
-            }
+            let out = db.query_range_with_plan(&query, plan).unwrap();
+            assert_eq!(out.stats.bounds_computed, 2, "{plan}");
         }
         let storage = db.shard_storage(db.shard_of(pasted));
         let cached = storage.bound_program(pasted).unwrap();
@@ -293,17 +279,17 @@ fn deleted_merge_target_fails_closed_after_its_program_was_cached() {
             "still cached"
         );
         for plan in [QueryPlan::Bwm, QueryPlan::Rbm] {
-            for profile in PROFILES {
-                match db.query_range_with(&query, plan, profile) {
-                    Err(QueryError::Rule(RuleError::UnknownImage(id))) => assert_eq!(id, target),
-                    other => panic!("{shards} shards, {plan} {profile:?}: expected UnknownImage({target}), got {other:?}"),
-                }
+            match db.query_range_with_plan(&query, plan) {
+                Err(QueryError::Rule(RuleError::UnknownImage(id))) => assert_eq!(id, target),
+                other => panic!(
+                    "{shards} shards, {plan}: expected UnknownImage({target}), got {other:?}"
+                ),
             }
         }
 
         // With the dependent gone the database answers again.
         db.delete(pasted).unwrap();
-        let out = db.query_range_with(&query, QueryPlan::Bwm, RuleProfile::Conservative);
+        let out = db.query_range_with_plan(&query, QueryPlan::Bwm);
         assert_eq!(out.unwrap().stats.bounds_computed, 1);
         assert!(db.contains(plain));
     }

@@ -224,33 +224,30 @@ fn assert_range_equiv(
     let run = |db: &MultimediaDatabase,
                map: &HashMap<ImageId, Key>,
                spec: &QuerySpec,
-               plan: QueryPlan,
-               profile: RuleProfile| {
+               plan: QueryPlan| {
         keys_of(
             map,
-            &db.query_range_with(&query_of(db, spec), plan, profile)
+            &db.query_range_with_plan(&query_of(db, spec), plan)
                 .unwrap()
                 .sorted_results(),
             ctx,
         )
     };
     for spec in queries {
-        for profile in [RuleProfile::Conservative, RuleProfile::PaperTable1] {
-            let want_scan = run(oracle, oracle_map, spec, QueryPlan::Rbm, profile);
-            for plan in [QueryPlan::Rbm, QueryPlan::Bwm, QueryPlan::Indexed] {
-                let got = run(sharded, sharded_map, spec, plan, profile);
-                assert_eq!(
-                    got, want_scan,
-                    "{ctx}: sharded {plan:?}/{profile:?} diverges from oracle RBM scan on {spec:?}"
-                );
-            }
-            let want_truth = run(oracle, oracle_map, spec, QueryPlan::Instantiate, profile);
-            let got = run(sharded, sharded_map, spec, QueryPlan::Instantiate, profile);
+        let want_scan = run(oracle, oracle_map, spec, QueryPlan::Rbm);
+        for plan in [QueryPlan::Rbm, QueryPlan::Bwm, QueryPlan::Indexed] {
+            let got = run(sharded, sharded_map, spec, plan);
             assert_eq!(
-                got, want_truth,
-                "{ctx}: sharded Instantiate/{profile:?} diverges from oracle exact scan on {spec:?}"
+                got, want_scan,
+                "{ctx}: sharded {plan:?} diverges from oracle RBM scan on {spec:?}"
             );
         }
+        let want_truth = run(oracle, oracle_map, spec, QueryPlan::Instantiate);
+        let got = run(sharded, sharded_map, spec, QueryPlan::Instantiate);
+        assert_eq!(
+            got, want_truth,
+            "{ctx}: sharded Instantiate diverges from oracle exact scan on {spec:?}"
+        );
     }
 }
 

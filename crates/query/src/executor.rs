@@ -8,9 +8,7 @@ use mmdb_bwm::{BwmQueryStats, BwmStructure, Method, QueryOutcome};
 use mmdb_editops::ImageId;
 use mmdb_rules::{ColorRangeQuery, RuleEngine, RuleError, RuleProfile};
 use mmdb_storage::{StorageEngine, StorageError};
-use mmdb_telemetry::{
-    counter, histogram, Counter, EventKind, Histogram, QueryTrace, HEAT_PLANS, HEAT_PROFILES,
-};
+use mmdb_telemetry::{counter, histogram, Counter, EventKind, Histogram, QueryTrace, HEAT_PLANS};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -25,6 +23,10 @@ pub enum QueryError {
     Rule(RuleError),
     /// Storage access failed.
     Storage(StorageError),
+    /// The database serves only [`RuleProfile::Conservative`]; a request
+    /// for another profile is refused rather than answered with bounds that
+    /// may drop true matches.
+    UnservedProfile(RuleProfile),
 }
 
 impl fmt::Display for QueryError {
@@ -32,6 +34,12 @@ impl fmt::Display for QueryError {
         match self {
             QueryError::Rule(e) => write!(f, "rule error: {e}"),
             QueryError::Storage(e) => write!(f, "storage error: {e}"),
+            QueryError::UnservedProfile(p) => write!(
+                f,
+                "rule profile {} is not served: its bounds are unsound (PAPER.md caveat 2); \
+                 only conservative is",
+                p.label()
+            ),
         }
     }
 }
@@ -41,6 +49,7 @@ impl std::error::Error for QueryError {
         match self {
             QueryError::Rule(e) => Some(e),
             QueryError::Storage(e) => Some(e),
+            QueryError::UnservedProfile(_) => None,
         }
     }
 }
@@ -60,59 +69,45 @@ impl From<StorageError> for QueryError {
 /// Result alias for query execution.
 pub type Result<T> = std::result::Result<T, QueryError>;
 
-/// The query's slot coordinates in the workload-observatory heat table
-/// (`mmdb_telemetry::heat`), matching [`HEAT_PLANS`]/[`HEAT_PROFILES`]
-/// label order.
-fn heat_indices(plan: QueryPlan, profile: RuleProfile) -> (usize, usize) {
-    let plan_idx = match plan {
+/// The plan's position in the workload-observatory heat table
+/// (`mmdb_telemetry::heat`), matching [`HEAT_PLANS`] label order.
+fn heat_index(plan: QueryPlan) -> usize {
+    match plan {
         QueryPlan::Instantiate => 0,
         QueryPlan::Rbm => 1,
         QueryPlan::Bwm => 2,
         QueryPlan::Indexed => 3,
-    };
-    let profile_idx = match profile {
-        RuleProfile::Conservative => 0,
-        RuleProfile::PaperTable1 => 1,
-    };
-    (plan_idx, profile_idx)
+    }
 }
 
-/// What one (plan, profile) pair reports into: cached registry handles and
-/// the flight-recorder label, so observing a query formats nothing.
+/// What one plan reports into: cached registry handles and the
+/// flight-recorder label, so observing a query formats nothing.
 struct RangeSeries {
     total: Arc<Counter>,
-    by_plan: Arc<Histogram>,
-    by_profile: Arc<Histogram>,
+    latency: Arc<Histogram>,
     label: String,
 }
 
-/// The `[plan][profile]` table of range-query series, registered on first
-/// use, indexed by [`heat_indices`].
-fn series(plan: QueryPlan, profile: RuleProfile) -> &'static RangeSeries {
-    static TABLE: OnceLock<[[RangeSeries; HEAT_PROFILES.len()]; HEAT_PLANS.len()]> =
-        OnceLock::new();
+/// The per-plan table of range-query series, registered on first use,
+/// indexed by [`heat_index`].
+fn series(plan: QueryPlan) -> &'static RangeSeries {
+    static TABLE: OnceLock<[RangeSeries; HEAT_PLANS.len()]> = OnceLock::new();
     let table = TABLE.get_or_init(|| {
         let g = mmdb_telemetry::global();
-        HEAT_PLANS.map(|plan| {
-            HEAT_PROFILES.map(|profile| RangeSeries {
-                total: g.counter(&format!(r#"mmdb_query_range_total{{plan="{plan}"}}"#)),
-                by_plan: g.histogram(&format!(
-                    r#"mmdb_query_range_latency_seconds{{plan="{plan}"}}"#
-                )),
-                by_profile: g.histogram(&format!(
-                    r#"mmdb_query_range_latency_seconds{{plan="{plan}",profile="{profile}"}}"#
-                )),
-                label: format!("plan={plan} profile={profile}"),
-            })
+        HEAT_PLANS.map(|plan| RangeSeries {
+            total: g.counter(&format!(r#"mmdb_query_range_total{{plan="{plan}"}}"#)),
+            latency: g.histogram(&format!(
+                r#"mmdb_query_range_latency_seconds{{plan="{plan}"}}"#
+            )),
+            label: format!("plan={plan}"),
         })
     });
-    let (plan_idx, profile_idx) = heat_indices(plan, profile);
-    &table[plan_idx][profile_idx]
+    &table[heat_index(plan)]
 }
 
 /// Registers every range-query series at zero.
 pub(crate) fn register_range_series() {
-    series(QueryPlan::Rbm, RuleProfile::Conservative);
+    series(QueryPlan::Rbm);
 }
 
 fn nanos(d: Duration) -> u64 {
@@ -134,7 +129,7 @@ pub fn observed(
     body: impl FnOnce(&mut QueryCtx) -> Result<()>,
 ) -> Result<()> {
     let started = Instant::now();
-    observe_range_start(plan, profile, query);
+    observe_range_start(plan, query);
     body(ctx)?;
     let elapsed = started.elapsed();
     if let Some(trace) = &mut ctx.trace {
@@ -173,13 +168,13 @@ pub fn observed_knn(body: impl FnOnce() -> Result<KnnOutcome>) -> Result<KnnOutc
 /// Records the start of one range query in the flight recorder; the query
 /// parameters travel as numeric counts (range in parts per million). Gated
 /// on the instrumentation switch.
-fn observe_range_start(plan: QueryPlan, profile: RuleProfile, query: &ColorRangeQuery) {
+fn observe_range_start(plan: QueryPlan, query: &ColorRangeQuery) {
     if !mmdb_telemetry::instrumentation_enabled() {
         return;
     }
     mmdb_telemetry::recorder().record(
         EventKind::QueryStart,
-        series(plan, profile).label.as_str(),
+        series(plan).label.as_str(),
         &[
             ("bin", query.bin as u64),
             ("min_ppm", (query.pct_min * 1e6) as u64),
@@ -190,11 +185,10 @@ fn observe_range_start(plan: QueryPlan, profile: RuleProfile, query: &ColorRange
 
 /// Records one completed range query. The work counters other tooling
 /// diffs are exact totals and always flushed ([`flush_work_counters`]); the
-/// rest — heat, the per-plan counter, the per-plan and per-(plan, profile)
-/// latency histograms, a `query_end` flight-recorder event carrying the
-/// work and per-shard figures, and past the configured threshold a
-/// slow-query counter + event — sits behind one relaxed load of the
-/// instrumentation switch.
+/// rest — heat, the per-plan counter and latency histogram, a `query_end`
+/// flight-recorder event carrying the work and per-shard figures, and past
+/// the configured threshold a slow-query counter + event — sits behind one
+/// relaxed load of the instrumentation switch.
 fn observe_range(
     plan: QueryPlan,
     profile: RuleProfile,
@@ -206,12 +200,10 @@ fn observe_range(
     if !mmdb_telemetry::instrumentation_enabled() {
         return;
     }
-    let (plan_idx, profile_idx) = heat_indices(plan, profile);
-    mmdb_telemetry::heat().record(query.bin as u32, plan_idx, profile_idx);
-    let series = series(plan, profile);
+    mmdb_telemetry::heat().record(query.bin as u32, heat_index(plan));
+    let series = series(plan);
     series.total.inc();
-    series.by_plan.observe(elapsed);
-    series.by_profile.observe(elapsed);
+    series.latency.observe(elapsed);
     let mut counts = vec![
         ("results", ctx.results.len() as u64),
         ("bounds_computed", ctx.stats.bounds_computed as u64),

@@ -66,14 +66,14 @@ pub fn l1_lower_bound(query_signature: &[f64], bounds: &[BoundRange]) -> f64 {
 
 /// Exact k-nearest-neighbour search by L1 histogram distance over **all**
 /// images (binary and edited), pruning edited images with rule-derived
-/// lower bounds. Observes nothing: a sharded database runs this once per
-/// shard, and whoever owns the whole request reports it
+/// lower bounds — always the Conservative profile's: a bound that is not
+/// sound could prune a true neighbour. Observes nothing: a sharded database
+/// runs this once per shard, and whoever owns the whole request reports it
 /// ([`observed_knn`](crate::executor::observed_knn)).
 pub fn knn_augmented(
     db: &StorageEngine,
     query: &ColorHistogram,
     k: usize,
-    profile: RuleProfile,
 ) -> crate::executor::Result<KnnOutcome> {
     assert_eq!(
         query.bin_count(),
@@ -109,7 +109,7 @@ pub fn knn_augmented(
         };
         let base = InfoResolver::require(db, program.base())?;
         let tau = kth_distance(&best, k);
-        let bounds = program.eval_vector(profile, &base.histogram, db)?;
+        let bounds = program.eval_vector(RuleProfile::Conservative, &base.histogram, db)?;
         let lower = l1_lower_bound(&query_sig, &bounds);
         if lower >= tau {
             stats.edited_pruned += 1;
@@ -236,7 +236,7 @@ mod tests {
         for rows in [1i64, 5, 9] {
             let q = probe(rows);
             for k in [1usize, 3, 7, 100] {
-                let fast = knn_augmented(&db, &q, k, RuleProfile::Conservative).unwrap();
+                let fast = knn_augmented(&db, &q, k).unwrap();
                 let brute = knn_brute_force(&db, &q, k).unwrap();
                 assert_eq!(fast.neighbours.len(), brute.len());
                 for (f, b) in fast.neighbours.iter().zip(&brute) {
@@ -253,7 +253,7 @@ mod tests {
     fn pruning_happens_and_is_sound() {
         let (db, _) = setup();
         let q = probe(2);
-        let out = knn_augmented(&db, &q, 2, RuleProfile::Conservative).unwrap();
+        let out = knn_augmented(&db, &q, 2).unwrap();
         assert_eq!(
             out.stats.edited_pruned + out.stats.edited_instantiated,
             db.edited_ids().len()
@@ -288,10 +288,10 @@ mod tests {
     fn k_zero_and_oversized_k() {
         let (db, _) = setup();
         let q = probe(4);
-        let out = knn_augmented(&db, &q, 0, RuleProfile::Conservative).unwrap();
+        let out = knn_augmented(&db, &q, 0).unwrap();
         assert!(out.neighbours.is_empty());
         let total = db.ids().len();
-        let out = knn_augmented(&db, &q, total + 10, RuleProfile::Conservative).unwrap();
+        let out = knn_augmented(&db, &q, total + 10).unwrap();
         assert_eq!(out.neighbours.len(), total);
         // Ascending order.
         for w in out.neighbours.windows(2) {
@@ -303,7 +303,7 @@ mod tests {
     fn exact_match_ranks_first() {
         let (db, bases) = setup();
         let q = probe(4); // equals the rows=4 base exactly
-        let out = knn_augmented(&db, &q, 1, RuleProfile::Conservative).unwrap();
+        let out = knn_augmented(&db, &q, 1).unwrap();
         assert!(out.neighbours[0].0 < 1e-12);
         assert_eq!(out.neighbours[0].1, bases[2]);
     }

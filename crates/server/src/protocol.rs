@@ -41,7 +41,7 @@
 //! | opcode | name   | request body | response body (status OK) |
 //! |--------|--------|--------------|---------------------------|
 //! | 1 | `Ping`   | empty | empty |
-//! | 2 | `Range`  | `u8 plan, u8 profile, u32 bin, f64 pct_min, f64 pct_max` | `u32 n, n×u64 ids, u64 bounds_computed, u64 shortcut_emissions` |
+//! | 2 | `Range`  | `u8 plan, u8 profile (must be 0), u32 bin, f64 pct_min, f64 pct_max` | `u32 n, n×u64 ids, u64 bounds_computed, u64 shortcut_emissions` |
 //! | 3 | `Knn`    | `u64 probe_id, u32 k` | `u32 n, n×(u64 id, f64 distance)` |
 //! | 4 | `Lookup` | `u64 id` | `u8 kind, u32 width, u32 height, u64 pixels, u8 has_base, u64 base_id` |
 //! | 5 | `Stats`  | empty | `u64 binary_count, u64 edited_count, u64 binary_bytes, u64 edited_bytes, u64 cache_hits, u64 cache_misses` |
@@ -225,31 +225,21 @@ impl PlanKind {
     }
 }
 
-/// Rule-profile selector carried in [`RangeRequest`].
+/// Rule-profile selector carried in [`RangeRequest`]. One profile is
+/// served; byte 1, the paper's literal Table 1, is refused at decode
+/// ([`DecodeError::UnservedProfile`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ProfileKind {
-    /// Provably sound bounds (default).
+    /// Provably sound bounds (byte 0).
     #[default]
     Conservative,
-    /// The literal Table 1 rules from the paper.
-    PaperTable1,
 }
 
 impl ProfileKind {
-    /// Decodes a profile byte.
-    pub fn from_u8(b: u8) -> Option<ProfileKind> {
-        match b {
-            0 => Some(ProfileKind::Conservative),
-            1 => Some(ProfileKind::PaperTable1),
-            _ => None,
-        }
-    }
-
     /// The wire byte.
     pub fn as_u8(self) -> u8 {
         match self {
             ProfileKind::Conservative => 0,
-            ProfileKind::PaperTable1 => 1,
         }
     }
 }
@@ -436,6 +426,8 @@ pub enum DecodeError {
     UnknownOpcode(u8),
     /// Unknown plan / profile / status selector.
     BadSelector(&'static str, u8),
+    /// Profile byte 1: the literal Table 1 profile, known and refused.
+    UnservedProfile,
     /// The payload had bytes left over after the structure.
     TrailingBytes,
     /// A numeric field was out of its documented domain.
@@ -448,6 +440,11 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Truncated => write!(f, "truncated payload"),
             DecodeError::UnknownOpcode(b) => write!(f, "unknown opcode {b}"),
             DecodeError::BadSelector(what, b) => write!(f, "bad {what} selector {b}"),
+            DecodeError::UnservedProfile => write!(
+                f,
+                "profile 1 (paper_table1) is not served: its bounds are unsound \
+                 (PAPER.md caveat 2); only profile 0 (conservative) is"
+            ),
             DecodeError::TrailingBytes => write!(f, "trailing bytes after payload"),
             DecodeError::BadValue(what) => write!(f, "invalid {what}"),
         }
@@ -558,9 +555,11 @@ fn decode_request_inner(payload: &[u8]) -> Result<Request, DecodeError> {
             let plan_byte = r.u8()?;
             let plan =
                 PlanKind::from_u8(plan_byte).ok_or(DecodeError::BadSelector("plan", plan_byte))?;
-            let profile_byte = r.u8()?;
-            let profile = ProfileKind::from_u8(profile_byte)
-                .ok_or(DecodeError::BadSelector("profile", profile_byte))?;
+            let profile = match r.u8()? {
+                0 => ProfileKind::Conservative,
+                1 => return Err(DecodeError::UnservedProfile),
+                b => return Err(DecodeError::BadSelector("profile", b)),
+            };
             let bin = r.u32()?;
             let pct_min = r.f64()?;
             let pct_max = r.f64()?;
@@ -898,13 +897,6 @@ mod tests {
     fn request_roundtrips() {
         roundtrip_request(RequestBody::Ping);
         roundtrip_request(RequestBody::Stats);
-        roundtrip_request(RequestBody::Range(RangeRequest {
-            plan: PlanKind::Rbm,
-            profile: ProfileKind::PaperTable1,
-            bin: 12,
-            pct_min: 0.25,
-            pct_max: 0.75,
-        }));
         roundtrip_request(RequestBody::Range(RangeRequest {
             plan: PlanKind::Indexed,
             profile: ProfileKind::Conservative,

@@ -37,8 +37,8 @@
 
 use crate::backend::QueryBackend;
 use crate::protocol::{
-    answer_hello, decode_request, encode_err, encode_ok, Opcode, PlanKind, ProfileKind, ReplyBody,
-    Request, RequestBody, Status, TraceContext, DEFAULT_MAX_FRAME_LEN,
+    answer_hello, decode_request, encode_err, encode_ok, Opcode, PlanKind, ReplyBody, Request,
+    RequestBody, Status, TraceContext, DEFAULT_MAX_FRAME_LEN,
 };
 use crate::queue::{BoundedQueue, PushError};
 use mmdb_telemetry::{
@@ -664,11 +664,7 @@ fn record_refused_heat(body: &RequestBody) {
             PlanKind::Bwm => 2,
             PlanKind::Indexed => 3,
         };
-        let profile = match req.profile {
-            ProfileKind::Conservative => 0,
-            ProfileKind::PaperTable1 => 1,
-        };
-        mmdb_telemetry::heat().record(req.bin, plan, profile);
+        mmdb_telemetry::heat().record(req.bin, plan);
     }
 }
 

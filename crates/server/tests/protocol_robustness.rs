@@ -188,6 +188,63 @@ fn unknown_opcode_reports_bad_request_with_request_id() {
     server.shutdown();
 }
 
+/// Profile byte 1, the paper's literal Table 1 (unsound bounds), is refused
+/// by name at decode; any other unknown byte is a bad selector. Neither
+/// reaches the backend, and the connection keeps serving.
+#[test]
+fn unsound_profile_is_refused_by_name_and_connection_survives() {
+    let backend = MockBackend::instant();
+    let server = QueryServer::bind(
+        "127.0.0.1:0",
+        Arc::<MockBackend>::clone(&backend),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut stream = raw_connect(&server);
+
+    for (id, profile, detail) in [
+        (41u64, 1u8, "paper_table1"),
+        (42, 2, "bad profile selector 2"),
+    ] {
+        // By hand: the encoder can only write profile 0.
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&id.to_le_bytes());
+        payload.push(Opcode::Range.as_u8());
+        payload.extend_from_slice(&0u32.to_le_bytes()); // no deadline
+        payload.push(0); // no trace context
+        payload.push(PlanKind::Bwm.as_u8());
+        payload.push(profile);
+        payload.extend_from_slice(&7u32.to_le_bytes());
+        payload.extend_from_slice(&0.25f64.to_le_bytes());
+        payload.extend_from_slice(&1.0f64.to_le_bytes());
+        write_frame(&mut stream, &payload).unwrap();
+        match recv_response(&mut stream, Opcode::Range) {
+            Response::Err {
+                id: echoed,
+                status,
+                message,
+                ..
+            } => {
+                assert_eq!((echoed, status), (id, Status::BadRequest));
+                assert!(message.contains(detail), "profile {profile}: {message}");
+            }
+            other => panic!("profile {profile}: expected BAD_REQUEST, got {other:?}"),
+        }
+        send_request(
+            &mut stream,
+            id + 100,
+            0,
+            RequestBody::Range(range_request()),
+        );
+        match recv_response(&mut stream, Opcode::Range) {
+            Response::Ok { id: echoed, .. } => assert_eq!(echoed, id + 100),
+            other => panic!("after profile {profile}: expected a reply, got {other:?}"),
+        }
+    }
+    assert_eq!(backend.range_calls.load(Ordering::SeqCst), 2);
+    server.shutdown();
+}
+
 #[test]
 fn oversized_length_prefix_disconnects_cleanly() {
     let config = ServerConfig {

@@ -1,9 +1,9 @@
 //! Query-heat accounting: a lock-free, exponentially-decayed per-(bin,
-//! plan, profile) activity table.
+//! plan) activity table.
 //!
 //! Every executed range query bumps one fixed-point slot chosen by its
-//! quantizer bin, query plan, and rule profile. Slots live in a small
-//! number of shards so concurrent recorders touch different cache lines;
+//! quantizer bin and query plan. Slots live in a small number of shards
+//! so concurrent recorders touch different cache lines;
 //! recording is one relaxed `fetch_add` on a thread-pinned shard — no
 //! allocation, no locks, no branches beyond the bounds clamp.
 //!
@@ -39,10 +39,6 @@ use std::time::{Duration, Instant};
 /// Order matches `QueryPlan`'s variants as spelled on metric labels.
 pub const HEAT_PLANS: [&str; 4] = ["instantiate", "rbm", "bwm", "indexed"];
 
-/// Profile labels, indexed by the `profile` argument of
-/// [`HeatTable::record`].
-pub const HEAT_PROFILES: [&str; 2] = ["conservative", "paper_table1"];
-
 /// Bins `0..HEAT_MAX_BINS` get their own slot; anything larger shares one
 /// overflow slot (reported as bin `HEAT_MAX_BINS`). The default quantizer
 /// has 64 bins, so in practice the overflow slot stays cold.
@@ -59,16 +55,15 @@ const TICK_MS: u64 = 1000;
 /// slot value of `SCALE` means "one query's worth of heat".
 const SCALE: u64 = 1 << 20;
 
-/// Slots per shard: every (bin, plan, profile) combination plus the
-/// overflow bin.
-const SLOTS: usize = (HEAT_MAX_BINS + 1) * HEAT_PLANS.len() * HEAT_PROFILES.len();
+/// Slots per shard: every (bin, plan) combination plus the overflow bin.
+const SLOTS: usize = (HEAT_MAX_BINS + 1) * HEAT_PLANS.len();
 
 const DEFAULT_SHARDS: usize = 8;
 
 #[inline]
-fn slot_index(bin: u32, plan: usize, profile: usize) -> usize {
+fn slot_index(bin: u32, plan: usize) -> usize {
     let bin = (bin as usize).min(HEAT_MAX_BINS);
-    (bin * HEAT_PLANS.len() + plan) * HEAT_PROFILES.len() + profile
+    bin * HEAT_PLANS.len() + plan
 }
 
 /// One shard: a decayed fixed-point heat array and a parallel lifetime
@@ -94,8 +89,6 @@ pub struct HeatEntry {
     pub bin: u32,
     /// Plan label from [`HEAT_PLANS`].
     pub plan: &'static str,
-    /// Profile label from [`HEAT_PROFILES`].
-    pub profile: &'static str,
     /// Decayed heat in query units (1.0 = one just-recorded query).
     pub heat: f64,
     /// Lifetime (non-decayed) query count for the same slot.
@@ -166,17 +159,13 @@ impl HeatTable {
         &self.shards[seed % self.shards.len()]
     }
 
-    /// Records one query against `(bin, plan, profile)`. `plan` indexes
-    /// [`HEAT_PLANS`], `profile` indexes [`HEAT_PROFILES`] (out-of-range
-    /// values clamp to the last label rather than panicking — the hot
-    /// path must never unwind). Two relaxed `fetch_add`s, no allocation.
+    /// Records one query against `(bin, plan)`. `plan` indexes
+    /// [`HEAT_PLANS`] (an out-of-range value clamps to the last label rather
+    /// than panicking — the hot path must never unwind). Two relaxed
+    /// `fetch_add`s, no allocation.
     #[inline]
-    pub fn record(&self, bin: u32, plan: usize, profile: usize) {
-        let idx = slot_index(
-            bin,
-            plan.min(HEAT_PLANS.len() - 1),
-            profile.min(HEAT_PROFILES.len() - 1),
-        );
+    pub fn record(&self, bin: u32, plan: usize) {
+        let idx = slot_index(bin, plan.min(HEAT_PLANS.len() - 1));
         let shard = self.shard();
         // Relaxed is deliberate: each slot is an independent statistic and
         // RMWs lose no increments regardless of ordering (same argument as
@@ -235,8 +224,8 @@ impl HeatTable {
     }
 
     /// Decayed heat of one slot, in query units, summed across shards.
-    pub fn heat_of(&self, bin: u32, plan: usize, profile: usize) -> f64 {
-        let idx = slot_index(bin, plan, profile);
+    pub fn heat_of(&self, bin: u32, plan: usize) -> f64 {
+        let idx = slot_index(bin, plan);
         let raw: u64 = self
             .shards
             .iter()
@@ -246,8 +235,8 @@ impl HeatTable {
     }
 
     /// Lifetime query count of one slot, summed across shards.
-    pub fn total_of(&self, bin: u32, plan: usize, profile: usize) -> u64 {
-        let idx = slot_index(bin, plan, profile);
+    pub fn total_of(&self, bin: u32, plan: usize) -> u64 {
+        let idx = slot_index(bin, plan);
         self.shards
             .iter()
             .map(|s| s.total[idx].load(Ordering::Relaxed))
@@ -269,13 +258,9 @@ impl HeatTable {
             if raw == 0 && total == 0 {
                 continue;
             }
-            let profile = idx % HEAT_PROFILES.len();
-            let plan = (idx / HEAT_PROFILES.len()) % HEAT_PLANS.len();
-            let bin = idx / (HEAT_PROFILES.len() * HEAT_PLANS.len());
             entries.push(HeatEntry {
-                bin: bin as u32,
-                plan: HEAT_PLANS[plan],
-                profile: HEAT_PROFILES[profile],
+                bin: (idx / HEAT_PLANS.len()) as u32,
+                plan: HEAT_PLANS[idx % HEAT_PLANS.len()],
                 heat: raw as f64 / SCALE as f64,
                 total,
             });
@@ -286,7 +271,6 @@ impl HeatTable {
                 .then(b.total.cmp(&a.total))
                 .then(a.bin.cmp(&b.bin))
                 .then(a.plan.cmp(b.plan))
-                .then(a.profile.cmp(b.profile))
         });
         entries
     }
@@ -319,7 +303,7 @@ pub fn heat() -> &'static HeatTable {
 /// last value. Cold path only (publishing, not recording).
 static PUBLISHED: Mutex<Option<BTreeSet<String>>> = Mutex::new(None);
 
-/// Refreshes the `mmdb_heat{bin,plan,profile}` gauge series from the top
+/// Refreshes the `mmdb_heat{bin,plan}` gauge series from the top
 /// `limit` snapshot entries (gauge value = heat rounded to the nearest
 /// whole query unit). Called by the `/metrics` prerender hook.
 pub fn publish_heat_gauges(limit: usize) {
@@ -328,10 +312,7 @@ pub fn publish_heat_gauges(limit: usize) {
     let previous = published.take().unwrap_or_default();
     let mut current = BTreeSet::new();
     for e in entries.iter().take(limit) {
-        let name = format!(
-            "mmdb_heat{{bin=\"{}\",plan=\"{}\",profile=\"{}\"}}",
-            e.bin, e.plan, e.profile
-        );
+        let name = format!("mmdb_heat{{bin=\"{}\",plan=\"{}\"}}", e.bin, e.plan);
         crate::global().gauge(&name).set(e.heat.round() as u64);
         current.insert(name);
     }
@@ -350,9 +331,8 @@ pub fn heat_json(limit: usize) -> String {
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(
             out,
-            "{sep}\n  {{\"bin\": {}, \"plan\": \"{}\", \"profile\": \"{}\", \
-             \"heat\": {:.3}, \"total\": {}}}",
-            e.bin, e.plan, e.profile, e.heat, e.total
+            "{sep}\n  {{\"bin\": {}, \"plan\": \"{}\", \"heat\": {:.3}, \"total\": {}}}",
+            e.bin, e.plan, e.heat, e.total
         );
     }
     out.push_str("\n]\n");
@@ -367,19 +347,17 @@ mod tests {
     fn record_and_rank() {
         let t = HeatTable::with_shards(2);
         for _ in 0..5 {
-            t.record(3, 1, 0);
+            t.record(3, 1);
         }
-        t.record(7, 2, 1);
-        assert_eq!(t.total_of(3, 1, 0), 5);
-        assert!((t.heat_of(3, 1, 0) - 5.0).abs() < 1e-9);
+        t.record(7, 2);
+        assert_eq!(t.total_of(3, 1), 5);
+        assert!((t.heat_of(3, 1) - 5.0).abs() < 1e-9);
         let snap = t.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].bin, 3);
         assert_eq!(snap[0].plan, "rbm");
-        assert_eq!(snap[0].profile, "conservative");
         assert_eq!(snap[1].bin, 7);
         assert_eq!(snap[1].plan, "bwm");
-        assert_eq!(snap[1].profile, "paper_table1");
     }
 
     #[test]
@@ -387,40 +365,37 @@ mod tests {
         let t = HeatTable::with_shards(1);
         t.set_half_life(Duration::from_secs(10));
         for _ in 0..1000 {
-            t.record(0, 0, 0);
+            t.record(0, 0);
         }
         t.decay_ticks(10); // 10 one-second ticks = one half-life
-        let h = t.heat_of(0, 0, 0);
+        let h = t.heat_of(0, 0);
         assert!(
             (h - 500.0).abs() < 1.0,
             "expected ~500 after half-life, got {h}"
         );
         // Lifetime totals never decay.
-        assert_eq!(t.total_of(0, 0, 0), 1000);
+        assert_eq!(t.total_of(0, 0), 1000);
     }
 
     #[test]
     fn overflow_bin_shared() {
         let t = HeatTable::with_shards(1);
-        t.record(HEAT_MAX_BINS as u32 + 5, 0, 0);
-        t.record(u32::MAX, 0, 0);
-        assert_eq!(t.total_of(HEAT_MAX_BINS as u32, 0, 0), 2);
+        t.record(HEAT_MAX_BINS as u32 + 5, 0);
+        t.record(u32::MAX, 0);
+        assert_eq!(t.total_of(HEAT_MAX_BINS as u32, 0), 2);
     }
 
     #[test]
-    fn out_of_range_plan_profile_clamp() {
+    fn out_of_range_plan_clamps() {
         let t = HeatTable::with_shards(1);
-        t.record(1, 99, 99);
-        assert_eq!(
-            t.total_of(1, HEAT_PLANS.len() - 1, HEAT_PROFILES.len() - 1),
-            1
-        );
+        t.record(1, 99);
+        assert_eq!(t.total_of(1, HEAT_PLANS.len() - 1), 1);
     }
 
     #[test]
     fn clear_resets() {
         let t = HeatTable::with_shards(2);
-        t.record(1, 0, 0);
+        t.record(1, 0);
         t.clear();
         assert!(t.snapshot().is_empty());
     }
@@ -429,7 +404,7 @@ mod tests {
     fn json_shape() {
         let t = heat();
         t.clear();
-        t.record(4, 3, 0);
+        t.record(4, 3);
         let json = heat_json(10);
         assert!(json.contains("\"bin\": 4"));
         assert!(json.contains("\"plan\": \"indexed\""));
@@ -448,15 +423,15 @@ mod tests {
         t.set_half_life(Duration::from_secs(5));
         for step in 0..60u32 {
             match step % 3 {
-                0 => t.record(0, 0, 0), // A-only record
+                0 => t.record(0, 0), // A-only record
                 1 => {
                     // Paired record: A stays a superset of B.
-                    t.record(0, 0, 0);
-                    t.record(1, 0, 0);
+                    t.record(0, 0);
+                    t.record(1, 0);
                 }
                 _ => t.decay_ticks(1 + step % 3),
             }
-            let (a, b) = (t.heat_of(0, 0, 0), t.heat_of(1, 0, 0));
+            let (a, b) = (t.heat_of(0, 0), t.heat_of(1, 0));
             assert!(a >= b, "step {step}: superset slot {a} < subset slot {b}");
         }
     }

@@ -53,7 +53,7 @@ mod tracestore;
 pub use fmt::format_duration;
 pub use heat::{
     heat, heat_json, publish_heat_gauges, HeatEntry, HeatTable, DEFAULT_HEAT_HALF_LIFE,
-    HEAT_MAX_BINS, HEAT_PLANS, HEAT_PROFILES,
+    HEAT_MAX_BINS, HEAT_PLANS,
 };
 pub use percentile::HistogramSnapshot;
 pub use profiler::{

@@ -47,18 +47,18 @@ proptest! {
         for (i, step) in steps.iter().enumerate() {
             match *step {
                 Step::RecordA => {
-                    table.record(0, 1, 0);
+                    table.record(0, 1);
                     records_a += 1;
                 }
                 Step::RecordBoth => {
-                    table.record(0, 1, 0);
-                    table.record(7, 1, 0);
+                    table.record(0, 1);
+                    table.record(7, 1);
                     records_a += 1;
                     records_b += 1;
                 }
                 Step::Decay(ticks) => table.decay_ticks(ticks),
             }
-            let (a, b) = (table.heat_of(0, 1, 0), table.heat_of(7, 1, 0));
+            let (a, b) = (table.heat_of(0, 1), table.heat_of(7, 1));
             prop_assert!(
                 a >= b,
                 "step {i}: superset heat {a} < subset heat {b} ({records_a} vs {records_b} records)"
@@ -66,8 +66,8 @@ proptest! {
             // Heat never exceeds the undecayed record count, and lifetime
             // totals ignore decay entirely.
             prop_assert!(a <= records_a as f64 + 1e-9);
-            prop_assert_eq!(table.total_of(0, 1, 0), records_a);
-            prop_assert_eq!(table.total_of(7, 1, 0), records_b);
+            prop_assert_eq!(table.total_of(0, 1), records_a);
+            prop_assert_eq!(table.total_of(7, 1), records_b);
         }
     }
 
@@ -82,7 +82,7 @@ proptest! {
         table.set_half_life(Duration::from_secs(10));
         for (bin, &n) in counts.iter().enumerate() {
             for _ in 0..n {
-                table.record(bin as u32, 0, 0);
+                table.record(bin as u32, 0);
             }
         }
         let before: Vec<u32> = table.snapshot().iter().map(|e| e.bin).collect();

@@ -321,12 +321,12 @@ observatory() {
   test "$(grep -o '"bin": [0-9]*' heat.json | head -1)" = '"bin": 21'
   "$MMDBCTL" heat --connect "$HTTP" --limit 5 | grep -q '"bin": 21'
   "$MMDBCTL" slo --connect "$HTTP" | grep -q '"configured": true'
-  # The exposition carries the observatory series: per-profile index
-  # staleness, ranked heat gauges, and the SLO state machine.
+  # The exposition carries the observatory series: index staleness,
+  # ranked heat gauges, and the SLO state machine.
   scrape /metrics > metrics.txt
-  grep -F 'mmdb_boundidx_epoch_lag{profile="conservative"}' metrics.txt
-  grep -F 'mmdb_boundidx_entries_resident{profile="conservative"}' metrics.txt
-  grep -F 'mmdb_heat{bin="21",plan="indexed",profile="conservative"}' metrics.txt
+  grep -E '^mmdb_boundidx_epoch_lag [0-9]+$' metrics.txt
+  grep -E '^mmdb_boundidx_entries_resident [0-9]+$' metrics.txt
+  grep -F 'mmdb_heat{bin="21",plan="indexed"}' metrics.txt
   grep -F 'mmdb_slo_state{opcode="range"}' metrics.txt
   grep -F 'mmdb_slo_burn_rate_milli{opcode="range",window="fast"}' metrics.txt
   stop_and_wait

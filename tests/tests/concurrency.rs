@@ -79,11 +79,7 @@ fn concurrent_readers_during_inserts() {
 fn staleness_gauges_zero_after_sync_and_spike_under_churn() {
     use mmdbms::prelude::*;
     let db = mmdbms::MultimediaDatabase::in_memory(Box::new(RgbQuantizer::default_64()));
-    let gauge = |metric: &str| {
-        mmdbms::telemetry::global()
-            .gauge(&format!("{metric}{{profile=\"conservative\"}}"))
-            .get()
-    };
+    let gauge = |metric: &str| mmdbms::telemetry::global().gauge(metric).get();
     let base = db
         .insert_image(&RasterImage::filled(20, 20, Rgb::RED).unwrap())
         .unwrap();
