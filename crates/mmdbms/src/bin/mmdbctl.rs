@@ -13,13 +13,10 @@
 //! mmdbctl metrics --db ./mydb [--format prometheus|json]
 //! mmdbctl serve --db ./mydb [--listen 127.0.0.1:9190] [--metrics 127.0.0.1:9184]
 //!               [--workers N] [--queue-depth N] [--warmup N]
-//!               [--trace-keep-ms MS] [--slo SPEC]
+//!               [--trace-keep-ms MS]
 //! mmdbctl traces --connect 127.0.0.1:9184 [--id HEX]
-//! mmdbctl profile --connect 127.0.0.1:9184 [--seconds N]
-//! mmdbctl heat --connect 127.0.0.1:9184 [--limit N]
-//! mmdbctl slo --connect 127.0.0.1:9184
 //! mmdbctl events --db ./mydb [--warmup N] [--limit N]
-//! mmdbctl top --db ./mydb [--queries N] [--seed S] [--sort heat|total] [--limit N]
+//! mmdbctl top --db ./mydb [--queries N] [--seed S] [--limit N]
 //! mmdbctl knn --db ./mydb probe.ppm --k 5
 //! mmdbctl export --db ./mydb --id 7 out.ppm
 //! mmdbctl script --db ./mydb --id 9        # print an edited image's script
@@ -245,9 +242,9 @@ fn cmd_insert_script(args: &Args) -> Result<(), String> {
 
 fn cmd_ls(args: &Args) -> Result<(), String> {
     let db = open_db(args)?;
-    let storage = db.storage();
     println!("{:>8}  {:<8}  {:<24}  derived", "id", "kind", "detail");
-    for id in storage.ids() {
+    for id in db.ids() {
+        let storage = db.shard_storage(db.shard_of(id));
         match storage.kind(id).map_err(|e| e.to_string())? {
             mmdbms::storage::StoredKind::Binary => {
                 let raster = storage.raster(id).map_err(|e| e.to_string())?;
@@ -276,8 +273,8 @@ fn cmd_ls(args: &Args) -> Result<(), String> {
 fn cmd_info(args: &Args) -> Result<(), String> {
     let db = open_db(args)?;
     if let Ok(id) = args.id() {
-        let storage = db.storage();
-        let hist = db.storage().histogram(id).map_err(|e| e.to_string())?;
+        let storage = db.shard_storage(db.shard_of(id));
+        let hist = storage.histogram(id).map_err(|e| e.to_string())?;
         println!("{id}:");
         println!(
             "  kind:  {:?}",
@@ -489,15 +486,9 @@ impl ReadyLatch {
     }
 }
 
-/// Ranked heat series the prerender hook exports as `mmdb_heat` gauges.
-const HEAT_GAUGE_LIMIT: usize = 50;
-
-/// Binds the metrics/exposition server with the standard prerender hook —
-/// refresh the bound-index staleness gauges, publish the ranked `mmdb_heat`
-/// series, and run an SLO evaluation (when one is configured) — plus a
-/// readiness probe. Every scrape therefore sees a current observatory
-/// reading, and a scraper polling `/metrics` is what drives the SLO state
-/// machine between `/alerts` fetches.
+/// Binds the metrics/exposition server with the standard prerender hook
+/// (refresh the bound-index staleness gauges, so every scrape sees a current
+/// reading) plus a readiness probe.
 fn bind_exposition(
     listen: &str,
     latch: &ReadyLatch,
@@ -507,40 +498,13 @@ fn bind_exposition(
     let options = mmdbms::telemetry::ServeOptions {
         prerender: Some(std::sync::Arc::new(move || {
             hook_db.refresh_staleness_gauges();
-            mmdbms::telemetry::publish_heat_gauges(HEAT_GAUGE_LIMIT);
-            if let Some(engine) = mmdbms::telemetry::slo_engine() {
-                engine.evaluate();
-            }
         })),
         readiness: Some(latch.probe()),
     };
     mmdbms::telemetry::serve_with(listen, options).map_err(|e| format!("bind {listen}: {e}"))
 }
 
-/// Applies `--slo SPEC` when present. The spec is parsed before any socket
-/// is bound so a typo fails fast with the grammar in the error message; so
-/// does a spec nothing would evaluate — the burn-rate engine runs from the
-/// exposition server's scrape hook and `/alerts`, so it needs `--metrics`.
-fn configure_slo_from_args(args: &Args) -> Result<(), String> {
-    let Some(spec) = args.options.get("slo") else {
-        return Ok(());
-    };
-    if !args.options.contains_key("metrics") {
-        return Err("--slo needs --metrics ADDR (objectives are evaluated on scrape)".to_string());
-    }
-    let config =
-        mmdbms::telemetry::SloConfig::parse(spec).map_err(|e| format!("bad --slo: {e}"))?;
-    for objective in &config.objectives {
-        eprintln!("slo: {}={}", objective.opcode, objective.describe());
-    }
-    if !mmdbms::telemetry::configure_slo(config) {
-        eprintln!("slo: objectives already configured for this process; keeping the first set");
-    }
-    Ok(())
-}
-
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    configure_slo_from_args(args)?;
     let db = std::sync::Arc::new(open_db(args)?);
     mmdbms::register_all_metrics();
     mmdbms::telemetry::register_build_info(env!("CARGO_PKG_VERSION"), build_profile());
@@ -721,53 +685,6 @@ fn cmd_traces(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `profile --connect HOST:PORT [--seconds N]`: capture a collapsed-stack
-/// wall-clock profile from a serving process (feed to a flamegraph tool).
-fn cmd_profile(args: &Args) -> Result<(), String> {
-    let addr = args
-        .options
-        .get("connect")
-        .ok_or_else(|| "--connect HOST:PORT (the metrics address) is required".to_string())?;
-    let seconds = args.u64_opt("seconds", 5)?;
-    let body = http_get(
-        addr,
-        &format!("/debug/profile?seconds={seconds}"),
-        // The server blocks for the whole window; pad the read timeout.
-        std::time::Duration::from_secs(seconds + 15),
-    )?;
-    print!("{body}");
-    Ok(())
-}
-
-/// `heat --connect HOST:PORT [--limit N]`: fetch the ranked query-heat
-/// table from a serving process (HOST:PORT = the metrics address).
-fn cmd_heat(args: &Args) -> Result<(), String> {
-    let addr = args
-        .options
-        .get("connect")
-        .ok_or_else(|| "--connect HOST:PORT (the metrics address) is required".to_string())?;
-    let limit = args.u64_opt("limit", HEAT_GAUGE_LIMIT as u64)?;
-    let body = http_get(
-        addr,
-        &format!("/heat?limit={limit}"),
-        std::time::Duration::from_secs(10),
-    )?;
-    println!("{}", body.trim_end());
-    Ok(())
-}
-
-/// `slo --connect HOST:PORT`: fetch the SLO alert states (burn rates, state
-/// machine, transition counts) from a serving process.
-fn cmd_slo(args: &Args) -> Result<(), String> {
-    let addr = args
-        .options
-        .get("connect")
-        .ok_or_else(|| "--connect HOST:PORT (the metrics address) is required".to_string())?;
-    let body = http_get(addr, "/alerts", std::time::Duration::from_secs(10))?;
-    println!("{}", body.trim_end());
-    Ok(())
-}
-
 fn cmd_events(args: &Args) -> Result<(), String> {
     let db = open_db(args)?;
     mmdbms::register_all_metrics();
@@ -787,7 +704,7 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     if ran > 0 {
         println!("warmed up with {ran} queries");
     }
-    print_heat_and_staleness(args, &db)?;
+    print_demand_and_staleness(args, &db)?;
     print_shards(&db);
     let fmt = mmdbms::telemetry::format_duration;
     let rows: Vec<(String, mmdbms::telemetry::HistogramSnapshot)> = mmdbms::telemetry::global()
@@ -820,34 +737,29 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The query-heat and index-staleness sections of `mmdbctl top`:
-/// per-(bin, plan) heat rows — ranked by decayed heat (`--sort heat`, the
-/// default) or lifetime count (`--sort total`) — then one row of bound-index
+/// The range-demand and index-staleness sections of `mmdbctl top`: the
+/// `mmdb_query_range_demand_total{bin,plan}` cells this process recorded,
+/// ranked by count (the first `--limit`), then one row of bound-index
 /// staleness.
-fn print_heat_and_staleness(args: &Args, db: &MultimediaDatabase) -> Result<(), String> {
-    let sort = args.options.get("sort").map_or("heat", String::as_str);
-    let mut entries = mmdbms::telemetry::heat().snapshot();
-    match sort {
-        "heat" => {} // snapshot order: decayed heat, descending
-        "total" => entries.sort_by(|a, b| b.total.cmp(&a.total).then(a.bin.cmp(&b.bin))),
-        other => return Err(format!("unknown sort {other:?} (heat|total)")),
-    }
-    db.refresh_staleness_gauges();
+fn print_demand_and_staleness(args: &Args, db: &MultimediaDatabase) -> Result<(), String> {
+    const DEMAND: &str = "mmdb_query_range_demand_total";
     let g = mmdbms::telemetry::global();
+    let mut cells: Vec<(String, u64)> = g
+        .snapshot()
+        .values
+        .into_iter()
+        .filter_map(|(name, count)| Some((name.strip_prefix(DEMAND)?.to_string(), count)))
+        .collect();
+    cells.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    db.refresh_staleness_gauges();
     let staleness = |metric: &str| g.gauge(metric).get();
-    if entries.is_empty() {
-        println!("query heat: no queries recorded yet");
+    if cells.is_empty() {
+        println!("range demand: no queries recorded yet");
     } else {
-        println!(
-            "{:>4}  {:<12}  {:>10}  {:>8}",
-            "bin", "plan", "heat", "total"
-        );
+        println!("{:<32}  {:>8}", "range demand {bin,plan}", "count");
         let limit = args.u64_opt("limit", 20)? as usize;
-        for e in entries.iter().take(limit.max(1)) {
-            println!(
-                "{:>4}  {:<12}  {:>10.3}  {:>8}",
-                e.bin, e.plan, e.heat, e.total
-            );
+        for (labels, count) in cells.iter().take(limit.max(1)) {
+            println!("{labels:<32}  {count:>8}");
         }
     }
     println!(
@@ -927,7 +839,7 @@ fn cmd_script(args: &Args) -> Result<(), String> {
     let db = open_db(args)?;
     let id = args.id()?;
     let seq = db
-        .storage()
+        .shard_storage(db.shard_of(id))
         .edit_sequence(id)
         .ok_or_else(|| format!("{id} is not an edited image"))?;
     print!("{}", codec::to_text(&seq));
@@ -961,7 +873,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     let id = args.id()?;
     let analysis = db.analyze(id).map_err(|e| e.to_string())?;
     let seq = db
-        .storage()
+        .shard_storage(db.shard_of(id))
         .edit_sequence(id)
         .ok_or_else(|| format!("{id} is not an edited image"))?;
     println!("{id}: {} op(s), base {}", seq.len(), seq.base);
@@ -1015,7 +927,14 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
 
 fn cmd_verify(args: &Args) -> Result<(), String> {
     let db = open_db(args)?;
-    let problems = db.storage().verify();
+    let problems: Vec<String> = (0..db.shard_count())
+        .flat_map(|i| {
+            db.shard_storage(i)
+                .verify()
+                .into_iter()
+                .map(move |p| format!("shard {i}: {p}"))
+        })
+        .collect();
     if problems.is_empty() {
         println!("ok: database is consistent");
         Ok(())
@@ -1239,7 +1158,10 @@ fn cmd_churn(args: &Args) -> Result<(), String> {
 
 fn cmd_compact(args: &Args) -> Result<(), String> {
     let db = open_db(args)?;
-    let reclaimed = db.storage().compact().map_err(|e| e.to_string())?;
+    let mut reclaimed = 0;
+    for i in 0..db.shard_count() {
+        reclaimed += db.shard_storage(i).compact().map_err(|e| e.to_string())?;
+    }
     println!("compacted: {reclaimed} bytes reclaimed");
     Ok(())
 }
@@ -1253,7 +1175,7 @@ fn cmd_delete(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-const USAGE: &str = "usage: mmdbctl <create|gen|insert|insert-script|ls|info|query|explain|metrics|serve|traces|profile|heat|slo|events|top|knn|export|script|lint|analyze|verify|fsck|churn|compact|delete> [options]
+const USAGE: &str = "usage: mmdbctl <create|gen|insert|insert-script|ls|info|query|explain|metrics|serve|traces|events|top|knn|export|script|lint|analyze|verify|fsck|churn|compact|delete> [options]
   every command taking --db DIR also accepts --data-dir DIR plus durability
   knobs [--fsync always|interval[:ms]|never] [--segment-bytes N] [--snapshot-every N]
   create        --db DIR [--quantizer rgb-uniform/4] [--shards N]
@@ -1269,15 +1191,11 @@ const USAGE: &str = "usage: mmdbctl <create|gen|insert|insert-script|ls|info|que
   serve         --db DIR [--listen HOST:PORT] [--workers N] [--queue-depth N] [--metrics HOST:PORT] [--warmup N]
                 # the wire protocol on --listen; --metrics adds the HTTP exposition sidecar
                 # --workers 0 executes on the event loop (fastest on 1-2 cores); queue depth is the total bound
-                [--trace-keep-ms MS] [--slo SPEC]
+                [--trace-keep-ms MS]
                 # a trace is kept for errors, sampled requests and requests of at least MS (default 100; 0 keeps all)
-                # SPEC: 'range=5ms@p99,err<0.1%;knn=20ms@p95' plus optional ';windows=5m/1h' (needs --metrics)
   traces        --connect HOST:PORT [--id HEX]       # HOST:PORT = metrics address
-  profile       --connect HOST:PORT [--seconds N]    # collapsed stacks for flamegraphs
-  heat          --connect HOST:PORT [--limit N]      # ranked query-heat table
-  slo           --connect HOST:PORT                  # SLO alert states / burn rates
   events        --db DIR [--warmup N] [--limit N]
-  top           --db DIR [--queries N] [--seed S] [--sort heat|total] [--limit N]
+  top           --db DIR [--queries N] [--seed S] [--limit N]
   knn           --db DIR PROBE.ppm [--k N]
   export        --db DIR --id N OUT.ppm
   script        --db DIR --id N
@@ -1323,9 +1241,6 @@ fn main() -> ExitCode {
         "metrics" => cmd_metrics(&args),
         "serve" => cmd_serve(&args),
         "traces" => cmd_traces(&args),
-        "profile" => cmd_profile(&args),
-        "heat" => cmd_heat(&args),
-        "slo" => cmd_slo(&args),
         "events" => cmd_events(&args),
         "top" => cmd_top(&args),
         "knn" => cmd_knn(&args),

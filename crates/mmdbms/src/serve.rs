@@ -11,7 +11,7 @@ use mmdb_rules::ColorRangeQuery;
 use mmdb_server::protocol::PlanKind;
 use mmdb_server::{BackendError, LookupReply, QueryBackend, RangeReply, RangeRequest, StatsReply};
 use mmdb_storage::{StorageError, StoredKind};
-use mmdb_telemetry::{profile_frame, QueryTrace};
+use mmdb_telemetry::QueryTrace;
 
 fn plan_of(kind: PlanKind) -> QueryPlan {
     match kind {
@@ -52,19 +52,9 @@ fn reply_of(outcome: &mmdb_bwm::QueryOutcome) -> RangeReply {
     }
 }
 
-fn plan_frame_name(plan: PlanKind) -> &'static str {
-    match plan {
-        PlanKind::Bwm => "range/bwm",
-        PlanKind::Rbm => "range/rbm",
-        PlanKind::Instantiate => "range/instantiate",
-        PlanKind::Indexed => "range/indexed",
-    }
-}
-
 impl QueryBackend for MultimediaDatabase {
     fn range(&self, req: &RangeRequest) -> Result<RangeReply, BackendError> {
         let query = checked_query(self, req)?;
-        let _frame = profile_frame(plan_frame_name(req.plan));
         let outcome = self
             .query_range_with_plan(&query, plan_of(req.plan))
             .map_err(|e| BackendError::Internal(e.to_string()))?;
@@ -76,7 +66,6 @@ impl QueryBackend for MultimediaDatabase {
         req: &RangeRequest,
     ) -> Result<(RangeReply, Option<QueryTrace>), BackendError> {
         let query = checked_query(self, req)?;
-        let _frame = profile_frame(plan_frame_name(req.plan));
         let (outcome, trace) = self
             .query_range_traced(&query, plan_of(req.plan))
             .map_err(|e| BackendError::Internal(e.to_string()))?;

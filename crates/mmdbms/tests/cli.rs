@@ -110,8 +110,53 @@ fn insert_external_ppm() {
     std::fs::remove_dir_all(&db).ok();
 }
 
-/// `--expand` resolves each match's base on the shard that owns it, so the
-/// expansion does not depend on how the catalog is partitioned.
+/// `ls` rows as `(id, kind)`.
+fn listing(db_s: &str) -> Vec<(u64, String)> {
+    ok(&["ls", "--db", db_s])
+        .lines()
+        .skip(1)
+        .map(|row| {
+            let mut cells = row.split_whitespace();
+            let id = cells.next().unwrap().parse().unwrap();
+            (id, cells.next().unwrap().to_string())
+        })
+        .collect()
+}
+
+/// Size of each shard's current (newest-generation) blob file.
+fn blob_file_bytes(db: &std::path::Path) -> Vec<u64> {
+    let dirs = match mmdbms::read_shard_manifest(db).unwrap() {
+        Some(n) => (0..n).map(|i| mmdbms::shard_dir(db, i)).collect(),
+        None => vec![db.to_path_buf()],
+    };
+    dirs.iter()
+        .map(|dir| {
+            std::fs::read_dir(dir)
+                .unwrap()
+                .filter_map(|entry| {
+                    let entry = entry.unwrap();
+                    let name = entry.file_name().into_string().unwrap();
+                    let gen: u64 = match name.as_str() {
+                        "blobs.mmdb" => 0,
+                        _ => name
+                            .strip_prefix("blobs-")?
+                            .strip_suffix(".mmdb")?
+                            .parse()
+                            .ok()?,
+                    };
+                    Some((gen, entry.metadata().unwrap().len()))
+                })
+                .max()
+                .expect("a blob file")
+                .1
+        })
+        .collect()
+}
+
+/// Every command that means "the database" acts on every shard: `--expand`
+/// resolves each match's base on the shard that owns it, `ls` lists every
+/// id, `info` / `script` / `analyze` find an id on the last shard, `verify`
+/// checks every shard and `compact` reclaims space on every shard.
 #[test]
 fn expand_finds_bases_on_every_shard() {
     let count_of = |out: &str| -> usize {
@@ -146,6 +191,57 @@ fn expand_finds_bases_on_every_shard() {
         assert_eq!(count_of(&ok(&query)), 80, "{shards} shard(s)");
         let expanded = ok(&[&query[..], &["--expand", "true"]].concat());
         assert_eq!(count_of(&expanded), 90, "{shards} shard(s), expanded");
+
+        let rows = listing(db_s);
+        assert_eq!(rows.len(), 96, "{shards} shard(s): every generated object");
+        let n: u64 = shards.parse().unwrap();
+        let (edited, _) = rows
+            .iter()
+            .find(|(id, kind)| kind == "edited" && (id - 1) % n == n - 1)
+            .expect("an edited image on the last shard");
+        let id = edited.to_string();
+        let out = ok(&["info", "--db", db_s, "--id", &id]);
+        assert!(out.contains("kind:  Edited"), "{out}");
+        assert!(ok(&["script", "--db", db_s, "--id", &id]).starts_with("base "));
+        assert!(ok(&["analyze", "--db", db_s, "--id", &id]).contains("classification"));
+        assert!(ok(&["verify", "--db", db_s]).starts_with("ok"), "{shards}");
+
+        // One more binary image per shard (round-robin placement), deleted
+        // again: every shard's blob file has a hole for compact to reclaim.
+        ok(&[
+            "gen",
+            "--db",
+            db_s,
+            "--count",
+            shards,
+            "--augment",
+            "0",
+            "--seed",
+            "6",
+        ]);
+        for (id, _) in listing(db_s).iter().filter(|row| !rows.contains(row)) {
+            ok(&["delete", "--db", db_s, "--id", &id.to_string()]);
+        }
+        let before = blob_file_bytes(&db);
+        let out = ok(&["compact", "--db", db_s]);
+        let after = blob_file_bytes(&db);
+        assert!(
+            before.iter().zip(&after).all(|(b, a)| a < b),
+            "{shards} shard(s): {before:?} -> {after:?}"
+        );
+        let reclaimed: u64 = before.iter().zip(&after).map(|(b, a)| b - a).sum();
+        assert!(
+            out.contains(&format!("compacted: {reclaimed} bytes reclaimed")),
+            "{out}"
+        );
+        assert!(ok(&["verify", "--db", db_s]).starts_with("ok"), "{shards}");
+        // Opening the compacted database rebuilds Figure 1 on every shard:
+        // one cluster per surviving binary image.
+        let json = ok(&["metrics", "--db", db_s, "--format", "json"]);
+        assert!(
+            json.contains(r#""mmdb_bwm_cluster_inserts_total": 24,"#),
+            "{json}"
+        );
         std::fs::remove_dir_all(&db).ok();
     }
 }

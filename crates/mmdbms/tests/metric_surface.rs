@@ -17,12 +17,11 @@ use mmdbms::MultimediaDatabase;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Families whose label values are data (a histogram bin, an SLO opcode, a
-/// version string), so their series cannot exist before the data does. They
-/// are matched by family name only.
-const LABEL_GENERATED: [&str; 4] = [
-    "mmdb_heat",
-    "mmdb_slo_",
+/// Families whose label values are data (a histogram bin, a version
+/// string), so their series cannot exist before the data does. They are
+/// matched by family name only.
+const LABEL_GENERATED: [&str; 3] = [
+    "mmdb_query_range_demand_total",
     "mmdb_build_info",
     "mmdb_trace_kept_total",
 ];
@@ -153,10 +152,7 @@ fn every_series_is_registered_up_front_and_documented() {
 
     // What the exposition hook and `mmdbctl serve` add on top.
     db.refresh_staleness_gauges();
-    telemetry::publish_heat_gauges(8);
     telemetry::register_build_info("0.0.0", "test");
-    telemetry::configure_slo(telemetry::SloConfig::parse("range=50ms@p99").unwrap());
-    telemetry::slo_engine().unwrap().evaluate();
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 
@@ -178,7 +174,7 @@ fn every_series_is_registered_up_front_and_documented() {
     );
 
     let families = families();
-    for family in ["mmdb_heat", "mmdb_slo_state", "mmdb_build_info"] {
+    for family in ["mmdb_query_range_demand_total", "mmdb_build_info"] {
         assert!(families.contains_key(family), "{family} was exercised");
     }
     let documented = documented();

@@ -146,53 +146,6 @@ fn serve_exposes_metrics_events_and_healthz() {
     std::fs::remove_dir_all(&db).ok();
 }
 
-/// The burn-rate engine is evaluated from the exposition server only, so
-/// objectives without a sidecar would never be evaluated: refused up front.
-#[test]
-fn slo_without_metrics_sidecar_is_refused() {
-    let db = seed_db("slo");
-    let db_s = db.to_str().unwrap();
-    let mut child = KillOnDrop(
-        Command::new(env!("CARGO_BIN_EXE_mmdbctl"))
-            .args([
-                "serve",
-                "--db",
-                db_s,
-                "--listen",
-                "127.0.0.1:0",
-                "--slo",
-                "range=5ms@p99",
-            ])
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("serve spawns"),
-    );
-    // A server that starts anyway never exits on its own: bound the wait.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let status = loop {
-        if let Some(status) = child.0.try_wait().expect("wait") {
-            break status;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "serve --slo without --metrics kept running"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
-    assert!(!status.success());
-    let mut stderr = String::new();
-    child
-        .0
-        .stderr
-        .take()
-        .expect("stderr piped")
-        .read_to_string(&mut stderr)
-        .unwrap();
-    assert!(stderr.contains("--slo needs --metrics"), "{stderr}");
-    std::fs::remove_dir_all(&db).ok();
-}
-
 #[test]
 fn events_dumps_flight_recorder_json() {
     let db = seed_db("events");

@@ -1,5 +1,5 @@
 //! A range query is observed once per request, whatever the shard count:
-//! the counters, latency histograms, heat cell and flight-recorder events a
+//! the counters, latency histograms, demand cell and flight-recorder events a
 //! query moves must not depend on topology, and the traced path must be the
 //! untraced path with a trace attached. A query for a profile the database
 //! does not serve is refused before it is observed: it moves nothing.
@@ -12,10 +12,13 @@ use mmdbms::datagen::VariantConfig;
 use mmdbms::prelude::*;
 use mmdbms::query::executor::QueryError;
 use mmdbms::server::protocol::{PlanKind, ProfileKind};
-use mmdbms::server::{Client, QueryBackend, QueryServer, RangeRequest, ServerConfig};
-use mmdbms::telemetry::{global, heat, recorder, EventKind, HEAT_PLANS};
+use mmdbms::server::{
+    BackendError, Client, LookupReply, QueryBackend, QueryServer, RangeReply, RangeRequest,
+    ServerConfig, StatsReply, Status,
+};
+use mmdbms::telemetry::{global, recorder, EventKind};
 use mmdbms::MultimediaDatabase;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 
 const PLANS: [QueryPlan; 4] = [
     QueryPlan::Instantiate,
@@ -45,12 +48,12 @@ fn red_query(db: &MultimediaDatabase) -> ColorRangeQuery {
     ColorRangeQuery::at_least(db.bin_of(Rgb::new(0xCE, 0x11, 0x26)), 0.1)
 }
 
-/// Position of `plan` in the heat table's label order.
-fn heat_index(plan: QueryPlan) -> usize {
-    HEAT_PLANS
-        .iter()
-        .position(|label| *label == plan.to_string())
-        .unwrap()
+/// The `mmdb_query_range_demand_total` cell of `(bin, plan)`, read without
+/// registering it (an untouched cell does not exist yet).
+fn demand(bin: usize, plan: QueryPlan) -> u64 {
+    global().snapshot().get(&format!(
+        r#"mmdb_query_range_demand_total{{bin="{bin}",plan="{plan}"}}"#
+    ))
 }
 
 /// Everything one range query is supposed to move, read at one instant.
@@ -58,7 +61,7 @@ fn heat_index(plan: QueryPlan) -> usize {
 struct Observed {
     total: u64,
     latency: u64,
-    heat_total: u64,
+    demand: u64,
     bwm_queries: u64,
     boundidx_lookups: u64,
     events_recorded: u64,
@@ -75,7 +78,7 @@ fn observe(plan: QueryPlan, bin: usize) -> Observed {
                 r#"mmdb_query_range_latency_seconds{{plan="{plan}"}}"#
             ))
             .count(),
-        heat_total: heat().total_of(bin as u32, heat_index(plan)),
+        demand: demand(bin, plan),
         bwm_queries: g.counter("mmdb_bwm_queries_total").get(),
         boundidx_lookups: g.counter("mmdb_boundidx_lookups_total").get(),
         events_recorded: recorder().recorded_total(),
@@ -89,7 +92,7 @@ fn assert_one_query(before: &Observed, plan: QueryPlan, bin: usize, results: usi
     let expected = Observed {
         total: before.total + 1,
         latency: before.latency + 1,
-        heat_total: before.heat_total + 1,
+        demand: before.demand + 1,
         bwm_queries: before.bwm_queries + u64::from(plan == QueryPlan::Bwm),
         boundidx_lookups: before.boundidx_lookups + u64::from(plan == QueryPlan::Indexed),
         events_recorded: after.events_recorded,
@@ -129,7 +132,7 @@ fn facade_observes_one_query_per_call_at_every_shard_count() {
 }
 
 /// The literal Table 1 profile is refused before anything runs: every plan,
-/// at 1 and 4 shards, returns the refusal and moves no series, heat cell or
+/// at 1 and 4 shards, returns the refusal and moves no series, demand cell or
 /// flight-recorder event — and the Indexed refusal builds no index.
 #[test]
 fn unserved_profile_is_refused_and_moves_nothing() {
@@ -140,7 +143,7 @@ fn unserved_profile_is_refused_and_moves_nothing() {
         for plan in PLANS {
             let what = format!("{shards} shards, {plan}");
             let series = global().snapshot();
-            let heat_total = heat().total_of(query.bin as u32, heat_index(plan));
+            let demand_before = demand(query.bin, plan);
             let events = recorder().recorded_total();
             match db.query_range_with(&query, plan, RuleProfile::PaperTable1) {
                 Err(e @ QueryError::UnservedProfile(RuleProfile::PaperTable1)) => {
@@ -149,8 +152,7 @@ fn unserved_profile_is_refused_and_moves_nothing() {
                 other => panic!("{what}: expected the refusal, got {other:?}"),
             }
             assert_eq!(global().snapshot(), series, "{what}");
-            let heat_after = heat().total_of(query.bin as u32, heat_index(plan));
-            assert_eq!(heat_after, heat_total, "{what}");
+            assert_eq!(demand(query.bin, plan), demand_before, "{what}");
             assert_eq!(recorder().recorded_total(), events, "{what}");
         }
         // Every shard's slot still reads as never built.
@@ -195,14 +197,136 @@ fn served_request_is_observed_once_at_every_shard_count() {
                 })
                 .unwrap();
             assert!(!reply.ids.is_empty());
-            // The admission edge adds heat only for requests it refuses, so
-            // a served request moves the cell once, at execution.
+            // The admission edge counts demand only for requests it refuses,
+            // so a served request moves the cell once, at execution.
             let what = format!("served, {shards} shards, {plan}");
             assert_one_query(&before, plan, query.bin, reply.ids.len(), &what);
         }
         drop(client);
         server.shutdown();
     }
+}
+
+/// The real database behind a gate: a range query announces itself and
+/// parks until released, so a test decides exactly when the single worker
+/// is busy.
+struct GatedDb {
+    db: Arc<MultimediaDatabase>,
+    entered: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl QueryBackend for GatedDb {
+    fn range(&self, req: &RangeRequest) -> Result<RangeReply, BackendError> {
+        self.entered.lock().unwrap().send(()).unwrap();
+        self.release.lock().unwrap().recv().unwrap();
+        QueryBackend::range(&*self.db, req)
+    }
+
+    fn knn(&self, probe_id: u64, k: u32) -> Result<Vec<(u64, f64)>, BackendError> {
+        QueryBackend::knn(&*self.db, probe_id, k)
+    }
+
+    fn lookup(&self, id: u64) -> Result<LookupReply, BackendError> {
+        QueryBackend::lookup(&*self.db, id)
+    }
+
+    fn stats(&self) -> StatsReply {
+        QueryBackend::stats(&*self.db)
+    }
+}
+
+/// Demand the backend never saw is still counted, once: a request refused
+/// at admission and one expired in the queue each move their
+/// `(bin, plan)` cell by exactly 1, the served request moves it once, at
+/// execution, and unvalidated wire bins past the clamp share one series.
+#[test]
+fn refused_demand_is_counted_once_by_bin_with_bounded_cardinality() {
+    let _guard = telemetry_lock();
+    let db = Arc::new(seeded_db(4));
+    let bin = red_query(&db).bin;
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let server = QueryServer::bind(
+        "127.0.0.1:0",
+        Arc::new(GatedDb {
+            db: Arc::clone(&db),
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        }) as Arc<dyn QueryBackend>,
+        ServerConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    // Bound after the server, so a failing assertion drops the sender first
+    // and the parked worker returns before the server joins it.
+    let release = release;
+    let addr = server.local_addr();
+    let call = move |bin: u32, deadline_ms| {
+        std::thread::spawn(move || {
+            let request = RangeRequest {
+                plan: PlanKind::Bwm,
+                profile: ProfileKind::Conservative,
+                bin,
+                pct_min: 0.1,
+                pct_max: 1.0,
+            };
+            Client::connect(addr)
+                .unwrap()
+                .range_with_deadline(request, deadline_ms)
+        })
+    };
+    let overflow = || -> Vec<String> {
+        global()
+            .snapshot()
+            .values
+            .into_keys()
+            .filter(|name| {
+                name.strip_prefix(r#"mmdb_query_range_demand_total{bin=""#)
+                    .and_then(|rest| rest.split('"').next()?.parse::<u64>().ok())
+                    .is_some_and(|b| b >= 256)
+            })
+            .collect()
+    };
+    let before = demand(bin, QueryPlan::Bwm);
+    let overflow_before = demand(256, QueryPlan::Bwm);
+
+    // Occupy the only worker, fill the one queue slot with a request whose
+    // deadline will have passed by the time it is dequeued…
+    let holder = call(bin as u32, 0);
+    entered.recv().unwrap();
+    let expired = call(bin as u32, 1);
+    while server.queue_len() == 0 {
+        std::thread::yield_now();
+    }
+    // …so the next requests are refused at admission.
+    let err = call(bin as u32, 0).join().unwrap().unwrap_err();
+    assert_eq!(err.status(), Some(Status::Overloaded));
+    assert_eq!(demand(bin, QueryPlan::Bwm), before + 1, "refused");
+    for wire_bin in [300, u32::MAX] {
+        let err = call(wire_bin, 0).join().unwrap().unwrap_err();
+        assert_eq!(err.status(), Some(Status::Overloaded), "bin {wire_bin}");
+    }
+    assert_eq!(demand(256, QueryPlan::Bwm), overflow_before + 2);
+    assert_eq!(
+        overflow(),
+        [r#"mmdb_query_range_demand_total{bin="256",plan="bwm"}"#]
+    );
+
+    std::thread::sleep(std::time::Duration::from_millis(5));
+    release.send(()).unwrap();
+    assert!(!holder.join().unwrap().unwrap().ids.is_empty());
+    let err = expired.join().unwrap().unwrap_err();
+    assert_eq!(err.status(), Some(Status::DeadlineExceeded));
+    assert_eq!(
+        demand(bin, QueryPlan::Bwm),
+        before + 3,
+        "refused + expired + served"
+    );
+    server.shutdown();
 }
 
 /// The executor pool against a real 16-shard backend, through the one

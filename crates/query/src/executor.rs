@@ -8,7 +8,7 @@ use mmdb_bwm::{BwmQueryStats, BwmStructure, Method, QueryOutcome};
 use mmdb_editops::ImageId;
 use mmdb_rules::{ColorRangeQuery, RuleEngine, RuleError, RuleProfile};
 use mmdb_storage::{StorageEngine, StorageError};
-use mmdb_telemetry::{counter, histogram, Counter, EventKind, Histogram, QueryTrace, HEAT_PLANS};
+use mmdb_telemetry::{counter, histogram, Counter, EventKind, Histogram, QueryTrace, RANGE_PLANS};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -69,9 +69,9 @@ impl From<StorageError> for QueryError {
 /// Result alias for query execution.
 pub type Result<T> = std::result::Result<T, QueryError>;
 
-/// The plan's position in the workload-observatory heat table
-/// (`mmdb_telemetry::heat`), matching [`HEAT_PLANS`] label order.
-fn heat_index(plan: QueryPlan) -> usize {
+/// The plan's position in [`RANGE_PLANS`] label order, which indexes both
+/// the per-plan series table and the demand counter's `plan` label.
+fn plan_index(plan: QueryPlan) -> usize {
     match plan {
         QueryPlan::Instantiate => 0,
         QueryPlan::Rbm => 1,
@@ -89,12 +89,12 @@ struct RangeSeries {
 }
 
 /// The per-plan table of range-query series, registered on first use,
-/// indexed by [`heat_index`].
+/// indexed by [`plan_index`].
 fn series(plan: QueryPlan) -> &'static RangeSeries {
-    static TABLE: OnceLock<[RangeSeries; HEAT_PLANS.len()]> = OnceLock::new();
+    static TABLE: OnceLock<[RangeSeries; RANGE_PLANS.len()]> = OnceLock::new();
     let table = TABLE.get_or_init(|| {
         let g = mmdb_telemetry::global();
-        HEAT_PLANS.map(|plan| RangeSeries {
+        RANGE_PLANS.map(|plan| RangeSeries {
             total: g.counter(&format!(r#"mmdb_query_range_total{{plan="{plan}"}}"#)),
             latency: g.histogram(&format!(
                 r#"mmdb_query_range_latency_seconds{{plan="{plan}"}}"#
@@ -102,7 +102,7 @@ fn series(plan: QueryPlan) -> &'static RangeSeries {
             label: format!("plan={plan}"),
         })
     });
-    &table[heat_index(plan)]
+    &table[plan_index(plan)]
 }
 
 /// Registers every range-query series at zero.
@@ -115,7 +115,7 @@ fn nanos(d: Duration) -> u64 {
 }
 
 /// Runs `body` as **one** observed range query: a `query_start` /
-/// `query_end` flight-recorder pair, one heat bump, one count and one
+/// `query_end` flight-recorder pair, one demand count, one count and one
 /// latency sample per series, the batched work counters, and — on a traced
 /// context — the root totals, parameter events and total duration. `body`
 /// is everything the caller was handed: one slice for a [`QueryProcessor`]
@@ -185,7 +185,7 @@ fn observe_range_start(plan: QueryPlan, query: &ColorRangeQuery) {
 
 /// Records one completed range query. The work counters other tooling
 /// diffs are exact totals and always flushed ([`flush_work_counters`]); the
-/// rest — heat, the per-plan counter and latency histogram, a `query_end`
+/// rest — demand, the per-plan counter and latency histogram, a `query_end`
 /// flight-recorder event carrying the work and per-shard figures, and past
 /// the configured threshold a slow-query counter + event — sits behind one
 /// relaxed load of the instrumentation switch.
@@ -200,7 +200,7 @@ fn observe_range(
     if !mmdb_telemetry::instrumentation_enabled() {
         return;
     }
-    mmdb_telemetry::heat().record(query.bin as u32, heat_index(plan));
+    mmdb_telemetry::record_range_demand(query.bin as u32, plan_index(plan));
     let series = series(plan);
     series.total.inc();
     series.latency.observe(elapsed);

@@ -640,8 +640,8 @@ pub fn register_metrics() {
     }
 }
 
-/// Per-opcode non-OK response counter — the error-event source the SLO
-/// engine's `err<x%` objectives read.
+/// Per-opcode non-OK response counter; over `mmdb_server_requests_total`
+/// it is the error ratio an error-budget burn rate is computed from.
 fn errors_counter(op: Opcode) -> &'static mmdb_telemetry::Counter {
     match op {
         Opcode::Ping => counter!(r#"mmdb_server_errors_total{opcode="ping"}"#),
@@ -652,11 +652,12 @@ fn errors_counter(op: Opcode) -> &'static mmdb_telemetry::Counter {
     }
 }
 
-/// Records refused (never-executed) range demand in the heat table. The
-/// executed path records from the query executor itself; this keeps the
-/// admission path's refusals — demand the backend never saw — visible to
-/// heat ranking without double-counting completed queries.
-fn record_refused_heat(body: &RequestBody) {
+/// Records refused (never-executed) range demand. The executed path records
+/// from the query executor itself; this keeps the admission path's refusals
+/// — demand the backend never saw — counted without double-counting
+/// completed queries. The wire bin is unvalidated here; the demand counter
+/// clamps it.
+fn record_refused_demand(body: &RequestBody) {
     if let RequestBody::Range(req) = body {
         let plan = match req.plan {
             PlanKind::Instantiate => 0,
@@ -664,7 +665,7 @@ fn record_refused_heat(body: &RequestBody) {
             PlanKind::Bwm => 2,
             PlanKind::Indexed => 3,
         };
-        mmdb_telemetry::heat().record(req.bin, plan);
+        mmdb_telemetry::record_range_demand(req.bin, plan);
     }
 }
 
@@ -722,7 +723,6 @@ struct Reactor {
 
 impl Reactor {
     fn run(&mut self) {
-        let _prof = mmdb_telemetry::register_profiler_thread("reactor");
         let mut scratch = vec![0u8; 64 << 10];
         let mut drain_deadline: Option<Instant> = None;
         // Shutdown read quiescing: after `stop`, reads continue until the
@@ -987,7 +987,7 @@ impl Reactor {
         counter!("mmdb_server_overloaded_total").inc();
         errors_counter(job.request.body.opcode()).inc();
         if mmdb_telemetry::instrumentation_enabled() {
-            record_refused_heat(&job.request.body);
+            record_refused_demand(&job.request.body);
         }
         let detail = match push_err {
             PushError::Full => format!("queue full (depth {capacity})"),
@@ -1069,17 +1069,7 @@ fn worker_loop(
     completions: &mpsc::Sender<Completion>,
     wake: &TcpStream,
 ) {
-    let _prof = mmdb_telemetry::register_profiler_thread("worker");
-    loop {
-        let job = {
-            // Published while blocked on the queue so idle workers show up
-            // as `worker;idle` in profiles rather than vanishing.
-            let _idle = mmdb_telemetry::profile_frame("idle");
-            match queue.pop() {
-                Some(job) => job,
-                None => break,
-            }
-        };
+    while let Some(job) = queue.pop() {
         gauge!("mmdb_server_queue_depth").set(queue.len() as u64);
         let waited = job.accepted_at.elapsed();
         let conn = job.conn;
@@ -1115,7 +1105,7 @@ fn run_job(
         counter!("mmdb_server_deadline_exceeded_total").inc();
         errors_counter(opcode).inc();
         if mmdb_telemetry::instrumentation_enabled() {
-            record_refused_heat(&job.request.body);
+            record_refused_demand(&job.request.body);
             mmdb_telemetry::recorder().record(
                 EventKind::ServerDeadlineExceeded,
                 format!(
@@ -1166,12 +1156,9 @@ fn run_job(
     // queue_wait/execute spans and remain eligible for retroactive keep;
     // only the plan-internal detail is coarser.
     let want_stages = trace_keep.is_zero() || ctx.sampled;
-    let outcome = {
-        let _frame = mmdb_telemetry::profile_frame(opcode.name());
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(backend, &job.request.body, want_stages)
-        }))
-    };
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        execute(backend, &job.request.body, want_stages)
+    }));
     let exec_elapsed = exec_start.elapsed();
     let (status, backend_trace, payload) = match outcome {
         Ok(Ok((body, backend_trace))) => (

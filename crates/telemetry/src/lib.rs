@@ -42,34 +42,21 @@
 mod fmt;
 mod heat;
 mod percentile;
-pub mod profiler;
 mod recorder;
 mod registry;
 mod server;
-mod slo;
 mod trace;
 mod tracestore;
 
 pub use fmt::format_duration;
-pub use heat::{
-    heat, heat_json, publish_heat_gauges, HeatEntry, HeatTable, DEFAULT_HEAT_HALF_LIFE,
-    HEAT_MAX_BINS, HEAT_PLANS,
-};
+pub use heat::{record_range_demand, RANGE_PLANS};
 pub use percentile::HistogramSnapshot;
-pub use profiler::{
-    collect_profile, profile_frame, register_profiler_thread, FrameGuard, ProfiledThread,
-    DEFAULT_SAMPLE_HZ, MAX_PROFILE_DEPTH,
-};
 pub use recorder::{
     events_to_json, recorder, set_slow_query_threshold, slow_query_threshold, Event, EventKind,
     FlightRecorder, DEFAULT_RECORDER_CAPACITY, DEFAULT_SLOW_QUERY_THRESHOLD,
 };
 pub use registry::{global, Counter, Gauge, Histogram, Registry, Snapshot};
 pub use server::{serve_with, MetricsServer, PrerenderHook, ReadinessProbe, ServeOptions};
-pub use slo::{
-    alerts_json, configure_slo, slo_engine, LatencyObjective, SloConfig, SloEngine, SloObjective,
-    SloState, CRIT_BURN, DEFAULT_FAST_WINDOW, DEFAULT_SLOW_WINDOW, WARN_BURN,
-};
 pub use trace::{QueryTrace, Span};
 pub use tracestore::{
     keep_reason, next_trace_id, parse_trace_id, trace_store, KeepReason, StoredTrace, TraceContext,

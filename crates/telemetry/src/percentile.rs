@@ -118,41 +118,6 @@ impl HistogramSnapshot {
         None
     }
 
-    /// Fraction of observations strictly above `threshold`, estimated from
-    /// the bucket layout. Observations are counted as "over" when their
-    /// whole bucket lies above the threshold; the bucket *containing* the
-    /// threshold is apportioned linearly, matching the interpolation
-    /// [`quantile`](Self::quantile) uses in the other direction. Returns
-    /// 0.0 for an empty snapshot. This is the "bad event" estimator the
-    /// SLO burn-rate windows are built on.
-    pub fn fraction_over(&self, threshold: Duration) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let t = threshold.as_secs_f64();
-        let bounds = Histogram::bucket_bounds();
-        let mut over = 0.0f64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let upper = bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            let lower = if i == 0 { 0.0 } else { bounds[i - 1] };
-            if t < lower {
-                over += n as f64;
-            } else if t < upper {
-                let width = if upper.is_finite() {
-                    upper - lower
-                } else {
-                    // +Inf bucket: anchor on the tracked maximum.
-                    (self.max_nanos as f64 / 1e9 - lower).max(f64::MIN_POSITIVE)
-                };
-                over += n as f64 * (1.0 - ((t - lower) / width).clamp(0.0, 1.0));
-            }
-        }
-        (over / self.count as f64).clamp(0.0, 1.0)
-    }
-
     /// Median estimate (`quantile(0.50)`).
     pub fn p50(&self) -> Option<Duration> {
         self.quantile(0.50)
@@ -278,32 +243,6 @@ mod tests {
         let snap = observe_all(&h, &[Duration::from_secs(30)]);
         assert_eq!(*snap.buckets.last().unwrap(), 1);
         assert_eq!(snap.p99(), Some(Duration::from_secs(30)));
-    }
-
-    #[test]
-    fn fraction_over_tracks_the_tail() {
-        let h = Histogram::default();
-        // 90 fast (≤1µs bucket) + 10 slow (≤100ms bucket) observations.
-        let mut durations = vec![Duration::from_nanos(500); 90];
-        durations.extend(vec![Duration::from_millis(50); 10]);
-        let snap = observe_all(&h, &durations);
-        assert_eq!(snap.fraction_over(Duration::ZERO), 1.0);
-        // A 1ms threshold sits between the modes: exactly the slow 10%.
-        let f = snap.fraction_over(Duration::from_millis(1));
-        assert!((f - 0.10).abs() < 1e-9, "fraction was {f}");
-        // Above the tracked max nothing qualifies.
-        assert_eq!(snap.fraction_over(Duration::from_secs(100)), 0.0);
-        assert_eq!(
-            HistogramSnapshot::empty().fraction_over(Duration::from_millis(1)),
-            0.0
-        );
-        // Monotone non-increasing in the threshold.
-        let mut last = 1.0f64;
-        for ms in [0u64, 1, 5, 20, 60, 1000] {
-            let f = snap.fraction_over(Duration::from_millis(ms));
-            assert!(f <= last + 1e-12, "fraction_over not monotone at {ms}ms");
-            last = f;
-        }
     }
 
     #[test]

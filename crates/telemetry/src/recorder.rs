@@ -48,9 +48,6 @@ pub enum EventKind {
     ServerDrain,
     /// A backend call panicked; the worker caught it and answered INTERNAL.
     ServerBackendPanic,
-    /// An SLO objective changed alert state (ok/warning/critical); the
-    /// detail carries the objective, direction, and both burn rates.
-    SloStateChange,
     /// The write-ahead log finished a segment and started a new one.
     WalRotation,
     /// A catalog snapshot was written and renamed into place.
@@ -79,7 +76,6 @@ impl EventKind {
             EventKind::ServerDeadlineExceeded => "server_deadline_exceeded",
             EventKind::ServerDrain => "server_drain",
             EventKind::ServerBackendPanic => "server_backend_panic",
-            EventKind::SloStateChange => "slo_state_change",
             EventKind::WalRotation => "wal_rotation",
             EventKind::Snapshot => "snapshot",
             EventKind::Recovery => "recovery",

@@ -1,8 +1,8 @@
 //! A dependency-free metrics exposition server over `std::net`.
 //!
 //! Serves the observability surface on a background accept thread, one
-//! handler thread per connection (so a long-running `/debug/profile`
-//! capture never starves a concurrent Prometheus scrape):
+//! handler thread per connection (so a slow client cannot stall a
+//! concurrent Prometheus scrape):
 //!
 //! * `/metrics` — the global registry in Prometheus text format
 //!   (`?format=json` switches to the JSON exposition),
@@ -12,12 +12,8 @@
 //! * `/healthz` — pure liveness probe (`ok` as long as the process serves),
 //! * `/readyz`  — readiness probe: runs the embedder-supplied
 //!   [`ReadinessProbe`] and answers 503 until it reports ready,
-//! * `/heat` — ranked query-heat entries as JSON (`?limit=N` truncates),
-//! * `/alerts` — SLO burn-rate alert states as JSON (evaluating on read),
 //! * `/traces` — tail-sampled trace store summaries (newest first),
-//! * `/traces/<id>` — one trace's full span tree by hex id,
-//! * `/debug/profile?seconds=N` — blocks for N seconds (1–30, default 5)
-//!   sampling registered threads, answering collapsed-stack text.
+//! * `/traces/<id>` — one trace's full span tree by hex id.
 //!
 //! The server is deliberately minimal HTTP/1.1: it parses the request line,
 //! drains headers, answers with `Connection: close`, and handles one request
@@ -31,9 +27,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Callback run before each `/metrics` render, letting the embedder
-/// refresh series that are computed on demand (staleness gauges, ranked
-/// heat, an SLO evaluation). Counters need no flush: they are exact at
-/// scrape time.
+/// refresh series that are computed on demand (the bound-index staleness
+/// gauges). Counters need no flush: they are exact at scrape time.
 pub type PrerenderHook = Arc<dyn Fn() + Send + Sync>;
 
 /// Readiness callback for `/readyz`: `Ok(detail)` answers 200, `Err(detail)`
@@ -50,13 +45,6 @@ pub struct ServeOptions {
     /// (liveness and readiness coincide for embedders with no warm-up).
     pub readiness: Option<ReadinessProbe>,
 }
-
-/// Longest `/debug/profile` capture window we accept; anything larger is
-/// clamped so a stray request can't pin a handler thread for minutes.
-const MAX_PROFILE_SECONDS: u64 = 30;
-
-/// Ranked entries `/heat` returns when no `?limit=` is given.
-const DEFAULT_HEAT_LIMIT: usize = 50;
 
 /// A running exposition server; dropping it shuts the accept loop down.
 pub struct MetricsServer {
@@ -225,28 +213,11 @@ fn route(
                 ),
             },
         },
-        "/heat" => {
-            let limit = query_param(query, "limit")
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(DEFAULT_HEAT_LIMIT)
-                .max(1);
-            ("200 OK", "application/json", crate::heat_json(limit))
-        }
-        "/alerts" => ("200 OK", "application/json", crate::alerts_json()),
         "/traces" => (
             "200 OK",
             "application/json",
             crate::trace_store().render_summaries_json(),
         ),
-        "/debug/profile" => {
-            let seconds = query_param(query, "seconds")
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(5)
-                .clamp(1, MAX_PROFILE_SECONDS);
-            let profile =
-                crate::collect_profile(Duration::from_secs(seconds), crate::DEFAULT_SAMPLE_HZ);
-            ("200 OK", "text/plain", profile)
-        }
         _ => {
             if let Some(raw_id) = path.strip_prefix("/traces/") {
                 return match crate::parse_trace_id(raw_id) {
@@ -421,29 +392,6 @@ mod tests {
         let bad = get(addr, "/traces/not-an-id");
         assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
 
-        server.shutdown();
-    }
-
-    #[test]
-    fn debug_profile_returns_collapsed_stacks() {
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let worker = std::thread::spawn(move || {
-            let _reg = crate::register_profiler_thread("http-prof-worker");
-            let _f = crate::profile_frame("serving");
-            while !thread_stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
-        let server = serve_with("127.0.0.1:0", ServeOptions::default()).unwrap();
-        let profile = get(server.local_addr(), "/debug/profile?seconds=1");
-        stop.store(true, Ordering::Relaxed);
-        worker.join().unwrap();
-        assert!(profile.starts_with("HTTP/1.1 200"), "{profile}");
-        assert!(
-            profile.contains("http-prof-worker;serving"),
-            "missing stack: {profile}"
-        );
         server.shutdown();
     }
 

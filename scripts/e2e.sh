@@ -198,10 +198,11 @@ trace() {
   grep -F 'mmdb_build_info{' metrics.txt
   grep -F 'mmdb_uptime_seconds' metrics.txt
   grep -F 'mmdb_trace_kept_total' metrics.txt
-  # The in-process profiler returns collapsed stacks with samples.
-  "$MMDBCTL" profile --connect "$HTTP" --seconds 1 > profile.txt
-  test -s profile.txt
-  grep -q '# samples=' profile.txt
+  # Where the time went is on /metrics: the load's range requests were
+  # timed by the per-opcode execute histogram.
+  executed=$(grep -F 'mmdb_server_execute_seconds_count{opcode="range"}' metrics.txt | awk '{print $2}')
+  echo "range requests executed: $executed"
+  test "$executed" -gt 0
   stop_and_wait
 }
 
@@ -265,70 +266,29 @@ durable() {
 observatory() {
   "$MMDBCTL" create --db ./db
   "$MMDBCTL" gen --db ./db --collection helmets --count 10 --augment 2 --seed 19
-  # Objectives are evaluated from the exposition server only, so without
-  # a sidecar they would be inert: refused at startup.
-  if "$MMDBCTL" serve --db ./db --listen 127.0.0.1:0 --slo 'range=1us@p99' 2> refused.err; then
-    echo "e2e: serve --slo without --metrics started" >&2
-    return 1
-  fi
-  grep -q -- '--slo needs --metrics' refused.err
-  # A 1us p99 objective trips under any real traffic; short burn windows
-  # make the trip and the recovery observable within the job.
-  start_queries --db ./db --slo 'range=1us@p99,err<50%;windows=2s/4s'
-  grep -q 'slo: range' serve.err
-  # Hot load on bin 21 (plus a trickle elsewhere), while the foreground
-  # polls /alerts — every fetch drives a burn-rate evaluation, so the
-  # objective must trip to critical mid-load.
-  (
-    for _ in $(seq 1 60); do
-      "$MMDBCTL" query --connect "$ADDR" --bin 21 --min 0.02 --plan indexed > /dev/null
-    done
-    for bin in 5 9 33; do
-      "$MMDBCTL" query --connect "$ADDR" --bin $bin --min 0.02 > /dev/null
-    done
-  ) &
-  LOAD_PID=$!
-  TRIPPED=0
-  for _ in $(seq 1 120); do
-    scrape /alerts > alerts.json || true
-    if grep -q '"state": "critical"' alerts.json; then
-      TRIPPED=1
-      break
-    fi
-    kill -0 $LOAD_PID 2> /dev/null || break
-    sleep 0.2
+  start_queries --db ./db
+  # Hot load on bin 21, plus a trickle elsewhere.
+  for _ in $(seq 1 60); do
+    "$MMDBCTL" query --connect "$ADDR" --bin 21 --min 0.02 --plan indexed > /dev/null
   done
-  wait $LOAD_PID
-  cat alerts.json
-  test "$TRIPPED" -eq 1
-  # Load is over: the burn windows drain and hysteresis walks the state
-  # machine back to ok (trip + recovery = >= 2 transitions).
-  RECOVERED=0
-  for _ in $(seq 1 100); do
-    scrape /alerts > alerts.json || true
-    if grep -q '"state": "ok"' alerts.json; then
-      RECOVERED=1
-      break
-    fi
-    sleep 0.3
+  for bin in 5 9 33; do
+    "$MMDBCTL" query --connect "$ADDR" --bin $bin --min 0.02 > /dev/null
   done
-  cat alerts.json
-  test "$RECOVERED" -eq 1
-  grep -qE '"transitions": [2-9]' alerts.json
-  # /heat ranks the hammered bin first, and the CLI views agree.
-  scrape '/heat?limit=5' > heat.json
-  cat heat.json
-  test "$(grep -o '"bin": [0-9]*' heat.json | head -1)" = '"bin": 21'
-  "$MMDBCTL" heat --connect "$HTTP" --limit 5 | grep -q '"bin": 21'
-  "$MMDBCTL" slo --connect "$HTTP" | grep -q '"configured": true'
-  # The exposition carries the observatory series: index staleness,
-  # ranked heat gauges, and the SLO state machine.
+  # The hammered cell is the largest demand series on /metrics, beside the
+  # index staleness gauges.
   scrape /metrics > metrics.txt
+  grep -E '^mmdb_query_range_demand_total\{' metrics.txt | sort -k2 -n -r > demand.txt
+  cat demand.txt
+  test "$(head -1 demand.txt | awk '{print $1}')" = 'mmdb_query_range_demand_total{bin="21",plan="indexed"}'
   grep -E '^mmdb_boundidx_epoch_lag [0-9]+$' metrics.txt
   grep -E '^mmdb_boundidx_entries_resident [0-9]+$' metrics.txt
-  grep -F 'mmdb_heat{bin="21",plan="indexed"}' metrics.txt
-  grep -F 'mmdb_slo_state{opcode="range"}' metrics.txt
-  grep -F 'mmdb_slo_burn_rate_milli{opcode="range",window="fast"}' metrics.txt
+  # Views a scrape derives have no route: decayed heat, SLO alerts and the
+  # sampling profiler (its path written as two segments) answer 404.
+  for route in heat alerts 'debug profile'; do
+    code=$(curl -s -o /dev/null -w '%{http_code}' "http://$HTTP/${route/ //}")
+    echo "/${route/ //}: $code"
+    test "$code" = 404
+  done
   stop_and_wait
 }
 
