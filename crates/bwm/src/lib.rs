@@ -31,9 +31,7 @@
 pub mod query;
 pub mod structure;
 
-pub use query::{
-    execute, finish_deferred, BwmQueryStats, Deferred, Method, QueryCtx, QueryOutcome, ShardRecord,
-};
+pub use query::{execute, BwmQueryStats, Method, QueryCtx, QueryOutcome, ShardRecord};
 pub use structure::{BwmStructure, Classification, SequenceStore};
 
 /// Eagerly registers this layer's metric series (zero-valued until traffic

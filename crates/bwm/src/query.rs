@@ -1,13 +1,11 @@
 //! The BWM query processing algorithm (§4.1, Figure 2).
 
 use crate::structure::{BwmStructure, SequenceStore};
-use mmdb_editops::{EditSequence, ImageId};
+use mmdb_editops::ImageId;
 use mmdb_histogram::ColorHistogram;
-use mmdb_rules::{
-    BoundProgram, ColorRangeQuery, ImageInfo, InfoResolver, Result, RuleEngine, RuleError,
-};
+use mmdb_rules::{BoundProgram, ColorRangeQuery, InfoResolver, Result, RuleEngine, RuleError};
 use mmdb_telemetry::QueryTrace;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Work counters for one query execution — these are what Figures 3/4 of
@@ -171,23 +169,6 @@ impl QueryCtx {
     }
 }
 
-/// An edited image a scan could not finish under its view: its BOUNDS walk
-/// names an image the view does not resolve — a merge target held by another
-/// shard, if by anyone. Reaching for a second shard while the view pins the
-/// first is how two scans and two queued writers deadlock, so the scan hands
-/// these back; whoever took the view drops it, then calls
-/// [`finish_deferred`].
-#[derive(Debug)]
-pub struct Deferred {
-    /// The image.
-    pub edited: ImageId,
-    /// Its compiled program — or its stored sequence, when it was never
-    /// compiled (compiling needs the missing image's dimensions).
-    pub walk: std::result::Result<BoundProgram, Arc<EditSequence>>,
-    /// Its base image, as the view held it.
-    pub base: ImageInfo,
-}
-
 /// Which of the paper's two methods a scan of Figure 1 runs. They walk the
 /// same entries in the same loop and differ only in the shortcut.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -220,7 +201,6 @@ struct Scan<'a, S> {
 struct Out<'o> {
     results: &'o mut Vec<ImageId>,
     stats: &'o mut BwmQueryStats,
-    deferred: Vec<Deferred>,
 }
 
 /// Runs `method` over a Figure 1 structure, adding candidates and work
@@ -238,7 +218,8 @@ struct Out<'o> {
 /// are the business of whoever owns the whole query.
 ///
 /// `resolver` and `store` are one read view of the shard `structure`
-/// describes; the images it could not finish under that view come back.
+/// describes, which holds every image its edited images name: a name the
+/// view cannot resolve fails the query with [`RuleError::UnknownImage`].
 pub fn execute<S: SequenceStore>(
     method: Method,
     structure: &BwmStructure,
@@ -247,7 +228,7 @@ pub fn execute<S: SequenceStore>(
     resolver: &dyn InfoResolver,
     store: &S,
     ctx: &mut QueryCtx,
-) -> Result<Vec<Deferred>> {
+) -> Result<()> {
     let bounds = Bounds {
         query,
         engine,
@@ -260,14 +241,12 @@ pub fn execute<S: SequenceStore>(
     let mut out = Out {
         results: &mut ctx.results,
         stats: &mut stats,
-        deferred: Vec::new(),
     };
     let started = Instant::now();
     let base_hits = scan.main(structure, method == Method::Bwm, &mut out)?;
     let main_elapsed = started.elapsed();
     let main_stats = *out.stats;
     scan.unclassified(structure, &mut out)?;
-    let deferred = out.deferred;
     let clusters = structure.cluster_count();
     if method == Method::Bwm {
         stats.clusters_visited = clusters;
@@ -277,7 +256,7 @@ pub fn execute<S: SequenceStore>(
     ctx.stats += stats;
 
     let Some(trace) = &mut ctx.trace else {
-        return Ok(deferred);
+        return Ok(());
     };
     match method {
         Method::Bwm => {
@@ -313,48 +292,6 @@ pub fn execute<S: SequenceStore>(
                 .counter("bounds_computed", stats.bounds_computed as u64)
                 .counter("ops_processed", stats.ops_processed as u64);
         }
-    }
-    Ok(deferred)
-}
-
-/// Finishes the walks a scan handed back, now that its view is dropped:
-/// `targets` resolves any image (for a shard, through its peers, one short
-/// lock at a time) and `compile` turns a never-compiled sequence into its
-/// program against the base the view held. Counted as if each walk had run
-/// in place; an image nobody holds fails the query with
-/// [`RuleError::UnknownImage`]. A traced context gets a `deferred` stage.
-pub fn finish_deferred(
-    deferred: Vec<Deferred>,
-    query: &ColorRangeQuery,
-    engine: &RuleEngine<'_>,
-    targets: &dyn InfoResolver,
-    compile: impl Fn(ImageId, &EditSequence, &ImageInfo) -> Result<BoundProgram>,
-    ctx: &mut QueryCtx,
-) -> Result<()> {
-    if deferred.is_empty() {
-        return Ok(());
-    }
-    let started = Instant::now();
-    let bounds = Bounds {
-        query,
-        engine,
-        resolver: targets,
-    };
-    let mut stats = BwmQueryStats::default();
-    for Deferred { edited, walk, base } in deferred {
-        let program = match walk {
-            Ok(program) => program,
-            Err(sequence) => compile(edited, &sequence, &base)?,
-        };
-        let histogram = &base.histogram;
-        bounds.test(edited, &program, histogram, &mut ctx.results, &mut stats)?;
-    }
-    ctx.stats += stats;
-    if let Some(trace) = &mut ctx.trace {
-        trace
-            .stage("deferred", started.elapsed())
-            .counter("bounds_computed", stats.bounds_computed as u64)
-            .counter("ops_processed", stats.ops_processed as u64);
     }
     Ok(())
 }
@@ -434,8 +371,8 @@ impl<S: SequenceStore> Scan<'_, S> {
         Ok(())
     }
 
-    /// BOUNDS for one edited image from the program its entry keeps —
-    /// compiled under the view on first use — or its deferral.
+    /// BOUNDS for one edited image from the program its entry keeps,
+    /// compiled under the view on first use.
     fn bounds_test(
         &self,
         edited: ImageId,
@@ -443,50 +380,29 @@ impl<S: SequenceStore> Scan<'_, S> {
         base: &ColorHistogram,
         out: &mut Out<'_>,
     ) -> Result<()> {
-        let Bounds {
-            engine, resolver, ..
-        } = self.bounds;
+        let bounds = &self.bounds;
         let program = match cell.get() {
             Some(program) => program,
             None => {
                 let sequence = self.store.sequence(edited);
                 let sequence = sequence.ok_or(RuleError::UnknownImage(edited))?;
-                match engine.compile(&sequence, resolver) {
-                    Ok(program) => cell.get_or_init(|| program),
-                    // Compiling needs an image out of reach.
-                    Err(RuleError::UnknownImage(_)) => {
-                        let base = resolver.require(sequence.base)?;
-                        let walk = Err(sequence);
-                        out.deferred.push(Deferred { edited, walk, base });
-                        return Ok(());
-                    }
-                    Err(e) => return Err(e),
-                }
+                let program = bounds.engine.compile(&sequence, bounds.resolver)?;
+                cell.get_or_init(|| program)
             }
         };
-        match self
-            .bounds
-            .test(edited, program, base, out.results, out.stats)
-        {
-            // Only a merge target is looked up during evaluation.
-            Err(RuleError::UnknownImage(_)) => out.deferred.push(Deferred {
-                edited,
-                walk: Ok(program.clone()),
-                base: resolver.require(program.base())?,
-            }),
-            done => return done,
-        }
-        Ok(())
+        bounds.test(edited, program, base, out.results, out.stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdb_editops::EditSequence;
     use mmdb_histogram::{ColorHistogram, Quantizer, RgbQuantizer};
     use mmdb_imaging::{draw, RasterImage, Rect, Rgb};
-    use mmdb_rules::{MapInfoResolver, RuleProfile};
+    use mmdb_rules::{ImageInfo, MapInfoResolver, RuleProfile};
     use std::collections::HashMap;
+    use std::sync::Arc;
 
     struct Fixture {
         structure: BwmStructure,
@@ -568,16 +484,8 @@ mod tests {
         q: &ColorRangeQuery,
     ) -> Result<QueryOutcome> {
         let mut ctx = QueryCtx::default();
-        let deferred = execute(
-            method,
-            &f.structure,
-            q,
-            engine,
-            &f.resolver,
-            &f.store,
-            &mut ctx,
-        )?;
-        assert!(deferred.is_empty(), "the fixture resolves every image");
+        let (resolver, store) = (&f.resolver, &f.store);
+        execute(method, &f.structure, q, engine, resolver, store, &mut ctx)?;
         Ok(ctx.into_outcome())
     }
 
@@ -639,51 +547,32 @@ mod tests {
         ));
     }
 
-    /// A merge target the view does not hold: the walk comes back instead
-    /// of failing, and finishing it against a resolver that does hold the
-    /// target counts and answers as the in-place walk would have.
+    /// A merge target the view does not hold fails the query — before the
+    /// program is compiled (compiling needs the target's dimensions) and
+    /// after it is kept (evaluating needs its histogram).
     #[test]
-    fn walk_naming_an_image_out_of_reach_is_deferred_then_finished() {
+    fn walk_naming_an_image_the_view_does_not_hold_fails_the_query() {
         let f = fixture();
         let engine = RuleEngine::new(&f.quant, RuleProfile::Conservative);
         let q = ColorRangeQuery::new(f.quant.bin_of(Rgb::RED), 0.4, 0.6);
-        let (base, pasted) = (ImageId::new(2), ImageId::new(12));
+        let (base, pasted, target) = (ImageId::new(2), ImageId::new(12), ImageId::new(1));
         let info = f.resolver.require(base).unwrap();
         let mut structure = BwmStructure::new();
         structure.insert_binary(base, Arc::clone(&info.histogram));
         structure.insert_edited(pasted, &f.store[&pasted]);
         let mut view = MapInfoResolver::new();
         view.insert(base, info);
-        let scan = |structure: &BwmStructure, resolver: &MapInfoResolver| {
+        let (s, store) = (&structure, &f.store);
+        let scan = |resolver: &MapInfoResolver| {
             let mut ctx = QueryCtx::default();
-            let walks = execute(
-                Method::Bwm,
-                structure,
-                &q,
-                &engine,
-                resolver,
-                &f.store,
-                &mut ctx,
-            );
-            (ctx, walks.unwrap())
+            execute(Method::Bwm, s, &q, &engine, resolver, store, &mut ctx)
         };
-        let never_compiled = structure.clone();
-        let (in_place, none) = scan(&structure, &f.resolver);
-        assert!(none.is_empty());
-        assert_eq!(in_place.results, vec![pasted]);
-
-        // Never compiled (compiling needs the target's dimensions), then
-        // compiled and cached (evaluating needs its histogram).
-        for structure in [&never_compiled, &structure] {
-            let (mut ctx, deferred) = scan(structure, &view);
-            assert_eq!((deferred.len(), ctx.stats.bounds_computed), (1, 0));
-            let cached = structure.program_cell(pasted, base).unwrap().get();
-            assert_eq!(deferred[0].walk.is_ok(), cached.is_some());
-            let compile = |_, seq: &EditSequence, _: &ImageInfo| engine.compile(seq, &f.resolver);
-            finish_deferred(deferred, &q, &engine, &f.resolver, compile, &mut ctx).unwrap();
-            assert_eq!(ctx.results, in_place.results);
-            assert_eq!(ctx.stats, in_place.stats);
-        }
+        let fails_closed = |out| matches!(out, Err(RuleError::UnknownImage(id)) if id == target);
+        assert!(fails_closed(scan(&view)), "never compiled");
+        scan(&f.resolver).unwrap();
+        let cell = structure.program_cell(pasted, base).unwrap();
+        assert!(cell.get().is_some());
+        assert!(fails_closed(scan(&view)), "compiled and kept");
     }
 
     /// RBM walks the same entries with the shortcut off: every base tested,

@@ -217,8 +217,9 @@ fn catches_condvar_if_instead_of_while() {
 /// the first. Two such scans in opposite orders, and a writer queued on
 /// each shard: each scan's second `read` waits behind the other shard's
 /// writer, which waits for the other scan — the reader–writer–reader cycle
-/// of a writer-preferring lock. (Production drops the view first:
-/// `mmdb_bwm::Deferred`, modelled in `model_read_view.rs`.)
+/// of a writer-preferring lock. (Production has no such path: a shard
+/// stores everything its edited images name, so no scan reaches a second
+/// shard.)
 fn nested_reads_across_two_shards() {
     let shards = [Arc::new(RwLock::new(0u64)), Arc::new(RwLock::new(0u64))];
     let scans: Vec<_> = [(0, 1), (1, 0)]

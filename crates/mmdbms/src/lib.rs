@@ -300,8 +300,9 @@ impl MultimediaDatabase {
     /// Stores an image as a sequence of editing operations; it is
     /// immediately classified into the BWM structure (Figure 1). The image
     /// lands on its **base's** shard, so the provenance link (and the BWM
-    /// cluster the paper builds around the base) stays shard-local; merge
-    /// targets may live on any shard.
+    /// cluster the paper builds around the base) stays shard-local. Every
+    /// merge target must be stored there too: one on another shard is
+    /// refused with `StorageError::InvalidReference`.
     pub fn insert_edited(&self, sequence: EditSequence) -> Result<ImageId> {
         let shard = self.shards.owner(sequence.base);
         Ok(shard.storage.insert_edited(sequence)?)
@@ -318,21 +319,22 @@ impl MultimediaDatabase {
         seed: u64,
     ) -> Result<(ImageId, Vec<ImageId>)> {
         let base = self.insert_image(image)?;
-        // Other binary images — on any shard — are candidate merge targets.
-        let targets: Vec<TargetInfo> = self
-            .binary_ids()
-            .into_iter()
-            .filter(|&id| id != base)
-            .filter_map(|id| {
-                use mmdb_rules::InfoResolver;
-                let info = self.shards.owner(id).storage.info(id)?;
+        // The other binary images on the base's shard are the candidate
+        // merge targets: the variants are stored there, with all they name.
+        let targets: Vec<TargetInfo> = {
+            use mmdb_rules::InfoResolver;
+            let view = self.shards.owner(base).storage.read_view();
+            let binaries = view.binaries().filter(|&(id, _)| id != base);
+            let targets = binaries.filter_map(|(id, _)| {
+                let info = view.info(id)?;
                 Some(TargetInfo {
                     id,
                     width: info.width,
                     height: info.height,
                 })
-            })
-            .collect();
+            });
+            targets.collect()
+        };
         let palette: Vec<Rgb> = mmdb_datagen::palette::FLAG_COLORS.to_vec();
         let mut generator = VariantGenerator::new(seed, config, palette);
         let mut ids = Vec::with_capacity(variants);
@@ -563,10 +565,9 @@ impl MultimediaDatabase {
     pub fn lint(&self) -> mmdb_analysis::AnalysisReport {
         let mut merged = mmdb_analysis::AnalysisReport::default();
         for shard in self.shards.iter() {
-            // Each shard lints its own slice of the catalog. The analyzer's
-            // resolver is the shard engine, whose lookups fall back to peer
-            // shards, so cross-shard base references resolve rather than
-            // reporting as dangling.
+            // Each shard lints its own slice of the catalog against its own
+            // images: everything an edited image names is on its shard, so
+            // a reference the shard cannot resolve is dangling.
             let analyzer = mmdb_analysis::Analyzer::with_resolver(
                 shard.storage.quantizer(),
                 shard.storage.background(),

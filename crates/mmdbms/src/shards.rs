@@ -19,7 +19,7 @@ use mmdb_query::{sort_neighbours, QueryPlan};
 use mmdb_rules::{ColorRangeQuery, RuleProfile};
 use mmdb_storage::{id_class, DurabilityOptions, StorageEngine, StorageError};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// One shard of the database: a complete, self-contained storage engine
 /// (own lock, own mutation epoch, own WAL) plus the structures derived
@@ -46,9 +46,9 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    fn new(storage: Arc<StorageEngine>) -> Self {
+    fn new(storage: StorageEngine) -> Self {
         Shard {
-            storage,
+            storage: Arc::new(storage),
             bound_index: EpochSlot::new(),
         }
     }
@@ -195,21 +195,15 @@ impl std::ops::Deref for Shards {
 }
 
 impl Shards {
-    /// Wires per-shard engines into one partition: strided id allocation
-    /// plus the peer table for cross-shard references, then each shard's
-    /// derived structures.
+    /// Wires per-shard engines into one partition — strided id allocation,
+    /// in place before any allocation — then each shard's derived
+    /// structures. No engine is told of another: everything an edited image
+    /// names is on its own shard.
     fn wire(engines: Vec<StorageEngine>) -> Self {
         assert!(!engines.is_empty(), "at least one shard");
-        let n = engines.len();
-        let engines: Vec<Arc<StorageEngine>> = engines.into_iter().map(Arc::new).collect();
-        if n > 1 {
-            let weak: Vec<Weak<StorageEngine>> = engines.iter().map(Arc::downgrade).collect();
-            for (i, engine) in engines.iter().enumerate() {
-                // Order matters: the stride must be in place before any
-                // allocation, and both before the engine is shared.
-                engine.set_id_stride(i as u64, n as u64);
-                engine.set_peers(i, weak.clone());
-            }
+        let n = engines.len() as u64;
+        for (i, engine) in engines.iter().enumerate() {
+            engine.set_id_stride(i as u64, n);
         }
         Shards {
             shards: engines.into_iter().map(Shard::new).collect(),

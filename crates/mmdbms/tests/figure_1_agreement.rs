@@ -15,6 +15,7 @@
 use mmdbms::datagen::flags::FlagGenerator;
 use mmdbms::datagen::VariantConfig;
 use mmdbms::prelude::*;
+use mmdbms::query::executor::QueryError;
 use mmdbms::rules::RuleEngine;
 use mmdbms::storage::{DurabilityOptions, StorageEngine, StorageError};
 use mmdbms::MultimediaDatabase;
@@ -76,6 +77,7 @@ fn check(db: &MultimediaDatabase, when: &str) {
     agrees(&db.bwm_snapshot(), &binary, &edited, storage_of, &merged);
     assert!(db.bwm_snapshot().unclassified_count() > 0, "{when}");
 
+    let mut merging = 0;
     for id in edited {
         let storage = storage_of(id);
         let engine = RuleEngine::with_background(
@@ -84,14 +86,24 @@ fn check(db: &MultimediaDatabase, when: &str) {
             storage.background(),
         );
         let sequence = storage.edit_sequence(id).unwrap();
+        let targets = sequence.merge_targets();
+        for &target in &targets {
+            let shards = (db.shard_of(target), db.shard_of(id));
+            assert_eq!(shards.0, shards.1, "{when}: {id} names {target}");
+        }
+        merging += usize::from(!targets.is_empty());
         let fresh = engine.compile(&sequence, storage).unwrap();
         assert_eq!(storage.bound_program(id).unwrap(), fresh, "{when}: {id}");
     }
+    assert!(
+        merging > 0,
+        "{when}: no stored sequence names a merge target"
+    );
 }
 
 /// Flags with three edited variants each: recolors, blurs and pastes into
-/// other flags, which land in both components (and, sharded, name merge
-/// targets on other shards).
+/// other flags, which land in both components. Sharded, the pasted flags
+/// are the ones stored on the variant's shard.
 fn insert_flags(db: &MultimediaDatabase, range: std::ops::Range<u64>) -> Vec<ImageId> {
     let flags = FlagGenerator::with_seed(23);
     let mut edited = Vec::new();
@@ -154,24 +166,54 @@ fn figure_1_agrees_with_the_catalog_through_every_write_path() {
     }
 }
 
-/// Figure 1 clusters an edited image under its base's histogram, so the
-/// image is stored on its base's shard or not at all: a storage handle
-/// asked to store one whose base another shard holds refuses, and the scans
-/// keep answering.
+/// Figure 1 clusters an edited image under its base's histogram, and a scan
+/// of a shard resolves names under that shard's lock alone, so the image is
+/// stored on the shard of its base and of every merge target it names, or
+/// not at all: a storage handle asked to store one whose base another shard
+/// holds refuses, so do the facade and the base's own shard asked to store
+/// one whose merge target another shard holds — without moving that shard —
+/// and the scans keep answering.
 #[test]
 fn an_edited_image_is_stored_on_its_base_s_shard_or_not_at_all() {
     let db = MultimediaDatabase::in_memory_sharded(Box::new(RgbQuantizer::default_64()), 2);
-    let red = RasterImage::filled(8, 8, Rgb::RED).unwrap();
-    let base = db.insert_image(&red).unwrap();
-    let elsewhere = db.shard_storage(1 - db.shard_of(base));
-    let refused = elsewhere.insert_edited(EditSequence::builder(base).blur().build());
-    assert!(
-        matches!(refused, Err(StorageError::InvalidReference { id, .. }) if id == base),
-        "{refused:?}"
+    let base = db
+        .insert_image(&RasterImage::filled(8, 8, Rgb::RED).unwrap())
+        .unwrap();
+    let target = db
+        .insert_image(&RasterImage::filled(8, 8, Rgb::GREEN).unwrap())
+        .unwrap();
+    assert_eq!((db.shard_of(base), db.shard_of(target)), (0, 1));
+    let refused_for = |refused: Result<ImageId, StorageError>, named: ImageId| {
+        assert!(
+            matches!(refused, Err(StorageError::InvalidReference { id, .. }) if id == named),
+            "{refused:?}"
+        );
+    };
+    let elsewhere = db.shard_storage(db.shard_of(target));
+    refused_for(
+        elsewhere.insert_edited(EditSequence::builder(base).blur().build()),
+        base,
     );
+
+    let home = db.shard_storage(db.shard_of(base));
+    let (epoch, ids) = (home.current_epoch(), home.ids());
+    let pasted = || {
+        EditSequence::builder(base)
+            .define(Rect::new(0, 0, 4, 4))
+            .merge_into(target, 1, 1)
+            .build()
+    };
+    let through_facade = db.insert_edited(pasted()).map_err(|e| match e {
+        QueryError::Storage(e) => e,
+        other => panic!("{other:?}"),
+    });
+    refused_for(through_facade, target);
+    refused_for(home.insert_edited(pasted()), target);
+    assert_eq!((home.current_epoch(), home.ids()), (epoch, ids));
+
     let everything = ColorRangeQuery::new(db.bin_of(Rgb::RED), 0.0, 1.0);
     for plan in [QueryPlan::Rbm, QueryPlan::Bwm] {
         let out = db.query_range_with_plan(&everything, plan).unwrap();
-        assert_eq!(out.sorted_results(), vec![base], "plan={plan}");
+        assert_eq!(out.sorted_results(), vec![base, target], "plan={plan}");
     }
 }

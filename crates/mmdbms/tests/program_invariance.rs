@@ -233,7 +233,10 @@ fn work_and_answers_match_the_reference_walker() {
 
 /// Programs are cached without invalidation because nothing they hold can
 /// change — but a merge target can disappear, and its histogram is not in
-/// the program. The scan must notice on the very next query.
+/// the program. The scan must notice on the very next query, and so must
+/// the bound index, whose entry for the pasted image was computed from that
+/// histogram: the target is stored on the pasted image's shard, so deleting
+/// it moves the epoch the index is stamped with.
 #[test]
 fn deleted_merge_target_fails_closed_after_its_program_was_cached() {
     let _serial = telemetry_lock();
@@ -244,11 +247,9 @@ fn deleted_merge_target_fails_closed_after_its_program_was_cached() {
             .insert_image(&RasterImage::filled(12, 12, Rgb::RED).unwrap())
             .unwrap();
         let target = db
-            .insert_image(&RasterImage::filled(16, 16, Rgb::GREEN).unwrap())
+            .shard_storage(db.shard_of(base))
+            .insert_binary(&RasterImage::filled(16, 16, Rgb::GREEN).unwrap())
             .unwrap();
-        if shards > 1 {
-            assert_ne!(db.shard_of(base), db.shard_of(target));
-        }
         let pasted = db
             .insert_edited(
                 EditSequence::builder(base)
@@ -267,6 +268,12 @@ fn deleted_merge_target_fails_closed_after_its_program_was_cached() {
             let out = db.query_range_with_plan(&query, plan).unwrap();
             assert_eq!(out.stats.bounds_computed, 2, "{plan}");
         }
+        let indexed = db.query_range_with_plan(&query, QueryPlan::Indexed);
+        let bwm = db.query_range_with_plan(&query, QueryPlan::Bwm);
+        assert_eq!(
+            indexed.unwrap().sorted_results(),
+            bwm.unwrap().sorted_results()
+        );
         let storage = db.shard_storage(db.shard_of(pasted));
         let cached = storage.bound_program(pasted).unwrap();
         assert_eq!(cached.merge_targets().collect::<Vec<_>>(), vec![target]);
@@ -278,7 +285,7 @@ fn deleted_merge_target_fails_closed_after_its_program_was_cached() {
             cached,
             "still cached"
         );
-        for plan in [QueryPlan::Bwm, QueryPlan::Rbm] {
+        for plan in [QueryPlan::Bwm, QueryPlan::Rbm, QueryPlan::Indexed] {
             match db.query_range_with_plan(&query, plan) {
                 Err(QueryError::Rule(RuleError::UnknownImage(id))) => assert_eq!(id, target),
                 other => panic!(

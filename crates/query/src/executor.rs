@@ -478,10 +478,9 @@ impl<'db> QueryProcessor<'db> {
     }
 
     /// Runs `method` over Figure 1 — the engine's own, or `own` — under one
-    /// read view, then walks the images the scan could not finish under it
-    /// (their merge targets belong to other shards) through the engine's
-    /// peer fallback, with the view dropped: no thread holds two shards'
-    /// locks, and none takes this shard's twice.
+    /// read view. The shard holds everything its edited images name, so the
+    /// scan ends when the view drops: it takes no other lock, and never
+    /// this shard's twice.
     fn scan(
         &self,
         method: Method,
@@ -489,13 +488,9 @@ impl<'db> QueryProcessor<'db> {
         query: &ColorRangeQuery,
         ctx: &mut QueryCtx,
     ) -> Result<()> {
-        let engine = self.engine();
-        let view = self.db.read_view();
+        let (engine, view) = (self.engine(), self.db.read_view());
         let structure = own.unwrap_or_else(|| view.structure());
-        let deferred = mmdb_bwm::execute(method, structure, query, &engine, &view, &view, ctx)?;
-        drop(view);
-        let compile = |id, sequence: &_, base: &_| self.db.compile_deferred(id, sequence, base);
-        mmdb_bwm::finish_deferred(deferred, query, &engine, self.db, compile, ctx)?;
+        mmdb_bwm::execute(method, structure, query, &engine, &view, &view, ctx)?;
         Ok(())
     }
 

@@ -119,7 +119,7 @@ impl<'q> RuleEngine<'q> {
 
     /// [`RuleEngine::compile`] from a base already in hand; `resolver` is
     /// asked for merge targets only.
-    pub fn compile_from(
+    fn compile_from(
         &self,
         seq: &EditSequence,
         base: &ImageInfo,

@@ -63,7 +63,7 @@ impl CatalogEntry {
 /// `(id - 1) % classes`. A catalog configured with
 /// [`Catalog::set_stride`]`(phase, classes)` only allocates ids of class
 /// `phase`, so this is the one routing rule of a sharded deployment — the
-/// facade's shard lookup and the engine's peer fallback both call it.
+/// facade's shard lookup and the engine's reference check both call it.
 pub fn id_class(id: ImageId, classes: usize) -> usize {
     (id.raw().wrapping_sub(1) % classes as u64) as usize
 }

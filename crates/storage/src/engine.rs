@@ -26,7 +26,7 @@ use mmdb_rules::{BoundProgram, ImageInfo, InfoResolver, RuleEngine, RuleError, R
 use mmdb_telemetry::{counter, histogram, EventKind};
 use std::borrow::Cow;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Default raster-cache capacity (entries).
@@ -100,11 +100,11 @@ fn figure_1(catalog: &Catalog) -> BwmStructure {
 /// One consistent read of a shard — catalog and Figure 1 structure under
 /// the engine's one lock — held for as long as a scan runs (the shape of an
 /// LMDB reader: taken once, then many gets). It resolves **this shard's**
-/// ids only and takes no further lock: an id it does not hold is unknown to
-/// it, and whoever needs that one asks the engine after dropping the view
-/// (`mmdb_bwm::Deferred`). The view is nothing but the lock guard, so no
-/// locking engine method can be reached through it — under a view, one
-/// would deadlock behind a queued writer.
+/// ids and takes no further lock; those are all an edited image stored here
+/// may name ([`StorageEngine::insert_edited`]), so an id it does not hold is
+/// unknown. The view is nothing but the lock guard, so no locking engine
+/// method can be reached through it — under a view, one would deadlock
+/// behind a queued writer.
 pub struct ReadView<'a>(RwLockReadGuard<'a, Inner>);
 
 impl ReadView<'_> {
@@ -131,7 +131,19 @@ impl ReadView<'_> {
 
 impl InfoResolver for ReadView<'_> {
     fn info(&self, id: ImageId) -> Option<ImageInfo> {
-        local_info(&self.0.catalog, id).flatten()
+        match self.0.catalog.get(id)? {
+            CatalogEntry::Binary {
+                histogram,
+                width,
+                height,
+                ..
+            } => Some(ImageInfo {
+                histogram: Arc::clone(histogram),
+                width: *width,
+                height: *height,
+            }),
+            CatalogEntry::Edited { .. } => None,
+        }
     }
 }
 
@@ -210,13 +222,6 @@ pub struct StorageEngine {
     /// [`MutationEpoch`] for the ordering rules, and the `mmdb-conc` model
     /// tests for the machine-checked version of this argument.
     epoch: MutationEpoch,
-    /// Sharded-deployment routing table, set once right after construction
-    /// (before the engine is shared): this engine's phase plus one weak
-    /// handle per shard, indexed by phase. Read paths that miss the local
-    /// catalog fall back to the owning peer — always *after* releasing this
-    /// engine's locks, so no thread ever holds two shards' locks at once
-    /// (the single rule that keeps cross-shard lookups deadlock-free).
-    peers: OnceLock<(usize, Vec<Weak<StorageEngine>>)>,
 }
 
 impl StorageEngine {
@@ -279,7 +284,6 @@ impl StorageEngine {
                 recovery: RecoveryInfo::default(),
             }),
             epoch: MutationEpoch::new(),
-            peers: OnceLock::new(),
         };
         engine.snapshot_now()?;
         Ok(engine)
@@ -394,7 +398,6 @@ impl StorageEngine {
                 recovery,
             }),
             epoch: MutationEpoch::new(),
-            peers: OnceLock::new(),
         };
         // Every acknowledged mutation is one WAL record, so the recovered
         // epoch is the log's last sequence number; the two stay in lockstep
@@ -416,7 +419,6 @@ impl StorageEngine {
             background: Rgb::BLACK,
             durable: None,
             epoch: MutationEpoch::new(),
-            peers: OnceLock::new(),
         }
     }
 
@@ -470,45 +472,20 @@ impl StorageEngine {
     // ── Sharded deployment support ─────────────────────────────────────
     //
     // A sharded database is N independent engines with disjoint id spaces
-    // (strided allocation) plus a peer table for the rare cross-shard
-    // reference (an edit sequence on one shard merging in a binary image
-    // owned by another). Each engine stays a complete, self-contained
-    // single-shard database: its WAL, epoch, and snapshot story are
-    // unchanged, and `stride == 1` (the default) is exactly the historical
-    // single-engine behavior.
+    // (strided allocation). An edited image, its base and every merge
+    // target it names live on one shard, so each engine stays a complete,
+    // self-contained single-shard database that never consults another:
+    // its WAL, epoch, and snapshot story are unchanged, and `stride == 1`
+    // (the default) is exactly the historical single-engine behavior.
 
     /// Restricts this engine's id allocator to the congruence class
-    /// `(id - 1) % stride == phase`. Applied by the sharded facade right
-    /// after create/open (the configuration is not persisted; WAL replay
+    /// `(id - 1) % stride == phase`, and [`StorageEngine::insert_edited`] to
+    /// references in it. Applied by the sharded facade right after
+    /// create/open (the configuration is not persisted; WAL replay
     /// re-inserts original ids regardless of class, then this realigns the
     /// allocation floor upward into the class).
     pub fn set_id_stride(&self, phase: u64, stride: u64) {
         self.inner.write().catalog.set_stride(phase, stride);
-    }
-
-    /// Installs the shard routing table: this engine's phase and one weak
-    /// handle per shard, indexed by phase (the entry at `phase` — this
-    /// engine itself — is never consulted). One-shot; a second call is
-    /// ignored.
-    pub fn set_peers(&self, phase: usize, peers: Vec<Weak<StorageEngine>>) {
-        let _ = self.peers.set((phase, peers));
-    }
-
-    /// The peer engine owning `id`'s congruence class, when this is a
-    /// sharded deployment and `id` is not ours. Callers must not hold any
-    /// of this engine's locks while touching the returned peer.
-    fn peer_for(&self, id: ImageId) -> Option<Arc<StorageEngine>> {
-        let (phase, peers) = self.peers.get()?;
-        let slot = id_class(id, peers.len());
-        if slot == *phase {
-            return None;
-        }
-        peers.get(slot)?.upgrade()
-    }
-
-    /// The storage kind of `id` on the peer shard owning it, if any.
-    fn peer_kind(&self, id: ImageId) -> Option<StoredKind> {
-        self.peer_for(id).and_then(|p| p.kind(id).ok())
     }
 
     /// The quantizer every histogram in this database uses.
@@ -553,9 +530,11 @@ impl StorageEngine {
     }
 
     /// Inserts an image stored as a sequence of editing operations. The base
-    /// and every merge target must already be stored as *binary* images —
-    /// the paper's model derives edited images from originals, and the rule
-    /// engine needs exact histograms for every referenced image. The
+    /// and every merge target must already be stored as *binary* images on
+    /// this shard — the paper's model derives edited images from originals,
+    /// the rule engine needs exact histograms for every referenced image, and
+    /// a scan reads them under this shard's lock alone. A reference outside
+    /// this shard's id class is refused without looking anywhere else. The
     /// sequence is also **validated** by the static analyzer
     /// (well-formedness, dead ops, soundness audit): any Error-level
     /// diagnostic refuses the insert, which guarantees every stored edited
@@ -581,68 +560,29 @@ impl StorageEngine {
                     .map(|t| ("merge target", t)),
             )
         };
-        // References resolved on a peer shard (sharded deployments only:
-        // merge targets may live anywhere; the base must be local — the
-        // facade routes an edited image to its base's shard, and Figure 1
-        // clusters it under the base's histogram there). Peer shards are
-        // consulted with no local lock held, and remote liveness is checked
-        // in phase 1 only — equivalent to the single-shard contract, where
-        // merge targets are likewise not delete-protected.
-        let mut remote_ok: Vec<ImageId> = Vec::new();
-        let check_refs = |inner: &Inner, remote_ok: &[ImageId]| -> Result<()> {
+        // Everything the sequence names is on this shard — the base, so
+        // Figure 1 clusters the image under the base's histogram here, and
+        // every merge target, so a scan of this shard resolves it and a
+        // delete of it moves this shard's epoch.
+        let check_refs = |inner: &Inner| -> Result<()> {
+            let (phase, stride) = inner.catalog.id_stride();
             for (role, rid) in refs() {
-                match inner.catalog.get(rid) {
-                    Some(e) if e.kind() == StoredKind::Binary => {}
-                    Some(_) => {
-                        return Err(StorageError::InvalidReference {
-                            id: rid,
-                            reason: format!("{role} must be a binary image"),
-                        })
+                let reason = if id_class(rid, stride as usize) != phase as usize {
+                    format!("{role} must be stored on this shard")
+                } else {
+                    match inner.catalog.get(rid).map(CatalogEntry::kind) {
+                        Some(StoredKind::Binary) => continue,
+                        Some(StoredKind::Edited) => format!("{role} must be a binary image"),
+                        None => format!("{role} does not exist"),
                     }
-                    None if remote_ok.contains(&rid) && rid != sequence.base => {}
-                    None if remote_ok.contains(&rid) => {
-                        return Err(StorageError::InvalidReference {
-                            id: rid,
-                            reason: "base must be stored on this shard".into(),
-                        })
-                    }
-                    None => {
-                        return Err(StorageError::InvalidReference {
-                            id: rid,
-                            reason: format!("{role} does not exist"),
-                        })
-                    }
-                }
+                };
+                return Err(StorageError::InvalidReference { id: rid, reason });
             }
             Ok(())
         };
         // Phase 1 (no exclusive lock held): reference check + static
         // analysis.
-        {
-            let mut remote: Vec<(&str, ImageId)> = Vec::new();
-            {
-                let inner = self.inner.read();
-                for (role, rid) in refs() {
-                    if inner.catalog.get(rid).is_none() {
-                        remote.push((role, rid));
-                    }
-                }
-            }
-            // Local read lock released: safe to take peer locks.
-            for (role, rid) in remote {
-                match self.peer_kind(rid) {
-                    Some(StoredKind::Binary) => remote_ok.push(rid),
-                    Some(_) => {
-                        return Err(StorageError::InvalidReference {
-                            id: rid,
-                            reason: format!("{role} must be a binary image"),
-                        })
-                    }
-                    None => {}
-                }
-            }
-        }
-        check_refs(&self.inner.read(), &remote_ok)?;
+        check_refs(&self.inner.read())?;
         let analyzer = Analyzer::with_resolver(self.quantizer.as_ref(), self.background, self);
         let analysis = analyzer.analyze_sequence(&sequence);
         mmdb_analysis::record_diagnostics(&analysis.diagnostics);
@@ -663,12 +603,10 @@ impl StorageEngine {
             return Err(StorageError::InvalidSequence(errors.join("; ")));
         }
         let all_widening = sequence.all_bound_widening();
-        // Phase 2: re-verify local references under the exclusive lock (a
-        // concurrent delete may have raced phase 1), then insert. Peer
-        // shards are *not* re-consulted here: holding this shard's write
-        // lock while taking another shard's lock could deadlock.
+        // Phase 2: re-verify references under the exclusive lock (a
+        // concurrent delete may have raced phase 1), then insert.
         let mut inner = self.inner.write();
-        check_refs(&inner, &remote_ok)?;
+        check_refs(&inner)?;
         let id = inner.catalog.allocate_id();
         self.log_mutation(&WalRecord::InsertEdited {
             id,
@@ -773,45 +711,9 @@ impl StorageEngine {
     /// [`RuleError::UnknownImage`] when `id` is not a stored edited image,
     /// or whatever compilation reports (never cached).
     pub fn bound_program(&self, id: ImageId) -> mmdb_rules::Result<BoundProgram> {
-        let (sequence, base) = {
-            let view = self.read_view();
-            match view.program(id, &self.rule_engine(), &view) {
-                // Names an image this shard does not hold — a peer's, if
-                // anyone's.
-                Err(RuleError::UnknownImage(other))
-                    if other != id && self.peers.get().is_some() =>
-                {
-                    let sequence = view.sequence(id).ok_or(RuleError::UnknownImage(id))?;
-                    let base = view.require(sequence.base)?;
-                    (sequence, base)
-                }
-                program => return program.map(Cow::into_owned),
-            }
-        };
-        // View dropped: peers are consulted with no lock held.
-        self.compile_deferred(id, &sequence, &base)
-    }
-
-    /// Compiles `sequence` — `id`'s stored sequence, which names an image a
-    /// view of this shard could not resolve — from `base`, the base image
-    /// that view held. Called with no lock held: merge targets resolve
-    /// through [`InfoResolver::info`], peers included. The program is kept
-    /// in `id`'s Figure 1 entry, found as [`StorageEngine::bound_program`]
-    /// finds it, when that is still there.
-    pub fn compile_deferred(
-        &self,
-        id: ImageId,
-        sequence: &EditSequence,
-        base: &ImageInfo,
-    ) -> mmdb_rules::Result<BoundProgram> {
-        let compiled = self.rule_engine().compile_from(sequence, base, self)?;
         let view = self.read_view();
-        Ok(match view.structure().program_cell(id, sequence.base) {
-            // Two first callers may race; both compiled the same program.
-            Some(cell) => cell.get_or_init(|| compiled).clone(),
-            // Deleted meanwhile; this caller still gets its answer.
-            None => compiled,
-        })
+        let program = view.program(id, &self.rule_engine(), &view);
+        program.map(Cow::into_owned)
     }
 
     /// The instantiated raster for `id` — decoded from the blob store for
@@ -1207,40 +1109,31 @@ impl Drop for StorageEngine {
 }
 
 /// Lets the instantiation engine pull base/target rasters out of this
-/// database. In sharded deployments an id this shard does not own is
-/// fetched from its owning peer (no local lock is held at this point —
-/// `raster` releases the catalog lock before instantiation).
+/// database (no lock is held at this point — `raster` releases the catalog
+/// lock before instantiation).
 impl ImageResolver for StorageEngine {
     fn resolve(&self, id: ImageId) -> mmdb_editops::Result<RasterImage> {
         match self.raster(id) {
             Ok(img) => Ok((*img).clone()),
-            Err(StorageError::NotFound(_)) => match self.peer_for(id).map(|p| p.raster(id)) {
-                Some(Ok(img)) => Ok((*img).clone()),
-                Some(Err(StorageError::NotFound(_))) | None => Err(EditError::UnknownImage(id)),
-                Some(Err(other)) => Err(EditError::InvalidOperation(other.to_string())),
-            },
+            Err(StorageError::NotFound(_)) => Err(EditError::UnknownImage(id)),
             Err(other) => Err(EditError::InvalidOperation(other.to_string())),
         }
     }
 }
 
 /// Lets the static analyzer walk the catalog's reference graph without
-/// touching pixel data. `node_ids` lists only this shard's images (each
-/// shard is analyzed separately), but kind lookups fall back to peer shards
-/// so a cross-shard merge target is not misreported as dangling.
+/// touching pixel data. Each shard is analyzed separately and knows only
+/// its own images, which are all an edited image stored on it may name: a
+/// reference to any other id is dangling.
 impl CatalogGraph for StorageEngine {
     fn node_ids(&self) -> Vec<ImageId> {
         self.ids()
     }
 
     fn node_kind(&self, id: ImageId) -> Option<NodeKind> {
-        // The read-lock guard is dropped at the end of this statement, so
-        // the peer fallback below runs with no local lock held.
-        let local = self.inner.read().catalog.get(id).map(CatalogEntry::kind);
-        match local.or_else(|| self.peer_kind(id)) {
-            Some(StoredKind::Binary) => Some(NodeKind::Binary),
-            Some(StoredKind::Edited) => Some(NodeKind::Edited),
-            None => None,
+        match self.inner.read().catalog.get(id)?.kind() {
+            StoredKind::Binary => Some(NodeKind::Binary),
+            StoredKind::Edited => Some(NodeKind::Edited),
         }
     }
 
@@ -1250,37 +1143,12 @@ impl CatalogGraph for StorageEngine {
 }
 
 /// Lets the RBM/BWM query paths fetch exact histograms and dimensions of
-/// referenced *binary* images without touching pixel data. Ids owned by a
-/// peer shard resolve through the peer (after the local lock is released).
+/// referenced *binary* images without touching pixel data, one short lock
+/// round each (a scan holds a [`ReadView`] instead).
 impl InfoResolver for StorageEngine {
     fn info(&self, id: ImageId) -> Option<ImageInfo> {
-        // The read guard is dropped at the end of this statement, so the
-        // peer fallback runs with no local lock held.
-        let local = local_info(&self.inner.read().catalog, id);
-        match local {
-            Some(res) => res,
-            None => self.peer_for(id).and_then(|p| p.info(id)),
-        }
+        self.read_view().info(id)
     }
-}
-
-/// What this shard's catalog knows about `id`. `Some(None)`: cataloged here
-/// but not binary (no info, and no peer can own it). `None`: not ours —
-/// maybe a peer's.
-fn local_info(catalog: &Catalog, id: ImageId) -> Option<Option<ImageInfo>> {
-    Some(match catalog.get(id)? {
-        CatalogEntry::Binary {
-            histogram,
-            width,
-            height,
-            ..
-        } => Some(ImageInfo {
-            histogram: Arc::clone(histogram),
-            width: *width,
-            height: *height,
-        }),
-        CatalogEntry::Edited { .. } => None,
-    })
 }
 
 /// Lets the bound index and Figure 1 builders fetch sequences and programs
