@@ -74,9 +74,8 @@ impl Catalog {
             RuleProfile::Conservative,
             base.histogram.count(0),
             base.histogram.total(),
-            &self.infos,
         );
-        eval.map(|bound| bound.total).map_err(invalid)
+        Ok(eval.total)
     }
 
     fn bounds(&self, seq: &EditSequence) -> Result<u64, String> {

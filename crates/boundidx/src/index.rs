@@ -454,7 +454,7 @@ where
 {
     let program = store.program(id, engine, resolver)?;
     let base = resolver.require(program.base())?;
-    let bounds = program.eval_vector(engine.profile(), &base.histogram, resolver)?;
+    let bounds = program.eval_vector(engine.profile(), &base.histogram);
     let mut refs: Vec<ImageId> = program.merge_targets().collect();
     refs.push(program.base());
     refs.sort_unstable();

@@ -185,15 +185,16 @@ pub enum Method {
 struct Bounds<'a> {
     query: &'a ColorRangeQuery,
     engine: &'a RuleEngine<'a>,
-    resolver: &'a dyn InfoResolver,
 }
 
 /// The read-only inputs of one scan. Every id it meets comes from the same
 /// consistent state the structure, the resolver and `store` read (a shard's
 /// catalog and Figure 1 under one lock), so one with no stored sequence is
-/// an inconsistency and fails the query.
+/// an inconsistency and fails the query. The resolver is asked only while a
+/// program compiles; a warm scan asks it nothing.
 struct Scan<'a, S> {
     bounds: Bounds<'a>,
+    resolver: &'a dyn InfoResolver,
     store: &'a S,
 }
 
@@ -218,8 +219,10 @@ struct Out<'o> {
 /// are the business of whoever owns the whole query.
 ///
 /// `resolver` and `store` are one read view of the shard `structure`
-/// describes, which holds every image its edited images name: a name the
-/// view cannot resolve fails the query with [`RuleError::UnknownImage`].
+/// describes, which holds every image its edited images name. They are read
+/// only to compile a program an entry does not hold yet; a name the view
+/// cannot resolve then fails the query with [`RuleError::UnknownImage`], and
+/// nothing is kept.
 pub fn execute<S: SequenceStore>(
     method: Method,
     structure: &BwmStructure,
@@ -229,12 +232,12 @@ pub fn execute<S: SequenceStore>(
     store: &S,
     ctx: &mut QueryCtx,
 ) -> Result<()> {
-    let bounds = Bounds {
-        query,
-        engine,
+    let bounds = Bounds { query, engine };
+    let scan = Scan {
+        bounds,
         resolver,
+        store,
     };
-    let scan = Scan { bounds, store };
     // Slice-local counters, so the stages below report this structure's
     // work even when `ctx` already carries other shards' totals.
     let mut stats = BwmQueryStats::default();
@@ -298,8 +301,7 @@ pub fn execute<S: SequenceStore>(
 
 impl Bounds<'_> {
     /// Runs BOUNDS for one edited image from its compiled program and its
-    /// base's histogram, and emits it when the range overlaps. Nothing is
-    /// counted unless the walk completes.
+    /// base's histogram, and emits it when the range overlaps.
     fn test(
         &self,
         edited: ImageId,
@@ -307,15 +309,14 @@ impl Bounds<'_> {
         base: &ColorHistogram,
         results: &mut Vec<ImageId>,
         stats: &mut BwmQueryStats,
-    ) -> Result<()> {
+    ) {
         let query = self.query;
         let bounds = program.eval(
             query.bin,
             self.engine.profile(),
             base.count(query.bin),
             base.total(),
-            self.resolver,
-        )?;
+        );
         stats.bounds_computed += 1;
         stats.ops_processed += program.op_count();
         for (kind, &n) in stats
@@ -331,7 +332,6 @@ impl Bounds<'_> {
         if bounds.overlaps_fraction(query.pct_min, query.pct_max) {
             results.push(edited);
         }
-        Ok(())
     }
 }
 
@@ -386,11 +386,12 @@ impl<S: SequenceStore> Scan<'_, S> {
             None => {
                 let sequence = self.store.sequence(edited);
                 let sequence = sequence.ok_or(RuleError::UnknownImage(edited))?;
-                let program = bounds.engine.compile(&sequence, bounds.resolver)?;
+                let program = bounds.engine.compile(&sequence, self.resolver)?;
                 cell.get_or_init(|| program)
             }
         };
-        bounds.test(edited, program, base, out.results, out.stats)
+        bounds.test(edited, program, base, out.results, out.stats);
+        Ok(())
     }
 }
 
@@ -401,6 +402,7 @@ mod tests {
     use mmdb_histogram::{ColorHistogram, Quantizer, RgbQuantizer};
     use mmdb_imaging::{draw, RasterImage, Rect, Rgb};
     use mmdb_rules::{ImageInfo, MapInfoResolver, RuleProfile};
+    use std::cell::Cell;
     use std::collections::HashMap;
     use std::sync::Arc;
 
@@ -547,9 +549,9 @@ mod tests {
         ));
     }
 
-    /// A merge target the view does not hold fails the query — before the
-    /// program is compiled (compiling needs the target's dimensions) and
-    /// after it is kept (evaluating needs its histogram).
+    /// A merge target the view does not hold fails the query: compiling the
+    /// program needs the target's dimensions and histogram, and nothing is
+    /// kept.
     #[test]
     fn walk_naming_an_image_the_view_does_not_hold_fails_the_query() {
         let f = fixture();
@@ -562,17 +564,64 @@ mod tests {
         structure.insert_edited(pasted, &f.store[&pasted]);
         let mut view = MapInfoResolver::new();
         view.insert(base, info);
-        let (s, store) = (&structure, &f.store);
-        let scan = |resolver: &MapInfoResolver| {
-            let mut ctx = QueryCtx::default();
-            execute(Method::Bwm, s, &q, &engine, resolver, store, &mut ctx)
-        };
-        let fails_closed = |out| matches!(out, Err(RuleError::UnknownImage(id)) if id == target);
-        assert!(fails_closed(scan(&view)), "never compiled");
-        scan(&f.resolver).unwrap();
+        let (mut ctx, s) = (QueryCtx::default(), &structure);
+        let out = execute(Method::Bwm, s, &q, &engine, &view, &f.store, &mut ctx);
+        assert!(matches!(out, Err(RuleError::UnknownImage(id)) if id == target));
         let cell = structure.program_cell(pasted, base).unwrap();
-        assert!(cell.get().is_some());
-        assert!(fails_closed(scan(&view)), "compiled and kept");
+        assert!(cell.get().is_none(), "a failed compile is not kept");
+    }
+
+    /// A resolver that counts the lookups made through it.
+    struct Counting<'a> {
+        inner: &'a MapInfoResolver,
+        calls: Cell<usize>,
+    }
+
+    impl InfoResolver for Counting<'_> {
+        fn info(&self, id: ImageId) -> Option<ImageInfo> {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.info(id)
+        }
+    }
+
+    /// Only compiling asks the resolver anything. Once every entry holds its
+    /// program — the Unclassified image's included, with its merge target's
+    /// histogram — a BWM scan and an RBM scan make no lookup and answer as
+    /// the first scan did.
+    #[test]
+    fn a_warm_scan_resolves_nothing() {
+        let f = fixture();
+        let engine = RuleEngine::new(&f.quant, RuleProfile::Conservative);
+        let resolver = Counting {
+            inner: &f.resolver,
+            calls: Cell::new(0),
+        };
+        let scan = |method, q: &ColorRangeQuery| {
+            let mut ctx = QueryCtx::default();
+            let (structure, store) = (&f.structure, &f.store);
+            execute(method, structure, q, &engine, &resolver, store, &mut ctx).unwrap();
+            ctx.into_outcome()
+        };
+        let red = f.quant.bin_of(Rgb::RED);
+        // No base satisfies [0.9, 1.0]: every edited image compiles.
+        let cold = scan(Method::Bwm, &ColorRangeQuery::new(red, 0.9, 1.0));
+        assert_eq!(cold.stats.bounds_computed, 3);
+        assert!(resolver.calls.get() > 0, "compiling resolves");
+        for (lo, hi) in [(0.9, 1.0), (0.3, 0.7)] {
+            let q = ColorRangeQuery::new(red, lo, hi);
+            let expected = run(&f, &engine, &q).unwrap();
+            resolver.calls.set(0);
+            let bwm = scan(Method::Bwm, &q);
+            let rbm = scan(Method::Rbm, &q);
+            assert_eq!(resolver.calls.get(), 0, "[{lo}, {hi}]");
+            assert_eq!(bwm.results, expected.results, "[{lo}, {hi}]");
+            assert_eq!(bwm.stats, expected.stats, "[{lo}, {hi}]");
+            assert_eq!(
+                rbm.sorted_results(),
+                expected.sorted_results(),
+                "[{lo}, {hi}]"
+            );
+        }
     }
 
     /// RBM walks the same entries with the shortcut off: every base tested,

@@ -2,8 +2,8 @@
 //! rule walk costs, never what it computes or counts: per query, results,
 //! work counters and rule-engine telemetry equal what the interpretive
 //! reference walker (`crates/rules/tests/reference`) reports, under RBM and
-//! BWM; and a merge target deleted after a program was cached still fails
-//! the query closed.
+//! BWM; and a merge target, whose histogram a program keeps, cannot be
+//! deleted while a stored sequence pastes into it.
 //!
 //! The telemetry assertions read process-global counters as exact deltas,
 //! so the tests take one lock.
@@ -15,7 +15,8 @@ use mmdbms::datagen::flags::FlagGenerator;
 use mmdbms::datagen::VariantConfig;
 use mmdbms::prelude::*;
 use mmdbms::query::executor::QueryError;
-use mmdbms::rules::{InfoResolver, RuleError};
+use mmdbms::rules::InfoResolver;
+use mmdbms::storage::StorageError;
 use mmdbms::MultimediaDatabase;
 use reference::ReferenceEngine;
 use std::sync::{Mutex, MutexGuard};
@@ -232,13 +233,12 @@ fn work_and_answers_match_the_reference_walker() {
 }
 
 /// Programs are cached without invalidation because nothing they hold can
-/// change — but a merge target can disappear, and its histogram is not in
-/// the program. The scan must notice on the very next query, and so must
-/// the bound index, whose entry for the pasted image was computed from that
-/// histogram: the target is stored on the pasted image's shard, so deleting
-/// it moves the epoch the index is stamped with.
+/// change — a merge target's histogram included, since the program keeps it
+/// and the target cannot be deleted while a stored sequence pastes into it.
+/// The refused delete leaves the shard as it was: same epoch, same ids, and
+/// the same answers under every plan, the bound index's included.
 #[test]
-fn deleted_merge_target_fails_closed_after_its_program_was_cached() {
+fn a_referenced_merge_target_is_not_deleted() {
     let _serial = telemetry_lock();
     for shards in [1, 4] {
         let db =
@@ -246,8 +246,8 @@ fn deleted_merge_target_fails_closed_after_its_program_was_cached() {
         let base = db
             .insert_image(&RasterImage::filled(12, 12, Rgb::RED).unwrap())
             .unwrap();
-        let target = db
-            .shard_storage(db.shard_of(base))
+        let storage = db.shard_storage(db.shard_of(base));
+        let target = storage
             .insert_binary(&RasterImage::filled(16, 16, Rgb::GREEN).unwrap())
             .unwrap();
         let pasted = db
@@ -264,38 +264,34 @@ fn deleted_merge_target_fails_closed_after_its_program_was_cached() {
 
         // A query no binary image satisfies, so every edited image walks.
         let query = ColorRangeQuery::new(db.bin_of(Rgb::BLUE), 0.5, 1.0);
-        for plan in [QueryPlan::Bwm, QueryPlan::Rbm] {
-            let out = db.query_range_with_plan(&query, plan).unwrap();
-            assert_eq!(out.stats.bounds_computed, 2, "{plan}");
-        }
-        let indexed = db.query_range_with_plan(&query, QueryPlan::Indexed);
-        let bwm = db.query_range_with_plan(&query, QueryPlan::Bwm);
-        assert_eq!(
-            indexed.unwrap().sorted_results(),
-            bwm.unwrap().sorted_results()
-        );
-        let storage = db.shard_storage(db.shard_of(pasted));
+        let answers = || {
+            [QueryPlan::Indexed, QueryPlan::Bwm, QueryPlan::Rbm].map(|plan| {
+                db.query_range_with_plan(&query, plan)
+                    .unwrap()
+                    .sorted_results()
+            })
+        };
+        let before = answers();
+        assert_eq!(before[0], before[1], "{shards} shards");
+        assert_eq!(before[1], before[2], "{shards} shards");
         let cached = storage.bound_program(pasted).unwrap();
         assert_eq!(cached.merge_targets().collect::<Vec<_>>(), vec![target]);
 
-        // Merge targets are not delete-protected (only bases are).
-        db.delete(target).unwrap();
-        assert_eq!(
-            storage.bound_program(pasted).unwrap(),
-            cached,
-            "still cached"
-        );
-        for plan in [QueryPlan::Bwm, QueryPlan::Rbm, QueryPlan::Indexed] {
-            match db.query_range_with_plan(&query, plan) {
-                Err(QueryError::Rule(RuleError::UnknownImage(id))) => assert_eq!(id, target),
-                other => panic!(
-                    "{shards} shards, {plan}: expected UnknownImage({target}), got {other:?}"
-                ),
+        let (epoch, ids) = (storage.current_epoch(), storage.ids());
+        match db.delete(target) {
+            Err(QueryError::Storage(StorageError::StillReferenced { id, dependents })) => {
+                assert_eq!((id, dependents), (target, 1), "{shards} shards");
             }
+            other => panic!("{shards} shards: expected StillReferenced, got {other:?}"),
         }
+        assert_eq!(storage.current_epoch(), epoch, "{shards} shards");
+        assert_eq!(storage.ids(), ids, "{shards} shards");
+        assert_eq!(answers(), before, "{shards} shards");
+        assert_eq!(storage.bound_program(pasted).unwrap(), cached);
 
-        // With the dependent gone the database answers again.
+        // With the referrer gone the target goes too.
         db.delete(pasted).unwrap();
+        db.delete(target).unwrap();
         let out = db.query_range_with_plan(&query, QueryPlan::Bwm);
         assert_eq!(out.unwrap().stats.bounds_computed, 1);
         assert!(db.contains(plain));

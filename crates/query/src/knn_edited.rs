@@ -109,7 +109,7 @@ pub fn knn_augmented(
         };
         let base = InfoResolver::require(db, program.base())?;
         let tau = kth_distance(&best, k);
-        let bounds = program.eval_vector(RuleProfile::Conservative, &base.histogram, db)?;
+        let bounds = program.eval_vector(RuleProfile::Conservative, &base.histogram);
         let lower = l1_lower_bound(&query_sig, &bounds);
         if lower >= tau {
             stats.edited_pruned += 1;

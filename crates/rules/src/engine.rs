@@ -109,7 +109,9 @@ impl<'q> RuleEngine<'q> {
     /// Every error a walk can meet — a non-affine or non-finite `Mutate`, a
     /// canvas over the executor's pixel cap, `Merge(NULL)` on an empty
     /// region, an unknown base or merge target — is met here, in operation
-    /// order. Accesses only catalog metadata (dimensions), never pixel data.
+    /// order. Accesses only catalog metadata, never pixel data: the base's
+    /// dimensions, and each merge target's dimensions and histogram — which
+    /// the program keeps, so evaluating it resolves nothing.
     ///
     /// The result does not depend on this engine's profile.
     pub fn compile(&self, seq: &EditSequence, resolver: &dyn InfoResolver) -> Result<BoundProgram> {
@@ -126,10 +128,10 @@ impl<'q> RuleEngine<'q> {
         resolver: &dyn InfoResolver,
     ) -> Result<BoundProgram> {
         let mut program = ProgramBuilder::new(seq.base, self.background_bin()?);
-        self.walk(seq, base, resolver, |op, step| {
+        self.walk(seq, base, resolver, |op, step, target| {
             program.count_op(kind_slot(op.kind()))?;
             if let Some(step) = step {
-                program.push(step);
+                program.push(step, target.map(|t| &t.histogram));
             }
             Ok(())
         })?;
@@ -154,13 +156,12 @@ impl<'q> RuleEngine<'q> {
             self.quantizer.bin_count()
         );
         let base = resolver.require(seq.base)?;
-        self.compile_from(seq, &base, resolver)?.eval(
+        Ok(self.compile_from(seq, &base, resolver)?.eval(
             bin,
             self.profile,
             base.histogram.count(bin),
             base.histogram.total(),
-            resolver,
-        )
+        ))
     }
 
     /// Computes the bound triples of **every** histogram bin: one
@@ -174,11 +175,8 @@ impl<'q> RuleEngine<'q> {
         resolver: &dyn InfoResolver,
     ) -> Result<Vec<BoundRange>> {
         let base = resolver.require(seq.base)?;
-        self.compile_from(seq, &base, resolver)?.eval_vector(
-            self.profile,
-            &base.histogram,
-            resolver,
-        )
+        let program = self.compile_from(seq, &base, resolver)?;
+        Ok(program.eval_vector(self.profile, &base.histogram))
     }
 
     /// Like [`RuleEngine::bounds_vector`], but additionally snapshots the
@@ -197,9 +195,10 @@ impl<'q> RuleEngine<'q> {
         let mut ranges = base_ranges(&base.histogram);
         let mut trace = Vec::with_capacity(seq.ops.len() + 1);
         trace.push(ranges.clone());
-        self.walk(seq, &base, resolver, |_, step| {
+        self.walk(seq, &base, resolver, |_, step, target| {
             if let Some(step) = step {
-                apply_to_all(step, &mut ranges, self.profile, background_bin, resolver)?;
+                let target = target.map(|t| &*t.histogram);
+                apply_to_all(step, &mut ranges, self.profile, background_bin, target);
             }
             trace.push(ranges.clone());
             Ok(())
@@ -225,13 +224,14 @@ impl<'q> RuleEngine<'q> {
     /// through `seq`, and hands `emit` each operation together with the
     /// [`Step`] its Table 1 rule amounts to for the [`Motion`] it made —
     /// `None` when the operation cannot change any bin's triple under either
-    /// profile (`Define`, or a rule applied to an empty region).
+    /// profile (`Define`, or a rule applied to an empty region) — and, for a
+    /// `Merge` with a target, the target as resolved once for its dimensions.
     fn walk(
         &self,
         seq: &EditSequence,
         base: &ImageInfo,
         resolver: &dyn InfoResolver,
-        mut emit: impl FnMut(&EditOp, Option<Step>) -> Result<()>,
+        mut emit: impl FnMut(&EditOp, Option<Step>, Option<&ImageInfo>) -> Result<()>,
     ) -> Result<()> {
         let mut frame = Frame::new(base.width, base.height);
         for op in &seq.ops {
@@ -291,14 +291,14 @@ impl<'q> RuleEngine<'q> {
                         canvas,
                     },
                 ) => {
-                    let (id, target) = target.expect("resolved above");
+                    let (id, target) = target.as_ref().expect("resolved above");
                     let d = source.area();
                     let new_total = canvas.area();
                     let covered = dest.intersect(&target_rect).area();
                     // canvas ⊇ target ∪ dest, so new_total + covered ≥ T + d.
                     let gap = (new_total + covered) - target.histogram.total() - d;
                     Some(Step::MergeTarget {
-                        target: id,
+                        target: *id,
                         d: pack(d)?,
                         covered: pack(covered)?,
                         gap: pack(gap)?,
@@ -307,7 +307,7 @@ impl<'q> RuleEngine<'q> {
                 }
                 _ => None,
             };
-            emit(op, step)?;
+            emit(op, step, target.as_ref().map(|(_, t)| t))?;
         }
         Ok(())
     }

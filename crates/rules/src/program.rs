@@ -11,7 +11,6 @@
 
 use crate::bounds::BoundRange;
 use crate::engine::RuleProfile;
-use crate::resolver::InfoResolver;
 use crate::{Result, RuleError};
 use mmdb_editops::ImageId;
 use mmdb_histogram::ColorHistogram;
@@ -45,7 +44,8 @@ pub(crate) enum Step {
     },
     /// `Merge` with NULL target: the image becomes the DR of `d` pixels.
     MergeNull { d: u32 },
-    /// `Merge` into `target`, whose histogram is looked up at evaluation.
+    /// `Merge` into `target`, whose histogram the program keeps beside its
+    /// words.
     MergeTarget {
         target: ImageId,
         /// |DR| of the pasted region.
@@ -285,6 +285,7 @@ impl Iterator for Steps<'_> {
 /// walks the operations.
 pub(crate) struct ProgramBuilder {
     words: Vec<u32>,
+    targets: Vec<Arc<ColorHistogram>>,
 }
 
 impl ProgramBuilder {
@@ -292,7 +293,10 @@ impl ProgramBuilder {
         let [low, high] = split(base.raw());
         let mut words = Vec::with_capacity(HEADER_WORDS + 16);
         words.extend([low, high, background_bin, 0, 0, 0, 0, 0, 0]);
-        ProgramBuilder { words }
+        ProgramBuilder {
+            words,
+            targets: Vec::new(),
+        }
     }
 
     /// Counts one operation of kind slot `kind` (see `engine::kind_slot`).
@@ -302,30 +306,41 @@ impl ProgramBuilder {
         Ok(())
     }
 
-    pub(crate) fn push(&mut self, step: Step) {
+    /// Appends `step`; a [`Step::MergeTarget`] comes with `target`, the
+    /// histogram of the image it pastes into.
+    pub(crate) fn push(&mut self, step: Step, target: Option<&Arc<ColorHistogram>>) {
         step.encode(&mut self.words);
+        if let Step::MergeTarget { .. } = step {
+            let target = target.expect("a merge step comes with its target's histogram");
+            self.targets.push(Arc::clone(target));
+        }
     }
 
     pub(crate) fn finish(self) -> BoundProgram {
         BoundProgram {
             words: self.words.into(),
+            targets: self.targets.into(),
         }
     }
 }
 
 /// An edit sequence compiled for BOUNDS: the base it starts from, how many
-/// operations of each kind it holds, and the steps that change the bound
-/// triple. Independent of the queried bin and of the rule profile, and —
-/// because stored sequences, the quantizer, the background and the
-/// dimensions of binary images never change, and ids are never reused —
-/// valid for as long as the sequence is stored.
+/// operations of each kind it holds, the steps that change the bound triple,
+/// and the histogram of every merge target those steps paste into.
+/// Independent of the queried bin and of the rule profile, and — because
+/// stored sequences, the quantizer, the background and the histograms and
+/// dimensions of the binary images a stored sequence names never change,
+/// those images cannot be deleted while it is stored, and ids are never
+/// reused — valid for as long as the sequence is stored.
 ///
 /// One allocation of 32-bit words (36 header bytes plus 8–28 per step;
 /// operations that cannot change any bin's bounds, such as `Define`, leave
-/// no step). Cloning shares it.
+/// no step), shared by clones, plus one shared histogram per merge step.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BoundProgram {
     words: Arc<[u32]>,
+    /// `targets[i]` is the histogram of the `i`-th [`Step::MergeTarget`].
+    targets: Box<[Arc<ColorHistogram>]>,
 }
 
 impl BoundProgram {
@@ -361,12 +376,14 @@ impl BoundProgram {
         self.steps().count()
     }
 
-    /// Heap bytes this program occupies, allocation header excluded.
+    /// Heap bytes this program occupies, allocation header and the shared
+    /// target histograms excluded.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.words)
+        std::mem::size_of_val(&*self.words) + std::mem::size_of_val(&*self.targets)
     }
 
-    /// The merge targets evaluation will look up, in operation order.
+    /// The merge targets whose histograms the program keeps, in operation
+    /// order.
     pub fn merge_targets(&self) -> impl Iterator<Item = ImageId> + '_ {
         self.steps().filter_map(|step| match step {
             Step::MergeTarget { target, .. } => Some(target),
@@ -381,46 +398,46 @@ impl BoundProgram {
     /// Runs the program for histogram bin `bin` under `profile`, starting
     /// from the base image's exact `base_count` of `base_total` pixels —
     /// integer arithmetic, except the literal profile's whole-image scale
-    /// factor. A merge target's histogram is read through `targets` now, not
-    /// at compile time, so a target deleted since fails closed with
-    /// [`RuleError::UnknownImage`].
+    /// factor. Reads nothing but the program: every merge target's histogram
+    /// was taken at compile time.
     pub fn eval(
         &self,
         bin: usize,
         profile: RuleProfile,
         base_count: u64,
         base_total: u64,
-        targets: &dyn InfoResolver,
-    ) -> Result<BoundRange> {
+    ) -> BoundRange {
         let mut range = BoundRange::exact(base_count, base_total);
         let background_bin = self.background_bin();
+        let mut targets = self.targets.iter();
         for step in self.steps() {
             let target = match step {
-                Step::MergeTarget { target, .. } => {
-                    let info = targets.require(target)?;
-                    (info.histogram.count(bin), info.histogram.total())
+                Step::MergeTarget { .. } => {
+                    let target = targets.next().expect("one histogram per merge step");
+                    (target.count(bin), target.total())
                 }
                 _ => (0, 0),
             };
             step.apply(&mut range, bin, profile, background_bin, target);
         }
-        Ok(range)
+        range
     }
 
-    /// Runs the program for every bin of `base` at once, step-major, so a
-    /// merge target is looked up once rather than once per bin. Element
+    /// Runs the program for every bin of `base` at once, step-major. Element
     /// `bin` equals [`BoundProgram::eval`] for that bin.
-    pub fn eval_vector(
-        &self,
-        profile: RuleProfile,
-        base: &ColorHistogram,
-        targets: &dyn InfoResolver,
-    ) -> Result<Vec<BoundRange>> {
+    pub fn eval_vector(&self, profile: RuleProfile, base: &ColorHistogram) -> Vec<BoundRange> {
         let mut ranges = base_ranges(base);
+        let mut targets = self.targets.iter();
         for step in self.steps() {
-            apply_to_all(step, &mut ranges, profile, self.background_bin(), targets)?;
+            let target = match step {
+                Step::MergeTarget { .. } => {
+                    Some(&**targets.next().expect("one histogram per merge step"))
+                }
+                _ => None,
+            };
+            apply_to_all(step, &mut ranges, profile, self.background_bin(), target);
         }
-        Ok(ranges)
+        ranges
     }
 }
 
@@ -433,25 +450,19 @@ pub(crate) fn base_ranges(base: &ColorHistogram) -> Vec<BoundRange> {
         .collect()
 }
 
-/// Applies `step` to every bin's range, looking a merge target up once.
+/// Applies `step` to every bin's range; `target` is the merge target's
+/// histogram, which only a [`Step::MergeTarget`] reads.
 pub(crate) fn apply_to_all(
     step: Step,
     ranges: &mut [BoundRange],
     profile: RuleProfile,
     background_bin: u32,
-    targets: &dyn InfoResolver,
-) -> Result<()> {
-    let target = match step {
-        Step::MergeTarget { target, .. } => Some(targets.require(target)?),
-        _ => None,
-    };
+    target: Option<&ColorHistogram>,
+) {
     for (bin, range) in ranges.iter_mut().enumerate() {
-        let target = target
-            .as_ref()
-            .map_or((0, 0), |t| (t.histogram.count(bin), t.histogram.total()));
+        let target = target.map_or((0, 0), |t| (t.count(bin), t.total()));
         step.apply(range, bin, profile, background_bin, target);
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -485,10 +496,11 @@ mod tests {
                 new_total: 400,
             },
         ];
+        let target = Arc::new(ColorHistogram::from_counts(vec![300, 100], 400));
         let mut builder = ProgramBuilder::new(ImageId::new((7 << 32) | 5), 21);
         for (kind, step) in [1, 2, 3, 4, 5].into_iter().zip(steps) {
             builder.count_op(kind).unwrap();
-            builder.push(step);
+            builder.push(step, Some(&target));
         }
         builder.count_op(0).unwrap();
         let program = builder.finish();
@@ -502,7 +514,14 @@ mod tests {
             program.merge_targets().collect::<Vec<_>>(),
             vec![ImageId::new(u64::MAX - 7)]
         );
-        assert_eq!(program.heap_bytes(), 4 * (9 + 3 + 4 + 6 + 2 + 7));
+        assert!(Arc::ptr_eq(&program.targets[0], &target));
+        assert_eq!(
+            program.targets.len(),
+            1,
+            "only the merge step keeps a histogram"
+        );
+        let pointer = std::mem::size_of::<usize>();
+        assert_eq!(program.heap_bytes(), 4 * (9 + 3 + 4 + 6 + 2 + 7) + pointer);
     }
 
     #[test]

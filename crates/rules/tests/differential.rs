@@ -225,12 +225,11 @@ proptest! {
                 let want = shown(reference.bounds(&seq, bin, &resolver));
                 let got = compiled.clone().and_then(|program| {
                     let base = shown(resolver.require(program.base()))?;
-                    shown(program.eval(
+                    Ok(program.eval(
                         bin,
                         profile,
                         base.histogram.count(bin),
                         base.histogram.total(),
-                        &resolver,
                     ))
                 });
                 prop_assert_eq!(&got, &want, "{:?} bin {} of {:?}", profile, bin, seq);
@@ -251,10 +250,11 @@ proptest! {
     }
 }
 
-/// A target that disappears after compilation fails evaluation closed; the
-/// program itself stays valid for every bin that never needed the target.
+/// Compiling resolves each merge target once and keeps its histogram: the
+/// program evaluates the same after its resolver has lost the target, and
+/// compiling against a resolver without it fails closed.
 #[test]
-fn eval_resolves_merge_targets_late() {
+fn compile_captures_merge_targets() {
     let quant = RgbQuantizer::default_64();
     let mut resolver = MapInfoResolver::new();
     for (id, side, color) in [(BASE, 10, Rgb::RED), (TARGET, 20, Rgb::GREEN)] {
@@ -270,17 +270,23 @@ fn eval_resolves_merge_targets_late() {
         .build();
     let engine = RuleEngine::new(&quant, RuleProfile::Conservative);
     let program = engine.compile(&seq, &resolver).unwrap();
-    let green = quant.bin_of(Rgb::GREEN);
-    let before = program.eval(green, RuleProfile::Conservative, 0, 100, &resolver);
-    assert_eq!(
-        before.unwrap(),
-        engine.bounds(&seq, green, &resolver).unwrap()
-    );
+    let expected = engine.bounds_vector(&seq, &resolver).unwrap();
+    let base = resolver.require(BASE).unwrap();
 
     let mut without_target = MapInfoResolver::new();
-    without_target.insert(BASE, resolver.require(BASE).unwrap());
+    without_target.insert(BASE, base.clone());
+    drop(resolver);
+    let (counts, total) = (base.histogram.counts(), base.histogram.total());
+    let per_bin: Vec<BoundRange> = (0..quant.bin_count())
+        .map(|bin| program.eval(bin, RuleProfile::Conservative, counts[bin], total))
+        .collect();
+    assert_eq!(per_bin, expected);
+    assert_eq!(
+        program.eval_vector(RuleProfile::Conservative, &base.histogram),
+        expected
+    );
     assert!(matches!(
-        program.eval(green, RuleProfile::Conservative, 0, 100, &without_target),
+        engine.compile(&seq, &without_target),
         Err(RuleError::UnknownImage(id)) if id == TARGET
     ));
 }

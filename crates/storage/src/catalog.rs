@@ -5,7 +5,7 @@ use crate::blobstore::BlobRef;
 use crate::error::StorageError;
 use crate::Result;
 use mmdb_editops::codec::{self as seq_codec, Reader};
-use mmdb_editops::{EditSequence, ImageId};
+use mmdb_editops::{EditOp, EditSequence, ImageId};
 use mmdb_histogram::ColorHistogram;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -83,6 +83,21 @@ pub struct Catalog {
     entries: BTreeMap<ImageId, CatalogEntry>,
     /// base id → edited images derived from it (insertion order).
     children: HashMap<ImageId, Vec<ImageId>>,
+    /// merge target id → how many stored edited images paste into it,
+    /// leaving out its own variants (`children` holds those), so that
+    /// [`Catalog::referrers`] is O(1).
+    pasted_into: HashMap<ImageId, usize>,
+}
+
+/// The distinct merge targets of `sequence` other than its base — what it
+/// names beyond its `children` link. Empty, and free, for a sequence without
+/// a `Merge` into a target.
+fn extra_targets(sequence: &EditSequence) -> impl Iterator<Item = ImageId> + '_ {
+    let targets = || sequence.ops.iter().filter_map(EditOp::merge_target);
+    targets()
+        .enumerate()
+        .filter(move |&(i, t)| t != sequence.base && !targets().take(i).any(|u| u == t))
+        .map(|(_, t)| t)
 }
 
 impl Catalog {
@@ -95,6 +110,7 @@ impl Catalog {
             phase: 0,
             entries: BTreeMap::new(),
             children: HashMap::new(),
+            pasted_into: HashMap::new(),
         }
     }
 
@@ -168,6 +184,9 @@ impl Catalog {
     pub fn insert(&mut self, id: ImageId, entry: CatalogEntry) {
         if let CatalogEntry::Edited { sequence, .. } = &entry {
             self.children.entry(sequence.base).or_default().push(id);
+            for target in extra_targets(sequence) {
+                *self.pasted_into.entry(target).or_default() += 1;
+            }
         }
         let prev = self.entries.insert(id, entry);
         assert!(prev.is_none(), "duplicate catalog id {id}");
@@ -178,7 +197,9 @@ impl Catalog {
         self.entries.get(&id)
     }
 
-    /// Removes an entry, unlinking provenance. Returns the removed payload.
+    /// Removes an entry, unlinking provenance and references. Returns the
+    /// removed payload. Nothing is checked: the engine refuses to delete a
+    /// referenced image, but WAL replay removes what the log says.
     pub fn remove(&mut self, id: ImageId) -> Option<CatalogEntry> {
         let entry = self.entries.remove(&id)?;
         if let CatalogEntry::Edited { sequence, .. } = &entry {
@@ -188,6 +209,14 @@ impl Catalog {
                     self.children.remove(&sequence.base);
                 }
             }
+            for target in extra_targets(sequence) {
+                if let Some(count) = self.pasted_into.get_mut(&target) {
+                    *count -= 1;
+                    if *count == 0 {
+                        self.pasted_into.remove(&target);
+                    }
+                }
+            }
         }
         Some(entry)
     }
@@ -195,6 +224,12 @@ impl Catalog {
     /// Edited images derived from `base` (the paper's x → op(x) connection).
     pub fn children_of(&self, base: ImageId) -> &[ImageId] {
         self.children.get(&base).map_or(&[], Vec::as_slice)
+    }
+
+    /// How many stored edited images name `id` as their base or as a merge
+    /// target — an image naming it both ways counts once. O(1).
+    pub fn referrers(&self, id: ImageId) -> usize {
+        self.children_of(id).len() + self.pasted_into.get(&id).copied().unwrap_or(0)
     }
 
     /// The base image of an edited image, or `None` for binary images and
@@ -391,6 +426,38 @@ mod tests {
         assert!(c.remove(ImageId::new(3)).is_none());
         assert!(c.remove(ImageId::new(4)).is_some());
         assert!(c.children_of(ImageId::new(1)).is_empty());
+    }
+
+    #[test]
+    fn referrers_count_each_naming_image_once() {
+        let mut c = sample_catalog();
+        let (b1, b2) = (ImageId::new(1), ImageId::new(2));
+        assert_eq!((c.referrers(b1), c.referrers(b2)), (2, 0));
+        // Pastes into b2 twice and into its own base once.
+        let e3 = c.allocate_id();
+        c.insert(
+            e3,
+            CatalogEntry::edited(Arc::new(
+                EditSequence::builder(b1)
+                    .define(mmdb_imaging::Rect::new(0, 0, 2, 2))
+                    .merge_into(b2, 0, 0)
+                    .merge_into(b1, 0, 0)
+                    .merge_into(b2, 1, 1)
+                    .build(),
+            )),
+        );
+        assert_eq!((c.referrers(b1), c.referrers(b2)), (3, 1));
+        assert!(
+            c.children_of(b2).is_empty(),
+            "children are a base's variants"
+        );
+        let (back, _) = Catalog::decode(&c.encode(&[])).unwrap();
+        assert_eq!((back.referrers(b1), back.referrers(b2)), (3, 1));
+        c.remove(e3);
+        assert_eq!((c.referrers(b1), c.referrers(b2)), (2, 0));
+        c.remove(ImageId::new(3));
+        c.remove(ImageId::new(4));
+        assert_eq!(c.referrers(b1), 0);
     }
 
     #[test]

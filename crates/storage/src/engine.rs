@@ -702,10 +702,11 @@ impl StorageEngine {
     /// Figure 1 entry from then on, the one place a program lives (found
     /// from the sequence's base, then by binary search on `id`). Ingest and
     /// `open` pay nothing, nothing is persisted, and nothing ever
-    /// invalidates it: the sequence, the quantizer, the background and the
-    /// dimensions of the binary images it references are fixed while the
-    /// image is stored, and ids are never reused. A merge target deleted
-    /// later is caught at evaluation, which looks its histogram up afresh.
+    /// invalidates it: the sequence, the quantizer, the background, and the
+    /// dimensions and histograms of the binary images it names — which the
+    /// program keeps for its merge targets — are fixed while the image is
+    /// stored, since [`StorageEngine::delete`] refuses any image it names,
+    /// and ids are never reused.
     ///
     /// # Errors
     /// [`RuleError::UnknownImage`] when `id` is not a stored edited image,
@@ -790,25 +791,24 @@ impl StorageEngine {
         )))
     }
 
-    /// Deletes `id`. Binary images that still have derived children are
-    /// protected.
+    /// Deletes `id`. A binary image that a stored edited image names — as
+    /// its base or as a merge target — is refused with
+    /// [`StorageError::StillReferenced`], read from the catalog's referrer
+    /// count in O(1).
     pub fn delete(&self, id: ImageId) -> Result<()> {
         let mut inner = self.inner.write();
-        match inner.catalog.get(id) {
-            None => return Err(StorageError::NotFound(id)),
-            Some(CatalogEntry::Binary { .. }) => {
-                let dependents = inner.catalog.children_of(id).len();
-                if dependents > 0 {
-                    return Err(StorageError::StillReferenced { id, dependents });
-                }
-            }
-            Some(CatalogEntry::Edited { .. }) => {}
+        if inner.catalog.get(id).is_none() {
+            return Err(StorageError::NotFound(id));
+        }
+        let dependents = inner.catalog.referrers(id);
+        if dependents > 0 {
+            return Err(StorageError::StillReferenced { id, dependents });
         }
         self.log_mutation(&WalRecord::Delete { id })?;
         match inner.catalog.remove(id) {
             Some(CatalogEntry::Binary { blob, .. }) => {
                 inner.blobs.delete(blob);
-                // The cluster is empty: children were refused above.
+                // The cluster is empty: referenced images were refused above.
                 inner.structure.remove_binary(id);
             }
             Some(CatalogEntry::Edited { sequence, .. }) => {
@@ -1313,6 +1313,40 @@ mod tests {
         db.delete(base).unwrap();
         assert!(!db.contains(base));
         assert!(matches!(db.delete(base), Err(StorageError::NotFound(_))));
+
+        // A merge target is protected like a base, and a refused delete
+        // changes nothing.
+        let base = db
+            .insert_binary(&two_tone(8, 8, Rgb::RED, Rgb::WHITE))
+            .unwrap();
+        let target = db
+            .insert_binary(&two_tone(6, 6, Rgb::GREEN, Rgb::BLACK))
+            .unwrap();
+        let paste = |onto: ImageId, into: ImageId| {
+            let seq = EditSequence::builder(onto)
+                .define(Rect::new(0, 0, 3, 3))
+                .merge_into(into, 1, 1)
+                .build();
+            db.insert_edited(seq).unwrap()
+        };
+        let refused = |id: ImageId, dependents: usize| {
+            let (epoch, ids) = (db.current_epoch(), db.ids());
+            let refusal = StorageError::StillReferenced { id, dependents };
+            assert_eq!(db.delete(id).unwrap_err().to_string(), refusal.to_string());
+            assert_eq!((db.current_epoch(), db.ids()), (epoch, ids));
+        };
+        let pasted = paste(base, target);
+        refused(target, 1);
+        refused(base, 1);
+        // An image whose merge target is also its base names it once.
+        let looped = paste(target, target);
+        refused(target, 2);
+        db.delete(pasted).unwrap();
+        refused(target, 1);
+        db.delete(base).unwrap();
+        db.delete(looped).unwrap();
+        db.delete(target).unwrap();
+        assert!(db.ids().is_empty());
     }
 
     #[test]

@@ -178,16 +178,16 @@ fn arb_catalog() -> impl Strategy<Value = Catalog> {
             let id = catalog.allocate_id();
             if edited && !binary_ids.is_empty() {
                 let base: ImageId = binary_ids[rgb[0] as usize % binary_ids.len()];
-                catalog.insert(
-                    id,
-                    CatalogEntry::edited(Arc::new(
-                        EditSequence::builder(base)
-                            .define(Rect::new(0, 0, w as i64, h as i64))
-                            .modify(Rgb::new(rgb[0], rgb[1], rgb[2]), Rgb::WHITE)
-                            .mutate(Matrix3::translation(1.0, 2.0))
-                            .build(),
-                    )),
-                );
+                let mut seq = EditSequence::builder(base)
+                    .define(Rect::new(0, 0, w as i64, h as i64))
+                    .modify(Rgb::new(rgb[0], rgb[1], rgb[2]), Rgb::WHITE)
+                    .mutate(Matrix3::translation(1.0, 2.0));
+                if rgb[1] % 2 == 1 {
+                    // A merge target, possibly the base itself.
+                    let target = binary_ids[rgb[2] as usize % binary_ids.len()];
+                    seq = seq.merge_into(target, 0, 0);
+                }
+                catalog.insert(id, CatalogEntry::edited(Arc::new(seq.build())));
             } else {
                 let img = RasterImage::filled(w, h, Rgb::new(rgb[0], rgb[1], rgb[2])).unwrap();
                 catalog.insert(
@@ -245,6 +245,18 @@ proptest! {
                 _ => prop_assert!(false, "entry kind changed for {}", id),
             }
             prop_assert_eq!(back.children_of(id), catalog.children_of(id));
+            // The referrer count is rebuilt on decode, and is what it says.
+            let naming = catalog
+                .iter()
+                .filter(|(_, e)| match e {
+                    CatalogEntry::Edited { sequence } => {
+                        sequence.base == id || sequence.merge_targets().contains(&id)
+                    }
+                    CatalogEntry::Binary { .. } => false,
+                })
+                .count();
+            prop_assert_eq!(catalog.referrers(id), naming);
+            prop_assert_eq!(back.referrers(id), naming);
         }
     }
 
