@@ -62,9 +62,9 @@ impl<T: EpochStamped> EpochSlot<T> {
         f(self.inner.read().as_ref())
     }
 
-    /// Exclusive access for build / re-sync / invalidate. Callers must
-    /// capture the engine epoch *before* reading any catalog state they
-    /// install, so the stamp can only lag a racing mutation, never lead it.
+    /// Exclusive access for build / re-sync. Callers must capture the engine
+    /// epoch *before* reading any catalog state they install, so the stamp
+    /// can only lag a racing mutation, never lead it.
     pub fn write(&self) -> RwLockWriteGuard<'_, Option<T>> {
         self.inner.write()
     }

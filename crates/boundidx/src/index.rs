@@ -1,6 +1,8 @@
 //! The bound-interval index proper: memoized per-image BOUNDS vectors plus
-//! per-bin interval lists, with epoch-stamped synchronization and transitive
-//! invalidation through the catalog reference graph.
+//! per-bin interval lists, with epoch-stamped synchronization. A stored
+//! image never changes and everything it names outlives it (the catalog's
+//! reference rule), so an entry is computed once and dropped only when its
+//! own image leaves the catalog.
 
 use crate::interval::{BinIntervals, IntervalEntry};
 use mmdb_bwm::SequenceStore;
@@ -11,7 +13,7 @@ use mmdb_rules::{
     BoundRange, ColorRangeQuery, InfoResolver, Result, RuleEngine, RuleError, RuleProfile,
 };
 use mmdb_telemetry::{counter, gauge, histogram};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 /// Below this many fresh entries, [`BoundIndex::sync`] inserts them one by
@@ -24,10 +26,9 @@ const BATCH_SYNC_THRESHOLD: usize = 16;
 /// `mmdbctl explain` shows incremental maintenance cost next to lookup cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SyncStats {
-    /// Entries added (newly inserted images plus re-added invalidation
-    /// victims).
+    /// Entries added: catalog images that had none.
     pub added: usize,
-    /// Entries removed (deleted images plus their transitive dependents).
+    /// Entries removed: images no longer in the catalog.
     pub removed: usize,
     /// Fresh BOUNDS vector computations performed (memo misses).
     pub recomputed: usize,
@@ -43,17 +44,6 @@ pub struct IndexedLookup {
     pub scanned: usize,
 }
 
-/// The resident per-image record: the full memoized bounds vector (one
-/// [`BoundRange`] per bin — this *is* the `(ImageId, bin, RuleProfile)`
-/// memo, realized as a per-profile index holding per-image vectors) plus the
-/// ids this image's sequence references (base and merge targets), which are
-/// the edges the transitive invalidation walks.
-#[derive(Clone, Debug)]
-struct IndexEntry {
-    bounds: Vec<BoundRange>,
-    refs: Vec<ImageId>,
-}
-
 /// Bound-interval index for one rule profile.
 ///
 /// All mutation goes through `&mut self`; the facade wraps the index in a
@@ -64,9 +54,10 @@ struct IndexEntry {
 pub struct BoundIndex {
     profile: RuleProfile,
     bins: Vec<BinIntervals>,
-    entries: HashMap<ImageId, IndexEntry>,
-    /// referenced id → images whose bounds depend on it.
-    dependents: HashMap<ImageId, BTreeSet<ImageId>>,
+    /// The resident per-image records: the full memoized bounds vector, one
+    /// [`BoundRange`] per bin — this *is* the `(ImageId, bin, RuleProfile)`
+    /// memo, realized as a per-profile index holding per-image vectors.
+    entries: HashMap<ImageId, Vec<BoundRange>>,
     synced_epoch: u64,
     /// When the index last reconciled to a catalog snapshot (build or sync).
     last_synced_at: Instant,
@@ -79,7 +70,6 @@ impl BoundIndex {
             profile,
             bins: vec![BinIntervals::default(); bin_count],
             entries: HashMap::new(),
-            dependents: HashMap::new(),
             synced_epoch: 0,
             last_synced_at: Instant::now(),
         }
@@ -153,12 +143,11 @@ impl BoundIndex {
 
         let mut pending: Vec<Vec<IntervalEntry>> = vec![Vec::new(); bin_count];
         for &id in binary {
-            let Some(entry) = unless_vanished(id, binary_entry(id, bin_count, resolver))? else {
+            let Some(bounds) = unless_vanished(id, binary_entry(id, bin_count, resolver))? else {
                 continue;
             };
-            stage_entry(&mut pending, id, &entry.bounds);
-            idx.link_refs(id, &entry.refs);
-            idx.entries.insert(id, entry);
+            stage_entry(&mut pending, id, &bounds);
+            idx.entries.insert(id, bounds);
         }
 
         let threads = threads.max(1).min(edited.len().max(1));
@@ -171,10 +160,9 @@ impl BoundIndex {
             )?
         };
         counter!("mmdb_boundidx_misses_total").add(computed.len() as u64);
-        for (id, entry) in computed {
-            stage_entry(&mut pending, id, &entry.bounds);
-            idx.link_refs(id, &entry.refs);
-            idx.entries.insert(id, entry);
+        for (id, bounds) in computed {
+            stage_entry(&mut pending, id, &bounds);
+            idx.entries.insert(id, bounds);
         }
 
         for (bin, entries) in pending.into_iter().enumerate() {
@@ -188,9 +176,8 @@ impl BoundIndex {
     }
 
     /// Incremental synchronization to the catalog state captured by
-    /// `epoch`/`binary`/`edited`: removes entries for deleted images (and,
-    /// transitively, everything whose bounds referenced them), then
-    /// (re)computes entries for every image not resident. Returns what was
+    /// `epoch`/`binary`/`edited`: removes the entries of deleted images,
+    /// then computes entries for every image not resident. Returns what was
     /// done for tracing.
     #[allow(clippy::too_many_arguments)]
     pub fn sync<R, S>(
@@ -216,16 +203,18 @@ impl BoundIndex {
             .filter(|id| !current.contains(id))
             .copied()
             .collect();
-        for id in stale {
-            stats.removed += self.invalidate(id);
+        for &id in &stale {
+            self.remove_entry(id);
         }
+        stats.removed = stale.len();
+        counter!("mmdb_boundidx_invalidations_total").add(stale.len() as u64);
 
         let bin_count = self.bins.len();
-        let mut fresh: Vec<(ImageId, IndexEntry)> = Vec::new();
+        let mut fresh: Vec<(ImageId, Vec<BoundRange>)> = Vec::new();
         for &id in binary {
             if !self.entries.contains_key(&id) {
-                if let Some(entry) = unless_vanished(id, binary_entry(id, bin_count, resolver))? {
-                    fresh.push((id, entry));
+                if let Some(bounds) = unless_vanished(id, binary_entry(id, bin_count, resolver))? {
+                    fresh.push((id, bounds));
                     stats.added += 1;
                 }
             }
@@ -233,9 +222,9 @@ impl BoundIndex {
         let engine = RuleEngine::with_background(quantizer, self.profile, background);
         for &id in edited {
             if !self.entries.contains_key(&id) {
-                let entry = edited_entry(&engine, id, resolver, store);
-                if let Some(entry) = unless_vanished(id, entry)? {
-                    fresh.push((id, entry));
+                let bounds = edited_entry(&engine, id, resolver, store);
+                if let Some(bounds) = unless_vanished(id, bounds)? {
+                    fresh.push((id, bounds));
                     counter!("mmdb_boundidx_misses_total").inc();
                     stats.added += 1;
                     stats.recomputed += 1;
@@ -243,18 +232,17 @@ impl BoundIndex {
             }
         }
         if fresh.len() < BATCH_SYNC_THRESHOLD {
-            for (id, entry) in fresh {
-                self.insert_entry(id, entry);
+            for (id, bounds) in fresh {
+                self.insert_entry(id, bounds);
             }
         } else {
             // Large catch-up (warm start over a replayed WAL tail): per-entry
             // sorted inserts would shift each bin's vectors once per entry —
             // quadratic memmove traffic. Stage per bin, merge once.
             let mut pending: Vec<Vec<IntervalEntry>> = vec![Vec::new(); bin_count];
-            for (id, entry) in fresh {
-                stage_entry(&mut pending, id, &entry.bounds);
-                self.link_refs(id, &entry.refs);
-                self.entries.insert(id, entry);
+            for (id, bounds) in fresh {
+                stage_entry(&mut pending, id, &bounds);
+                self.entries.insert(id, bounds);
             }
             for (bin, batch) in pending.into_iter().enumerate() {
                 self.bins[bin].insert_batch(batch);
@@ -265,33 +253,6 @@ impl BoundIndex {
         histogram!("mmdb_boundidx_sync_seconds").observe(started.elapsed());
         gauge!("mmdb_boundidx_entries").set(self.len() as u64);
         Ok(stats)
-    }
-
-    /// Removes `id`'s entry *and, transitively, every resident entry whose
-    /// bounds reference it* (base links and Merge/Combine targets) — the
-    /// reference-graph closure [`BoundIndex::sync`] applies to every entry
-    /// the catalog dropped. Returns the number of entries dropped. Does not
-    /// advance the epoch; a sync re-admits any victim that is still in the
-    /// catalog.
-    pub fn invalidate(&mut self, id: ImageId) -> usize {
-        let mut affected = Vec::new();
-        let mut seen = HashSet::new();
-        let mut stack = vec![id];
-        while let Some(node) = stack.pop() {
-            if !seen.insert(node) {
-                continue;
-            }
-            affected.push(node);
-            if let Some(deps) = self.dependents.get(&node) {
-                stack.extend(deps.iter().copied());
-            }
-        }
-        let mut removed = 0;
-        for victim in affected {
-            removed += usize::from(self.remove_entry(victim));
-        }
-        counter!("mmdb_boundidx_invalidations_total").add(removed as u64);
-        removed
     }
 
     /// Answers a range query from the per-bin interval lists.
@@ -324,17 +285,17 @@ impl BoundIndex {
         self.bins[query.bin].overlapping(query.pct_min, query.pct_max, out)
     }
 
-    /// Exports every resident entry as an `(id, bounds, refs)` triple,
-    /// sorted by id — the persistence codec's view of the index. Bounds are
-    /// the exact `u64` triples, so a round trip through
-    /// [`crate::persist`] reproduces bit-identical fraction intervals.
-    pub fn export_entries(&self) -> Vec<(ImageId, &[BoundRange], &[ImageId])> {
+    /// Exports every resident entry as an `(id, bounds)` pair, sorted by id
+    /// — the persistence codec's view of the index. Bounds are the exact
+    /// `u64` triples, so a round trip through [`crate::persist`] reproduces
+    /// bit-identical fraction intervals.
+    pub fn export_entries(&self) -> Vec<(ImageId, &[BoundRange])> {
         let mut out: Vec<_> = self
             .entries
             .iter()
-            .map(|(&id, e)| (id, e.bounds.as_slice(), e.refs.as_slice()))
+            .map(|(&id, bounds)| (id, bounds.as_slice()))
             .collect();
-        out.sort_unstable_by_key(|(id, _, _)| *id);
+        out.sort_unstable_by_key(|(id, _)| *id);
         out
     }
 
@@ -352,16 +313,15 @@ impl BoundIndex {
         profile: RuleProfile,
         bin_count: usize,
         synced_epoch: u64,
-        entries: Vec<(ImageId, Vec<BoundRange>, Vec<ImageId>)>,
+        entries: Vec<(ImageId, Vec<BoundRange>)>,
     ) -> Self {
         let mut idx = BoundIndex::new(profile, bin_count);
         idx.synced_epoch = synced_epoch;
         let mut pending: Vec<Vec<IntervalEntry>> = vec![Vec::new(); bin_count];
-        for (id, bounds, refs) in entries {
+        for (id, bounds) in entries {
             assert_eq!(bounds.len(), bin_count, "bounds vector width mismatch");
             stage_entry(&mut pending, id, &bounds);
-            idx.link_refs(id, &refs);
-            idx.entries.insert(id, IndexEntry { bounds, refs });
+            idx.entries.insert(id, bounds);
         }
         for (bin, entries) in pending.into_iter().enumerate() {
             idx.bins[bin] = BinIntervals::from_entries(entries);
@@ -371,38 +331,20 @@ impl BoundIndex {
         idx
     }
 
-    fn insert_entry(&mut self, id: ImageId, entry: IndexEntry) {
-        for (bin, range) in entry.bounds.iter().enumerate() {
+    fn insert_entry(&mut self, id: ImageId, bounds: Vec<BoundRange>) {
+        for (bin, range) in bounds.iter().enumerate() {
             let (lo, hi) = range.fraction_range();
             self.bins[bin].insert(IntervalEntry { lo, hi, id });
         }
-        self.link_refs(id, &entry.refs);
-        self.entries.insert(id, entry);
+        self.entries.insert(id, bounds);
     }
 
-    fn remove_entry(&mut self, id: ImageId) -> bool {
-        let Some(entry) = self.entries.remove(&id) else {
-            return false;
-        };
-        for (bin, range) in entry.bounds.iter().enumerate() {
+    fn remove_entry(&mut self, id: ImageId) {
+        let bounds = self.entries.remove(&id).expect("listed as resident");
+        for (bin, range) in bounds.iter().enumerate() {
             let (lo, hi) = range.fraction_range();
             let removed = self.bins[bin].remove(IntervalEntry { lo, hi, id });
             debug_assert!(removed, "bin list out of step with entry map");
-        }
-        for r in entry.refs {
-            if let Some(deps) = self.dependents.get_mut(&r) {
-                deps.remove(&id);
-                if deps.is_empty() {
-                    self.dependents.remove(&r);
-                }
-            }
-        }
-        true
-    }
-
-    fn link_refs(&mut self, id: ImageId, refs: &[ImageId]) {
-        for &r in refs {
-            self.dependents.entry(r).or_default().insert(id);
         }
     }
 }
@@ -427,19 +369,15 @@ fn unless_vanished<T>(id: ImageId, entry: Result<T>) -> Result<Option<T>> {
     }
 }
 
-fn binary_entry<R>(id: ImageId, bin_count: usize, resolver: &R) -> Result<IndexEntry>
+fn binary_entry<R>(id: ImageId, bin_count: usize, resolver: &R) -> Result<Vec<BoundRange>>
 where
     R: InfoResolver,
 {
     let info = resolver.require(id)?;
     let total = info.histogram.total();
-    let bounds = (0..bin_count)
+    Ok((0..bin_count)
         .map(|bin| BoundRange::exact(info.histogram.count(bin), total))
-        .collect();
-    Ok(IndexEntry {
-        bounds,
-        refs: Vec::new(),
-    })
+        .collect())
 }
 
 fn edited_entry<R, S>(
@@ -447,19 +385,14 @@ fn edited_entry<R, S>(
     id: ImageId,
     resolver: &R,
     store: &S,
-) -> Result<IndexEntry>
+) -> Result<Vec<BoundRange>>
 where
     R: InfoResolver,
     S: SequenceStore,
 {
     let program = store.program(id, engine, resolver)?;
     let base = resolver.require(program.base())?;
-    let bounds = program.eval_vector(engine.profile(), &base.histogram);
-    let mut refs: Vec<ImageId> = program.merge_targets().collect();
-    refs.push(program.base());
-    refs.sort_unstable();
-    refs.dedup();
-    Ok(IndexEntry { bounds, refs })
+    Ok(program.eval_vector(engine.profile(), &base.histogram))
 }
 
 fn compute_chunk<R, S>(
@@ -467,7 +400,7 @@ fn compute_chunk<R, S>(
     ids: &[ImageId],
     resolver: &R,
     store: &S,
-) -> Result<Vec<(ImageId, IndexEntry)>>
+) -> Result<Vec<(ImageId, Vec<BoundRange>)>>
 where
     R: InfoResolver,
     S: SequenceStore,
@@ -488,7 +421,7 @@ fn compute_parallel<R, S>(
     resolver: &R,
     store: &S,
     threads: usize,
-) -> Result<Vec<(ImageId, IndexEntry)>>
+) -> Result<Vec<(ImageId, Vec<BoundRange>)>>
 where
     R: InfoResolver + Sync,
     S: SequenceStore + Sync,
@@ -670,26 +603,23 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_is_transitive_through_references() {
+    fn sync_admits_missing_and_drops_deleted() {
         let f = fixture();
-        let mut idx = build(&f, 1);
-        // #12 merges base 1, #10 is based on 1: invalidating base 1 must
-        // drop 1, 10 and 12 but keep 2 and 11.
-        let removed = idx.invalidate(ImageId::new(1));
-        assert_eq!(removed, 3);
+        // Built before base #2 and edited #11, #12 were listed.
+        let mut idx = BoundIndex::build(
+            RuleProfile::Conservative,
+            &f.quant,
+            Rgb::WHITE,
+            &f.binary[..1],
+            &f.edited[..1],
+            &f.resolver,
+            &f.store,
+            1,
+            1,
+        )
+        .unwrap();
         assert_eq!(idx.len(), 2);
-        assert!(!idx.contains(ImageId::new(12)));
-        assert!(idx.contains(ImageId::new(11)));
-        // Invalidating something unknown is a no-op.
-        assert_eq!(idx.invalidate(ImageId::new(999)), 0);
-    }
-
-    #[test]
-    fn sync_restores_invalidated_and_drops_deleted() {
-        let f = fixture();
-        let mut idx = build(&f, 1);
-        idx.invalidate(ImageId::new(1));
-        // Catalog unchanged → sync re-admits the victims.
+        // Sync admits the rest and drops nothing.
         let stats = idx
             .sync(
                 2,
@@ -701,8 +631,14 @@ mod tests {
                 &f.store,
             )
             .unwrap();
-        assert_eq!(stats.added, 3);
-        assert_eq!(stats.recomputed, 2); // #10 and #12; base 1 is exact
+        assert_eq!(
+            stats,
+            SyncStats {
+                added: 3,
+                removed: 0,
+                recomputed: 2, // #11 and #12; base 2 is exact
+            }
+        );
         assert_eq!(idx.synced_epoch(), 2);
         assert_eq!(idx.len(), 5);
 
@@ -719,7 +655,7 @@ mod tests {
                 &f.store,
             )
             .unwrap();
-        assert_eq!(stats.removed, 1);
+        assert_eq!((stats.added, stats.removed), (0, 1));
         assert_eq!(idx.len(), 4);
         assert!(!idx.contains(ImageId::new(11)));
         let q = ColorRangeQuery::new(0, 0.0, 1.0);

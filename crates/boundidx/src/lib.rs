@@ -17,10 +17,10 @@
 //! Freshness is epoch-based: the storage engine stamps every catalog
 //! mutation, [`BoundIndex::sync`] reconciles the index to a stamped catalog
 //! snapshot, and the facade refuses to serve a lookup whose
-//! [`BoundIndex::synced_epoch`] is behind the engine. The sync that catches
-//! up after a deletion drops entries transitively through the reference
-//! graph (base links and Merge targets), so an entry whose inputs vanished
-//! is never consulted.
+//! [`BoundIndex::synced_epoch`] is behind the engine. The storage engine
+//! never deletes an image a stored sequence names and never reuses an id,
+//! so an entry depends on its own image alone: a sync adds the entries of
+//! new images and drops those of deleted ones, nothing else.
 
 mod guard;
 mod index;

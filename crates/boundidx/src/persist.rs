@@ -3,7 +3,7 @@
 //!
 //! The file stores the memoized per-image bounds vectors (exact `u64`
 //! triples, so the rebuilt fraction intervals are bit-identical to the
-//! resident ones) plus the reference edges and the synced mutation epoch.
+//! resident ones) plus the synced mutation epoch.
 //! Load reassembles the per-bin sorted-endpoint arrays with one bulk sort
 //! per bin — orders of magnitude cheaper than re-walking every edit
 //! sequence — and stamps the result with the persisted epoch so the
@@ -33,9 +33,10 @@ use std::time::Instant;
 /// Magic prefix of an index segment file.
 pub const INDEX_MAGIC: [u8; 8] = *b"MMDBIDX1";
 
-/// The format version stamped into index files — tracks the durable layer's
-/// format so "can read the data dir" implies "can read its warm indexes".
-pub const INDEX_FORMAT_VERSION: u32 = mmdb_durable::DURABLE_FORMAT_VERSION;
+/// The format version stamped into index files, independent of the durable
+/// layer's: a file of another version fails [`load`], and the caller
+/// rebuilds it.
+pub const INDEX_FORMAT_VERSION: u32 = 3;
 
 /// File name of one profile's persisted index (`<label>.idx`).
 pub fn index_file_name(profile: RuleProfile) -> String {
@@ -113,12 +114,8 @@ fn encode(idx: &BoundIndex) -> Vec<u8> {
     out.extend_from_slice(&idx.synced_epoch().to_le_bytes());
     out.extend_from_slice(&(idx.bin_count() as u32).to_le_bytes());
     out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (id, bounds, refs) in entries {
+    for (id, bounds) in entries {
         out.extend_from_slice(&id.raw().to_le_bytes());
-        out.extend_from_slice(&(refs.len() as u32).to_le_bytes());
-        for r in refs {
-            out.extend_from_slice(&r.raw().to_le_bytes());
-        }
         for b in bounds {
             out.extend_from_slice(&b.min.to_le_bytes());
             out.extend_from_slice(&b.max.to_le_bytes());
@@ -165,11 +162,6 @@ fn decode(bytes: &[u8], profile: RuleProfile, bin_count: usize) -> io::Result<Bo
     let mut entries = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
         let id = ImageId::new(r.u64("entry id")?);
-        let ref_count = r.u32("reference count")? as usize;
-        let mut refs = Vec::with_capacity(ref_count.min(1 << 16));
-        for _ in 0..ref_count {
-            refs.push(ImageId::new(r.u64("reference")?));
-        }
         let mut bounds = Vec::with_capacity(width);
         for _ in 0..width {
             let (min, max, total) = (
@@ -182,7 +174,7 @@ fn decode(bytes: &[u8], profile: RuleProfile, bin_count: usize) -> io::Result<Bo
             }
             bounds.push(BoundRange { min, max, total });
         }
-        entries.push((id, bounds, refs));
+        entries.push((id, bounds));
     }
     if r.remaining() != 0 {
         return Err(corrupt("trailing bytes after last index entry"));
@@ -207,7 +199,6 @@ mod tests {
                         total: 100,
                     },
                 ],
-                vec![],
             ),
             (
                 ImageId::new(7),
@@ -219,7 +210,6 @@ mod tests {
                     },
                     BoundRange::exact(0, 100),
                 ],
-                vec![ImageId::new(1)],
             ),
         ];
         BoundIndex::assemble(RuleProfile::Conservative, 2, epoch, entries)
@@ -233,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_lookups_epoch_and_refs() {
+    fn round_trip_preserves_lookups_and_epoch() {
         let dir = tmp_dir("roundtrip");
         let idx = sample_index(42);
         save(&idx, &dir).unwrap();
@@ -250,9 +240,6 @@ mod tests {
                 assert_eq!(a, b, "bin {bin} [{lo},{hi}]");
             }
         }
-        // Reference edges survive: invalidating #1 drops its dependent #7.
-        let mut back = back;
-        assert_eq!(back.invalidate(ImageId::new(1)), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -43,7 +43,6 @@ pub fn register_metrics() {
         r#"mmdb_bwm_edited_inserts_total{component="classified"}"#,
         r#"mmdb_bwm_edited_inserts_total{component="unclassified"}"#,
         "mmdb_bwm_removals_total",
-        "mmdb_bwm_orphaned_total",
         "mmdb_bwm_queries_total",
         "mmdb_bwm_clusters_visited_total",
         "mmdb_bwm_base_hits_total",

@@ -185,22 +185,12 @@ impl BwmStructure {
         self.unclassified.sort_unstable_by_key(|e| e.id);
     }
 
-    /// Removes a binary image: drops its cluster and returns the edited
-    /// images that were in it, so the caller can decide what to do with
-    /// them (normally they were deleted first — the storage engine enforces
-    /// that). Unknown ids are a no-op.
-    pub fn remove_binary(&mut self, id: ImageId) -> Vec<ImageId> {
+    /// Removes a binary image and its cluster. The storage engine deletes
+    /// only an image no stored sequence names, so the cluster is empty.
+    /// Unknown ids are a no-op.
+    pub fn remove_binary(&mut self, id: ImageId) {
         counter!("mmdb_bwm_removals_total").inc();
-        let orphans = self.main.remove(&id).map(|c| c.ids).unwrap_or_default();
-        counter!("mmdb_bwm_orphaned_total").add(orphans.len() as u64);
-        if !orphans.is_empty() && mmdb_telemetry::instrumentation_enabled() {
-            mmdb_telemetry::recorder().record(
-                mmdb_telemetry::EventKind::BwmReclassified,
-                format!("base {id} removed, cluster dissolved"),
-                &[("orphaned", orphans.len() as u64)],
-            );
-        }
-        orphans
+        self.main.remove(&id);
     }
 
     /// Removes an edited image derived from `base`. An edited image is
@@ -429,12 +419,11 @@ mod tests {
         // Only the named base's cluster is searched.
         s.remove_edited(ImageId::new(20), base);
         assert_eq!(s.cluster_of(ImageId::new(2)).unwrap(), &[ImageId::new(20)]);
-        // Removing the base returns its clustered children.
-        let orphans = s.remove_binary(base);
-        assert_eq!(orphans, vec![ImageId::new(10)]);
+        s.remove_edited(ImageId::new(10), base);
+        s.remove_binary(base);
         assert_eq!(s.cluster_count(), 1);
         // Removing something unknown is a no-op.
-        assert!(s.remove_binary(ImageId::new(77)).is_empty());
+        s.remove_binary(ImageId::new(77));
         s.remove_edited(ImageId::new(78), ImageId::new(77));
         assert_eq!(s.classified_count(), 1);
     }

@@ -33,8 +33,8 @@ enum Op {
     },
     /// Whole-image blur (a bound-widening Combine).
     Blur,
-    /// Merge another image into this one (non-bound-widening; exercises the
-    /// reference graph and with it transitive invalidation).
+    /// Merge another image into this one (non-bound-widening; exercises
+    /// merge-target bounds).
     Merge,
 }
 
@@ -160,8 +160,8 @@ proptest! {
         let mut edited_ids = Vec::new();
         for (i, ops) in variants.iter().enumerate() {
             let base = base_ids[i % base_ids.len()];
-            // Merges target a *different* base, so deleting that base's
-            // subtree exercises transitive invalidation through refs.
+            // Merges target a *different* base, so an entry's bounds read
+            // two binary images.
             let target = base_ids[(i + 1) % base_ids.len()];
             edited_ids.push(db.insert_edited(sequence_of(base, ops, target)).unwrap());
         }
@@ -175,8 +175,8 @@ proptest! {
             .unwrap();
         assert_plans_agree(&db, &queries);
 
-        // ...and immediately after deletes (which also reclassify BWM
-        // clusters and trigger transitive invalidation).
+        // ...and immediately after deletes (which also shrink BWM clusters
+        // and drop the deleted images' entries).
         db.delete(late).unwrap();
         if let Some(&victim) = edited_ids.first() {
             db.delete(victim).unwrap();

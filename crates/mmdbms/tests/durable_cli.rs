@@ -24,6 +24,9 @@ fn ok(args: &[&str]) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
+/// Serializes the tests that read process-wide counter deltas.
+static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn temp_db(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mmdbctl_dur_{}_{tag}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -202,6 +205,9 @@ fn stale_literal_profile_index_file_is_ignored() {
     use mmdbms::boundidx::{persist, BoundIndex};
     use mmdbms::datagen::{flags::FlagGenerator, VariantConfig};
     use mmdbms::prelude::*;
+    let _counters = COUNTERS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
 
     let db = temp_db("stale_idx");
     let idx_dir = db.join("boundidx");
@@ -256,6 +262,95 @@ fn stale_literal_profile_index_file_is_ignored() {
 
     let fsck = ok(&["fsck", db.to_str().unwrap()]);
     assert!(!fsck.contains("paper_table1"), "{fsck}");
+
+    std::fs::remove_dir_all(&db).ok();
+}
+
+/// An index file written by a build whose format carried a per-entry
+/// reference column (version 2) fails the version check: `open` discards
+/// it and the first Indexed query rebuilds, so the old file costs one build
+/// and is never an open failure or a served answer. `fsck` only warns.
+#[test]
+fn old_format_index_file_is_rebuilt() {
+    use mmdbms::boundidx::persist::{index_file_name, INDEX_MAGIC};
+    use mmdbms::datagen::{flags::FlagGenerator, VariantConfig};
+    use mmdbms::prelude::*;
+    let _counters = COUNTERS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+
+    let db = temp_db("old_idx");
+    let query = |db: &MultimediaDatabase, plan| {
+        let red = ColorRangeQuery::at_least(db.bin_of(Rgb::new(0xCE, 0x11, 0x26)), 0.1);
+        db.query_range_with_plan(&red, plan)
+            .unwrap()
+            .sorted_results()
+    };
+    let (epoch, bins) = {
+        let mmdb = MultimediaDatabase::create(&db, Box::new(RgbQuantizer::default_64())).unwrap();
+        let flags = FlagGenerator::with_seed(5);
+        for i in 0..6 {
+            mmdb.insert_image_with_augmentation(&flags.generate(i), 2, VariantConfig::default(), i)
+                .unwrap();
+        }
+        mmdb.flush().unwrap();
+        let storage = mmdb.storage();
+        (storage.current_epoch(), storage.quantizer().bin_count())
+    };
+    // Version 2: one entry, image #1 with a reference column naming #2 and
+    // bounds that would answer wrongly if the file were served.
+    let profile = RuleProfile::Conservative;
+    let label = profile.label().as_bytes();
+    let mut body = Vec::new();
+    body.extend_from_slice(&2u32.to_le_bytes());
+    body.extend_from_slice(&(label.len() as u16).to_le_bytes());
+    body.extend_from_slice(label);
+    body.extend_from_slice(&epoch.to_le_bytes());
+    body.extend_from_slice(&(bins as u32).to_le_bytes());
+    body.extend_from_slice(&1u64.to_le_bytes());
+    body.extend_from_slice(&1u64.to_le_bytes());
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.extend_from_slice(&2u64.to_le_bytes());
+    for _ in 0..bins {
+        for v in [0u64, 0, 1] {
+            body.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    let crc = mmdbms::durable::crc32(&body);
+    let idx_dir = db.join("boundidx");
+    std::fs::create_dir_all(&idx_dir).unwrap();
+    let file = [&INDEX_MAGIC[..], &body, &crc.to_le_bytes()].concat();
+    std::fs::write(idx_dir.join(index_file_name(profile)), file).unwrap();
+
+    let fsck = ok(&["fsck", db.to_str().unwrap()]);
+    for line in fsck.lines().filter(|l| l.contains("F0")) {
+        assert!(line.contains("F009"), "{fsck}");
+    }
+
+    let metrics = mmdbms::telemetry::global();
+    let counter = |name| metrics.counter(name).get();
+    let (loads, builds) = (
+        counter("mmdb_boundidx_warm_loads_total"),
+        counter("mmdb_boundidx_builds_total"),
+    );
+    let mmdb = MultimediaDatabase::open(&db).unwrap();
+    let indexed = query(&mmdb, QueryPlan::Indexed);
+    assert!(!indexed.is_empty());
+    assert_eq!(indexed, query(&mmdb, QueryPlan::Rbm), "Indexed ≡ RBM");
+    assert_eq!(
+        counter("mmdb_boundidx_warm_loads_total"),
+        loads,
+        "never loaded"
+    );
+    assert_eq!(counter("mmdb_boundidx_builds_total") - builds, 1, "rebuilt");
+    mmdb.flush().unwrap();
+    drop(mmdb);
+
+    let fsck = ok(&["fsck", db.to_str().unwrap()]);
+    assert!(
+        !fsck.contains("F009"),
+        "the rebuilt file is current: {fsck}"
+    );
 
     std::fs::remove_dir_all(&db).ok();
 }

@@ -1,10 +1,12 @@
-//! End-to-end test of `mmdbctl lint` against a database seeded with the
-//! three canonical catalog defects: a dangling merge target (`E002`), a
-//! reference cycle (`E004`), and a dead `Define` (`W101`).
+//! End-to-end test of `mmdbctl lint` against a database seeded with three
+//! catalog defects: an empty crop (`E005`), a projective `Mutate` (`E007`),
+//! and a dead `Define` (`W101`).
 //!
 //! The first two cannot be created through the validated insert path, so the
 //! test rewrites the catalog file directly — exactly the kind of corruption
-//! (crash, bit rot, an older buggy writer) the lint exists to catch.
+//! (crash, bit rot, an older buggy writer) the lint exists to catch. A
+//! catalog that breaks the reference rule (a dangling merge target, a
+//! reference cycle) does not decode at all: the directory refuses to open.
 
 use mmdbms::editops::EditSequence;
 use mmdbms::prelude::*;
@@ -28,9 +30,10 @@ fn temp_db(tag: &str) -> PathBuf {
 }
 
 /// Builds a database with one healthy warning (dead Define) through the
-/// front door, then splices a dangling merge target and a two-node
-/// reference cycle into the catalog file behind the engine's back.
-fn seed_bad_database(dir: &Path) {
+/// front door, then rewrites the latest snapshot with `splice` applied to
+/// its catalog, behind the engine's back (same covered seqno, so the
+/// spliced snapshot simply replaces the healthy one).
+fn seed_database(dir: &Path, splice: impl FnOnce(&mut Catalog)) {
     {
         let db = MultimediaDatabase::create(dir, Box::new(RgbQuantizer::default_64())).unwrap();
         let mut img = RasterImage::filled(16, 16, Rgb::WHITE).unwrap();
@@ -48,35 +51,10 @@ fn seed_bad_database(dir: &Path) {
         .unwrap();
         db.flush().unwrap();
     }
-    // Splice in the error-level defects. The catalog now lives inside the
-    // latest snapshot; rewrite it in place (same covered seqno, so the
-    // spliced snapshot simply replaces the healthy one).
     let snaps = mmdbms::durable::SnapshotStore::open(&dir.join("snapshots")).unwrap();
     let snap = snaps.load_latest().unwrap().unwrap();
     let (mut catalog, free_list) = Catalog::decode(&snap.payload).unwrap();
-    let base = ImageId::new(1);
-    // E002: merge target that does not exist.
-    let dangling = catalog.allocate_id();
-    catalog.insert(
-        dangling,
-        CatalogEntry::edited(Arc::new(
-            EditSequence::builder(base)
-                .define(Rect::new(0, 0, 4, 4))
-                .merge_into(ImageId::new(9999), 0, 0)
-                .build(),
-        )),
-    );
-    // E004: two edited images whose bases reference each other.
-    let a = catalog.allocate_id();
-    let b = catalog.allocate_id();
-    catalog.insert(
-        a,
-        CatalogEntry::edited(Arc::new(EditSequence::builder(b).blur().build())),
-    );
-    catalog.insert(
-        b,
-        CatalogEntry::edited(Arc::new(EditSequence::builder(a).blur().build())),
-    );
+    splice(&mut catalog);
     snaps
         .write(
             snap.covered_seqno,
@@ -84,6 +62,39 @@ fn seed_bad_database(dir: &Path) {
             &catalog.encode(&free_list),
         )
         .unwrap();
+}
+
+/// Appends `sequence` to `catalog` as a new edited image, unchecked.
+fn splice_edited(catalog: &mut Catalog, sequence: EditSequence) -> ImageId {
+    let id = catalog.allocate_id();
+    catalog.insert(id, CatalogEntry::edited(Arc::new(sequence)));
+    id
+}
+
+/// The error-level defects a catalog that keeps the reference rule can
+/// still hold.
+fn seed_bad_database(dir: &Path) {
+    seed_database(dir, |catalog| {
+        let base = ImageId::new(1);
+        // E005: a crop to a statically empty region.
+        splice_edited(
+            catalog,
+            EditSequence::builder(base)
+                .define(Rect::new(3, 3, 3, 3))
+                .crop_to_region()
+                .build(),
+        );
+        // E007: a projective transform.
+        let mut projective = Matrix3::IDENTITY;
+        projective.m[2] = [0.01, 0.0, 1.0];
+        splice_edited(
+            catalog,
+            EditSequence::builder(base)
+                .define(Rect::new(0, 0, 4, 4))
+                .mutate(projective)
+                .build(),
+        );
+    });
 }
 
 #[test]
@@ -99,8 +110,8 @@ fn lint_reports_seeded_defects_and_exits_nonzero() {
         !out.status.success(),
         "lint must exit nonzero on errors:\n{stdout}\n{stderr}"
     );
-    assert!(stdout.contains("E002"), "dangling merge target:\n{stdout}");
-    assert!(stdout.contains("E004"), "reference cycle:\n{stdout}");
+    assert!(stdout.contains("E005"), "empty crop:\n{stdout}");
+    assert!(stdout.contains("E007"), "projective mutate:\n{stdout}");
     assert!(stdout.contains("W101"), "dead define:\n{stdout}");
     assert!(stderr.contains("error-level diagnostic"), "{stderr}");
 
@@ -108,7 +119,7 @@ fn lint_reports_seeded_defects_and_exits_nonzero() {
     let out = mmdbctl(&["lint", "--db", db_s, "--format", "json"]);
     assert!(!out.status.success());
     let json = String::from_utf8_lossy(&out.stdout);
-    for code in ["E002", "E004", "W101"] {
+    for code in ["E005", "E007", "W101"] {
         assert!(json.contains(&format!("\"code\":\"{code}\"")), "{json}");
     }
 
@@ -116,10 +127,62 @@ fn lint_reports_seeded_defects_and_exits_nonzero() {
     let out = mmdbctl(&["verify", "--db", db_s]);
     assert!(!out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("E002"), "{stdout}");
-    assert!(stdout.contains("E004"), "{stdout}");
+    assert!(stdout.contains("E005"), "{stdout}");
+    assert!(stdout.contains("E007"), "{stdout}");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A dangling merge target or a reference cycle spliced into the snapshot
+/// is not a lint finding but a catalog that fails to decode: `lint` and
+/// `verify` refuse the directory naming the entry, and `fsck` reports it
+/// as `F011`.
+#[test]
+fn spliced_reference_defects_refuse_to_open() {
+    type Splice = fn(&mut Catalog) -> ImageId;
+    let cases: [(&str, Splice); 2] = [
+        ("dangling", |catalog| {
+            splice_edited(
+                catalog,
+                EditSequence::builder(ImageId::new(1))
+                    .define(Rect::new(0, 0, 4, 4))
+                    .merge_into(ImageId::new(9999), 0, 0)
+                    .build(),
+            )
+        }),
+        ("cycle", |catalog| {
+            let (a, b) = (catalog.allocate_id(), catalog.allocate_id());
+            for (id, base) in [(a, b), (b, a)] {
+                let sequence = EditSequence::builder(base).blur().build();
+                catalog.insert(id, CatalogEntry::edited(Arc::new(sequence)));
+            }
+            a
+        }),
+    ];
+    for (tag, splice) in cases {
+        let dir = temp_db(tag);
+        let mut spliced = None;
+        seed_database(&dir, |catalog| spliced = Some(splice(catalog)));
+        let entry = format!("catalog entry {}", spliced.unwrap());
+        let db_s = dir.to_str().unwrap();
+        for command in ["lint", "verify"] {
+            let out = mmdbctl(&[command, "--db", db_s]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{tag}: {command} opened");
+            assert!(
+                stderr.contains("corrupt") && stderr.contains(&entry),
+                "{tag}: {stderr}"
+            );
+        }
+        let out = mmdbctl(&["fsck", db_s]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!out.status.success(), "{tag}: {stdout}");
+        assert!(
+            stdout.contains("F011") && stdout.contains(&entry),
+            "{tag}: {stdout}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

@@ -63,7 +63,7 @@ impl CatalogEntry {
 /// `(id - 1) % classes`. A catalog configured with
 /// [`Catalog::set_stride`]`(phase, classes)` only allocates ids of class
 /// `phase`, so this is the one routing rule of a sharded deployment — the
-/// facade's shard lookup and the engine's reference check both call it.
+/// facade's shard lookup and [`Catalog::check_refs`] both call it.
 pub fn id_class(id: ImageId, classes: usize) -> usize {
     (id.raw().wrapping_sub(1) % classes as u64) as usize
 }
@@ -176,7 +176,8 @@ impl Catalog {
         self.entries.is_empty()
     }
 
-    /// Inserts an entry under `id`.
+    /// Inserts an entry under `id`. The reference rule is the caller's
+    /// ([`Catalog::check_refs`]).
     ///
     /// # Panics
     /// Panics when `id` is already cataloged (ids come from
@@ -197,9 +198,48 @@ impl Catalog {
         self.entries.get(&id)
     }
 
+    /// The reference rule for storing `sequence`: everything it names — the
+    /// base, so Figure 1 clusters it under the base's histogram, and every
+    /// merge target, so a scan resolves it under this shard's lock alone —
+    /// is a cataloged binary image in this catalog's id class. Every path
+    /// that adds an edited image checks it: ingest, WAL replay and snapshot
+    /// decode.
+    pub fn check_refs(&self, sequence: &EditSequence) -> Result<()> {
+        let targets = sequence.ops.iter().filter_map(EditOp::merge_target);
+        let refs =
+            std::iter::once(("base", sequence.base)).chain(targets.map(|t| ("merge target", t)));
+        for (role, rid) in refs {
+            let reason = if id_class(rid, self.stride as usize) != self.phase as usize {
+                format!("{role} must be stored on this shard")
+            } else {
+                match self.get(rid).map(CatalogEntry::kind) {
+                    Some(StoredKind::Binary) => continue,
+                    Some(StoredKind::Edited) => format!("{role} must be a binary image"),
+                    None => format!("{role} does not exist"),
+                }
+            };
+            return Err(StorageError::InvalidReference { id: rid, reason });
+        }
+        Ok(())
+    }
+
+    /// The rule for deleting `id`: it is cataloged, and no stored edited
+    /// image names it ([`Catalog::referrers`], O(1)). Ids are never reused,
+    /// so an image that passes stays answerable for as long as it is stored.
+    pub fn check_delete(&self, id: ImageId) -> Result<()> {
+        if self.get(id).is_none() {
+            return Err(StorageError::NotFound(id));
+        }
+        match self.referrers(id) {
+            0 => Ok(()),
+            dependents => Err(StorageError::StillReferenced { id, dependents }),
+        }
+    }
+
     /// Removes an entry, unlinking provenance and references. Returns the
-    /// removed payload. Nothing is checked: the engine refuses to delete a
-    /// referenced image, but WAL replay removes what the log says.
+    /// removed payload. The reference rule is the caller's
+    /// ([`Catalog::check_delete`]): compaction removes and re-inserts
+    /// referenced binary images.
     pub fn remove(&mut self, id: ImageId) -> Option<CatalogEntry> {
         let entry = self.entries.remove(&id)?;
         if let CatalogEntry::Edited { sequence, .. } = &entry {
@@ -315,8 +355,17 @@ impl Catalog {
         let count = r.u32("entry count")? as usize;
         let mut catalog = Catalog::new(qdesc);
         catalog.next_id = next_id;
+        let mut last = None;
         for _ in 0..count {
             let id = ImageId::new(r.u64("entry id")?);
+            // `encode` writes ascending ids, so a repeat is the first id
+            // not above its predecessor.
+            if last >= Some(id) {
+                return Err(StorageError::Corrupt(format!(
+                    "duplicate or out-of-order catalog id {id}"
+                )));
+            }
+            last = Some(id);
             let entry = match r.u8("entry tag")? {
                 0 => {
                     let blob = BlobRef {
@@ -349,6 +398,11 @@ impl Catalog {
                     let seq = seq_codec::decode(r.take(len, "sequence bytes")?).map_err(|e| {
                         StorageError::Corrupt(format!("bad edit sequence for {id}: {e}"))
                     })?;
+                    // Entries come in ascending id order and a referenced
+                    // image is always older than its referrer.
+                    catalog
+                        .check_refs(&seq)
+                        .map_err(|e| StorageError::Corrupt(format!("catalog entry {id}: {e}")))?;
                     CatalogEntry::edited(Arc::new(seq))
                 }
                 other => {
@@ -537,6 +591,44 @@ mod tests {
             Catalog::decode(&bytes),
             Err(StorageError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn decode_rejects_a_duplicate_id() {
+        let mut c = sample_catalog();
+        let full = c.encode(&[]);
+        c.remove(ImageId::new(4));
+        let last = &full[c.encode(&[]).len()..];
+        let mut bytes = full.clone();
+        bytes.extend_from_slice(last);
+        let count_off = 8 + 2 + c.quantizer_desc().len() + 8 + 4;
+        bytes[count_off..count_off + 4].copy_from_slice(&5u32.to_le_bytes());
+        match Catalog::decode(&bytes) {
+            Err(StorageError::Corrupt(msg)) => assert!(msg.contains("duplicate"), "{msg}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|(c, _)| c.len())),
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_dangling_reference() {
+        let mut c = sample_catalog();
+        let orphan = c.allocate_id();
+        let missing = ImageId::new(99);
+        c.insert(
+            orphan,
+            CatalogEntry::edited(Arc::new(EditSequence::builder(missing).blur().build())),
+        );
+        assert!(matches!(
+            c.check_refs(&EditSequence::builder(missing).build()),
+            Err(StorageError::InvalidReference { id, .. }) if id == missing
+        ));
+        match Catalog::decode(&c.encode(&[])) {
+            Err(StorageError::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("{orphan}")), "{msg}");
+                assert!(msg.contains("does not exist"), "{msg}");
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|(c, _)| c.len())),
+        }
     }
 
     #[test]

@@ -221,6 +221,9 @@ pub fn decode_record(bytes: &[u8]) -> Result<OwnedWalRecord> {
 /// Replay rebuilds exactly what the original run did: blob bytes come from
 /// the record itself, histograms are re-extracted (extraction is
 /// deterministic), and the id allocator is advanced past every replayed id.
+/// A record the engine would have refused — an insert naming what is not a
+/// stored binary image, a delete of a referenced image — is `Corrupt`, so a
+/// log that breaks the reference rule fails `open` instead of every query.
 pub(crate) fn apply_record(
     catalog: &mut Catalog,
     blobs: &mut BlobStore,
@@ -231,6 +234,7 @@ pub(crate) fn apply_record(
     let dup = |id: ImageId| {
         StorageError::Corrupt(format!("WAL record {seqno} re-inserts existing id {id}"))
     };
+    let refused = |e: StorageError| StorageError::Corrupt(format!("WAL record {seqno}: {e}"));
     match decode_record(payload)? {
         OwnedWalRecord::InsertBinary {
             id,
@@ -267,18 +271,16 @@ pub(crate) fn apply_record(
             if catalog.get(id).is_some() {
                 return Err(dup(id));
             }
+            catalog.check_refs(&sequence).map_err(refused)?;
             catalog.note_allocated(id);
             catalog.insert(id, CatalogEntry::edited(Arc::new(sequence)));
         }
-        OwnedWalRecord::Delete { id } => match catalog.remove(id) {
-            None => {
-                return Err(StorageError::Corrupt(format!(
-                    "WAL record {seqno} deletes unknown id {id}"
-                )))
+        OwnedWalRecord::Delete { id } => {
+            catalog.check_delete(id).map_err(refused)?;
+            if let Some(CatalogEntry::Binary { blob, .. }) = catalog.remove(id) {
+                blobs.delete(blob);
             }
-            Some(CatalogEntry::Binary { blob, .. }) => blobs.delete(blob),
-            Some(CatalogEntry::Edited { .. }) => {}
-        },
+        }
     }
     Ok(())
 }

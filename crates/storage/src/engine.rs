@@ -1,7 +1,7 @@
 //! The storage engine facade.
 
 use crate::blobstore::BlobStore;
-use crate::catalog::{id_class, Catalog, CatalogEntry, StoredKind};
+use crate::catalog::{Catalog, CatalogEntry, StoredKind};
 use crate::durability::{
     apply_record, blob_file_name, gc_blob_generations, map_durable, DurabilityOptions,
     RecoveryInfo, WalRecord,
@@ -533,9 +533,10 @@ impl StorageEngine {
     /// and every merge target must already be stored as *binary* images on
     /// this shard — the paper's model derives edited images from originals,
     /// the rule engine needs exact histograms for every referenced image, and
-    /// a scan reads them under this shard's lock alone. A reference outside
-    /// this shard's id class is refused without looking anywhere else. The
-    /// sequence is also **validated** by the static analyzer
+    /// a scan reads them under this shard's lock alone
+    /// ([`Catalog::check_refs`]). A reference outside this shard's id class
+    /// is refused without looking anywhere else. The sequence is also
+    /// **validated** by the static analyzer
     /// (well-formedness, dead ops, soundness audit): any Error-level
     /// diagnostic refuses the insert, which guarantees every stored edited
     /// image is processable by RBM, BWM and the executor alike. Warn/Note
@@ -552,37 +553,9 @@ impl StorageEngine {
                 );
             }
         };
-        let refs = || {
-            std::iter::once(("base", sequence.base)).chain(
-                sequence
-                    .merge_targets()
-                    .into_iter()
-                    .map(|t| ("merge target", t)),
-            )
-        };
-        // Everything the sequence names is on this shard — the base, so
-        // Figure 1 clusters the image under the base's histogram here, and
-        // every merge target, so a scan of this shard resolves it and a
-        // delete of it moves this shard's epoch.
-        let check_refs = |inner: &Inner| -> Result<()> {
-            let (phase, stride) = inner.catalog.id_stride();
-            for (role, rid) in refs() {
-                let reason = if id_class(rid, stride as usize) != phase as usize {
-                    format!("{role} must be stored on this shard")
-                } else {
-                    match inner.catalog.get(rid).map(CatalogEntry::kind) {
-                        Some(StoredKind::Binary) => continue,
-                        Some(StoredKind::Edited) => format!("{role} must be a binary image"),
-                        None => format!("{role} does not exist"),
-                    }
-                };
-                return Err(StorageError::InvalidReference { id: rid, reason });
-            }
-            Ok(())
-        };
         // Phase 1 (no exclusive lock held): reference check + static
         // analysis.
-        check_refs(&self.inner.read())?;
+        self.inner.read().catalog.check_refs(&sequence)?;
         let analyzer = Analyzer::with_resolver(self.quantizer.as_ref(), self.background, self);
         let analysis = analyzer.analyze_sequence(&sequence);
         mmdb_analysis::record_diagnostics(&analysis.diagnostics);
@@ -606,7 +579,7 @@ impl StorageEngine {
         // Phase 2: re-verify references under the exclusive lock (a
         // concurrent delete may have raced phase 1), then insert.
         let mut inner = self.inner.write();
-        check_refs(&inner)?;
+        inner.catalog.check_refs(&sequence)?;
         let id = inner.catalog.allocate_id();
         self.log_mutation(&WalRecord::InsertEdited {
             id,
@@ -793,17 +766,10 @@ impl StorageEngine {
 
     /// Deletes `id`. A binary image that a stored edited image names — as
     /// its base or as a merge target — is refused with
-    /// [`StorageError::StillReferenced`], read from the catalog's referrer
-    /// count in O(1).
+    /// [`StorageError::StillReferenced`] ([`Catalog::check_delete`], O(1)).
     pub fn delete(&self, id: ImageId) -> Result<()> {
         let mut inner = self.inner.write();
-        if inner.catalog.get(id).is_none() {
-            return Err(StorageError::NotFound(id));
-        }
-        let dependents = inner.catalog.referrers(id);
-        if dependents > 0 {
-            return Err(StorageError::StillReferenced { id, dependents });
-        }
+        inner.catalog.check_delete(id)?;
         self.log_mutation(&WalRecord::Delete { id })?;
         match inner.catalog.remove(id) {
             Some(CatalogEntry::Binary { blob, .. }) => {

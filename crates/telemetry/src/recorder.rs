@@ -28,8 +28,6 @@ pub enum EventKind {
     QueryEnd,
     /// A query exceeded the configured slow-query threshold.
     SlowQuery,
-    /// Removing a base image orphaned edited images back to Unclassified.
-    BwmReclassified,
     /// An edit-sequence insert passed ingest validation.
     IngestAccepted,
     /// An edit-sequence insert was rejected; detail lists the lint codes.
@@ -66,7 +64,6 @@ impl EventKind {
             EventKind::QueryStart => "query_start",
             EventKind::QueryEnd => "query_end",
             EventKind::SlowQuery => "slow_query",
-            EventKind::BwmReclassified => "bwm_reclassified",
             EventKind::IngestAccepted => "ingest_accepted",
             EventKind::IngestRejected => "ingest_rejected",
             EventKind::CacheEviction => "cache_eviction",
