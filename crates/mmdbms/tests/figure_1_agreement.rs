@@ -11,7 +11,11 @@
 //!   all its operations are bound-widening, the Unclassified Component
 //!   otherwise — with ids ascending in each;
 //! * the program kept for it equals a fresh compile of its stored sequence.
+//!
+//! And a scan's work counters are a recount of the images it scanned,
+//! bounded one operation at a time.
 
+use mmdbms::bwm::BwmQueryStats;
 use mmdbms::datagen::flags::FlagGenerator;
 use mmdbms::datagen::VariantConfig;
 use mmdbms::prelude::*;
@@ -215,5 +219,91 @@ fn an_edited_image_is_stored_on_its_base_s_shard_or_not_at_all() {
     for plan in [QueryPlan::Rbm, QueryPlan::Bwm] {
         let out = db.query_range_with_plan(&everything, plan).unwrap();
         assert_eq!(out.sorted_results(), vec![base, target], "plan={plan}");
+    }
+}
+
+/// A BWM or RBM scan's counters — BOUNDS computed, operations processed per
+/// kind, ranges widened, shortcut emissions — and its results equal a
+/// recount over the stored sequences whose bounds come from `bounds_trace`,
+/// which applies one Table 1 rule per operation. The scan evaluates
+/// compiled programs, whose runs of widenings and recolorings are fused;
+/// no count may move with that.
+#[test]
+fn scan_counters_are_a_stepwise_recount() {
+    for shards in [1, 4] {
+        let db =
+            MultimediaDatabase::in_memory_sharded(Box::new(RgbQuantizer::default_64()), shards);
+        insert_flags(&db, 0..16);
+        let storage_of = |id| db.shard_storage(db.shard_of(id));
+        let queries = [
+            ColorRangeQuery::new(db.bin_of(Rgb::WHITE), 0.2, 0.6),
+            ColorRangeQuery::at_least(db.bin_of(Rgb::RED), 0.25),
+            ColorRangeQuery::at_most(db.bin_of(Rgb::BLUE), 0.1),
+            ColorRangeQuery::new(db.bin_of(Rgb::GREEN), 0.05, 0.3),
+        ];
+        let mut shortcut_and_widened = (0, 0);
+        for query in &queries {
+            for plan in [QueryPlan::Bwm, QueryPlan::Rbm] {
+                let when = format!("{shards} shards, {plan}, {query:?}");
+                let mut want = BwmQueryStats::default();
+                let mut results: Vec<ImageId> = db
+                    .binary_ids()
+                    .into_iter()
+                    .filter(|&id| {
+                        let histogram = storage_of(id).histogram(id).unwrap();
+                        query.matches_fraction(histogram.fraction(query.bin))
+                    })
+                    .collect();
+                for id in db.edited_ids() {
+                    let storage = storage_of(id);
+                    let sequence = storage.edit_sequence(id).unwrap();
+                    let base = storage.histogram(sequence.base).unwrap();
+                    if plan == QueryPlan::Bwm
+                        && sequence.all_bound_widening()
+                        && query.matches_fraction(base.fraction(query.bin))
+                    {
+                        want.shortcut_emissions += 1;
+                        results.push(id);
+                        continue;
+                    }
+                    let engine = RuleEngine::with_background(
+                        storage.quantizer(),
+                        RuleProfile::Conservative,
+                        storage.background(),
+                    );
+                    let trace = engine.bounds_trace(&sequence, storage).unwrap();
+                    let bounds = trace.last().unwrap()[query.bin];
+                    want.bounds_computed += 1;
+                    want.ops_processed += sequence.len();
+                    for (slot, (_, n)) in want
+                        .rule_applications
+                        .iter_mut()
+                        .zip(sequence.kind_histogram())
+                    {
+                        *slot += n;
+                    }
+                    want.bounds_widened += usize::from(!bounds.is_exact());
+                    if bounds.overlaps_fraction(query.pct_min, query.pct_max) {
+                        results.push(id);
+                    }
+                }
+                results.sort_unstable();
+                let got = db.query_range_with_plan(query, plan).unwrap();
+                let stats = got.stats;
+                assert_eq!(stats.bounds_computed, want.bounds_computed, "{when}");
+                assert_eq!(stats.ops_processed, want.ops_processed, "{when}");
+                assert_eq!(stats.rule_applications, want.rule_applications, "{when}");
+                assert_eq!(stats.bounds_widened, want.bounds_widened, "{when}");
+                assert_eq!(stats.shortcut_emissions, want.shortcut_emissions, "{when}");
+                assert_eq!(got.sorted_results(), results, "{when}");
+                shortcut_and_widened.0 += want.shortcut_emissions;
+                shortcut_and_widened.1 += want.bounds_widened;
+            }
+        }
+        let (shortcuts, widened) = shortcut_and_widened;
+        assert!(
+            shortcuts > 0 && widened > 0,
+            "{shards} shards: {shortcut_and_widened:?}"
+        );
     }
 }

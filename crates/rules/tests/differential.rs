@@ -291,8 +291,8 @@ fn compile_captures_merge_targets() {
     ));
 }
 
-/// Steps that cannot move any bound are not stored: the program of a
-/// typical augmentation sequence is a few dozen bytes.
+/// Steps that cannot move any bound are not stored and do not end a run: the
+/// program of a typical augmentation sequence is a few dozen bytes.
 #[test]
 fn no_op_steps_are_elided() {
     let quant = RgbQuantizer::default_64();
@@ -319,5 +319,6 @@ fn no_op_steps_are_elided() {
         1,
         "only the first blur can move a bound"
     );
+    // The header and one run: its head word and two widenings, no `Modify`.
     assert_eq!(program.heap_bytes(), 36 + 12);
 }
