@@ -32,19 +32,12 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Every lint the analyzer can raise. The numeric code (`E001`, `W101`,
-/// `N201`, …) is part of the stable interface.
+/// Every lint the analyzer can raise. The numeric code (`E005`, `W101`,
+/// `N201`, …) is part of the stable interface. `E001`–`E004` are retired
+/// and never reused: a dangling, non-binary or cyclic reference is refused
+/// by the catalog itself, so no stored sequence can carry one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LintCode {
-    /// `E001` — the sequence's base image id is not in the catalog.
-    DanglingBase,
-    /// `E002` — a `Merge` target id is not in the catalog.
-    DanglingMergeTarget,
-    /// `E003` — a base or merge target resolves to an *edited* image;
-    /// references must point at binary images.
-    NonBinaryReference,
-    /// `E004` — the base/merge reference graph contains a cycle.
-    ReferenceCycle,
     /// `E005` — `Merge(NULL)` (crop) with a provably empty defined region;
     /// the executor rejects this.
     EmptyCrop,
@@ -110,11 +103,7 @@ pub enum LintCode {
 impl LintCode {
     /// Every code, in code order. Telemetry registers one counter per
     /// entry.
-    pub const ALL: [LintCode; 23] = [
-        LintCode::DanglingBase,
-        LintCode::DanglingMergeTarget,
-        LintCode::NonBinaryReference,
-        LintCode::ReferenceCycle,
+    pub const ALL: [LintCode; 19] = [
         LintCode::EmptyCrop,
         LintCode::CanvasOverflow,
         LintCode::NonAffineMutate,
@@ -136,13 +125,9 @@ impl LintCode {
         LintCode::ProfileDivergence,
     ];
 
-    /// The stable short code, e.g. `"E002"`.
+    /// The stable short code, e.g. `"E005"`.
     pub fn code(self) -> &'static str {
         match self {
-            LintCode::DanglingBase => "E001",
-            LintCode::DanglingMergeTarget => "E002",
-            LintCode::NonBinaryReference => "E003",
-            LintCode::ReferenceCycle => "E004",
             LintCode::EmptyCrop => "E005",
             LintCode::CanvasOverflow => "E006",
             LintCode::NonAffineMutate => "E007",
@@ -165,13 +150,9 @@ impl LintCode {
         }
     }
 
-    /// The stable kebab-case name, e.g. `"dangling-merge-target"`.
+    /// The stable kebab-case name, e.g. `"empty-crop"`.
     pub fn name(self) -> &'static str {
         match self {
-            LintCode::DanglingBase => "dangling-base",
-            LintCode::DanglingMergeTarget => "dangling-merge-target",
-            LintCode::NonBinaryReference => "non-binary-reference",
-            LintCode::ReferenceCycle => "reference-cycle",
             LintCode::EmptyCrop => "empty-crop",
             LintCode::CanvasOverflow => "canvas-overflow",
             LintCode::NonAffineMutate => "non-affine-mutate",
@@ -294,15 +275,12 @@ mod tests {
 
     #[test]
     fn display_format() {
-        let d = Diagnostic::new(
-            LintCode::DanglingMergeTarget,
-            "merge target img#99 does not exist",
-        )
-        .for_image(ImageId::new(7))
-        .at_op(3);
+        let d = Diagnostic::new(LintCode::EmptyCrop, "crop of an empty region")
+            .for_image(ImageId::new(7))
+            .at_op(3);
         let s = d.to_string();
-        assert!(s.contains("error[E002]"), "{s}");
-        assert!(s.contains("dangling-merge-target"), "{s}");
+        assert!(s.contains("error[E005]"), "{s}");
+        assert!(s.contains("empty-crop"), "{s}");
         assert!(s.contains("img#7"), "{s}");
         assert!(s.contains("op 3"), "{s}");
     }

@@ -15,31 +15,31 @@
 //!    both rule profiles: widening monotonicity, per-op `Combine`
 //!    containment, and the Table 1 `Combine` caveat flag.
 //!
-//! [`graph`] adds catalog-wide reference checks (dangling ids, non-binary
-//! references, base/merge cycles). Every finding is a [`Diagnostic`] with a
-//! stable [`LintCode`] and a [`Severity`]; [`analyze_catalog`] bundles all
-//! passes into the [`AnalysisReport`] behind `mmdbctl lint`.
+//! Every finding is a [`Diagnostic`] with a stable [`LintCode`] and a
+//! [`Severity`]; [`analyze_catalog`] runs all passes over a catalog's stored
+//! sequences into the [`AnalysisReport`] behind `mmdbctl lint`. References
+//! are not linted: the storage catalog refuses a sequence whose base or merge
+//! targets are not its own binary images, so none is ever stored.
 
 #![warn(missing_docs)]
 
 pub mod deadops;
 pub mod diagnostics;
-pub mod graph;
 pub mod report;
 pub mod soundness;
 pub mod wellformed;
 
 pub use deadops::{find_dead_ops, simplify, DeadOp, Simplified};
 pub use diagnostics::{Diagnostic, LintCode, Severity};
-pub use graph::{check_catalog, check_references, CatalogGraph, MapCatalogGraph, NodeKind};
 pub use report::AnalysisReport;
 pub use soundness::{audit_sequence, SoundnessAudit};
 
-use mmdb_editops::EditSequence;
+use mmdb_editops::{EditSequence, ImageId};
 use mmdb_histogram::Quantizer;
 use mmdb_imaging::Rgb;
 use mmdb_rules::InfoResolver;
 use mmdb_telemetry::counter;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The configured analyzer: quantizer + instantiation background (for the
@@ -97,8 +97,11 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Runs all per-sequence passes. Reference existence (`E001`–`E004`) is
-    /// the graph pass's job — see [`check_references`] / [`check_catalog`].
+    /// Runs all per-sequence passes. The soundness audit runs only when the
+    /// sequence's base and merge targets resolve: the catalog guarantees
+    /// that while the sequence is stored, but the analyzer does not hold
+    /// the catalog's lock, and a delete can land between ingest's two
+    /// reference checks or after a catalog lint has listed the sequence.
     pub fn analyze_sequence(&self, seq: &EditSequence) -> SequenceAnalysis {
         let mut diagnostics = wellformed::check(seq, self.resolver);
         let dead_ops = find_dead_ops(seq);
@@ -142,23 +145,17 @@ impl<'a> Analyzer<'a> {
     }
 }
 
-/// Analyzes every edited image in the catalog plus the reference graph,
+/// Analyzes a catalog's edited images, given as `(id, sequence)` pairs,
 /// recording run counts, latency, and per-lint counters in the global
 /// telemetry registry.
-pub fn analyze_catalog(graph: &dyn CatalogGraph, analyzer: &Analyzer<'_>) -> AnalysisReport {
+pub fn analyze_catalog(
+    sequences: impl IntoIterator<Item = (ImageId, Arc<EditSequence>)>,
+    analyzer: &Analyzer<'_>,
+) -> AnalysisReport {
     let start = Instant::now();
     counter!("mmdb_analysis_runs_total").inc();
-    let mut report = AnalysisReport {
-        diagnostics: check_catalog(graph),
-        ..AnalysisReport::default()
-    };
-    for id in graph.node_ids() {
-        if graph.node_kind(id) != Some(NodeKind::Edited) {
-            continue;
-        }
-        let Some(seq) = graph.node_sequence(id) else {
-            continue;
-        };
+    let mut report = AnalysisReport::default();
+    for (id, seq) in sequences {
         report.sequences_analyzed += 1;
         let analysis = analyzer.analyze_sequence(&seq);
         if let Some(audit) = &analysis.audit {
@@ -266,25 +263,33 @@ pub fn register_metrics() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_editops::{EditSequence, ImageId};
     use mmdb_histogram::{ColorHistogram, RgbQuantizer};
     use mmdb_imaging::{RasterImage, Rect};
     use mmdb_rules::{ImageInfo, MapInfoResolver};
 
-    fn setup() -> (MapInfoResolver, MapCatalogGraph, RgbQuantizer) {
+    fn setup() -> (MapInfoResolver, RgbQuantizer) {
         let q = RgbQuantizer::default_64();
         let img = RasterImage::filled(10, 10, Rgb::WHITE).unwrap();
         let hist = ColorHistogram::extract(&img, &q);
         let mut r = MapInfoResolver::new();
         r.insert(ImageId::new(1), ImageInfo::new(hist, 10, 10));
-        let mut g = MapCatalogGraph::new();
-        g.insert_binary(ImageId::new(1));
-        (r, g, q)
+        (r, q)
+    }
+
+    /// A sequence over base 1 with a dead `Define` (W101).
+    fn dead_define() -> Arc<EditSequence> {
+        Arc::new(
+            EditSequence::builder(ImageId::new(1))
+                .define(Rect::new(0, 0, 2, 2))
+                .define(Rect::new(0, 0, 4, 4))
+                .blur()
+                .build(),
+        )
     }
 
     #[test]
     fn clean_sequence_full_analysis() {
-        let (r, _, q) = setup();
+        let (r, q) = setup();
         let analyzer = Analyzer::with_resolver(&q, Rgb::BLACK, &r);
         let seq = EditSequence::builder(ImageId::new(1))
             .define(Rect::new(0, 0, 4, 4))
@@ -299,11 +304,10 @@ mod tests {
 
     #[test]
     fn audit_skipped_without_resolver_or_on_error() {
-        let (_, _, q) = setup();
+        let (r, q) = setup();
         let analyzer = Analyzer::new(&q, Rgb::BLACK);
         let seq = EditSequence::builder(ImageId::new(1)).build();
         assert!(analyzer.analyze_sequence(&seq).audit.is_none());
-        let (r, _, _) = setup();
         let analyzer = Analyzer::with_resolver(&q, Rgb::BLACK, &r);
         // Error-level finding (empty crop) suppresses the audit.
         let seq = EditSequence::builder(ImageId::new(1))
@@ -317,32 +321,28 @@ mod tests {
 
     #[test]
     fn analyze_catalog_combines_graph_and_sequence_passes() {
-        let (r, mut g, q) = setup();
-        // Dead Define (W101) in an otherwise healthy sequence.
-        g.insert_edited(
-            ImageId::new(2),
-            EditSequence::builder(ImageId::new(1))
-                .define(Rect::new(0, 0, 2, 2))
-                .define(Rect::new(0, 0, 4, 4))
-                .blur()
-                .build(),
-        );
-        // Dangling merge target (E002).
-        g.insert_edited(
-            ImageId::new(3),
-            EditSequence::builder(ImageId::new(1))
-                .define(Rect::new(0, 0, 4, 4))
-                .merge_into(ImageId::new(99), 0, 0)
-                .build(),
-        );
+        let (r, q) = setup();
+        // Crop of a statically empty region (E005).
+        let empty_crop = EditSequence::builder(ImageId::new(1))
+            .define(Rect::new(3, 3, 3, 3))
+            .crop_to_region()
+            .build();
+        let sequences = [
+            (ImageId::new(2), dead_define()),
+            (ImageId::new(3), Arc::new(empty_crop)),
+        ];
         let analyzer = Analyzer::with_resolver(&q, Rgb::BLACK, &r);
-        let report = analyze_catalog(&g, &analyzer);
+        let report = analyze_catalog(sequences, &analyzer);
         assert_eq!(report.sequences_analyzed, 2);
         assert!(report.has_errors());
-        let codes: Vec<LintCode> = report.diagnostics.iter().map(|d| d.code).collect();
-        assert!(codes.contains(&LintCode::DanglingMergeTarget));
-        assert!(codes.contains(&LintCode::DeadDefine));
-        // The dead-define sequence audits clean; the dangling one skips.
+        let found: Vec<(LintCode, Option<ImageId>)> = report
+            .diagnostics
+            .iter()
+            .map(|d| (d.code, d.image))
+            .collect();
+        assert!(found.contains(&(LintCode::EmptyCrop, Some(ImageId::new(3)))));
+        assert!(found.contains(&(LintCode::DeadDefine, Some(ImageId::new(2)))));
+        // The dead-define sequence audits clean; the erroring one skips.
         assert_eq!(report.audited, 1);
         assert_eq!(report.audits_clean, 1);
         // Errors sort before warnings.
@@ -374,17 +374,9 @@ mod tests {
     #[test]
     fn telemetry_counters_recorded() {
         register_metrics();
-        let (r, mut g, q) = setup();
-        g.insert_edited(
-            ImageId::new(2),
-            EditSequence::builder(ImageId::new(1))
-                .define(Rect::new(0, 0, 2, 2))
-                .define(Rect::new(0, 0, 4, 4))
-                .blur()
-                .build(),
-        );
+        let (r, q) = setup();
         let analyzer = Analyzer::with_resolver(&q, Rgb::BLACK, &r);
-        let _ = analyze_catalog(&g, &analyzer);
+        let _ = analyze_catalog([(ImageId::new(2), dead_define())], &analyzer);
         let text = mmdb_telemetry::global().render_prometheus();
         assert!(text.contains("mmdb_analysis_runs_total"), "{text}");
         assert!(

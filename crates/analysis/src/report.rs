@@ -146,7 +146,7 @@ mod tests {
                 Diagnostic::new(LintCode::DeadDefine, "never read")
                     .for_image(ImageId::new(5))
                     .at_op(1),
-                Diagnostic::new(LintCode::DanglingMergeTarget, "merge target img#9 \"gone\"")
+                Diagnostic::new(LintCode::EmptyCrop, "crop of img#9 \"gone\"")
                     .for_image(ImageId::new(4))
                     .at_op(2),
             ],
@@ -163,13 +163,13 @@ mod tests {
         assert_eq!(r.note_count(), 0);
         assert!(r.has_errors());
         // Errors sort first.
-        assert_eq!(r.diagnostics[0].code, LintCode::DanglingMergeTarget);
+        assert_eq!(r.diagnostics[0].code, LintCode::EmptyCrop);
     }
 
     #[test]
     fn text_render() {
         let text = sample().render_text();
-        assert!(text.contains("error[E002]"), "{text}");
+        assert!(text.contains("error[E005]"), "{text}");
         assert!(text.contains("warn[W101]"), "{text}");
         assert!(text.contains("3 sequence(s) analyzed"), "{text}");
     }
@@ -178,7 +178,7 @@ mod tests {
     fn json_render_escapes() {
         let json = sample().render_json();
         assert!(json.contains("\"errors\":1"), "{json}");
-        assert!(json.contains("\"code\":\"E002\""), "{json}");
+        assert!(json.contains("\"code\":\"E005\""), "{json}");
         assert!(json.contains("img#9 \\\"gone\\\""), "{json}");
         assert!(json.contains("\"image\":4"), "{json}");
         // Balanced braces as a crude well-formedness check.

@@ -7,10 +7,12 @@
 //! only hit at instantiation time: crops of an empty region, canvas growth
 //! past the pixel cap, and pastes landing entirely outside their target.
 //!
-//! Reference existence/kind checks (`E001`–`E004`) are deliberately *not*
-//! here: they belong to the catalog graph pass ([`crate::graph`]), so a
-//! missing resolver entry merely degrades geometric precision instead of
-//! double-reporting.
+//! Reference existence and kind are not checked here or anywhere in this
+//! crate: the storage catalog refuses a dangling, non-binary or cyclic
+//! reference on every path that adds an edited image (`Catalog::check_refs`),
+//! so a stored sequence's names resolve. A missing resolver entry (a
+//! standalone sequence, or an image deleted mid-analysis) merely degrades
+//! geometric precision.
 
 use crate::diagnostics::{Diagnostic, LintCode};
 use mmdb_editops::{EditOp, EditSequence, Frame, GeometryError, Motion};

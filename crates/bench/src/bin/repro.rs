@@ -457,7 +457,7 @@ fn run_storage(cfg: &SweepConfig) {
 }
 
 fn run_lint(cfg: &SweepConfig) {
-    use mmdbms::analysis::{analyze_catalog, Analyzer, Severity};
+    use mmdbms::analysis::Severity;
     println!();
     println!("Lint — static analysis throughput over generated catalogs");
     print_rule(76);
@@ -468,9 +468,8 @@ fn run_lint(cfg: &SweepConfig) {
             .pct_edited(0.8)
             .seed(cfg.seed)
             .build();
-        let analyzer = Analyzer::with_resolver(db.quantizer(), db.background(), &db);
         let start = std::time::Instant::now();
-        let report = analyze_catalog(&db, &analyzer);
+        let report = db.lint();
         let elapsed = start.elapsed();
         let warns = report
             .diagnostics

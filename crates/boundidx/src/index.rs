@@ -9,9 +9,7 @@ use mmdb_bwm::SequenceStore;
 use mmdb_editops::ImageId;
 use mmdb_histogram::Quantizer;
 use mmdb_imaging::Rgb;
-use mmdb_rules::{
-    BoundRange, ColorRangeQuery, InfoResolver, Result, RuleEngine, RuleError, RuleProfile,
-};
+use mmdb_rules::{BoundRange, ColorRangeQuery, InfoResolver, Result, RuleEngine, RuleProfile};
 use mmdb_telemetry::{counter, gauge, histogram};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -114,12 +112,12 @@ impl BoundIndex {
         self.last_synced_at.elapsed()
     }
 
-    /// Bulk build over the full catalog, stamping the result with `epoch`
-    /// (capture the storage epoch *before* reading the id lists — a
-    /// concurrent mutation then leaves the stamp behind the real epoch and
-    /// the next lookup re-syncs, never the reverse). Edited images' bounds
-    /// vectors are computed on `threads` scoped workers, each with
-    /// its own rule engine.
+    /// Bulk build over the full catalog, stamping the result with `epoch`.
+    /// The id lists, `resolver` and `store` must be one snapshot of the
+    /// catalog (a storage `ReadView`), and `epoch` the epoch it was taken
+    /// at: every listed id then resolves, and an id that does not is an
+    /// error. Edited images' bounds vectors are computed on `threads`
+    /// scoped workers, each with its own rule engine.
     #[allow(clippy::too_many_arguments)]
     pub fn build<R, S>(
         profile: RuleProfile,
@@ -143,9 +141,7 @@ impl BoundIndex {
 
         let mut pending: Vec<Vec<IntervalEntry>> = vec![Vec::new(); bin_count];
         for &id in binary {
-            let Some(bounds) = unless_vanished(id, binary_entry(id, bin_count, resolver))? else {
-                continue;
-            };
+            let bounds = binary_entry(id, bin_count, resolver)?;
             stage_entry(&mut pending, id, &bounds);
             idx.entries.insert(id, bounds);
         }
@@ -176,7 +172,8 @@ impl BoundIndex {
     }
 
     /// Incremental synchronization to the catalog state captured by
-    /// `epoch`/`binary`/`edited`: removes the entries of deleted images,
+    /// `epoch`/`binary`/`edited` (one snapshot with `resolver` and `store`,
+    /// as for [`BoundIndex::build`]): removes the entries of deleted images,
     /// then computes entries for every image not resident. Returns what was
     /// done for tracing.
     #[allow(clippy::too_many_arguments)]
@@ -213,22 +210,17 @@ impl BoundIndex {
         let mut fresh: Vec<(ImageId, Vec<BoundRange>)> = Vec::new();
         for &id in binary {
             if !self.entries.contains_key(&id) {
-                if let Some(bounds) = unless_vanished(id, binary_entry(id, bin_count, resolver))? {
-                    fresh.push((id, bounds));
-                    stats.added += 1;
-                }
+                fresh.push((id, binary_entry(id, bin_count, resolver)?));
+                stats.added += 1;
             }
         }
         let engine = RuleEngine::with_background(quantizer, self.profile, background);
         for &id in edited {
             if !self.entries.contains_key(&id) {
-                let bounds = edited_entry(&engine, id, resolver, store);
-                if let Some(bounds) = unless_vanished(id, bounds)? {
-                    fresh.push((id, bounds));
-                    counter!("mmdb_boundidx_misses_total").inc();
-                    stats.added += 1;
-                    stats.recomputed += 1;
-                }
+                fresh.push((id, edited_entry(&engine, id, resolver, store)?));
+                counter!("mmdb_boundidx_misses_total").inc();
+                stats.added += 1;
+                stats.recomputed += 1;
             }
         }
         if fresh.len() < BATCH_SYNC_THRESHOLD {
@@ -357,18 +349,6 @@ impl crate::EpochStamped for BoundIndex {
     }
 }
 
-/// The entry of an image the caller listed a moment ago, or `None` when the
-/// image itself has been deleted since: it simply is not indexed. (The
-/// stamp was captured before the listing, so the delete's epoch bump already
-/// forces the next lookup to re-sync.) A missing *referenced* image is still
-/// an error.
-fn unless_vanished<T>(id: ImageId, entry: Result<T>) -> Result<Option<T>> {
-    match entry {
-        Err(RuleError::UnknownImage(missing)) if missing == id => Ok(None),
-        entry => entry.map(Some),
-    }
-}
-
 fn binary_entry<R>(id: ImageId, bin_count: usize, resolver: &R) -> Result<Vec<BoundRange>>
 where
     R: InfoResolver,
@@ -406,10 +386,7 @@ where
     S: SequenceStore,
 {
     ids.iter()
-        .filter_map(|&id| {
-            let entry = unless_vanished(id, edited_entry(engine, id, resolver, store));
-            entry.map(|e| e.map(|e| (id, e))).transpose()
-        })
+        .map(|&id| Ok((id, edited_entry(engine, id, resolver, store)?)))
         .collect()
 }
 

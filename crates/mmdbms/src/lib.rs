@@ -557,23 +557,17 @@ impl MultimediaDatabase {
         Ok(())
     }
 
-    /// Runs the static analyzer over the whole catalog: reference-graph
-    /// checks (dangling ids, cycles), per-sequence well-formedness, dead-op
-    /// detection, and the bound-soundness audit. This is the library entry
-    /// point behind `mmdbctl lint`; run counts, latency, and per-lint
-    /// counters land in [`MultimediaDatabase::metrics`].
+    /// Runs the static analyzer over every shard's stored sequences
+    /// ([`StorageEngine::lint`]): per-sequence well-formedness, dead-op
+    /// detection, and the bound-soundness audit. References are not
+    /// linted: a shard refuses a sequence that names anything but its own
+    /// binary images. This is the library entry point behind `mmdbctl lint`;
+    /// run counts, latency, and per-lint counters land in
+    /// [`MultimediaDatabase::metrics`].
     pub fn lint(&self) -> mmdb_analysis::AnalysisReport {
         let mut merged = mmdb_analysis::AnalysisReport::default();
         for shard in self.shards.iter() {
-            // Each shard lints its own slice of the catalog against its own
-            // images: everything an edited image names is on its shard, so
-            // a reference the shard cannot resolve is dangling.
-            let analyzer = mmdb_analysis::Analyzer::with_resolver(
-                shard.storage.quantizer(),
-                shard.storage.background(),
-                &*shard.storage,
-            );
-            let report = mmdb_analysis::analyze_catalog(&*shard.storage, &analyzer);
+            let report = shard.storage.lint();
             merged.sequences_analyzed += report.sequences_analyzed;
             merged.audited += report.audited;
             merged.audits_clean += report.audits_clean;

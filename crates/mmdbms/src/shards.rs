@@ -69,9 +69,11 @@ impl Shard {
     /// (`synced_epoch == current_epoch` of this shard's engine), building or
     /// incrementally re-syncing the slot first when needed.
     ///
-    /// The epoch is captured *before* the id lists are read: a mutation that
-    /// races the snapshot leaves the stamp behind the real epoch, so the next
-    /// query re-syncs — stale entries are never served.
+    /// A build or sync reads one [`StorageEngine::read_view`]: the ids, the
+    /// histograms and the programs all come from one catalog state, and
+    /// the epoch read under the view is that state's (a bump needs the
+    /// engine's write lock). Lock order is slot → view; the view is dropped
+    /// before `f` runs, and nothing takes a slot while holding a view.
     fn with_bound_index<T>(&self, mut f: impl FnMut(&BoundIndex, SyncStats) -> T) -> Result<T> {
         let storage = &self.storage;
         let slot = &self.bound_index;
@@ -81,34 +83,44 @@ impl Shard {
         }
         // Slow path: build or re-sync under the write lock, then serve under
         // it (this lock has no downgrade; the next query takes the read fast
-        // path above). The epoch is captured before `binary_ids`/`edited_ids`
-        // so a racing mutation leaves the stamp behind, never ahead; the ids
-        // are listed only by the arms that read them, so a reader that lost
-        // the race to a writer who already synced lists nothing.
+        // path above). The ids are listed only by the arms that read them,
+        // so a reader that lost the race to a writer who already synced
+        // lists nothing.
         let mut guard = slot.write();
+        let view = storage.read_view();
         let epoch = storage.current_epoch();
+        let listed = || -> (Vec<ImageId>, Vec<ImageId>) {
+            (
+                view.binaries().map(|(id, _)| id).collect(),
+                view.edited().collect(),
+            )
+        };
         let stats = match guard.as_mut() {
             Some(idx) if idx.synced_epoch() == epoch => SyncStats::default(),
-            Some(idx) => idx.sync(
-                epoch,
-                &storage.binary_ids(),
-                &storage.edited_ids(),
-                storage.quantizer(),
-                storage.background(),
-                &**storage,
-                &**storage,
-            )?,
+            Some(idx) => {
+                let (binary, edited) = listed();
+                idx.sync(
+                    epoch,
+                    &binary,
+                    &edited,
+                    storage.quantizer(),
+                    storage.background(),
+                    &view,
+                    &view,
+                )?
+            }
             None => {
+                let (binary, edited) = listed();
                 let threads =
                     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
                 let built = BoundIndex::build(
                     RuleProfile::Conservative,
                     storage.quantizer(),
                     storage.background(),
-                    &storage.binary_ids(),
-                    &storage.edited_ids(),
-                    &**storage,
-                    &**storage,
+                    &binary,
+                    &edited,
+                    &view,
+                    &view,
                     epoch,
                     threads,
                 )?;
@@ -116,6 +128,7 @@ impl Shard {
                 SyncStats::default()
             }
         };
+        drop(view);
         Ok(f(guard.as_ref().expect("slot populated above"), stats))
     }
 }

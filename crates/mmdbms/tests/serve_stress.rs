@@ -55,7 +55,8 @@ fn stress(shards: usize) {
     // Mutator: churn inserts and deletes through the same shared handle the
     // server's workers are querying. Each round also stores and deletes an
     // *edited* image, so the bound-interval index sees the full invalidation
-    // surface (epoch bumps, entry removal, reference-graph links) mid-query.
+    // surface (epoch bumps, entry removal of binary and edited images)
+    // mid-query.
     let mutator = {
         let db = Arc::clone(&db);
         let done = Arc::clone(&done);

@@ -353,24 +353,28 @@ impl<'db> QueryProcessor<'db> {
 
     /// Bulk-builds (parallel, scoped workers) and attaches the
     /// bound-interval index for this processor's profile, enabling
-    /// [`QueryProcessor::range_indexed`].
+    /// [`QueryProcessor::range_indexed`]. The build reads one
+    /// [`StorageEngine::read_view`], stamped with the epoch read under it.
     ///
     /// # Errors
     /// Propagates rule-engine failures from the BOUNDS computations.
     pub fn build_bound_index(&mut self) -> Result<()> {
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let epoch = self.db.current_epoch();
+        let view = self.db.read_view();
+        let binary: Vec<ImageId> = view.binaries().map(|(id, _)| id).collect();
+        let edited: Vec<ImageId> = view.edited().collect();
         let index = BoundIndex::build(
             self.profile,
             self.db.quantizer(),
             self.db.background(),
-            &self.db.binary_ids(),
-            &self.db.edited_ids(),
-            self.db,
-            self.db,
-            epoch,
+            &binary,
+            &edited,
+            &view,
+            &view,
+            self.db.current_epoch(),
             threads,
         )?;
+        drop(view);
         self.boundidx = Some(index);
         Ok(())
     }

@@ -51,6 +51,12 @@ pub struct KnnOutcome {
     pub stats: KnnStats,
 }
 
+/// How far [`l1_lower_bound`] may exceed the exact distance it bounds: the
+/// two sum the same per-bin fractions rounded differently (`min / total`
+/// against `count * (1 / total)`), a few ulps apart. Pruning only beyond
+/// this margin keeps the search exact.
+const PRUNE_SLACK: f64 = 1e-9;
+
 /// The L1 lower bound for a query signature against per-bin fraction bounds.
 pub fn l1_lower_bound(query_signature: &[f64], bounds: &[BoundRange]) -> f64 {
     debug_assert_eq!(query_signature.len(), bounds.len());
@@ -111,7 +117,7 @@ pub fn knn_augmented(
         let tau = kth_distance(&best, k);
         let bounds = program.eval_vector(RuleProfile::Conservative, &base.histogram);
         let lower = l1_lower_bound(&query_sig, &bounds);
-        if lower >= tau {
+        if lower > tau + PRUNE_SLACK {
             stats.edited_pruned += 1;
             continue;
         }

@@ -10,7 +10,7 @@ use crate::epoch::MutationEpoch;
 use crate::error::StorageError;
 use crate::lru::LruCache;
 use crate::Result;
-use mmdb_analysis::{Analyzer, CatalogGraph, NodeKind, Severity};
+use mmdb_analysis::{AnalysisReport, Analyzer, Severity};
 use mmdb_bwm::{BwmStructure, SequenceStore};
 use mmdb_conc::sync::atomic::{AtomicU64, Ordering};
 use mmdb_conc::sync::{Mutex, RwLock, RwLockReadGuard};
@@ -947,9 +947,10 @@ impl StorageEngine {
     ///
     /// * every binary entry's blob decodes to a raster of the cataloged
     ///   dimensions and its stored histogram matches a re-extraction,
-    /// * the static analyzer finds no Error-level diagnostic: every edit
-    ///   sequence references existing binary images, the reference graph is
-    ///   acyclic, and every sequence is well-formed and boundable,
+    /// * the static analyzer ([`StorageEngine::lint`]) finds no Error-level
+    ///   diagnostic: every edit sequence is well-formed and boundable (its
+    ///   references need no check: the catalog refuses a bad one on every
+    ///   path that stores a sequence, see [`Catalog::check_refs`]),
     /// * no blob overlaps another blob or a free-list hole.
     ///
     /// Returns the list of problems found (empty = healthy).
@@ -1024,20 +1025,31 @@ impl StorageEngine {
                 }
             }
         }
-        // Static analysis over every stored sequence plus the reference
-        // graph: dangling or non-binary references, cycles, malformed or
-        // unboundable sequences. Error-level findings are corruption;
-        // warnings (dead ops, the Combine caveat) are not.
-        let analyzer = Analyzer::with_resolver(self.quantizer.as_ref(), self.background, self);
-        let report = mmdb_analysis::analyze_catalog(self, &analyzer);
+        // Malformed or unboundable sequences are corruption; warnings (dead
+        // ops, the Combine caveat) are not.
         problems.extend(
-            report
+            self.lint()
                 .diagnostics
                 .iter()
                 .filter(|d| d.severity() == Severity::Error)
                 .map(ToString::to_string),
         );
         problems
+    }
+
+    /// Runs the static analyzer over every edited image stored here:
+    /// well-formedness, dead ops and the bound-soundness audit, with this
+    /// engine as resolver. The sequences are listed under one view, which
+    /// is dropped before the analysis takes its own locks.
+    pub fn lint(&self) -> AnalysisReport {
+        let view = self.read_view();
+        let sequences: Vec<(ImageId, Arc<EditSequence>)> = view
+            .edited()
+            .filter_map(|id| Some((id, view.sequence(id)?)))
+            .collect();
+        drop(view);
+        let analyzer = Analyzer::with_resolver(self.quantizer.as_ref(), self.background, self);
+        mmdb_analysis::analyze_catalog(sequences, &analyzer)
     }
 
     /// Aggregate statistics.
@@ -1084,27 +1096,6 @@ impl ImageResolver for StorageEngine {
             Err(StorageError::NotFound(_)) => Err(EditError::UnknownImage(id)),
             Err(other) => Err(EditError::InvalidOperation(other.to_string())),
         }
-    }
-}
-
-/// Lets the static analyzer walk the catalog's reference graph without
-/// touching pixel data. Each shard is analyzed separately and knows only
-/// its own images, which are all an edited image stored on it may name: a
-/// reference to any other id is dangling.
-impl CatalogGraph for StorageEngine {
-    fn node_ids(&self) -> Vec<ImageId> {
-        self.ids()
-    }
-
-    fn node_kind(&self, id: ImageId) -> Option<NodeKind> {
-        match self.inner.read().catalog.get(id)?.kind() {
-            StoredKind::Binary => Some(NodeKind::Binary),
-            StoredKind::Edited => Some(NodeKind::Edited),
-        }
-    }
-
-    fn node_sequence(&self, id: ImageId) -> Option<Arc<EditSequence>> {
-        self.edit_sequence(id)
     }
 }
 
@@ -1676,26 +1667,22 @@ mod tests {
             .unwrap();
         db.insert_edited(EditSequence::builder(base).blur().build())
             .unwrap();
-        // Deleting the child first, then the base, then re-adding an edited
-        // image is the supported path; to simulate corruption we bypass
-        // validation with a dangling merge target via the catalog itself.
+        // Ingest refuses a projective Mutate (E007); to simulate corruption
+        // it is spliced into the catalog directly.
         {
+            let mut m = mmdb_editops::Matrix3::IDENTITY;
+            m.m[2][0] = 0.5;
             let mut inner = db.inner.write();
             let id = inner.catalog.allocate_id();
             inner.catalog.insert(
                 id,
-                CatalogEntry::edited(Arc::new(
-                    EditSequence::builder(base)
-                        .define(Rect::new(0, 0, 4, 4))
-                        .merge_into(ImageId::new(4242), 0, 0)
-                        .build(),
-                )),
+                CatalogEntry::edited(Arc::new(EditSequence::builder(base).mutate(m).build())),
             );
         }
         let problems = db.verify();
         assert!(
-            problems.iter().any(|p| p.contains("E002")),
-            "expected a dangling-merge-target finding, got {problems:?}"
+            problems.iter().any(|p| p.contains("E007")),
+            "expected a non-affine-mutate finding, got {problems:?}"
         );
     }
 

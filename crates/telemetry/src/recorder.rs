@@ -369,12 +369,12 @@ mod tests {
         let r = FlightRecorder::with_capacity(4);
         r.record(
             EventKind::IngestRejected,
-            "codes=\"E002\"",
+            "codes=\"E005\"",
             &[("errors", 1)],
         );
         let json = r.render_json();
         assert!(json.contains("\"kind\": \"ingest_rejected\""));
-        assert!(json.contains("codes=\\\"E002\\\""));
+        assert!(json.contains("codes=\\\"E005\\\""));
         assert!(json.contains("\"counts\": {\"errors\": 1}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

@@ -1,10 +1,10 @@
 //! Dataset-scale static analysis: over realistically generated augmented
-//! databases (flags and helmets), `analyze_catalog` finds no error-level
+//! databases (flags and helmets), `StorageEngine::lint` finds no error-level
 //! diagnostics, and the bound-soundness audit runs — and comes back clean —
 //! on **every** stored sequence. This is the acceptance gate behind
 //! `mmdbctl lint` in CI.
 
-use mmdb_analysis::{analyze_catalog, Analyzer, LintCode, Severity};
+use mmdb_analysis::{LintCode, Severity};
 use mmdb_datagen::{Collection, DatasetBuilder};
 
 fn check(collection: Collection, seed: u64) {
@@ -13,8 +13,7 @@ fn check(collection: Collection, seed: u64) {
         .pct_edited(0.7)
         .seed(seed)
         .build();
-    let analyzer = Analyzer::with_resolver(db.quantizer(), db.background(), &db);
-    let report = analyze_catalog(&db, &analyzer);
+    let report = db.lint();
 
     assert_eq!(report.sequences_analyzed, info.edited_ids.len());
     let errors: Vec<String> = report
