@@ -2,8 +2,9 @@
 //! DESIGN.md's experiment index).
 
 use mmdb_datagen::{Collection, DatasetBuilder, DatasetInfo, QueryGenerator, VariantConfig};
+use mmdb_query::executor::build_index;
 use mmdb_query::QueryProcessor;
-use mmdb_rules::{ColorRangeQuery, RuleProfile};
+use mmdb_rules::RuleProfile;
 use mmdb_storage::StorageEngine;
 use mmdb_telemetry::{HistogramSnapshot, Snapshot};
 
@@ -325,8 +326,9 @@ fn measure_point(
         cfg.variant_ops,
         p_merge,
     );
-    let mut qp = QueryProcessor::new(&db);
-    qp.build_bound_index().expect("bound index build");
+    let qp = QueryProcessor::new(&db);
+    // The view drops at the end of the statement, before the first query.
+    let index = build_index(&db, &db.read_view()).expect("bound index build");
     // Mass-weighted colors with modest thresholds: the paper's users query
     // for colors the collection actually contains.
     let mut qgen = QueryGenerator::weighted_from_db(cfg.seed ^ 0xBEEF, &db)
@@ -343,7 +345,7 @@ fn measure_point(
     for q in &queries {
         std::hint::black_box(qp.range_rbm(q).unwrap());
         std::hint::black_box(qp.range_bwm(q).unwrap());
-        std::hint::black_box(qp.range_indexed(q).unwrap());
+        std::hint::black_box(qp.range_indexed_with(&index, q).unwrap());
     }
     let g = mmdb_telemetry::global();
     let rbm_hist = g.histogram(r#"mmdb_query_range_latency_seconds{plan="rbm"}"#);
@@ -362,7 +364,7 @@ fn measure_point(
             [
                 &mut |q| qp.range_rbm(q).unwrap(),
                 &mut |q| qp.range_bwm(q).unwrap(),
-                &mut |q| qp.range_indexed(q).unwrap(),
+                &mut |q| qp.range_indexed_with(&index, q).unwrap(),
             ],
         );
     let metrics = g.snapshot().delta(&telemetry_before);
@@ -898,16 +900,6 @@ pub fn profile_ablation(collection: Collection, cfg: &SweepConfig) -> ProfileRep
         report.avg_width_literal = lit_width / samples as f64;
     }
     report
-}
-
-/// Convenience: a query batch for external benches.
-pub fn query_batch(
-    collection: Collection,
-    db: &StorageEngine,
-    n: usize,
-    seed: u64,
-) -> Vec<ColorRangeQuery> {
-    QueryGenerator::new(seed, palette_of(collection), db.quantizer()).batch(n)
 }
 
 #[cfg(test)]

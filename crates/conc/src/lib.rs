@@ -12,7 +12,7 @@
 //!   compile to thin zero-cost wrappers; with the `model` cargo feature
 //!   every operation executed *inside a model run* is routed through an
 //!   instrumented scheduler instead.
-//! * [`model`] (feature `model`) is a **bounded model checker** in the
+//! * `model` (feature `model`) is a **bounded model checker** in the
 //!   spirit of loom/CHESS: it runs a closure many times, exploring thread
 //!   interleavings by depth-first search with a preemption bound (plus a
 //!   seeded-random fallback for larger state spaces). Atomics are modeled

@@ -3,7 +3,7 @@
 //! In normal builds every type here is a thin wrapper over the `std::sync`
 //! primitive of the same name (with `parking_lot`-style non-poisoning
 //! guards). With the `model` cargo feature, any operation executed *inside a
-//! [`crate::model::Model::check`] run* becomes a scheduling point of the
+//! `model::Model::check` run* becomes a scheduling point of the
 //! model checker instead; outside a model run the facade still behaves
 //! exactly like std, so production crates compiled with the feature keep
 //! working in ordinary tests.

@@ -17,14 +17,10 @@
 //! * [`similarity`] — the paper's two comparison functions, Histogram
 //!   Intersection (Swain & Ballard) and the L<sub>p</sub> distances.
 
-pub mod edge;
 pub mod histogram;
 pub mod quantizer;
 pub mod similarity;
-pub mod texture;
 
-pub use edge::EdgeHistogram;
 pub use histogram::ColorHistogram;
 pub use quantizer::{GrayQuantizer, HsvQuantizer, Quantizer, RgbQuantizer};
 pub use similarity::{histogram_intersection, l1_distance, l2_distance, lp_distance};
-pub use texture::{LbpKind, TextureHistogram};

@@ -14,9 +14,9 @@ use mmdb_bwm::QueryCtx;
 use mmdb_conc::sync::atomic::{AtomicU64, Ordering};
 use mmdb_editops::ImageId;
 use mmdb_histogram::{quantizer::from_description, ColorHistogram, Quantizer};
-use mmdb_query::executor::{QueryError, QueryProcessor, Slice};
+use mmdb_query::executor::{build_index, QueryError, QueryProcessor, Slice};
 use mmdb_query::{sort_neighbours, QueryPlan};
-use mmdb_rules::{ColorRangeQuery, RuleProfile};
+use mmdb_rules::ColorRangeQuery;
 use mmdb_storage::{id_class, DurabilityOptions, StorageEngine, StorageError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -89,16 +89,11 @@ impl Shard {
         let mut guard = slot.write();
         let view = storage.read_view();
         let epoch = storage.current_epoch();
-        let listed = || -> (Vec<ImageId>, Vec<ImageId>) {
-            (
-                view.binaries().map(|(id, _)| id).collect(),
-                view.edited().collect(),
-            )
-        };
         let stats = match guard.as_mut() {
             Some(idx) if idx.synced_epoch() == epoch => SyncStats::default(),
             Some(idx) => {
-                let (binary, edited) = listed();
+                let binary: Vec<ImageId> = view.binaries().map(|(id, _)| id).collect();
+                let edited: Vec<ImageId> = view.edited().collect();
                 idx.sync(
                     epoch,
                     &binary,
@@ -110,21 +105,7 @@ impl Shard {
                 )?
             }
             None => {
-                let (binary, edited) = listed();
-                let threads =
-                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-                let built = BoundIndex::build(
-                    RuleProfile::Conservative,
-                    storage.quantizer(),
-                    storage.background(),
-                    &binary,
-                    &edited,
-                    &view,
-                    &view,
-                    epoch,
-                    threads,
-                )?;
-                *guard = Some(built);
+                *guard = Some(build_index(storage, &view)?);
                 SyncStats::default()
             }
         };

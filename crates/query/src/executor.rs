@@ -7,7 +7,7 @@ use mmdb_boundidx::{BoundIndex, SyncStats};
 use mmdb_bwm::{BwmQueryStats, BwmStructure, Method, QueryOutcome};
 use mmdb_editops::ImageId;
 use mmdb_rules::{ColorRangeQuery, RuleEngine, RuleError, RuleProfile};
-use mmdb_storage::{StorageEngine, StorageError};
+use mmdb_storage::{ReadView, StorageEngine, StorageError};
 use mmdb_telemetry::{counter, histogram, Counter, EventKind, Histogram, QueryTrace, RANGE_PLANS};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -329,11 +329,35 @@ impl Slice<'_> {
     }
 }
 
+/// Bulk-builds (parallel, scoped workers) the Conservative-profile
+/// bound-interval index over `db` from the caller's `view` of it: the ids,
+/// histograms and programs come from that one catalog state, and the index
+/// is stamped with the epoch read under it (a bump needs the engine's write
+/// lock). The caller keeps the view and its lock order; this takes no lock.
+///
+/// # Errors
+/// Propagates rule-engine failures from the BOUNDS computations.
+pub fn build_index(db: &StorageEngine, view: &ReadView<'_>) -> Result<BoundIndex> {
+    let binary: Vec<ImageId> = view.binaries().map(|(id, _)| id).collect();
+    let edited: Vec<ImageId> = view.edited().collect();
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    Ok(BoundIndex::build(
+        RuleProfile::Conservative,
+        db.quantizer(),
+        db.background(),
+        &binary,
+        &edited,
+        view,
+        view,
+        db.current_epoch(),
+        threads,
+    )?)
+}
+
 /// A query processor bound to one database.
 pub struct QueryProcessor<'db> {
     db: &'db StorageEngine,
     profile: RuleProfile,
-    boundidx: Option<BoundIndex>,
 }
 
 impl<'db> QueryProcessor<'db> {
@@ -344,73 +368,11 @@ impl<'db> QueryProcessor<'db> {
 
     /// Creates a processor with an explicit rule profile.
     pub fn with_profile(db: &'db StorageEngine, profile: RuleProfile) -> Self {
-        QueryProcessor {
-            db,
-            profile,
-            boundidx: None,
-        }
-    }
-
-    /// Bulk-builds (parallel, scoped workers) and attaches the
-    /// bound-interval index for this processor's profile, enabling
-    /// [`QueryProcessor::range_indexed`]. The build reads one
-    /// [`StorageEngine::read_view`], stamped with the epoch read under it.
-    ///
-    /// # Errors
-    /// Propagates rule-engine failures from the BOUNDS computations.
-    pub fn build_bound_index(&mut self) -> Result<()> {
-        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let view = self.db.read_view();
-        let binary: Vec<ImageId> = view.binaries().map(|(id, _)| id).collect();
-        let edited: Vec<ImageId> = view.edited().collect();
-        let index = BoundIndex::build(
-            self.profile,
-            self.db.quantizer(),
-            self.db.background(),
-            &binary,
-            &edited,
-            &view,
-            &view,
-            self.db.current_epoch(),
-            threads,
-        )?;
-        drop(view);
-        self.boundidx = Some(index);
-        Ok(())
-    }
-
-    /// The attached bound-interval index, if any.
-    pub fn bound_index(&self) -> Option<&BoundIndex> {
-        self.boundidx.as_ref()
+        QueryProcessor { db, profile }
     }
 
     fn engine(&self) -> RuleEngine<'_> {
         RuleEngine::with_background(self.db.quantizer(), self.profile, self.db.background())
-    }
-
-    /// `plan` over this processor's attached structures.
-    ///
-    /// # Panics
-    /// Panics when `plan` is Indexed and no index is attached, or when the
-    /// attached index's epoch trails the storage engine (a mutation
-    /// landed after the build; the stale-serving invariant makes this a hard
-    /// error here — the `mmdbms` facade is the layer that re-syncs instead).
-    fn attached(&self, plan: QueryPlan) -> Slice<'_> {
-        match plan {
-            QueryPlan::Instantiate => Slice::Instantiate,
-            QueryPlan::Rbm => Slice::Rbm,
-            QueryPlan::Bwm => Slice::Bwm(None),
-            QueryPlan::Indexed => {
-                let index = self.boundidx.as_ref();
-                let index = index.expect("Indexed plan requires an attached bound index");
-                assert_eq!(
-                    index.synced_epoch(),
-                    self.db.current_epoch(),
-                    "bound index is stale; rebuild it before serving"
-                );
-                Slice::Indexed(index, SyncStats::default())
-            }
-        }
     }
 
     /// The one execution path: runs `slice` against this processor's
@@ -524,24 +486,6 @@ impl<'db> QueryProcessor<'db> {
         Ok(ctx.into_traced_outcome())
     }
 
-    /// Runs `query` under the paper's proposal, BWM.
-    pub fn range(&self, query: &ColorRangeQuery) -> Result<QueryOutcome> {
-        self.range_bwm(query)
-    }
-
-    /// Runs `query` under an explicit plan over the attached structures,
-    /// with tracing.
-    ///
-    /// # Panics
-    /// Panics when `plan` is Indexed and no fresh index is attached.
-    pub fn range_with_plan_traced(
-        &self,
-        plan: QueryPlan,
-        query: &ColorRangeQuery,
-    ) -> Result<(QueryOutcome, QueryTrace)> {
-        self.run_traced(self.attached(plan), query)
-    }
-
     /// §3 baseline (Figures 3–4 "without data structure").
     pub fn range_rbm(&self, query: &ColorRangeQuery) -> Result<QueryOutcome> {
         self.run(Slice::Rbm, query)
@@ -561,14 +505,6 @@ impl<'db> QueryProcessor<'db> {
         query: &ColorRangeQuery,
     ) -> Result<QueryOutcome> {
         self.run(Slice::Bwm(Some(structure)), query)
-    }
-
-    /// Answers `query` from the attached bound-interval index.
-    ///
-    /// # Panics
-    /// Panics when no index is attached, or when it is stale.
-    pub fn range_indexed(&self, query: &ColorRangeQuery) -> Result<QueryOutcome> {
-        self.run(self.attached(QueryPlan::Indexed), query)
     }
 
     /// Indexed lookup against an externally owned index (used by callers
@@ -704,7 +640,7 @@ mod tests {
         // (range, binary hits): bases are 10, 30, 50 and 70 % red.
         for ((lo, hi), hits) in [((0.25, 0.55), 2), ((0.0, 1.0), 4), ((0.9, 1.0), 0)] {
             let q = ColorRangeQuery::new(red_bin(&db), lo, hi);
-            let (out, trace) = qp.range_with_plan_traced(QueryPlan::Rbm, &q).unwrap();
+            let (out, trace) = qp.run_traced(Slice::Rbm, &q).unwrap();
             let what = format!("[{lo}, {hi}]");
             assert_eq!(stage(&trace, "binary_scan", "scanned"), 4, "{what}");
             assert_eq!(stage(&trace, "binary_scan", "hits"), hits, "{what}");
@@ -808,9 +744,26 @@ mod tests {
     #[test]
     fn indexed_matches_scans_for_both_profiles() {
         let (db, _bases, _edits) = setup();
-        for profile in [RuleProfile::Conservative, RuleProfile::PaperTable1] {
-            let mut qp = QueryProcessor::with_profile(&db, profile);
-            qp.build_bound_index().unwrap();
+        // Serving builds only the Conservative index; the literal profile's
+        // is built here directly, over the same kind of view.
+        let literal = {
+            let view = db.read_view();
+            let binary: Vec<ImageId> = view.binaries().map(|(id, _)| id).collect();
+            let edited: Vec<ImageId> = view.edited().collect();
+            let (quantizer, background) = (db.quantizer(), db.background());
+            let epoch = db.current_epoch();
+            let profile = RuleProfile::PaperTable1;
+            BoundIndex::build(
+                profile, quantizer, background, &binary, &edited, &view, &view, epoch, 1,
+            )
+            .unwrap()
+        };
+        let conservative = build_index(&db, &db.read_view()).unwrap();
+        for (profile, index) in [
+            (RuleProfile::Conservative, conservative),
+            (RuleProfile::PaperTable1, literal),
+        ] {
+            let qp = QueryProcessor::with_profile(&db, profile);
             for (lo, hi) in [
                 (0.0, 1.0),
                 (0.25, 0.55),
@@ -821,7 +774,7 @@ mod tests {
                 let q = ColorRangeQuery::new(red_bin(&db), lo, hi);
                 let rbm = qp.range_rbm(&q).unwrap().sorted_results();
                 let bwm = qp.range_bwm(&q).unwrap().sorted_results();
-                let idx = qp.range_indexed(&q).unwrap().sorted_results();
+                let idx = qp.range_indexed_with(&index, &q).unwrap().sorted_results();
                 assert_eq!(idx, rbm, "{profile:?} [{lo},{hi}] indexed vs rbm");
                 assert_eq!(idx, bwm, "{profile:?} [{lo},{hi}] indexed vs bwm");
             }
@@ -831,25 +784,15 @@ mod tests {
     #[test]
     fn indexed_trace_reports_hits() {
         let (db, _bases, _edits) = setup();
-        let mut qp = QueryProcessor::new(&db);
-        qp.build_bound_index().unwrap();
+        let qp = QueryProcessor::new(&db);
+        let index = build_index(&db, &db.read_view()).unwrap();
         let q = ColorRangeQuery::new(red_bin(&db), 0.0, 1.0);
-        let (out, trace) = qp.range_with_plan_traced(QueryPlan::Indexed, &q).unwrap();
+        let slice = Slice::Indexed(&index, SyncStats::default());
+        let (out, trace) = qp.run_traced(slice, &q).unwrap();
         assert!(!out.results.is_empty());
         assert!(trace.counter_value("index_hits").unwrap_or(0) > 0);
         let rendered = trace.render();
         assert!(rendered.contains("index_lookup"), "{rendered}");
-    }
-
-    #[test]
-    #[should_panic(expected = "stale")]
-    fn indexed_serving_refuses_stale_epoch() {
-        let (db, _bases, edits) = setup();
-        let mut qp = QueryProcessor::new(&db);
-        qp.build_bound_index().unwrap();
-        db.delete(*edits.last().unwrap()).unwrap();
-        let q = ColorRangeQuery::new(red_bin(&db), 0.0, 1.0);
-        let _ = qp.range_indexed(&q);
     }
 
     #[test]

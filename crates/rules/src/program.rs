@@ -9,7 +9,7 @@
 //! leaves a [`BoundProgram`]: a short list of arithmetic steps that
 //! [`BoundProgram::eval`] replays for one bin. Consecutive `Widen` and
 //! `Modify` steps leave `total` alone and only lower `min` and raise `max`,
-//! so the program keeps each maximal run of them as one [`Run`], which
+//! so the program keeps each maximal run of them as one `Run` step, which
 //! evaluation applies in one pass.
 
 use crate::bounds::BoundRange;

@@ -52,6 +52,7 @@ use mmdb_telemetry::{
 use mmdb_conc::sync::atomic::{AtomicBool, Ordering};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -142,7 +143,6 @@ struct Job {
 
 // ── poll(2) readiness ──────────────────────────────────────────────────
 
-#[cfg(unix)]
 #[allow(unsafe_code)]
 mod readiness {
     //! The one readiness syscall, declared directly (the same pattern as
@@ -201,54 +201,6 @@ mod readiness {
             }
         }
     }
-}
-
-#[cfg(not(unix))]
-mod readiness {
-    //! Portability fallback: no readiness syscall — report every fd as
-    //! ready after a short sleep, so nonblocking reads/writes are simply
-    //! attempted each sweep (they return `WouldBlock` harmlessly).
-
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-
-    pub struct PollFd {
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    impl PollFd {
-        pub fn new(_fd: i32, events: i16) -> PollFd {
-            PollFd { events, revents: 0 }
-        }
-
-        pub fn readable(&self) -> bool {
-            self.events & POLLIN != 0
-        }
-
-        pub fn writable(&self) -> bool {
-            self.events & POLLOUT != 0
-        }
-    }
-
-    pub fn wait(fds: &mut [PollFd], timeout_ms: i32) {
-        std::thread::sleep(std::time::Duration::from_millis(
-            u64::try_from(timeout_ms.clamp(1, 5)).unwrap_or(1),
-        ));
-        for fd in fds {
-            fd.revents = fd.events;
-        }
-    }
-}
-
-#[cfg(unix)]
-fn raw_fd(sock: &impl std::os::unix::io::AsRawFd) -> i32 {
-    sock.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-fn raw_fd<T>(_sock: &T) -> i32 {
-    0
 }
 
 // ── Connection state machine ───────────────────────────────────────────
@@ -746,11 +698,11 @@ impl Reactor {
             // output is pending.
             let mut fds = Vec::with_capacity(self.conns.len() + 2);
             fds.push(readiness::PollFd::new(
-                raw_fd(&self.listener),
+                self.listener.as_raw_fd(),
                 if stopping { 0 } else { readiness::POLLIN },
             ));
             fds.push(readiness::PollFd::new(
-                raw_fd(&self.wake_rx),
+                self.wake_rx.as_raw_fd(),
                 readiness::POLLIN,
             ));
             let mut fd_slots = Vec::with_capacity(self.conns.len());
@@ -764,7 +716,7 @@ impl Reactor {
                 if conn.pending_out() > 0 {
                     events |= readiness::POLLOUT;
                 }
-                fds.push(readiness::PollFd::new(raw_fd(&conn.stream), events));
+                fds.push(readiness::PollFd::new(conn.stream.as_raw_fd(), events));
                 fd_slots.push(slot);
             }
             let timeout = if stopping { 20 } else { POLL_TIMEOUT_MS };

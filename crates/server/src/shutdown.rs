@@ -20,7 +20,6 @@ use std::time::Duration;
 static TRIGGERED: AtomicBool = AtomicBool::new(false);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
 mod sys {
     pub const SIGINT: i32 = 2;
     pub const SIGTERM: i32 = 15;
@@ -44,11 +43,9 @@ pub struct ShutdownSignal;
 
 impl ShutdownSignal {
     /// Installs SIGINT + SIGTERM handlers (first call only) and returns a
-    /// handle. On non-unix targets no handler is installed and the flag can
-    /// only be raised programmatically via [`ShutdownSignal::trigger`].
+    /// handle.
     pub fn install() -> ShutdownSignal {
         if !INSTALLED.swap(true, Ordering::SeqCst) {
-            #[cfg(unix)]
             unsafe {
                 sys::signal(sys::SIGINT, sys::on_signal);
                 sys::signal(sys::SIGTERM, sys::on_signal);

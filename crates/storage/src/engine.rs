@@ -202,6 +202,37 @@ struct DurableState {
     recovery: RecoveryInfo,
 }
 
+impl DurableState {
+    /// The tail every snapshot shares, once its blobs are durable and its
+    /// payload is encoded: write the snapshot that references blob
+    /// generation `gen` (the commit point), restart the snapshot cadence,
+    /// then fsync the WAL and drop the segments and blob generations no
+    /// retained snapshot needs. Garbage collection keeps the generation the
+    /// engine writes to *now*, which a compaction racing this snapshot may
+    /// already have moved past `gen`.
+    fn commit_snapshot(&self, covered: u64, gen: u64, payload: &[u8]) -> Result<()> {
+        self.snaps
+            .write(covered, gen, payload)
+            .map_err(map_durable)?;
+        self.appended_since_snapshot.store(0, Ordering::Relaxed);
+        let oldest = self
+            .snaps
+            .oldest_covered()
+            .map_err(map_durable)?
+            .unwrap_or(covered);
+        {
+            let mut wal = self.wal.lock();
+            wal.sync().map_err(map_durable)?;
+            wal.gc(oldest).map_err(map_durable)?;
+        }
+        gc_blob_generations(
+            &self.dir,
+            &self.snaps,
+            self.blob_gen.load(Ordering::Relaxed),
+        )
+    }
+}
+
 /// The MMDBMS storage engine.
 ///
 /// Thread-safe: reads run under a shared lock, mutations under an exclusive
@@ -809,25 +840,12 @@ impl StorageEngine {
         inner.blobs.sync()?;
         let payload = inner.catalog.encode(inner.blobs.free_list());
         let covered = d.wal.lock().last_seqno();
-        drop(inner);
         // Relaxed on `blob_gen`: only `compact` stores it, and `compact`
-        // holds the exclusive catalog lock while doing so.
-        d.snaps
-            .write(covered, d.blob_gen.load(Ordering::Relaxed), &payload)
-            .map_err(map_durable)?;
-        d.appended_since_snapshot.store(0, Ordering::Relaxed);
-        let oldest = d
-            .snaps
-            .oldest_covered()
-            .map_err(map_durable)?
-            .unwrap_or(covered);
-        {
-            let mut wal = d.wal.lock();
-            wal.sync().map_err(map_durable)?;
-            wal.gc(oldest).map_err(map_durable)?;
-        }
-        gc_blob_generations(&d.dir, &d.snaps, d.blob_gen.load(Ordering::Relaxed))?;
-        Ok(())
+        // holds the exclusive catalog lock while doing so — read here, under
+        // the shared one, it is the generation `payload` refers to.
+        let gen = d.blob_gen.load(Ordering::Relaxed);
+        drop(inner);
+        d.commit_snapshot(covered, gen, &payload)
     }
 
     /// Forces the WAL's active segment to stable storage. Used by clean
@@ -923,20 +941,7 @@ impl StorageEngine {
             let covered = d.wal.lock().last_seqno();
             d.blob_gen.store(gen, Ordering::Relaxed);
             drop(inner);
-            // Commit point: the snapshot referencing the new generation.
-            d.snaps.write(covered, gen, &payload).map_err(map_durable)?;
-            d.appended_since_snapshot.store(0, Ordering::Relaxed);
-            let oldest = d
-                .snaps
-                .oldest_covered()
-                .map_err(map_durable)?
-                .unwrap_or(covered);
-            {
-                let mut wal = d.wal.lock();
-                wal.sync().map_err(map_durable)?;
-                wal.gc(oldest).map_err(map_durable)?;
-            }
-            gc_blob_generations(&d.dir, &d.snaps, gen)?;
+            d.commit_snapshot(covered, gen, &payload)?;
         } else {
             inner.blobs = fresh;
         }

@@ -33,7 +33,7 @@
 //!   recent structured [`Event`]s (query start/end, slow queries, BWM
 //!   reclassifications, ingest accept/reject, cache evictions), drainable
 //!   as JSON;
-//! * [`serve`] — a dependency-free HTTP server exposing `/metrics`
+//! * [`serve_with`] — a dependency-free HTTP server exposing `/metrics`
 //!   (Prometheus text with histogram buckets), `/events`, and `/healthz`.
 //!
 //! Hot-path recording is gated on [`instrumentation_enabled`] so the bench

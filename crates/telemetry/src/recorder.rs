@@ -2,18 +2,17 @@
 //! events (query start/end, slow queries, BWM reclassifications, ingest
 //! accept/reject, cache evictions), always on and drainable as JSON.
 //!
-//! Writers never contend on a global lock: recording takes the ring's
-//! *read* lock (shared), claims a slot with one `fetch_add` on the head
-//! sequence, and writes through that slot's own mutex. The write lock is
-//! taken only by [`FlightRecorder::set_capacity`], which rebuilds the ring.
+//! Writers never contend on a global lock: recording claims a slot with one
+//! `fetch_add` on the head sequence and writes through that slot's own
+//! mutex, and takes no other lock. The capacity is fixed at construction.
 
 use crate::fmt::json_escape;
 use mmdb_conc::sync::atomic::{AtomicU64, Ordering};
-use mmdb_conc::sync::{Mutex, RwLock};
+use mmdb_conc::sync::Mutex;
 use std::sync::OnceLock;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-/// Default ring capacity; reconfigurable via [`FlightRecorder::set_capacity`].
+/// Capacity of the process-wide [`recorder`].
 pub const DEFAULT_RECORDER_CAPACITY: usize = 1024;
 
 /// Default slow-query threshold (see [`set_slow_query_threshold`]).
@@ -84,8 +83,8 @@ impl EventKind {
 /// One recorded event.
 #[derive(Clone, Debug)]
 pub struct Event {
-    /// Monotonic sequence number (process-lifetime, survives capacity
-    /// changes); total order across threads.
+    /// Monotonic sequence number (recorder lifetime); total order across
+    /// threads.
     pub seq: u64,
     /// Wall-clock microseconds since the Unix epoch.
     pub unix_micros: u64,
@@ -96,25 +95,11 @@ pub struct Event {
     pub counts: Vec<(&'static str, u64)>,
 }
 
-struct Ring {
-    slots: Vec<Mutex<Option<Event>>>,
-    head: AtomicU64,
-}
-
-impl Ring {
-    fn with_capacity(capacity: usize, head: u64) -> Ring {
-        let capacity = capacity.max(1);
-        Ring {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            head: AtomicU64::new(head),
-        }
-    }
-}
-
 /// The ring buffer itself. One process-global instance lives behind
 /// [`recorder`]; independent instances are used in tests.
 pub struct FlightRecorder {
-    ring: RwLock<Ring>,
+    slots: Vec<Mutex<Option<Event>>>,
+    head: AtomicU64,
 }
 
 impl Default for FlightRecorder {
@@ -127,28 +112,9 @@ impl FlightRecorder {
     /// A recorder holding the most recent `capacity` events (min 1).
     pub fn with_capacity(capacity: usize) -> Self {
         FlightRecorder {
-            ring: RwLock::new(Ring::with_capacity(capacity, 0)),
+            slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
+            head: AtomicU64::new(0),
         }
-    }
-
-    /// Current ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.ring.read().slots.len()
-    }
-
-    /// Resizes the ring, preserving the most recent events that fit. Takes
-    /// the write lock; concurrent writers block only for the rebuild.
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut guard = self.ring.write();
-        let recent = drain_ring(&guard);
-        let head = guard.head.load(Ordering::Relaxed);
-        let next = Ring::with_capacity(capacity, head);
-        let keep = recent.len().saturating_sub(next.slots.len());
-        for event in recent.into_iter().skip(keep) {
-            let idx = (event.seq % next.slots.len() as u64) as usize;
-            *next.slots[idx].lock() = Some(event);
-        }
-        *guard = next;
     }
 
     /// Records one event. Hot paths should gate the call (and the string
@@ -159,14 +125,13 @@ impl FlightRecorder {
         detail: impl Into<String>,
         counts: &[(&'static str, u64)],
     ) {
-        let ring = self.ring.read();
         // Relaxed is deliberate: the RMW alone makes seq values unique and
         // totally ordered; the event itself is published by the slot mutex
         // below (its unlock/lock is the release/acquire edge drainers rely
         // on), so the head counter orders nothing but itself. Model-checked
         // in crates/conc/tests/model_ring.rs.
-        let seq = ring.head.fetch_add(1, Ordering::Relaxed);
-        let idx = (seq % ring.slots.len() as u64) as usize;
+        let seq = self.head.fetch_add(1, Ordering::Relaxed);
+        let idx = (seq % self.slots.len() as u64) as usize;
         let event = Event {
             seq,
             unix_micros: unix_micros_now(),
@@ -174,7 +139,7 @@ impl FlightRecorder {
             detail: detail.into(),
             counts: counts.to_vec(),
         };
-        let mut slot = ring.slots[idx].lock();
+        let mut slot = self.slots[idx].lock();
         // Guard against a lapped race: between seq assignment and slot
         // publication another writer may have lapped the ring and published
         // a *newer* event into this slot; clobbering it would lose the
@@ -189,7 +154,22 @@ impl FlightRecorder {
     /// writers at drain time are skipped, so the result is always a
     /// consistent (possibly slightly shorter) suffix of the event stream.
     pub fn events(&self) -> Vec<Event> {
-        drain_ring(&self.ring.read())
+        let head = self.head.load(Ordering::Relaxed);
+        let cap = self.slots.len() as u64;
+        let start = head.saturating_sub(cap);
+        let mut out = Vec::with_capacity((head - start) as usize);
+        for seq in start..head {
+            let idx = (seq % cap) as usize;
+            let slot = self.slots[idx].lock();
+            if let Some(event) = slot.as_ref() {
+                // A racing writer may have lapped this slot (newer seq) or not
+                // finished publishing yet (older seq); keep only exact matches.
+                if event.seq == seq {
+                    out.push(event.clone());
+                }
+            }
+        }
+        out
     }
 
     /// Retained events with `seq > since`, oldest first — the cursor form
@@ -205,32 +185,13 @@ impl FlightRecorder {
 
     /// Total number of events ever recorded (including overwritten ones).
     pub fn recorded_total(&self) -> u64 {
-        self.ring.read().head.load(Ordering::Relaxed)
+        self.head.load(Ordering::Relaxed)
     }
 
     /// All retained events as a JSON document (see [`events_to_json`]).
     pub fn render_json(&self) -> String {
         events_to_json(&self.events())
     }
-}
-
-fn drain_ring(ring: &Ring) -> Vec<Event> {
-    let head = ring.head.load(Ordering::Relaxed);
-    let cap = ring.slots.len() as u64;
-    let start = head.saturating_sub(cap);
-    let mut out = Vec::with_capacity((head - start) as usize);
-    for seq in start..head {
-        let idx = (seq % cap) as usize;
-        let slot = ring.slots[idx].lock();
-        if let Some(event) = slot.as_ref() {
-            // A racing writer may have lapped this slot (newer seq) or not
-            // finished publishing yet (older seq); keep only exact matches.
-            if event.seq == seq {
-                out.push(event.clone());
-            }
-        }
-    }
-    out
 }
 
 fn unix_micros_now() -> u64 {
@@ -320,24 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_change_preserves_recent_events() {
-        let r = FlightRecorder::with_capacity(8);
-        for i in 0..6u64 {
-            r.record(EventKind::QueryEnd, format!("q{i}"), &[]);
-        }
-        r.set_capacity(3);
-        assert_eq!(r.capacity(), 3);
-        let kept: Vec<String> = r.events().iter().map(|e| e.detail.clone()).collect();
-        assert_eq!(kept, vec!["q3", "q4", "q5"]);
-        // Growing back keeps what survived and new sequence numbers continue.
-        r.set_capacity(16);
-        r.record(EventKind::QueryEnd, "q6", &[]);
-        let events = r.events();
-        assert_eq!(events.last().unwrap().detail, "q6");
-        assert_eq!(events.last().unwrap().seq, 6);
-    }
-
-    #[test]
     fn events_since_is_an_exclusive_cursor() {
         let r = FlightRecorder::with_capacity(8);
         for i in 0..5u64 {
@@ -359,9 +302,12 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped() {
         let r = FlightRecorder::with_capacity(0);
-        assert_eq!(r.capacity(), 1);
         r.record(EventKind::LintRun, "x", &[]);
         assert_eq!(r.events().len(), 1);
+        r.record(EventKind::LintRun, "y", &[]);
+        let events = r.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].detail, "y");
     }
 
     #[test]

@@ -119,13 +119,3 @@ fn profile_ablation_guarantees() {
     assert!(report.candidates_conservative >= report.truth_matches);
     assert!(report.avg_width_conservative >= 0.0);
 }
-
-#[test]
-fn query_batch_helper() {
-    let (db, _) = mmdb_datagen::DatasetBuilder::new(Collection::Flags)
-        .total_images(20)
-        .pct_edited(0.5)
-        .build();
-    let batch = experiments::query_batch(Collection::Flags, &db, 7, 1);
-    assert_eq!(batch.len(), 7);
-}

@@ -6,7 +6,7 @@ use mmdb_datagen::{Collection, DatasetBuilder, QueryGenerator};
 use mmdb_editops::EditSequence;
 use mmdb_histogram::RgbQuantizer;
 use mmdb_imaging::{RasterImage, Rect, Rgb};
-use mmdb_query::{QueryPlan, QueryProcessor};
+use mmdb_query::{QueryProcessor, Slice};
 use mmdb_storage::StorageEngine;
 
 /// Scripted access pattern against the raster LRU: every step's hit/miss
@@ -80,7 +80,7 @@ fn bwm_trace_reports_zero_widening_for_never_edited_database() {
     let qp = QueryProcessor::new(&db);
     let queries = QueryGenerator::weighted_from_db(99, &db).batch(10);
     for q in &queries {
-        let (outcome, trace) = qp.range_with_plan_traced(QueryPlan::Bwm, q).unwrap();
+        let (outcome, trace) = qp.run_traced(Slice::Bwm(None), q).unwrap();
         assert_eq!(trace.counter_value("bounds_widened"), Some(0));
         assert_eq!(trace.counter_value("bounds_computed"), Some(0));
         assert_eq!(
