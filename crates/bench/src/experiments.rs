@@ -215,8 +215,7 @@ impl SweepPoint {
     /// per-point counter deltas, one column per series of interest.
     pub fn metrics_csv_row(&self) -> Vec<String> {
         let m = &self.metrics;
-        let widening = m.get(r#"mmdb_rules_widening_ops_total{profile="paper_table1"}"#)
-            + m.get(r#"mmdb_rules_widening_ops_total{profile="conservative"}"#);
+        let widening = m.get(r#"mmdb_rules_widening_ops_total{profile="conservative"}"#);
         vec![
             format!("{:.0}", self.pct * 100.0),
             m.get("mmdb_rules_bounds_computed_total").to_string(),
@@ -847,9 +846,26 @@ pub fn profile_ablation(collection: Collection, cfg: &SweepConfig) -> ProfileRep
     let mut qgen = QueryGenerator::new(cfg.seed ^ 0xF00D, palette_of(collection), db.quantizer());
     let queries = qgen.batch(cfg.queries);
 
-    let truth = QueryProcessor::new(&db);
-    let cons = QueryProcessor::with_profile(&db, RuleProfile::Conservative);
-    let lit = QueryProcessor::with_profile(&db, RuleProfile::PaperTable1);
+    let qp = QueryProcessor::new(&db);
+    let cons_engine = mmdb_rules::RuleEngine::new(db.quantizer(), RuleProfile::Conservative);
+    let lit_engine = mmdb_rules::RuleEngine::new(db.quantizer(), RuleProfile::PaperTable1);
+    let (binary, edited) = (db.binary_ids(), db.edited_ids());
+    // No program holds the literal rules: its RBM candidates are the
+    // binary images whose exact fraction matches and the edited images the
+    // stepwise walk may not prune.
+    let literal_rbm = |q: &mmdb_rules::ColorRangeQuery| {
+        let bases = binary.iter().copied().filter(|&id| {
+            let hist = db.histogram(id).expect("binary image exists");
+            q.matches_fraction(hist.fraction(q.bin))
+        });
+        let edits = edited.iter().copied().filter(|&id| {
+            let seq = db.edit_sequence(id).expect("sequence exists");
+            lit_engine.may_satisfy(&seq, q, &db).unwrap()
+        });
+        let mut hits: Vec<_> = bases.chain(edits).collect();
+        hits.sort_unstable();
+        hits
+    };
 
     let mut report = ProfileReport {
         candidates_conservative: 0,
@@ -861,9 +877,9 @@ pub fn profile_ablation(collection: Collection, cfg: &SweepConfig) -> ProfileRep
         avg_width_literal: 0.0,
     };
     for q in &queries {
-        let truth_hits = truth.range_instantiate(q).unwrap().sorted_results();
-        let cons_hits = cons.range_rbm(q).unwrap().sorted_results();
-        let lit_hits = lit.range_rbm(q).unwrap().sorted_results();
+        let truth_hits = qp.range_instantiate(q).unwrap().sorted_results();
+        let cons_hits = qp.range_rbm(q).unwrap().sorted_results();
+        let lit_hits = literal_rbm(q);
         report.truth_matches += truth_hits.len();
         report.candidates_conservative += cons_hits.len();
         report.candidates_literal += lit_hits.len();
@@ -878,8 +894,6 @@ pub fn profile_ablation(collection: Collection, cfg: &SweepConfig) -> ProfileRep
     }
 
     // Average bound widths over edited images × query bins.
-    let cons_engine = mmdb_rules::RuleEngine::new(db.quantizer(), RuleProfile::Conservative);
-    let lit_engine = mmdb_rules::RuleEngine::new(db.quantizer(), RuleProfile::PaperTable1);
     let mut cons_width = 0.0;
     let mut lit_width = 0.0;
     let mut samples = 0usize;

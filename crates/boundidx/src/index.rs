@@ -42,7 +42,8 @@ pub struct IndexedLookup {
     pub scanned: usize,
 }
 
-/// Bound-interval index for one rule profile.
+/// Bound-interval index of the Conservative rule profile, the one a
+/// compiled program holds.
 ///
 /// All mutation goes through `&mut self`; the facade wraps the index in a
 /// `RwLock` and enforces the serving invariant that a lookup is only
@@ -50,11 +51,10 @@ pub struct IndexedLookup {
 /// current mutation epoch — a stale entry is therefore never served.
 #[derive(Clone, Debug)]
 pub struct BoundIndex {
-    profile: RuleProfile,
     bins: Vec<BinIntervals>,
     /// The resident per-image records: the full memoized bounds vector, one
-    /// [`BoundRange`] per bin — this *is* the `(ImageId, bin, RuleProfile)`
-    /// memo, realized as a per-profile index holding per-image vectors.
+    /// [`BoundRange`] per bin — this *is* the `(ImageId, bin)` memo,
+    /// realized as per-image vectors.
     entries: HashMap<ImageId, Vec<BoundRange>>,
     synced_epoch: u64,
     /// When the index last reconciled to a catalog snapshot (build or sync).
@@ -62,20 +62,14 @@ pub struct BoundIndex {
 }
 
 impl BoundIndex {
-    /// An empty index for `profile` over `bin_count` histogram bins.
-    pub fn new(profile: RuleProfile, bin_count: usize) -> Self {
+    /// An empty index over `bin_count` histogram bins.
+    pub fn new(bin_count: usize) -> Self {
         BoundIndex {
-            profile,
             bins: vec![BinIntervals::default(); bin_count],
             entries: HashMap::new(),
             synced_epoch: 0,
             last_synced_at: Instant::now(),
         }
-    }
-
-    /// The rule profile this index memoizes bounds for.
-    pub fn profile(&self) -> RuleProfile {
-        self.profile
     }
 
     /// The storage mutation epoch this index was last synchronized to.
@@ -118,6 +112,12 @@ impl BoundIndex {
     /// at: every listed id then resolves, and an id that does not is an
     /// error. Edited images' bounds vectors are computed on `threads`
     /// scoped workers, each with its own rule engine.
+    ///
+    /// # Panics
+    /// Panics when `profile` is not [`RuleProfile::Conservative`]: a bound
+    /// program holds no other profile. The parameter stays only while the
+    /// benchmark harness passes it (ROADMAP item 10, "Close the benchmark
+    /// spine").
     #[allow(clippy::too_many_arguments)]
     pub fn build<R, S>(
         profile: RuleProfile,
@@ -134,9 +134,14 @@ impl BoundIndex {
         R: InfoResolver + Sync,
         S: SequenceStore + Sync,
     {
+        assert_eq!(
+            profile,
+            RuleProfile::Conservative,
+            "a bound index holds the Conservative rules only"
+        );
         let started = Instant::now();
         let bin_count = quantizer.bin_count();
-        let mut idx = BoundIndex::new(profile, bin_count);
+        let mut idx = BoundIndex::new(bin_count);
         idx.synced_epoch = epoch;
 
         let mut pending: Vec<Vec<IntervalEntry>> = vec![Vec::new(); bin_count];
@@ -148,12 +153,9 @@ impl BoundIndex {
 
         let threads = threads.max(1).min(edited.len().max(1));
         let computed = if threads <= 1 || edited.len() < 2 {
-            let engine = RuleEngine::with_background(quantizer, profile, background);
-            compute_chunk(&engine, edited, resolver, store)?
+            compute_chunk(quantizer, background, edited, resolver, store)?
         } else {
-            compute_parallel(
-                quantizer, profile, background, edited, resolver, store, threads,
-            )?
+            compute_parallel(quantizer, background, edited, resolver, store, threads)?
         };
         counter!("mmdb_boundidx_misses_total").add(computed.len() as u64);
         for (id, bounds) in computed {
@@ -214,7 +216,7 @@ impl BoundIndex {
                 stats.added += 1;
             }
         }
-        let engine = RuleEngine::with_background(quantizer, self.profile, background);
+        let engine = RuleEngine::with_background(quantizer, RuleProfile::Conservative, background);
         for &id in edited {
             if !self.entries.contains_key(&id) {
                 fresh.push((id, edited_entry(&engine, id, resolver, store)?));
@@ -302,12 +304,11 @@ impl BoundIndex {
     /// Panics when an entry's bounds vector disagrees with `bin_count`
     /// (callers validate decoded input first).
     pub fn assemble(
-        profile: RuleProfile,
         bin_count: usize,
         synced_epoch: u64,
         entries: Vec<(ImageId, Vec<BoundRange>)>,
     ) -> Self {
-        let mut idx = BoundIndex::new(profile, bin_count);
+        let mut idx = BoundIndex::new(bin_count);
         idx.synced_epoch = synced_epoch;
         let mut pending: Vec<Vec<IntervalEntry>> = vec![Vec::new(); bin_count];
         for (id, bounds) in entries {
@@ -372,11 +373,12 @@ where
 {
     let program = store.program(id, engine, resolver)?;
     let base = resolver.require(program.base())?;
-    Ok(program.eval_vector(engine.profile(), &base.histogram))
+    Ok(program.eval_vector(&base.histogram))
 }
 
 fn compute_chunk<R, S>(
-    engine: &RuleEngine<'_>,
+    quantizer: &dyn Quantizer,
+    background: Rgb,
     ids: &[ImageId],
     resolver: &R,
     store: &S,
@@ -385,14 +387,14 @@ where
     R: InfoResolver,
     S: SequenceStore,
 {
+    let engine = RuleEngine::with_background(quantizer, RuleProfile::Conservative, background);
     ids.iter()
-        .map(|&id| Ok((id, edited_entry(engine, id, resolver, store)?)))
+        .map(|&id| Ok((id, edited_entry(&engine, id, resolver, store)?)))
         .collect()
 }
 
 fn compute_parallel<R, S>(
     quantizer: &dyn Quantizer,
-    profile: RuleProfile,
     background: Rgb,
     edited: &[ImageId],
     resolver: &R,
@@ -408,10 +410,7 @@ where
         let handles: Vec<_> = edited
             .chunks(chunk)
             .map(|ids| {
-                scope.spawn(move || {
-                    let engine = RuleEngine::with_background(quantizer, profile, background);
-                    compute_chunk(&engine, ids, resolver, store)
-                })
+                scope.spawn(move || compute_chunk(quantizer, background, ids, resolver, store))
             })
             .collect();
         handles
@@ -577,6 +576,24 @@ mod tests {
                 }
             );
         }
+    }
+
+    /// No program holds the literal Table 1 rules, so no index does.
+    #[test]
+    #[should_panic(expected = "Conservative rules only")]
+    fn a_literal_profile_index_is_refused() {
+        let f = fixture();
+        let _ = BoundIndex::build(
+            RuleProfile::PaperTable1,
+            &f.quant,
+            Rgb::WHITE,
+            &f.binary,
+            &f.edited,
+            &f.resolver,
+            &f.store,
+            1,
+            1,
+        );
     }
 
     #[test]

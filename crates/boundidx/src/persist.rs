@@ -53,7 +53,7 @@ pub fn save(idx: &BoundIndex, dir: &Path) -> io::Result<PathBuf> {
     let started = Instant::now();
     std::fs::create_dir_all(dir)?;
     let body = encode(idx);
-    let path = dir.join(index_file_name(idx.profile()));
+    let path = dir.join(index_file_name(RuleProfile::Conservative));
     let tmp = path.with_extension("idx.tmp");
     {
         let mut f = std::fs::File::create(&tmp)?;
@@ -105,7 +105,7 @@ pub fn discard(dir: &Path, profile: RuleProfile) -> io::Result<()> {
 
 fn encode(idx: &BoundIndex) -> Vec<u8> {
     let entries = idx.export_entries();
-    let label = idx.profile().label().as_bytes();
+    let label = RuleProfile::Conservative.label().as_bytes();
     let mut out = Vec::with_capacity(64 + entries.len() * 32);
     out.extend_from_slice(&INDEX_MAGIC);
     out.extend_from_slice(&INDEX_FORMAT_VERSION.to_le_bytes());
@@ -179,7 +179,7 @@ fn decode(bytes: &[u8], profile: RuleProfile, bin_count: usize) -> io::Result<Bo
     if r.remaining() != 0 {
         return Err(corrupt("trailing bytes after last index entry"));
     }
-    Ok(BoundIndex::assemble(profile, bin_count, epoch, entries))
+    Ok(BoundIndex::assemble(bin_count, epoch, entries))
 }
 
 #[cfg(test)]
@@ -212,7 +212,7 @@ mod tests {
                 ],
             ),
         ];
-        BoundIndex::assemble(RuleProfile::Conservative, 2, epoch, entries)
+        BoundIndex::assemble(2, epoch, entries)
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {

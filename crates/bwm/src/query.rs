@@ -311,12 +311,7 @@ impl Bounds<'_> {
         stats: &mut BwmQueryStats,
     ) {
         let query = self.query;
-        let bounds = program.eval(
-            query.bin,
-            self.engine.profile(),
-            base.count(query.bin),
-            base.total(),
-        );
+        let bounds = program.eval(query.bin, base.count(query.bin), base.total());
         stats.bounds_computed += 1;
         stats.ops_processed += program.op_count();
         for (kind, &n) in stats

@@ -405,7 +405,7 @@ impl MultimediaDatabase {
     /// Only [`RuleProfile::Conservative`] is served: any other profile is
     /// refused with [`QueryError::UnservedProfile`] before anything runs or
     /// is observed (the literal Table 1 profile drops true matches, PAPER.md
-    /// caveat 2; `QueryProcessor::with_profile` still runs it in process).
+    /// caveat 2).
     ///
     /// On a sharded database the query scatters: every shard's slice adds
     /// to one shared [`QueryCtx`] (its own BWM structure and bound index, one
@@ -445,9 +445,7 @@ impl MultimediaDatabase {
     /// The one served range query: scatter-gather under `plan`, observed
     /// once.
     fn run(&self, query: &ColorRangeQuery, plan: QueryPlan, ctx: &mut QueryCtx) -> Result<()> {
-        observed(plan, RuleProfile::Conservative, query, ctx, |ctx| {
-            self.shards.range(query, plan, ctx)
-        })
+        observed(plan, query, ctx, |ctx| self.shards.range(query, plan, ctx))
     }
 
     /// Recomputes and publishes the bound-index staleness and residency

@@ -226,9 +226,11 @@ fn stale_literal_profile_index_file_is_ignored() {
         }
         query(&mmdb, QueryPlan::Indexed);
         mmdb.flush().unwrap();
+        // An index stamped past the catalog, under the literal profile's
+        // name: were it read, it would be discarded or served stale.
         let storage = mmdb.storage();
-        let literal = BoundIndex::build(
-            RuleProfile::PaperTable1,
+        let ahead = BoundIndex::build(
+            RuleProfile::Conservative,
             storage.quantizer(),
             storage.background(),
             &storage.binary_ids(),
@@ -239,7 +241,11 @@ fn stale_literal_profile_index_file_is_ignored() {
             1,
         )
         .unwrap();
-        persist::save(&literal, &idx_dir).unwrap();
+        let elsewhere = db.join("stale_idx_scratch");
+        let saved = persist::save(&ahead, &elsewhere).unwrap();
+        let literal = idx_dir.join(persist::index_file_name(RuleProfile::PaperTable1));
+        std::fs::rename(saved, literal).unwrap();
+        std::fs::remove_dir(elsewhere).unwrap();
     }
     let stale = idx_dir.join(persist::index_file_name(RuleProfile::PaperTable1));
     let stale_bytes = std::fs::read(&stale).unwrap();

@@ -123,7 +123,6 @@ fn nanos(d: Duration) -> u64 {
 /// is observed by the layer that owns all of it, never per slice.
 pub fn observed(
     plan: QueryPlan,
-    profile: RuleProfile,
     query: &ColorRangeQuery,
     ctx: &mut QueryCtx,
     body: impl FnOnce(&mut QueryCtx) -> Result<()>,
@@ -147,7 +146,7 @@ pub fn observed(
         }
         trace.finish(elapsed);
     }
-    observe_range(plan, profile, query, ctx, elapsed);
+    observe_range(plan, query, ctx, elapsed);
     Ok(())
 }
 
@@ -189,14 +188,8 @@ fn observe_range_start(plan: QueryPlan, query: &ColorRangeQuery) {
 /// flight-recorder event carrying the work and per-shard figures, and past
 /// the configured threshold a slow-query counter + event — sits behind one
 /// relaxed load of the instrumentation switch.
-fn observe_range(
-    plan: QueryPlan,
-    profile: RuleProfile,
-    query: &ColorRangeQuery,
-    ctx: &QueryCtx,
-    elapsed: Duration,
-) {
-    flush_work_counters(plan, profile, &ctx.stats);
+fn observe_range(plan: QueryPlan, query: &ColorRangeQuery, ctx: &QueryCtx, elapsed: Duration) {
+    flush_work_counters(plan, &ctx.stats);
     if !mmdb_telemetry::instrumentation_enabled() {
         return;
     }
@@ -246,7 +239,7 @@ fn observe_range(
 /// counts of an Indexed one. Execution itself only fills in the
 /// [`BwmQueryStats`], so the series are exact as soon as the query returns,
 /// whichever thread ran it.
-fn flush_work_counters(plan: QueryPlan, profile: RuleProfile, stats: &BwmQueryStats) {
+fn flush_work_counters(plan: QueryPlan, stats: &BwmQueryStats) {
     // A plan that walked no rule (Indexed, Instantiate, a BWM scan that
     // shortcut every cluster) leaves the rule series alone rather than
     // adding zeros.
@@ -265,15 +258,8 @@ fn flush_work_counters(plan: QueryPlan, profile: RuleProfile, stats: &BwmQuerySt
         }
         // Every rule but `Merge` with a target is bound-widening (§4).
         let [.., merge_target] = stats.rule_applications;
-        let widening = match profile {
-            RuleProfile::PaperTable1 => {
-                counter!(r#"mmdb_rules_widening_ops_total{profile="paper_table1"}"#)
-            }
-            RuleProfile::Conservative => {
-                counter!(r#"mmdb_rules_widening_ops_total{profile="conservative"}"#)
-            }
-        };
-        widening.add((stats.ops_processed - merge_target) as u64);
+        counter!(r#"mmdb_rules_widening_ops_total{profile="conservative"}"#)
+            .add((stats.ops_processed - merge_target) as u64);
     }
     match plan {
         QueryPlan::Bwm => {
@@ -354,25 +340,40 @@ pub fn build_index(db: &StorageEngine, view: &ReadView<'_>) -> Result<BoundIndex
     )?)
 }
 
-/// A query processor bound to one database.
+/// A query processor bound to one database. Its scans evaluate the
+/// Conservative rules, the one profile a bound program holds.
 pub struct QueryProcessor<'db> {
     db: &'db StorageEngine,
-    profile: RuleProfile,
 }
 
 impl<'db> QueryProcessor<'db> {
-    /// Creates a processor using the conservative rule profile.
+    /// Creates a processor over `db`.
     pub fn new(db: &'db StorageEngine) -> Self {
-        Self::with_profile(db, RuleProfile::Conservative)
+        QueryProcessor { db }
     }
 
-    /// Creates a processor with an explicit rule profile.
+    /// [`QueryProcessor::new`], for a caller that names the profile.
+    ///
+    /// # Panics
+    /// Panics when `profile` is not [`RuleProfile::Conservative`]: a bound
+    /// program holds no other profile. The parameter stays only while the
+    /// benchmark harness passes it (ROADMAP item 10, "Close the benchmark
+    /// spine").
     pub fn with_profile(db: &'db StorageEngine, profile: RuleProfile) -> Self {
-        QueryProcessor { db, profile }
+        assert_eq!(
+            profile,
+            RuleProfile::Conservative,
+            "a query processor runs the Conservative rules only"
+        );
+        Self::new(db)
     }
 
     fn engine(&self) -> RuleEngine<'_> {
-        RuleEngine::with_background(self.db.quantizer(), self.profile, self.db.background())
+        RuleEngine::with_background(
+            self.db.quantizer(),
+            RuleProfile::Conservative,
+            self.db.background(),
+        )
     }
 
     /// The one execution path: runs `slice` against this processor's
@@ -465,7 +466,7 @@ impl<'db> QueryProcessor<'db> {
     /// below is this with the slice spelled out.
     pub fn run(&self, slice: Slice<'_>, query: &ColorRangeQuery) -> Result<QueryOutcome> {
         let mut ctx = QueryCtx::default();
-        observed(slice.plan(), self.profile, query, &mut ctx, |ctx| {
+        observed(slice.plan(), query, &mut ctx, |ctx| {
             self.execute(slice, query, ctx)
         })?;
         Ok(ctx.into_outcome())
@@ -480,7 +481,7 @@ impl<'db> QueryProcessor<'db> {
         query: &ColorRangeQuery,
     ) -> Result<(QueryOutcome, QueryTrace)> {
         let mut ctx = QueryCtx::traced(format!("{}_range", slice.plan()));
-        observed(slice.plan(), self.profile, query, &mut ctx, |ctx| {
+        observed(slice.plan(), query, &mut ctx, |ctx| {
             self.execute(slice, query, ctx)
         })?;
         Ok(ctx.into_traced_outcome())
@@ -741,44 +742,34 @@ mod tests {
         }
     }
 
+    /// The Conservative index against both scans. A literal-profile index
+    /// is no longer a configuration: no program holds those rules.
     #[test]
     fn indexed_matches_scans_for_both_profiles() {
         let (db, _bases, _edits) = setup();
-        // Serving builds only the Conservative index; the literal profile's
-        // is built here directly, over the same kind of view.
-        let literal = {
-            let view = db.read_view();
-            let binary: Vec<ImageId> = view.binaries().map(|(id, _)| id).collect();
-            let edited: Vec<ImageId> = view.edited().collect();
-            let (quantizer, background) = (db.quantizer(), db.background());
-            let epoch = db.current_epoch();
-            let profile = RuleProfile::PaperTable1;
-            BoundIndex::build(
-                profile, quantizer, background, &binary, &edited, &view, &view, epoch, 1,
-            )
-            .unwrap()
-        };
-        let conservative = build_index(&db, &db.read_view()).unwrap();
-        for (profile, index) in [
-            (RuleProfile::Conservative, conservative),
-            (RuleProfile::PaperTable1, literal),
+        let index = build_index(&db, &db.read_view()).unwrap();
+        let qp = QueryProcessor::new(&db);
+        for (lo, hi) in [
+            (0.0, 1.0),
+            (0.25, 0.55),
+            (0.45, 0.52),
+            (0.9, 1.0),
+            (0.0, 0.05),
         ] {
-            let qp = QueryProcessor::with_profile(&db, profile);
-            for (lo, hi) in [
-                (0.0, 1.0),
-                (0.25, 0.55),
-                (0.45, 0.52),
-                (0.9, 1.0),
-                (0.0, 0.05),
-            ] {
-                let q = ColorRangeQuery::new(red_bin(&db), lo, hi);
-                let rbm = qp.range_rbm(&q).unwrap().sorted_results();
-                let bwm = qp.range_bwm(&q).unwrap().sorted_results();
-                let idx = qp.range_indexed_with(&index, &q).unwrap().sorted_results();
-                assert_eq!(idx, rbm, "{profile:?} [{lo},{hi}] indexed vs rbm");
-                assert_eq!(idx, bwm, "{profile:?} [{lo},{hi}] indexed vs bwm");
-            }
+            let q = ColorRangeQuery::new(red_bin(&db), lo, hi);
+            let rbm = qp.range_rbm(&q).unwrap().sorted_results();
+            let bwm = qp.range_bwm(&q).unwrap().sorted_results();
+            let idx = qp.range_indexed_with(&index, &q).unwrap().sorted_results();
+            assert_eq!(idx, rbm, "[{lo},{hi}] indexed vs rbm");
+            assert_eq!(idx, bwm, "[{lo},{hi}] indexed vs bwm");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "Conservative rules only")]
+    fn a_literal_profile_processor_is_refused() {
+        let (db, _bases, _edits) = setup();
+        let _ = QueryProcessor::with_profile(&db, RuleProfile::PaperTable1);
     }
 
     #[test]
@@ -807,24 +798,27 @@ mod tests {
         assert_eq!(qp.expand_with_bases(&[bases[0]]), vec![bases[0]]);
     }
 
+    /// The profiles bound the blurred images differently; the served,
+    /// Conservative scan still keeps every true match.
     #[test]
     fn profile_affects_filter_width_not_correctness() {
-        let (db, _bases, _edits) = setup();
+        let (db, _bases, edits) = setup();
         let q = ColorRangeQuery::new(red_bin(&db), 0.29, 0.31);
-        let cons = QueryProcessor::with_profile(&db, RuleProfile::Conservative)
-            .range_rbm(&q)
-            .unwrap();
-        let lit = QueryProcessor::with_profile(&db, RuleProfile::PaperTable1)
-            .range_rbm(&q)
-            .unwrap();
-        // Both contain the exactly-30%-red base image.
+        let cons = QueryProcessor::new(&db).range_rbm(&q).unwrap();
         let truth = QueryProcessor::new(&db).range_instantiate(&q).unwrap();
         for id in truth.sorted_results() {
-            // PaperTable1's Combine rule is exact-histogram for blur, so
-            // candidates may differ, but the matching *binary* images and
-            // conservative candidates must be present in each.
-            assert!(cons.results.contains(&id) || !db.binary_ids().contains(&id));
+            assert!(cons.results.contains(&id), "false negative {id}");
         }
-        assert!(!lit.results.is_empty());
+        let engine =
+            |profile| RuleEngine::with_background(db.quantizer(), profile, db.background());
+        let (conservative, literal) = (
+            engine(RuleProfile::Conservative),
+            engine(RuleProfile::PaperTable1),
+        );
+        let blurred = db.edit_sequence(edits[0]).unwrap();
+        let cons = conservative.bounds(&blurred, q.bin, &db).unwrap();
+        let lit = literal.bounds(&blurred, q.bin, &db).unwrap();
+        assert!(lit.is_exact(), "the literal Combine row changes nothing");
+        assert!(cons.fraction_width() > lit.fraction_width());
     }
 }

@@ -28,7 +28,7 @@
 
 use mmdb_editops::ImageId;
 use mmdb_histogram::{l1_distance, ColorHistogram};
-use mmdb_rules::{BoundRange, InfoResolver, RuleError, RuleProfile};
+use mmdb_rules::{BoundRange, InfoResolver, RuleError};
 use mmdb_storage::{StorageEngine, StorageError};
 
 /// Work counters for one k-NN execution.
@@ -72,8 +72,8 @@ pub fn l1_lower_bound(query_signature: &[f64], bounds: &[BoundRange]) -> f64 {
 
 /// Exact k-nearest-neighbour search by L1 histogram distance over **all**
 /// images (binary and edited), pruning edited images with rule-derived
-/// lower bounds — always the Conservative profile's: a bound that is not
-/// sound could prune a true neighbour. Observes nothing: a sharded database
+/// lower bounds — the Conservative rules every program holds: a bound that
+/// is not sound could prune a true neighbour. Observes nothing: a sharded database
 /// runs this once per shard, and whoever owns the whole request reports it
 /// ([`observed_knn`](crate::executor::observed_knn)).
 pub fn knn_augmented(
@@ -115,7 +115,7 @@ pub fn knn_augmented(
         };
         let base = InfoResolver::require(db, program.base())?;
         let tau = kth_distance(&best, k);
-        let bounds = program.eval_vector(RuleProfile::Conservative, &base.histogram);
+        let bounds = program.eval_vector(&base.histogram);
         let lower = l1_lower_bound(&query_sig, &bounds);
         if lower > tau + PRUNE_SLACK {
             stats.edited_pruned += 1;
@@ -197,7 +197,7 @@ mod tests {
     use mmdb_editops::EditSequence;
     use mmdb_histogram::RgbQuantizer;
     use mmdb_imaging::{draw, RasterImage, Rect, Rgb};
-    use mmdb_rules::RuleEngine;
+    use mmdb_rules::{RuleEngine, RuleProfile};
 
     /// Gradient of red fractions plus edited variants.
     fn setup() -> (StorageEngine, Vec<ImageId>) {
@@ -280,7 +280,7 @@ mod tests {
         let engine = RuleEngine::new(db.quantizer(), RuleProfile::Conservative);
         for id in db.edited_ids() {
             let seq = db.edit_sequence(id).unwrap();
-            let bounds = engine.bounds_vector(&seq, &db).unwrap();
+            let bounds = engine.bounds_trace(&seq, &db).unwrap().pop().unwrap();
             let lower = l1_lower_bound(&sig, &bounds);
             let exact = l1_distance(&q, &db.histogram(id).unwrap());
             assert!(

@@ -44,7 +44,6 @@ pub fn register_metrics() {
         r#"mmdb_rules_applications_total{op="mutate"}"#,
         r#"mmdb_rules_applications_total{op="merge_null"}"#,
         r#"mmdb_rules_applications_total{op="merge_target"}"#,
-        r#"mmdb_rules_widening_ops_total{profile="paper_table1"}"#,
         r#"mmdb_rules_widening_ops_total{profile="conservative"}"#,
         r#"mmdb_query_knn_total{path="augmented"}"#,
         "mmdb_query_knn_edited_pruned_total",

@@ -1,7 +1,10 @@
 //! The BOUNDS computation: Table 1 of the paper, executed over an edit
-//! sequence without instantiating the image. Every entry point is
-//! [`RuleEngine::compile`] followed by an evaluation of the resulting
-//! [`BoundProgram`]; the rule arithmetic itself lives in `program.rs`.
+//! sequence without instantiating the image. [`RuleEngine::compile`] leaves
+//! a [`BoundProgram`] of the Conservative rules for callers that bound the
+//! same sequence again; [`RuleEngine::bounds`], [`RuleEngine::may_satisfy`]
+//! and [`RuleEngine::bounds_trace`] walk the sequence under the engine's own
+//! profile and build no program. The rule arithmetic itself lives in
+//! `program.rs`.
 
 use crate::bounds::BoundRange;
 use crate::program::{
@@ -42,8 +45,9 @@ pub enum RuleProfile {
 }
 
 impl RuleProfile {
-    /// Stable lowercase label used in telemetry series, matching the
-    /// existing `mmdb_rules_widening_ops_total{profile="..."}` spellings.
+    /// Stable lowercase label: the name of a persisted bound index file, and
+    /// the spelling of refusals and of the served
+    /// `mmdb_rules_widening_ops_total{profile="conservative"}` series.
     pub fn label(self) -> &'static str {
         match self {
             RuleProfile::PaperTable1 => "paper_table1",
@@ -82,11 +86,6 @@ impl<'q> RuleEngine<'q> {
         }
     }
 
-    /// The configured profile.
-    pub fn profile(&self) -> RuleProfile {
-        self.profile
-    }
-
     /// The configured quantizer.
     pub fn quantizer(&self) -> &dyn Quantizer {
         self.quantizer
@@ -104,8 +103,8 @@ impl<'q> RuleEngine<'q> {
 
     /// The bin-independent half of BOUNDS: walks `seq` once, tracking the
     /// canvas and defined region as the executor would move them, and
-    /// records what each Table 1 rule will do to a bin's `[BOUNDmin,
-    /// BOUNDmax, imagesize]` triple.
+    /// records what each conservative Table 1 rule will do to a bin's
+    /// `[BOUNDmin, BOUNDmax, imagesize]` triple.
     /// Every error a walk can meet — a non-affine or non-finite `Mutate`, a
     /// canvas over the executor's pixel cap, `Merge(NULL)` on an empty
     /// region, an unknown base or merge target — is met here, in operation
@@ -113,22 +112,13 @@ impl<'q> RuleEngine<'q> {
     /// dimensions, and each merge target's dimensions and histogram — which
     /// the program keeps, so evaluating it resolves nothing.
     ///
-    /// The result does not depend on this engine's profile.
+    /// The program holds the Conservative rules whatever this engine's
+    /// profile: the literal table is read only by the stepwise entry points.
     pub fn compile(&self, seq: &EditSequence, resolver: &dyn InfoResolver) -> Result<BoundProgram> {
         let base = resolver.require(seq.base)?;
-        self.compile_from(seq, &base, resolver)
-    }
-
-    /// [`RuleEngine::compile`] from a base already in hand; `resolver` is
-    /// asked for merge targets only.
-    fn compile_from(
-        &self,
-        seq: &EditSequence,
-        base: &ImageInfo,
-        resolver: &dyn InfoResolver,
-    ) -> Result<BoundProgram> {
         let mut program = ProgramBuilder::new(seq.base, self.background_bin()?);
-        self.walk(seq, base, resolver, |op, step, target| {
+        let conservative = RuleProfile::Conservative;
+        self.walk(seq, &base, conservative, resolver, |op, step, target| {
             program.count_op(kind_slot(op.kind()))?;
             if let Some(step) = step {
                 program.push(step, target.map(|t| &t.histogram));
@@ -140,10 +130,11 @@ impl<'q> RuleEngine<'q> {
 
     /// The BOUNDS algorithm of §3.2/§4: computes the `[BOUNDmin, BOUNDmax,
     /// imagesize]` triple for histogram bin `bin` of the edited image
-    /// described by `seq`, accessing only catalog metadata (histograms and
-    /// dimensions) — never pixel data. [`RuleEngine::compile`] followed by
-    /// [`BoundProgram::eval`]; callers that bound the same sequence again
-    /// should keep the program.
+    /// described by `seq` under this engine's profile, accessing only
+    /// catalog metadata (histograms and dimensions) — never pixel data.
+    /// Applies each operation's rule as the walk meets it and keeps
+    /// nothing; a caller that bounds the same sequence again should keep a
+    /// [`RuleEngine::compile`]d program instead.
     pub fn bounds(
         &self,
         seq: &EditSequence,
@@ -156,35 +147,25 @@ impl<'q> RuleEngine<'q> {
             self.quantizer.bin_count()
         );
         let base = resolver.require(seq.base)?;
-        Ok(self.compile_from(seq, &base, resolver)?.eval(
-            bin,
-            self.profile,
-            base.histogram.count(bin),
-            base.histogram.total(),
-        ))
+        let background_bin = self.background_bin()?;
+        let mut range = BoundRange::exact(base.histogram.count(bin), base.histogram.total());
+        self.walk(seq, &base, self.profile, resolver, |_, step, target| {
+            if let Some(step) = step {
+                let target =
+                    target.map_or((0, 0), |t| (t.histogram.count(bin), t.histogram.total()));
+                step.apply(&mut range, bin, background_bin, target);
+            }
+            Ok(())
+        })?;
+        Ok(range)
     }
 
-    /// Computes the bound triples of **every** histogram bin: one
-    /// [`RuleEngine::compile`], then [`BoundProgram::eval_vector`]. Exactly
-    /// equivalent to calling [`RuleEngine::bounds`] per bin (verified by
-    /// property test). Used by the bounds-pruned k-NN over edited images
-    /// (the paper's §6 future work).
-    pub fn bounds_vector(
-        &self,
-        seq: &EditSequence,
-        resolver: &dyn InfoResolver,
-    ) -> Result<Vec<BoundRange>> {
-        let base = resolver.require(seq.base)?;
-        let program = self.compile_from(seq, &base, resolver)?;
-        Ok(program.eval_vector(self.profile, &base.histogram))
-    }
-
-    /// Like [`RuleEngine::bounds_vector`], but additionally snapshots the
-    /// per-bin triples **after every operation**: element `0` is the base
-    /// state, element `i + 1` the state after `seq.ops[i]`. The soundness
-    /// audit in `mmdb-analysis` walks these snapshots to check widening
-    /// monotonicity and per-op profile containment; the final element is
-    /// exactly what `bounds_vector` returns.
+    /// The per-bin triples of **every** histogram bin under this engine's
+    /// profile, snapshotted **after every operation**: element `0` is the
+    /// base state, element `i + 1` the state after `seq.ops[i]`, and the
+    /// last element's entry `bin` equals [`RuleEngine::bounds`] for that
+    /// bin. The soundness audit in `mmdb-analysis` walks these snapshots to
+    /// check widening monotonicity and per-op profile containment.
     pub fn bounds_trace(
         &self,
         seq: &EditSequence,
@@ -195,10 +176,10 @@ impl<'q> RuleEngine<'q> {
         let mut ranges = base_ranges(&base.histogram);
         let mut trace = Vec::with_capacity(seq.ops.len() + 1);
         trace.push(ranges.clone());
-        self.walk(seq, &base, resolver, |_, step, target| {
+        self.walk(seq, &base, self.profile, resolver, |_, step, target| {
             if let Some(step) = step {
                 let target = target.map(|t| &*t.histogram);
-                apply_to_all(step, &mut ranges, self.profile, background_bin, target);
+                apply_to_all(step, &mut ranges, background_bin, target);
             }
             trace.push(ranges.clone());
             Ok(())
@@ -222,17 +203,20 @@ impl<'q> RuleEngine<'q> {
 
     /// The walk behind every entry point: follows the executor's [`Frame`]
     /// through `seq`, and hands `emit` each operation together with the
-    /// [`Step`] its Table 1 rule amounts to for the [`Motion`] it made —
-    /// `None` when the operation cannot change any bin's triple under either
-    /// profile (`Define`, or a rule applied to an empty region) — and, for a
-    /// `Merge` with a target, the target as resolved once for its dimensions.
+    /// [`Step`] its Table 1 rule under `profile` amounts to for the
+    /// [`Motion`] it made — `None` when the operation cannot change any
+    /// bin's triple (`Define`, or a rule applied to an empty region) — and,
+    /// for a `Merge` with a target, the target as resolved once for its
+    /// dimensions. Both profiles meet the same errors.
     fn walk(
         &self,
         seq: &EditSequence,
         base: &ImageInfo,
+        profile: RuleProfile,
         resolver: &dyn InfoResolver,
         mut emit: impl FnMut(&EditOp, Option<Step>, Option<&ImageInfo>) -> Result<()>,
     ) -> Result<()> {
+        let literal = profile == RuleProfile::PaperTable1;
         let mut frame = Frame::new(base.width, base.height);
         for op in &seq.ops {
             let target = match op.merge_target() {
@@ -244,17 +228,28 @@ impl<'q> RuleEngine<'q> {
                 // Table 1, `Combine` row. Literal profile: no change.
                 // Conservative profile: every DR pixel's color may change,
                 // so the bin may lose or gain up to |DR| pixels.
-                (EditOp::Combine { .. }, _) => widen(0, frame.region().area())?,
+                (EditOp::Combine { .. }, _) if literal => None,
+                (EditOp::Combine { .. }, _) => widen(frame.region().area())?,
                 // Table 1, `Modify` row: "If RGBnew maps to HB: increase max
                 // by |DR|; else if RGBold maps to HB: decrease min by |DR|;
-                // else: no change."
+                // else: no change." Read literally, a recoloring inside one
+                // bin raises its `max`; conservatively it changes nothing.
                 (EditOp::Modify { from, to }, _) => match frame.region().area() {
                     0 => None,
-                    d => Some(Step::Modify {
-                        from_bin: pack(self.quantizer.bin_of(*from) as u64)?,
-                        to_bin: pack(self.quantizer.bin_of(*to) as u64)?,
-                        d: pack(d)?,
-                    }),
+                    d => {
+                        let from_bin = pack(self.quantizer.bin_of(*from) as u64)?;
+                        let to_bin = pack(self.quantizer.bin_of(*to) as u64)?;
+                        let d = pack(d)?;
+                        Some(if literal && from_bin == to_bin {
+                            Step::Raise { bin: to_bin, d }
+                        } else {
+                            Step::Modify {
+                                from_bin,
+                                to_bin,
+                                d,
+                            }
+                        })
+                    }
                 },
                 // Table 1, `Mutate` row: whole-image axis scaling multiplies
                 // all three quantities by `M11 · M22`. Nearest-neighbour
@@ -262,20 +257,29 @@ impl<'q> RuleEngine<'q> {
                 // ceil(fy) times (and likewise per column), so the per-bin
                 // count is bounded by count·⌊fx⌋⌊fy⌋ and count·⌈fx⌉⌈fy⌉.
                 (EditOp::Mutate { matrix }, Motion::Resize { from, to }) => {
-                    let fx = to.0 as f64 / from.0 as f64;
-                    let fy = to.1 as f64 / from.1 as f64;
-                    Some(Step::Scale {
-                        factor: matrix.m[0][0] * matrix.m[1][1],
-                        mul_min: pack(fx.floor() as u64 * fy.floor() as u64)?,
-                        mul_max: pack((fx.ceil() as u64).max(1) * (fy.ceil() as u64).max(1))?,
-                        new_total: pack(to.0 as u64 * to.1 as u64)?,
+                    let new_total = pack(to.0 as u64 * to.1 as u64)?;
+                    Some(if literal {
+                        Step::ScaleBy {
+                            factor: matrix.m[0][0] * matrix.m[1][1],
+                            new_total,
+                        }
+                    } else {
+                        let fx = to.0 as f64 / from.0 as f64;
+                        let fy = to.1 as f64 / from.1 as f64;
+                        Step::Scale {
+                            mul_min: pack(fx.floor() as u64 * fy.floor() as u64)?,
+                            mul_max: pack((fx.ceil() as u64).max(1) * (fy.ceil() as u64).max(1))?,
+                            new_total,
+                        }
                     })
                 }
                 // Everything else (the "rigid body" case and its
                 // generalizations) widens by the affected pixel count with
                 // the total unchanged. Paper: ±|DR|. Sound w.r.t. stamp
                 // semantics: only destination pixels change.
-                (_, Motion::Stamp { source, dest }) => widen(source.area(), dest.area())?,
+                (_, Motion::Stamp { source, dest }) => {
+                    widen(if literal { source } else { dest }.area())?
+                }
                 // Table 1, `Merge` with NULL target: the image becomes the DR.
                 (_, Motion::Crop { source }) => Some(Step::MergeNull {
                     d: pack(source.area())?,
@@ -296,7 +300,9 @@ impl<'q> RuleEngine<'q> {
                     let new_total = canvas.area();
                     let covered = dest.intersect(&target_rect).area();
                     // canvas ⊇ target ∪ dest, so new_total + covered ≥ T + d.
+                    // The literal table ignores the overlap and the gap.
                     let gap = (new_total + covered) - target.histogram.total() - d;
+                    let (covered, gap) = if literal { (d, 0) } else { (covered, gap) };
                     Some(Step::MergeTarget {
                         target: *id,
                         d: pack(d)?,
@@ -313,14 +319,11 @@ impl<'q> RuleEngine<'q> {
     }
 }
 
-/// A widening step, or nothing when neither profile would move a bound.
-fn widen(paper: u64, conservative: u64) -> Result<Option<Step>> {
-    Ok(match (paper, conservative) {
-        (0, 0) => None,
-        _ => Some(Step::Widen {
-            paper: pack(paper)?,
-            conservative: pack(conservative)?,
-        }),
+/// A widening step, or nothing when it would move no bound.
+fn widen(d: u64) -> Result<Option<Step>> {
+    Ok(match d {
+        0 => None,
+        d => Some(Step::Widen { d: pack(d)? }),
     })
 }
 

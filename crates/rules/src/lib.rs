@@ -17,11 +17,13 @@
 //! ## Compile once, evaluate per bin
 //!
 //! Everything in that walk except the three quantities is the same for
-//! every bin, so BOUNDS runs in two halves: [`RuleEngine::compile`] follows
-//! the geometry through the sequence once and leaves a [`BoundProgram`];
-//! [`BoundProgram::eval`] replays it for one bin. [`RuleEngine::bounds`] and
-//! its siblings are the two composed; a caller that bounds the same stored
-//! sequence on every query (the RBM and BWM scans) keeps the program.
+//! every bin, so a caller that bounds the same stored sequence on every
+//! query (the RBM and BWM scans, the bound index, k-NN) runs BOUNDS in two
+//! halves: [`RuleEngine::compile`] follows the geometry through the sequence
+//! once and leaves a [`BoundProgram`]; [`BoundProgram::eval`] replays it for
+//! one bin. [`RuleEngine::bounds`], [`RuleEngine::may_satisfy`] and
+//! [`RuleEngine::bounds_trace`] instead apply each rule as the walk meets
+//! it, and keep nothing.
 //!
 //! ## Rule profiles
 //!
@@ -30,18 +32,21 @@
 //! unsound for an actual blur (pixels can enter or leave a bin). Both
 //! readings are implemented:
 //!
-//! * [`RuleProfile::PaperTable1`] — the literal table, for faithful
-//!   reproduction of the paper's measurements;
 //! * [`RuleProfile::Conservative`] — provably sound bounds with respect to
 //!   the instantiation engine in `mmdb-editops` (checked by property tests):
 //!   `Combine` widens by |DR|, sub-region `Mutate` widens by the clipped
 //!   transformed bounding box, whole-image scaling uses floor/ceil scale
 //!   factors, and `Merge` accounts for background gap fill and the exact
-//!   paste overlap.
+//!   paste overlap. The only profile a [`BoundProgram`] holds, and so the
+//!   only one the scans, the bound index and k-NN evaluate.
+//! * [`RuleProfile::PaperTable1`] — the literal table, for faithful
+//!   reproduction of the paper's measurements. Only the stepwise entry
+//!   points read it, under an engine built with it: the profile ablation
+//!   and the soundness audit.
 //!
 //! Both profiles agree on the *bound-widening classification* of every
-//! operation, so the BWM structure (crate `mmdb-bwm`) behaves identically
-//! under either.
+//! operation, so the BWM structure (crate `mmdb-bwm`) is the same under
+//! either.
 
 pub mod bounds;
 pub mod engine;

@@ -7,40 +7,34 @@
 //! and every error condition — is the same for every bin, so
 //! [`RuleEngine::compile`](crate::RuleEngine::compile) walks it once and
 //! leaves a [`BoundProgram`]: a short list of arithmetic steps that
-//! [`BoundProgram::eval`] replays for one bin. Consecutive `Widen` and
-//! `Modify` steps leave `total` alone and only lower `min` and raise `max`,
-//! so the program keeps each maximal run of them as one `Run` step, which
-//! evaluation applies in one pass.
+//! [`BoundProgram::eval`] replays for one bin under the Conservative rules.
+//! Consecutive `Widen` and `Modify` steps leave `total` alone and only lower
+//! `min` and raise `max`, so the program keeps each maximal run of them as
+//! one `Run` step, which evaluation applies in one pass.
+//!
+//! The literal Table 1 profile is never compiled. A walk under it emits the
+//! same steps with the literal constants, plus two steps of its own, and
+//! [`RuleEngine`](crate::RuleEngine)'s stepwise entry points apply them one
+//! at a time.
 
 use crate::bounds::BoundRange;
-use crate::engine::RuleProfile;
 use crate::{Result, RuleError};
 use mmdb_editops::ImageId;
 use mmdb_histogram::ColorHistogram;
 use std::sync::Arc;
 
-/// One bin-dependent adjustment of the bound triple. Where the two rule
-/// profiles use different constants the step carries both.
+/// One bin-dependent adjustment of the bound triple under one rule
+/// profile, as the walk emits it. A program holds the conservative ones.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum Step {
-    /// `Combine` (conservative profile only) and sub-region `Mutate`:
-    /// `min −= d`, `max += d`.
-    Widen {
-        /// Literal Table 1: 0 for `Combine`, |DR| for `Mutate`.
-        paper: u32,
-        /// Conservative: |DR| for `Combine`, the clipped destination box
-        /// for `Mutate`.
-        conservative: u32,
-    },
-    /// `Modify`: `max += d` when `to_bin` is the queried bin, else
-    /// `min −= d` when `from_bin` is.
+    /// `Combine` and sub-region `Mutate`: `min −= d`, `max += d`.
+    Widen { d: u32 },
+    /// `Modify`: `max += d` when `to_bin` is the queried bin and `from_bin`
+    /// is not, else `min −= d` when `from_bin` is.
     Modify { from_bin: u32, to_bin: u32, d: u32 },
-    /// Whole-image axis scale: all three quantities change.
+    /// Whole-image axis scale: `min` and `max` multiplied by `⌊fx⌋ · ⌊fy⌋`
+    /// and `⌈fx⌉ · ⌈fy⌉` of the realized per-axis resampling factors.
     Scale {
-        /// Literal Table 1: `M11 · M22`.
-        factor: f64,
-        /// Conservative: `⌊fx⌋ · ⌊fy⌋` and `⌈fx⌉ · ⌈fy⌉` of the realized
-        /// per-axis resampling factors.
         mul_min: u32,
         mul_max: u32,
         new_total: u32,
@@ -53,13 +47,19 @@ pub(crate) enum Step {
         target: ImageId,
         /// |DR| of the pasted region.
         d: u32,
-        /// Target pixels the paste covers (conservative profile).
+        /// Target pixels the paste covers.
         covered: u32,
         /// Canvas pixels belonging to neither image, filled with the
-        /// background color (conservative profile).
+        /// background color.
         gap: u32,
         new_total: u32,
     },
+    /// Literal Table 1 only: whole-image scale multiplies all three
+    /// quantities by `M11 · M22`.
+    ScaleBy { factor: f64, new_total: u32 },
+    /// Literal Table 1 only: a `Modify` within one bin raises that bin's
+    /// `max` by `d`.
+    Raise { bin: u32, d: u32 },
 }
 
 /// A step's first word: its opcode in the low [`OP_BITS`] bits and, for a
@@ -109,36 +109,10 @@ fn join(low: u32, high: u32) -> u64 {
 /// capped at `total` — exactly what its steps do one at a time.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Run<'a> {
-    /// Summed widenings: literal Table 1, conservative.
-    widen: [u32; 2],
+    /// Summed widenings.
+    widen: u32,
     /// `from_bin`, `to_bin`, `d` of each `Modify`, in operation order.
     modifies: &'a [u32],
-}
-
-/// How a rule profile reads a run, looked up once per evaluation.
-#[derive(Clone, Copy)]
-struct Reading {
-    /// Which of a run's two widenings applies.
-    widen: usize,
-    /// Whether a `Modify` within one bin raises that bin's `max`: the literal
-    /// table says so; the conservative profile knows that recoloring inside
-    /// one bin cannot change its population.
-    same_bin_raises: bool,
-}
-
-impl Reading {
-    fn of(profile: RuleProfile) -> Self {
-        match profile {
-            RuleProfile::PaperTable1 => Reading {
-                widen: 0,
-                same_bin_raises: true,
-            },
-            RuleProfile::Conservative => Reading {
-                widen: 1,
-                same_bin_raises: false,
-            },
-        }
-    }
 }
 
 /// All ones when `condition` holds, else zero.
@@ -150,18 +124,19 @@ impl Run<'_> {
     /// Applies the run's `Combine`, sub-region `Mutate` and `Modify` rules to
     /// `range` for histogram bin `bin`: each widening lowers `min` and raises
     /// `max` by its `d`; each `Modify` raises `max` by its `d` when `to_bin`
-    /// is the queried bin, else lowers `min` when `from_bin` is. The sums are
-    /// masked, not branched on, and one clamp ends the run.
+    /// is the queried bin and `from_bin` is not (recoloring inside one bin
+    /// cannot change its population), else lowers `min` when `from_bin` is.
+    /// The sums are masked, not branched on, and one clamp ends the run.
     #[inline]
-    fn apply(self, range: &mut BoundRange, bin: usize, reading: Reading) {
-        let mut lower = u64::from(self.widen[reading.widen]);
+    fn apply(self, range: &mut BoundRange, bin: usize) {
+        let mut lower = u64::from(self.widen);
         let mut raise = lower;
         for entry in self.modifies.chunks_exact(3) {
             let &[from_bin, to_bin, d] = entry else {
                 unreachable!("chunks_exact(3) yields three words")
             };
             let (from_bin, to_bin, d) = (from_bin as usize, to_bin as usize, u64::from(d));
-            raise += d & mask(to_bin == bin && (from_bin != to_bin || reading.same_bin_raises));
+            raise += d & mask(to_bin == bin && from_bin != to_bin);
             lower += d & mask(from_bin == bin && to_bin != bin);
         }
         range.min = range.min.saturating_sub(lower);
@@ -171,39 +146,10 @@ impl Run<'_> {
 }
 
 impl Step {
-    /// Encodes a step that ends a run; runs are the builder's to encode.
-    fn encode(self, words: &mut Vec<u32>) {
-        match self {
-            Step::Widen { .. } | Step::Modify { .. } => {
-                unreachable!("widen and modify steps are encoded as runs")
-            }
-            Step::Scale {
-                factor,
-                mul_min,
-                mul_max,
-                new_total,
-            } => {
-                let [low, high] = split(factor.to_bits());
-                words.extend([OP_SCALE, low, high, mul_min, mul_max, new_total]);
-            }
-            Step::MergeNull { d } => words.extend([OP_MERGE_NULL, d]),
-            Step::MergeTarget {
-                target,
-                d,
-                covered,
-                gap,
-                new_total,
-            } => {
-                let [low, high] = split(target.raw());
-                words.extend([OP_MERGE_TARGET, low, high, d, covered, gap, new_total]);
-            }
-        }
-    }
-
     /// Applies this step's Table 1 rule to `range` for histogram bin `bin`.
     /// `target` is the merge target's `(count in bin, total)`; only
-    /// [`Step::MergeTarget`] reads it. A `Widen` or `Modify` is a [`Run`] of
-    /// one.
+    /// [`Step::MergeTarget`] reads it, and counts the gap only in
+    /// `background_bin`. A `Widen` or `Modify` is a [`Run`] of one.
     ///
     /// Every arm ends by restoring `min <= max <= total`, which the next
     /// step's subtractions rely on.
@@ -211,22 +157,17 @@ impl Step {
         self,
         range: &mut BoundRange,
         bin: usize,
-        profile: RuleProfile,
         background_bin: u32,
         target: (u64, u64),
     ) {
         let r = range;
         match self {
-            Step::Widen {
-                paper,
-                conservative,
-            } => {
+            Step::Widen { d } => {
                 let run = Run {
-                    widen: [paper, conservative],
+                    widen: d,
                     modifies: &[],
                 };
-                run.apply(r, bin, Reading::of(profile));
-                return;
+                return run.apply(r, bin);
             }
             Step::Modify {
                 from_bin,
@@ -234,31 +175,20 @@ impl Step {
                 d,
             } => {
                 let run = Run {
-                    widen: [0, 0],
+                    widen: 0,
                     modifies: &[from_bin, to_bin, d],
                 };
-                run.apply(r, bin, Reading::of(profile));
-                return;
+                return run.apply(r, bin);
             }
+            // Nearest-neighbour resampling uses each source row between
+            // ⌊fy⌋ and ⌈fy⌉ times (likewise per column).
             Step::Scale {
-                factor,
                 mul_min,
                 mul_max,
                 new_total,
             } => {
-                match profile {
-                    // "Multiply by M11 · M22" — all three quantities.
-                    RuleProfile::PaperTable1 => {
-                        r.min = (r.min as f64 * factor).floor().max(0.0) as u64;
-                        r.max = (r.max as f64 * factor).ceil() as u64;
-                    }
-                    // Nearest-neighbour resampling uses each source row
-                    // between ⌊fy⌋ and ⌈fy⌉ times (likewise per column).
-                    RuleProfile::Conservative => {
-                        r.min = r.min.saturating_mul(u64::from(mul_min));
-                        r.max = r.max.saturating_mul(u64::from(mul_max));
-                    }
-                }
+                r.min = r.min.saturating_mul(u64::from(mul_min));
+                r.max = r.max.saturating_mul(u64::from(mul_max));
                 r.total = u64::from(new_total);
             }
             // min' = |DR| − (E − HBmin), max' = MIN(HBmax, |DR|), total' = |DR|.
@@ -270,9 +200,8 @@ impl Step {
             }
             // The pasted DR contributes [|DR| − (E − HBmin), MIN(HBmax, |DR|)],
             // the surviving target pixels [T_HB − covered, MIN(T_HB, T −
-            // covered)]. The literal profile takes covered = |DR| and ignores
-            // the gap; the conservative one uses the exact overlap and counts
-            // gap pixels as background — an exact contribution, not a bound.
+            // covered)], and the gap pixels, all background, an exact count.
+            // The literal table's walk takes covered = |DR| and no gap.
             Step::MergeTarget {
                 d,
                 covered,
@@ -281,19 +210,21 @@ impl Step {
                 ..
             } => {
                 let (t_hb, t_total) = target;
-                let d = u64::from(d);
+                let (d, covered) = (u64::from(d), u64::from(covered));
+                let gap = u64::from(gap) & mask(background_bin as usize == bin);
                 let dr_min = d.saturating_sub(r.total - r.min);
                 let dr_max = r.max.min(d);
-                let (covered, gap) = match profile {
-                    RuleProfile::PaperTable1 => (d, 0),
-                    RuleProfile::Conservative if background_bin as usize == bin => {
-                        (u64::from(covered), u64::from(gap))
-                    }
-                    RuleProfile::Conservative => (u64::from(covered), 0),
-                };
                 r.min = dr_min + t_hb.saturating_sub(covered) + gap;
                 r.max = dr_max + t_hb.min(t_total.saturating_sub(covered)) + gap;
                 r.total = u64::from(new_total);
+            }
+            Step::ScaleBy { factor, new_total } => {
+                r.min = (r.min as f64 * factor).floor().max(0.0) as u64;
+                r.max = (r.max as f64 * factor).ceil() as u64;
+                r.total = u64::from(new_total);
+            }
+            Step::Raise { bin: raised, d } => {
+                r.max += u64::from(d) & mask(raised as usize == bin);
             }
         }
         *r = r.clamped();
@@ -319,17 +250,12 @@ impl<'a> Iterator for Items<'a> {
     fn next(&mut self) -> Option<Item<'a>> {
         let (&head, words) = self.0.split_first()?;
         let (item, rest) = match (head & OP_MASK, words) {
-            (OP_RUN, &[paper, conservative, ref rest @ ..]) => {
+            (OP_RUN, &[widen, ref rest @ ..]) => {
                 let (modifies, rest) = rest.split_at(3 * (head >> OP_BITS) as usize);
-                let run = Run {
-                    widen: [paper, conservative],
-                    modifies,
-                };
-                (Item::Run(run), rest)
+                (Item::Run(Run { widen, modifies }), rest)
             }
-            (OP_SCALE, &[low, high, mul_min, mul_max, new_total, ref rest @ ..]) => (
+            (OP_SCALE, &[mul_min, mul_max, new_total, ref rest @ ..]) => (
                 Item::Step(Step::Scale {
-                    factor: f64::from_bits(join(low, high)),
                     mul_min,
                     mul_max,
                     new_total,
@@ -388,43 +314,56 @@ impl ProgramBuilder {
     /// the open run; any other step closes it.
     pub(crate) fn push(&mut self, step: Step, target: Option<&Arc<ColorHistogram>>) {
         match step {
-            Step::Widen {
-                paper,
-                conservative,
-            } => self.extend_run([paper, conservative], None),
+            Step::Widen { d } => self.extend_run(d, None),
             Step::Modify {
                 from_bin,
                 to_bin,
                 d,
-            } => self.extend_run([0, 0], Some([from_bin, to_bin, d])),
-            Step::Scale { .. } | Step::MergeNull { .. } | Step::MergeTarget { .. } => {
-                self.run = None;
-                step.encode(&mut self.words);
-                if let Step::MergeTarget { .. } = step {
-                    let target = target.expect("a merge step comes with its target's histogram");
-                    self.targets.push(Arc::clone(target));
-                }
+            } => self.extend_run(0, Some([from_bin, to_bin, d])),
+            Step::Scale {
+                mul_min,
+                mul_max,
+                new_total,
+            } => self.close_run(&[OP_SCALE, mul_min, mul_max, new_total]),
+            Step::MergeNull { d } => self.close_run(&[OP_MERGE_NULL, d]),
+            Step::MergeTarget {
+                target: id,
+                d,
+                covered,
+                gap,
+                new_total,
+            } => {
+                let target = target.expect("a merge step comes with its target's histogram");
+                self.targets.push(Arc::clone(target));
+                let [low, high] = split(id.raw());
+                self.close_run(&[OP_MERGE_TARGET, low, high, d, covered, gap, new_total]);
+            }
+            Step::ScaleBy { .. } | Step::Raise { .. } => {
+                unreachable!("a program holds the conservative rules only")
             }
         }
     }
 
+    /// Appends a step that ends the open run.
+    fn close_run(&mut self, words: &[u32]) {
+        self.run = None;
+        self.words.extend_from_slice(words);
+    }
+
     /// Adds `widen` and `modify` to the open run, or opens a run when there
-    /// is none or a widening sum or the entry count would not fit its word.
-    fn extend_run(&mut self, widen: [u32; 2], modify: Option<[u32; 3]>) {
+    /// is none or the widening sum or the entry count would not fit its word.
+    fn extend_run(&mut self, widen: u32, modify: Option<[u32; 3]>) {
         let added = u32::from(modify.is_some());
         let fused = self.run.and_then(|head| {
             let count = (self.words[head] >> OP_BITS) + added;
-            let paper = self.words[head + 1].checked_add(widen[0])?;
-            let conservative = self.words[head + 2].checked_add(widen[1])?;
-            (count <= MAX_RUN_MODIFIES)
-                .then_some((head, [OP_RUN | count << OP_BITS, paper, conservative]))
+            let widen = self.words[head + 1].checked_add(widen)?;
+            (count <= MAX_RUN_MODIFIES).then_some((head, [OP_RUN | count << OP_BITS, widen]))
         });
         match fused {
-            Some((head, words)) => self.words[head..head + 3].copy_from_slice(&words),
+            Some((head, words)) => self.words[head..head + 2].copy_from_slice(&words),
             None => {
                 self.run = Some(self.words.len());
-                self.words
-                    .extend([OP_RUN | added << OP_BITS, widen[0], widen[1]]);
+                self.words.extend([OP_RUN | added << OP_BITS, widen]);
             }
         }
         self.words.extend(modify.iter().flatten());
@@ -438,17 +377,17 @@ impl ProgramBuilder {
     }
 }
 
-/// An edit sequence compiled for BOUNDS: the base it starts from, how many
-/// operations of each kind it holds, the steps that change the bound triple,
-/// and the histogram of every merge target those steps paste into.
-/// Independent of the queried bin and of the rule profile, and — because
-/// stored sequences, the quantizer, the background and the histograms and
-/// dimensions of the binary images a stored sequence names never change,
-/// those images cannot be deleted while it is stored, and ids are never
-/// reused — valid for as long as the sequence is stored.
+/// An edit sequence compiled for BOUNDS under the Conservative rules: the
+/// base it starts from, how many operations of each kind it holds, the
+/// steps that change the bound triple, and the histogram of every merge
+/// target those steps paste into. Independent of the queried bin, and —
+/// because stored sequences, the quantizer, the background and the
+/// histograms and dimensions of the binary images a stored sequence names
+/// never change, those images cannot be deleted while it is stored, and ids
+/// are never reused — valid for as long as the sequence is stored.
 ///
 /// One allocation of 32-bit words — 36 header bytes; per run of `Widen` and
-/// `Modify` steps 12 bytes plus 12 per `Modify`; 8–28 per other step —
+/// `Modify` steps 8 bytes plus 12 per `Modify`; 8–28 per other step —
 /// shared by clones, plus one shared histogram per merge step. Operations
 /// that cannot change any bin's bounds, such as `Define`, leave no step and
 /// do not end a run.
@@ -512,24 +451,16 @@ impl BoundProgram {
         Items(&self.words[HEADER_WORDS..])
     }
 
-    /// Runs the program for histogram bin `bin` under `profile`, starting
-    /// from the base image's exact `base_count` of `base_total` pixels —
-    /// integer arithmetic, except the literal profile's whole-image scale
-    /// factor. Reads nothing but the program: every merge target's histogram
-    /// was taken at compile time.
-    pub fn eval(
-        &self,
-        bin: usize,
-        profile: RuleProfile,
-        base_count: u64,
-        base_total: u64,
-    ) -> BoundRange {
+    /// Runs the program for histogram bin `bin`, starting from the base
+    /// image's exact `base_count` of `base_total` pixels: the Conservative
+    /// rules, in integer arithmetic. Reads nothing but the program: every
+    /// merge target's histogram was taken at compile time.
+    pub fn eval(&self, bin: usize, base_count: u64, base_total: u64) -> BoundRange {
         let mut range = BoundRange::exact(base_count, base_total);
-        let reading = Reading::of(profile);
         let mut targets = self.targets.iter();
         for item in self.items() {
             match item {
-                Item::Run(run) => run.apply(&mut range, bin, reading),
+                Item::Run(run) => run.apply(&mut range, bin),
                 Item::Step(step) => {
                     let target = match step {
                         Step::MergeTarget { .. } => {
@@ -538,7 +469,7 @@ impl BoundProgram {
                         }
                         _ => (0, 0),
                     };
-                    step.apply(&mut range, bin, profile, self.background_bin(), target);
+                    step.apply(&mut range, bin, self.background_bin(), target);
                 }
             }
         }
@@ -547,15 +478,14 @@ impl BoundProgram {
 
     /// Runs the program for every bin of `base` at once, step-major. Element
     /// `bin` equals [`BoundProgram::eval`] for that bin.
-    pub fn eval_vector(&self, profile: RuleProfile, base: &ColorHistogram) -> Vec<BoundRange> {
+    pub fn eval_vector(&self, base: &ColorHistogram) -> Vec<BoundRange> {
         let mut ranges = base_ranges(base);
-        let reading = Reading::of(profile);
         let mut targets = self.targets.iter();
         for item in self.items() {
             match item {
                 Item::Run(run) => {
                     for (bin, range) in ranges.iter_mut().enumerate() {
-                        run.apply(range, bin, reading);
+                        run.apply(range, bin);
                     }
                 }
                 Item::Step(step) => {
@@ -565,7 +495,7 @@ impl BoundProgram {
                         }
                         _ => None,
                     };
-                    apply_to_all(step, &mut ranges, profile, self.background_bin(), target);
+                    apply_to_all(step, &mut ranges, self.background_bin(), target);
                 }
             }
         }
@@ -587,13 +517,12 @@ pub(crate) fn base_ranges(base: &ColorHistogram) -> Vec<BoundRange> {
 pub(crate) fn apply_to_all(
     step: Step,
     ranges: &mut [BoundRange],
-    profile: RuleProfile,
     background_bin: u32,
     target: Option<&ColorHistogram>,
 ) {
     for (bin, range) in ranges.iter_mut().enumerate() {
         let target = target.map_or((0, 0), |t| (t.count(bin), t.total()));
-        step.apply(range, bin, profile, background_bin, target);
+        step.apply(range, bin, background_bin, target);
     }
 }
 
@@ -601,18 +530,13 @@ pub(crate) fn apply_to_all(
 mod tests {
     use super::*;
     use crate::resolver::{ImageInfo, InfoResolver, MapInfoResolver};
-    use crate::RuleEngine;
+    use crate::{RuleEngine, RuleProfile};
     use mmdb_editops::EditSequence;
     use mmdb_histogram::RgbQuantizer;
     use mmdb_imaging::{draw, RasterImage, Rect, Rgb};
 
-    const PROFILES: [RuleProfile; 2] = [RuleProfile::PaperTable1, RuleProfile::Conservative];
-
-    fn widen(paper: u32, conservative: u32) -> Step {
-        Step::Widen {
-            paper,
-            conservative,
-        }
+    fn widen(d: u32) -> Step {
+        Step::Widen { d }
     }
 
     fn modify(from_bin: u32, to_bin: u32, d: u32) -> Step {
@@ -623,37 +547,40 @@ mod tests {
         }
     }
 
-    /// Builds a program from `steps` and checks, for every bin of `base`
-    /// under both profiles, that `eval` and `eval_vector` equal applying the
-    /// steps one at a time with [`Step::apply`].
+    /// Applies `steps` one at a time to every bin of `base`.
+    fn stepwise(steps: &[Step], base: &ColorHistogram, target: &ColorHistogram) -> Vec<BoundRange> {
+        let mut ranges = base_ranges(base);
+        for &step in steps {
+            let target = matches!(step, Step::MergeTarget { .. }).then_some(target);
+            apply_to_all(step, &mut ranges, 0, target);
+        }
+        ranges
+    }
+
+    /// Builds a program from `steps` and checks, for every bin of `base`,
+    /// that `eval` and `eval_vector` equal applying the steps one at a time
+    /// with [`Step::apply`].
     fn fused(steps: &[Step], base: &ColorHistogram, target: &Arc<ColorHistogram>) -> BoundProgram {
         let mut builder = ProgramBuilder::new(ImageId::new(1), 0);
         for &step in steps {
             builder.push(step, Some(target));
         }
         let program = builder.finish();
-        for profile in PROFILES {
-            let mut stepwise = base_ranges(base);
-            for &step in steps {
-                let target = matches!(step, Step::MergeTarget { .. }).then_some(&**target);
-                apply_to_all(step, &mut stepwise, profile, 0, target);
-            }
-            let per_bin: Vec<BoundRange> = (0..base.bin_count())
-                .map(|bin| program.eval(bin, profile, base.count(bin), base.total()))
-                .collect();
-            assert_eq!(per_bin, stepwise, "{profile:?}");
-            assert_eq!(program.eval_vector(profile, base), stepwise, "{profile:?}");
-        }
+        let stepwise = stepwise(steps, base, target);
+        let per_bin: Vec<BoundRange> = (0..base.bin_count())
+            .map(|bin| program.eval(bin, base.count(bin), base.total()))
+            .collect();
+        assert_eq!(per_bin, stepwise);
+        assert_eq!(program.eval_vector(base), stepwise);
         program
     }
 
     #[test]
     fn steps_round_trip_through_words() {
         let steps = [
-            widen(9, 4),
+            widen(4),
             modify(3, 63, 16),
             Step::Scale {
-                factor: 2.25,
                 mul_min: 1,
                 mul_max: 4,
                 new_total: 225,
@@ -666,7 +593,7 @@ mod tests {
                 gap: 5,
                 new_total: 400,
             },
-            widen(2, 3),
+            widen(3),
         ];
         let target = Arc::new(ColorHistogram::from_counts(vec![300, 100], 400));
         let mut builder = ProgramBuilder::new(ImageId::new((7 << 32) | 5), 21);
@@ -685,14 +612,14 @@ mod tests {
             program.items().collect::<Vec<_>>(),
             vec![
                 Item::Run(Run {
-                    widen: [9, 4],
+                    widen: 4,
                     modifies: &[3, 63, 16],
                 }),
                 Item::Step(steps[2]),
                 Item::Step(steps[3]),
                 Item::Step(steps[4]),
                 Item::Run(Run {
-                    widen: [2, 3],
+                    widen: 3,
                     modifies: &[],
                 }),
             ]
@@ -711,12 +638,13 @@ mod tests {
         let pointer = std::mem::size_of::<usize>();
         assert_eq!(
             program.heap_bytes(),
-            4 * (9 + (3 + 3) + 6 + 2 + 7 + 3) + pointer
+            4 * (9 + (2 + 3) + 4 + 2 + 7 + 2) + pointer
         );
     }
 
     /// Scale, crop and paste end a run; a `Define`, which leaves no step,
     /// does not. Checked on a compiled sequence against the stepwise trace.
+    /// The literal profile, which no program holds, walks its own steps.
     #[test]
     fn runs_end_at_scales_and_merges_but_not_at_defines() {
         let quant = RgbQuantizer::default_64();
@@ -752,36 +680,42 @@ mod tests {
             .define(Rect::new(0, 0, 5, 5))
             .blur()
             .build();
-        for profile in PROFILES {
-            let engine = RuleEngine::new(&quant, profile);
-            let program = engine.compile(&seq, &resolver).unwrap();
-            let kinds: Vec<String> = program
-                .items()
-                .map(|item| match item {
-                    Item::Run(run) => format!("run+{}", run.modifies.len() / 3),
-                    Item::Step(Step::Scale { .. }) => "scale".into(),
-                    Item::Step(Step::MergeNull { .. }) => "crop".into(),
-                    Item::Step(Step::MergeTarget { .. }) => "paste".into(),
-                    Item::Step(step) => unreachable!("{step:?} outside a run"),
-                })
-                .collect();
-            assert_eq!(
-                kinds,
-                ["run+1", "scale", "run+1", "crop", "run+1", "paste", "run+0"]
-            );
-            let stepwise = engine.bounds_trace(&seq, &resolver).unwrap();
-            let stepwise = stepwise.last().unwrap();
-            let base = resolver.require(ImageId::new(1)).unwrap();
-            for (bin, want) in stepwise.iter().enumerate() {
-                let (count, total) = (base.histogram.count(bin), base.histogram.total());
-                assert_eq!(
-                    program.eval(bin, profile, count, total),
-                    *want,
-                    "{profile:?} bin {bin}"
-                );
-            }
-            assert_eq!(program.eval_vector(profile, &base.histogram), *stepwise);
+        let engine = RuleEngine::new(&quant, RuleProfile::Conservative);
+        let program = engine.compile(&seq, &resolver).unwrap();
+        let kinds: Vec<String> = program
+            .items()
+            .map(|item| match item {
+                Item::Run(run) => format!("run+{}", run.modifies.len() / 3),
+                Item::Step(Step::Scale { .. }) => "scale".into(),
+                Item::Step(Step::MergeNull { .. }) => "crop".into(),
+                Item::Step(Step::MergeTarget { .. }) => "paste".into(),
+                Item::Step(step) => unreachable!("{step:?} outside a run"),
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            ["run+1", "scale", "run+1", "crop", "run+1", "paste", "run+0"]
+        );
+        let base = resolver.require(ImageId::new(1)).unwrap();
+        let (counts, total) = (base.histogram.counts(), base.histogram.total());
+        let trace = engine.bounds_trace(&seq, &resolver).unwrap();
+        let stepwise = trace.last().unwrap();
+        for (bin, want) in stepwise.iter().enumerate() {
+            assert_eq!(program.eval(bin, counts[bin], total), *want, "bin {bin}");
         }
+        assert_eq!(program.eval_vector(&base.histogram), *stepwise);
+
+        let literal = RuleEngine::new(&quant, RuleProfile::PaperTable1);
+        let trace = literal.bounds_trace(&seq, &resolver).unwrap();
+        let stepwise = trace.last().unwrap();
+        for (bin, want) in stepwise.iter().enumerate() {
+            assert_eq!(literal.bounds(&seq, bin, &resolver).unwrap(), *want);
+        }
+        assert_ne!(
+            program.eval_vector(&base.histogram),
+            *stepwise,
+            "the literal blur widens nothing"
+        );
     }
 
     /// A recoloring inside one bin raises that bin's `max` under the literal
@@ -791,52 +725,49 @@ mod tests {
     fn a_same_bin_modify_in_a_run_reads_per_profile() {
         let base = ColorHistogram::from_counts(vec![40, 30, 20, 10], 100);
         let target = Arc::new(ColorHistogram::from_counts(vec![1, 1, 1, 1], 4));
-        let steps = [
-            widen(0, 3),
+        let conservative = [
+            widen(3),
             modify(1, 1, 25),
             modify(2, 1, 5),
             modify(0, 0, 70),
             modify(3, 2, 15),
-            widen(4, 0),
         ];
-        let program = fused(&steps, &base, &target);
+        let program = fused(&conservative, &base, &target);
         assert_eq!(program.step_count(), 1);
-        let paper = program.eval(1, RuleProfile::PaperTable1, 30, 100);
-        assert_eq!((paper.min, paper.max), (26, 64));
-        let conservative = program.eval(1, RuleProfile::Conservative, 30, 100);
-        assert_eq!((conservative.min, conservative.max), (27, 38));
+        let range = program.eval(1, 30, 100);
+        assert_eq!((range.min, range.max), (27, 38));
+        assert_eq!(program.eval(0, 40, 100).max, 43);
+        // The literal walk's steps for the same operations.
+        let literal = [
+            Step::Raise { bin: 1, d: 25 },
+            modify(2, 1, 5),
+            Step::Raise { bin: 0, d: 70 },
+            modify(3, 2, 15),
+            widen(4),
+        ];
+        let paper = stepwise(&literal, &base, &target);
+        assert_eq!((paper[1].min, paper[1].max), (26, 64));
         // Bin 0's own recoloring: to the top under the literal table only.
-        assert_eq!(program.eval(0, RuleProfile::PaperTable1, 40, 100).max, 100);
-        assert_eq!(program.eval(0, RuleProfile::Conservative, 40, 100).max, 43);
+        assert_eq!(paper[0].max, 100);
     }
 
-    /// A widening sum over `u32::MAX`, under either profile, opens a new run
-    /// instead of wrapping.
+    /// A widening sum over `u32::MAX` opens a new run instead of wrapping.
     #[test]
     fn a_widening_sum_that_overflows_a_word_opens_a_new_run() {
         let big = 1u64 << 36;
         let base = ColorHistogram::from_counts(vec![big / 2, big / 2], big);
         let target = Arc::new(ColorHistogram::from_counts(vec![1, 1], 2));
         let steps = [
-            widen(u32::MAX - 1, 3),
+            widen(u32::MAX - 1),
             modify(0, 1, u32::MAX),
-            widen(5, 1),
-            widen(7, u32::MAX),
+            widen(5),
+            widen(7),
         ];
         let program = fused(&steps, &base, &target);
-        assert_eq!(
-            program.step_count(),
-            3,
-            "the paper sum, then the conservative one, overflows"
-        );
+        assert_eq!(program.step_count(), 2, "the widening sum overflows");
         let max = u64::from(u32::MAX);
-        for (profile, lowered) in [
-            (RuleProfile::PaperTable1, (max - 1) + max + 5 + 7),
-            (RuleProfile::Conservative, 3 + max + 1 + max),
-        ] {
-            let range = program.eval(0, profile, big / 2, big);
-            assert_eq!(range.min, big / 2 - lowered, "{profile:?}");
-        }
+        let range = program.eval(0, big / 2, big);
+        assert_eq!(range.min, big / 2 - ((max - 1) + max + 5 + 7));
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Differential property test: `RuleEngine::compile` + `BoundProgram::eval`
-//! against the interpretive walker kept in `reference/` — random
-//! `VariantGenerator`-style sequences, every bin, both rule profiles, error
-//! cases included. The reference is the specification; the library has no
-//! second path to fall back on.
+//! Differential property test against the interpretive walker kept in
+//! `reference/` — random `VariantGenerator`-style sequences, every bin,
+//! error cases included: `RuleEngine::compile` + `BoundProgram::eval` under
+//! the Conservative rules a program holds, and the stepwise
+//! `RuleEngine::bounds` and `bounds_trace` under both rule profiles. The
+//! reference is the specification; the library has no second path to fall
+//! back on.
 //!
 //! `PROPTEST_CASES` overrides the case count (the Miri CI job runs a handful).
 
@@ -203,7 +205,6 @@ proptest! {
     fn compile_then_eval_equals_the_reference_walker(case in arb_case()) {
         let quant = RgbQuantizer::default_64();
         let Case { resolver, seq, background } = case;
-        // The program is profile-independent: compile once, evaluate twice.
         let compiled = shown(
             RuleEngine::with_background(&quant, RuleProfile::Conservative, background)
                 .compile(&seq, &resolver),
@@ -223,26 +224,30 @@ proptest! {
             let mut per_bin = Vec::new();
             for bin in 0..quant.bin_count() {
                 let want = shown(reference.bounds(&seq, bin, &resolver));
-                let got = compiled.clone().and_then(|program| {
-                    let base = shown(resolver.require(program.base()))?;
-                    Ok(program.eval(
-                        bin,
-                        profile,
-                        base.histogram.count(bin),
-                        base.histogram.total(),
-                    ))
-                });
-                prop_assert_eq!(&got, &want, "{:?} bin {} of {:?}", profile, bin, seq);
+                if profile == RuleProfile::Conservative {
+                    let got = compiled.clone().and_then(|program| {
+                        let base = shown(resolver.require(program.base()))?;
+                        Ok(program.eval(bin, base.histogram.count(bin), base.histogram.total()))
+                    });
+                    prop_assert_eq!(&got, &want, "eval bin {} of {:?}", bin, seq);
+                }
                 prop_assert_eq!(
                     shown(engine.bounds(&seq, bin, &resolver)), want.clone(),
-                    "bounds() {:?} bin {}", profile, bin
+                    "bounds() {:?} bin {} of {:?}", profile, bin, seq
                 );
                 per_bin.push(want);
             }
-            // bounds_vector ≡ per-bin bounds ≡ the trace's last row, and the
-            // whole trace matches the reference row for row.
+            // Per-bin bounds ≡ the trace's last row (≡ `eval_vector` under
+            // the Conservative rules), and the whole trace matches the
+            // reference row for row.
             let per_bin: Result<Vec<BoundRange>, String> = per_bin.into_iter().collect();
-            prop_assert_eq!(shown(engine.bounds_vector(&seq, &resolver)), per_bin.clone());
+            if profile == RuleProfile::Conservative {
+                let vector = compiled.clone().and_then(|program| {
+                    let base = shown(resolver.require(program.base()))?;
+                    Ok(program.eval_vector(&base.histogram))
+                });
+                prop_assert_eq!(&vector, &per_bin);
+            }
             let trace = shown(engine.bounds_trace(&seq, &resolver));
             prop_assert_eq!(&trace, &shown(reference.bounds_trace(&seq, &resolver)));
             prop_assert_eq!(trace.map(|rows| rows.last().cloned().unwrap()), per_bin);
@@ -270,7 +275,7 @@ fn compile_captures_merge_targets() {
         .build();
     let engine = RuleEngine::new(&quant, RuleProfile::Conservative);
     let program = engine.compile(&seq, &resolver).unwrap();
-    let expected = engine.bounds_vector(&seq, &resolver).unwrap();
+    let expected = engine.bounds_trace(&seq, &resolver).unwrap().pop().unwrap();
     let base = resolver.require(BASE).unwrap();
 
     let mut without_target = MapInfoResolver::new();
@@ -278,13 +283,10 @@ fn compile_captures_merge_targets() {
     drop(resolver);
     let (counts, total) = (base.histogram.counts(), base.histogram.total());
     let per_bin: Vec<BoundRange> = (0..quant.bin_count())
-        .map(|bin| program.eval(bin, RuleProfile::Conservative, counts[bin], total))
+        .map(|bin| program.eval(bin, counts[bin], total))
         .collect();
     assert_eq!(per_bin, expected);
-    assert_eq!(
-        program.eval_vector(RuleProfile::Conservative, &base.histogram),
-        expected
-    );
+    assert_eq!(program.eval_vector(&base.histogram), expected);
     assert!(matches!(
         engine.compile(&seq, &without_target),
         Err(RuleError::UnknownImage(id)) if id == TARGET
@@ -319,6 +321,6 @@ fn no_op_steps_are_elided() {
         1,
         "only the first blur can move a bound"
     );
-    // The header and one run: its head word and two widenings, no `Modify`.
-    assert_eq!(program.heap_bytes(), 36 + 12);
+    // The header and one run: its head word and its widening, no `Modify`.
+    assert_eq!(program.heap_bytes(), 36 + 8);
 }

@@ -6,7 +6,7 @@
 use mmdb_editops::{EditOp, EditSequence, ImageId, InstantiationEngine, MapResolver, Matrix3};
 use mmdb_histogram::{ColorHistogram, Quantizer, RgbQuantizer};
 use mmdb_imaging::{draw, RasterImage, Rect, Rgb};
-use mmdb_rules::{ImageInfo, MapInfoResolver, RuleEngine, RuleProfile};
+use mmdb_rules::{ImageInfo, InfoResolver, MapInfoResolver, RuleEngine, RuleProfile};
 use proptest::prelude::*;
 
 /// A small saturated palette so bins have meaningful populations under the
@@ -293,7 +293,8 @@ fn rbm_filter_has_no_false_negatives_on_a_grid_of_queries() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `bounds_vector` is exactly equivalent to per-bin `bounds` calls.
+    /// A compiled program's `eval_vector` is exactly equivalent to per-bin
+    /// `bounds` calls, which walk the sequence without a program.
     #[test]
     fn bounds_vector_matches_per_bin((base, target, seq) in arb_case()) {
         let quant = RgbQuantizer::default_64();
@@ -315,7 +316,11 @@ proptest! {
             ),
         );
         let rules = RuleEngine::new(&quant, RuleProfile::Conservative);
-        match rules.bounds_vector(&seq, &info_resolver) {
+        let vector = rules.compile(&seq, &info_resolver).map(|program| {
+            let base = info_resolver.require(program.base()).expect("the base compiled");
+            program.eval_vector(&base.histogram)
+        });
+        match vector {
             Ok(vector) => {
                 prop_assert_eq!(vector.len(), quant.bin_count());
                 for (bin, expected) in vector.iter().enumerate() {
