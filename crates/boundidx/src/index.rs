@@ -1,24 +1,18 @@
-//! The bound-interval index proper: memoized per-image BOUNDS vectors plus
-//! per-bin interval lists, with epoch-stamped synchronization. A stored
-//! image never changes and everything it names outlives it (the catalog's
-//! reference rule), so an entry is computed once and dropped only when its
-//! own image leaves the catalog.
+//! The bound-interval index proper: per-bin interval lists, the only copy
+//! of an interval, with epoch-stamped synchronization. A stored image never
+//! changes and everything it names outlives it (the catalog's reference
+//! rule), so an image's intervals are computed once and dropped only when
+//! the image leaves the catalog.
 
 use crate::interval::{BinIntervals, IntervalEntry};
 use mmdb_bwm::SequenceStore;
 use mmdb_editops::ImageId;
-use mmdb_histogram::Quantizer;
+use mmdb_histogram::{ColorHistogram, Quantizer};
 use mmdb_imaging::Rgb;
 use mmdb_rules::{BoundRange, ColorRangeQuery, InfoResolver, Result, RuleEngine, RuleProfile};
 use mmdb_telemetry::{counter, gauge, histogram};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::Instant;
-
-/// Below this many fresh entries, [`BoundIndex::sync`] inserts them one by
-/// one (cheap for steady-state churn); at or above it, entries are staged
-/// per bin and merged with [`BinIntervals::insert_batch`] so a large
-/// catch-up never pays per-entry vector shifts.
-const BATCH_SYNC_THRESHOLD: usize = 16;
 
 /// What one [`BoundIndex::sync`] call did — surfaced in query traces so
 /// `mmdbctl explain` shows incremental maintenance cost next to lookup cost.
@@ -28,7 +22,8 @@ pub struct SyncStats {
     pub added: usize,
     /// Entries removed: images no longer in the catalog.
     pub removed: usize,
-    /// Fresh BOUNDS vector computations performed (memo misses).
+    /// Edited images whose bounds vector was computed (a binary image's
+    /// intervals are read off its histogram).
     pub recomputed: usize,
 }
 
@@ -51,14 +46,52 @@ pub struct IndexedLookup {
 /// current mutation epoch — a stale entry is therefore never served.
 #[derive(Clone, Debug)]
 pub struct BoundIndex {
+    /// One interval list per bin: the only copy of an image's intervals.
     bins: Vec<BinIntervals>,
-    /// The resident per-image records: the full memoized bounds vector, one
-    /// [`BoundRange`] per bin — this *is* the `(ImageId, bin)` memo,
-    /// realized as per-image vectors.
-    entries: HashMap<ImageId, Vec<BoundRange>>,
+    /// The images with intervals in every bin.
+    resident: HashSet<ImageId>,
     synced_epoch: u64,
     /// When the index last reconciled to a catalog snapshot (build or sync).
     last_synced_at: Instant,
+}
+
+/// Intervals waiting to enter an index: each image's, staged per bin, so
+/// [`BoundIndex::admit`] merges every bin with one
+/// [`BinIntervals::insert_batch`].
+pub(crate) struct Staged {
+    ids: Vec<ImageId>,
+    bins: Vec<Vec<IntervalEntry>>,
+}
+
+impl Staged {
+    /// Room for `images` images' intervals over `bin_count` bins.
+    pub(crate) fn with_capacity(bin_count: usize, images: usize) -> Self {
+        Staged {
+            ids: Vec::with_capacity(images),
+            bins: (0..bin_count).map(|_| Vec::with_capacity(images)).collect(),
+        }
+    }
+
+    /// Stages `id`'s `(lo, hi)` fraction interval of every bin, in bin
+    /// order.
+    pub(crate) fn push(&mut self, id: ImageId, intervals: impl IntoIterator<Item = (f64, f64)>) {
+        let mut bins = self.bins.iter_mut();
+        for ((lo, hi), bin) in intervals.into_iter().zip(&mut bins) {
+            bin.push(IntervalEntry { lo, hi, id });
+        }
+        debug_assert!(bins.next().is_none(), "an interval for every bin");
+        self.ids.push(id);
+    }
+
+    fn push_bounds(&mut self, id: ImageId, bounds: &[BoundRange]) {
+        self.push(id, bounds.iter().map(BoundRange::fraction_range));
+    }
+
+    /// A binary image's intervals are its exact fractions.
+    fn push_binary(&mut self, id: ImageId, histogram: &ColorHistogram) {
+        let fractions = (0..self.bins.len()).map(|bin| histogram.fraction(bin));
+        self.push(id, fractions.map(|f| (f, f)));
+    }
 }
 
 impl BoundIndex {
@@ -66,7 +99,7 @@ impl BoundIndex {
     pub fn new(bin_count: usize) -> Self {
         BoundIndex {
             bins: vec![BinIntervals::default(); bin_count],
-            entries: HashMap::new(),
+            resident: HashSet::new(),
             synced_epoch: 0,
             last_synced_at: Instant::now(),
         }
@@ -79,23 +112,22 @@ impl BoundIndex {
 
     /// Number of indexed images.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.resident.len()
     }
 
-    /// Number of histogram bins this index is organized over (the width of
-    /// every entry's bounds vector).
+    /// Number of histogram bins this index is organized over.
     pub fn bin_count(&self) -> usize {
         self.bins.len()
     }
 
     /// True when no image is indexed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.resident.is_empty()
     }
 
     /// Whether `id` currently has a resident entry.
     pub fn contains(&self, id: ImageId) -> bool {
-        self.entries.contains_key(&id)
+        self.resident.contains(&id)
     }
 
     /// Wall-clock time since the last [`BoundIndex::build`] or
@@ -141,43 +173,27 @@ impl BoundIndex {
         );
         let started = Instant::now();
         let bin_count = quantizer.bin_count();
-        let mut idx = BoundIndex::new(bin_count);
-        idx.synced_epoch = epoch;
-
-        let mut pending: Vec<Vec<IntervalEntry>> = vec![Vec::new(); bin_count];
+        let mut staged = Staged::with_capacity(bin_count, binary.len() + edited.len());
         for &id in binary {
-            let bounds = binary_entry(id, bin_count, resolver)?;
-            stage_entry(&mut pending, id, &bounds);
-            idx.entries.insert(id, bounds);
+            staged.push_binary(id, &resolver.require(id)?.histogram);
         }
-
-        let threads = threads.max(1).min(edited.len().max(1));
-        let computed = if threads <= 1 || edited.len() < 2 {
-            compute_chunk(quantizer, background, edited, resolver, store)?
-        } else {
-            compute_parallel(quantizer, background, edited, resolver, store, threads)?
-        };
+        let computed = compute_parallel(quantizer, background, edited, resolver, store, threads)?;
         counter!("mmdb_boundidx_misses_total").add(computed.len() as u64);
         for (id, bounds) in computed {
-            stage_entry(&mut pending, id, &bounds);
-            idx.entries.insert(id, bounds);
+            staged.push_bounds(id, &bounds);
         }
-
-        for (bin, entries) in pending.into_iter().enumerate() {
-            idx.bins[bin] = BinIntervals::from_entries(entries);
-        }
+        let mut idx = BoundIndex::new(bin_count);
+        idx.admit(staged, epoch);
         counter!("mmdb_boundidx_builds_total").inc();
         histogram!("mmdb_boundidx_build_seconds").observe(started.elapsed());
-        gauge!("mmdb_boundidx_entries").set(idx.len() as u64);
-        idx.last_synced_at = Instant::now();
         Ok(idx)
     }
 
     /// Incremental synchronization to the catalog state captured by
     /// `epoch`/`binary`/`edited` (one snapshot with `resolver` and `store`,
-    /// as for [`BoundIndex::build`]): removes the entries of deleted images,
-    /// then computes entries for every image not resident. Returns what was
-    /// done for tracing.
+    /// as for [`BoundIndex::build`]): drops the intervals of deleted images,
+    /// then admits every image not resident. Returns what was done for
+    /// tracing.
     #[allow(clippy::too_many_arguments)]
     pub fn sync<R, S>(
         &mut self,
@@ -194,62 +210,70 @@ impl BoundIndex {
         S: SequenceStore,
     {
         let started = Instant::now();
-        let mut stats = SyncStats::default();
         let current: HashSet<ImageId> = binary.iter().chain(edited).copied().collect();
-        let stale: Vec<ImageId> = self
-            .entries
-            .keys()
-            .filter(|id| !current.contains(id))
+        let mut gone: Vec<ImageId> = self.resident.difference(&current).copied().collect();
+        if !gone.is_empty() {
+            gone.sort_unstable();
+            for bin in &mut self.bins {
+                bin.remove_batch(&gone);
+            }
+            for id in &gone {
+                self.resident.remove(id);
+            }
+        }
+        counter!("mmdb_boundidx_invalidations_total").add(gone.len() as u64);
+
+        let fresh_binary: Vec<ImageId> = binary
+            .iter()
+            .filter(|&&id| !self.contains(id))
             .copied()
             .collect();
-        for &id in &stale {
-            self.remove_entry(id);
+        let fresh_edited: Vec<ImageId> = edited
+            .iter()
+            .filter(|&&id| !self.contains(id))
+            .copied()
+            .collect();
+        let mut staged =
+            Staged::with_capacity(self.bins.len(), fresh_binary.len() + fresh_edited.len());
+        for &id in &fresh_binary {
+            staged.push_binary(id, &resolver.require(id)?.histogram);
         }
-        stats.removed = stale.len();
-        counter!("mmdb_boundidx_invalidations_total").add(stale.len() as u64);
+        for (id, bounds) in compute_chunk(quantizer, background, &fresh_edited, resolver, store)? {
+            staged.push_bounds(id, &bounds);
+        }
+        counter!("mmdb_boundidx_misses_total").add(fresh_edited.len() as u64);
+        self.admit(staged, epoch);
+        histogram!("mmdb_boundidx_sync_seconds").observe(started.elapsed());
+        Ok(SyncStats {
+            added: fresh_binary.len() + fresh_edited.len(),
+            removed: gone.len(),
+            recomputed: fresh_edited.len(),
+        })
+    }
 
-        let bin_count = self.bins.len();
-        let mut fresh: Vec<(ImageId, Vec<BoundRange>)> = Vec::new();
-        for &id in binary {
-            if !self.entries.contains_key(&id) {
-                fresh.push((id, binary_entry(id, bin_count, resolver)?));
-                stats.added += 1;
-            }
-        }
-        let engine = RuleEngine::with_background(quantizer, RuleProfile::Conservative, background);
-        for &id in edited {
-            if !self.entries.contains_key(&id) {
-                fresh.push((id, edited_entry(&engine, id, resolver, store)?));
-                counter!("mmdb_boundidx_misses_total").inc();
-                stats.added += 1;
-                stats.recomputed += 1;
-            }
-        }
-        if fresh.len() < BATCH_SYNC_THRESHOLD {
-            for (id, bounds) in fresh {
-                self.insert_entry(id, bounds);
-            }
-        } else {
-            // Large catch-up (warm start over a replayed WAL tail): per-entry
-            // sorted inserts would shift each bin's vectors once per entry —
-            // quadratic memmove traffic. Stage per bin, merge once.
-            let mut pending: Vec<Vec<IntervalEntry>> = vec![Vec::new(); bin_count];
-            for (id, bounds) in fresh {
-                stage_entry(&mut pending, id, &bounds);
-                self.entries.insert(id, bounds);
-            }
-            for (bin, batch) in pending.into_iter().enumerate() {
-                self.bins[bin].insert_batch(batch);
-            }
+    /// The one way intervals enter the index, ending a build, a sync and a
+    /// load alike: merges each bin's staged intervals with one
+    /// [`BinIntervals::insert_batch`] and stamps the index synced to
+    /// `epoch`. A stamp behind the engine's current epoch makes the next
+    /// lookup take the incremental sync path, never a cold rebuild.
+    pub(crate) fn admit(&mut self, staged: Staged, epoch: u64) {
+        self.resident.extend(staged.ids);
+        for (bin, batch) in self.bins.iter_mut().zip(staged.bins) {
+            bin.insert_batch(batch);
         }
         self.synced_epoch = epoch;
         self.last_synced_at = Instant::now();
-        histogram!("mmdb_boundidx_sync_seconds").observe(started.elapsed());
         gauge!("mmdb_boundidx_entries").set(self.len() as u64);
-        Ok(stats)
     }
 
-    /// Answers a range query from the per-bin interval lists.
+    /// The resident ids and the per-bin lists — the persistence codec's
+    /// view of the index.
+    pub(crate) fn parts(&self) -> (&HashSet<ImageId>, &[BinIntervals]) {
+        (&self.resident, &self.bins)
+    }
+
+    /// Answers a range query from the per-bin interval lists. It moves no
+    /// counter: a served query is counted once, by the query executor.
     ///
     /// # Panics
     /// Panics when `query.bin` is outside this index's bin range (the same
@@ -257,14 +281,11 @@ impl BoundIndex {
     pub fn lookup(&self, query: &ColorRangeQuery) -> IndexedLookup {
         let mut ids = Vec::new();
         let scanned = self.lookup_into(query, &mut ids);
-        counter!("mmdb_boundidx_lookups_total").inc();
-        counter!("mmdb_boundidx_hits_total").add(scanned as u64);
         IndexedLookup { ids, scanned }
     }
 
-    /// [`BoundIndex::lookup`] appending to a caller-owned vector and leaving
-    /// the counters to the caller: the shards of a scattered query share
-    /// one result vector and count as one lookup.
+    /// [`BoundIndex::lookup`] appending to a caller-owned vector: the shards
+    /// of a scattered query share one result vector.
     /// Returns the number of intervals scanned.
     ///
     /// # Panics
@@ -278,68 +299,6 @@ impl BoundIndex {
         );
         self.bins[query.bin].overlapping(query.pct_min, query.pct_max, out)
     }
-
-    /// Exports every resident entry as an `(id, bounds)` pair, sorted by id
-    /// — the persistence codec's view of the index. Bounds are the exact
-    /// `u64` triples, so a round trip through [`crate::persist`] reproduces
-    /// bit-identical fraction intervals.
-    pub fn export_entries(&self) -> Vec<(ImageId, &[BoundRange])> {
-        let mut out: Vec<_> = self
-            .entries
-            .iter()
-            .map(|(&id, bounds)| (id, bounds.as_slice()))
-            .collect();
-        out.sort_unstable_by_key(|(id, _)| *id);
-        out
-    }
-
-    /// Reassembles an index from persisted parts: the memo entries are
-    /// installed verbatim and the per-bin sorted-endpoint arrays are rebuilt
-    /// with one bulk sort per bin (no rule walks, no histogram probes). The
-    /// result is stamped `synced_epoch` — a stamp behind the engine's
-    /// current epoch makes the next lookup take the *incremental* sync
-    /// path, never a cold rebuild.
-    ///
-    /// # Panics
-    /// Panics when an entry's bounds vector disagrees with `bin_count`
-    /// (callers validate decoded input first).
-    pub fn assemble(
-        bin_count: usize,
-        synced_epoch: u64,
-        entries: Vec<(ImageId, Vec<BoundRange>)>,
-    ) -> Self {
-        let mut idx = BoundIndex::new(bin_count);
-        idx.synced_epoch = synced_epoch;
-        let mut pending: Vec<Vec<IntervalEntry>> = vec![Vec::new(); bin_count];
-        for (id, bounds) in entries {
-            assert_eq!(bounds.len(), bin_count, "bounds vector width mismatch");
-            stage_entry(&mut pending, id, &bounds);
-            idx.entries.insert(id, bounds);
-        }
-        for (bin, entries) in pending.into_iter().enumerate() {
-            idx.bins[bin] = BinIntervals::from_entries(entries);
-        }
-        gauge!("mmdb_boundidx_entries").set(idx.len() as u64);
-        idx.last_synced_at = Instant::now();
-        idx
-    }
-
-    fn insert_entry(&mut self, id: ImageId, bounds: Vec<BoundRange>) {
-        for (bin, range) in bounds.iter().enumerate() {
-            let (lo, hi) = range.fraction_range();
-            self.bins[bin].insert(IntervalEntry { lo, hi, id });
-        }
-        self.entries.insert(id, bounds);
-    }
-
-    fn remove_entry(&mut self, id: ImageId) {
-        let bounds = self.entries.remove(&id).expect("listed as resident");
-        for (bin, range) in bounds.iter().enumerate() {
-            let (lo, hi) = range.fraction_range();
-            let removed = self.bins[bin].remove(IntervalEntry { lo, hi, id });
-            debug_assert!(removed, "bin list out of step with entry map");
-        }
-    }
 }
 
 impl crate::EpochStamped for BoundIndex {
@@ -348,32 +307,6 @@ impl crate::EpochStamped for BoundIndex {
     fn stamp(&self) -> u64 {
         self.synced_epoch
     }
-}
-
-fn binary_entry<R>(id: ImageId, bin_count: usize, resolver: &R) -> Result<Vec<BoundRange>>
-where
-    R: InfoResolver,
-{
-    let info = resolver.require(id)?;
-    let total = info.histogram.total();
-    Ok((0..bin_count)
-        .map(|bin| BoundRange::exact(info.histogram.count(bin), total))
-        .collect())
-}
-
-fn edited_entry<R, S>(
-    engine: &RuleEngine<'_>,
-    id: ImageId,
-    resolver: &R,
-    store: &S,
-) -> Result<Vec<BoundRange>>
-where
-    R: InfoResolver,
-    S: SequenceStore,
-{
-    let program = store.program(id, engine, resolver)?;
-    let base = resolver.require(program.base())?;
-    Ok(program.eval_vector(&base.histogram))
 }
 
 fn compute_chunk<R, S>(
@@ -389,10 +322,16 @@ where
 {
     let engine = RuleEngine::with_background(quantizer, RuleProfile::Conservative, background);
     ids.iter()
-        .map(|&id| Ok((id, edited_entry(&engine, id, resolver, store)?)))
+        .map(|&id| {
+            let program = store.program(id, &engine, resolver)?;
+            let base = resolver.require(program.base())?;
+            Ok((id, program.eval_vector(&base.histogram)))
+        })
         .collect()
 }
 
+/// [`compute_chunk`] over `threads` scoped workers (at least one, at most
+/// one per image).
 fn compute_parallel<R, S>(
     quantizer: &dyn Quantizer,
     background: Rgb,
@@ -405,7 +344,7 @@ where
     R: InfoResolver + Sync,
     S: SequenceStore + Sync,
 {
-    let chunk = edited.len().div_ceil(threads).max(1);
+    let chunk = edited.len().div_ceil(threads.max(1)).max(1);
     let results = std::thread::scope(|scope| {
         let handles: Vec<_> = edited
             .chunks(chunk)
@@ -425,13 +364,6 @@ where
     Ok(out)
 }
 
-fn stage_entry(pending: &mut [Vec<IntervalEntry>], id: ImageId, bounds: &[BoundRange]) {
-    for (bin, range) in bounds.iter().enumerate() {
-        let (lo, hi) = range.fraction_range();
-        pending[bin].push(IntervalEntry { lo, hi, id });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,6 +371,7 @@ mod tests {
     use mmdb_histogram::{ColorHistogram, RgbQuantizer};
     use mmdb_imaging::{draw, RasterImage, Rect};
     use mmdb_rules::{ImageInfo, MapInfoResolver};
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     struct Fixture {

@@ -70,29 +70,48 @@ fn gallop_prefix(len: usize, pred: impl Fn(usize) -> bool) -> usize {
     hi
 }
 
-/// Linear merge of a sorted resident run with a sorted batch under `cmp`.
-/// Stable for the resident run (ties keep resident entries first), matching
-/// what repeated [`BinIntervals::insert`] calls would produce.
-fn merge_sorted(
-    resident: Vec<IntervalEntry>,
-    batch: &[IntervalEntry],
+/// Sorts `batch` under `cmp` and merges it into the sorted `list` in
+/// place, back to front: the list grows by the batch's length once, then
+/// each batch entry, largest first, finds its place among the resident
+/// entries not yet moved by binary search, and the run above that place
+/// moves up in one block. A one-entry batch costs `log n` compares and one
+/// memmove. Keys are unique, so the result is the one order `cmp` defines.
+fn merge_batch(
+    list: &mut Vec<IntervalEntry>,
+    batch: &mut [IntervalEntry],
     cmp: fn(&IntervalEntry, &IntervalEntry) -> Ordering,
-) -> Vec<IntervalEntry> {
-    let mut out = Vec::with_capacity(resident.len() + batch.len());
-    let mut b = batch.iter().copied().peekable();
-    for r in resident {
-        while let Some(&n) = b.peek() {
-            if cmp(&n, &r) == Ordering::Less {
-                out.push(n);
-                b.next();
-            } else {
-                break;
-            }
-        }
-        out.push(r);
+) {
+    batch.sort_unstable_by(cmp);
+    let mut resident = list.len();
+    list.extend_from_slice(batch);
+    for (before, &entry) in batch.iter().enumerate().rev() {
+        let at = list[..resident].partition_point(|e| cmp(e, &entry) == Ordering::Less);
+        // `before` batch entries order ahead of `entry`; the run above
+        // `at` has `before + 1` slots to move up by.
+        list.copy_within(at..resident, at + before + 1);
+        list[at + before] = entry;
+        resident = at;
     }
-    out.extend(b);
-    out
+}
+
+/// Drops entries from the sorted `list` in place, front to back:
+/// `next_drop(rest)` gives the offset in `rest`, the entries not yet
+/// moved, of the next entry to drop (`None` when no more go), and the run
+/// before it moves down in one block.
+fn drop_runs(
+    list: &mut Vec<IntervalEntry>,
+    mut next_drop: impl FnMut(&[IntervalEntry]) -> Option<usize>,
+) {
+    let (mut kept, mut next) = (0, 0);
+    while let Some(off) = next_drop(&list[next..]) {
+        let at = next + off;
+        list.copy_within(next..at, kept);
+        kept += at - next;
+        next = at + 1;
+    }
+    let len = kept + list.len() - next;
+    list.copy_within(next.., kept);
+    list.truncate(len);
 }
 
 /// The interval set of one histogram bin, maintained in both endpoint
@@ -104,8 +123,7 @@ pub struct BinIntervals {
 }
 
 impl BinIntervals {
-    /// Bulk construction: sorts once per ordering instead of inserting
-    /// entry by entry.
+    /// Bulk construction from an unordered set: sorts once per ordering.
     pub fn from_entries(entries: Vec<IntervalEntry>) -> Self {
         let mut by_lo = entries;
         let mut by_hi = by_lo.clone();
@@ -124,58 +142,46 @@ impl BinIntervals {
         self.by_lo.is_empty()
     }
 
-    /// Merges a batch of intervals into both orders in one `O(n + m log m)`
-    /// pass — sort the batch, then linear-merge with the resident run.
-    /// Entry-by-entry [`BinIntervals::insert`] shifts the vector tail per
-    /// entry, which turns a large catch-up (warm-started index syncing a
-    /// replayed WAL tail) into quadratic memmove traffic.
+    /// Merges a batch of intervals into both orders: `O(m log(n + m))`
+    /// compares and at most `n` moves for `n` resident and `m` new
+    /// entries, in place, so a one-entry batch builds no second vector.
+    /// The one way intervals enter a bin — a build, a sync and a load all
+    /// end here.
     pub fn insert_batch(&mut self, mut batch: Vec<IntervalEntry>) {
-        match batch.len() {
-            0 => {}
-            1 => self.insert(batch[0]),
-            _ => {
-                batch.sort_unstable_by(lo_order);
-                self.by_lo = merge_sorted(std::mem::take(&mut self.by_lo), &batch, lo_order);
-                batch.sort_unstable_by(hi_order);
-                self.by_hi = merge_sorted(std::mem::take(&mut self.by_hi), &batch, hi_order);
+        merge_batch(&mut self.by_lo, &mut batch, lo_order);
+        merge_batch(&mut self.by_hi, &mut batch, hi_order);
+    }
+
+    /// Drops every interval whose image is in `gone` (ascending ids).
+    pub fn remove_batch(&mut self, gone: &[ImageId]) {
+        debug_assert!(gone.windows(2).all(|w| w[0] < w[1]), "gone ids ascend");
+        // Nothing records where an image's interval sits in `by_lo`, so a
+        // scan finds it, stopping once every gone image is found.
+        let mut removed = Vec::new();
+        drop_runs(&mut self.by_lo, |rest| {
+            if removed.len() == gone.len() {
+                return None;
             }
-        }
+            let off = rest
+                .iter()
+                .position(|e| gone.binary_search(&e.id).is_ok())?;
+            removed.push(rest[off]);
+            Some(off)
+        });
+        // Their `(hi, id)` keys then find them in `by_hi` by binary search.
+        removed.sort_unstable_by(hi_order);
+        let mut keys = removed.iter();
+        drop_runs(&mut self.by_hi, |rest| {
+            let key = keys.next()?;
+            let off = rest.partition_point(|e| hi_order(e, key) == Ordering::Less);
+            debug_assert_eq!(rest.get(off).map(|e| e.id), Some(key.id), "orders diverged");
+            Some(off)
+        });
     }
 
-    /// Inserts one interval, keeping both orders. `O(n)` worst case (vector
-    /// shift) — incremental sync churn is small; bulk build uses
-    /// [`BinIntervals::from_entries`].
-    pub fn insert(&mut self, entry: IntervalEntry) {
-        let pos = self
-            .by_lo
-            .partition_point(|e| lo_order(e, &entry) == Ordering::Less);
-        self.by_lo.insert(pos, entry);
-        let pos = self
-            .by_hi
-            .partition_point(|e| hi_order(e, &entry) == Ordering::Less);
-        self.by_hi.insert(pos, entry);
-    }
-
-    /// Removes the interval previously inserted for `id`. The caller passes
-    /// the stored `(lo, hi)` back in, so the binary-search keys are
-    /// bit-identical to the resident entry.
-    pub fn remove(&mut self, entry: IntervalEntry) -> bool {
-        let pos = self
-            .by_lo
-            .partition_point(|e| lo_order(e, &entry) == Ordering::Less);
-        let Some(found) = self.by_lo.get(pos) else {
-            return false;
-        };
-        if found.id != entry.id {
-            return false;
-        }
-        self.by_lo.remove(pos);
-        let pos = self
-            .by_hi
-            .partition_point(|e| hi_order(e, &entry) == Ordering::Less);
-        debug_assert_eq!(self.by_hi[pos].id, entry.id, "endpoint orders diverged");
-        self.by_hi.remove(pos);
-        true
+    /// The stored intervals, ascending by `lo`.
+    pub(crate) fn entries(&self) -> &[IntervalEntry] {
+        &self.by_lo
     }
 
     /// Emits the ids of every interval overlapping `[pct_min, pct_max]`
@@ -208,6 +214,8 @@ impl BinIntervals {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::SizeRange;
+    use proptest::prelude::*;
 
     fn entry(lo: f64, hi: f64, id: u64) -> IntervalEntry {
         IntervalEntry {
@@ -291,8 +299,10 @@ mod tests {
         let bulk = BinIntervals::from_entries(entries.clone());
         let mut inc = BinIntervals::default();
         for &e in &entries {
-            inc.insert(e);
+            inc.insert_batch(vec![e]);
         }
+        assert_eq!(inc.by_lo, bulk.by_lo);
+        assert_eq!(inc.by_hi, bulk.by_hi);
         let mut a = Vec::new();
         let mut b = Vec::new();
         bulk.overlapping(0.15, 0.45, &mut a);
@@ -301,9 +311,11 @@ mod tests {
         b.sort_unstable();
         assert_eq!(a, b);
 
-        assert!(inc.remove(entry(0.35, 0.9, 3)));
-        assert!(!inc.remove(entry(0.35, 0.9, 3)), "double remove");
+        let gone = [ImageId::new(3)];
+        inc.remove_batch(&gone);
         assert_eq!(inc.len(), 4);
+        inc.remove_batch(&gone);
+        assert_eq!(inc.len(), 4, "double remove");
         let mut after = Vec::new();
         inc.overlapping(0.0, 1.0, &mut after);
         assert!(!after.contains(&ImageId::new(3)));
@@ -313,7 +325,7 @@ mod tests {
     fn batch_insert_matches_entry_by_entry() {
         // Deterministic soup split into a resident set and a batch; the
         // merged bin must answer queries identically to one built by
-        // per-entry inserts (and to bulk construction).
+        // one-entry batches (and to bulk construction).
         let mut state = 0x0dd5_eed5_1234_4321u64;
         let mut next = move || {
             state ^= state << 13;
@@ -333,9 +345,11 @@ mod tests {
             merged.insert_batch(batch.to_vec());
             let mut serial = BinIntervals::from_entries(resident.to_vec());
             for &e in batch {
-                serial.insert(e);
+                serial.insert_batch(vec![e]);
             }
             assert_eq!(merged.len(), serial.len(), "split={split}");
+            assert_eq!(merged.by_lo, serial.by_lo, "split={split}");
+            assert_eq!(merged.by_hi, serial.by_hi, "split={split}");
             for _ in 0..50 {
                 let a = next();
                 let b = next();
@@ -362,5 +376,62 @@ mod tests {
             scanned <= 2,
             "scanned {scanned} entries, wanted the short prefix"
         );
+    }
+
+    fn cases(default: u32) -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    /// Intervals on a coarse grid of eighths, so `lo` and `hi` ties are
+    /// common and the id tie-break decides the order.
+    fn arb_intervals(len: impl Into<SizeRange>) -> impl Strategy<Value = Vec<(u8, u8)>> {
+        proptest::collection::vec((0u8..9, 0u8..9), len)
+    }
+
+    /// `(lo, hi)` grid points as entries with ids `first..`.
+    fn entries_from(first: u64, grid: &[(u8, u8)]) -> Vec<IntervalEntry> {
+        grid.iter()
+            .zip(first..)
+            .map(|(&(a, b), id)| entry(f64::from(a.min(b)) / 8.0, f64::from(a.max(b)) / 8.0, id))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+
+        /// Merging a batch into a resident set and then dropping a random
+        /// set of ids (resident or new; all stored, or some never stored)
+        /// leaves both orders exactly as a bulk build of the surviving
+        /// intervals would.
+        #[test]
+        fn batch_insert_and_remove_match_bulk(
+            resident in arb_intervals(0..60),
+            batch in prop_oneof![arb_intervals(1), arb_intervals(0..=40)],
+            drop in proptest::collection::vec(any::<bool>(), 101),
+            only_stored in any::<bool>(),
+        ) {
+            let resident = entries_from(0, &resident);
+            let batch = entries_from(resident.len() as u64, &batch);
+            let mut bin = BinIntervals::from_entries(resident.clone());
+            bin.insert_batch(batch.clone());
+            let ids = if only_stored { bin.len() } else { drop.len() };
+            let gone: Vec<ImageId> = (0..ids as u64)
+                .filter(|&id| drop[id as usize])
+                .map(ImageId::new)
+                .collect();
+            bin.remove_batch(&gone);
+
+            let survivors: Vec<IntervalEntry> = resident
+                .into_iter()
+                .chain(batch)
+                .filter(|e| !gone.contains(&e.id))
+                .collect();
+            let bulk = BinIntervals::from_entries(survivors);
+            prop_assert_eq!(&bin.by_lo, &bulk.by_lo);
+            prop_assert_eq!(&bin.by_hi, &bulk.by_hi);
+        }
     }
 }

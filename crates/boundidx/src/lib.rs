@@ -5,10 +5,10 @@
 //! A bound-interval index over the catalog: the paper's §3.1 observation
 //! that "histograms can be organized in multidimensional indexes" applied to
 //! the BOUNDS machinery. A bound interval depends only on
-//! `(edit sequence, bin, rule profile)` — it is query-invariant — so this
-//! crate memoizes the full per-bin bounds vector of every image once and
-//! organizes the resulting fraction intervals in per-bin sorted-endpoint
-//! lists ([`interval::BinIntervals`]). A range query then becomes two
+//! `(edit sequence, bin)` — it is query-invariant — so this crate computes
+//! every image's per-bin fraction intervals once and keeps them in per-bin
+//! sorted-endpoint lists ([`interval::BinIntervals`]), the only copy of an
+//! interval. A range query then becomes two
 //! galloping prefix searches plus a scan of the smaller prefix instead of a
 //! rule walk per edited image, while returning *exactly* the RBM/BWM
 //! candidate set (no false negatives, same false-positive bounds — verified
@@ -20,7 +20,8 @@
 //! [`BoundIndex::synced_epoch`] is behind the engine. The storage engine
 //! never deletes an image a stored sequence names and never reuses an id,
 //! so an entry depends on its own image alone: a sync adds the entries of
-//! new images and drops those of deleted ones, nothing else.
+//! new images and drops those of deleted ones, nothing else — one batch
+//! merge in, one batch removal out, per bin.
 
 mod guard;
 mod index;

@@ -1,12 +1,13 @@
 //! Warm-start persistence for [`BoundIndex`]: one versioned, CRC-validated
 //! segment file per rule profile under `<data-dir>/boundidx/`.
 //!
-//! The file stores the memoized per-image bounds vectors (exact `u64`
-//! triples, so the rebuilt fraction intervals are bit-identical to the
-//! resident ones) plus the synced mutation epoch.
-//! Load reassembles the per-bin sorted-endpoint arrays with one bulk sort
-//! per bin — orders of magnitude cheaper than re-walking every edit
-//! sequence — and stamps the result with the persisted epoch so the
+//! The file stores the served intervals and the synced mutation epoch:
+//! one row per resident image, in strictly ascending id order, each the id
+//! (`u64`) then every bin's `lo` and `hi` as `f64` bits (8 + 16 B per bin).
+//! The bits are the resident fractions themselves, so a reloaded index
+//! answers every lookup bit-identically. Load stages the rows and merges
+//! them into the per-bin lists the way a build does — no rule walks, no
+//! histogram probes — and stamps the result with the persisted epoch so the
 //! existing freshness protocol decides what happens next:
 //!
 //! * stamp == engine epoch → the index is served immediately (warm start);
@@ -20,12 +21,14 @@
 //! and is treated as absent (warm start is an optimization, never a
 //! correctness dependency).
 
+use crate::index::Staged;
 use crate::BoundIndex;
 use mmdb_durable::crc32;
 use mmdb_editops::codec::Reader;
 use mmdb_editops::ImageId;
-use mmdb_rules::{BoundRange, RuleProfile};
+use mmdb_rules::RuleProfile;
 use mmdb_telemetry::{counter, histogram};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -36,7 +39,7 @@ pub const INDEX_MAGIC: [u8; 8] = *b"MMDBIDX1";
 /// The format version stamped into index files, independent of the durable
 /// layer's: a file of another version fails [`load`], and the caller
 /// rebuilds it.
-pub const INDEX_FORMAT_VERSION: u32 = 3;
+pub const INDEX_FORMAT_VERSION: u32 = 4;
 
 /// File name of one profile's persisted index (`<label>.idx`).
 pub fn index_file_name(profile: RuleProfile) -> String {
@@ -71,10 +74,12 @@ pub fn save(idx: &BoundIndex, dir: &Path) -> io::Result<PathBuf> {
 }
 
 /// Loads the persisted index for `profile` from `dir`, validating magic,
-/// version, CRC, profile label, and bin width. `Ok(None)` when no file
-/// exists; `Err` when one exists but cannot be trusted (torn write, version
-/// skew, quantizer change) — callers discard it and fall back to a cold
-/// build.
+/// version, CRC, profile label, bin width and every row: ids strictly
+/// ascending, every interval within `0 <= lo <= hi <= 1`, and exactly as
+/// many rows as the bytes hold. `Ok(None)` when no file exists; `Err` when
+/// one exists but cannot be trusted (torn write, version skew, quantizer
+/// change, a checksummed file that breaks a row rule) — callers discard it
+/// and fall back to a cold build.
 pub fn load(dir: &Path, profile: RuleProfile, bin_count: usize) -> io::Result<Option<BoundIndex>> {
     let started = Instant::now();
     let path = dir.join(index_file_name(profile));
@@ -104,22 +109,31 @@ pub fn discard(dir: &Path, profile: RuleProfile) -> io::Result<()> {
 }
 
 fn encode(idx: &BoundIndex) -> Vec<u8> {
-    let entries = idx.export_entries();
+    let (resident, bins) = idx.parts();
+    let mut ids: Vec<ImageId> = resident.iter().copied().collect();
+    ids.sort_unstable();
     let label = RuleProfile::Conservative.label().as_bytes();
-    let mut out = Vec::with_capacity(64 + entries.len() * 32);
+    let row_bytes = 8 + 16 * bins.len();
+    let mut out = Vec::with_capacity(64 + ids.len() * row_bytes);
     out.extend_from_slice(&INDEX_MAGIC);
     out.extend_from_slice(&INDEX_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(label.len() as u16).to_le_bytes());
     out.extend_from_slice(label);
     out.extend_from_slice(&idx.synced_epoch().to_le_bytes());
-    out.extend_from_slice(&(idx.bin_count() as u32).to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (id, bounds) in entries {
-        out.extend_from_slice(&id.raw().to_le_bytes());
-        for b in bounds {
-            out.extend_from_slice(&b.min.to_le_bytes());
-            out.extend_from_slice(&b.max.to_le_bytes());
-            out.extend_from_slice(&b.total.to_le_bytes());
+    out.extend_from_slice(&(bins.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(ids.len() as u64).to_le_bytes());
+    let rows = out.len();
+    out.resize(rows + ids.len() * row_bytes, 0);
+    for (row, id) in out[rows..].chunks_exact_mut(row_bytes).zip(&ids) {
+        row[..8].copy_from_slice(&id.raw().to_le_bytes());
+    }
+    let row_of: HashMap<ImageId, usize> = ids.iter().enumerate().map(|(r, &id)| (id, r)).collect();
+    for (bin, intervals) in bins.iter().enumerate() {
+        for e in intervals.entries() {
+            let row = row_of[&e.id];
+            let at = rows + row * row_bytes + 8 + 16 * bin;
+            out[at..at + 8].copy_from_slice(&e.lo.to_le_bytes());
+            out[at + 8..at + 16].copy_from_slice(&e.hi.to_le_bytes());
         }
     }
     let crc = crc32(&out[INDEX_MAGIC.len()..]);
@@ -158,28 +172,39 @@ fn decode(bytes: &[u8], profile: RuleProfile, bin_count: usize) -> io::Result<Bo
             "index has {width} bins, quantizer has {bin_count}"
         )));
     }
-    let count = r.u64("entry count")? as usize;
-    let mut entries = Vec::with_capacity(count.min(1 << 20));
+    let count = r.u64("row count")?;
+    let row_bytes = 8 + 16 * width as u64;
+    if count.checked_mul(row_bytes) != Some(r.remaining() as u64) {
+        return Err(corrupt(format!(
+            "{count} rows of {row_bytes} B do not fill the {} B that follow",
+            r.remaining()
+        )));
+    }
+    let mut staged = Staged::with_capacity(width, count as usize);
+    let mut row = Vec::with_capacity(width);
+    let mut last: Option<ImageId> = None;
     for _ in 0..count {
-        let id = ImageId::new(r.u64("entry id")?);
-        let mut bounds = Vec::with_capacity(width);
-        for _ in 0..width {
-            let (min, max, total) = (
-                r.u64("bound min")?,
-                r.u64("bound max")?,
-                r.u64("bound total")?,
-            );
-            if min > max || max > total {
-                return Err(corrupt("bound triple violates min <= max <= total"));
-            }
-            bounds.push(BoundRange { min, max, total });
+        let id = ImageId::new(r.u64("row id")?);
+        if last.is_some_and(|last| last >= id) {
+            return Err(corrupt(format!("row id {} does not ascend", id.raw())));
         }
-        entries.push((id, bounds));
+        last = Some(id);
+        row.clear();
+        for _ in 0..width {
+            let (lo, hi) = (r.f64("interval lo")?, r.f64("interval hi")?);
+            if !((0.0..=1.0).contains(&lo) && (lo..=1.0).contains(&hi)) {
+                return Err(corrupt(format!(
+                    "image {}: interval [{lo}, {hi}] breaks 0 <= lo <= hi <= 1",
+                    id.raw()
+                )));
+            }
+            row.push((lo, hi));
+        }
+        staged.push(id, row.iter().copied());
     }
-    if r.remaining() != 0 {
-        return Err(corrupt("trailing bytes after last index entry"));
-    }
-    Ok(BoundIndex::assemble(bin_count, epoch, entries))
+    let mut idx = BoundIndex::new(bin_count);
+    idx.admit(staged, epoch);
+    Ok(idx)
 }
 
 #[cfg(test)]
@@ -187,32 +212,18 @@ mod tests {
     use super::*;
     use mmdb_rules::ColorRangeQuery;
 
+    /// Image #1 and #7 over two bins, as `(id, [(lo, hi); 2])` rows.
+    const SAMPLE: [(u64, [(f64, f64); 2]); 2] =
+        [(1, [(0.5, 0.5), (0.0, 0.3)]), (7, [(0.1, 0.9), (0.0, 0.0)])];
+
     fn sample_index(epoch: u64) -> BoundIndex {
-        let entries = vec![
-            (
-                ImageId::new(1),
-                vec![
-                    BoundRange::exact(50, 100),
-                    BoundRange {
-                        min: 0,
-                        max: 30,
-                        total: 100,
-                    },
-                ],
-            ),
-            (
-                ImageId::new(7),
-                vec![
-                    BoundRange {
-                        min: 10,
-                        max: 90,
-                        total: 100,
-                    },
-                    BoundRange::exact(0, 100),
-                ],
-            ),
-        ];
-        BoundIndex::assemble(2, epoch, entries)
+        let mut staged = Staged::with_capacity(2, SAMPLE.len());
+        for (id, row) in SAMPLE {
+            staged.push(ImageId::new(id), row);
+        }
+        let mut idx = BoundIndex::new(2);
+        idx.admit(staged, epoch);
+        idx
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -241,6 +252,65 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checksummed version-4 file over `width` bins that declares
+    /// `count` rows and holds `rows`.
+    fn file(count: u64, width: u32, rows: &[(u64, Vec<(f64, f64)>)]) -> Vec<u8> {
+        let label = RuleProfile::Conservative.label().as_bytes();
+        let mut body = Vec::new();
+        body.extend_from_slice(&INDEX_FORMAT_VERSION.to_le_bytes());
+        body.extend_from_slice(&(label.len() as u16).to_le_bytes());
+        body.extend_from_slice(label);
+        body.extend_from_slice(&9u64.to_le_bytes());
+        body.extend_from_slice(&width.to_le_bytes());
+        body.extend_from_slice(&count.to_le_bytes());
+        for (id, row) in rows {
+            body.extend_from_slice(&id.to_le_bytes());
+            for (lo, hi) in row {
+                body.extend_from_slice(&lo.to_le_bytes());
+                body.extend_from_slice(&hi.to_le_bytes());
+            }
+        }
+        let crc = crc32(&body);
+        [&INDEX_MAGIC[..], &body, &crc.to_le_bytes()].concat()
+    }
+
+    #[test]
+    fn a_row_is_the_id_then_every_bins_lo_and_hi_bits() {
+        let rows = SAMPLE.map(|(id, row)| (id, row.to_vec()));
+        assert_eq!(encode(&sample_index(9)), file(2, 2, &rows));
+    }
+
+    /// A checksummed file that breaks a row rule is refused, never loaded:
+    /// a repeated id, say, would be served twice and outlive its image.
+    #[test]
+    fn checksummed_rows_that_break_the_rules_are_refused() {
+        let row = |id, lo, hi| (id, vec![(0.5, 0.5), (lo, hi)]);
+        let good = vec![row(1, 0.0, 0.3), row(7, 0.1, 0.9)];
+        assert!(decode(&file(2, 2, &good), RuleProfile::Conservative, 2).is_ok());
+        for (what, count, rows) in [
+            ("repeated id", 2, vec![row(1, 0.0, 0.3), row(1, 0.0, 0.3)]),
+            (
+                "descending ids",
+                2,
+                vec![row(7, 0.0, 0.3), row(1, 0.0, 0.3)],
+            ),
+            ("NaN lo", 1, vec![row(1, f64::NAN, 0.3)]),
+            ("infinite hi", 1, vec![row(1, 0.0, f64::INFINITY)]),
+            ("lo > hi", 1, vec![row(1, 0.4, 0.3)]),
+            ("lo < 0", 1, vec![row(1, -0.1, 0.3)]),
+            ("hi > 1", 1, vec![row(1, 0.0, 1.5)]),
+            ("one row too many", 3, good.clone()),
+            ("a count no file holds", u64::MAX, good.clone()),
+            ("bytes after the last row", 1, good.clone()),
+        ] {
+            let bytes = file(count, 2, &rows);
+            assert!(
+                decode(&bytes, RuleProfile::Conservative, 2).is_err(),
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -272,12 +272,88 @@ fn stale_literal_profile_index_file_is_ignored() {
     std::fs::remove_dir_all(&db).ok();
 }
 
-/// An index file written by a build whose format carried a per-entry
-/// reference column (version 2) fails the version check: `open` discards
-/// it and the first Indexed query rebuilds, so the old file costs one build
-/// and is never an open failure or a served answer. `fsck` only warns.
+/// Index files written by older builds fail the version check: version 2
+/// carried a per-entry reference column, version 3 a `(min, max, total)`
+/// triple per bin. `open` discards such a file and the first Indexed query
+/// rebuilds, so the old file costs one build and is never an open failure
+/// or a served answer. `fsck` only warns.
 #[test]
 fn old_format_index_file_is_rebuilt() {
+    // One entry, image #1, with bounds that would answer wrongly if the
+    // file were served.
+    let entry = |bins: usize, refs: bool| {
+        let mut row = 1u64.to_le_bytes().to_vec();
+        if refs {
+            row.extend_from_slice(&1u32.to_le_bytes());
+            row.extend_from_slice(&2u64.to_le_bytes());
+        }
+        for _ in 0..bins {
+            for v in [0u64, 0, 1] {
+                row.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        row
+    };
+    refused_index_file_is_rebuilt("old_idx", |bins| {
+        vec![
+            ("version 2", index_body(2, bins, 1, &entry(bins, true))),
+            ("version 3", index_body(3, bins, 1, &entry(bins, false))),
+        ]
+    });
+}
+
+/// A checksummed current-format file that breaks a row rule is refused
+/// like a torn one: `open` rebuilds and `fsck` reports `F009`. A repeated
+/// id, served, would answer twice and outlive its image's delete.
+#[test]
+fn checksummed_index_file_that_breaks_a_row_rule_is_rebuilt() {
+    use mmdbms::boundidx::persist::INDEX_FORMAT_VERSION;
+    let row = |id: u64, bins: usize, lo: f64, hi: f64| {
+        let mut row = id.to_le_bytes().to_vec();
+        for _ in 0..bins {
+            row.extend_from_slice(&lo.to_le_bytes());
+            row.extend_from_slice(&hi.to_le_bytes());
+        }
+        row
+    };
+    let v = INDEX_FORMAT_VERSION;
+    refused_index_file_is_rebuilt("hostile_idx", |bins| {
+        let twice = [row(1, bins, 0.0, 1.0), row(1, bins, 0.0, 1.0)].concat();
+        vec![
+            ("repeated id", index_body(v, bins, 2, &twice)),
+            ("NaN", index_body(v, bins, 1, &row(1, bins, f64::NAN, 1.0))),
+            ("lo > hi", index_body(v, bins, 1, &row(1, bins, 0.6, 0.5))),
+            ("hi > 1", index_body(v, bins, 1, &row(1, bins, 0.0, 2.0))),
+            ("rows past the bytes", index_body(v, bins, 1 << 40, &twice)),
+        ]
+    });
+}
+
+/// The checksummed part of an index file: header for the Conservative
+/// profile at epoch 1, then `count` and the raw `rows`.
+fn index_body(version: u32, bins: usize, count: u64, rows: &[u8]) -> Vec<u8> {
+    use mmdbms::prelude::RuleProfile;
+    let label = RuleProfile::Conservative.label().as_bytes();
+    let mut body = Vec::new();
+    body.extend_from_slice(&version.to_le_bytes());
+    body.extend_from_slice(&(label.len() as u16).to_le_bytes());
+    body.extend_from_slice(label);
+    body.extend_from_slice(&1u64.to_le_bytes());
+    body.extend_from_slice(&(bins as u32).to_le_bytes());
+    body.extend_from_slice(&count.to_le_bytes());
+    body.extend_from_slice(rows);
+    body
+}
+
+/// Writes each of `bodies(bin_count)` with a valid checksum as the
+/// database's persisted index. For each: `fsck` reports it as `F009` and
+/// nothing else, `open` never loads it, and the first Indexed query
+/// rebuilds (one build) and answers ≡ RBM. The index persisted at close is
+/// current again.
+fn refused_index_file_is_rebuilt(
+    tag: &str,
+    bodies: impl FnOnce(usize) -> Vec<(&'static str, Vec<u8>)>,
+) {
     use mmdbms::boundidx::persist::{index_file_name, INDEX_MAGIC};
     use mmdbms::datagen::{flags::FlagGenerator, VariantConfig};
     use mmdbms::prelude::*;
@@ -285,14 +361,14 @@ fn old_format_index_file_is_rebuilt() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
 
-    let db = temp_db("old_idx");
+    let db = temp_db(tag);
     let query = |db: &MultimediaDatabase, plan| {
         let red = ColorRangeQuery::at_least(db.bin_of(Rgb::new(0xCE, 0x11, 0x26)), 0.1);
         db.query_range_with_plan(&red, plan)
             .unwrap()
             .sorted_results()
     };
-    let (epoch, bins) = {
+    let bins = {
         let mmdb = MultimediaDatabase::create(&db, Box::new(RgbQuantizer::default_64())).unwrap();
         let flags = FlagGenerator::with_seed(5);
         for i in 0..6 {
@@ -300,63 +376,58 @@ fn old_format_index_file_is_rebuilt() {
                 .unwrap();
         }
         mmdb.flush().unwrap();
-        let storage = mmdb.storage();
-        (storage.current_epoch(), storage.quantizer().bin_count())
+        mmdb.storage().quantizer().bin_count()
     };
-    // Version 2: one entry, image #1 with a reference column naming #2 and
-    // bounds that would answer wrongly if the file were served.
-    let profile = RuleProfile::Conservative;
-    let label = profile.label().as_bytes();
-    let mut body = Vec::new();
-    body.extend_from_slice(&2u32.to_le_bytes());
-    body.extend_from_slice(&(label.len() as u16).to_le_bytes());
-    body.extend_from_slice(label);
-    body.extend_from_slice(&epoch.to_le_bytes());
-    body.extend_from_slice(&(bins as u32).to_le_bytes());
-    body.extend_from_slice(&1u64.to_le_bytes());
-    body.extend_from_slice(&1u64.to_le_bytes());
-    body.extend_from_slice(&1u32.to_le_bytes());
-    body.extend_from_slice(&2u64.to_le_bytes());
-    for _ in 0..bins {
-        for v in [0u64, 0, 1] {
-            body.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    let crc = mmdbms::durable::crc32(&body);
     let idx_dir = db.join("boundidx");
     std::fs::create_dir_all(&idx_dir).unwrap();
-    let file = [&INDEX_MAGIC[..], &body, &crc.to_le_bytes()].concat();
-    std::fs::write(idx_dir.join(index_file_name(profile)), file).unwrap();
+    let idx_file = idx_dir.join(index_file_name(RuleProfile::Conservative));
+    for (what, body) in bodies(bins) {
+        let crc = mmdbms::durable::crc32(&body);
+        std::fs::write(
+            &idx_file,
+            [&INDEX_MAGIC[..], &body, &crc.to_le_bytes()].concat(),
+        )
+        .unwrap();
 
-    let fsck = ok(&["fsck", db.to_str().unwrap()]);
-    for line in fsck.lines().filter(|l| l.contains("F0")) {
-        assert!(line.contains("F009"), "{fsck}");
+        let fsck = ok(&["fsck", db.to_str().unwrap()]);
+        assert!(fsck.contains("F009"), "{what}: {fsck}");
+        for line in fsck.lines().filter(|l| l.contains("F0")) {
+            assert!(line.contains("F009"), "{what}: {fsck}");
+        }
+
+        let metrics = mmdbms::telemetry::global();
+        let counter = |name| metrics.counter(name).get();
+        let (loads, builds) = (
+            counter("mmdb_boundidx_warm_loads_total"),
+            counter("mmdb_boundidx_builds_total"),
+        );
+        let mmdb = MultimediaDatabase::open(&db).unwrap();
+        let indexed = query(&mmdb, QueryPlan::Indexed);
+        assert!(!indexed.is_empty(), "{what}");
+        assert_eq!(
+            indexed,
+            query(&mmdb, QueryPlan::Rbm),
+            "{what}: Indexed ≡ RBM"
+        );
+        assert_eq!(
+            counter("mmdb_boundidx_warm_loads_total"),
+            loads,
+            "{what}: never loaded"
+        );
+        assert_eq!(
+            counter("mmdb_boundidx_builds_total") - builds,
+            1,
+            "{what}: rebuilt"
+        );
+        mmdb.flush().unwrap();
+        drop(mmdb);
+
+        let fsck = ok(&["fsck", db.to_str().unwrap()]);
+        assert!(
+            !fsck.contains("F009"),
+            "{what}: the rebuilt file is current: {fsck}"
+        );
     }
-
-    let metrics = mmdbms::telemetry::global();
-    let counter = |name| metrics.counter(name).get();
-    let (loads, builds) = (
-        counter("mmdb_boundidx_warm_loads_total"),
-        counter("mmdb_boundidx_builds_total"),
-    );
-    let mmdb = MultimediaDatabase::open(&db).unwrap();
-    let indexed = query(&mmdb, QueryPlan::Indexed);
-    assert!(!indexed.is_empty());
-    assert_eq!(indexed, query(&mmdb, QueryPlan::Rbm), "Indexed ≡ RBM");
-    assert_eq!(
-        counter("mmdb_boundidx_warm_loads_total"),
-        loads,
-        "never loaded"
-    );
-    assert_eq!(counter("mmdb_boundidx_builds_total") - builds, 1, "rebuilt");
-    mmdb.flush().unwrap();
-    drop(mmdb);
-
-    let fsck = ok(&["fsck", db.to_str().unwrap()]);
-    assert!(
-        !fsck.contains("F009"),
-        "the rebuilt file is current: {fsck}"
-    );
 
     std::fs::remove_dir_all(&db).ok();
 }

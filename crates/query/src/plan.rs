@@ -15,7 +15,7 @@ pub enum QueryPlan {
     /// structure. "With data structure" in Figures 3–4.
     Bwm,
     /// Bound-interval index lookup (§3.1's "organize histograms in an
-    /// index", realized over BOUNDS results): answer from memoized per-bin
+    /// index", realized over BOUNDS results): answer from precomputed per-bin
     /// intervals — no rule walk at query time. Same result set as RBM/BWM.
     Indexed,
 }

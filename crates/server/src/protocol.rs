@@ -198,7 +198,7 @@ pub enum PlanKind {
     Rbm,
     /// Instantiate every edited image (ground truth).
     Instantiate,
-    /// Bound-interval index lookup (memoized bounds; no rule walk).
+    /// Bound-interval index lookup (precomputed bounds; no rule walk).
     Indexed,
 }
 
