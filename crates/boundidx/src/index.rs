@@ -28,12 +28,14 @@ pub struct SyncStats {
 }
 
 /// One indexed range lookup: the candidate set plus how many resident
-/// intervals were consulted (each a rule walk or histogram probe avoided).
+/// intervals the lookup read.
 #[derive(Clone, Debug, Default)]
 pub struct IndexedLookup {
     /// Candidate images, unsorted. Same set as the RBM/BWM scans emit.
     pub ids: Vec<ImageId>,
-    /// Intervals scanned to answer the query (the smaller endpoint prefix).
+    /// Intervals scanned to answer the query: the bin's width-bounded
+    /// window of `lo` order, or the `hi >= pct_min` prefix when that is
+    /// shorter (see [`BinIntervals::overlapping`]).
     pub scanned: usize,
 }
 

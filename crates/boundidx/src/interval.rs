@@ -1,4 +1,5 @@
-//! Per-bin sorted-endpoint interval lists with galloping overlap search.
+//! Per-bin sorted-endpoint interval lists with a width-bounded overlap
+//! search.
 //!
 //! For one histogram bin, every image contributes a fraction interval
 //! `[lo, hi]` (exact histogram value for binary images, BOUNDS range for
@@ -10,12 +11,17 @@
 //! * the entries with `lo <= pct_max` are a prefix of `by_lo`;
 //! * the entries with `hi >= pct_min` are a prefix of `by_hi`.
 //!
-//! The overlap set is the intersection of the two prefixes, so scanning the
-//! *smaller* prefix and filtering on the other endpoint visits
-//! `min(|prefix_lo|, |prefix_hi|)` entries instead of all `N`. Prefix
-//! lengths are found by galloping (exponential probe + binary search), which
-//! costs `O(log p)` for a prefix of length `p` — selective queries never pay
-//! a full `O(log N)` let alone `O(N)`.
+//! Either prefix can hold most of the bin: every image without the colour
+//! has the interval `[0, 0]` and sits in the first, and every image with
+//! much of it sits in the second. So each bin also keeps its largest
+//! `hi - lo`, whose `next_up` is `width`, an upper bound on every interval's
+//! width (the S-tree's node signature reduced to one number). An interval
+//! that reaches `pct_min` starts no lower than `pct_min - width`, so the
+//! overlap set lies in the window of `by_lo` between that point and
+//! `pct_max`, found by one binary search and one gallop. A lookup scans
+//! that window, or the `by_hi` prefix when one probe shows the prefix is
+//! shorter: never more than the smaller of the two prefixes, and on narrow
+//! intervals a small multiple of the answer's own size.
 
 use mmdb_editops::ImageId;
 use std::cmp::Ordering;
@@ -120,6 +126,28 @@ fn drop_runs(
 pub struct BinIntervals {
     by_lo: Vec<IntervalEntry>,
     by_hi: Vec<IntervalEntry>,
+    /// The largest rounded `hi - lo` stored (`0.0` in an empty bin); its
+    /// `next_up` bounds every interval's exact width. Derived from the
+    /// entries, never persisted.
+    widest: f64,
+    /// How many stored intervals have the `widest` rounded width: a removal
+    /// rescans the bin only when the last of them leaves.
+    at_widest: usize,
+}
+
+/// The largest rounded `hi - lo` in `entries` and how many entries have
+/// it; `(0.0, 0)` for none.
+fn widest(entries: &[IntervalEntry]) -> (f64, usize) {
+    entries.iter().fold((0.0, 0), |(widest, count), e| {
+        let width = e.hi - e.lo;
+        if width > widest {
+            (width, 1)
+        } else if width == widest {
+            (widest, count + 1)
+        } else {
+            (widest, count)
+        }
+    })
 }
 
 impl BinIntervals {
@@ -129,7 +157,13 @@ impl BinIntervals {
         let mut by_hi = by_lo.clone();
         by_lo.sort_unstable_by(lo_order);
         by_hi.sort_unstable_by(hi_order);
-        BinIntervals { by_lo, by_hi }
+        let (widest, at_widest) = widest(&by_lo);
+        BinIntervals {
+            by_lo,
+            by_hi,
+            widest,
+            at_widest,
+        }
     }
 
     /// Number of intervals stored.
@@ -148,6 +182,12 @@ impl BinIntervals {
     /// The one way intervals enter a bin — a build, a sync and a load all
     /// end here.
     pub fn insert_batch(&mut self, mut batch: Vec<IntervalEntry>) {
+        let (widest, count) = widest(&batch);
+        if widest > self.widest {
+            (self.widest, self.at_widest) = (widest, count);
+        } else if widest == self.widest {
+            self.at_widest += count;
+        }
         merge_batch(&mut self.by_lo, &mut batch, lo_order);
         merge_batch(&mut self.by_hi, &mut batch, hi_order);
     }
@@ -168,6 +208,13 @@ impl BinIntervals {
             removed.push(rest[off]);
             Some(off)
         });
+        self.at_widest -= removed
+            .iter()
+            .filter(|e| e.hi - e.lo == self.widest)
+            .count();
+        if self.at_widest == 0 {
+            (self.widest, self.at_widest) = widest(&self.by_lo);
+        }
         // Their `(hi, id)` keys then find them in `by_hi` by binary search.
         removed.sort_unstable_by(hi_order);
         let mut keys = removed.iter();
@@ -185,29 +232,51 @@ impl BinIntervals {
     }
 
     /// Emits the ids of every interval overlapping `[pct_min, pct_max]`
-    /// into `out` and returns how many entries were scanned (the smaller
-    /// prefix length) — the index-hit count for telemetry.
+    /// into `out`, in no particular order, and returns how many entries
+    /// were scanned — the index-hit count for telemetry.
+    ///
+    /// The scan is the window of `by_lo` from the first `lo` at or above
+    /// `floor = pct_min - width` (as computed) to the last `lo <= pct_max`,
+    /// where `width = next_up(widest)`. No entry before the window
+    /// overlaps the query:
+    ///
+    /// * `widest` is the largest `hi - lo` as computed. Rounding to nearest
+    ///   leaves an exact difference at most halfway to the `next_up` of its
+    ///   computed value, so every stored interval has `hi - lo < width`
+    ///   exactly — even one whose difference rounded down, such as
+    ///   `[0.6 * 2^-53, 0.75]`.
+    /// * An overlapping interval has `hi >= pct_min`, so exactly
+    ///   `lo > hi - width >= pct_min - width`. Rounding to nearest is
+    ///   monotone and `lo` is a float, so `lo` is also at least the
+    ///   computed `floor`: the subtraction needs no `next_down`.
+    ///
+    /// Entries after the window have `lo > pct_max`. The window is part of
+    /// the `lo <= pct_max` prefix; when `by_hi[n - 1].hi < pct_min` for a
+    /// window of length `n`, the `hi >= pct_min` prefix of `by_hi` is
+    /// shorter and is scanned instead. Either way at most the smaller of
+    /// the two endpoint prefixes is scanned.
     pub fn overlapping(&self, pct_min: f64, pct_max: f64, out: &mut Vec<ImageId>) -> usize {
-        let n_lo = gallop_prefix(self.by_lo.len(), |i| self.by_lo[i].lo <= pct_max);
-        let n_hi = gallop_prefix(self.by_hi.len(), |i| self.by_hi[i].hi >= pct_min);
-        if n_lo.min(n_hi) == 0 {
+        let floor = pct_min - self.widest.next_up();
+        let window = &self.by_lo[self.by_lo.partition_point(|e| e.lo < floor)..];
+        let n = gallop_prefix(window.len(), |i| window[i].lo <= pct_max);
+        if n == 0 {
             return 0;
         }
-        if n_lo <= n_hi {
-            for e in &self.by_lo[..n_lo] {
-                if e.hi >= pct_min {
-                    out.push(e.id);
-                }
-            }
-            n_lo
-        } else {
+        if self.by_hi[n - 1].hi < pct_min {
+            let n_hi = gallop_prefix(n - 1, |i| self.by_hi[i].hi >= pct_min);
             for e in &self.by_hi[..n_hi] {
                 if e.lo <= pct_max {
                     out.push(e.id);
                 }
             }
-            n_hi
+            return n_hi;
         }
+        for e in &window[..n] {
+            if e.hi >= pct_min {
+                out.push(e.id);
+            }
+        }
+        n
     }
 }
 
@@ -378,6 +447,58 @@ mod tests {
         );
     }
 
+    #[test]
+    fn narrow_scan_stays_near_its_hits_and_returns_after_a_wide_interval_leaves() {
+        // A selective-shaped bin: 900 images without the colour, and 100
+        // with narrow intervals spread over [0, 1].
+        let mut entries: Vec<IntervalEntry> = (0..900).map(|i| entry(0.0, 0.0, i)).collect();
+        for i in 0..100u64 {
+            let lo = i as f64 / 100.0;
+            entries.push(entry(lo, lo + 0.004, 900 + i));
+        }
+        let mut bin = BinIntervals::from_entries(entries.clone());
+        let narrow = |bin: &BinIntervals| {
+            let mut got = Vec::new();
+            let scanned = bin.overlapping(0.5, 0.52, &mut got);
+            got.sort_unstable();
+            (got, scanned)
+        };
+        let (hits, scanned) = narrow(&bin);
+        assert_eq!(hits, brute_force(&entries, 0.5, 0.52));
+        assert_eq!(hits.len(), 3);
+        assert!(
+            scanned <= hits.len() + 2,
+            "scanned {scanned} for {} hits",
+            hits.len()
+        );
+
+        // One [0, 1] interval widens the bin: the window then reaches back
+        // to the 900 zeros, so the scan falls back to the by_hi prefix,
+        // the 51 intervals that reach 0.5.
+        bin.insert_batch(vec![entry(0.0, 1.0, 1000)]);
+        let (wide_hits, wide_scanned) = narrow(&bin);
+        assert_eq!(wide_hits.len(), 4);
+        assert_eq!(wide_scanned, 51);
+
+        // Removing it makes the width exact again, and the narrow scan
+        // comes back.
+        bin.remove_batch(&[ImageId::new(1000)]);
+        assert_eq!(narrow(&bin), (hits, scanned));
+    }
+
+    #[test]
+    fn width_bound_covers_a_difference_that_rounds_down() {
+        // 0.75 - 0.6 * 2^-53 lies 0.6 of a step above 0.75's lower
+        // neighbour, so it rounds down to that neighbour: the computed
+        // width is below the exact one, and only its `next_up` bounds it.
+        let (lo, hi) = (0.6 / (1u64 << 53) as f64, 0.75);
+        assert_eq!(hi - lo, hi.next_down());
+        let bin = BinIntervals::from_entries(vec![entry(lo, hi, 1)]);
+        let mut got = Vec::new();
+        bin.overlapping(hi, hi, &mut got);
+        assert_eq!(got, vec![ImageId::new(1)]);
+    }
+
     fn cases(default: u32) -> u32 {
         std::env::var("PROPTEST_CASES")
             .ok()
@@ -432,6 +553,120 @@ mod tests {
             let bulk = BinIntervals::from_entries(survivors);
             prop_assert_eq!(&bin.by_lo, &bulk.by_lo);
             prop_assert_eq!(&bin.by_hi, &bulk.by_hi);
+            prop_assert_eq!(bin.widest.to_bits(), bulk.widest.to_bits());
+            prop_assert_eq!(bin.at_widest, bulk.at_widest);
         }
+
+        /// After a random build, batch insert and batch removal, a lookup
+        /// returns exactly the brute-force overlap set and scans no more
+        /// than the smaller endpoint prefix, on floats that sit on the
+        /// query's edges or one ulp either side, and on zero-width,
+        /// `[0, 1]` and at most 2^-50-wide intervals.
+        #[test]
+        fn overlapping_is_exact_and_bounded_on_edge_floats(
+            (a, b) in arb_query(),
+            resident in prop_oneof![arb_edge_specs(0..4), arb_edge_specs(0..50)],
+            batch in prop_oneof![arb_edge_specs(0..3), arb_edge_specs(0..30)],
+            drop in proptest::collection::vec(any::<bool>(), 80),
+        ) {
+            let resident = edge_entries(0, &resident, a, b);
+            let batch = edge_entries(resident.len() as u64, &batch, a, b);
+            let mut bin = BinIntervals::from_entries(resident.clone());
+            bin.insert_batch(batch.clone());
+            let gone: Vec<ImageId> = (0..drop.len() as u64)
+                .filter(|&id| drop[id as usize])
+                .map(ImageId::new)
+                .collect();
+            bin.remove_batch(&gone);
+            let survivors: Vec<IntervalEntry> = resident
+                .into_iter()
+                .chain(batch)
+                .filter(|e| !gone.contains(&e.id))
+                .collect();
+
+            let mut got = Vec::new();
+            let scanned = bin.overlapping(a, b, &mut got);
+            got.sort_unstable();
+            prop_assert_eq!(got, brute_force(&survivors, a, b), "query [{:e}, {:e}]", a, b);
+            let n_lo = survivors.iter().filter(|e| e.lo <= b).count();
+            let n_hi = survivors.iter().filter(|e| e.hi >= a).count();
+            prop_assert!(
+                scanned <= n_lo.min(n_hi),
+                "scanned {} > min({}, {})", scanned, n_lo, n_hi
+            );
+        }
+    }
+
+    /// A query `[a, b]`: a grid or random lower edge, and an upper edge
+    /// equal to it, one ulp above, at most 2^-50 above, or anywhere above.
+    fn arb_query() -> impl Strategy<Value = (f64, f64)> {
+        (
+            prop_oneof![(0u8..9).prop_map(|g| f64::from(g) / 8.0), 0.0f64..1.0],
+            0u8..4,
+            0.0f64..1.0,
+        )
+            .prop_map(|(a, shape, r)| {
+                let b = match shape {
+                    0 => a,
+                    1 => a.next_up(),
+                    2 => a + r * TINY,
+                    _ => a + r * (1.0 - a),
+                };
+                (a, b.min(1.0))
+            })
+    }
+
+    /// At most 2^-50: narrower than any width a 64-bin histogram of a
+    /// real image produces.
+    const TINY: f64 = 1.0 / (1u64 << 50) as f64;
+
+    /// `(anchor, other, shape, r)` per interval, resolved against the query
+    /// by [`edge_entries`].
+    fn arb_edge_specs(len: impl Into<SizeRange>) -> impl Strategy<Value = Vec<(u8, u8, u8, f64)>> {
+        proptest::collection::vec((0u8..9, 0u8..9, 0u8..6, 0.0f64..1.0), len)
+    }
+
+    /// A point on or next to an edge of `[a, b]`: each edge, one ulp
+    /// either side of it, 0, 1 or `r`, clamped into `[0, 1]`.
+    fn anchor(which: u8, a: f64, b: f64, r: f64) -> f64 {
+        let x = match which {
+            0 => a.next_down(),
+            1 => a,
+            2 => a.next_up(),
+            3 => b.next_down(),
+            4 => b,
+            5 => b.next_up(),
+            6 => 0.0,
+            7 => 1.0,
+            _ => r,
+        };
+        x.clamp(0.0, 1.0)
+    }
+
+    /// Intervals with ids `first..` from `(anchor, other, shape, r)`
+    /// specs: a point at the anchor, `[0, 1]`, a at most 2^-50-wide
+    /// interval starting or ending at the anchor, one from just above 0
+    /// to the anchor (whose `hi - lo` rounds, half the time below the
+    /// exact width), or the hull of two anchors.
+    fn edge_entries(first: u64, specs: &[(u8, u8, u8, f64)], a: f64, b: f64) -> Vec<IntervalEntry> {
+        specs
+            .iter()
+            .zip(first..)
+            .map(|(&(x, y, shape, r), id)| {
+                let x = anchor(x, a, b, r);
+                let (lo, hi) = match shape {
+                    0 => (x, x),
+                    1 => (0.0, 1.0),
+                    2 => (x, (x + r * TINY).min(1.0)),
+                    3 => ((x - r * TINY).max(0.0), x),
+                    4 => ((r * TINY).min(x), x),
+                    _ => {
+                        let y = anchor(y, a, b, 1.0 - r);
+                        (x.min(y), x.max(y))
+                    }
+                };
+                entry(lo, hi, id)
+            })
+            .collect()
     }
 }

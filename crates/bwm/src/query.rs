@@ -33,9 +33,8 @@ pub struct BwmQueryStats {
     pub rule_applications: [usize; 6],
     /// Unclassified-Component entries scanned.
     pub unclassified_scanned: usize,
-    /// Resident intervals an indexed lookup scanned — each a rule walk or
-    /// histogram probe the Indexed plan did not make. Zero under every
-    /// other plan.
+    /// Resident intervals an indexed lookup read to answer the query.
+    /// Zero under every other plan.
     pub intervals_scanned: usize,
 }
 

@@ -49,8 +49,8 @@ struct BaseSpec {
 #[derive(Clone, Debug)]
 struct QuerySpec {
     color: usize,
-    lo: f64,
-    width: f64,
+    pct_min: f64,
+    pct_max: f64,
 }
 
 fn arb_base() -> impl Strategy<Value = BaseSpec> {
@@ -81,12 +81,37 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A window `[lo, lo + width]`, wide (0.05 to 1) or narrow (0 to
+/// 0.0025, under one pixel of a base's 384), or "at least" / "at most"
+/// `lo`. Half the time `lo` is a base's exact fraction, so a narrow window
+/// can still hold a binary image.
 fn arb_query() -> impl Strategy<Value = QuerySpec> {
-    (0usize..PALETTE.len(), 0.0f64..0.6, 0.05f64..1.0).prop_map(|(color, lo, width)| QuerySpec {
-        color,
-        lo,
-        width,
+    let pixels = (W * H) as u32;
+    let lo = prop_oneof![
+        0.0f64..0.6,
+        (0..pixels * 3 / 5).prop_map(move |k| f64::from(k) / f64::from(pixels))
+    ];
+    let width = prop_oneof![0.05f64..1.0, 0.0f64..=0.0025];
+    (0usize..PALETTE.len(), lo, width, 0u8..4).prop_map(|(color, lo, width, shape)| {
+        let (pct_min, pct_max) = match shape {
+            0 => (lo, 1.0),
+            1 => (0.0, lo),
+            _ => (lo, (lo + width).min(1.0)),
+        };
+        QuerySpec {
+            color,
+            pct_min,
+            pct_max,
+        }
     })
+}
+
+/// `PROPTEST_CASES` when set (a deeper CI run), else `default`.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
 }
 
 fn raster_of(spec: &BaseSpec) -> RasterImage {
@@ -119,11 +144,8 @@ fn sequence_of(base: ImageId, ops: &[Op], merge_target: ImageId) -> EditSequence
 /// All three scan-equivalent plans agree on every query.
 fn assert_plans_agree(db: &MultimediaDatabase, queries: &[QuerySpec]) {
     for spec in queries {
-        let query = ColorRangeQuery::new(
-            db.bin_of(PALETTE[spec.color]),
-            spec.lo,
-            (spec.lo + spec.width).min(1.0),
-        );
+        let query =
+            ColorRangeQuery::new(db.bin_of(PALETTE[spec.color]), spec.pct_min, spec.pct_max);
         let rbm = db
             .query_range_with_plan(&query, QueryPlan::Rbm)
             .unwrap()
@@ -142,7 +164,7 @@ fn assert_plans_agree(db: &MultimediaDatabase, queries: &[QuerySpec]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
     #[test]
     fn indexed_plan_matches_scans_through_mutations(

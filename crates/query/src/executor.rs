@@ -420,8 +420,8 @@ impl<'db> QueryProcessor<'db> {
             // shortcut does not apply.
             Slice::Rbm => self.scan(Method::Rbm, None, query, ctx)?,
             Slice::Bwm(own) => self.scan(Method::Bwm, own, query, ctx)?,
-            // Two galloping prefix searches and a scan of the smaller
-            // prefix — no rule walk, so not even a clock read untraced.
+            // A binary search and a gallop bound the bin's window, then a
+            // scan of it — no rule walk, so not even a clock read untraced.
             Slice::Indexed(index, sync) => {
                 let started = ctx.trace.is_some().then(Instant::now);
                 let found = ctx.results.len();
