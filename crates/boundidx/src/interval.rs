@@ -82,10 +82,12 @@ fn gallop_prefix(len: usize, pred: impl Fn(usize) -> bool) -> usize {
 /// entries not yet moved by binary search, and the run above that place
 /// moves up in one block. A one-entry batch costs `log n` compares and one
 /// memmove. Keys are unique, so the result is the one order `cmp` defines.
+/// `cmp` is generic, not a `fn` pointer, so the sort and the searches
+/// inline it.
 fn merge_batch(
     list: &mut Vec<IntervalEntry>,
     batch: &mut [IntervalEntry],
-    cmp: fn(&IntervalEntry, &IntervalEntry) -> Ordering,
+    cmp: impl Fn(&IntervalEntry, &IntervalEntry) -> Ordering + Copy,
 ) {
     batch.sort_unstable_by(cmp);
     let mut resident = list.len();

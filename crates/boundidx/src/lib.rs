@@ -121,6 +121,7 @@ pub fn register_metrics() {
         "mmdb_boundidx_persist_total",
         "mmdb_boundidx_persist_bytes_total",
         "mmdb_boundidx_warm_loads_total",
+        "mmdb_boundidx_warm_discards_total",
     ] {
         let _ = g.counter(name);
     }

@@ -335,12 +335,17 @@ impl Wal {
     }
 
     /// Replays every record with sequence number greater than `from`,
-    /// in order. The callback receives `(seqno, payload)`.
+    /// in order. The callback receives `(seqno, payload)`. When no record
+    /// is past `from` nothing is read: every sealed segment ends at or
+    /// before `from`, and `open` has already scanned the active one.
     pub fn replay(
         &mut self,
         from: u64,
         mut f: impl FnMut(u64, &[u8]) -> Result<()>,
     ) -> Result<u64> {
+        if self.last_seqno() <= from {
+            return Ok(0);
+        }
         let mut replayed = 0u64;
         let segments: Vec<(PathBuf, u64, bool)> = self
             .sealed
@@ -506,6 +511,8 @@ mod tests {
         assert_eq!(wal.segment_count(), before - removed);
         let tail = collect(&mut wal, 7);
         assert_eq!(tail.len(), 5, "records 8..=12 must survive GC");
+        assert_eq!(collect(&mut wal, 11), vec![(12, b"record-0011".to_vec())]);
+        assert!(collect(&mut wal, 12).is_empty(), "nothing past the last");
         fs::remove_dir_all(&dir).unwrap();
     }
 
