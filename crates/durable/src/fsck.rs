@@ -16,7 +16,7 @@ use std::path::Path;
 use crate::frame::scan_frames;
 use crate::meta::read_meta;
 use crate::snapshot::{decode as decode_snapshot, SnapshotInfo, SnapshotStore};
-use crate::wal::{decode_header, list_segments, SEGMENT_HEADER_BYTES};
+use crate::wal::{decode_header, header_cut_short, list_segments, SEGMENT_HEADER_BYTES};
 
 /// How serious a finding is. `Error` means recovery would fail or lose
 /// acknowledged data; `Warn` means recovery degrades (e.g. falls back to an
@@ -60,8 +60,9 @@ pub enum FsckCode {
     /// `F006` — a CRC-invalid frame *before* the log tail: records after it
     /// are unreachable, so acknowledged data would be lost.
     FrameCorrupt,
-    /// `F007` — torn final record in the active segment; recovery truncates
-    /// it (expected after a crash mid-append).
+    /// `F007` — torn final record in the active segment, or a last segment
+    /// shorter than its header; recovery truncates the one and removes the
+    /// other (expected after a crash mid-append or mid-rotation).
     TornTail,
     /// `F008` — sequence numbers are not contiguous across segments.
     SequenceGap,
@@ -134,7 +135,7 @@ impl FsckCode {
             FsckCode::NoValidSnapshot => "no loadable snapshot",
             FsckCode::SegmentHeaderInvalid => "WAL segment header invalid",
             FsckCode::FrameCorrupt => "CRC-invalid frame before the log tail",
-            FsckCode::TornTail => "torn final record (crash residue)",
+            FsckCode::TornTail => "torn final record or segment header (crash residue)",
             FsckCode::SequenceGap => "sequence numbers not contiguous across segments",
             FsckCode::IndexSegmentCorrupt => "persisted boundidx segment invalid",
             FsckCode::BlobGenerationMissing => "blob generation file missing",
@@ -249,7 +250,7 @@ pub fn fsck(dir: &Path) -> FsckReport {
 
     // WAL: headers, frames, continuity.
     let wal_dir = dir.join("wal");
-    let segments = match list_segments(&wal_dir) {
+    let mut segments = match list_segments(&wal_dir) {
         Ok(s) => s,
         Err(e) => {
             report.push(
@@ -260,6 +261,18 @@ pub fn fsck(dir: &Path) -> FsckReport {
         }
     };
     report.segments = segments.len() as u64;
+    // A last segment cut short of its header holds no record; `Wal::open`
+    // removes it, and the segment before it is the active one.
+    if let Ok(Some(len)) = header_cut_short(&segments) {
+        let (path, _) = segments.pop().expect("nonempty");
+        report.push(
+            FsckCode::TornTail,
+            format!(
+                "{}: {len}B, shorter than a segment header (crash mid-rotation)",
+                path.display()
+            ),
+        );
+    }
     let covered = report
         .latest_snapshot
         .as_ref()
@@ -405,6 +418,25 @@ mod tests {
         assert!(!report.has_errors(), "{:?}", report.findings);
         assert!(report.findings.iter().any(|f| f.code == FsckCode::TornTail));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn segment_cut_short_of_its_header_is_a_note() {
+        for residue in [0usize, 7] {
+            let dir = healthy_dir("cutshort");
+            let wal_dir = dir.join("wal");
+            fs::write(
+                wal_dir.join(format!("wal-{:016x}.seg", 3)),
+                &b"MMDBWAL1"[..residue],
+            )
+            .unwrap();
+            let report = fsck(&dir);
+            assert!(!report.has_errors(), "{:?}", report.findings);
+            let codes: Vec<_> = report.findings.iter().map(|f| f.code).collect();
+            assert_eq!(codes, vec![FsckCode::TornTail], "{:?}", report.findings);
+            assert_eq!((report.segments, report.wal_records), (2, 2));
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

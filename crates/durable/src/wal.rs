@@ -7,14 +7,20 @@
 //! `i`-th frame of a segment holds record `first_seqno + i`, so a segment's
 //! name plus its successor's name delimits exactly which records it holds
 //! without scanning it. The active (last) segment is the only one ever
-//! written; when it crosses the size threshold it is sealed and a new one
-//! begins.
+//! written. It is sealed, and a new one begins, when it crosses the size
+//! threshold or when a snapshot covers every record in the log (the
+//! storage engine calls [`Wal::rotate`] then). `Wal::open` checks only the
+//! header of a sealed segment and scans only the active one, so after a
+//! covering snapshot an open reads none of the covered records.
 //!
 //! Torn tails: a crash can leave a partial frame at the end of the active
 //! segment. `Wal::open` scans the last segment to the last valid frame and
 //! truncates the remainder, so "only the final record may be torn" holds as
 //! an invariant everywhere else (a torn frame in a *sealed* segment is real
-//! corruption and fails recovery).
+//! corruption and fails recovery). A crash between creating a segment and
+//! writing its header leaves a last segment shorter than the header; it
+//! holds no record, and `Wal::open` removes it and counts its bytes as
+//! torn.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -62,7 +68,8 @@ struct SealedSegment {
 /// What `Wal::open` found and repaired.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WalOpenStats {
-    /// Bytes of torn tail truncated from the active segment.
+    /// Bytes of torn tail truncated from the active segment, plus the bytes
+    /// of a removed segment that was cut short of its header.
     pub torn_bytes: u64,
     /// Highest sequence number present after repair (0 when empty).
     pub last_seqno: u64,
@@ -126,6 +133,16 @@ pub fn decode_header(bytes: &[u8], expect_first: Option<u64>) -> Result<u64> {
     Ok(first)
 }
 
+/// The length of the last of `segments` when it is shorter than a segment
+/// header: a segment whose creation a crash cut short, holding no record.
+pub(crate) fn header_cut_short(segments: &[(PathBuf, u64)]) -> Result<Option<u64>> {
+    let Some((path, _)) = segments.last() else {
+        return Ok(None);
+    };
+    let len = fs::metadata(path)?.len();
+    Ok((len < SEGMENT_HEADER_BYTES).then_some(len))
+}
+
 /// Lists the segment files of `dir`, ascending by first sequence number.
 pub fn list_segments(dir: &Path) -> Result<Vec<(PathBuf, u64)>> {
     let mut found = Vec::new();
@@ -151,6 +168,25 @@ impl Wal {
         let mut segs = list_segments(dir)?;
 
         let mut stats = WalOpenStats::default();
+        if let Some(len) = header_cut_short(&segs)? {
+            // Both creators of a segment (`rotate`, and the first-segment
+            // path below) write its header right after `create_new`; a
+            // crash between the two leaves this residue, which holds no
+            // record.
+            let (path, _) = segs.pop().expect("nonempty");
+            fs::remove_file(&path)?;
+            sync_dir(dir);
+            stats.torn_bytes += len;
+            counter!("mmdb_recovery_torn_bytes_total").add(len);
+            mmdb_telemetry::recorder().record(
+                EventKind::Recovery,
+                format!(
+                    "segment cut short of its header removed: segment={} dropped={len}B",
+                    path.display()
+                ),
+                &[("torn_bytes", len)],
+            );
+        }
         if segs.is_empty() {
             let first = base_seqno + 1;
             let path = segment_path(dir, first);
@@ -207,7 +243,7 @@ impl Wal {
         let scan = scan_frames(&bytes[SEGMENT_HEADER_BYTES as usize..]);
         let valid_bytes = SEGMENT_HEADER_BYTES + scan.valid_len as u64;
         if let Some((dropped, reason)) = scan.tail {
-            stats.torn_bytes = dropped as u64;
+            stats.torn_bytes += dropped as u64;
             counter!("mmdb_recovery_torn_bytes_total").add(dropped as u64);
             let f = OpenOptions::new().write(true).open(&last_path)?;
             f.set_len(valid_bytes)?;
@@ -299,13 +335,13 @@ impl Wal {
     }
 
     /// Seals the active segment and starts a new one. A segment holding no
-    /// frames is left in place (nothing to seal).
+    /// frames is left in place (nothing to seal). The sealed segment is
+    /// synced first unless nothing was appended since the last sync.
     pub fn rotate(&mut self) -> Result<()> {
         if self.active_bytes == SEGMENT_HEADER_BYTES {
             return Ok(());
         }
-        self.active.sync_data()?;
-        self.dirty = false;
+        self.sync()?;
         let first = self.next_seqno;
         let path = segment_path(&self.dir, first);
         let mut f = OpenOptions::new()
@@ -546,6 +582,56 @@ mod tests {
         assert_eq!(got, vec![(1, b"kept-record".to_vec())]);
         // The log keeps accepting appends after repair, reusing seqno 2.
         assert_eq!(wal.append(b"replacement").unwrap(), 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A crash inside `rotate`, after `create_new` and before the header
+    /// is written, leaves an empty or partial last segment: the log opens
+    /// without it and resumes right after the records it holds.
+    #[test]
+    fn segment_cut_short_of_its_header_is_removed_on_open() {
+        for residue in [0usize, 7] {
+            let dir = temp_dir("cutshort");
+            let opts = WalOptions {
+                segment_bytes: 1 << 20,
+                fsync: FsyncPolicy::Never,
+            };
+            {
+                let (mut wal, _) = Wal::open(&dir, opts, 0).unwrap();
+                wal.append(b"first").unwrap();
+                wal.append(b"second").unwrap();
+                wal.sync().unwrap();
+            }
+            let cut = segment_path(&dir, 3);
+            fs::write(&cut, &encode_header(3)[..residue]).unwrap();
+
+            let (mut wal, stats) = Wal::open(&dir, opts, 0).unwrap();
+            assert_eq!(stats.torn_bytes, residue as u64);
+            assert_eq!(stats.last_seqno, 2);
+            assert!(!cut.exists(), "the cut-short segment is removed");
+            assert_eq!(
+                collect(&mut wal, 0),
+                vec![(1, b"first".to_vec()), (2, b"second".to_vec())]
+            );
+            assert_eq!(wal.append(b"third").unwrap(), 3);
+            drop(wal);
+            let (mut wal, stats) = Wal::open(&dir, opts, 0).unwrap();
+            assert_eq!((stats.torn_bytes, stats.last_seqno), (0, 3));
+            assert_eq!(collect(&mut wal, 2), vec![(3, b"third".to_vec())]);
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// The same crash inside the first-segment path of `open` leaves a
+    /// directory whose only segment is cut short: it opens as an empty log
+    /// at the snapshot's cover point.
+    #[test]
+    fn only_segment_cut_short_reopens_empty() {
+        let dir = temp_dir("cutfirst");
+        fs::write(segment_path(&dir, 6), &encode_header(6)[..7]).unwrap();
+        let (mut wal, stats) = Wal::open(&dir, WalOptions::default(), 5).unwrap();
+        assert_eq!((stats.torn_bytes, stats.last_seqno), (7, 5));
+        assert_eq!(wal.append(b"after").unwrap(), 6);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -206,10 +206,13 @@ impl DurableState {
     /// The tail every snapshot shares, once its blobs are durable and its
     /// payload is encoded: write the snapshot that references blob
     /// generation `gen` (the commit point), restart the snapshot cadence,
-    /// then fsync the WAL and drop the segments and blob generations no
-    /// retained snapshot needs. Garbage collection keeps the generation the
-    /// engine writes to *now*, which a compaction racing this snapshot may
-    /// already have moved past `gen`.
+    /// then fsync the WAL, seal its active segment when the snapshot covers
+    /// every record in it (so the next open scans none of them), and drop
+    /// the segments and blob generations no retained snapshot needs. A
+    /// snapshot that writes raced past covers less and seals nothing.
+    /// Garbage collection keeps the generation the engine writes to *now*,
+    /// which a compaction racing this snapshot may already have moved past
+    /// `gen`.
     fn commit_snapshot(&self, covered: u64, gen: u64, payload: &[u8]) -> Result<()> {
         self.snaps
             .write(covered, gen, payload)
@@ -223,6 +226,9 @@ impl DurableState {
         {
             let mut wal = self.wal.lock();
             wal.sync().map_err(map_durable)?;
+            if wal.last_seqno() == covered {
+                wal.rotate().map_err(map_durable)?;
+            }
             wal.gc(oldest).map_err(map_durable)?;
         }
         gc_blob_generations(
@@ -821,13 +827,15 @@ impl StorageEngine {
 
     /// Persists the current state: a catalog snapshot (atomic, via temp
     /// file + rename) plus a group-commit fsync of the WAL's active
-    /// segment. A no-op for in-memory databases.
+    /// segment, which is then sealed when the snapshot covers every record
+    /// in it. A no-op for in-memory databases.
     pub fn flush(&self) -> Result<()> {
         self.snapshot_now()
     }
 
-    /// Writes a snapshot of the current catalog, fsyncs the WAL, and
-    /// garbage-collects WAL segments and blob generations the retained
+    /// Writes a snapshot of the current catalog, fsyncs the WAL, seals its
+    /// active segment when the snapshot covers every record in the log,
+    /// and garbage-collects WAL segments and blob generations the retained
     /// snapshots no longer need. A no-op for in-memory databases.
     pub fn snapshot_now(&self) -> Result<()> {
         let Some(d) = &self.durable else {
