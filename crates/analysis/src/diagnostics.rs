@@ -9,12 +9,12 @@ use std::fmt;
 
 /// How serious a diagnostic is.
 ///
-/// `Error` means the sequence cannot be soundly bounded or instantiated
-/// (ingest validation rejects it); `Warn` means it is executable but
-/// wasteful or semantically suspicious; `Note` is informational.
+/// `Error` means the sequence cannot be soundly bounded or instantiated;
+/// `Warn` means it is executable but wasteful or semantically suspicious;
+/// `Note` is informational.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Rejects at ingest when validation is enabled.
+    /// Malformed or unsound: ingest refuses `E005`–`E008` and `E010`.
     Error,
     /// Executable, but redundant or suspicious.
     Warn,
@@ -48,7 +48,7 @@ pub enum LintCode {
     /// transforms are executable.
     NonAffineMutate,
     /// `E008` — NaN or infinite `Combine` weights or `Mutate` matrix
-    /// entries.
+    /// entries; the executor rejects these too.
     NonFiniteParams,
     /// `E009` — the soundness audit caught a widening rule narrowing a
     /// bound, or a `Combine` containment failure: a rule-engine bug.
@@ -56,7 +56,8 @@ pub enum LintCode {
     /// `E010` — the bound computation failed on a sequence whose geometry
     /// the executor accepts: a pixel or operation count that does not fit a
     /// bound-program word (a base image over 2³² pixels), or a catalog entry
-    /// that changed while the sequence was being analyzed.
+    /// that changed while the sequence was being analyzed. Ingest refuses
+    /// a sequence that does not compile with it when pass 1 finds no error.
     Unboundable,
     /// `W101` — a `Define` whose region is never read before the next
     /// `Define` (or the end of the sequence).

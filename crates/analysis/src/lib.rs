@@ -37,18 +37,18 @@ pub use soundness::{audit_sequence, SoundnessAudit};
 use mmdb_editops::{EditSequence, ImageId};
 use mmdb_histogram::Quantizer;
 use mmdb_imaging::Rgb;
-use mmdb_rules::InfoResolver;
+use mmdb_rules::{InfoResolver, RuleError};
 use mmdb_telemetry::counter;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The configured analyzer: quantizer + instantiation background (for the
-/// soundness audit's rule engines) and an optional resolver for geometric
-/// precision and bound traces.
+/// soundness audit's rule engines) and the resolver that supplies the
+/// dimensions and histograms of the images a sequence names.
 pub struct Analyzer<'a> {
     quantizer: &'a dyn Quantizer,
     background: Rgb,
-    resolver: Option<&'a dyn InfoResolver>,
+    resolver: &'a dyn InfoResolver,
 }
 
 /// Everything the analyzer found out about one sequence.
@@ -73,17 +73,7 @@ impl SequenceAnalysis {
 }
 
 impl<'a> Analyzer<'a> {
-    /// A structural-only analyzer (no catalog lookups: geometric checks and
-    /// the soundness audit are skipped).
-    pub fn new(quantizer: &'a dyn Quantizer, background: Rgb) -> Self {
-        Analyzer {
-            quantizer,
-            background,
-            resolver: None,
-        }
-    }
-
-    /// An analyzer with catalog access: full geometric precision plus the
+    /// An analyzer over a catalog: full geometric precision plus the
     /// soundness audit.
     pub fn with_resolver(
         quantizer: &'a dyn Quantizer,
@@ -93,17 +83,18 @@ impl<'a> Analyzer<'a> {
         Analyzer {
             quantizer,
             background,
-            resolver: Some(resolver),
+            resolver,
         }
     }
 
     /// Runs all per-sequence passes. The soundness audit runs only when the
     /// sequence's base and merge targets resolve: the catalog guarantees
-    /// that while the sequence is stored, but the analyzer does not hold
-    /// the catalog's lock, and a delete can land between ingest's two
-    /// reference checks or after a catalog lint has listed the sequence.
+    /// that while the sequence is stored, but a catalog lint lists the
+    /// sequences under one read and analyzes them after it, so a delete
+    /// can land in between.
     pub fn analyze_sequence(&self, seq: &EditSequence) -> SequenceAnalysis {
-        let mut diagnostics = wellformed::check(seq, self.resolver);
+        let resolver = self.resolver;
+        let mut diagnostics = wellformed::check(seq, resolver);
         let dead_ops = find_dead_ops(seq);
         diagnostics.extend(
             dead_ops
@@ -112,29 +103,22 @@ impl<'a> Analyzer<'a> {
         );
         let mut audit = None;
         let already_errored = diagnostics.iter().any(|d| d.severity() == Severity::Error);
-        if let Some(resolver) = self.resolver {
-            let refs_ok = resolver.info(seq.base).is_some()
-                && seq
-                    .merge_targets()
-                    .iter()
-                    .all(|&t| resolver.info(t).is_some());
-            if refs_ok && !already_errored {
-                match audit_sequence(self.quantizer, self.background, seq, resolver) {
-                    Ok(a) => {
-                        diagnostics.extend(a.diagnostics.iter().cloned());
-                        audit = Some(a);
-                    }
-                    Err(e) => {
-                        // The well-formedness pass stepped the same frame the
-                        // rule engine walks, so this is not geometry: a count
-                        // that does not fit a bound-program word, or a catalog
-                        // entry that changed between the two passes.
-                        diagnostics.push(Diagnostic::new(
-                            LintCode::Unboundable,
-                            format!("bound computation failed: {e}"),
-                        ));
-                    }
+        let refs_ok = resolver.info(seq.base).is_some()
+            && seq
+                .merge_targets()
+                .iter()
+                .all(|&t| resolver.info(t).is_some());
+        if refs_ok && !already_errored {
+            match audit_sequence(self.quantizer, self.background, seq, resolver) {
+                Ok(a) => {
+                    diagnostics.extend(a.diagnostics.iter().cloned());
+                    audit = Some(a);
                 }
+                // The well-formedness pass stepped the same frame the rule
+                // engine walks, so this is not geometry: a count that does
+                // not fit a bound-program word, or a catalog entry that
+                // changed between the two passes.
+                Err(e) => diagnostics.push(unboundable(&e)),
             }
         }
         SequenceAnalysis {
@@ -143,6 +127,28 @@ impl<'a> Analyzer<'a> {
             audit,
         }
     }
+}
+
+/// `E010`: sound geometry, yet no bounds.
+fn unboundable(err: &RuleError) -> Diagnostic {
+    let message = format!("bound computation failed: {err}");
+    Diagnostic::new(LintCode::Unboundable, message)
+}
+
+/// Why `RuleEngine::compile` refused `seq` with `err`, as the analyzer's
+/// error-level findings word it: pass 1's errors (`E005`–`E008`), or `E010`
+/// when it finds none. What ingest refuses a sequence with.
+pub fn compile_refusal(
+    seq: &EditSequence,
+    resolver: &dyn InfoResolver,
+    err: &RuleError,
+) -> Vec<Diagnostic> {
+    let mut errors = wellformed::check(seq, resolver);
+    errors.retain(|d| d.severity() == Severity::Error);
+    if errors.is_empty() {
+        errors.push(unboundable(err));
+    }
+    errors
 }
 
 /// Analyzes a catalog's edited images, given as `(id, sequence)` pairs,
@@ -237,11 +243,9 @@ fn diagnostic_counter_name(code: LintCode) -> String {
 }
 
 /// Bumps the per-lint counters for a batch of findings. Called by
-/// [`analyze_catalog`] and by storage's ingest validation.
+/// [`analyze_catalog`], and by ingest with the [`compile_refusal`] it
+/// refuses a sequence with.
 pub fn record_diagnostics(diags: &[Diagnostic]) {
-    if diags.is_empty() {
-        return;
-    }
     let registry = mmdb_telemetry::global();
     for d in diags {
         registry.counter(&diagnostic_counter_name(d.code)).inc();
@@ -303,11 +307,8 @@ mod tests {
     }
 
     #[test]
-    fn audit_skipped_without_resolver_or_on_error() {
+    fn audit_skipped_on_error() {
         let (r, q) = setup();
-        let analyzer = Analyzer::new(&q, Rgb::BLACK);
-        let seq = EditSequence::builder(ImageId::new(1)).build();
-        assert!(analyzer.analyze_sequence(&seq).audit.is_none());
         let analyzer = Analyzer::with_resolver(&q, Rgb::BLACK, &r);
         // Error-level finding (empty crop) suppresses the audit.
         let seq = EditSequence::builder(ImageId::new(1))
@@ -376,7 +377,10 @@ mod tests {
         register_metrics();
         let (r, q) = setup();
         let analyzer = Analyzer::with_resolver(&q, Rgb::BLACK, &r);
+        let w101 = mmdb_telemetry::global().counter(&diagnostic_counter_name(LintCode::DeadDefine));
+        let before = w101.get();
         let _ = analyze_catalog([(ImageId::new(2), dead_define())], &analyzer);
+        assert!(w101.get() > before, "the dead Define is counted");
         let text = mmdb_telemetry::global().render_prometheus();
         assert!(text.contains("mmdb_analysis_runs_total"), "{text}");
         assert!(

@@ -1,11 +1,12 @@
 //! Pass 1 — well-formedness checks over a single sequence.
 //!
 //! Structural checks (non-finite parameters, degenerate regions, zero-sum
-//! kernels, non-affine matrices) need nothing but the op list. When an
-//! [`InfoResolver`] is supplied, the pass additionally steps the executor's
-//! own [`Frame`] through the sequence and reports what the executor would
-//! only hit at instantiation time: crops of an empty region, canvas growth
-//! past the pixel cap, and pastes landing entirely outside their target.
+//! kernels, non-affine matrices) need nothing but the op list. With the
+//! dimensions an [`InfoResolver`] supplies, the pass also steps the
+//! executor's own [`Frame`] through the sequence and reports what the
+//! executor would only hit at instantiation time: crops of an empty region,
+//! canvas growth past the pixel cap, and pastes landing entirely outside
+//! their target.
 //!
 //! Reference existence and kind are not checked here or anywhere in this
 //! crate: the storage catalog refuses a dangling, non-binary or cyclic
@@ -24,19 +25,17 @@ fn refusal_code(err: GeometryError) -> LintCode {
         GeometryError::EmptyCrop => LintCode::EmptyCrop,
         GeometryError::CanvasOverflow { .. } => LintCode::CanvasOverflow,
         GeometryError::NonAffine => LintCode::NonAffineMutate,
-        GeometryError::NonFinite => LintCode::NonFiniteParams,
+        GeometryError::NonFinite | GeometryError::NonFiniteParameter(_) => {
+            LintCode::NonFiniteParams
+        }
     }
 }
 
-/// Runs the well-formedness pass. `resolver` (when given) supplies base and
-/// merge-target dimensions for the geometric checks.
-pub fn check(seq: &EditSequence, resolver: Option<&dyn InfoResolver>) -> Vec<Diagnostic> {
+/// Runs the well-formedness pass. `resolver` supplies base and merge-target
+/// dimensions for the geometric checks.
+pub fn check(seq: &EditSequence, resolver: &dyn InfoResolver) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let dims = |id| {
-        resolver
-            .and_then(|r| r.info(id))
-            .map(|info| (info.width, info.height))
-    };
+    let dims = |id| resolver.info(id).map(|info| (info.width, info.height));
     // Exact while every dimension needed so far has resolved and no
     // operation has been refused.
     let mut frame = dims(seq.base).map(|(w, h)| Frame::new(w, h));
@@ -69,6 +68,8 @@ pub fn check(seq: &EditSequence, resolver: Option<&dyn InfoResolver>) -> Vec<Dia
                         LintCode::NonFiniteParams,
                         "Combine weights contain NaN or infinity".to_string(),
                     );
+                    // The frame refuses it too; the region stays where it is.
+                    continue;
                 } else if weights.iter().sum::<f32>() == 0.0 {
                     note(
                         LintCode::ZeroCombine,
@@ -196,7 +197,7 @@ mod tests {
             .blur()
             .modify(Rgb::RED, Rgb::GREEN)
             .build();
-        assert!(check(&seq, Some(&resolver())).is_empty());
+        assert!(check(&seq, &resolver()).is_empty());
     }
 
     #[test]
@@ -205,7 +206,7 @@ mod tests {
             .blur()
             .modify(Rgb::RED, Rgb::GREEN)
             .build();
-        let d = check(&seq, None);
+        let d = check(&seq, &MapInfoResolver::new());
         assert_eq!(codes(&d), vec![LintCode::EditBeforeDefine]);
         assert_eq!(d[0].op_index, Some(0));
     }
@@ -217,14 +218,14 @@ mod tests {
             .define(Rect::new(5, 5, 5, 9))
             .blur()
             .build();
-        assert!(codes(&check(&seq, None)).contains(&LintCode::DegenerateRegion));
+        assert!(codes(&check(&seq, &MapInfoResolver::new())).contains(&LintCode::DegenerateRegion));
         // Clips to empty on the actual canvas (resolver needed).
         let seq = EditSequence::builder(ImageId::new(1))
             .define(Rect::new(50, 50, 60, 60))
             .blur()
             .build();
-        assert!(check(&seq, None).is_empty());
-        assert!(codes(&check(&seq, Some(&resolver()))).contains(&LintCode::DegenerateRegion));
+        assert!(check(&seq, &MapInfoResolver::new()).is_empty());
+        assert!(codes(&check(&seq, &resolver())).contains(&LintCode::DegenerateRegion));
     }
 
     #[test]
@@ -234,14 +235,14 @@ mod tests {
             .crop_to_region()
             .build();
         // Statically empty region: provable even without a resolver.
-        assert!(codes(&check(&seq, None)).contains(&LintCode::EmptyCrop));
+        assert!(codes(&check(&seq, &MapInfoResolver::new())).contains(&LintCode::EmptyCrop));
         // Clipped-to-empty region: needs the resolver.
         let seq = EditSequence::builder(ImageId::new(1))
             .define(Rect::new(50, 50, 60, 60))
             .crop_to_region()
             .build();
-        assert!(!codes(&check(&seq, None)).contains(&LintCode::EmptyCrop));
-        assert!(codes(&check(&seq, Some(&resolver()))).contains(&LintCode::EmptyCrop));
+        assert!(!codes(&check(&seq, &MapInfoResolver::new())).contains(&LintCode::EmptyCrop));
+        assert!(codes(&check(&seq, &resolver())).contains(&LintCode::EmptyCrop));
     }
 
     #[test]
@@ -254,7 +255,7 @@ mod tests {
                 [0.0, 0.0, 1.0],
             ]))
             .build();
-        let c = codes(&check(&seq, Some(&resolver())));
+        let c = codes(&check(&seq, &resolver()));
         assert_eq!(
             c.iter()
                 .filter(|c| **c == LintCode::NonFiniteParams)
@@ -271,12 +272,12 @@ mod tests {
             .define(Rect::new(0, 0, 4, 4))
             .mutate(proj)
             .build();
-        assert!(codes(&check(&seq, None)).contains(&LintCode::NonAffineMutate));
+        assert!(codes(&check(&seq, &MapInfoResolver::new())).contains(&LintCode::NonAffineMutate));
         let seq = EditSequence::builder(ImageId::new(1))
             .define(Rect::new(0, 0, 4, 4))
             .mutate(Matrix3::scale(0.0, 1.0))
             .build();
-        let c = codes(&check(&seq, None));
+        let c = codes(&check(&seq, &MapInfoResolver::new()));
         assert!(c.contains(&LintCode::SingularMutate));
         assert!(!c.contains(&LintCode::NonAffineMutate));
     }
@@ -286,15 +287,15 @@ mod tests {
         let seq = EditSequence::builder(ImageId::new(1))
             .scale(100_000.0, 100_000.0)
             .build();
-        assert!(codes(&check(&seq, Some(&resolver()))).contains(&LintCode::CanvasOverflow));
+        assert!(codes(&check(&seq, &resolver())).contains(&LintCode::CanvasOverflow));
         let seq = EditSequence::builder(ImageId::new(1))
             .define(Rect::new(0, 0, 4, 4))
             .merge_into(ImageId::new(2), i64::MAX / 2, 0)
             .build();
         // Paste coordinates are no special case: the canvas they ask for is
         // over the cap, which takes the target's dimensions to know.
-        assert!(codes(&check(&seq, Some(&resolver()))).contains(&LintCode::CanvasOverflow));
-        assert!(check(&seq, None).is_empty());
+        assert!(codes(&check(&seq, &resolver())).contains(&LintCode::CanvasOverflow));
+        assert!(check(&seq, &MapInfoResolver::new()).is_empty());
     }
 
     #[test]
@@ -303,13 +304,13 @@ mod tests {
             .define(Rect::new(0, 0, 4, 4))
             .merge_into(ImageId::new(2), 100, 100)
             .build();
-        assert!(codes(&check(&seq, Some(&resolver()))).contains(&LintCode::DisjointPaste));
+        assert!(codes(&check(&seq, &resolver())).contains(&LintCode::DisjointPaste));
         // An interior paste is clean.
         let seq = EditSequence::builder(ImageId::new(1))
             .define(Rect::new(0, 0, 4, 4))
             .merge_into(ImageId::new(2), 2, 2)
             .build();
-        assert!(check(&seq, Some(&resolver())).is_empty());
+        assert!(check(&seq, &resolver()).is_empty());
     }
 
     #[test]
@@ -318,6 +319,9 @@ mod tests {
             .define(Rect::new(0, 0, 4, 4))
             .combine([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 0.0])
             .build();
-        assert_eq!(codes(&check(&seq, None)), vec![LintCode::ZeroCombine]);
+        assert_eq!(
+            codes(&check(&seq, &MapInfoResolver::new())),
+            vec![LintCode::ZeroCombine]
+        );
     }
 }

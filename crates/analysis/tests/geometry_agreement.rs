@@ -1,13 +1,14 @@
-//! One geometry, three readers: the executor, the BOUNDS compiler and the
+//! One geometry, four readers: the executor, the BOUNDS compiler and the
 //! static analyzer all step `mmdb_editops::geometry::Frame`, so they accept
 //! and refuse the same sequences — in particular on operation parameters far
 //! outside any canvas, where three private copies of the arithmetic used to
 //! give three different answers (a wrapped `u32`, an overflow panic, a
-//! special-cased constant).
+//! special-cased constant). The fourth reader is ingest: the storage engine
+//! refuses exactly the sequences `compile` refuses, in the analyzer's words.
 //!
 //! `PROPTEST_CASES` overrides the property's case count.
 
-use mmdb_analysis::{Analyzer, LintCode};
+use mmdb_analysis::{Analyzer, LintCode, Severity};
 use mmdb_editops::{
     EditError, EditOp, EditSequence, Frame, GeometryError, ImageId, InstantiationEngine,
     MapResolver, Matrix3,
@@ -15,6 +16,7 @@ use mmdb_editops::{
 use mmdb_histogram::{ColorHistogram, RgbQuantizer};
 use mmdb_imaging::{draw, RasterImage, Rect, Rgb};
 use mmdb_rules::{ImageInfo, InfoResolver, MapInfoResolver, RuleEngine, RuleError, RuleProfile};
+use mmdb_storage::{StorageEngine, StorageError};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,10 +33,12 @@ const REFUSALS: [LintCode; 5] = [
     LintCode::Unboundable,
 ];
 
-/// A catalog of two images, once as rasters and once as metadata.
+/// A catalog of two images: as rasters, as metadata, and as the binary
+/// images of an in-memory database.
 struct Catalog {
     rasters: MapResolver,
     infos: MapInfoResolver,
+    storage: StorageEngine,
 }
 
 impl Catalog {
@@ -42,12 +46,28 @@ impl Catalog {
         let quant = RgbQuantizer::default_64();
         let mut rasters = MapResolver::new();
         let mut infos = MapInfoResolver::new();
+        let storage = StorageEngine::in_memory(Box::new(quant));
         for (id, img) in [(BASE, base), (TARGET, target)] {
             let hist = ColorHistogram::extract(&img, &quant);
             infos.insert(id, ImageInfo::new(hist, img.width(), img.height()));
+            assert_eq!(storage.insert_binary(&img).unwrap(), id);
             rasters.insert(id, img);
         }
-        Catalog { rasters, infos }
+        Catalog {
+            rasters,
+            infos,
+            storage,
+        }
+    }
+
+    /// `insert_edited` into the database: the id, or the refusal's text.
+    fn ingest(&self, seq: &EditSequence) -> Result<ImageId, String> {
+        self.storage
+            .insert_edited(seq.clone())
+            .map_err(|e| match e {
+                StorageError::InvalidSequence(text) => text,
+                other => format!("{other:?}"),
+            })
     }
 
     fn instantiate(&self, seq: &EditSequence) -> Result<RasterImage, String> {
@@ -91,6 +111,20 @@ impl Catalog {
             .map(|d| d.code)
             .filter(|code| REFUSALS.contains(code))
             .collect()
+    }
+
+    /// The analyzer's error-level findings, joined as ingest words a
+    /// refusal.
+    fn error_text(&self, seq: &EditSequence) -> String {
+        let quant = RgbQuantizer::default_64();
+        let analysis =
+            Analyzer::with_resolver(&quant, Rgb::BLACK, &self.infos).analyze_sequence(seq);
+        let errors = analysis.diagnostics.iter();
+        let errors = errors.filter(|d| d.severity() == Severity::Error);
+        errors
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("; ")
     }
 
     /// The frame the sequence ends on, stepped by hand.
@@ -156,15 +190,17 @@ fn out_of_range_parameters_are_the_cap_error_everywhere() {
         let compile = describe(|| catalog.compile(&seq));
         let bounds = describe(|| catalog.bounds(&seq));
         let analyzer = describe(|| Ok(catalog.refusals(&seq)));
+        let ingest = describe(|| catalog.ingest(&seq));
         let row = format!(
             "{name}: executor {executor:?} | compile {compile:?} | bounds {bounds:?} | \
-             analyzer {analyzer:?}"
+             analyzer {analyzer:?} | ingest {ingest:?}"
         );
         println!("{row}");
         let agreed = is_cap_error(&executor)
             && is_cap_error(&compile)
             && is_cap_error(&bounds)
-            && analyzer == Ok(vec![LintCode::CanvasOverflow]);
+            && analyzer == Ok(vec![LintCode::CanvasOverflow])
+            && is_cap_error(&ingest);
         if !agreed {
             failures.push(row);
         }
@@ -256,9 +292,26 @@ const OFFSETS: [i64; 8] = [
     i64::MIN / 2,
 ];
 
+/// What a `Combine` weight or a `Mutate` entry must never be.
+const NOT_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
 /// Parameters no honest editor produces.
 fn arb_hostile_op() -> impl Strategy<Value = EditOp> {
     prop_oneof![
+        // A non-finite parameter anywhere, refused even where nothing reads
+        // it (an off-centre weight, a translation term of a resize, any
+        // entry on an empty region).
+        (0..NOT_FINITE.len(), 0usize..9).prop_map(|(v, at)| {
+            let mut weights = [0.0; 9];
+            weights[4] = 1.0;
+            weights[at] = NOT_FINITE[v] as f32;
+            EditOp::Combine { weights }
+        }),
+        (0..NOT_FINITE.len(), 0usize..9).prop_map(|(v, at)| {
+            let mut matrix = Matrix3::scale(2.0, 2.0);
+            matrix.m[at / 3][at % 3] = NOT_FINITE[v];
+            EditOp::Mutate { matrix }
+        }),
         (0..FACTORS.len(), 0..FACTORS.len()).prop_map(|(x, y)| EditOp::Mutate {
             matrix: Matrix3::scale(FACTORS[x], FACTORS[y]),
         }),
@@ -324,6 +377,7 @@ fn cases() -> u32 {
 static ACCEPTED: AtomicUsize = AtomicUsize::new(0);
 static NON_AFFINE: AtomicUsize = AtomicUsize::new(0);
 static NON_FINITE: AtomicUsize = AtomicUsize::new(0);
+static NON_FINITE_PARAMETER: AtomicUsize = AtomicUsize::new(0);
 static EMPTY_CROP: AtomicUsize = AtomicUsize::new(0);
 static OVERFLOW: AtomicUsize = AtomicUsize::new(0);
 
@@ -337,6 +391,7 @@ proptest! {
             Ok(_) => &ACCEPTED,
             Err(GeometryError::NonAffine) => &NON_AFFINE,
             Err(GeometryError::NonFinite) => &NON_FINITE,
+            Err(GeometryError::NonFiniteParameter(_)) => &NON_FINITE_PARAMETER,
             Err(GeometryError::EmptyCrop) => &EMPTY_CROP,
             Err(GeometryError::CanvasOverflow { .. }) => &OVERFLOW,
         };
@@ -345,9 +400,11 @@ proptest! {
         let executed = catalog.instantiate(&seq);
         let compiled = catalog.compile(&seq);
         let refusals = catalog.refusals(&seq);
+        let ingested = catalog.ingest(&seq);
         prop_assert_eq!(executed.is_ok(), frame.is_ok(), "executor {:?} on {:?}", executed, seq);
         prop_assert_eq!(compiled.is_ok(), frame.is_ok(), "compile {:?} on {:?}", compiled, seq);
         prop_assert_eq!(refusals.is_empty(), frame.is_ok(), "analyzer {:?} on {:?}", refusals, seq);
+        prop_assert_eq!(ingested.is_ok(), frame.is_ok(), "ingest {:?} on {:?}", ingested, seq);
         match (frame, executed, compiled) {
             (Ok(frame), Ok(image), Ok(total)) => {
                 prop_assert_eq!(image.bounds(), frame.canvas(), "{:?}", seq);
@@ -361,31 +418,47 @@ proptest! {
                     GeometryError::EmptyCrop => LintCode::EmptyCrop,
                     GeometryError::CanvasOverflow { .. } => LintCode::CanvasOverflow,
                     GeometryError::NonAffine => LintCode::NonAffineMutate,
-                    GeometryError::NonFinite => LintCode::NonFiniteParams,
+                    GeometryError::NonFinite | GeometryError::NonFiniteParameter(_) => {
+                        LintCode::NonFiniteParams
+                    }
                 };
                 prop_assert_eq!(refusals[0], code, "{:?}", seq);
+                // Ingest refuses with the analyzer's error-level findings,
+                // which lead with that code.
+                let text = ingested.unwrap_err();
+                prop_assert_eq!(&text, &catalog.error_text(&seq), "{:?}", seq);
+                prop_assert!(text.starts_with(&format!("error[{}]", code.code())), "{}", text);
             }
             _ => unreachable!("the three agreed above"),
         }
     }
 }
 
-/// (executor `Ok`) ⇔ (`compile` `Ok`) ⇔ (no refusal from the analyzer), on
-/// random sequences with a hostile arm — and the arm bites: every
-/// `GeometryError` is reached.
+/// (executor `Ok`) ⇔ (`compile` `Ok`) ⇔ (no refusal from the analyzer) ⇔
+/// (ingest accepts), on random sequences with a hostile arm — and the arm
+/// bites: every `GeometryError` is reached.
 #[test]
 fn executor_compiler_and_analyzer_agree() {
     agreement_cases();
-    let tally = [&ACCEPTED, &NON_AFFINE, &NON_FINITE, &EMPTY_CROP, &OVERFLOW]
-        .map(|n| n.load(Ordering::Relaxed));
+    let tally = [
+        &ACCEPTED,
+        &NON_AFFINE,
+        &NON_FINITE,
+        &NON_FINITE_PARAMETER,
+        &EMPTY_CROP,
+        &OVERFLOW,
+    ]
+    .map(|n| n.load(Ordering::Relaxed));
     println!(
-        "{} cases: {} accepted, {} NonAffine, {} NonFinite, {} EmptyCrop, {} CanvasOverflow",
+        "{} cases: {} accepted, {} NonAffine, {} NonFinite, {} NonFiniteParameter, {} EmptyCrop, \
+         {} CanvasOverflow",
         tally.iter().sum::<usize>(),
         tally[0],
         tally[1],
         tally[2],
         tally[3],
-        tally[4]
+        tally[4],
+        tally[5]
     );
     if cases() >= 256 {
         assert!(tally.iter().all(|&n| n > 0), "{tally:?}");

@@ -120,20 +120,8 @@ impl BwmStructure {
         id: ImageId,
         sequence: &EditSequence,
     ) -> Option<Classification> {
-        self.insert_classified(id, sequence.base, sequence.all_bound_widening())
-    }
-
-    /// [`BwmStructure::insert_edited`] for a caller that took the verdict
-    /// (`sequence.all_bound_widening()`) while it still held the sequence,
-    /// and has since given the sequence away.
-    pub fn insert_classified(
-        &mut self,
-        id: ImageId,
-        base: ImageId,
-        all_widening: bool,
-    ) -> Option<Classification> {
-        let cluster = self.main.get_mut(&base)?;
-        if all_widening {
+        let cluster = self.main.get_mut(&sequence.base)?;
+        if sequence.all_bound_widening() {
             counter!(r#"mmdb_bwm_edited_inserts_total{component="classified"}"#).inc();
             let at = cluster.ids.partition_point(|&e| e < id);
             cluster.ids.insert(at, id);

@@ -82,6 +82,8 @@ pub enum GeometryError {
     NonAffine,
     /// A `Mutate` that sends a region corner to infinity or NaN.
     NonFinite,
+    /// A NaN or infinite `Combine` weight or `Mutate` entry, wherever it is.
+    NonFiniteParameter(OpKind),
     /// `Merge(NULL)` with an empty defined region.
     EmptyCrop,
     /// A `Mutate` or `Merge(target)` whose canvas would exceed
@@ -101,6 +103,7 @@ impl fmt::Display for GeometryError {
         match self {
             GeometryError::NonAffine => f.write_str("mutate matrix must be affine"),
             GeometryError::NonFinite => f.write_str("mutate matrix produced a non-finite region"),
+            GeometryError::NonFiniteParameter(op) => write!(f, "{op} parameter is NaN or infinite"),
             GeometryError::EmptyCrop => f.write_str("merge(NULL) with empty defined region"),
             GeometryError::CanvasOverflow { op, width, height } => {
                 let op = if *op == OpKind::Mutate {
@@ -163,6 +166,9 @@ impl Frame {
                 self.region = region.intersect(&self.canvas);
                 Ok(Motion::Still)
             }
+            EditOp::Combine { weights } if !weights.iter().all(|w| w.is_finite()) => {
+                Err(GeometryError::NonFiniteParameter(OpKind::Combine))
+            }
             EditOp::Combine { .. } | EditOp::Modify { .. } => Ok(Motion::Still),
             EditOp::Mutate { matrix } => self.mutate(matrix),
             EditOp::Merge { target: None, .. } => {
@@ -186,6 +192,9 @@ impl Frame {
     }
 
     fn mutate(&mut self, matrix: &Matrix3) -> Result<Motion, GeometryError> {
+        if !matrix.m.iter().flatten().all(|v| v.is_finite()) {
+            return Err(GeometryError::NonFiniteParameter(OpKind::Mutate));
+        }
         if !matrix.is_affine() {
             return Err(GeometryError::NonAffine);
         }
@@ -310,6 +319,8 @@ mod tests {
         };
         let nowhere = r(i64::MAX, i64::MIN, i64::MAX, i64::MIN);
         let over = |op, width, height| Err(CanvasOverflow { op, width, height });
+        let nan = |op| Err(NonFiniteParameter(op));
+        let nan_shift = Matrix3::new([[2.0, 0.0, f64::NAN], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]);
         let (scale, merge) = (OpKind::Mutate, OpKind::MergeTarget);
         type Row = (SequenceBuilder, Result<Motion, GeometryError>, Rect, Rect);
         #[rustfmt::skip]
@@ -332,7 +343,11 @@ mod tests {
             (seq().define(corner).merge_into(T, 5, 5), paste(corner, r(5, 5, 9, 9), target), target, r(5, 5, 9, 9)),
             (seq().define(corner).merge_into(T, -2, 18), paste(corner, r(-2, 18, 2, 22), r(-2, 0, 20, 22)), r(0, 0, 22, 22), r(0, 18, 4, 22)),
             (off().merge_into(T, i64::MAX, i64::MIN), paste(Rect::EMPTY, nowhere, target), target, Rect::EMPTY),
-            // The four refusals.
+            // The five refusals. A non-finite parameter is refused even where
+            // the frame would not read it.
+            (seq().combine([0.0, 0.0, 0.0, 0.0, f32::NAN, 0.0, 0.0, 0.0, 0.0]), nan(OpKind::Combine), whole, whole),
+            (off().translate(f64::INFINITY, 0.0), nan(OpKind::Mutate), whole, Rect::EMPTY),
+            (seq().mutate(nan_shift), nan(OpKind::Mutate), whole, whole),
             (seq().mutate(PROJECTIVE), Err(NonAffine), whole, whole),
             (off().mutate(PROJECTIVE), Err(NonAffine), whole, Rect::EMPTY),
             (seq().mutate(TO_INFINITY), Err(NonFinite), whole, whole),
@@ -379,6 +394,10 @@ mod tests {
             }
             .to_string(),
             "merge would produce a 30000x1 canvas, over the pixel cap"
+        );
+        assert_eq!(
+            NonFiniteParameter(OpKind::Combine).to_string(),
+            "Combine parameter is NaN or infinite"
         );
         assert_eq!(
             crate::EditError::from(EmptyCrop).to_string(),
