@@ -4,7 +4,7 @@
 //! rule), so an image's intervals are computed once and dropped only when
 //! the image leaves the catalog.
 
-use crate::interval::{BinIntervals, IntervalEntry};
+use crate::interval::{gallop_prefix, merge_batch, BinIntervals, IntervalEntry};
 use mmdb_bwm::SequenceStore;
 use mmdb_editops::ImageId;
 use mmdb_histogram::{ColorHistogram, Quantizer};
@@ -35,12 +35,19 @@ pub struct IndexedLookup {
     pub ids: Vec<ImageId>,
     /// Intervals scanned to answer the query: the bin's width-bounded
     /// window of `lo` order, or the `hi >= pct_min` prefix when that is
-    /// shorter (see [`BinIntervals::overlapping`]).
+    /// shorter (see [`BinIntervals::overlapping`]). A query that reaches 0
+    /// decides every resident image, listed or `[0, 0]`, so it reports the
+    /// resident count (see [`BoundIndex::lookup_into`]).
     pub scanned: usize,
 }
 
 /// Bound-interval index of the Conservative rule profile, the one a
 /// compiled program holds.
+///
+/// A bin lists only the images whose interval there is not `[0, 0]`: an
+/// image has only a few colours, and on a flag collection 94 % of the
+/// dense intervals are `[0, 0]`. A resident image a bin does not list has
+/// `[0, 0]` in it.
 ///
 /// All mutation goes through `&mut self`; the facade wraps the index in a
 /// `RwLock` and enforces the serving invariant that a lookup is only
@@ -48,10 +55,11 @@ pub struct IndexedLookup {
 /// current mutation epoch — a stale entry is therefore never served.
 #[derive(Clone, Debug)]
 pub struct BoundIndex {
-    /// One interval list per bin: the only copy of an image's intervals.
+    /// One interval list per bin: the only copy of an image's intervals
+    /// that are not `[0, 0]`.
     bins: Vec<BinIntervals>,
-    /// The images with intervals in every bin.
-    resident: HashSet<ImageId>,
+    /// The indexed images, ascending, listed in a bin or not.
+    resident: Vec<ImageId>,
     synced_epoch: u64,
     /// When the index last reconciled to a catalog snapshot (build or sync).
     last_synced_at: Instant,
@@ -66,33 +74,48 @@ pub(crate) struct Staged {
 }
 
 impl Staged {
-    /// Room for `images` images' intervals over `bin_count` bins.
+    /// Room for `images` images over `bin_count` bins. A bin's batch grows
+    /// with the intervals it gets, a few per image, so none is reserved.
     pub(crate) fn with_capacity(bin_count: usize, images: usize) -> Self {
         Staged {
             ids: Vec::with_capacity(images),
-            bins: (0..bin_count).map(|_| Vec::with_capacity(images)).collect(),
+            bins: vec![Vec::new(); bin_count],
         }
     }
 
-    /// Stages `id`'s `(lo, hi)` fraction interval of every bin, in bin
-    /// order.
-    pub(crate) fn push(&mut self, id: ImageId, intervals: impl IntoIterator<Item = (f64, f64)>) {
-        let mut bins = self.bins.iter_mut();
-        for ((lo, hi), bin) in intervals.into_iter().zip(&mut bins) {
-            bin.push(IntervalEntry { lo, hi, id });
+    /// Stages `id` and its `(bin, lo, hi)` fraction intervals, dropping
+    /// every `[0, 0]` one: the index lists an image only where it may have
+    /// the colour. Each bin at most once, and below the bin count.
+    pub(crate) fn push(
+        &mut self,
+        id: ImageId,
+        intervals: impl IntoIterator<Item = (usize, f64, f64)>,
+    ) {
+        for (bin, lo, hi) in intervals {
+            if lo != 0.0 || hi != 0.0 {
+                self.bins[bin].push(IntervalEntry { lo, hi, id });
+            }
         }
-        debug_assert!(bins.next().is_none(), "an interval for every bin");
         self.ids.push(id);
     }
 
     fn push_bounds(&mut self, id: ImageId, bounds: &[BoundRange]) {
-        self.push(id, bounds.iter().map(BoundRange::fraction_range));
+        self.push(
+            id,
+            bounds.iter().enumerate().map(|(bin, bound)| {
+                let (lo, hi) = bound.fraction_range();
+                (bin, lo, hi)
+            }),
+        );
     }
 
     /// A binary image's intervals are its exact fractions.
     fn push_binary(&mut self, id: ImageId, histogram: &ColorHistogram) {
-        let fractions = (0..self.bins.len()).map(|bin| histogram.fraction(bin));
-        self.push(id, fractions.map(|f| (f, f)));
+        let fractions = (0..self.bins.len()).map(|bin| {
+            let f = histogram.fraction(bin);
+            (bin, f, f)
+        });
+        self.push(id, fractions);
     }
 }
 
@@ -101,7 +124,7 @@ impl BoundIndex {
     pub fn new(bin_count: usize) -> Self {
         BoundIndex {
             bins: vec![BinIntervals::default(); bin_count],
-            resident: HashSet::new(),
+            resident: Vec::new(),
             synced_epoch: 0,
             last_synced_at: Instant::now(),
         }
@@ -129,7 +152,7 @@ impl BoundIndex {
 
     /// Whether `id` currently has a resident entry.
     pub fn contains(&self, id: ImageId) -> bool {
-        self.resident.contains(&id)
+        self.resident.binary_search(&id).is_ok()
     }
 
     /// Wall-clock time since the last [`BoundIndex::build`] or
@@ -213,15 +236,17 @@ impl BoundIndex {
     {
         let started = Instant::now();
         let current: HashSet<ImageId> = binary.iter().chain(edited).copied().collect();
-        let mut gone: Vec<ImageId> = self.resident.difference(&current).copied().collect();
+        let gone: Vec<ImageId> = self
+            .resident
+            .iter()
+            .filter(|id| !current.contains(id))
+            .copied()
+            .collect();
         if !gone.is_empty() {
-            gone.sort_unstable();
             for bin in &mut self.bins {
                 bin.remove_batch(&gone);
             }
-            for id in &gone {
-                self.resident.remove(id);
-            }
+            self.resident.retain(|id| gone.binary_search(id).is_err());
         }
         counter!("mmdb_boundidx_invalidations_total").add(gone.len() as u64);
 
@@ -258,8 +283,8 @@ impl BoundIndex {
     /// [`BinIntervals::insert_batch`] and stamps the index synced to
     /// `epoch`. A stamp behind the engine's current epoch makes the next
     /// lookup take the incremental sync path, never a cold rebuild.
-    pub(crate) fn admit(&mut self, staged: Staged, epoch: u64) {
-        self.resident.extend(staged.ids);
+    pub(crate) fn admit(&mut self, mut staged: Staged, epoch: u64) {
+        merge_batch(&mut self.resident, &mut staged.ids, ImageId::cmp);
         for (bin, batch) in self.bins.iter_mut().zip(staged.bins) {
             bin.insert_batch(batch);
         }
@@ -270,7 +295,7 @@ impl BoundIndex {
 
     /// The resident ids and the per-bin lists — the persistence codec's
     /// view of the index.
-    pub(crate) fn parts(&self) -> (&HashSet<ImageId>, &[BinIntervals]) {
+    pub(crate) fn parts(&self) -> (&[ImageId], &[BinIntervals]) {
         (&self.resident, &self.bins)
     }
 
@@ -290,6 +315,14 @@ impl BoundIndex {
     /// of a scattered query share one result vector.
     /// Returns the number of intervals scanned.
     ///
+    /// A query that does not reach 0 (`pct_min > 0`, in practice) cannot
+    /// match `[0, 0]`, so the bin's listed intervals answer it alone. One
+    /// that does is an "at most `pct_max`" query: every listed interval
+    /// has `hi > 0 >= pct_min`, so the answer is every resident image but
+    /// those listed with `lo > pct_max`. One gallop over the bin finds
+    /// those; sorted by id, they split the ascending resident ids into runs
+    /// that are copied whole. It returns the resident count.
+    ///
     /// # Panics
     /// As [`BoundIndex::lookup`].
     pub fn lookup_into(&self, query: &ColorRangeQuery, out: &mut Vec<ImageId>) -> usize {
@@ -299,7 +332,23 @@ impl BoundIndex {
             query.bin,
             self.bins.len()
         );
-        self.bins[query.bin].overlapping(query.pct_min, query.pct_max, out)
+        let bin = &self.bins[query.bin];
+        // `<=`, so a `-0.0` bound reaches 0 as well.
+        if !(query.pct_min <= 0.0 && 0.0 <= query.pct_max) {
+            return bin.overlapping(query.pct_min, query.pct_max, out);
+        }
+        let mut above: Vec<ImageId> = bin.lo_above(query.pct_max).iter().map(|e| e.id).collect();
+        above.sort_unstable();
+        // Both ascend and `above` is resident: copy the runs between them.
+        let mut rest = &self.resident[..];
+        for id in &above {
+            let at = gallop_prefix(rest.len(), |i| rest[i] < *id);
+            debug_assert_eq!(rest.get(at), Some(id), "a listed image is resident");
+            out.extend_from_slice(&rest[..at]);
+            rest = &rest[at + 1..];
+        }
+        out.extend_from_slice(rest);
+        self.resident.len()
     }
 }
 

@@ -11,17 +11,21 @@
 //! * the entries with `lo <= pct_max` are a prefix of `by_lo`;
 //! * the entries with `hi >= pct_min` are a prefix of `by_hi`.
 //!
-//! Either prefix can hold most of the bin: every image without the colour
-//! has the interval `[0, 0]` and sits in the first, and every image with
-//! much of it sits in the second. So each bin also keeps its largest
-//! `hi - lo`, whose `next_up` is `width`, an upper bound on every interval's
-//! width (the S-tree's node signature reduced to one number). An interval
-//! that reaches `pct_min` starts no lower than `pct_min - width`, so the
-//! overlap set lies in the window of `by_lo` between that point and
-//! `pct_max`, found by one binary search and one gallop. A lookup scans
-//! that window, or the `by_hi` prefix when one probe shows the prefix is
-//! shorter: never more than the smaller of the two prefixes, and on narrow
-//! intervals a small multiple of the answer's own size.
+//! A bound index lists in a bin only the images whose interval there is
+//! not `[0, 0]`; an image it holds but does not list has `[0, 0]`, which
+//! only a query that reaches 0 matches, and the index answers such a query
+//! from its resident ids and [`BinIntervals::lo_above`]. Either prefix can
+//! still hold most of the bin: every image with little of the colour sits
+//! in the first, and every image with much of it in the second. So each
+//! bin also keeps its largest `hi - lo`, whose `next_up` is `width`, an
+//! upper bound on every interval's width (the S-tree's node signature
+//! reduced to one number). An interval that reaches `pct_min` starts no
+//! lower than `pct_min - width`, so the overlap set lies in the window of
+//! `by_lo` between that point and `pct_max`, found by one binary search
+//! and one gallop. A lookup scans that window, or the `by_hi` prefix when
+//! one probe shows the prefix is shorter: never more than the smaller of
+//! the two prefixes, and on narrow intervals a small multiple of the
+//! answer's own size.
 
 use mmdb_editops::ImageId;
 use std::cmp::Ordering;
@@ -47,7 +51,7 @@ fn hi_order(a: &IntervalEntry, b: &IntervalEntry) -> Ordering {
 
 /// Length of the leading run of indices for which `pred` holds, found by
 /// galloping. `pred` must be prefix-monotone: once false, false forever.
-fn gallop_prefix(len: usize, pred: impl Fn(usize) -> bool) -> usize {
+pub(crate) fn gallop_prefix(len: usize, pred: impl Fn(usize) -> bool) -> usize {
     if len == 0 || !pred(0) {
         return 0;
     }
@@ -84,10 +88,10 @@ fn gallop_prefix(len: usize, pred: impl Fn(usize) -> bool) -> usize {
 /// memmove. Keys are unique, so the result is the one order `cmp` defines.
 /// `cmp` is generic, not a `fn` pointer, so the sort and the searches
 /// inline it.
-fn merge_batch(
-    list: &mut Vec<IntervalEntry>,
-    batch: &mut [IntervalEntry],
-    cmp: impl Fn(&IntervalEntry, &IntervalEntry) -> Ordering + Copy,
+pub(crate) fn merge_batch<T: Copy>(
+    list: &mut Vec<T>,
+    batch: &mut [T],
+    cmp: impl Fn(&T, &T) -> Ordering + Copy,
 ) {
     batch.sort_unstable_by(cmp);
     let mut resident = list.len();
@@ -233,6 +237,13 @@ impl BinIntervals {
         &self.by_lo
     }
 
+    /// The stored intervals with `lo > pct_max`, a suffix of the `lo`
+    /// order found by one gallop.
+    pub fn lo_above(&self, pct_max: f64) -> &[IntervalEntry] {
+        let n = gallop_prefix(self.by_lo.len(), |i| self.by_lo[i].lo <= pct_max);
+        &self.by_lo[n..]
+    }
+
     /// Emits the ids of every interval overlapping `[pct_min, pct_max]`
     /// into `out`, in no particular order, and returns how many entries
     /// were scanned — the index-hit count for telemetry.
@@ -285,6 +296,8 @@ impl BinIntervals {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::{BoundIndex, Staged};
+    use mmdb_rules::ColorRangeQuery;
     use proptest::collection::SizeRange;
     use proptest::prelude::*;
 
@@ -563,13 +576,17 @@ mod tests {
         /// returns exactly the brute-force overlap set and scans no more
         /// than the smaller endpoint prefix, on floats that sit on the
         /// query's edges or one ulp either side, and on zero-width,
-        /// `[0, 1]` and at most 2^-50-wide intervals.
+        /// `[0, 1]` and at most 2^-50-wide intervals. An index holding the
+        /// same intervals in one bin, beside `zeros` more images at
+        /// `[0, 0]`, answers as brute force over all of them does, at-most
+        /// queries from `0.0` and `-0.0` included.
         #[test]
         fn overlapping_is_exact_and_bounded_on_edge_floats(
             (a, b) in arb_query(),
             resident in prop_oneof![arb_edge_specs(0..4), arb_edge_specs(0..50)],
             batch in prop_oneof![arb_edge_specs(0..3), arb_edge_specs(0..30)],
             drop in proptest::collection::vec(any::<bool>(), 80),
+            zeros in prop_oneof![0u64..3, 40u64..200],
         ) {
             let resident = edge_entries(0, &resident, a, b);
             let batch = edge_entries(resident.len() as u64, &batch, a, b);
@@ -596,6 +613,27 @@ mod tests {
                 scanned <= n_lo.min(n_hi),
                 "scanned {} > min({}, {})", scanned, n_lo, n_hi
             );
+
+            let dense: Vec<IntervalEntry> = survivors
+                .into_iter()
+                .chain((1000..1000 + zeros).map(|id| entry(0.0, 0.0, id)))
+                .collect();
+            let mut staged = Staged::with_capacity(1, dense.len());
+            for e in &dense {
+                staged.push(e.id, [(0, e.lo, e.hi)]);
+            }
+            let mut index = BoundIndex::new(1);
+            index.admit(staged, 1);
+            for (pct_min, pct_max) in [(a, b), (0.0, a), (0.0, b), (-0.0, a), (-0.0, b)] {
+                let q = ColorRangeQuery { bin: 0, pct_min, pct_max };
+                let mut got = index.lookup(&q).ids;
+                got.sort_unstable();
+                prop_assert_eq!(
+                    got,
+                    brute_force(&dense, pct_min, pct_max),
+                    "index query [{:e}, {:e}]", pct_min, pct_max
+                );
+            }
         }
     }
 

@@ -8,12 +8,16 @@
 //! `(edit sequence, bin)` — it is query-invariant — so this crate computes
 //! every image's per-bin fraction intervals once and keeps them in per-bin
 //! sorted-endpoint lists ([`interval::BinIntervals`]), the only copy of an
-//! interval. Each list also keeps a bound on its intervals' width, so a
-//! range query becomes one binary search and one gallop plus a scan of the
-//! window of intervals that can reach the query (or of the `hi` prefix,
-//! when that is shorter) instead of a rule walk per edited image, while
-//! returning *exactly* the RBM/BWM candidate set (no false negatives, same
-//! false-positive bounds — verified by property test in `mmdbms`).
+//! interval. A list holds only the intervals that are not `[0, 0]`: an
+//! image has a few colours, and a resident image a bin does not list has
+//! `[0, 0]` there. Each list also keeps a bound on its intervals' width, so
+//! a range query becomes one binary search and one gallop plus a scan of
+//! the window of intervals that can reach the query (or of the `hi`
+//! prefix, when that is shorter) instead of a rule walk per edited image;
+//! a query that reaches 0 takes every resident image but the listed ones
+//! above it. Either way the lookup returns *exactly* the RBM/BWM candidate
+//! set (no false negatives, same false-positive bounds — verified by
+//! property test in `mmdbms`).
 //!
 //! Freshness is epoch-based: the storage engine stamps every catalog
 //! mutation, [`BoundIndex::sync`] reconciles the index to a stamped catalog

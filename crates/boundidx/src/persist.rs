@@ -3,9 +3,12 @@
 //!
 //! The file stores the served intervals and the synced mutation epoch:
 //! one row per resident image, in strictly ascending id order, each the id
-//! (`u64`) then every bin's `lo` and `hi` as `f64` bits (8 + 16 B per bin).
-//! The bits are the resident fractions themselves, so a reloaded index
-//! answers every lookup bit-identically. Load stages the rows and merges
+//! (`u64`), how many bins list it (`u16`), then each of those bins in
+//! strictly ascending order as `(bin u16, lo f64, hi f64)` — 10 + 18 B per
+//! listed bin. A bin a row does not name is `[0, 0]` there, and a row
+//! never names `[0, 0]`, so an index has exactly one encoding. The `lo`
+//! and `hi` bits are the resident fractions themselves, so a reloaded
+//! index answers every lookup bit-identically. Load stages the rows and merges
 //! them into the per-bin lists the way a build does — no rule walks, no
 //! histogram probes — and stamps the result with the persisted epoch so the
 //! existing freshness protocol decides what happens next:
@@ -22,13 +25,12 @@
 //! correctness dependency).
 
 use crate::index::Staged;
-use crate::BoundIndex;
+use crate::{BinIntervals, BoundIndex};
 use mmdb_durable::crc32;
 use mmdb_editops::codec::Reader;
 use mmdb_editops::ImageId;
 use mmdb_rules::RuleProfile;
 use mmdb_telemetry::{counter, histogram};
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -39,7 +41,13 @@ pub const INDEX_MAGIC: [u8; 8] = *b"MMDBIDX1";
 /// The format version stamped into index files, independent of the durable
 /// layer's: a file of another version fails [`load`], and the caller
 /// rebuilds it.
-pub const INDEX_FORMAT_VERSION: u32 = 4;
+pub const INDEX_FORMAT_VERSION: u32 = 5;
+
+/// The smallest row: an id and a listed count of 0.
+const MIN_ROW_BYTES: usize = 8 + 2;
+
+/// One listed bin of a row: `bin u16`, `lo f64`, `hi f64`.
+const LISTED_BYTES: usize = 2 + 8 + 8;
 
 /// File name of one profile's persisted index (`<label>.idx`).
 pub fn index_file_name(profile: RuleProfile) -> String {
@@ -51,9 +59,16 @@ fn corrupt(msg: impl Into<String>) -> io::Error {
 }
 
 /// Serializes `idx` into `<dir>/<label>.idx` atomically (temp file +
-/// rename). Creates `dir` if needed. Returns the final path.
+/// rename). Creates `dir` if needed. Returns the final path. An index over
+/// more bins than a `u16` counts has no file: `InvalidInput`.
 pub fn save(idx: &BoundIndex, dir: &Path) -> io::Result<PathBuf> {
     let started = Instant::now();
+    if idx.bin_count() > usize::from(u16::MAX) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("an index file holds at most {} bins", u16::MAX),
+        ));
+    }
     std::fs::create_dir_all(dir)?;
     let body = encode(idx);
     let path = dir.join(index_file_name(RuleProfile::Conservative));
@@ -75,11 +90,12 @@ pub fn save(idx: &BoundIndex, dir: &Path) -> io::Result<PathBuf> {
 
 /// Loads the persisted index for `profile` from `dir`, validating magic,
 /// version, CRC, profile label, bin width and every row: ids strictly
-/// ascending, every interval within `0 <= lo <= hi <= 1`, and exactly as
-/// many rows as the bytes hold. `Ok(None)` when no file exists; `Err` when
-/// one exists but cannot be trusted (torn write, version skew, quantizer
-/// change, a checksummed file that breaks a row rule) — callers discard it
-/// and fall back to a cold build.
+/// ascending, listed bins strictly ascending and below the bin count,
+/// every interval within `0 <= lo <= hi <= 1` and none `[0, 0]`, and
+/// exactly as many rows as the bytes hold. `Ok(None)` when no file exists;
+/// `Err` when one exists but cannot be trusted (torn write, version skew,
+/// quantizer change, a checksummed file that breaks a row rule) — callers
+/// discard it and fall back to a cold build.
 pub fn load(dir: &Path, profile: RuleProfile, bin_count: usize) -> io::Result<Option<BoundIndex>> {
     let started = Instant::now();
     let path = dir.join(index_file_name(profile));
@@ -108,13 +124,18 @@ pub fn discard(dir: &Path, profile: RuleProfile) -> io::Result<()> {
     }
 }
 
+/// The file's bytes. A row's listed bins are written as the bins are
+/// walked, in ascending order, each at its row's cursor.
 fn encode(idx: &BoundIndex) -> Vec<u8> {
-    let (resident, bins) = idx.parts();
-    let mut ids: Vec<ImageId> = resident.iter().copied().collect();
-    ids.sort_unstable();
+    let (ids, bins) = idx.parts();
+    let row_of = |id| ids.binary_search(&id).expect("a listed image is resident");
+    let mut listed = vec![0u16; ids.len()];
+    for e in bins.iter().flat_map(BinIntervals::entries) {
+        listed[row_of(e.id)] += 1;
+    }
     let label = RuleProfile::Conservative.label().as_bytes();
-    let row_bytes = 8 + 16 * bins.len();
-    let mut out = Vec::with_capacity(64 + ids.len() * row_bytes);
+    let listed_bytes: usize = listed.iter().map(|&n| LISTED_BYTES * usize::from(n)).sum();
+    let mut out = Vec::with_capacity(64 + MIN_ROW_BYTES * ids.len() + listed_bytes);
     out.extend_from_slice(&INDEX_MAGIC);
     out.extend_from_slice(&INDEX_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(label.len() as u16).to_le_bytes());
@@ -122,18 +143,21 @@ fn encode(idx: &BoundIndex) -> Vec<u8> {
     out.extend_from_slice(&idx.synced_epoch().to_le_bytes());
     out.extend_from_slice(&(bins.len() as u32).to_le_bytes());
     out.extend_from_slice(&(ids.len() as u64).to_le_bytes());
-    let rows = out.len();
-    out.resize(rows + ids.len() * row_bytes, 0);
-    for (row, id) in out[rows..].chunks_exact_mut(row_bytes).zip(&ids) {
-        row[..8].copy_from_slice(&id.raw().to_le_bytes());
+    let mut cursor = Vec::with_capacity(ids.len());
+    for (id, n) in ids.iter().zip(&listed) {
+        out.extend_from_slice(&id.raw().to_le_bytes());
+        out.extend_from_slice(&n.to_le_bytes());
+        cursor.push(out.len());
+        out.resize(out.len() + LISTED_BYTES * usize::from(*n), 0);
     }
-    let row_of: HashMap<ImageId, usize> = ids.iter().enumerate().map(|(r, &id)| (id, r)).collect();
     for (bin, intervals) in bins.iter().enumerate() {
         for e in intervals.entries() {
-            let row = row_of[&e.id];
-            let at = rows + row * row_bytes + 8 + 16 * bin;
-            out[at..at + 8].copy_from_slice(&e.lo.to_le_bytes());
-            out[at + 8..at + 16].copy_from_slice(&e.hi.to_le_bytes());
+            let at = &mut cursor[row_of(e.id)];
+            let slot = &mut out[*at..*at + LISTED_BYTES];
+            slot[..2].copy_from_slice(&(bin as u16).to_le_bytes());
+            slot[2..10].copy_from_slice(&e.lo.to_le_bytes());
+            slot[10..].copy_from_slice(&e.hi.to_le_bytes());
+            *at += LISTED_BYTES;
         }
     }
     let crc = crc32(&out[INDEX_MAGIC.len()..]);
@@ -173,15 +197,15 @@ fn decode(bytes: &[u8], profile: RuleProfile, bin_count: usize) -> io::Result<Bo
         )));
     }
     let count = r.u64("row count")?;
-    let row_bytes = 8 + 16 * width as u64;
-    if count.checked_mul(row_bytes) != Some(r.remaining() as u64) {
+    let least = count.checked_mul(MIN_ROW_BYTES as u64);
+    if least.is_none_or(|least| least > r.remaining() as u64) {
         return Err(corrupt(format!(
-            "{count} rows of {row_bytes} B do not fill the {} B that follow",
+            "{count} rows of at least {MIN_ROW_BYTES} B do not fit in the {} B that follow",
             r.remaining()
         )));
     }
     let mut staged = Staged::with_capacity(width, count as usize);
-    let mut row = Vec::with_capacity(width);
+    let mut row = Vec::new();
     let mut last: Option<ImageId> = None;
     for _ in 0..count {
         let id = ImageId::new(r.u64("row id")?);
@@ -190,17 +214,27 @@ fn decode(bytes: &[u8], profile: RuleProfile, bin_count: usize) -> io::Result<Bo
         }
         last = Some(id);
         row.clear();
-        for _ in 0..width {
+        for _ in 0..r.u16("listed bins")? {
+            let bin = usize::from(r.u16("bin")?);
             let (lo, hi) = (r.f64("interval lo")?, r.f64("interval hi")?);
-            if !((0.0..=1.0).contains(&lo) && (lo..=1.0).contains(&hi)) {
-                return Err(corrupt(format!(
-                    "image {}: interval [{lo}, {hi}] breaks 0 <= lo <= hi <= 1",
-                    id.raw()
-                )));
-            }
-            row.push((lo, hi));
+            let refusal = if bin >= width {
+                format!("bin {bin} is out of range for {width} bins")
+            } else if row.last().is_some_and(|&(last, _, _)| last >= bin) {
+                format!("bin {bin} does not ascend")
+            } else if !((0.0..=1.0).contains(&lo) && (lo..=1.0).contains(&hi)) {
+                format!("interval [{lo}, {hi}] breaks 0 <= lo <= hi <= 1")
+            } else if lo == 0.0 && hi == 0.0 {
+                format!("bin {bin} lists [0, 0]")
+            } else {
+                row.push((bin, lo, hi));
+                continue;
+            };
+            return Err(corrupt(format!("image {}: {refusal}", id.raw())));
         }
         staged.push(id, row.iter().copied());
+    }
+    if r.remaining() != 0 {
+        return Err(corrupt(format!("{} B after the last row", r.remaining())));
     }
     let mut idx = BoundIndex::new(bin_count);
     idx.admit(staged, epoch);
@@ -211,19 +245,30 @@ fn decode(bytes: &[u8], profile: RuleProfile, bin_count: usize) -> io::Result<Bo
 mod tests {
     use super::*;
     use mmdb_rules::ColorRangeQuery;
+    use proptest::prelude::*;
 
     /// Image #1 and #7 over two bins, as `(id, [(lo, hi); 2])` rows.
     const SAMPLE: [(u64, [(f64, f64); 2]); 2] =
         [(1, [(0.5, 0.5), (0.0, 0.3)]), (7, [(0.1, 0.9), (0.0, 0.0)])];
 
-    fn sample_index(epoch: u64) -> BoundIndex {
-        let mut staged = Staged::with_capacity(2, SAMPLE.len());
-        for (id, row) in SAMPLE {
-            staged.push(ImageId::new(id), row);
+    /// An index of `rows`, each `(id, the (lo, hi) of every bin)`.
+    fn index_of<'a>(
+        bin_count: usize,
+        rows: impl IntoIterator<Item = (u64, &'a [(f64, f64)])>,
+        epoch: u64,
+    ) -> BoundIndex {
+        let mut staged = Staged::with_capacity(bin_count, 0);
+        for (id, row) in rows {
+            let intervals = row.iter().enumerate().map(|(bin, &(lo, hi))| (bin, lo, hi));
+            staged.push(ImageId::new(id), intervals);
         }
-        let mut idx = BoundIndex::new(2);
+        let mut idx = BoundIndex::new(bin_count);
         idx.admit(staged, epoch);
         idx
+    }
+
+    fn sample_index(epoch: u64) -> BoundIndex {
+        index_of(2, SAMPLE.iter().map(|(id, row)| (*id, &row[..])), epoch)
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -254,9 +299,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A checksummed version-4 file over `width` bins that declares
+    /// A row as written: the id, then `(bin, lo, hi)` for each listed bin.
+    type Row = (u64, Vec<(u16, f64, f64)>);
+
+    /// A checksummed current-version file over `width` bins that declares
     /// `count` rows and holds `rows`.
-    fn file(count: u64, width: u32, rows: &[(u64, Vec<(f64, f64)>)]) -> Vec<u8> {
+    fn file(count: u64, width: u32, rows: &[Row]) -> Vec<u8> {
         let label = RuleProfile::Conservative.label().as_bytes();
         let mut body = Vec::new();
         body.extend_from_slice(&INDEX_FORMAT_VERSION.to_le_bytes());
@@ -265,9 +313,11 @@ mod tests {
         body.extend_from_slice(&9u64.to_le_bytes());
         body.extend_from_slice(&width.to_le_bytes());
         body.extend_from_slice(&count.to_le_bytes());
-        for (id, row) in rows {
+        for (id, listed) in rows {
             body.extend_from_slice(&id.to_le_bytes());
-            for (lo, hi) in row {
+            body.extend_from_slice(&(listed.len() as u16).to_le_bytes());
+            for (bin, lo, hi) in listed {
+                body.extend_from_slice(&bin.to_le_bytes());
                 body.extend_from_slice(&lo.to_le_bytes());
                 body.extend_from_slice(&hi.to_le_bytes());
             }
@@ -276,17 +326,27 @@ mod tests {
         [&INDEX_MAGIC[..], &body, &crc.to_le_bytes()].concat()
     }
 
+    /// Image #7's `[0, 0]` in bin 1 is not written: 10 + 18 B per listed
+    /// bin, three listed bins over the two rows.
     #[test]
-    fn a_row_is_the_id_then_every_bins_lo_and_hi_bits() {
-        let rows = SAMPLE.map(|(id, row)| (id, row.to_vec()));
-        assert_eq!(encode(&sample_index(9)), file(2, 2, &rows));
+    fn a_row_is_the_id_then_each_listed_bins_lo_and_hi_bits() {
+        let rows = [
+            (1, vec![(0, 0.5, 0.5), (1, 0.0, 0.3)]),
+            (7, vec![(0, 0.1, 0.9)]),
+        ];
+        let bytes = encode(&sample_index(9));
+        assert_eq!(bytes, file(2, 2, &rows));
+        let header = file(0, 2, &[]).len();
+        assert_eq!(bytes.len(), header + 2 * 10 + 3 * 18);
     }
 
     /// A checksummed file that breaks a row rule is refused, never loaded:
-    /// a repeated id, say, would be served twice and outlive its image.
+    /// a repeated id, say, would be served twice and outlive its image, and
+    /// a listed `[0, 0]` would give the index a second encoding.
     #[test]
     fn checksummed_rows_that_break_the_rules_are_refused() {
-        let row = |id, lo, hi| (id, vec![(0.5, 0.5), (lo, hi)]);
+        let row = |id, lo, hi| (id, vec![(0, 0.5, 0.5), (1, lo, hi)]);
+        let listed = |id, bins: &[(u16, f64, f64)]| (id, bins.to_vec());
         let good = vec![row(1, 0.0, 0.3), row(7, 0.1, 0.9)];
         assert!(decode(&file(2, 2, &good), RuleProfile::Conservative, 2).is_ok());
         for (what, count, rows) in [
@@ -303,7 +363,25 @@ mod tests {
             ("hi > 1", 1, vec![row(1, 0.0, 1.5)]),
             ("one row too many", 3, good.clone()),
             ("a count no file holds", u64::MAX, good.clone()),
+            ("rows past the bytes", 1 << 40, good.clone()),
             ("bytes after the last row", 1, good.clone()),
+            (
+                "bin out of range",
+                1,
+                vec![listed(1, &[(0, 0.5, 0.5), (2, 0.1, 0.3)])],
+            ),
+            (
+                "bins not ascending",
+                1,
+                vec![listed(1, &[(1, 0.1, 0.3), (0, 0.5, 0.5)])],
+            ),
+            (
+                "a bin listed twice",
+                1,
+                vec![listed(1, &[(0, 0.5, 0.5), (0, 0.5, 0.5)])],
+            ),
+            ("listed [0, 0]", 1, vec![row(1, 0.0, 0.0)]),
+            ("listed [-0, 0]", 1, vec![row(1, -0.0, 0.0)]),
         ] {
             let bytes = file(count, 2, &rows);
             assert!(
@@ -311,6 +389,19 @@ mod tests {
                 "{what}"
             );
         }
+    }
+
+    /// A row names its bins and counts them in a `u16`.
+    #[test]
+    fn an_index_over_more_bins_than_a_u16_counts_has_no_file() {
+        let dir = tmp_dir("wide");
+        let err = save(&BoundIndex::new(usize::from(u16::MAX) + 1), &dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(load(&dir, RuleProfile::Conservative, 1 << 16)
+            .unwrap()
+            .is_none());
+        save(&BoundIndex::new(usize::from(u16::MAX)), &dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -357,5 +448,94 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn cases(default: u32) -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    /// One bin of a row: `[0, 0]` half the time, else a point, an interval
+    /// from `-0.0`, or the hull of two fractions.
+    fn arb_interval() -> impl Strategy<Value = (f64, f64)> {
+        (0u8..6, 0.0f64..1.0, 0.0f64..1.0).prop_map(|(shape, a, b)| match shape {
+            0..=2 => (0.0, 0.0),
+            3 => (a, a),
+            4 => (-0.0, a),
+            _ => (a.min(b), a.max(b)),
+        })
+    }
+
+    /// The ids in `idx` that `query` finds, ascending.
+    fn found(idx: &BoundIndex, query: &ColorRangeQuery) -> Vec<ImageId> {
+        let mut ids = idx.lookup(query).ids;
+        ids.sort_unstable();
+        ids
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+
+        /// A random sparse index — images listed in no bin, a bin that
+        /// lists no image, `lo` of `-0.0` — saves to a file that loads to
+        /// an index answering every query alike, at-most queries included,
+        /// and saving that index again writes the same bytes. The file
+        /// with any other row count is refused.
+        #[test]
+        fn save_load_save_is_byte_identical_and_answers_alike(
+            bin_count in 1usize..6,
+            rows in proptest::collection::vec(
+                (1u64..1000, any::<bool>(), proptest::collection::vec(arb_interval(), 5)),
+                0..25,
+            ),
+            empty_bin in 0usize..6,
+            edges in proptest::collection::vec(0.0f64..1.0, 2),
+            hostile in prop_oneof![0u64..40, any::<u64>()],
+        ) {
+            let mut id = 0;
+            let dense: Vec<(u64, Vec<(f64, f64)>)> = rows
+                .into_iter()
+                .map(|(gap, blank, mut row)| {
+                    id += gap;
+                    row.truncate(bin_count);
+                    for (bin, interval) in row.iter_mut().enumerate() {
+                        if blank || bin == empty_bin {
+                            *interval = (0.0, 0.0);
+                        }
+                    }
+                    (id, row)
+                })
+                .collect();
+            let idx = index_of(bin_count, dense.iter().map(|(id, row)| (*id, &row[..])), 5);
+            let dir = tmp_dir("prop");
+            let path = save(&idx, &dir).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            let back = load(&dir, RuleProfile::Conservative, bin_count).unwrap().unwrap();
+            save(&back, &dir).unwrap();
+            prop_assert_eq!(std::fs::read(&path).unwrap(), bytes.clone());
+            std::fs::remove_dir_all(&dir).ok();
+
+            prop_assert_eq!(back.len(), dense.len());
+            prop_assert_eq!(back.synced_epoch(), 5);
+            let (a, b) = (edges[0].min(edges[1]), edges[0].max(edges[1]));
+            for bin in 0..bin_count {
+                for (pct_min, pct_max) in [(a, b), (0.0, a), (-0.0, b), (0.0, 0.0), (-0.0, -0.0)] {
+                    let q = ColorRangeQuery { bin, pct_min, pct_max };
+                    prop_assert_eq!(found(&back, &q), found(&idx, &q), "bin {} {:?}", bin, q);
+                }
+            }
+
+            // The same file, checksummed, with a hostile row count.
+            let mut forged = bytes;
+            let at = file(0, 0, &[]).len() - 4 - 8;
+            forged[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+            let crc_at = forged.len() - 4;
+            let crc = crc32(&forged[INDEX_MAGIC.len()..crc_at]);
+            forged[crc_at..].copy_from_slice(&crc.to_le_bytes());
+            let decoded = decode(&forged, RuleProfile::Conservative, bin_count);
+            prop_assert_eq!(decoded.is_ok(), hostile == dense.len() as u64);
+        }
     }
 }

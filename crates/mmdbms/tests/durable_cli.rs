@@ -274,7 +274,7 @@ fn stale_literal_profile_index_file_is_ignored() {
 
 /// Index files written by older builds fail the version check: version 2
 /// carried a per-entry reference column, version 3 a `(min, max, total)`
-/// triple per bin. `open` discards such a file and the first Indexed query
+/// triple per bin, version 4 every bin's `lo` and `hi`. `open` discards such a file and the first Indexed query
 /// rebuilds, so the old file costs one build and is never an open failure
 /// or a served answer. `fsck` only warns.
 #[test]
@@ -294,10 +294,20 @@ fn old_format_index_file_is_rebuilt() {
         }
         row
     };
+    // Version 4 stored every bin's `lo` and `hi`, `[0, 0]` included.
+    let dense = |bins: usize| {
+        let mut row = 1u64.to_le_bytes().to_vec();
+        for _ in 0..bins {
+            row.extend_from_slice(&0.0f64.to_le_bytes());
+            row.extend_from_slice(&1.0f64.to_le_bytes());
+        }
+        row
+    };
     refused_index_file_is_rebuilt("old_idx", |bins| {
         vec![
             ("version 2", index_body(2, bins, 1, &entry(bins, true))),
             ("version 3", index_body(3, bins, 1, &entry(bins, false))),
+            ("version 4", index_body(4, bins, 1, &dense(bins))),
         ]
     });
 }
@@ -312,13 +322,20 @@ fn old_format_index_file_is_rebuilt() {
 fn checksummed_index_file_that_breaks_a_row_rule_is_rebuilt() {
     use mmdbms::boundidx::persist::INDEX_FORMAT_VERSION;
     use mmdbms::prelude::RuleProfile;
-    let row = |id: u64, bins: usize, lo: f64, hi: f64| {
+    // A row: the id, how many bins list it, then `(bin, lo, hi)` for each.
+    let listed = |id: u64, intervals: &[(usize, f64, f64)]| {
         let mut row = id.to_le_bytes().to_vec();
-        for _ in 0..bins {
+        row.extend_from_slice(&(intervals.len() as u16).to_le_bytes());
+        for &(bin, lo, hi) in intervals {
+            row.extend_from_slice(&(bin as u16).to_le_bytes());
             row.extend_from_slice(&lo.to_le_bytes());
             row.extend_from_slice(&hi.to_le_bytes());
         }
         row
+    };
+    // Image #1 listed in every bin with `[lo, hi]`.
+    let row = |id: u64, bins: usize, lo: f64, hi: f64| {
+        listed(id, &(0..bins).map(|bin| (bin, lo, hi)).collect::<Vec<_>>())
     };
     let v = INDEX_FORMAT_VERSION;
     refused_index_file_is_rebuilt("hostile_idx", |bins| {
@@ -326,12 +343,20 @@ fn checksummed_index_file_that_breaks_a_row_rule_is_rebuilt() {
         let mut ahead = index_body(v, bins, 1, &row(1, bins, 0.0, 1.0));
         let epoch_at = 4 + 2 + RuleProfile::Conservative.label().len();
         ahead[epoch_at..epoch_at + 8].copy_from_slice(&1_000_000u64.to_le_bytes());
+        let out_of_range = listed(1, &[(0, 0.0, 1.0), (bins, 0.0, 1.0)]);
+        let descending = listed(1, &[(1, 0.0, 1.0), (0, 0.0, 1.0)]);
         vec![
             ("repeated id", index_body(v, bins, 2, &twice)),
             ("NaN", index_body(v, bins, 1, &row(1, bins, f64::NAN, 1.0))),
             ("lo > hi", index_body(v, bins, 1, &row(1, bins, 0.6, 0.5))),
             ("hi > 1", index_body(v, bins, 1, &row(1, bins, 0.0, 2.0))),
             ("rows past the bytes", index_body(v, bins, 1 << 40, &twice)),
+            ("bin out of range", index_body(v, bins, 1, &out_of_range)),
+            ("bins not ascending", index_body(v, bins, 1, &descending)),
+            (
+                "listed [0, 0]",
+                index_body(v, bins, 1, &row(1, bins, 0.0, 0.0)),
+            ),
             ("epoch ahead", ahead),
         ]
     });

@@ -209,16 +209,34 @@ fn lint_clean_database_exits_zero_and_feeds_metrics() {
     assert!(stdout.contains("1 sequence(s) analyzed"), "{stdout}");
     assert!(stdout.contains("1 audited (1 clean)"), "{stdout}");
 
-    // In-process: a lint run surfaces through `metrics()` — run counter,
-    // latency histogram, and per-lint series.
+    // In-process: a lint run moves the run counter, the latency histogram
+    // and the per-lint series of what it found. Registration alone lists
+    // every series at zero, so read them before and after. A dead `Define`
+    // (W101) is a warning: the lint still finds no error.
     let db = MultimediaDatabase::open(&dir).unwrap();
     mmdbms::register_all_metrics();
+    db.insert_edited(
+        EditSequence::builder(ImageId::new(1))
+            .define(Rect::new(0, 0, 2, 2))
+            .define(Rect::new(0, 0, 8, 8))
+            .modify(Rgb::BLUE, Rgb::GREEN)
+            .build(),
+    )
+    .unwrap();
+    let series = [
+        "mmdb_analysis_runs_total",
+        "mmdb_analysis_latency_seconds_count",
+        r#"mmdb_analysis_diagnostics_total{code="W101"}"#,
+    ];
+    let read = || series.map(|name| db.metrics().snapshot().get(name));
+    let before = read();
     let report = db.lint();
+    let after = read();
     assert!(!report.has_errors());
-    let text = db.metrics().render_prometheus();
-    assert!(text.contains("mmdb_analysis_runs_total"), "{text}");
-    assert!(text.contains("mmdb_analysis_latency_seconds"), "{text}");
-    assert!(text.contains("mmdb_analysis_diagnostics_total"), "{text}");
+    assert_eq!(report.warn_count(), 1, "{:?}", report.diagnostics);
+    for ((name, before), after) in series.iter().zip(before).zip(after) {
+        assert!(after > before, "{name}: {before} -> {after}");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

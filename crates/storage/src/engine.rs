@@ -216,6 +216,10 @@ struct DurableState {
     appended_since_snapshot: AtomicU64,
     /// Last group-commit fsync under `FsyncPolicy::Interval`.
     last_interval_sync: Mutex<Instant>,
+    /// Held through [`DurableState::commit_snapshot`]: a `flush` and a
+    /// background snapshot of one cover point write the same temp file,
+    /// and two prunes remove the same old snapshot.
+    committing: Mutex<()>,
     opts: DurabilityOptions,
     recovery: RecoveryInfo,
 }
@@ -232,6 +236,7 @@ impl DurableState {
     /// which a compaction racing this snapshot may already have moved past
     /// `gen`.
     fn commit_snapshot(&self, covered: u64, gen: u64, payload: &[u8]) -> Result<()> {
+        let _committing = self.committing.lock();
         self.snaps
             .write(covered, gen, payload)
             .map_err(map_durable)?;
@@ -335,6 +340,7 @@ impl StorageEngine {
                 blob_gen: AtomicU64::new(0),
                 appended_since_snapshot: AtomicU64::new(0),
                 last_interval_sync: Mutex::new(Instant::now()),
+                committing: Mutex::new(()),
                 opts,
                 recovery: RecoveryInfo::default(),
             }),
@@ -449,6 +455,7 @@ impl StorageEngine {
                 blob_gen: AtomicU64::new(snap.blob_gen),
                 appended_since_snapshot: AtomicU64::new(0),
                 last_interval_sync: Mutex::new(Instant::now()),
+                committing: Mutex::new(()),
                 opts,
                 recovery,
             }),
@@ -1346,6 +1353,29 @@ mod tests {
         assert_eq!(s.edited_count, 5);
         let factor = s.space_saving_factor().unwrap();
         assert!(factor > 50.0, "space saving factor {factor}");
+    }
+
+    /// A background snapshot and a `flush` may run at once: both commit,
+    /// and the directory reopens.
+    #[test]
+    fn concurrent_snapshots_all_commit() {
+        let dir = std::env::temp_dir().join(format!("mmdb_engine_snaps_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let db = StorageEngine::create(&dir, Box::new(RgbQuantizer::default_64())).unwrap();
+        db.insert_binary(&two_tone(8, 8, Rgb::RED, Rgb::WHITE))
+            .unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..100 {
+                        db.snapshot_now().unwrap();
+                    }
+                });
+            }
+        });
+        drop(db);
+        assert_eq!(StorageEngine::open(&dir).unwrap().stats().binary_count, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -131,6 +131,16 @@ index() {
   refute '^mmdb_bwm_bound_cache_hits_total' metrics.txt
   refute '^mmdb_boundidx_entries_invalidated' metrics.txt
   stop_and_wait
+  # The drain persisted the index. A row lists only the bins whose interval
+  # is not [0, 0], so the file is smaller than dense rows (id, then lo and
+  # hi for every bin: 8 + 16 B per bin) would be.
+  size=$(wc -c < db/boundidx/conservative.idx)
+  "$MMDBCTL" info --db ./db > info.txt
+  rows=$(awk '/images:/ {n += $3} END {print n}' info.txt)
+  divisions=$(sed -n 's/.*rgb-uniform\/\([0-9]*\)$/\1/p' info.txt)
+  bins=$((divisions * divisions * divisions))
+  echo "index file: $size B for $rows rows over $bins bins"
+  test "$size" -lt $((rows * (8 + 16 * bins)))
 }
 
 serve() {
