@@ -7,11 +7,11 @@
 use crate::interval::{gallop_prefix, merge_batch, BinIntervals, IntervalEntry};
 use mmdb_bwm::SequenceStore;
 use mmdb_editops::ImageId;
-use mmdb_histogram::{ColorHistogram, Quantizer};
+use mmdb_histogram::Quantizer;
 use mmdb_imaging::Rgb;
 use mmdb_rules::{BoundRange, ColorRangeQuery, InfoResolver, Result, RuleEngine, RuleProfile};
 use mmdb_telemetry::{counter, gauge, histogram};
-use std::collections::HashSet;
+use std::iter;
 use std::time::Instant;
 
 /// What one [`BoundIndex::sync`] call did — surfaced in query traces so
@@ -98,25 +98,6 @@ impl Staged {
         }
         self.ids.push(id);
     }
-
-    fn push_bounds(&mut self, id: ImageId, bounds: &[BoundRange]) {
-        self.push(
-            id,
-            bounds.iter().enumerate().map(|(bin, bound)| {
-                let (lo, hi) = bound.fraction_range();
-                (bin, lo, hi)
-            }),
-        );
-    }
-
-    /// A binary image's intervals are its exact fractions.
-    fn push_binary(&mut self, id: ImageId, histogram: &ColorHistogram) {
-        let fractions = (0..self.bins.len()).map(|bin| {
-            let f = histogram.fraction(bin);
-            (bin, f, f)
-        });
-        self.push(id, fractions);
-    }
 }
 
 impl BoundIndex {
@@ -150,11 +131,6 @@ impl BoundIndex {
         self.resident.is_empty()
     }
 
-    /// Whether `id` currently has a resident entry.
-    pub fn contains(&self, id: ImageId) -> bool {
-        self.resident.binary_search(&id).is_ok()
-    }
-
     /// Wall-clock time since the last [`BoundIndex::build`] or
     /// [`BoundIndex::sync`] reconciled this index to a catalog snapshot.
     /// Staleness itself is epoch lag, not this — wall clock only bounds how
@@ -163,18 +139,21 @@ impl BoundIndex {
         self.last_synced_at.elapsed()
     }
 
-    /// Bulk build over the full catalog, stamping the result with `epoch`.
+    /// Bulk build over the full catalog, stamping the result with `epoch`:
+    /// [`BoundIndex::new`] reconciled to the listing, as a sync would.
     /// The id lists, `resolver` and `store` must be one snapshot of the
     /// catalog (a storage `ReadView`), and `epoch` the epoch it was taken
     /// at: every listed id then resolves, and an id that does not is an
-    /// error. Edited images' bounds vectors are computed on `threads`
-    /// scoped workers, each with its own rule engine.
+    /// error. Edited images' bounds vectors are computed in `threads`
+    /// chunks: the calling thread runs one and a scoped worker each of the
+    /// others.
     ///
     /// # Panics
-    /// Panics when `profile` is not [`RuleProfile::Conservative`]: a bound
-    /// program holds no other profile. The parameter stays only while the
-    /// benchmark harness passes it (ROADMAP item 10, "Close the benchmark
-    /// spine").
+    /// Panics when `binary` or `edited` does not ascend by id (every
+    /// catalog listing does), and when `profile` is not
+    /// [`RuleProfile::Conservative`]: a bound program holds no other
+    /// profile. The parameter stays only while the benchmark harness passes
+    /// it (ROADMAP item 10, "Close the benchmark spine").
     #[allow(clippy::too_many_arguments)]
     pub fn build<R, S>(
         profile: RuleProfile,
@@ -197,18 +176,9 @@ impl BoundIndex {
             "a bound index holds the Conservative rules only"
         );
         let started = Instant::now();
-        let bin_count = quantizer.bin_count();
-        let mut staged = Staged::with_capacity(bin_count, binary.len() + edited.len());
-        for &id in binary {
-            staged.push_binary(id, &resolver.require(id)?.histogram);
-        }
-        let computed = compute_parallel(quantizer, background, edited, resolver, store, threads)?;
-        counter!("mmdb_boundidx_misses_total").add(computed.len() as u64);
-        for (id, bounds) in computed {
-            staged.push_bounds(id, &bounds);
-        }
-        let mut idx = BoundIndex::new(bin_count);
-        idx.admit(staged, epoch);
+        let mut idx = BoundIndex::new(quantizer.bin_count());
+        let engine = RuleEngine::with_background(quantizer, profile, background);
+        idx.reconcile(epoch, binary, edited, &engine, resolver, store, threads)?;
         counter!("mmdb_boundidx_builds_total").inc();
         histogram!("mmdb_boundidx_build_seconds").observe(started.elapsed());
         Ok(idx)
@@ -216,9 +186,16 @@ impl BoundIndex {
 
     /// Incremental synchronization to the catalog state captured by
     /// `epoch`/`binary`/`edited` (one snapshot with `resolver` and `store`,
-    /// as for [`BoundIndex::build`]): drops the intervals of deleted images,
-    /// then admits every image not resident. Returns what was done for
-    /// tracing.
+    /// as for [`BoundIndex::build`]): drops the intervals of deleted images
+    /// and admits every listed image not resident, computed on the calling
+    /// thread. Returns what was done for tracing.
+    ///
+    /// # Errors
+    /// As computing a new image's intervals, e.g. an id `resolver` lacks;
+    /// the index is then left as it was.
+    ///
+    /// # Panics
+    /// Panics when `binary` or `edited` does not ascend by id.
     #[allow(clippy::too_many_arguments)]
     pub fn sync<R, S>(
         &mut self,
@@ -231,50 +208,88 @@ impl BoundIndex {
         store: &S,
     ) -> Result<SyncStats>
     where
-        R: InfoResolver,
-        S: SequenceStore,
+        R: InfoResolver + Sync,
+        S: SequenceStore + Sync,
     {
         let started = Instant::now();
-        let current: HashSet<ImageId> = binary.iter().chain(edited).copied().collect();
-        let gone: Vec<ImageId> = self
-            .resident
-            .iter()
-            .filter(|id| !current.contains(id))
-            .copied()
-            .collect();
+        let engine = RuleEngine::with_background(quantizer, RuleProfile::Conservative, background);
+        let stats = self.reconcile(epoch, binary, edited, &engine, resolver, store, 1)?;
+        counter!("mmdb_boundidx_invalidations_total").add(stats.removed as u64);
+        histogram!("mmdb_boundidx_sync_seconds").observe(started.elapsed());
+        Ok(stats)
+    }
+
+    /// What a reconcile to the listing `binary`/`edited` does, as ascending
+    /// `(gone, new binary, new edited)` ids: one merge of the listing
+    /// against the resident ids, where listed ids below a resident id are
+    /// new and the resident id is gone unless listed. Panics when `binary`
+    /// or `edited` does not ascend by id.
+    pub(crate) fn diff(&self, binary: &[ImageId], edited: &[ImageId]) -> [Vec<ImageId>; 3] {
+        for listed in [binary, edited] {
+            assert!(
+                listed.windows(2).all(|w| w[0] < w[1]),
+                "a catalog listing must ascend by id"
+            );
+        }
+        let (mut binary, mut edited) = (binary.iter().peekable(), edited.iter().peekable());
+        let (mut gone, mut new_binary, mut new_edited) = (Vec::new(), Vec::new(), Vec::new());
+        for id in &self.resident {
+            new_binary.extend(iter::from_fn(|| binary.next_if(|&b| b < id)));
+            new_edited.extend(iter::from_fn(|| edited.next_if(|&e| e < id)));
+            if binary.next_if_eq(&id).is_none() && edited.next_if_eq(&id).is_none() {
+                gone.push(*id);
+            }
+        }
+        new_binary.extend(binary);
+        new_edited.extend(edited);
+        [gone, new_binary, new_edited]
+    }
+
+    /// Brings the index to the listing `binary`/`edited` read at `epoch`,
+    /// ending a build and a sync alike: one [`BoundIndex::diff`], then the
+    /// new images' intervals in `threads` chunks. Only then does the index
+    /// change (the gone ids leave every bin, [`BoundIndex::admit`] merges
+    /// the new ones in), so an error leaves it as it was.
+    #[allow(clippy::too_many_arguments)]
+    fn reconcile<R, S>(
+        &mut self,
+        epoch: u64,
+        binary: &[ImageId],
+        edited: &[ImageId],
+        engine: &RuleEngine<'_>,
+        resolver: &R,
+        store: &S,
+        threads: usize,
+    ) -> Result<SyncStats>
+    where
+        R: InfoResolver + Sync,
+        S: SequenceStore + Sync,
+    {
+        let [gone, binary, edited] = self.diff(binary, edited);
+        let bin_count = self.bins.len();
+        let mut staged = Staged::with_capacity(bin_count, binary.len() + edited.len());
+        for &id in &binary {
+            // A binary image's intervals are its exact fractions.
+            let histogram = &resolver.require(id)?.histogram;
+            let fractions = (0..bin_count).map(|bin| histogram.fraction(bin));
+            staged.push(id, fractions.enumerate().map(|(bin, f)| (bin, f, f)));
+        }
+        for (id, bounds) in compute_bounds(engine, &edited, resolver, store, threads)? {
+            let ranges = bounds.iter().map(BoundRange::fraction_range);
+            staged.push(id, ranges.enumerate().map(|(bin, (lo, hi))| (bin, lo, hi)));
+        }
+        counter!("mmdb_boundidx_misses_total").add(edited.len() as u64);
         if !gone.is_empty() {
             for bin in &mut self.bins {
                 bin.remove_batch(&gone);
             }
             self.resident.retain(|id| gone.binary_search(id).is_err());
         }
-        counter!("mmdb_boundidx_invalidations_total").add(gone.len() as u64);
-
-        let fresh_binary: Vec<ImageId> = binary
-            .iter()
-            .filter(|&&id| !self.contains(id))
-            .copied()
-            .collect();
-        let fresh_edited: Vec<ImageId> = edited
-            .iter()
-            .filter(|&&id| !self.contains(id))
-            .copied()
-            .collect();
-        let mut staged =
-            Staged::with_capacity(self.bins.len(), fresh_binary.len() + fresh_edited.len());
-        for &id in &fresh_binary {
-            staged.push_binary(id, &resolver.require(id)?.histogram);
-        }
-        for (id, bounds) in compute_chunk(quantizer, background, &fresh_edited, resolver, store)? {
-            staged.push_bounds(id, &bounds);
-        }
-        counter!("mmdb_boundidx_misses_total").add(fresh_edited.len() as u64);
         self.admit(staged, epoch);
-        histogram!("mmdb_boundidx_sync_seconds").observe(started.elapsed());
         Ok(SyncStats {
-            added: fresh_binary.len() + fresh_edited.len(),
+            added: binary.len() + edited.len(),
             removed: gone.len(),
-            recomputed: fresh_edited.len(),
+            recomputed: edited.len(),
         })
     }
 
@@ -360,32 +375,11 @@ impl crate::EpochStamped for BoundIndex {
     }
 }
 
-fn compute_chunk<R, S>(
-    quantizer: &dyn Quantizer,
-    background: Rgb,
-    ids: &[ImageId],
-    resolver: &R,
-    store: &S,
-) -> Result<Vec<(ImageId, Vec<BoundRange>)>>
-where
-    R: InfoResolver,
-    S: SequenceStore,
-{
-    let engine = RuleEngine::with_background(quantizer, RuleProfile::Conservative, background);
-    ids.iter()
-        .map(|&id| {
-            let program = store.program(id, &engine, resolver)?;
-            let base = resolver.require(program.base())?;
-            Ok((id, program.eval_vector(&base.histogram)))
-        })
-        .collect()
-}
-
-/// [`compute_chunk`] over `threads` scoped workers (at least one, at most
-/// one per image).
-fn compute_parallel<R, S>(
-    quantizer: &dyn Quantizer,
-    background: Rgb,
+/// The bounds vectors of the `edited` images, in `threads` chunks (at
+/// least one, at most one per image): the calling thread runs the first
+/// and a scoped worker each of the others, so one thread spawns none.
+fn compute_bounds<R, S>(
+    engine: &RuleEngine<'_>,
     edited: &[ImageId],
     resolver: &R,
     store: &S,
@@ -395,24 +389,26 @@ where
     R: InfoResolver + Sync,
     S: SequenceStore + Sync,
 {
-    let chunk = edited.len().div_ceil(threads.max(1)).max(1);
-    let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = edited
-            .chunks(chunk)
-            .map(|ids| {
-                scope.spawn(move || compute_chunk(quantizer, background, ids, resolver, store))
+    let chunk = |ids: &[ImageId]| -> Result<Vec<(ImageId, Vec<BoundRange>)>> {
+        ids.iter()
+            .map(|&id| {
+                let program = store.program(id, engine, resolver)?;
+                let base = resolver.require(program.base())?;
+                Ok((id, program.eval_vector(&base.histogram)))
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("bound-index build worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    let mut out = Vec::with_capacity(edited.len());
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
+            .collect()
+    };
+    let mut chunks = edited.chunks(edited.len().div_ceil(threads.max(1)).max(1));
+    let own = chunks.next().unwrap_or_default();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = chunks.map(|ids| scope.spawn(move || chunk(ids))).collect();
+        let mut out = chunk(own)?;
+        out.reserve(edited.len() - out.len());
+        for worker in workers {
+            out.extend(worker.join().expect("bound-index build worker panicked")?);
+        }
+        Ok(out)
+    })
 }
 
 #[cfg(test)]
@@ -635,7 +631,6 @@ mod tests {
             .unwrap();
         assert_eq!((stats.added, stats.removed), (0, 1));
         assert_eq!(idx.len(), 4);
-        assert!(!idx.contains(ImageId::new(11)));
         let q = ColorRangeQuery::new(0, 0.0, 1.0);
         assert!(!idx.lookup(&q).ids.contains(&ImageId::new(11)));
     }

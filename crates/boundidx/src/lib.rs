@@ -26,7 +26,11 @@
 //! never deletes an image a stored sequence names and never reuses an id,
 //! so an entry depends on its own image alone: a sync adds the entries of
 //! new images and drops those of deleted ones, nothing else — one batch
-//! merge in, one batch removal out, per bin.
+//! merge in, one batch removal out, per bin. A build (from an empty index)
+//! and a sync end in one reconcile step: one linear merge of the ascending
+//! listing against the resident ids decides what enters and leaves (the
+//! staleness backlog counts the same diff), and every new interval is
+//! computed before anything changes, so a failed sync changes nothing.
 
 mod guard;
 mod index;
@@ -66,40 +70,34 @@ pub struct StalenessReport {
 impl StalenessReport {
     /// Computes the report for one slot against the catalog ids and epoch
     /// the caller captured. `idx` is `None` for a never-built slot.
+    ///
+    /// # Panics
+    /// Panics when `binary` or `edited` does not ascend by id, as
+    /// [`BoundIndex::sync`] does.
     pub fn compute(
         idx: Option<&BoundIndex>,
         current_epoch: u64,
         binary: &[ImageId],
         edited: &[ImageId],
     ) -> Self {
-        let catalog_len = (binary.len() + edited.len()) as u64;
-        match idx {
-            None => StalenessReport {
+        let Some(idx) = idx else {
+            return StalenessReport {
                 epoch_lag: current_epoch,
-                resync_backlog: catalog_len,
+                resync_backlog: (binary.len() + edited.len()) as u64,
                 ..StalenessReport::default()
-            },
-            Some(idx) => {
-                let epoch_lag = current_epoch.saturating_sub(idx.synced_epoch());
-                let resident = idx.len() as u64;
-                let backlog = if epoch_lag == 0 {
-                    0
-                } else {
-                    let covered = binary
-                        .iter()
-                        .chain(edited)
-                        .filter(|&&id| idx.contains(id))
-                        .count() as u64;
-                    // Missing entries to add, plus resident strays to drop.
-                    (catalog_len - covered) + (resident - covered)
-                };
-                StalenessReport {
-                    epoch_lag,
-                    entries_resident: resident,
-                    resync_backlog: backlog,
-                    seconds_since_sync: idx.since_last_sync().as_secs(),
-                }
-            }
+            };
+        };
+        let epoch_lag = current_epoch.saturating_sub(idx.synced_epoch());
+        // The next sync's work, from the diff that sync would take.
+        let backlog = match epoch_lag {
+            0 => 0,
+            _ => idx.diff(binary, edited).iter().map(Vec::len).sum::<usize>() as u64,
+        };
+        StalenessReport {
+            epoch_lag,
+            entries_resident: idx.len() as u64,
+            resync_backlog: backlog,
+            seconds_since_sync: idx.since_last_sync().as_secs(),
         }
     }
 

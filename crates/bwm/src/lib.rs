@@ -32,7 +32,7 @@ pub mod query;
 pub mod structure;
 
 pub use query::{execute, BwmQueryStats, Method, QueryCtx, QueryOutcome, ShardRecord};
-pub use structure::{BwmStructure, Classification, SequenceStore};
+pub use structure::{kept_program, BwmStructure, Classification, SequenceStore};
 
 /// Eagerly registers this layer's metric series (zero-valued until traffic
 /// arrives) so exposition shows the full BWM schema from process start.

@@ -1,9 +1,9 @@
 //! The BWM query processing algorithm (§4.1, Figure 2).
 
-use crate::structure::{BwmStructure, SequenceStore};
+use crate::structure::{kept_program, BwmStructure, SequenceStore};
 use mmdb_editops::ImageId;
 use mmdb_histogram::ColorHistogram;
-use mmdb_rules::{BoundProgram, ColorRangeQuery, InfoResolver, Result, RuleEngine, RuleError};
+use mmdb_rules::{BoundProgram, ColorRangeQuery, InfoResolver, Result, RuleEngine};
 use mmdb_telemetry::QueryTrace;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -220,8 +220,8 @@ struct Out<'o> {
 /// `resolver` and `store` are one read view of the shard `structure`
 /// describes, which holds every image its edited images name. They are read
 /// only to compile a program an entry does not hold yet; a name the view
-/// cannot resolve then fails the query with [`RuleError::UnknownImage`], and
-/// nothing is kept.
+/// cannot resolve then fails the query with
+/// [`mmdb_rules::RuleError::UnknownImage`], and nothing is kept.
 pub fn execute<S: SequenceStore>(
     method: Method,
     structure: &BwmStructure,
@@ -375,15 +375,7 @@ impl<S: SequenceStore> Scan<'_, S> {
         out: &mut Out<'_>,
     ) -> Result<()> {
         let bounds = &self.bounds;
-        let program = match cell.get() {
-            Some(program) => program,
-            None => {
-                let sequence = self.store.sequence(edited);
-                let sequence = sequence.ok_or(RuleError::UnknownImage(edited))?;
-                let program = bounds.engine.compile(&sequence, self.resolver)?;
-                cell.get_or_init(|| program)
-            }
-        };
+        let program = kept_program(cell, edited, self.store, bounds.engine, self.resolver)?;
         bounds.test(edited, program, base, out.results, out.stats);
         Ok(())
     }
@@ -395,7 +387,7 @@ mod tests {
     use mmdb_editops::EditSequence;
     use mmdb_histogram::{ColorHistogram, Quantizer, RgbQuantizer};
     use mmdb_imaging::{draw, RasterImage, Rect, Rgb};
-    use mmdb_rules::{ImageInfo, MapInfoResolver, RuleProfile};
+    use mmdb_rules::{ImageInfo, MapInfoResolver, RuleError, RuleProfile};
     use std::cell::Cell;
     use std::collections::HashMap;
     use std::sync::Arc;

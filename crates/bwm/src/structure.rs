@@ -52,6 +52,27 @@ impl SequenceStore for std::collections::HashMap<ImageId, Arc<EditSequence>> {
     }
 }
 
+/// The program a Figure 1 cell keeps for edited image `id`, on first use
+/// `id`'s sequence in `store` compiled by `engine`: the one way a scan or
+/// the storage engine reaches a kept program.
+///
+/// # Errors
+/// [`RuleError::UnknownImage`] when `store` lacks `id`, or a compile error.
+pub fn kept_program<'c, S: SequenceStore + ?Sized>(
+    cell: &'c OnceLock<BoundProgram>,
+    id: ImageId,
+    store: &S,
+    engine: &RuleEngine<'_>,
+    resolver: &dyn InfoResolver,
+) -> Result<&'c BoundProgram, RuleError> {
+    if let Some(program) = cell.get() {
+        return Ok(program);
+    }
+    let sequence = store.sequence(id).ok_or(RuleError::UnknownImage(id))?;
+    let program = engine.compile(&sequence, resolver)?;
+    Ok(cell.get_or_init(|| program))
+}
+
 /// One element `<B_id, E_list>` of the Main Component, carrying what
 /// Figure 2 reads of it: the base's exact histogram (the catalog's own,
 /// shared) and, beside each clustered id, its sequence compiled for BOUNDS

@@ -463,12 +463,15 @@ impl MultimediaDatabase {
             .iter()
             .rev()
             .map(|shard| {
-                let epoch = shard.storage.current_epoch();
-                let binary = shard.storage.binary_ids();
-                let edited = shard.storage.edited_ids();
-                shard
-                    .bound_index
-                    .peek(|idx| StalenessReport::compute(idx, epoch, &binary, &edited))
+                // Listings and epoch of one catalog state: one view, taken
+                // inside the slot's lock (slot → view, as a sync takes them).
+                shard.bound_index.peek(|idx| {
+                    let view = shard.storage.read_view();
+                    let binary: Vec<ImageId> = view.binaries().map(|(id, _)| id).collect();
+                    let edited: Vec<ImageId> = view.edited().collect();
+                    let epoch = shard.storage.current_epoch();
+                    StalenessReport::compute(idx, epoch, &binary, &edited)
+                })
             })
             .max_by_key(|report| (report.epoch_lag, report.resync_backlog));
         if let Some(report) = worst {

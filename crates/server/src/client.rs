@@ -67,7 +67,6 @@ impl ClientError {
 pub struct Client {
     stream: TcpStream,
     next_id: u64,
-    max_frame_len: u32,
     /// Negotiated protocol version for this connection.
     version: u16,
     /// Trace id echoed by the server on the most recent call (success or
@@ -88,7 +87,6 @@ impl Client {
         Ok(Client {
             stream,
             next_id: 1,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             version,
             last_trace_id: None,
         })
@@ -126,7 +124,7 @@ impl Client {
             body,
         };
         write_frame(&mut self.stream, &encode_request(&request, self.version))?;
-        let payload = read_frame(&mut self.stream, self.max_frame_len)?;
+        let payload = read_frame(&mut self.stream, DEFAULT_MAX_FRAME_LEN)?;
         let response = decode_response(&payload, opcode, self.version)
             .map_err(|e| ClientError::Protocol(e.to_string()))?;
         self.last_trace_id = response.trace_id();

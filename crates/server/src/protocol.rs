@@ -62,7 +62,8 @@ pub const PROTOCOL_VERSION: u16 = 2;
 /// Oldest protocol version the server accepts: only the current one.
 pub const MIN_PROTOCOL_VERSION: u16 = PROTOCOL_VERSION;
 
-/// Default cap on `payload_len`; larger frames are rejected as malformed.
+/// Cap on `payload_len` that the server and the client accept; larger
+/// frames are rejected as malformed.
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 4 << 20;
 
 /// Fixed prefix of every request payload: id (8) + opcode (1) +

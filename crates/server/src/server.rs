@@ -93,8 +93,6 @@ pub struct ServerConfig {
     /// executor thread; requests beyond it are refused with `OVERLOADED`
     /// (min 1). Ignored when `workers == 0`.
     pub queue_depth: usize,
-    /// Maximum accepted frame payload length.
-    pub max_frame_len: u32,
     /// Trace-keep threshold (default 100 ms): a request's trace is kept
     /// when it ended in an error, was head-sampled by the client, or took at
     /// least this long end to end; a fast, unsampled, successful request is
@@ -115,7 +113,6 @@ impl Default for ServerConfig {
                 }
             }),
             queue_depth: 64,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             trace_keep: Duration::from_millis(100),
         }
     }
@@ -842,14 +839,11 @@ impl Reactor {
                 break;
             }
             let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes checked"));
-            if len > self.config.max_frame_len {
+            if len > DEFAULT_MAX_FRAME_LEN {
                 // The stream can no longer be framed — answer and disconnect
                 // once the error is flushed.
                 counter!("mmdb_server_malformed_total").inc();
-                let msg = format!(
-                    "frame length {len} exceeds maximum {}",
-                    self.config.max_frame_len
-                );
+                let msg = format!("frame length {len} exceeds maximum {DEFAULT_MAX_FRAME_LEN}");
                 conn.push_reply(&encode_err(0, None, Status::BadRequest, &msg, version));
                 conn.read_closed = true;
                 break;

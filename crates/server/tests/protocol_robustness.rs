@@ -247,14 +247,15 @@ fn unsound_profile_is_refused_by_name_and_connection_survives() {
 
 #[test]
 fn oversized_length_prefix_disconnects_cleanly() {
-    let config = ServerConfig {
-        max_frame_len: 1024,
-        ..ServerConfig::default()
-    };
-    let server = QueryServer::bind("127.0.0.1:0", MockBackend::instant(), config).unwrap();
+    let server = QueryServer::bind(
+        "127.0.0.1:0",
+        MockBackend::instant(),
+        ServerConfig::default(),
+    )
+    .unwrap();
     let mut stream = raw_connect(&server);
 
-    // A length prefix far beyond the configured maximum. The server answers
+    // A length prefix far beyond the maximum. The server answers
     // with a structured error and then hangs up (the stream can no longer
     // be framed).
     stream.write_all(&u32::MAX.to_le_bytes()).unwrap();

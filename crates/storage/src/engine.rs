@@ -183,18 +183,10 @@ impl SequenceStore for ReadView<'_> {
         engine: &RuleEngine<'_>,
         resolver: &dyn InfoResolver,
     ) -> mmdb_rules::Result<Cow<'_, BoundProgram>> {
-        let Some(CatalogEntry::Edited { sequence }) = self.0.catalog.get(id) else {
-            return Err(RuleError::UnknownImage(id));
-        };
-        let cell = self.0.structure.program_cell(id, sequence.base);
-        let program = cell.ok_or(RuleError::UnknownImage(id))?;
-        Ok(Cow::Borrowed(match program.get() {
-            Some(compiled) => compiled,
-            None => {
-                let compiled = engine.compile(sequence, resolver)?;
-                program.get_or_init(|| compiled)
-            }
-        }))
+        let base = self.0.catalog.base_of(id);
+        let cell = base.and_then(|base| self.0.structure.program_cell(id, base));
+        let cell = cell.ok_or(RuleError::UnknownImage(id))?;
+        mmdb_bwm::kept_program(cell, id, self, engine, resolver).map(Cow::Borrowed)
     }
 }
 
