@@ -10,7 +10,7 @@ use mmdb_editops::ImageId;
 use mmdb_histogram::Quantizer;
 use mmdb_imaging::Rgb;
 use mmdb_rules::{BoundRange, ColorRangeQuery, InfoResolver, Result, RuleEngine, RuleProfile};
-use mmdb_telemetry::{counter, gauge, histogram};
+use mmdb_telemetry::{counter, histogram};
 use std::iter;
 use std::time::Instant;
 
@@ -33,11 +33,11 @@ pub struct SyncStats {
 pub struct IndexedLookup {
     /// Candidate images, unsorted. Same set as the RBM/BWM scans emit.
     pub ids: Vec<ImageId>,
-    /// Intervals scanned to answer the query: the bin's width-bounded
-    /// window of `lo` order, or the `hi >= pct_min` prefix when that is
-    /// shorter (see [`BinIntervals::overlapping`]). A query that reaches 0
-    /// decides every resident image, listed or `[0, 0]`, so it reports the
-    /// resident count (see [`BoundIndex::lookup_into`]).
+    /// Intervals scanned to answer the query: the length of the bin's
+    /// window of `lo` order that its width bound leaves, every entry of
+    /// which is read. A query that reaches 0 decides every resident image,
+    /// listed or `[0, 0]`, so it reports the resident count (see
+    /// [`BoundIndex::lookup_into`]).
     pub scanned: usize,
 }
 
@@ -305,7 +305,6 @@ impl BoundIndex {
         }
         self.synced_epoch = epoch;
         self.last_synced_at = Instant::now();
-        gauge!("mmdb_boundidx_entries").set(self.len() as u64);
     }
 
     /// The resident ids and the per-bin lists — the persistence codec's

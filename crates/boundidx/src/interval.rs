@@ -1,30 +1,24 @@
-//! Per-bin sorted-endpoint interval lists with a width-bounded overlap
-//! search.
+//! Per-bin interval lists, sorted by lower endpoint, with a width-bounded
+//! overlap search.
 //!
 //! For one histogram bin, every image contributes a fraction interval
 //! `[lo, hi]` (exact histogram value for binary images, BOUNDS range for
 //! edited ones). A range query `[pct_min, pct_max]` must emit exactly the
-//! intervals that overlap it: `lo <= pct_max && hi >= pct_min`. Keeping two
-//! orderings of the same entries — ascending by `lo` and descending by
-//! `hi` — turns each half of that conjunction into a *prefix*:
-//!
-//! * the entries with `lo <= pct_max` are a prefix of `by_lo`;
-//! * the entries with `hi >= pct_min` are a prefix of `by_hi`.
+//! intervals that overlap it: `lo <= pct_max && hi >= pct_min`. Sorted by
+//! `lo`, the entries with `lo <= pct_max` are a prefix of the list.
 //!
 //! A bound index lists in a bin only the images whose interval there is
 //! not `[0, 0]`; an image it holds but does not list has `[0, 0]`, which
 //! only a query that reaches 0 matches, and the index answers such a query
-//! from its resident ids and [`BinIntervals::lo_above`]. Either prefix can
+//! from its resident ids and [`BinIntervals::lo_above`]. The `lo` prefix can
 //! still hold most of the bin: every image with little of the colour sits
-//! in the first, and every image with much of it in the second. So each
-//! bin also keeps its largest `hi - lo`, whose `next_up` is `width`, an
-//! upper bound on every interval's width (the S-tree's node signature
-//! reduced to one number). An interval that reaches `pct_min` starts no
-//! lower than `pct_min - width`, so the overlap set lies in the window of
-//! `by_lo` between that point and `pct_max`, found by one binary search
-//! and one gallop. A lookup scans that window, or the `by_hi` prefix when
-//! one probe shows the prefix is shorter: never more than the smaller of
-//! the two prefixes, and on narrow intervals a small multiple of the
+//! in it. So each bin also keeps its largest `hi - lo`, whose `next_up` is
+//! `width`, an upper bound on every interval's width (the S-tree's node
+//! signature reduced to one number). An interval that reaches `pct_min`
+//! starts no lower than `pct_min - width`, so the overlap set lies in the
+//! window of the list between that point and `pct_max`, found by one binary
+//! search and one gallop. A lookup scans that window once, without a
+//! branch per entry; on narrow intervals it is a small multiple of the
 //! answer's own size.
 
 use mmdb_editops::ImageId;
@@ -32,21 +26,17 @@ use std::cmp::Ordering;
 
 /// One image's fraction interval in one bin.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct IntervalEntry {
+pub(crate) struct IntervalEntry {
     /// Lower fraction bound (`BOUNDmin / imagesize`).
-    pub lo: f64,
+    pub(crate) lo: f64,
     /// Upper fraction bound (`BOUNDmax / imagesize`).
-    pub hi: f64,
+    pub(crate) hi: f64,
     /// The image owning this interval.
-    pub id: ImageId,
+    pub(crate) id: ImageId,
 }
 
 fn lo_order(a: &IntervalEntry, b: &IntervalEntry) -> Ordering {
     a.lo.total_cmp(&b.lo).then_with(|| a.id.cmp(&b.id))
-}
-
-fn hi_order(a: &IntervalEntry, b: &IntervalEntry) -> Ordering {
-    b.hi.total_cmp(&a.hi).then_with(|| a.id.cmp(&b.id))
 }
 
 /// Length of the leading run of indices for which `pred` holds, found by
@@ -106,32 +96,10 @@ pub(crate) fn merge_batch<T: Copy>(
     }
 }
 
-/// Drops entries from the sorted `list` in place, front to back:
-/// `next_drop(rest)` gives the offset in `rest`, the entries not yet
-/// moved, of the next entry to drop (`None` when no more go), and the run
-/// before it moves down in one block.
-fn drop_runs(
-    list: &mut Vec<IntervalEntry>,
-    mut next_drop: impl FnMut(&[IntervalEntry]) -> Option<usize>,
-) {
-    let (mut kept, mut next) = (0, 0);
-    while let Some(off) = next_drop(&list[next..]) {
-        let at = next + off;
-        list.copy_within(next..at, kept);
-        kept += at - next;
-        next = at + 1;
-    }
-    let len = kept + list.len() - next;
-    list.copy_within(next.., kept);
-    list.truncate(len);
-}
-
-/// The interval set of one histogram bin, maintained in both endpoint
-/// orders.
+/// The interval set of one histogram bin, ascending by `lo`.
 #[derive(Clone, Debug, Default)]
-pub struct BinIntervals {
+pub(crate) struct BinIntervals {
     by_lo: Vec<IntervalEntry>,
-    by_hi: Vec<IntervalEntry>,
     /// The largest rounded `hi - lo` stored (`0.0` in an empty bin); its
     /// `next_up` bounds every interval's exact width. Derived from the
     /// entries, never persisted.
@@ -157,37 +125,12 @@ fn widest(entries: &[IntervalEntry]) -> (f64, usize) {
 }
 
 impl BinIntervals {
-    /// Bulk construction from an unordered set: sorts once per ordering.
-    pub fn from_entries(entries: Vec<IntervalEntry>) -> Self {
-        let mut by_lo = entries;
-        let mut by_hi = by_lo.clone();
-        by_lo.sort_unstable_by(lo_order);
-        by_hi.sort_unstable_by(hi_order);
-        let (widest, at_widest) = widest(&by_lo);
-        BinIntervals {
-            by_lo,
-            by_hi,
-            widest,
-            at_widest,
-        }
-    }
-
-    /// Number of intervals stored.
-    pub fn len(&self) -> usize {
-        self.by_lo.len()
-    }
-
-    /// True when no interval is stored.
-    pub fn is_empty(&self) -> bool {
-        self.by_lo.is_empty()
-    }
-
-    /// Merges a batch of intervals into both orders: `O(m log(n + m))`
+    /// Merges a batch of intervals into the `lo` order: `O(m log(n + m))`
     /// compares and at most `n` moves for `n` resident and `m` new
     /// entries, in place, so a one-entry batch builds no second vector.
     /// The one way intervals enter a bin — a build, a sync and a load all
     /// end here.
-    pub fn insert_batch(&mut self, mut batch: Vec<IntervalEntry>) {
+    pub(crate) fn insert_batch(&mut self, mut batch: Vec<IntervalEntry>) {
         let (widest, count) = widest(&batch);
         if widest > self.widest {
             (self.widest, self.at_widest) = (widest, count);
@@ -195,41 +138,36 @@ impl BinIntervals {
             self.at_widest += count;
         }
         merge_batch(&mut self.by_lo, &mut batch, lo_order);
-        merge_batch(&mut self.by_hi, &mut batch, hi_order);
     }
 
-    /// Drops every interval whose image is in `gone` (ascending ids).
-    pub fn remove_batch(&mut self, gone: &[ImageId]) {
+    /// Drops every interval whose image is in `gone` (ascending ids), front
+    /// to back: nothing records where an image's interval sits, so a scan
+    /// finds each, stopping once every gone image is found, and the run
+    /// before each moves down in one block.
+    pub(crate) fn remove_batch(&mut self, gone: &[ImageId]) {
         debug_assert!(gone.windows(2).all(|w| w[0] < w[1]), "gone ids ascend");
-        // Nothing records where an image's interval sits in `by_lo`, so a
-        // scan finds it, stopping once every gone image is found.
-        let mut removed = Vec::new();
-        drop_runs(&mut self.by_lo, |rest| {
-            if removed.len() == gone.len() {
-                return None;
-            }
-            let off = rest
+        let list = &mut self.by_lo;
+        let (mut kept, mut next, mut found) = (0, 0, 0);
+        while found < gone.len() {
+            let Some(off) = list[next..]
                 .iter()
-                .position(|e| gone.binary_search(&e.id).is_ok())?;
-            removed.push(rest[off]);
-            Some(off)
-        });
-        self.at_widest -= removed
-            .iter()
-            .filter(|e| e.hi - e.lo == self.widest)
-            .count();
+                .position(|e| gone.binary_search(&e.id).is_ok())
+            else {
+                break;
+            };
+            let at = next + off;
+            self.at_widest -= usize::from(list[at].hi - list[at].lo == self.widest);
+            list.copy_within(next..at, kept);
+            kept += at - next;
+            next = at + 1;
+            found += 1;
+        }
+        let len = kept + list.len() - next;
+        list.copy_within(next.., kept);
+        list.truncate(len);
         if self.at_widest == 0 {
             (self.widest, self.at_widest) = widest(&self.by_lo);
         }
-        // Their `(hi, id)` keys then find them in `by_hi` by binary search.
-        removed.sort_unstable_by(hi_order);
-        let mut keys = removed.iter();
-        drop_runs(&mut self.by_hi, |rest| {
-            let key = keys.next()?;
-            let off = rest.partition_point(|e| hi_order(e, key) == Ordering::Less);
-            debug_assert_eq!(rest.get(off).map(|e| e.id), Some(key.id), "orders diverged");
-            Some(off)
-        });
     }
 
     /// The stored intervals, ascending by `lo`.
@@ -239,14 +177,14 @@ impl BinIntervals {
 
     /// The stored intervals with `lo > pct_max`, a suffix of the `lo`
     /// order found by one gallop.
-    pub fn lo_above(&self, pct_max: f64) -> &[IntervalEntry] {
+    pub(crate) fn lo_above(&self, pct_max: f64) -> &[IntervalEntry] {
         let n = gallop_prefix(self.by_lo.len(), |i| self.by_lo[i].lo <= pct_max);
         &self.by_lo[n..]
     }
 
-    /// Emits the ids of every interval overlapping `[pct_min, pct_max]`
-    /// into `out`, in no particular order, and returns how many entries
-    /// were scanned — the index-hit count for telemetry.
+    /// Appends the ids of every interval overlapping `[pct_min, pct_max]`
+    /// to `out`, in no particular order, and returns how many entries were
+    /// scanned — the index-hit count for telemetry.
     ///
     /// The scan is the window of `by_lo` from the first `lo` at or above
     /// `floor = pct_min - width` (as computed) to the last `lo <= pct_max`,
@@ -263,33 +201,23 @@ impl BinIntervals {
     ///   monotone and `lo` is a float, so `lo` is also at least the
     ///   computed `floor`: the subtraction needs no `next_down`.
     ///
-    /// Entries after the window have `lo > pct_max`. The window is part of
-    /// the `lo <= pct_max` prefix; when `by_hi[n - 1].hi < pct_min` for a
-    /// window of length `n`, the `hi >= pct_min` prefix of `by_hi` is
-    /// shorter and is scanned instead. Either way at most the smaller of
-    /// the two endpoint prefixes is scanned.
-    pub fn overlapping(&self, pct_min: f64, pct_max: f64, out: &mut Vec<ImageId>) -> usize {
+    /// Entries after the window have `lo > pct_max`. Within it, most
+    /// entries match on paper-shaped data, so `out` grows by the window's
+    /// length, every id is written, and a cursor moves past the ones with
+    /// `hi >= pct_min` before `out` is cut back to it: no branch per
+    /// entry for the predictor to miss.
+    pub(crate) fn overlapping(&self, pct_min: f64, pct_max: f64, out: &mut Vec<ImageId>) -> usize {
         let floor = pct_min - self.widest.next_up();
         let window = &self.by_lo[self.by_lo.partition_point(|e| e.lo < floor)..];
-        let n = gallop_prefix(window.len(), |i| window[i].lo <= pct_max);
-        if n == 0 {
-            return 0;
+        let window = &window[..gallop_prefix(window.len(), |i| window[i].lo <= pct_max)];
+        let mut end = out.len();
+        out.resize(end + window.len(), ImageId::default());
+        for e in window {
+            out[end] = e.id;
+            end += usize::from(e.hi >= pct_min);
         }
-        if self.by_hi[n - 1].hi < pct_min {
-            let n_hi = gallop_prefix(n - 1, |i| self.by_hi[i].hi >= pct_min);
-            for e in &self.by_hi[..n_hi] {
-                if e.lo <= pct_max {
-                    out.push(e.id);
-                }
-            }
-            return n_hi;
-        }
-        for e in &window[..n] {
-            if e.hi >= pct_min {
-                out.push(e.id);
-            }
-        }
-        n
+        out.truncate(end);
+        window.len()
     }
 }
 
@@ -300,6 +228,20 @@ mod tests {
     use mmdb_rules::ColorRangeQuery;
     use proptest::collection::SizeRange;
     use proptest::prelude::*;
+
+    impl BinIntervals {
+        /// Bulk construction from an unordered set, the reference the
+        /// merges and removals are checked against: one sort.
+        fn from_entries(mut entries: Vec<IntervalEntry>) -> Self {
+            entries.sort_unstable_by(lo_order);
+            let (widest, at_widest) = widest(&entries);
+            BinIntervals {
+                by_lo: entries,
+                widest,
+                at_widest,
+            }
+        }
+    }
 
     fn entry(lo: f64, hi: f64, id: u64) -> IntervalEntry {
         IntervalEntry {
@@ -386,7 +328,6 @@ mod tests {
             inc.insert_batch(vec![e]);
         }
         assert_eq!(inc.by_lo, bulk.by_lo);
-        assert_eq!(inc.by_hi, bulk.by_hi);
         let mut a = Vec::new();
         let mut b = Vec::new();
         bulk.overlapping(0.15, 0.45, &mut a);
@@ -397,9 +338,9 @@ mod tests {
 
         let gone = [ImageId::new(3)];
         inc.remove_batch(&gone);
-        assert_eq!(inc.len(), 4);
+        assert_eq!(inc.by_lo.len(), 4);
         inc.remove_batch(&gone);
-        assert_eq!(inc.len(), 4, "double remove");
+        assert_eq!(inc.by_lo.len(), 4, "double remove");
         let mut after = Vec::new();
         inc.overlapping(0.0, 1.0, &mut after);
         assert!(!after.contains(&ImageId::new(3)));
@@ -431,9 +372,7 @@ mod tests {
             for &e in batch {
                 serial.insert_batch(vec![e]);
             }
-            assert_eq!(merged.len(), serial.len(), "split={split}");
             assert_eq!(merged.by_lo, serial.by_lo, "split={split}");
-            assert_eq!(merged.by_hi, serial.by_hi, "split={split}");
             for _ in 0..50 {
                 let a = next();
                 let b = next();
@@ -488,12 +427,12 @@ mod tests {
         );
 
         // One [0, 1] interval widens the bin: the window then reaches back
-        // to the 900 zeros, so the scan falls back to the by_hi prefix,
-        // the 51 intervals that reach 0.5.
+        // below 0, so the scan reads every `lo <= 0.52` — the 900 zeros,
+        // the 53 narrow intervals from 0 to 0.52 and the wide one.
         bin.insert_batch(vec![entry(0.0, 1.0, 1000)]);
         let (wide_hits, wide_scanned) = narrow(&bin);
         assert_eq!(wide_hits.len(), 4);
-        assert_eq!(wide_scanned, 51);
+        assert_eq!(wide_scanned, 900 + 53 + 1);
 
         // Removing it makes the width exact again, and the narrow scan
         // comes back.
@@ -540,8 +479,8 @@ mod tests {
 
         /// Merging a batch into a resident set and then dropping a random
         /// set of ids (resident or new; all stored, or some never stored)
-        /// leaves both orders exactly as a bulk build of the surviving
-        /// intervals would.
+        /// leaves the `lo` order and the width bound exactly as a bulk
+        /// build of the surviving intervals would.
         #[test]
         fn batch_insert_and_remove_match_bulk(
             resident in arb_intervals(0..60),
@@ -553,7 +492,7 @@ mod tests {
             let batch = entries_from(resident.len() as u64, &batch);
             let mut bin = BinIntervals::from_entries(resident.clone());
             bin.insert_batch(batch.clone());
-            let ids = if only_stored { bin.len() } else { drop.len() };
+            let ids = if only_stored { bin.by_lo.len() } else { drop.len() };
             let gone: Vec<ImageId> = (0..ids as u64)
                 .filter(|&id| drop[id as usize])
                 .map(ImageId::new)
@@ -567,15 +506,14 @@ mod tests {
                 .collect();
             let bulk = BinIntervals::from_entries(survivors);
             prop_assert_eq!(&bin.by_lo, &bulk.by_lo);
-            prop_assert_eq!(&bin.by_hi, &bulk.by_hi);
             prop_assert_eq!(bin.widest.to_bits(), bulk.widest.to_bits());
             prop_assert_eq!(bin.at_widest, bulk.at_widest);
         }
 
         /// After a random build, batch insert and batch removal, a lookup
-        /// returns exactly the brute-force overlap set and scans no more
-        /// than the smaller endpoint prefix, on floats that sit on the
-        /// query's edges or one ulp either side, and on zero-width,
+        /// appends exactly the brute-force overlap set behind what `out`
+        /// held and scans exactly the width window, on floats that sit on
+        /// the query's edges or one ulp either side, and on zero-width,
         /// `[0, 1]` and at most 2^-50-wide intervals. An index holding the
         /// same intervals in one bin, beside `zeros` more images at
         /// `[0, 0]`, answers as brute force over all of them does, at-most
@@ -603,16 +541,20 @@ mod tests {
                 .filter(|e| !gone.contains(&e.id))
                 .collect();
 
-            let mut got = Vec::new();
+            // Shards share one result vector: what it held stays in front.
+            let sentinels = [u64::MAX, 7, u64::MAX - 1].map(ImageId::new);
+            let mut got = sentinels.to_vec();
             let scanned = bin.overlapping(a, b, &mut got);
+            prop_assert_eq!(&got[..sentinels.len()], &sentinels[..]);
+            let mut got = got.split_off(sentinels.len());
             got.sort_unstable();
             prop_assert_eq!(got, brute_force(&survivors, a, b), "query [{:e}, {:e}]", a, b);
-            let n_lo = survivors.iter().filter(|e| e.lo <= b).count();
-            let n_hi = survivors.iter().filter(|e| e.hi >= a).count();
-            prop_assert!(
-                scanned <= n_lo.min(n_hi),
-                "scanned {} > min({}, {})", scanned, n_lo, n_hi
-            );
+            let floor = a - widest(&survivors).0.next_up();
+            let window = survivors
+                .iter()
+                .filter(|e| e.lo >= floor && e.lo <= b)
+                .count();
+            prop_assert_eq!(scanned, window, "query [{:e}, {:e}]", a, b);
 
             let dense: Vec<IntervalEntry> = survivors
                 .into_iter()

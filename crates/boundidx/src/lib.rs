@@ -7,17 +7,16 @@
 //! the BOUNDS machinery. A bound interval depends only on
 //! `(edit sequence, bin)` — it is query-invariant — so this crate computes
 //! every image's per-bin fraction intervals once and keeps them in per-bin
-//! sorted-endpoint lists ([`interval::BinIntervals`]), the only copy of an
-//! interval. A list holds only the intervals that are not `[0, 0]`: an
-//! image has a few colours, and a resident image a bin does not list has
-//! `[0, 0]` there. Each list also keeps a bound on its intervals' width, so
-//! a range query becomes one binary search and one gallop plus a scan of
-//! the window of intervals that can reach the query (or of the `hi`
-//! prefix, when that is shorter) instead of a rule walk per edited image;
-//! a query that reaches 0 takes every resident image but the listed ones
-//! above it. Either way the lookup returns *exactly* the RBM/BWM candidate
-//! set (no false negatives, same false-positive bounds — verified by
-//! property test in `mmdbms`).
+//! lists sorted by lower endpoint, the only copy of an interval. A list
+//! holds only the intervals that are not `[0, 0]`: an image has a few
+//! colours, and a resident image a bin does not list has `[0, 0]` there.
+//! Each list also keeps a bound on its intervals' width, so a range query
+//! becomes one binary search and one gallop plus one scan of the window of
+//! intervals that can reach the query instead of a rule walk per edited
+//! image; a query that reaches 0 takes every resident image but the listed
+//! ones above it. Either way the lookup returns *exactly* the RBM/BWM
+//! candidate set (no false negatives, same false-positive bounds — verified
+//! by property test in `mmdbms`).
 //!
 //! Freshness is epoch-based: the storage engine stamps every catalog
 //! mutation, [`BoundIndex::sync`] reconciles the index to a stamped catalog
@@ -39,7 +38,6 @@ pub mod persist;
 
 pub use guard::{EpochSlot, EpochStamped};
 pub use index::{BoundIndex, IndexedLookup, SyncStats};
-pub use interval::{BinIntervals, IntervalEntry};
 
 use mmdb_editops::ImageId;
 use mmdb_telemetry::gauge;
@@ -128,7 +126,6 @@ pub fn register_metrics() {
         let _ = g.counter(name);
     }
     for name in [
-        "mmdb_boundidx_entries",
         "mmdb_boundidx_epoch_lag",
         "mmdb_boundidx_entries_resident",
         "mmdb_boundidx_resync_backlog",

@@ -25,7 +25,8 @@
 //! correctness dependency).
 
 use crate::index::Staged;
-use crate::{BinIntervals, BoundIndex};
+use crate::interval::BinIntervals;
+use crate::BoundIndex;
 use mmdb_durable::crc32;
 use mmdb_editops::codec::Reader;
 use mmdb_editops::ImageId;
