@@ -2,6 +2,7 @@
 //! `mmdbctl lint`.
 
 use crate::diagnostics::{Diagnostic, Severity};
+use mmdb_telemetry::json_escape;
 use std::fmt::Write as _;
 
 /// The result of analyzing a whole catalog.
@@ -110,25 +111,6 @@ impl AnalysisReport {
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

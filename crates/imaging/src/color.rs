@@ -1,10 +1,10 @@
 //! Color types and color-model conversions.
 //!
-//! The paper (§3.1) quantizes "the space of a color model such as RGB, HSV,
-//! or Luv" to form histogram bins. This module provides the three models and
+//! The paper (§3.1) quantizes "the space of a color model" to form histogram
+//! bins. This module provides the two models the quantizers use and
 //! exact-enough conversions between them. [`Rgb`] is the storage type used by
-//! [`crate::RasterImage`]; [`Hsv`] and [`Luv`] are derived views used by the
-//! alternative quantizers in `mmdb-histogram`.
+//! [`crate::RasterImage`]; [`Hsv`] is the derived view used by the HSV
+//! quantizer in `mmdb-histogram`.
 
 use std::fmt;
 
@@ -107,50 +107,6 @@ impl Rgb {
         let s = if max == 0.0 { 0.0 } else { delta / max };
         Hsv { h, s, v: max }
     }
-
-    /// Converts to CIE 1976 L\*u\*v\* under the D65 white point, going
-    /// through linearized sRGB and XYZ.
-    pub fn to_luv(self) -> Luv {
-        fn linearize(c: u8) -> f64 {
-            let c = c as f64 / 255.0;
-            if c <= 0.04045 {
-                c / 12.92
-            } else {
-                ((c + 0.055) / 1.055).powf(2.4)
-            }
-        }
-        let r = linearize(self.r);
-        let g = linearize(self.g);
-        let b = linearize(self.b);
-        // sRGB → XYZ (D65).
-        let x = 0.4124564 * r + 0.3575761 * g + 0.1804375 * b;
-        let y = 0.2126729 * r + 0.7151522 * g + 0.0721750 * b;
-        let z = 0.0193339 * r + 0.1191920 * g + 0.9503041 * b;
-
-        // D65 reference white.
-        const XN: f64 = 0.95047;
-        const YN: f64 = 1.0;
-        const ZN: f64 = 1.08883;
-        let denom = x + 15.0 * y + 3.0 * z;
-        let (u_prime, v_prime) = if denom == 0.0 {
-            (0.0, 0.0)
-        } else {
-            (4.0 * x / denom, 9.0 * y / denom)
-        };
-        let denom_n = XN + 15.0 * YN + 3.0 * ZN;
-        let un_prime = 4.0 * XN / denom_n;
-        let vn_prime = 9.0 * YN / denom_n;
-
-        let y_ratio = y / YN;
-        let l = if y_ratio > (6.0f64 / 29.0).powi(3) {
-            116.0 * y_ratio.cbrt() - 16.0
-        } else {
-            (29.0f64 / 3.0).powi(3) * y_ratio
-        };
-        let u = 13.0 * l * (u_prime - un_prime);
-        let v = 13.0 * l * (v_prime - vn_prime);
-        Luv { l, u, v }
-    }
 }
 
 impl From<[u8; 3]> for Rgb {
@@ -194,17 +150,6 @@ impl Hsv {
         let to8 = |f: f32| ((f + m) * 255.0).round().clamp(0.0, 255.0) as u8;
         Rgb::new(to8(r1), to8(g1), to8(b1))
     }
-}
-
-/// A color in the CIE 1976 L\*u\*v\* model (D65 white point).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Luv {
-    /// Lightness, `[0, 100]`.
-    pub l: f64,
-    /// u\* chromaticity.
-    pub u: f64,
-    /// v\* chromaticity.
-    pub v: f64,
 }
 
 #[cfg(test)]
@@ -257,24 +202,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn luv_reference_points() {
-        let white = Rgb::WHITE.to_luv();
-        assert!((white.l - 100.0).abs() < 0.1, "white L* = {}", white.l);
-        assert!(white.u.abs() < 0.5 && white.v.abs() < 0.5);
-        let black = Rgb::BLACK.to_luv();
-        assert!(black.l.abs() < 1e-6);
-    }
-
-    #[test]
-    fn luv_red_is_far_from_green() {
-        let red = Rgb::RED.to_luv();
-        let green = Rgb::GREEN.to_luv();
-        let d = ((red.l - green.l).powi(2) + (red.u - green.u).powi(2) + (red.v - green.v).powi(2))
-            .sqrt();
-        assert!(d > 100.0, "Luv distance red-green = {d}");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! `pbmplus` toolkit; this crate provides the equivalent foundation in pure
 //! Rust:
 //!
-//! * [`Rgb`] — 8-bit-per-channel color with conversions to HSV and CIE Luv
-//!   (the color models named in §3.1 of the paper),
+//! * [`Rgb`] — 8-bit-per-channel color with a conversion to HSV (two of
+//!   the color models named in §3.1 of the paper),
 //! * [`RasterImage`] — an owned, row-major RGB raster,
 //! * [`Rect`]/[`Point`] — integer geometry used by defined regions and the
 //!   drawing primitives,
@@ -28,7 +28,7 @@ pub mod geometry;
 pub mod ppm;
 pub mod raster;
 
-pub use color::{Hsv, Luv, Rgb};
+pub use color::{Hsv, Rgb};
 pub use error::ImagingError;
 pub use geometry::{Point, Rect};
 pub use raster::RasterImage;

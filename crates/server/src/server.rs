@@ -30,15 +30,19 @@
 //!
 //! ## Graceful shutdown
 //!
-//! [`QueryServer::shutdown`] stops the accept path and all frame reading,
-//! closes the admission queue so the executor drains the backlog and exits,
-//! then lets the reactor deliver and flush every in-flight response before
-//! joining it. No accepted request is dropped.
+//! [`QueryServer::shutdown`] raises `stop`, wakes the reactor and joins it;
+//! the reactor runs the drain itself. It stops accepting at once, keeps
+//! reading until its connections have been quiet for [`READ_QUIESCE_IDLE`]
+//! (bytes already in flight are still admitted) or until
+//! [`DRAIN_BACKSTOP`] after `stop`, then closes the admission queue so the
+//! executor drains the backlog and exits. The reactor returns once every
+//! executor has dropped its completion sender and every reply is flushed
+//! (or [`DRAIN_FLUSH_GRACE`] after that). No accepted request is dropped.
 
 use crate::backend::QueryBackend;
 use crate::protocol::{
     answer_hello, decode_request, encode_err, encode_ok, Opcode, PlanKind, ReplyBody, Request,
-    RequestBody, Status, TraceContext, DEFAULT_MAX_FRAME_LEN,
+    RequestBody, Status, TraceContext, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use crate::queue::{BoundedQueue, PushError};
 use mmdb_telemetry::{
@@ -50,10 +54,12 @@ use mmdb_telemetry::{
 // socket plumbing stay on std (they guard OS-level I/O paths the model
 // never drives).
 use mmdb_conc::sync::atomic::{AtomicBool, Ordering};
+use mmdb_telemetry::{Counter, Histogram};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
-use std::sync::{mpsc, Arc};
+use std::os::unix::net::UnixStream;
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Handshake window: a connection that has not completed the 6-byte hello
@@ -79,6 +85,10 @@ const DRAIN_FLUSH_GRACE: Duration = Duration::from_secs(10);
 /// are admitted (the blocking server behaved the same way: readers noticed
 /// `stop` only at a quiet read timeout of this length).
 const READ_QUIESCE_IDLE: Duration = Duration::from_millis(100);
+
+/// During shutdown, the admission queue closes this long after `stop` even
+/// if the connections never go quiet; frames read after it are refused.
+const DRAIN_BACKSTOP: Duration = Duration::from_secs(10);
 
 /// Tuning knobs for [`QueryServer::bind`].
 #[derive(Clone, Copy, Debug)]
@@ -129,9 +139,6 @@ pub struct DrainStats {
 /// One queued unit of work. `Ping` never becomes a job.
 struct Job {
     request: Request,
-    /// Negotiated protocol version of the originating connection; replies
-    /// must be encoded in the same dialect.
-    version: u16,
     accepted_at: Instant,
     /// Reactor connection slot + generation the reply routes back to.
     conn: usize,
@@ -207,8 +214,9 @@ struct Conn {
     stream: TcpStream,
     /// Monotonic id guarding completion delivery across slot reuse.
     generation: u64,
-    /// Negotiated protocol version; `None` while the handshake is pending.
-    version: Option<u16>,
+    /// The hello was answered with [`PROTOCOL_VERSION`] (the only one
+    /// accepted); frames are parsed only after it.
+    hello_done: bool,
     opened: Instant,
     /// Accumulated unparsed input; `consumed` is the parse offset.
     inbuf: Vec<u8>,
@@ -237,6 +245,11 @@ impl Conn {
         self.outbuf
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.outbuf.extend_from_slice(payload);
+    }
+
+    /// Appends one framed error reply.
+    fn push_err(&mut self, id: u64, trace_id: Option<u64>, status: Status, msg: &str) {
+        self.push_reply(&encode_err(id, trace_id, status, msg, PROTOCOL_VERSION));
     }
 
     /// Writes pending output until drained or `WouldBlock`. Marks the
@@ -314,65 +327,14 @@ struct Completion {
     payload: Vec<u8>,
 }
 
-/// One-shot gate the reactor raises when it has quiesced reads during
-/// shutdown (on `std::sync` for its timed wait; this guards OS-thread
-/// timing, not a model-checked protocol).
-struct QuiesceGate {
-    done: std::sync::Mutex<bool>,
-    signal: std::sync::Condvar,
-}
-
-impl QuiesceGate {
-    fn new() -> Self {
-        QuiesceGate {
-            done: std::sync::Mutex::new(false),
-            signal: std::sync::Condvar::new(),
-        }
-    }
-
-    fn set(&self) {
-        *self.done.lock().expect("gate lock poisoned") = true;
-        self.signal.notify_all();
-    }
-
-    /// Waits until [`QuiesceGate::set`], up to `timeout` (a backstop for a
-    /// crashed reactor — quiescing normally takes ~[`READ_QUIESCE_IDLE`]).
-    fn wait(&self, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
-        let mut done = self.done.lock().expect("gate lock poisoned");
-        while !*done {
-            let Some(remaining) = deadline
-                .checked_duration_since(Instant::now())
-                .filter(|d| !d.is_zero())
-            else {
-                return;
-            };
-            let (guard, result) = self
-                .signal
-                .wait_timeout(done, remaining)
-                .expect("gate lock poisoned");
-            done = guard;
-            if result.timed_out() && !*done {
-                return;
-            }
-        }
-    }
-}
-
 /// A running query server; [`QueryServer::shutdown`] (or drop) drains it.
 pub struct QueryServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    /// Raised once the executor has drained (or immediately in inline
-    /// mode); tells the reactor it may exit after flushing.
-    drained: Arc<AtomicBool>,
-    /// Raised by the reactor once shutdown reads have quiesced — the
-    /// signal that it is safe to close the admission queue.
-    quiesced: Arc<QuiesceGate>,
     /// `None` in inline mode (`workers == 0`).
     queue: Option<Arc<BoundedQueue<Job>>>,
     /// Write end of the reactor wake socket.
-    wake_tx: TcpStream,
+    wake_tx: UnixStream,
     reactor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -390,13 +352,13 @@ impl QueryServer {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
 
-        // Loopback wake socket: executor threads (and shutdown) nudge the
-        // reactor out of `poll` by writing a byte.
-        let (wake_tx, wake_rx) = wake_pair()?;
+        // Wake socket pair: `poll` watches the read end; executor threads
+        // (and shutdown) nudge the reactor out of it by writing a byte.
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
 
         let stop = Arc::new(AtomicBool::new(false));
-        let drained = Arc::new(AtomicBool::new(false));
-        let quiesced = Arc::new(QuiesceGate::new());
         let (completion_tx, completion_rx) = mpsc::channel::<Completion>();
 
         let queue = (config.workers > 0).then(|| Arc::new(BoundedQueue::new(config.queue_depth)));
@@ -426,41 +388,35 @@ impl QueryServer {
             })
             .transpose()?
             .unwrap_or_default();
+        // Only the executors hold senders now, so the reactor sees the
+        // channel disconnect once the last one exits (at once inline).
+        drop(completion_tx);
 
         let reactor = {
             let stop = Arc::clone(&stop);
-            let drained = Arc::clone(&drained);
-            let quiesced = Arc::clone(&quiesced);
             let queue = queue.clone();
             std::thread::Builder::new()
                 .name("mmdb-server-reactor".into())
                 .spawn(move || {
-                    let mut reactor = Reactor {
+                    Reactor {
                         listener,
                         backend,
                         config,
                         queue,
                         stop,
-                        drained,
-                        quiesced,
                         completion_rx,
                         wake_rx,
                         conns: Vec::new(),
                         free: Vec::new(),
                         next_generation: 0,
-                    };
-                    reactor.run();
-                    // Raised unconditionally so shutdown never waits out the
-                    // backstop if the reactor exits abnormally.
-                    reactor.quiesced.set();
+                    }
+                    .run();
                 })?
         };
 
         Ok(QueryServer {
             addr: local,
             stop,
-            drained,
-            quiesced,
             queue,
             wake_tx,
             reactor: Some(reactor),
@@ -484,10 +440,6 @@ impl QueryServer {
         self.stop_and_drain()
     }
 
-    fn wake(&self) {
-        let _ = (&self.wake_tx).write(&[1]);
-    }
-
     fn stop_and_drain(&mut self) -> DrainStats {
         let Some(reactor) = self.reactor.take() else {
             return DrainStats::default();
@@ -501,28 +453,16 @@ impl QueryServer {
             );
         }
         self.stop.store(true, Ordering::SeqCst);
-        self.wake();
-        // The reactor keeps reading already-sent bytes until connections go
-        // quiet (requests in flight at stop — e.g. Nagle-delayed payloads —
-        // are still admitted, matching the blocking server's semantics of
-        // readers noticing `stop` only at a quiet read timeout). Only after
-        // that is it safe to close the queue: the executor then drains the
-        // backlog and exits, and every drained completion is delivered
-        // before the reactor is released below — no accepted request is
-        // dropped.
-        self.quiesced.wait(Duration::from_secs(10));
-        if let Some(queue) = &self.queue {
-            queue.close();
-        }
+        let _ = (&self.wake_tx).write(&[1]);
+        // The reactor runs the drain (see the module doc) and returns once
+        // every reply is delivered; the executors have exited by then.
+        let _ = reactor.join();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // The executor has drained; a reactor-side reading taken before the
-        // last pop must not outlive the queue it described.
+        // A reactor-side reading taken before the last pop must not outlive
+        // the queue it described.
         gauge!("mmdb_server_queue_depth").set(0);
-        self.drained.store(true, Ordering::SeqCst);
-        self.wake();
-        let _ = reactor.join();
         if mmdb_telemetry::instrumentation_enabled() {
             mmdb_telemetry::recorder().record(EventKind::ServerDrain, "phase=complete", &[]);
         }
@@ -532,22 +472,8 @@ impl QueryServer {
 
 impl Drop for QueryServer {
     fn drop(&mut self) {
-        if self.reactor.is_some() {
-            self.stop_and_drain();
-        }
+        self.stop_and_drain();
     }
-}
-
-/// Builds the loopback socket pair the reactor parks on: `poll` watches the
-/// read end; writers nudge it with a byte.
-fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    let (rx, _) = listener.accept()?;
-    tx.set_nonblocking(true)?;
-    rx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
-    Ok((tx, rx))
 }
 
 // ── Metrics ────────────────────────────────────────────────────────────
@@ -555,18 +481,8 @@ fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
 /// Eagerly registers every `mmdb_server_*` series so exposition shows the
 /// full schema from process start.
 pub fn register_metrics() {
-    for opcode in [
-        Opcode::Ping,
-        Opcode::Range,
-        Opcode::Knn,
-        Opcode::Lookup,
-        Opcode::Stats,
-    ] {
-        let _ = requests_counter(opcode);
-        let _ = errors_counter(opcode);
-        let _ = latency_histogram(opcode);
-        let _ = execute_histogram(opcode);
-    }
+    // Builds the whole per-opcode table.
+    let _ = series(Opcode::Ping);
     let _ = counter!("mmdb_server_connections_total");
     let _ = counter!("mmdb_server_overloaded_total");
     let _ = counter!("mmdb_server_deadline_exceeded_total");
@@ -589,16 +505,44 @@ pub fn register_metrics() {
     }
 }
 
-/// Per-opcode non-OK response counter; over `mmdb_server_requests_total`
-/// it is the error ratio an error-budget burn rate is computed from.
-fn errors_counter(op: Opcode) -> &'static mmdb_telemetry::Counter {
-    match op {
-        Opcode::Ping => counter!(r#"mmdb_server_errors_total{opcode="ping"}"#),
-        Opcode::Range => counter!(r#"mmdb_server_errors_total{opcode="range"}"#),
-        Opcode::Knn => counter!(r#"mmdb_server_errors_total{opcode="knn"}"#),
-        Opcode::Lookup => counter!(r#"mmdb_server_errors_total{opcode="lookup"}"#),
-        Opcode::Stats => counter!(r#"mmdb_server_errors_total{opcode="stats"}"#),
-    }
+/// What one opcode reports into: cached registry handles, so a request
+/// formats no series name.
+struct OpcodeSeries {
+    requests: Arc<Counter>,
+    /// Non-OK responses; over `requests` it is the error ratio an
+    /// error-budget burn rate is computed from.
+    errors: Arc<Counter>,
+    /// Full request latency from admission.
+    latency: Arc<Histogram>,
+    /// Pure backend-execution time, excluding queue wait — together with
+    /// `mmdb_server_queue_wait_seconds` this decomposes request latency, so
+    /// "slow because queued" and "slow because BOUNDS" are separable from
+    /// metrics alone (traces give the per-request version of the same
+    /// split).
+    execute: Arc<Histogram>,
+}
+
+/// The per-opcode table of server series, registered on first use.
+fn series(op: Opcode) -> &'static OpcodeSeries {
+    static TABLE: OnceLock<[OpcodeSeries; 5]> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let g = mmdb_telemetry::global();
+        // Entry `i` is the opcode whose wire byte is `i + 1`.
+        std::array::from_fn(|i| {
+            let op = Opcode::from_u8(i as u8 + 1)
+                .expect("opcodes are bytes 1..=5")
+                .name();
+            OpcodeSeries {
+                requests: g.counter(&format!(r#"mmdb_server_requests_total{{opcode="{op}"}}"#)),
+                errors: g.counter(&format!(r#"mmdb_server_errors_total{{opcode="{op}"}}"#)),
+                latency: g.histogram(&format!(
+                    r#"mmdb_server_request_latency_seconds{{opcode="{op}"}}"#
+                )),
+                execute: g.histogram(&format!(r#"mmdb_server_execute_seconds{{opcode="{op}"}}"#)),
+            }
+        })
+    });
+    &table[usize::from(op.as_u8() - 1)]
 }
 
 /// Records refused (never-executed) range demand. The executed path records
@@ -618,40 +562,6 @@ fn record_refused_demand(body: &RequestBody) {
     }
 }
 
-fn requests_counter(op: Opcode) -> &'static mmdb_telemetry::Counter {
-    match op {
-        Opcode::Ping => counter!(r#"mmdb_server_requests_total{opcode="ping"}"#),
-        Opcode::Range => counter!(r#"mmdb_server_requests_total{opcode="range"}"#),
-        Opcode::Knn => counter!(r#"mmdb_server_requests_total{opcode="knn"}"#),
-        Opcode::Lookup => counter!(r#"mmdb_server_requests_total{opcode="lookup"}"#),
-        Opcode::Stats => counter!(r#"mmdb_server_requests_total{opcode="stats"}"#),
-    }
-}
-
-fn latency_histogram(op: Opcode) -> &'static mmdb_telemetry::Histogram {
-    match op {
-        Opcode::Ping => histogram!(r#"mmdb_server_request_latency_seconds{opcode="ping"}"#),
-        Opcode::Range => histogram!(r#"mmdb_server_request_latency_seconds{opcode="range"}"#),
-        Opcode::Knn => histogram!(r#"mmdb_server_request_latency_seconds{opcode="knn"}"#),
-        Opcode::Lookup => histogram!(r#"mmdb_server_request_latency_seconds{opcode="lookup"}"#),
-        Opcode::Stats => histogram!(r#"mmdb_server_request_latency_seconds{opcode="stats"}"#),
-    }
-}
-
-/// Pure backend-execution time, excluding queue wait — together with
-/// `mmdb_server_queue_wait_seconds` this decomposes request latency, so
-/// "slow because queued" and "slow because BOUNDS" are separable from
-/// metrics alone (traces give the per-request version of the same split).
-fn execute_histogram(op: Opcode) -> &'static mmdb_telemetry::Histogram {
-    match op {
-        Opcode::Ping => histogram!(r#"mmdb_server_execute_seconds{opcode="ping"}"#),
-        Opcode::Range => histogram!(r#"mmdb_server_execute_seconds{opcode="range"}"#),
-        Opcode::Knn => histogram!(r#"mmdb_server_execute_seconds{opcode="knn"}"#),
-        Opcode::Lookup => histogram!(r#"mmdb_server_execute_seconds{opcode="lookup"}"#),
-        Opcode::Stats => histogram!(r#"mmdb_server_execute_seconds{opcode="stats"}"#),
-    }
-}
-
 // ── The reactor ────────────────────────────────────────────────────────
 
 struct Reactor {
@@ -661,34 +571,50 @@ struct Reactor {
     /// `None` in inline mode (`workers == 0`).
     queue: Option<Arc<BoundedQueue<Job>>>,
     stop: Arc<AtomicBool>,
-    drained: Arc<AtomicBool>,
-    quiesced: Arc<QuiesceGate>,
     completion_rx: mpsc::Receiver<Completion>,
-    wake_rx: TcpStream,
+    wake_rx: UnixStream,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_generation: u64,
 }
 
+impl Drop for Reactor {
+    /// However the loop ends, the executors can finish and be joined.
+    fn drop(&mut self) {
+        if let Some(queue) = &self.queue {
+            queue.close();
+        }
+    }
+}
+
 impl Reactor {
     fn run(&mut self) {
         let mut scratch = vec![0u8; 64 << 10];
-        let mut drain_deadline: Option<Instant> = None;
-        // Shutdown read quiescing: after `stop`, reads continue until the
-        // connections have been quiet this long (bytes already in flight at
-        // stop — e.g. a Nagle-delayed frame tail — still land and are
-        // admitted, like the blocking server whose readers noticed `stop`
-        // only at a quiet read timeout).
+        // The drain (see the module doc). After `stop`, reads continue until
+        // the connections have been quiet for `READ_QUIESCE_IDLE`: bytes
+        // already in flight at stop — e.g. a Nagle-delayed frame tail —
+        // still land and are admitted, like the blocking server whose
+        // readers noticed `stop` only at a quiet read timeout.
         let mut last_read = Instant::now();
         let mut quiesced = false;
+        let mut stopped_at: Option<Instant> = None;
+        let mut admission_closed = false;
+        let mut flush_deadline: Option<Instant> = None;
 
         loop {
             let stopping = self.stop.load(Ordering::SeqCst);
 
-            // Deliver executor completions into connection outboxes.
-            while let Ok(c) = self.completion_rx.try_recv() {
-                self.deliver(c);
-            }
+            // Deliver executor completions into connection outboxes. The
+            // channel reports `Disconnected` once every executor has exited
+            // and its last reply is delivered — from the start in inline
+            // mode.
+            let executors_done = loop {
+                match self.completion_rx.try_recv() {
+                    Ok(c) => self.deliver(c),
+                    Err(mpsc::TryRecvError::Empty) => break false,
+                    Err(mpsc::TryRecvError::Disconnected) => break true,
+                }
+            };
 
             // Readiness: listener (while accepting), wake socket, and every
             // connection — POLLIN while reading is allowed, POLLOUT while
@@ -740,24 +666,26 @@ impl Reactor {
                 }
             }
 
-            if stopping && !quiesced && last_read.elapsed() >= READ_QUIESCE_IDLE {
-                quiesced = true;
-                self.quiesced.set();
+            if stopping {
+                quiesced |= last_read.elapsed() >= READ_QUIESCE_IDLE;
+                let stopped_at = *stopped_at.get_or_insert_with(Instant::now);
+                if !admission_closed && (quiesced || stopped_at.elapsed() >= DRAIN_BACKSTOP) {
+                    // The executors drain the backlog and exit; in pool mode
+                    // a frame read from now on is refused.
+                    admission_closed = true;
+                    if let Some(queue) = &self.queue {
+                        queue.close();
+                    }
+                }
             }
 
             self.reap();
 
-            if stopping && self.drained.load(Ordering::SeqCst) {
+            // Every completion is delivered: exit once every reply is
+            // flushed, or the grace period expires.
+            if admission_closed && executors_done {
                 let deadline =
-                    *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_FLUSH_GRACE);
-                // `drained` was raised after the executor joined, so one
-                // final channel drain here observes every completion (the
-                // top-of-loop drain may have run before the last workers
-                // finished). Exit once every delivered reply is flushed,
-                // or the grace period expires.
-                while let Ok(c) = self.completion_rx.try_recv() {
-                    self.deliver(c);
-                }
+                    *flush_deadline.get_or_insert_with(|| Instant::now() + DRAIN_FLUSH_GRACE);
                 let unflushed = self
                     .conns
                     .iter()
@@ -791,7 +719,7 @@ impl Reactor {
                     let conn = Conn {
                         stream,
                         generation: self.next_generation,
-                        version: None,
+                        hello_done: false,
                         opened: Instant::now(),
                         inbuf: Vec::new(),
                         consumed: 0,
@@ -829,10 +757,9 @@ impl Reactor {
 
     /// Parses everything parseable in `conn.inbuf`.
     fn advance(&mut self, conn: &mut Conn, slot: usize) {
-        if conn.version.is_none() && !self.handshake(conn) {
+        if !conn.hello_done && !self.handshake(conn) {
             return;
         }
-        let Some(version) = conn.version else { return };
         while !conn.read_closed && !conn.dead {
             let avail = &conn.inbuf[conn.consumed..];
             if avail.len() < 4 {
@@ -844,7 +771,7 @@ impl Reactor {
                 // once the error is flushed.
                 counter!("mmdb_server_malformed_total").inc();
                 let msg = format!("frame length {len} exceeds maximum {DEFAULT_MAX_FRAME_LEN}");
-                conn.push_reply(&encode_err(0, None, Status::BadRequest, &msg, version));
+                conn.push_err(0, None, Status::BadRequest, &msg);
                 conn.read_closed = true;
                 break;
             }
@@ -854,7 +781,7 @@ impl Reactor {
             }
             let payload = conn.inbuf[conn.consumed + 4..conn.consumed + end].to_vec();
             conn.consumed += end;
-            self.process_frame(conn, slot, &payload, version);
+            self.process_frame(conn, slot, &payload);
         }
     }
 
@@ -868,43 +795,42 @@ impl Reactor {
             return false;
         }
         let hello: &[u8; 6] = conn.inbuf[..6].try_into().expect("6 bytes");
-        let Some((reply, version)) = answer_hello(hello) else {
+        let Some((reply, accepted)) = answer_hello(hello) else {
             conn.dead = true;
             return false;
         };
         conn.outbuf.extend_from_slice(&reply);
         conn.consumed += 6;
-        conn.version = version;
-        // A refused version still gets its reply; nothing more is read.
-        conn.read_closed |= version.is_none();
-        version.is_some()
+        // `answer_hello` accepts only `PROTOCOL_VERSION`. A refused version
+        // still gets its reply; nothing more is read.
+        conn.hello_done = accepted.is_some();
+        conn.read_closed |= !conn.hello_done;
+        conn.hello_done
     }
 
     /// Decodes and dispatches one frame payload.
-    fn process_frame(&mut self, conn: &mut Conn, slot: usize, payload: &[u8], version: u16) {
-        let request = match decode_request(payload, version) {
+    fn process_frame(&mut self, conn: &mut Conn, slot: usize, payload: &[u8]) {
+        let request = match decode_request(payload, PROTOCOL_VERSION) {
             Ok(r) => r,
             Err((id, err)) => {
                 counter!("mmdb_server_malformed_total").inc();
-                conn.push_reply(&encode_err(
-                    id,
-                    None,
-                    Status::BadRequest,
-                    &err.to_string(),
-                    version,
-                ));
+                conn.push_err(id, None, Status::BadRequest, &err.to_string());
                 return;
             }
         };
-        requests_counter(request.body.opcode()).inc();
+        series(request.body.opcode()).requests.inc();
         if matches!(request.body, RequestBody::Ping) {
             let trace_id = request.trace.map(|ctx| ctx.trace_id);
-            conn.push_reply(&encode_ok(request.id, trace_id, &ReplyBody::Pong, version));
+            conn.push_reply(&encode_ok(
+                request.id,
+                trace_id,
+                &ReplyBody::Pong,
+                PROTOCOL_VERSION,
+            ));
             return;
         }
         let job = Job {
             request,
-            version,
             accepted_at: Instant::now(),
             conn: slot,
             generation: conn.generation,
@@ -931,15 +857,13 @@ impl Reactor {
     /// Answers an admission-refused job with `OVERLOADED`.
     fn refuse(&self, conn: &mut Conn, job: Job, push_err: PushError, capacity: usize) {
         counter!("mmdb_server_overloaded_total").inc();
-        errors_counter(job.request.body.opcode()).inc();
-        if mmdb_telemetry::instrumentation_enabled() {
-            record_refused_demand(&job.request.body);
-        }
+        series(job.request.body.opcode()).errors.inc();
         let detail = match push_err {
             PushError::Full => format!("queue full (depth {capacity})"),
             PushError::Closed => "server shutting down".to_string(),
         };
         if mmdb_telemetry::instrumentation_enabled() {
+            record_refused_demand(&job.request.body);
             mmdb_telemetry::recorder().record(
                 EventKind::ServerOverload,
                 format!("opcode={} {detail}", job.request.body.opcode().name()),
@@ -959,13 +883,8 @@ impl Reactor {
             None,
             None,
         );
-        conn.push_reply(&encode_err(
-            job.request.id,
-            Some(ctx.trace_id),
-            Status::Overloaded,
-            &detail,
-            job.version,
-        ));
+        let id = job.request.id;
+        conn.push_err(id, Some(ctx.trace_id), Status::Overloaded, &detail);
     }
 
     /// Routes one executor completion into its connection's outbox (the
@@ -992,9 +911,8 @@ impl Reactor {
                 continue;
             };
             let flushed = conn.pending_out() == 0 && conn.inflight == 0;
-            let silent = conn.version.is_none()
-                && !conn.read_closed
-                && conn.opened.elapsed() >= HANDSHAKE_TIMEOUT;
+            let silent =
+                !conn.hello_done && !conn.read_closed && conn.opened.elapsed() >= HANDSHAKE_TIMEOUT;
             let done = conn.dead || silent || (conn.read_closed && flushed);
             if done {
                 if let Some(conn) = self.conns[slot].take() {
@@ -1013,7 +931,7 @@ fn worker_loop(
     backend: &dyn QueryBackend,
     trace_keep: Duration,
     completions: &mpsc::Sender<Completion>,
-    wake: &TcpStream,
+    wake: &UnixStream,
 ) {
     while let Some(job) = queue.pop() {
         gauge!("mmdb_server_queue_depth").set(queue.len() as u64);
@@ -1045,11 +963,13 @@ fn run_job(
     let opcode = job.request.body.opcode();
     let ctx = trace_context(&job.request);
     let wire_trace_id = Some(ctx.trace_id);
+    let reply_err =
+        |status: Status, msg: &str| encode_err(id, wire_trace_id, status, msg, PROTOCOL_VERSION);
     if job.request.deadline_ms > 0
         && waited >= Duration::from_millis(u64::from(job.request.deadline_ms))
     {
         counter!("mmdb_server_deadline_exceeded_total").inc();
-        errors_counter(opcode).inc();
+        series(opcode).errors.inc();
         if mmdb_telemetry::instrumentation_enabled() {
             record_refused_demand(&job.request.body);
             mmdb_telemetry::recorder().record(
@@ -1081,13 +1001,7 @@ fn run_job(
             job.request.deadline_ms,
             mmdb_telemetry::format_duration(waited)
         );
-        return encode_err(
-            id,
-            wire_trace_id,
-            Status::DeadlineExceeded,
-            &msg,
-            job.version,
-        );
+        return reply_err(Status::DeadlineExceeded, &msg);
     }
     let exec_start = Instant::now();
     // A panic in the backend must not unwind the executor (or the reactor,
@@ -1110,13 +1024,9 @@ fn run_job(
         Ok(Ok((body, backend_trace))) => (
             Status::Ok,
             backend_trace,
-            encode_ok(id, wire_trace_id, &body, job.version),
+            encode_ok(id, wire_trace_id, &body, PROTOCOL_VERSION),
         ),
-        Ok(Err(err)) => (
-            err.status(),
-            None,
-            encode_err(id, wire_trace_id, err.status(), &err.message(), job.version),
-        ),
+        Ok(Err(err)) => (err.status(), None, reply_err(err.status(), &err.message())),
         Err(panic) => {
             counter!("mmdb_server_backend_panics_total").inc();
             let detail = panic_message(panic.as_ref());
@@ -1130,23 +1040,18 @@ fn run_job(
             (
                 Status::Internal,
                 None,
-                encode_err(
-                    id,
-                    wire_trace_id,
-                    Status::Internal,
-                    &format!("backend panicked: {detail}"),
-                    job.version,
-                ),
+                reply_err(Status::Internal, &format!("backend panicked: {detail}")),
             )
         }
     };
+    let series = series(opcode);
     if status != Status::Ok {
-        errors_counter(opcode).inc();
+        series.errors.inc();
     }
-    execute_histogram(opcode).observe(exec_elapsed);
+    series.execute.observe(exec_elapsed);
     // Full request latency from admission, so queue_wait + execute
     // histograms decompose it.
-    latency_histogram(opcode).observe(job.accepted_at.elapsed());
+    series.latency.observe(job.accepted_at.elapsed());
     request_trace(
         trace_keep,
         ctx,

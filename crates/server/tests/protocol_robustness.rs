@@ -16,7 +16,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A backend that optionally sleeps per range call (to hold a worker busy)
 /// and counts executed range queries (to prove deadline-expired requests
@@ -439,34 +439,48 @@ fn expired_deadline_is_refused_without_executing() {
 
 #[test]
 fn shutdown_drains_inflight_requests() {
-    let config = ServerConfig {
-        workers: 2,
-        queue_depth: 16,
-        ..ServerConfig::default()
-    };
-    let backend = MockBackend::slow(Duration::from_millis(50));
-    let server =
-        QueryServer::bind("127.0.0.1:0", Arc::<MockBackend>::clone(&backend), config).unwrap();
-    let mut stream = raw_connect(&server);
+    // Pool mode and inline mode (requests executed on the event loop) drain
+    // alike, and neither waits out the drain's 10 s backstop.
+    for workers in [0, 2] {
+        let config = ServerConfig {
+            workers,
+            queue_depth: 16,
+            ..ServerConfig::default()
+        };
+        let backend = MockBackend::slow(Duration::from_millis(50));
+        let server =
+            QueryServer::bind("127.0.0.1:0", Arc::<MockBackend>::clone(&backend), config).unwrap();
+        let mut stream = raw_connect(&server);
 
-    for id in 1..=6u64 {
-        send_request(&mut stream, id, 0, RequestBody::Range(range_request()));
-    }
-    std::thread::sleep(Duration::from_millis(20));
-    let handle = std::thread::spawn(move || server.shutdown());
-
-    // Every accepted request is answered before the server closes.
-    let mut answered = Vec::new();
-    for _ in 0..6 {
-        match recv_response(&mut stream, Opcode::Range) {
-            Response::Ok { id, .. } => answered.push(id),
-            Response::Err { id, status, .. } => panic!("request {id} failed with {status:?}"),
+        for id in 1..=6u64 {
+            send_request(&mut stream, id, 0, RequestBody::Range(range_request()));
         }
+        std::thread::sleep(Duration::from_millis(20));
+        let handle = std::thread::spawn(move || {
+            let started = Instant::now();
+            server.shutdown();
+            started.elapsed()
+        });
+
+        // Every accepted request is answered before the server closes.
+        let mut answered = Vec::new();
+        for _ in 0..6 {
+            match recv_response(&mut stream, Opcode::Range) {
+                Response::Ok { id, .. } => answered.push(id),
+                Response::Err { id, status, .. } => {
+                    panic!("workers {workers}: request {id} failed with {status:?}")
+                }
+            }
+        }
+        answered.sort_unstable();
+        assert_eq!(answered, vec![1, 2, 3, 4, 5, 6], "workers {workers}");
+        let took = handle.join().unwrap();
+        assert!(
+            took < Duration::from_secs(2),
+            "workers {workers}: shutdown took {took:?}"
+        );
+        assert_eq!(backend.range_calls.load(Ordering::SeqCst), 6);
     }
-    answered.sort_unstable();
-    assert_eq!(answered, vec![1, 2, 3, 4, 5, 6]);
-    handle.join().unwrap();
-    assert_eq!(backend.range_calls.load(Ordering::SeqCst), 6);
 }
 
 #[test]

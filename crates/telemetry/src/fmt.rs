@@ -21,7 +21,7 @@ pub fn format_duration(d: Duration) -> String {
 }
 
 /// Escapes `s` for use inside a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -48,7 +48,7 @@ mod server;
 mod trace;
 mod tracestore;
 
-pub use fmt::format_duration;
+pub use fmt::{format_duration, json_escape};
 pub use heat::{record_range_demand, RANGE_PLANS};
 pub use percentile::HistogramSnapshot;
 pub use recorder::{

@@ -171,6 +171,11 @@ serve() {
   scrape /traces > traces.json
   refute '"trace_id"' traces.json
   stop_and_wait
+  # The same drain with requests executed inline on the event loop.
+  start_queries --db ./db --workers 0
+  "$REPRO" serve-load --fast --connect "$ADDR"
+  stop_and_wait
+  grep -F 'drained (0 queued at stop)' serve.log
 }
 
 trace() {
