@@ -534,7 +534,7 @@ pub struct KnnPoint {
     pub fast_ms: f64,
     /// Mean time per probe, brute force (ms, cold caches).
     pub brute_ms: f64,
-    /// Result sets agreed with brute force.
+    /// Neighbour lists (ids and distances) agreed with brute force.
     pub exact: bool,
 }
 
@@ -588,7 +588,7 @@ pub fn knn_experiment(collection: Collection, cfg: &SweepConfig, ks: &[usize]) -
                     && f.neighbours
                         .iter()
                         .zip(b)
-                        .all(|(x, y)| (x.0 - y.0).abs() < 1e-9)
+                        .all(|(x, y)| (x.0 - y.0).abs() < 1e-9 && x.1 == y.1)
             });
             let (pruned, total) = fast.iter().fold((0usize, 0usize), |(p, t), o| {
                 (

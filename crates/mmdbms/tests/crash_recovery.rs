@@ -198,6 +198,14 @@ fn assert_state_equiv(recovered: &MultimediaDatabase, oracle: &MultimediaDatabas
     }
 }
 
+/// `PROPTEST_CASES` when set (a deeper CI run), else `default`.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 /// The active (highest-numbered) WAL segment and its current length.
 fn active_segment(dir: &Path) -> (PathBuf, u64) {
     let mut segs: Vec<PathBuf> = std::fs::read_dir(dir.join("wal"))
@@ -212,7 +220,7 @@ fn active_segment(dir: &Path) -> (PathBuf, u64) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(cases(8)))]
 
     /// Crash at **every** record boundary of a random history (with a
     /// snapshot flushed at a random point): each crash image recovers to

@@ -30,6 +30,7 @@ use mmdb_editops::ImageId;
 use mmdb_histogram::{l1_distance, ColorHistogram};
 use mmdb_rules::{BoundRange, InfoResolver, RuleError};
 use mmdb_storage::{StorageEngine, StorageError};
+use std::cmp::Ordering;
 
 /// Work counters for one k-NN execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -100,7 +101,7 @@ pub fn knn_augmented(
     let mut best: Vec<(f64, ImageId)> = Vec::new();
     for (id, histogram) in db.read_view().binaries() {
         stats.binary_scored += 1;
-        push_candidate(&mut best, k, (l1_distance(query, histogram), id));
+        keep_best(&mut best, k, (l1_distance(query, histogram), id));
     }
 
     // Phase 2: filter-and-refine over edited images, each evaluated from
@@ -114,7 +115,7 @@ pub fn knn_augmented(
             program => program?,
         };
         let base = InfoResolver::require(db, program.base())?;
-        let tau = kth_distance(&best, k);
+        let tau = best.get(k - 1).map_or(f64::INFINITY, |kth| kth.0);
         let bounds = program.eval_vector(&base.histogram);
         let lower = l1_lower_bound(&query_sig, &bounds);
         if lower > tau + PRUNE_SLACK {
@@ -128,10 +129,9 @@ pub fn knn_augmented(
         };
         let d = l1_distance(query, &exact_hist);
         stats.edited_instantiated += 1;
-        push_candidate(&mut best, k, (d, id));
+        keep_best(&mut best, k, (d, id));
     }
 
-    sort_neighbours(&mut best);
     Ok(KnnOutcome {
         neighbours: best,
         stats,
@@ -157,37 +157,23 @@ pub fn knn_brute_force(
 
 /// The one neighbour order: ascending by distance, tie-broken by id, so a
 /// shard-merged list reads the same at every shard count.
+fn neighbour_order(a: &(f64, ImageId), b: &(f64, ImageId)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// Sorts `neighbours` into the one neighbour order.
 pub fn sort_neighbours(neighbours: &mut [(f64, ImageId)]) {
-    neighbours.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    neighbours.sort_unstable_by(neighbour_order);
 }
 
-/// Maintains the best-k list (unsorted; the final sort happens once).
-fn push_candidate(best: &mut Vec<(f64, ImageId)>, k: usize, cand: (f64, ImageId)) {
-    if best.len() < k {
-        best.push(cand);
-        return;
-    }
-    // Replace the current worst if the candidate beats it.
-    let (worst_idx, worst) = best
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).unwrap())
-        .map(|(i, &(d, _))| (i, d))
-        .expect("best is non-empty");
-    if cand.0 < worst {
-        best[worst_idx] = cand;
-    }
-}
-
-/// The pruning threshold: the k-th best distance so far (∞ until k
-/// candidates exist).
-fn kth_distance(best: &[(f64, ImageId)], k: usize) -> f64 {
-    if best.len() < k {
-        f64::INFINITY
-    } else {
-        best.iter()
-            .map(|&(d, _)| d)
-            .fold(f64::NEG_INFINITY, f64::max)
+/// Keeps `best` the first `k` candidates in the one neighbour order, so a
+/// tie on distance goes to the smaller id, as in brute force, and the k-th
+/// entry is the pruning threshold.
+fn keep_best(best: &mut Vec<(f64, ImageId)>, k: usize, cand: (f64, ImageId)) {
+    let at = best.partition_point(|kept| neighbour_order(kept, &cand).is_lt());
+    if at < k {
+        best.insert(at, cand);
+        best.truncate(k);
     }
 }
 
@@ -247,12 +233,34 @@ mod tests {
                 assert_eq!(fast.neighbours.len(), brute.len());
                 for (f, b) in fast.neighbours.iter().zip(&brute) {
                     assert!(
-                        (f.0 - b.0).abs() < 1e-12,
-                        "distance mismatch at k={k}: {f:?} vs {b:?}"
+                        (f.0 - b.0).abs() < 1e-12 && f.1 == b.1,
+                        "neighbour mismatch at k={k}: {f:?} vs {b:?}"
                     );
                 }
             }
         }
+    }
+
+    /// Three images at distance 0 from the probe, the edited one in the
+    /// middle by id: brute force keeps the two smallest ids, and so must
+    /// the pruned search, though the edited image is scored last.
+    #[test]
+    fn a_tie_on_distance_goes_to_the_smaller_id() {
+        let db = StorageEngine::in_memory(Box::new(RgbQuantizer::default_64()));
+        let mut img = RasterImage::filled(10, 10, Rgb::WHITE).unwrap();
+        draw::fill_rect(&mut img, &Rect::new(0, 0, 10, 4), Rgb::RED);
+        let a = db.insert_binary(&img).unwrap();
+        // Recolours a colour `a` lacks: the histogram does not change.
+        let lacking = EditSequence::builder(a).modify(Rgb::BLUE, Rgb::GREEN);
+        let variant = db.insert_edited(lacking.build()).unwrap();
+        let c = db.insert_binary(&img).unwrap();
+        let q = ColorHistogram::extract(&img, &RgbQuantizer::default_64());
+        let ids = |neighbours: &[(f64, ImageId)]| neighbours.iter().map(|n| n.1).collect();
+        let brute: Vec<ImageId> = ids(&knn_brute_force(&db, &q, 2).unwrap());
+        assert_eq!(brute, vec![a, variant]);
+        assert!(c > variant);
+        let fast: Vec<ImageId> = ids(&knn_augmented(&db, &q, 2).unwrap().neighbours);
+        assert_eq!(fast, brute);
     }
 
     #[test]

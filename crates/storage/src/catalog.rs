@@ -193,6 +193,15 @@ impl Catalog {
         assert!(prev.is_none(), "duplicate catalog id {id}");
     }
 
+    /// The blob reference of every binary image, ascending by id, for
+    /// compaction to relocate in place.
+    pub(crate) fn blobs_mut(&mut self) -> impl Iterator<Item = &mut BlobRef> + '_ {
+        self.entries.values_mut().filter_map(|entry| match entry {
+            CatalogEntry::Binary { blob, .. } => Some(blob),
+            CatalogEntry::Edited { .. } => None,
+        })
+    }
+
     /// Looks up an entry.
     pub fn get(&self, id: ImageId) -> Option<&CatalogEntry> {
         self.entries.get(&id)
@@ -238,8 +247,7 @@ impl Catalog {
 
     /// Removes an entry, unlinking provenance and references. Returns the
     /// removed payload. The reference rule is the caller's
-    /// ([`Catalog::check_delete`]): compaction removes and re-inserts
-    /// referenced binary images.
+    /// ([`Catalog::check_delete`]).
     pub fn remove(&mut self, id: ImageId) -> Option<CatalogEntry> {
         let entry = self.entries.remove(&id)?;
         if let CatalogEntry::Edited { sequence, .. } = &entry {

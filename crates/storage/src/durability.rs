@@ -1,6 +1,7 @@
-//! Durable wiring between the engine and `mmdb-durable`: the WAL record
-//! codec for catalog mutations, blob-file generation naming, and the replay
-//! applier recovery uses.
+//! Durable wiring between the engine and `mmdb-durable`: the durability
+//! options, the WAL record codec for catalog mutations, and blob-file
+//! generation naming. What reads and writes them — open, replay, snapshots,
+//! compaction — is `recovery.rs`.
 //!
 //! Every acknowledged mutation is exactly one WAL record, appended under
 //! the exclusive catalog lock *before* the in-memory apply. Records are
@@ -12,17 +13,11 @@
 //! rasters are only logged on the rare binary ingest, and a snapshot plus
 //! segment GC reclaims them.)
 
-use crate::blobstore::BlobStore;
-use crate::catalog::{Catalog, CatalogEntry};
 use crate::error::StorageError;
 use crate::Result;
-use mmdb_durable::{DurableError, FsyncPolicy};
+use mmdb_durable::{DurableError, FsyncPolicy, WalOptions};
 use mmdb_editops::codec::{self as seq_codec, Reader};
 use mmdb_editops::{EditSequence, ImageId};
-use mmdb_histogram::{ColorHistogram, Quantizer};
-use mmdb_imaging::ppm;
-use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Tuning for the durable layer of an on-disk engine.
@@ -43,6 +38,16 @@ impl Default for DurabilityOptions {
             fsync: FsyncPolicy::default(),
             segment_bytes: 4 << 20,
             snapshot_every: 4096,
+        }
+    }
+}
+
+impl DurabilityOptions {
+    /// The options the WAL itself takes.
+    pub(crate) fn wal(&self) -> WalOptions {
+        WalOptions {
+            segment_bytes: self.segment_bytes,
+            fsync: self.fsync,
         }
     }
 }
@@ -216,107 +221,10 @@ pub fn decode_record(bytes: &[u8]) -> Result<OwnedWalRecord> {
     }
 }
 
-/// Applies one replayed record to the recovering catalog + blob store.
-///
-/// Replay rebuilds exactly what the original run did: blob bytes come from
-/// the record itself, histograms are re-extracted (extraction is
-/// deterministic), and the id allocator is advanced past every replayed id.
-/// A record the engine would have refused — an insert naming what is not a
-/// stored binary image, a delete of a referenced image — is `Corrupt`, so a
-/// log that breaks the reference rule fails `open` instead of every query.
-pub(crate) fn apply_record(
-    catalog: &mut Catalog,
-    blobs: &mut BlobStore,
-    quantizer: &dyn Quantizer,
-    seqno: u64,
-    payload: &[u8],
-) -> Result<()> {
-    let dup = |id: ImageId| {
-        StorageError::Corrupt(format!("WAL record {seqno} re-inserts existing id {id}"))
-    };
-    let refused = |e: StorageError| StorageError::Corrupt(format!("WAL record {seqno}: {e}"));
-    match decode_record(payload)? {
-        OwnedWalRecord::InsertBinary {
-            id,
-            width,
-            height,
-            ppm,
-        } => {
-            if catalog.get(id).is_some() {
-                return Err(dup(id));
-            }
-            let raster = ppm::decode(&ppm)?;
-            if (raster.width(), raster.height()) != (width, height) {
-                return Err(StorageError::Corrupt(format!(
-                    "WAL record {seqno}: {id} logged as {width}x{height} but its \
-                     raster decodes to {}x{}",
-                    raster.width(),
-                    raster.height()
-                )));
-            }
-            let histogram = Arc::new(ColorHistogram::extract(&raster, quantizer));
-            let blob = blobs.put(&ppm)?;
-            catalog.note_allocated(id);
-            catalog.insert(
-                id,
-                CatalogEntry::Binary {
-                    blob,
-                    width,
-                    height,
-                    histogram,
-                },
-            );
-        }
-        OwnedWalRecord::InsertEdited { id, sequence } => {
-            if catalog.get(id).is_some() {
-                return Err(dup(id));
-            }
-            catalog.check_refs(&sequence).map_err(refused)?;
-            catalog.note_allocated(id);
-            catalog.insert(id, CatalogEntry::edited(Arc::new(sequence)));
-        }
-        OwnedWalRecord::Delete { id } => {
-            catalog.check_delete(id).map_err(refused)?;
-            if let Some(CatalogEntry::Binary { blob, .. }) = catalog.remove(id) {
-                blobs.delete(blob);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Removes blob generation files no retained snapshot references — debris
-/// of crashed compactions and generations all retained snapshots have moved
-/// past. `current_gen` (the generation the open engine writes to) is always
-/// kept.
-pub(crate) fn gc_blob_generations(
-    dir: &Path,
-    snaps: &mmdb_durable::SnapshotStore,
-    current_gen: u64,
-) -> Result<()> {
-    let mut keep = vec![current_gen];
-    for (path, _) in snaps.list().map_err(map_durable)? {
-        if let Ok(info) = mmdb_durable::snapshot::read_info(&path) {
-            keep.push(info.blob_gen);
-        }
-    }
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(gen) = parse_blob_file_name(name) {
-            if !keep.contains(&gen) {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_imaging::ppm::PnmFormat;
+    use mmdb_imaging::ppm::{self, PnmFormat};
     use mmdb_imaging::{RasterImage, Rgb};
 
     #[test]

@@ -23,6 +23,10 @@
 //!   implements `mmdb_editops::ImageResolver` (so edit sequences can be
 //!   instantiated against it) and `mmdb_rules::InfoResolver` (so the RBM/BWM
 //!   query paths can fetch base/target histograms without touching pixels).
+//!   Its shard state, [`ReadView`] and read/write API are [`engine`]; create,
+//!   open, WAL replay, snapshots and compaction are `recovery.rs`, beside
+//!   the WAL codec in [`durability`]; `verify`, `lint` and `stats` are
+//!   `inspect.rs`.
 
 pub mod blobstore;
 pub mod catalog;
@@ -30,7 +34,9 @@ pub mod durability;
 pub mod engine;
 pub mod epoch;
 pub mod error;
+mod inspect;
 pub mod lru;
+mod recovery;
 
 pub use blobstore::{BlobRef, BlobStore};
 pub use catalog::{id_class, Catalog, CatalogEntry, StoredKind};
