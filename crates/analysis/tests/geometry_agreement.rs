@@ -89,7 +89,7 @@ impl Catalog {
             other => format!("{other:?}"),
         };
         let program = engine.compile(seq, &self.infos).map_err(invalid)?;
-        let eval = program.eval(0, base.histogram.count(0), base.histogram.total());
+        let eval = program.view().eval(0, base.histogram.count(0));
         Ok(eval.total)
     }
 

@@ -2,6 +2,7 @@
 //! DESIGN.md's experiment index).
 
 use mmdb_datagen::{Collection, DatasetBuilder, DatasetInfo, QueryGenerator, VariantConfig};
+use mmdb_histogram::ColorHistogram;
 use mmdb_query::executor::build_index;
 use mmdb_query::QueryProcessor;
 use mmdb_rules::RuleProfile;
@@ -530,66 +531,98 @@ pub struct KnnPoint {
     pub k: usize,
     /// Fraction of edited images pruned without instantiation.
     pub pruned_frac: f64,
-    /// Mean time per probe, bounds-pruned search (ms, cold caches).
+    /// Mean time per probe, bounds-pruned search (ms, cold caches; the
+    /// median pass).
     pub fast_ms: f64,
-    /// Mean time per probe, brute force (ms, cold caches).
+    /// Mean time per probe, brute force (ms, cold caches; the median pass).
     pub brute_ms: f64,
-    /// Neighbour lists (ids and distances) agreed with brute force.
+    /// Neighbour lists (ids and distances) agreed with brute force in
+    /// every pass.
     pub exact: bool,
 }
 
+/// Timed passes per side of A6. One pass over six probes moved a side's
+/// time by up to ±30 % between runs; the median of five moves far less.
+const KNN_PASSES: usize = 5;
+
+/// Mean milliseconds per probe of `search` over every probe on `db`, and
+/// its answers.
+fn timed_pass<T>(
+    db: StorageEngine,
+    probes: &[ColorHistogram],
+    search: impl Fn(&StorageEngine, &ColorHistogram) -> T,
+) -> (f64, Vec<T>) {
+    let t = std::time::Instant::now();
+    let out: Vec<T> = probes.iter().map(|p| search(&db, p)).collect();
+    (t.elapsed().as_secs_f64() * 1e3 / probes.len() as f64, out)
+}
+
+/// The median of `values` (the upper one of an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_unstable_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
 /// A6: bounds-pruned k-NN over the augmented database vs. brute-force
-/// instantiation. Both run against freshly built (cold-cache) databases of
-/// the same seed so neither benefits from the other's instantiation work.
+/// instantiation. Each side runs `KNN_PASSES` (five) times, each pass against a
+/// freshly built (cold-cache) database of the same seed so no pass
+/// benefits from another's instantiation work, the two sides alternating
+/// which goes first; a side's time is its median pass.
 pub fn knn_experiment(collection: Collection, cfg: &SweepConfig, ks: &[usize]) -> Vec<KnnPoint> {
-    use mmdb_histogram::ColorHistogram;
+    let build = || {
+        build_dataset(
+            collection,
+            cfg.total_images,
+            0.8,
+            cfg.seed,
+            cfg.variant_ops,
+            0.25,
+        )
+        .0
+    };
+    // Probes: a handful of binary rasters' histograms — queries that
+    // resemble the collection, as a user's example image would.
+    let probes: Vec<ColorHistogram> = {
+        let db = build();
+        let probe_ids: Vec<_> = db.binary_ids().into_iter().take(6).collect();
+        probe_ids
+            .iter()
+            .map(|&id| ColorHistogram::extract(&db.raster(id).unwrap(), db.quantizer()))
+            .collect()
+    };
     ks.iter()
         .map(|&k| {
-            let build = || {
-                build_dataset(
-                    collection,
-                    cfg.total_images,
-                    0.8,
-                    cfg.seed,
-                    cfg.variant_ops,
-                    0.25,
-                )
-                .0
-            };
-            let db_fast = build();
-            let db_brute = build();
-            // Probes: a handful of binary rasters' histograms — queries that
-            // resemble the collection, as a user's example image would.
-            let probe_ids: Vec<_> = db_fast.binary_ids().into_iter().take(6).collect();
-            let probes: Vec<ColorHistogram> = probe_ids
-                .iter()
-                .map(|&id| {
-                    let raster = db_fast.raster(id).unwrap();
-                    ColorHistogram::extract(&raster, db_fast.quantizer())
+            let fast_pass = || {
+                timed_pass(build(), &probes, |db, p| {
+                    mmdb_query::knn_augmented(db, p, k).unwrap()
                 })
-                .collect();
-
-            let t = std::time::Instant::now();
-            let fast: Vec<_> = probes
-                .iter()
-                .map(|p| mmdb_query::knn_augmented(&db_fast, p, k).unwrap())
-                .collect();
-            let fast_ms = t.elapsed().as_secs_f64() * 1e3 / probes.len() as f64;
-
-            let t = std::time::Instant::now();
-            let brute: Vec<_> = probes
-                .iter()
-                .map(|p| mmdb_query::knn_brute_force(&db_brute, p, k).unwrap())
-                .collect();
-            let brute_ms = t.elapsed().as_secs_f64() * 1e3 / probes.len() as f64;
-
-            let exact = fast.iter().zip(&brute).all(|(f, b)| {
-                f.neighbours.len() == b.len()
-                    && f.neighbours
-                        .iter()
-                        .zip(b)
-                        .all(|(x, y)| (x.0 - y.0).abs() < 1e-9 && x.1 == y.1)
-            });
+            };
+            let brute_pass = || {
+                timed_pass(build(), &probes, |db, p| {
+                    mmdb_query::knn_brute_force(db, p, k).unwrap()
+                })
+            };
+            let (mut fast_ms, mut brute_ms) = (Vec::new(), Vec::new());
+            let (mut fast, mut exact) = (Vec::new(), true);
+            for i in 0..KNN_PASSES {
+                let ((f_ms, f), (b_ms, brute)) = if i % 2 == 0 {
+                    let f = fast_pass();
+                    (f, brute_pass())
+                } else {
+                    let b = brute_pass();
+                    (fast_pass(), b)
+                };
+                fast_ms.push(f_ms);
+                brute_ms.push(b_ms);
+                exact &= f.iter().zip(&brute).all(|(f, b)| {
+                    f.neighbours.len() == b.len()
+                        && f.neighbours
+                            .iter()
+                            .zip(b)
+                            .all(|(x, y)| (x.0 - y.0).abs() < 1e-9 && x.1 == y.1)
+                });
+                fast = f;
+            }
             let (pruned, total) = fast.iter().fold((0usize, 0usize), |(p, t), o| {
                 (
                     p + o.stats.edited_pruned,
@@ -603,8 +636,8 @@ pub fn knn_experiment(collection: Collection, cfg: &SweepConfig, ks: &[usize]) -
                 } else {
                     pruned as f64 / total as f64
                 },
-                fast_ms,
-                brute_ms,
+                fast_ms: median(fast_ms),
+                brute_ms: median(brute_ms),
                 exact,
             }
         })

@@ -392,8 +392,8 @@ where
         ids.iter()
             .map(|&id| {
                 let program = store.program(id, engine, resolver)?;
-                let base = resolver.require(program.base())?;
-                Ok((id, program.eval_vector(&base.histogram)))
+                let base = resolver.require(program.view().base())?;
+                Ok((id, program.view().eval_vector(&base.histogram)))
             })
             .collect()
     };

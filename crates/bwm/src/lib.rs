@@ -23,16 +23,17 @@
 //! Component, fall back to the full BOUNDS computation.
 //!
 //! Both methods return identical result sets; BWM is purely a work-avoidance
-//! structure (verified by integration tests). Each entry carries what a scan
-//! reads — a cluster its base's exact histogram, every edited image its
-//! BOUNDS program once compiled — and both methods run one loop over the
+//! structure (verified by integration tests). The structure carries what a
+//! scan reads — every base's exact counts, one column per bin, each
+//! cluster its members' BOUNDS programs in one block and each Unclassified
+//! entry its own, once compiled — and both methods run one loop over the
 //! entries ([`execute`]), RBM with the shortcut off.
 
 pub mod query;
 pub mod structure;
 
 pub use query::{execute, BwmQueryStats, Method, QueryCtx, QueryOutcome, ShardRecord};
-pub use structure::{kept_program, BwmStructure, Classification, SequenceStore};
+pub use structure::{BwmStructure, Classification, SequenceStore};
 
 /// Eagerly registers this layer's metric series (zero-valued until traffic
 /// arrives) so exposition shows the full BWM schema from process start.

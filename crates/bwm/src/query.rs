@@ -1,11 +1,9 @@
 //! The BWM query processing algorithm (§4.1, Figure 2).
 
-use crate::structure::{kept_program, BwmStructure, SequenceStore};
+use crate::structure::{BwmStructure, Compiler, SequenceStore};
 use mmdb_editops::ImageId;
-use mmdb_histogram::ColorHistogram;
-use mmdb_rules::{BoundProgram, ColorRangeQuery, InfoResolver, Result, RuleEngine};
+use mmdb_rules::{ColorRangeQuery, InfoResolver, ProgramRef, Result, RuleEngine};
 use mmdb_telemetry::QueryTrace;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Work counters for one query execution — these are what Figures 3/4 of
@@ -28,8 +26,8 @@ pub struct BwmQueryStats {
     /// Individual editing operations whose rules were applied.
     pub ops_processed: usize,
     /// `ops_processed` by operation kind, in
-    /// [`BoundProgram::kind_counts`](mmdb_rules::BoundProgram::kind_counts)
-    /// order: define, combine, modify, mutate, merge_null, merge_target.
+    /// [`ProgramRef::kind_counts`] order: define, combine, modify, mutate,
+    /// merge_null, merge_target.
     pub rule_applications: [usize; 6],
     /// Unclassified-Component entries scanned.
     pub unclassified_scanned: usize,
@@ -180,21 +178,14 @@ pub enum Method {
     Bwm,
 }
 
-/// The read-only inputs of one BOUNDS test.
-struct Bounds<'a> {
-    query: &'a ColorRangeQuery,
-    engine: &'a RuleEngine<'a>,
-}
-
 /// The read-only inputs of one scan. Every id it meets comes from the same
-/// consistent state the structure, the resolver and `store` read (a shard's
-/// catalog and Figure 1 under one lock), so one with no stored sequence is
-/// an inconsistency and fails the query. The resolver is asked only while a
-/// program compiles; a warm scan asks it nothing.
+/// consistent state the structure, the resolver and the store read (a
+/// shard's catalog and Figure 1 under one lock), so one with no stored
+/// sequence is an inconsistency and fails the query. The resolver is asked
+/// only while programs compile; a warm scan asks it nothing.
 struct Scan<'a, S> {
-    bounds: Bounds<'a>,
-    resolver: &'a dyn InfoResolver,
-    store: &'a S,
+    query: &'a ColorRangeQuery,
+    compiler: Compiler<'a, S>,
 }
 
 /// What a scan adds to.
@@ -206,20 +197,20 @@ struct Out<'o> {
 /// Runs `method` over a Figure 1 structure, adding candidates and work
 /// counters to `ctx`.
 ///
-/// One loop over the Main Component tests each cluster's base against the
-/// histogram the cluster carries. Under [`Method::Bwm`] (Figure 2) a base
+/// One loop over the Main Component tests each cluster's base against its
+/// counts in the structure's columns. Under [`Method::Bwm`] (Figure 2) a base
 /// that satisfies the query is emitted with its whole cluster and no
 /// operation list is touched; every other clustered image — under
-/// [`Method::Rbm`], every one — runs BOUNDS from the program its entry
-/// keeps, compiled on first use. The Unclassified Component always runs
-/// BOUNDS. What it computes depends on the method, the query and the
-/// structure alone. A traced context gets one timed stage per component
+/// [`Method::Rbm`], every one — runs BOUNDS from the block of programs its
+/// cluster keeps, compiled whole on first use. The Unclassified Component
+/// always runs BOUNDS, each entry from its own program. What it computes
+/// depends on the method, the query and the structure alone. A traced context gets one timed stage per component
 /// (BWM) or the binary and edited scans of §3 (RBM). Process-wide counters
 /// are the business of whoever owns the whole query.
 ///
 /// `resolver` and `store` are one read view of the shard `structure`
 /// describes, which holds every image its edited images name. They are read
-/// only to compile a program an entry does not hold yet; a name the view
+/// only to compile programs an entry does not hold yet; a name the view
 /// cannot resolve then fails the query with
 /// [`mmdb_rules::RuleError::UnknownImage`], and nothing is kept.
 pub fn execute<S: SequenceStore>(
@@ -231,12 +222,12 @@ pub fn execute<S: SequenceStore>(
     store: &S,
     ctx: &mut QueryCtx,
 ) -> Result<()> {
-    let bounds = Bounds { query, engine };
-    let scan = Scan {
-        bounds,
-        resolver,
+    let compiler = Compiler {
         store,
+        engine,
+        resolver,
     };
+    let scan = Scan { query, compiler };
     // Slice-local counters, so the stages below report this structure's
     // work even when `ctx` already carries other shards' totals.
     let mut stats = BwmQueryStats::default();
@@ -298,46 +289,39 @@ pub fn execute<S: SequenceStore>(
     Ok(())
 }
 
-impl Bounds<'_> {
-    /// Runs BOUNDS for one edited image from its compiled program and its
-    /// base's histogram, and emits it when the range overlaps.
-    fn test(
-        &self,
-        edited: ImageId,
-        program: &BoundProgram,
-        base: &ColorHistogram,
-        results: &mut Vec<ImageId>,
-        stats: &mut BwmQueryStats,
-    ) {
-        let query = self.query;
-        let bounds = program.eval(query.bin, base.count(query.bin), base.total());
-        stats.bounds_computed += 1;
-        stats.ops_processed += program.op_count();
-        for (kind, &n) in stats
-            .rule_applications
-            .iter_mut()
-            .zip(program.kind_counts())
-        {
-            *kind += n as usize;
+impl BwmQueryStats {
+    /// Counts `programs` BOUNDS computations over sequences that hold
+    /// `kind_counts` operations of each kind between them.
+    fn walked(&mut self, programs: usize, kind_counts: impl IntoIterator<Item = usize>) {
+        self.bounds_computed += programs;
+        for (slot, n) in self.rule_applications.iter_mut().zip(kind_counts) {
+            *slot += n;
+            self.ops_processed += n;
         }
-        if !bounds.is_exact() {
-            stats.bounds_widened += 1;
-        }
-        if bounds.overlaps_fraction(query.pct_min, query.pct_max) {
-            results.push(edited);
-        }
+    }
+}
+
+/// The fraction of a base's `total` pixels that `count` is, as
+/// [`mmdb_histogram::ColorHistogram::fraction`] reads it.
+fn fraction(count: u64, total: u64) -> f64 {
+    match total {
+        0 => 0.0,
+        total => count as f64 / total as f64,
     }
 }
 
 impl<S: SequenceStore> Scan<'_, S> {
     /// Step 4: each element `<B_id, E_list>` of the Main Component, its
-    /// base tested against the histogram the element carries. Returns how
-    /// many bases satisfied the query.
+    /// base tested against the base's counts in the structure's columns.
+    /// Returns how many bases satisfied the query.
     fn main(&self, structure: &BwmStructure, shortcut: bool, out: &mut Out<'_>) -> Result<usize> {
-        let query = self.bounds.query;
+        let query = self.query;
+        let column = structure.base_counts(query.bin);
+        let clusters = structure.bases.iter().zip(&structure.clusters);
         let mut base_hits = 0;
-        for (&base, cluster) in &structure.main {
-            if query.matches_fraction(cluster.histogram.fraction(query.bin)) {
+        for (at, ((&base, cluster), &total)) in clusters.zip(&structure.totals).enumerate() {
+            let count = structure.base_count(at, query.bin, column);
+            if query.matches_fraction(fraction(count, total)) {
                 base_hits += 1;
                 out.results.push(base);
                 if shortcut {
@@ -348,10 +332,15 @@ impl<S: SequenceStore> Scan<'_, S> {
                     continue;
                 }
             }
+            if cluster.ids.is_empty() {
+                continue;
+            }
             // 4.3: the BOUNDS algorithm per edited image, each starting
-            // from the base histogram in hand.
-            for (&edited, program) in cluster.ids.iter().zip(&cluster.programs) {
-                self.bounds_test(edited, program, &cluster.histogram, out)?;
+            // from the base's count in hand.
+            let programs = cluster.programs(&self.compiler)?;
+            out.stats.walked(cluster.ids.len(), programs.kind_counts);
+            for (&edited, program) in cluster.ids.iter().zip(programs.block.iter()) {
+                self.test(edited, program, count, out);
             }
         }
         Ok(base_hits)
@@ -360,24 +349,26 @@ impl<S: SequenceStore> Scan<'_, S> {
     /// Step 5: the Unclassified Component.
     fn unclassified(&self, structure: &BwmStructure, out: &mut Out<'_>) -> Result<()> {
         for entry in &structure.unclassified {
-            self.bounds_test(entry.id, &entry.program, &entry.base, out)?;
+            let program = entry.program(&self.compiler)?;
+            out.stats
+                .walked(1, program.kind_counts().map(|n| n as usize));
+            self.test(entry.id, program, entry.base.count(self.query.bin), out);
         }
         Ok(())
     }
 
-    /// BOUNDS for one edited image from the program its entry keeps,
-    /// compiled under the view on first use.
-    fn bounds_test(
-        &self,
-        edited: ImageId,
-        cell: &OnceLock<BoundProgram>,
-        base: &ColorHistogram,
-        out: &mut Out<'_>,
-    ) -> Result<()> {
-        let bounds = &self.bounds;
-        let program = kept_program(cell, edited, self.store, bounds.engine, self.resolver)?;
-        bounds.test(edited, program, base, out.results, out.stats);
-        Ok(())
+    /// Runs BOUNDS for one edited image from its compiled program and its
+    /// base's count, and emits it when the range overlaps.
+    #[inline]
+    fn test(&self, edited: ImageId, program: ProgramRef<'_>, base_count: u64, out: &mut Out<'_>) {
+        let query = self.query;
+        let bounds = program.eval(query.bin, base_count);
+        if !bounds.is_exact() {
+            out.stats.bounds_widened += 1;
+        }
+        if bounds.overlaps_fraction(query.pct_min, query.pct_max) {
+            out.results.push(edited);
+        }
     }
 }
 
@@ -553,8 +544,10 @@ mod tests {
         let (mut ctx, s) = (QueryCtx::default(), &structure);
         let out = execute(Method::Bwm, s, &q, &engine, &view, &f.store, &mut ctx);
         assert!(matches!(out, Err(RuleError::UnknownImage(id)) if id == target));
-        let cell = structure.program_cell(pasted, base).unwrap();
-        assert!(cell.get().is_none(), "a failed compile is not kept");
+        assert!(
+            !structure.holds_program(pasted, base),
+            "a failed compile is not kept"
+        );
     }
 
     /// A resolver that counts the lookups made through it.

@@ -275,7 +275,8 @@ fn a_referenced_merge_target_is_not_deleted() {
         assert_eq!(before[0], before[1], "{shards} shards");
         assert_eq!(before[1], before[2], "{shards} shards");
         let cached = storage.bound_program(pasted).unwrap();
-        assert_eq!(cached.merge_targets().collect::<Vec<_>>(), vec![target]);
+        let targets: Vec<ImageId> = cached.view().merge_targets().collect();
+        assert_eq!(targets, vec![target]);
 
         let (epoch, ids) = (storage.current_epoch(), storage.ids());
         match db.delete(target) {

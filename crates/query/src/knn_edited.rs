@@ -114,6 +114,7 @@ pub fn knn_augmented(
             Err(RuleError::UnknownImage(gone)) if gone == id => continue,
             program => program?,
         };
+        let program = program.view();
         let base = InfoResolver::require(db, program.base())?;
         let tau = best.get(k - 1).map_or(f64::INFINITY, |kth| kth.0);
         let bounds = program.eval_vector(&base.histogram);

@@ -1,23 +1,22 @@
 //! The BOUNDS computation: Table 1 of the paper, executed over an edit
 //! sequence without instantiating the image. [`RuleEngine::compile`] leaves
-//! a [`BoundProgram`] of the Conservative rules for callers that bound the
-//! same sequence again; [`RuleEngine::bounds`], [`RuleEngine::may_satisfy`]
-//! and [`RuleEngine::bounds_trace`] walk the sequence under the engine's own
-//! profile and build no program. The rule arithmetic itself lives in
-//! `program.rs`.
+//! a [`BoundProgram`] of the Conservative rules in closed form for callers
+//! that bound the same sequence again ([`RuleEngine::compile_into`] adds it
+//! to a [`ProgramBlock`]); [`RuleEngine::bounds`],
+//! [`RuleEngine::may_satisfy`] and [`RuleEngine::bounds_trace`] walk the
+//! sequence under the engine's own profile and build no program. The rule
+//! arithmetic itself lives in `program.rs`.
 
 use crate::bounds::BoundRange;
-use crate::program::{
-    apply_to_all, base_ranges, pack, BoundProgram, ProgramBuilder, Step, MERGE_TARGET_SLOT,
-};
+use crate::program::{pack, BoundProgram, ProgramBlock, ProgramWriter, Step, MERGE_TARGET_SLOT};
 use crate::query::ColorRangeQuery;
 use crate::resolver::{ImageInfo, InfoResolver};
 use crate::Result;
 use mmdb_editops::{EditOp, EditSequence, Frame, Motion, OpKind};
-use mmdb_histogram::Quantizer;
+use mmdb_histogram::{ColorHistogram, Quantizer};
 use mmdb_imaging::Rgb;
 
-/// Position of `kind` in a program header's per-kind count array, matching
+/// Position of `kind` in a program's per-kind count array, matching
 /// the `mmdb_rules_applications_total{op="…"}` series order.
 fn kind_slot(kind: OpKind) -> usize {
     match kind {
@@ -114,18 +113,44 @@ impl<'q> RuleEngine<'q> {
     ///
     /// The program holds the Conservative rules whatever this engine's
     /// profile: the literal table is read only by the stepwise entry points.
+    /// It is compiled against the base's total, which every evaluation
+    /// starts from; a base of 2³² pixels or more is refused.
     pub fn compile(&self, seq: &EditSequence, resolver: &dyn InfoResolver) -> Result<BoundProgram> {
         let base = resolver.require(seq.base)?;
-        let mut program = ProgramBuilder::new(seq.base, self.background_bin()?);
+        let program = (seq.base, base.histogram.total(), self.background_bin()?);
+        BoundProgram::write(program, |writer| self.compose(seq, &base, resolver, writer))
+    }
+
+    /// [`RuleEngine::compile`], appending the program to `block` instead:
+    /// the same one walk. On error `block` is left as it was.
+    pub fn compile_into(
+        &self,
+        seq: &EditSequence,
+        resolver: &dyn InfoResolver,
+        block: &mut ProgramBlock,
+    ) -> Result<()> {
+        let base = resolver.require(seq.base)?;
+        let program = (seq.base, base.histogram.total(), self.background_bin()?);
+        block.write(program, |writer| self.compose(seq, &base, resolver, writer))
+    }
+
+    /// The compile walk: every operation counted, and every conservative
+    /// rule composed into `writer`.
+    fn compose(
+        &self,
+        seq: &EditSequence,
+        base: &ImageInfo,
+        resolver: &dyn InfoResolver,
+        writer: &mut ProgramWriter<'_>,
+    ) -> Result<()> {
         let conservative = RuleProfile::Conservative;
-        self.walk(seq, &base, conservative, resolver, |op, step, target| {
-            program.count_op(kind_slot(op.kind()))?;
-            if let Some(step) = step {
-                program.push(step, target.map(|t| &t.histogram));
+        self.walk(seq, base, conservative, resolver, |op, step, target| {
+            writer.count_op(kind_slot(op.kind()))?;
+            match step {
+                Some(step) => writer.push(step, target.map(|t| &t.histogram)),
+                None => Ok(()),
             }
-            Ok(())
-        })?;
-        Ok(program.finish())
+        })
     }
 
     /// The BOUNDS algorithm of §3.2/§4: computes the `[BOUNDmin, BOUNDmax,
@@ -316,6 +341,29 @@ impl<'q> RuleEngine<'q> {
             emit(op, step, target.as_ref().map(|(_, t)| t))?;
         }
         Ok(())
+    }
+}
+
+/// The exact per-bin triples of a binary image: where every walk starts.
+fn base_ranges(base: &ColorHistogram) -> Vec<BoundRange> {
+    let total = base.total();
+    base.counts()
+        .iter()
+        .map(|&count| BoundRange::exact(count, total))
+        .collect()
+}
+
+/// Applies `step` to every bin's range; `target` is the merge target's
+/// histogram, which only a [`Step::MergeTarget`] reads.
+fn apply_to_all(
+    step: Step,
+    ranges: &mut [BoundRange],
+    background_bin: u32,
+    target: Option<&ColorHistogram>,
+) {
+    for (bin, range) in ranges.iter_mut().enumerate() {
+        let target = target.map_or((0, 0), |t| (t.count(bin), t.total()));
+        step.apply(range, bin, background_bin, target);
     }
 }
 

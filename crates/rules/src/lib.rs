@@ -20,8 +20,9 @@
 //! every bin, so a caller that bounds the same stored sequence on every
 //! query (the RBM and BWM scans, the bound index, k-NN) runs BOUNDS in two
 //! halves: [`RuleEngine::compile`] follows the geometry through the sequence
-//! once and leaves a [`BoundProgram`]; [`BoundProgram::eval`] replays it for
-//! one bin. [`RuleEngine::bounds`], [`RuleEngine::may_satisfy`] and
+//! once and composes the rules into a [`BoundProgram`], a closed form of the
+//! bin's starting count; [`ProgramRef::eval`] reads it for one bin. Many
+//! programs can share one [`ProgramBlock`]. [`RuleEngine::bounds`], [`RuleEngine::may_satisfy`] and
 //! [`RuleEngine::bounds_trace`] instead apply each rule as the walk meets
 //! it, and keep nothing.
 //!
@@ -56,7 +57,7 @@ pub mod resolver;
 
 pub use bounds::BoundRange;
 pub use engine::{RuleEngine, RuleProfile};
-pub use program::BoundProgram;
+pub use program::{BoundProgram, ProgramBlock, ProgramRef};
 pub use query::ColorRangeQuery;
 pub use resolver::{ImageInfo, InfoResolver, MapInfoResolver};
 

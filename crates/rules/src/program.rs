@@ -1,21 +1,44 @@
-//! The compiled form of an edit sequence: everything in a Table 1 walk that
-//! does not depend on the queried histogram bin, computed once.
+//! The compiled form of an edit sequence: every Conservative Table 1 rule
+//! of a walk composed, once, into a closed form of the queried bin's
+//! starting count.
 //!
 //! A BOUNDS walk tracks three integers (`min`, `max`, `total`) and a piece of
 //! geometry (canvas and defined region). The geometry — and with it |DR|,
 //! canvas sizes, paste overlap, gap fill, the bins a `Modify` maps between,
-//! and every error condition — is the same for every bin, so
-//! [`RuleEngine::compile`](crate::RuleEngine::compile) walks it once and
-//! leaves a [`BoundProgram`]: a short list of arithmetic steps that
-//! [`BoundProgram::eval`] replays for one bin under the Conservative rules.
-//! Consecutive `Widen` and `Modify` steps leave `total` alone and only lower
-//! `min` and raise `max`, so the program keeps each maximal run of them as
-//! one `Run` step, which evaluation applies in one pass.
+//! `total` itself, and every error condition — is the same for every bin.
+//! What is left per bin composes: each rule but a paste moves `min` by a
+//! map `min ↦ max(m·min − s, 0)` and `max` by a map `max ↦ min(m·max + r,
+//! cap)`, and maps of each shape compose into one of the same shape. So
+//! [`RuleEngine::compile`](crate::RuleEngine::compile) walks the sequence
+//! once and leaves a [`BoundProgram`]:
 //!
-//! The literal Table 1 profile is never compiled. A walk under it emits the
-//! same steps with the literal constants, plus two steps of its own, and
-//! [`RuleEngine`](crate::RuleEngine)'s stepwise entry points apply them one
-//! at a time.
+//! - one *segment* per `Merge` with a target, plus one. A segment maps the
+//!   `(min, max)` it is entered with to `(max(top − a·(top_in − min),
+//!   floor), min(b·max + r, cap))`, where `top_in` is the total it is
+//!   entered with: the affine `A·min + K` of Table 1's rules, anchored at
+//!   `top_in` so that no constant is negative. A segment holds one such
+//!   *form* for each bin a `Modify` in it names and one for every other
+//!   bin;
+//! - between two segments, a *merge record*: `|DR|`, the total before the
+//!   paste, the target pixels it covers, the gap filled with background,
+//!   the new total, and the target's histogram, which makes the one step
+//!   that reads a second histogram.
+//!
+//! [`ProgramRef::eval`] is the one evaluator: per segment it finds the
+//! bin's form and applies it, then the merge record. It equals applying the
+//! rules one at a time (`Step::apply`, which `bounds`, `bounds_trace`
+//! and the literal profile walk) for every bin and base count.
+//!
+//! Every value a form keeps is a pixel count of some image of the walk and
+//! fits 32 bits; a base of 2³² pixels or more is refused, as
+//! `pack` refuses any other count. Slopes (`a`, `b`) and the raise `r` may
+//! exceed 32 bits as compositions go on, and are kept as `u32::MAX` then:
+//! from there on a form reads the same for every input as it would with
+//! the exact value, because `top` and `cap` are totals below it.
+//!
+//! A [`ProgramBlock`] stores many programs back to back (the members of a
+//! BWM cluster); a [`BoundProgram`] is one on its own; both lend a
+//! [`ProgramRef`].
 
 use crate::bounds::BoundRange;
 use crate::{Result, RuleError};
@@ -24,7 +47,8 @@ use mmdb_histogram::ColorHistogram;
 use std::sync::Arc;
 
 /// One bin-dependent adjustment of the bound triple under one rule
-/// profile, as the walk emits it. A program holds the conservative ones.
+/// profile, as the walk emits it. A program holds the conservative ones,
+/// composed.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum Step {
     /// `Combine` and sub-region `Mutate`: `min −= d`, `max += d`.
@@ -41,8 +65,8 @@ pub(crate) enum Step {
     },
     /// `Merge` with NULL target: the image becomes the DR of `d` pixels.
     MergeNull { d: u32 },
-    /// `Merge` into `target`, whose histogram the program keeps beside its
-    /// words.
+    /// `Merge` into `target`, whose histogram the program keeps in its
+    /// merge record.
     MergeTarget {
         target: ImageId,
         /// |DR| of the pasted region.
@@ -62,29 +86,12 @@ pub(crate) enum Step {
     Raise { bin: u32, d: u32 },
 }
 
-/// A step's first word: its opcode in the low [`OP_BITS`] bits and, for a
-/// run, its number of `Modify` entries above them.
-const OP_BITS: u32 = 2;
-const OP_MASK: u32 = (1 << OP_BITS) - 1;
-const OP_RUN: u32 = 0;
-const OP_SCALE: u32 = 1;
-const OP_MERGE_NULL: u32 = 2;
-const OP_MERGE_TARGET: u32 = 3;
-
-/// The most `Modify` entries a run's head word can count.
-const MAX_RUN_MODIFIES: u32 = u32::MAX >> OP_BITS;
-
-/// Header words: base id (low, high), background bin, six per-kind op
-/// counts.
-const HEADER_WORDS: usize = 9;
-const KIND_COUNTS: std::ops::Range<usize> = 3..HEADER_WORDS;
-
 /// Where `Merge`-with-target operations are counted among the six kinds —
 /// the one kind whose rule is not bound-widening.
 pub(crate) const MERGE_TARGET_SLOT: usize = 5;
 
-/// Packs a pixel count, bin or multiplier into a program word. Every value
-/// that reaches here is bounded by a canvas area (`MAX_CANVAS_PIXELS = 2^26`
+/// Packs a pixel count, bin or multiplier into 32 bits. Every value that
+/// reaches here is bounded by a canvas area (`MAX_CANVAS_PIXELS = 2^26`
 /// after any scale or merge) or a base image's area; a base image of 2^32
 /// pixels or more cannot be bounded.
 pub(crate) fn pack(value: u64) -> Result<u32> {
@@ -93,26 +100,10 @@ pub(crate) fn pack(value: u64) -> Result<u32> {
     })
 }
 
-fn split(value: u64) -> [u32; 2] {
-    [value as u32, (value >> 32) as u32]
-}
-
-fn join(low: u32, high: u32) -> u64 {
-    u64::from(low) | u64::from(high) << 32
-}
-
-/// A maximal run of [`Step::Widen`] and [`Step::Modify`] steps, as a program
-/// stores it. Each such step lowers `min` and raises `max` by an amount that
-/// does not depend on where the bounds stand and leaves `total` alone, and
-/// between such steps the clamp of `min` to `max` never binds. So a run's
-/// effect is one saturating subtraction from `min` and one addition to `max`
-/// capped at `total` — exactly what its steps do one at a time.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Run<'a> {
-    /// Summed widenings.
-    widen: u32,
-    /// `from_bin`, `to_bin`, `d` of each `Modify`, in operation order.
-    modifies: &'a [u32],
+/// `value`, or `u32::MAX` when it is larger: for a slope or a raise, where
+/// every value from `u32::MAX` up reads the same (see the module docs).
+fn saturate(value: u64) -> u32 {
+    u32::try_from(value).unwrap_or(u32::MAX)
 }
 
 /// All ones when `condition` holds, else zero.
@@ -120,36 +111,35 @@ fn mask(condition: bool) -> u64 {
     u64::from(condition).wrapping_neg()
 }
 
-impl Run<'_> {
-    /// Applies the run's `Combine`, sub-region `Mutate` and `Modify` rules to
-    /// `range` for histogram bin `bin`: each widening lowers `min` and raises
-    /// `max` by its `d`; each `Modify` raises `max` by its `d` when `to_bin`
-    /// is the queried bin and `from_bin` is not (recoloring inside one bin
-    /// cannot change its population), else lowers `min` when `from_bin` is.
-    /// The sums are masked, not branched on, and one clamp ends the run.
-    #[inline]
-    fn apply(self, range: &mut BoundRange, bin: usize) {
-        let mut lower = u64::from(self.widen);
-        let mut raise = lower;
-        for entry in self.modifies.chunks_exact(3) {
-            let &[from_bin, to_bin, d] = entry else {
-                unreachable!("chunks_exact(3) yields three words")
-            };
-            let (from_bin, to_bin, d) = (from_bin as usize, to_bin as usize, u64::from(d));
-            raise += d & mask(to_bin == bin && from_bin != to_bin);
-            lower += d & mask(from_bin == bin && to_bin != bin);
-        }
-        range.min = range.min.saturating_sub(lower);
-        range.max = range.max.saturating_add(raise);
-        *range = range.clamped();
+/// The Conservative `Merge`-with-target rule for one bin. The pasted DR
+/// contributes `[|DR| − (E − HBmin), MIN(HBmax, |DR|)]`, the surviving
+/// target pixels `[T_HB − covered, MIN(T_HB, T − covered)]`, and `gap`
+/// background pixels (zero outside the background bin), an exact count.
+/// `target` is the target's `(count in bin, total)`.
+fn paste(
+    range: BoundRange,
+    d: u64,
+    covered: u64,
+    gap: u64,
+    target: (u64, u64),
+    new_total: u64,
+) -> BoundRange {
+    let (t_hb, t_total) = target;
+    let dr_min = d.saturating_sub(range.total - range.min);
+    let dr_max = range.max.min(d);
+    BoundRange {
+        min: dr_min + t_hb.saturating_sub(covered) + gap,
+        max: dr_max + t_hb.min(t_total.saturating_sub(covered)) + gap,
+        total: new_total,
     }
+    .clamped()
 }
 
 impl Step {
-    /// Applies this step's Table 1 rule to `range` for histogram bin `bin`.
-    /// `target` is the merge target's `(count in bin, total)`; only
-    /// [`Step::MergeTarget`] reads it, and counts the gap only in
-    /// `background_bin`. A `Widen` or `Modify` is a [`Run`] of one.
+    /// Applies this step's Table 1 rule to `range` for histogram bin `bin`:
+    /// the stepwise walk. `target` is the merge target's `(count in bin,
+    /// total)`; only [`Step::MergeTarget`] reads it, and counts the gap
+    /// only in `background_bin`.
     ///
     /// Every arm ends by restoring `min <= max <= total`, which the next
     /// step's subtractions rely on.
@@ -163,22 +153,22 @@ impl Step {
         let r = range;
         match self {
             Step::Widen { d } => {
-                let run = Run {
-                    widen: d,
-                    modifies: &[],
-                };
-                return run.apply(r, bin);
+                r.min = r.min.saturating_sub(u64::from(d));
+                r.max = r.max.saturating_add(u64::from(d));
             }
+            // Recoloring inside one bin cannot change its population.
             Step::Modify {
                 from_bin,
                 to_bin,
                 d,
             } => {
-                let run = Run {
-                    widen: 0,
-                    modifies: &[from_bin, to_bin, d],
-                };
-                return run.apply(r, bin);
+                let (from_bin, to_bin, d) = (from_bin as usize, to_bin as usize, u64::from(d));
+                r.max = r
+                    .max
+                    .saturating_add(d & mask(to_bin == bin && from_bin != to_bin));
+                r.min = r
+                    .min
+                    .saturating_sub(d & mask(from_bin == bin && to_bin != bin));
             }
             // Nearest-neighbour resampling uses each source row between
             // ⌊fy⌋ and ⌈fy⌉ times (likewise per column).
@@ -198,9 +188,6 @@ impl Step {
                 r.max = r.max.min(d);
                 r.total = d;
             }
-            // The pasted DR contributes [|DR| − (E − HBmin), MIN(HBmax, |DR|)],
-            // the surviving target pixels [T_HB − covered, MIN(T_HB, T −
-            // covered)], and the gap pixels, all background, an exact count.
             // The literal table's walk takes covered = |DR| and no gap.
             Step::MergeTarget {
                 d,
@@ -209,14 +196,9 @@ impl Step {
                 new_total,
                 ..
             } => {
-                let (t_hb, t_total) = target;
-                let (d, covered) = (u64::from(d), u64::from(covered));
                 let gap = u64::from(gap) & mask(background_bin as usize == bin);
-                let dr_min = d.saturating_sub(r.total - r.min);
-                let dr_max = r.max.min(d);
-                r.min = dr_min + t_hb.saturating_sub(covered) + gap;
-                r.max = dr_max + t_hb.min(t_total.saturating_sub(covered)) + gap;
-                r.total = u64::from(new_total);
+                let (d, covered, new_total) = (d.into(), covered.into(), new_total.into());
+                *r = paste(*r, d, covered, gap, target, new_total);
             }
             Step::ScaleBy { factor, new_total } => {
                 r.min = (r.min as f64 * factor).floor().max(0.0) as u64;
@@ -231,101 +213,471 @@ impl Step {
     }
 }
 
-/// One step of a program as evaluation replays it.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Item<'a> {
-    Run(Run<'a>),
-    /// A [`Step::Scale`], [`Step::MergeNull`] or [`Step::MergeTarget`]: the
-    /// steps that set `total` and so end a run.
-    Step(Step),
+/// One bin's bounds across one segment, in closed form: a segment entered
+/// with `top_in` pixels and `(min, max)` leaves `max(top − a·(top_in −
+/// min), floor)` and `min(b·max + r, cap)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Form {
+    /// In a segment's first form, the default, how many named forms follow
+    /// it; in a named form, its bin.
+    key: u32,
+    a: u32,
+    /// The segment's `min` for an entering `min` of `top_in`.
+    top: u32,
+    floor: u32,
+    b: u32,
+    r: u32,
+    cap: u32,
 }
 
-/// Decodes the step words of a program.
-struct Items<'a>(&'a [u32]);
+impl Form {
+    /// The form of a segment no rule has touched yet.
+    fn identity(top_in: u32) -> Form {
+        Form {
+            key: 0,
+            a: 1,
+            top: top_in,
+            floor: 0,
+            b: 1,
+            r: 0,
+            cap: top_in,
+        }
+    }
 
-impl<'a> Iterator for Items<'a> {
-    type Item = Item<'a>;
+    /// Composes `min ↦ max(m·min − s, 0)` after this form.
+    fn shrink(&mut self, m: u32, s: u64) -> Result<()> {
+        let m64 = u64::from(m);
+        self.a = saturate(u64::from(self.a) * m64);
+        self.top = pack((u64::from(self.top) * m64).saturating_sub(s))?;
+        self.floor = pack((u64::from(self.floor) * m64).saturating_sub(s))?;
+        Ok(())
+    }
 
+    /// Composes `max ↦ min(m·max + r, cap)` after this form.
+    fn grow(&mut self, m: u32, r: u32, cap: u32) {
+        let (m, r) = (u64::from(m), u64::from(r));
+        self.b = saturate(u64::from(self.b) * m);
+        self.r = saturate(u64::from(self.r) * m + r);
+        self.cap = cap.min(saturate(u64::from(self.cap) * m + r));
+    }
+
+    /// A `Widen` of `d` on an image of `total` pixels.
+    fn widen(&mut self, d: u32, total: u32) -> Result<()> {
+        self.grow(1, d, total);
+        self.shrink(1, d.into())
+    }
+
+    /// The segment's `(min, max)` for the `(min, max)` it is entered with
+    /// on `top_in` pixels. Exact in `u64`: every factor is below 2³².
     #[inline]
-    fn next(&mut self) -> Option<Item<'a>> {
-        let (&head, words) = self.0.split_first()?;
-        let (item, rest) = match (head & OP_MASK, words) {
-            (OP_RUN, &[widen, ref rest @ ..]) => {
-                let (modifies, rest) = rest.split_at(3 * (head >> OP_BITS) as usize);
-                (Item::Run(Run { widen, modifies }), rest)
-            }
-            (OP_SCALE, &[mul_min, mul_max, new_total, ref rest @ ..]) => (
-                Item::Step(Step::Scale {
-                    mul_min,
-                    mul_max,
-                    new_total,
-                }),
-                rest,
-            ),
-            (OP_MERGE_NULL, &[d, ref rest @ ..]) => (Item::Step(Step::MergeNull { d }), rest),
-            (OP_MERGE_TARGET, &[low, high, d, covered, gap, new_total, ref rest @ ..]) => (
-                Item::Step(Step::MergeTarget {
-                    target: ImageId::new(join(low, high)),
-                    d,
-                    covered,
-                    gap,
-                    new_total,
-                }),
-                rest,
-            ),
-            _ => unreachable!("bound programs are only built by ProgramBuilder"),
-        };
-        self.0 = rest;
-        Some(item)
+    fn apply(&self, (min, max): (u64, u64), top_in: u64) -> (u64, u64) {
+        let drop = u64::from(self.a) * (top_in - min);
+        let min = u64::from(self.top).saturating_sub(drop);
+        let max = u64::from(self.b) * max + u64::from(self.r);
+        (min.max(u64::from(self.floor)), max.min(u64::from(self.cap)))
     }
 }
 
-/// Accumulates a program while [`RuleEngine::compile`](crate::RuleEngine)
-/// walks the operations.
-pub(crate) struct ProgramBuilder {
-    words: Vec<u32>,
-    targets: Vec<Arc<ColorHistogram>>,
-    /// Where the open run's head word is: set while the last step pushed
-    /// is a `Widen` or a `Modify`.
-    run: Option<usize>,
+/// A `Merge` with a target, between two segments.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Merge {
+    target: ImageId,
+    histogram: Arc<ColorHistogram>,
+    /// |DR| of the pasted region.
+    d: u32,
+    /// The image's total before the paste.
+    before: u32,
+    /// Target pixels the paste covers.
+    covered: u32,
+    /// Canvas pixels belonging to neither image, all background.
+    gap: u32,
+    new_total: u32,
+    background_bin: u32,
 }
 
-impl ProgramBuilder {
-    pub(crate) fn new(base: ImageId, background_bin: u32) -> Self {
-        let [low, high] = split(base.raw());
-        let mut words = Vec::with_capacity(HEADER_WORDS + 16);
-        words.extend([low, high, background_bin, 0, 0, 0, 0, 0, 0]);
-        ProgramBuilder {
-            words,
-            targets: Vec::new(),
-            run: None,
+impl Merge {
+    #[inline]
+    fn apply(&self, (min, max): (u64, u64), bin: usize) -> (u64, u64) {
+        let range = BoundRange {
+            min,
+            max,
+            total: self.before.into(),
+        };
+        let gap = u64::from(self.gap) & mask(self.background_bin as usize == bin);
+        let target = (self.histogram.count(bin), self.histogram.total());
+        let (d, covered) = (self.d.into(), self.covered.into());
+        let range = paste(range, d, covered, gap, target, self.new_total.into());
+        (range.min, range.max)
+    }
+}
+
+/// What a program knows of its sequence beside its forms.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Head {
+    base: ImageId,
+    /// The base's total: the first segment's `top_in`.
+    base_total: u32,
+    /// The edited image's total.
+    total: u32,
+    /// Operations per kind, in `mmdb_rules_applications_total{op=…}` order.
+    kind_counts: [u32; 6],
+}
+
+/// Programs stored back to back: every program's forms in one vector and
+/// its merge records in another, so walking them reads memory in order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ProgramBlock {
+    /// Each program's head and where its forms and merge records end.
+    heads: Vec<(Head, u32, u32)>,
+    forms: Vec<Form>,
+    merges: Vec<Merge>,
+}
+
+impl ProgramBlock {
+    /// An empty block.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of programs.
+    pub fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// True when the block holds no program.
+    pub fn is_empty(&self) -> bool {
+        self.heads.is_empty()
+    }
+
+    /// The `i`-th program, in the order they were compiled in.
+    pub fn get(&self, i: usize) -> Option<ProgramRef<'_>> {
+        let (head, forms_end, merges_end) = self.heads.get(i)?;
+        let (forms_start, merges_start) = match i.checked_sub(1) {
+            Some(prior) => (self.heads[prior].1, self.heads[prior].2),
+            None => (0, 0),
+        };
+        Some(ProgramRef {
+            head,
+            forms: &self.forms[forms_start as usize..*forms_end as usize],
+            merges: &self.merges[merges_start as usize..*merges_end as usize],
+        })
+    }
+
+    /// Every program, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = ProgramRef<'_>> + '_ {
+        let (mut forms, mut merges) = (&self.forms[..], &self.merges[..]);
+        let mut ends = (0, 0);
+        self.heads.iter().map(move |(head, forms_end, merges_end)| {
+            let (own_forms, rest) = forms.split_at((forms_end - ends.0) as usize);
+            let (own_merges, rest_merges) = merges.split_at((merges_end - ends.1) as usize);
+            (forms, merges, ends) = (rest, rest_merges, (*forms_end, *merges_end));
+            ProgramRef {
+                head,
+                forms: own_forms,
+                merges: own_merges,
+            }
+        })
+    }
+
+    /// Releases spare capacity, once the block is complete.
+    pub fn shrink_to_fit(&mut self) {
+        self.heads.shrink_to_fit();
+        self.forms.shrink_to_fit();
+        self.merges.shrink_to_fit();
+    }
+}
+
+/// An edit sequence compiled for BOUNDS under the Conservative rules: the
+/// base it starts from and that base's total, how many operations of each
+/// kind it holds, its segments' forms, and a merge record — with the
+/// target's histogram — between each two. Independent of the queried bin,
+/// and — because stored sequences, the quantizer, the background and the
+/// histograms and dimensions of the binary images a stored sequence names
+/// never change, those images cannot be deleted while it is stored, and ids
+/// are never reused — valid for as long as the sequence is stored.
+///
+/// 28 bytes per form and one merge record per paste, beside a 40-byte
+/// head. Operations that cannot change any bin's bounds, such as `Define`,
+/// leave nothing; a segment has one form for each bin a `Modify` in it
+/// recolors from or to, and one for every other bin.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BoundProgram {
+    head: Head,
+    forms: Box<[Form]>,
+    merges: Box<[Merge]>,
+}
+
+impl BoundProgram {
+    /// The program, lent.
+    pub fn view(&self) -> ProgramRef<'_> {
+        ProgramRef {
+            head: &self.head,
+            forms: &self.forms,
+            merges: &self.merges,
+        }
+    }
+}
+
+/// A compiled program, lent by a [`BoundProgram`] or a [`ProgramBlock`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProgramRef<'a> {
+    head: &'a Head,
+    /// Segment after segment: its default form, then its named forms.
+    forms: &'a [Form],
+    merges: &'a [Merge],
+}
+
+impl<'a> ProgramRef<'a> {
+    /// The base image the sequence edits; evaluation starts from its
+    /// histogram.
+    pub fn base(self) -> ImageId {
+        self.head.base
+    }
+
+    /// Operations per kind, in `mmdb_rules_applications_total{op=…}` order:
+    /// define, combine, modify, mutate, merge_null, merge_target.
+    pub fn kind_counts(self) -> &'a [u32; 6] {
+        &self.head.kind_counts
+    }
+
+    /// Number of operations in the compiled sequence.
+    pub fn op_count(self) -> usize {
+        self.kind_counts().iter().map(|&n| n as usize).sum()
+    }
+
+    /// True when every operation's rule is bound-widening — the §4
+    /// condition for the BWM Main Component (no `Merge` with a target).
+    pub fn all_widening(self) -> bool {
+        self.kind_counts()[MERGE_TARGET_SLOT] == 0
+    }
+
+    /// Number of segments: one per `Merge` with a target, plus one.
+    pub fn segment_count(self) -> usize {
+        self.merges.len() + 1
+    }
+
+    /// Number of forms over all segments: at least one per segment.
+    pub fn form_count(self) -> usize {
+        self.forms.len()
+    }
+
+    /// The merge targets whose histograms the program keeps, in operation
+    /// order.
+    pub fn merge_targets(self) -> impl Iterator<Item = ImageId> + 'a {
+        self.merges.iter().map(|merge| merge.target)
+    }
+
+    /// Heap bytes this program's forms and merge records occupy, the head
+    /// and the shared target histograms excluded.
+    pub fn heap_bytes(self) -> usize {
+        std::mem::size_of_val(self.forms) + std::mem::size_of_val(self.merges)
+    }
+
+    /// The program's segments in order: each one's default form, its named
+    /// forms (ascending by bin), and the merge record after it — none
+    /// after the last.
+    #[inline]
+    fn segments(self) -> impl Iterator<Item = (&'a Form, &'a [Form], Option<&'a Merge>)> {
+        let (mut forms, mut merges) = (self.forms, self.merges.iter());
+        std::iter::from_fn(move || {
+            let (default, rest) = forms.split_first()?;
+            let (named, rest) = rest.split_at(default.key as usize);
+            forms = rest;
+            Some((default, named, merges.next()))
+        })
+    }
+
+    /// Runs the program for histogram bin `bin`, starting from the base
+    /// image's exact `base_count`: the Conservative rules, in integer
+    /// arithmetic. Reads nothing but the program: the base's total and every
+    /// merge target's histogram were taken at compile time.
+    #[inline]
+    pub fn eval(self, bin: usize, base_count: u64) -> BoundRange {
+        let mut top_in = u64::from(self.head.base_total);
+        let start = BoundRange::exact(base_count, top_in);
+        let mut bounds = (start.min, start.max);
+        for (default, named, merge) in self.segments() {
+            let form = named.iter().find(|f| f.key as usize == bin);
+            bounds = form.unwrap_or(default).apply(bounds, top_in);
+            if let Some(merge) = merge {
+                bounds = merge.apply(bounds, bin);
+                top_in = u64::from(merge.new_total);
+            }
+        }
+        BoundRange {
+            min: bounds.0,
+            max: bounds.1,
+            total: u64::from(self.head.total),
+        }
+    }
+
+    /// [`ProgramRef::eval`] for every bin of `base`, the histogram of the
+    /// base the program was compiled against: the same forms and merge
+    /// records, segment by segment, each segment's named forms met in bin
+    /// order.
+    pub fn eval_vector(self, base: &ColorHistogram) -> Vec<BoundRange> {
+        let mut top_in = u64::from(self.head.base_total);
+        let counts = base.counts().iter();
+        let mut ranges: Vec<BoundRange> = counts.map(|&n| BoundRange::exact(n, top_in)).collect();
+        for (default, named, merge) in self.segments() {
+            let mut named = named.iter().peekable();
+            for (bin, range) in ranges.iter_mut().enumerate() {
+                let form = named.next_if(|f| f.key as usize == bin);
+                let mut bounds = form
+                    .unwrap_or(default)
+                    .apply((range.min, range.max), top_in);
+                if let Some(merge) = merge {
+                    bounds = merge.apply(bounds, bin);
+                }
+                (range.min, range.max) = bounds;
+            }
+            if let Some(merge) = merge {
+                top_in = u64::from(merge.new_total);
+            }
+        }
+        let total = u64::from(self.head.total);
+        for range in &mut ranges {
+            range.total = total;
+        }
+        ranges
+    }
+
+    /// A copy that owns its forms and merge records.
+    pub fn to_program(self) -> BoundProgram {
+        BoundProgram {
+            head: *self.head,
+            forms: self.forms.into(),
+            merges: self.merges.into(),
+        }
+    }
+}
+
+/// Composes a program while [`RuleEngine::compile`](crate::RuleEngine::compile)
+/// walks the operations, appending its forms and merge records to two
+/// vectors — a [`ProgramBlock`]'s or a lone program's. The open segment's
+/// forms are the last ones, from `segment` on.
+pub(crate) struct ProgramWriter<'b> {
+    forms: &'b mut Vec<Form>,
+    merges: &'b mut Vec<Merge>,
+    head: Head,
+    background_bin: u32,
+    /// Where the open segment's default form sits.
+    segment: usize,
+    /// What the vectors held before: a failed compile leaves them so.
+    forms_before: usize,
+    merges_before: usize,
+}
+
+impl<'b> ProgramWriter<'b> {
+    /// Opens a program over a base of `base_total` pixels at the ends of
+    /// `forms` and `merges`, runs `compose` on it and returns its head, or
+    /// takes back what it wrote and returns the error.
+    fn write(
+        forms: &'b mut Vec<Form>,
+        merges: &'b mut Vec<Merge>,
+        (base, base_total, background_bin): (ImageId, u64, u32),
+        compose: impl FnOnce(&mut ProgramWriter<'_>) -> Result<()>,
+    ) -> Result<Head> {
+        let base_total = pack(base_total)?;
+        let (forms_before, merges_before) = (forms.len(), merges.len());
+        forms.push(Form::identity(base_total));
+        let mut writer = ProgramWriter {
+            forms,
+            merges,
+            head: Head {
+                base,
+                base_total,
+                total: base_total,
+                kind_counts: [0; 6],
+            },
+            background_bin,
+            segment: forms_before,
+            forms_before,
+            merges_before,
+        };
+        match compose(&mut writer) {
+            Ok(()) => {
+                writer.close_segment();
+                Ok(writer.head)
+            }
+            Err(err) => {
+                writer.forms.truncate(writer.forms_before);
+                writer.merges.truncate(writer.merges_before);
+                Err(err)
+            }
         }
     }
 
     /// Counts one operation of kind slot `kind` (see `engine::kind_slot`).
     pub(crate) fn count_op(&mut self, kind: usize) -> Result<()> {
-        let slot = &mut self.words[KIND_COUNTS][kind];
+        let slot = &mut self.head.kind_counts[kind];
         *slot = pack(u64::from(*slot) + 1)?;
         Ok(())
     }
 
-    /// Appends `step`; a [`Step::MergeTarget`] comes with `target`, the
-    /// histogram of the image it pastes into. A `Widen` or `Modify` joins
-    /// the open run; any other step closes it.
-    pub(crate) fn push(&mut self, step: Step, target: Option<&Arc<ColorHistogram>>) {
+    /// Every form of the open segment.
+    fn open(&mut self) -> &mut [Form] {
+        &mut self.forms[self.segment..]
+    }
+
+    /// The open segment's form for `bin`, named from a copy of the default
+    /// if it was not yet.
+    fn named(&mut self, bin: u32) -> &mut Form {
+        let found = self.open()[1..].iter().position(|f| f.key == bin);
+        let at = match found {
+            Some(at) => self.segment + 1 + at,
+            None => {
+                let mut form = self.forms[self.segment];
+                self.forms[self.segment].key += 1;
+                form.key = bin;
+                self.forms.push(form);
+                self.forms.len() - 1
+            }
+        };
+        &mut self.forms[at]
+    }
+
+    /// Composes `step` into the program; a [`Step::MergeTarget`] comes with
+    /// `target`, the histogram of the image it pastes into, and closes the
+    /// open segment.
+    pub(crate) fn push(&mut self, step: Step, target: Option<&Arc<ColorHistogram>>) -> Result<()> {
+        let total = self.head.total;
         match step {
-            Step::Widen { d } => self.extend_run(d, None),
+            Step::Widen { d } => {
+                for form in self.open() {
+                    form.widen(d, total)?;
+                }
+            }
             Step::Modify {
                 from_bin,
                 to_bin,
                 d,
-            } => self.extend_run(0, Some([from_bin, to_bin, d])),
+            } if from_bin != to_bin => {
+                self.named(to_bin).grow(1, d, total);
+                self.named(from_bin).shrink(1, d.into())?;
+            }
+            Step::Modify { .. } => {}
             Step::Scale {
                 mul_min,
                 mul_max,
                 new_total,
-            } => self.close_run(&[OP_SCALE, mul_min, mul_max, new_total]),
-            Step::MergeNull { d } => self.close_run(&[OP_MERGE_NULL, d]),
+            } => {
+                for form in self.open() {
+                    form.grow(mul_max, 0, new_total);
+                    form.shrink(mul_min, 0)?;
+                }
+                self.head.total = new_total;
+            }
+            Step::MergeNull { d } => {
+                let shrink = total.checked_sub(d).ok_or_else(|| {
+                    RuleError::InvalidSequence(format!("a crop of {d} pixels from {total}"))
+                })?;
+                for form in self.open() {
+                    form.grow(1, 0, d);
+                    form.shrink(1, shrink.into())?;
+                }
+                self.head.total = d;
+            }
             Step::MergeTarget {
                 target: id,
                 d,
@@ -333,196 +685,64 @@ impl ProgramBuilder {
                 gap,
                 new_total,
             } => {
-                let target = target.expect("a merge step comes with its target's histogram");
-                self.targets.push(Arc::clone(target));
-                let [low, high] = split(id.raw());
-                self.close_run(&[OP_MERGE_TARGET, low, high, d, covered, gap, new_total]);
+                let histogram = target.expect("a merge step comes with its target's histogram");
+                self.close_segment();
+                self.merges.push(Merge {
+                    target: id,
+                    histogram: Arc::clone(histogram),
+                    d,
+                    before: total,
+                    covered,
+                    gap,
+                    new_total,
+                    background_bin: self.background_bin,
+                });
+                self.segment = self.forms.len();
+                self.forms.push(Form::identity(new_total));
+                self.head.total = new_total;
             }
             Step::ScaleBy { .. } | Step::Raise { .. } => {
                 unreachable!("a program holds the conservative rules only")
             }
         }
+        Ok(())
     }
 
-    /// Appends a step that ends the open run.
-    fn close_run(&mut self, words: &[u32]) {
-        self.run = None;
-        self.words.extend_from_slice(words);
-    }
-
-    /// Adds `widen` and `modify` to the open run, or opens a run when there
-    /// is none or the widening sum or the entry count would not fit its word.
-    fn extend_run(&mut self, widen: u32, modify: Option<[u32; 3]>) {
-        let added = u32::from(modify.is_some());
-        let fused = self.run.and_then(|head| {
-            let count = (self.words[head] >> OP_BITS) + added;
-            let widen = self.words[head + 1].checked_add(widen)?;
-            (count <= MAX_RUN_MODIFIES).then_some((head, [OP_RUN | count << OP_BITS, widen]))
-        });
-        match fused {
-            Some((head, words)) => self.words[head..head + 2].copy_from_slice(&words),
-            None => {
-                self.run = Some(self.words.len());
-                self.words.extend([OP_RUN | added << OP_BITS, widen]);
-            }
-        }
-        self.words.extend(modify.iter().flatten());
-    }
-
-    pub(crate) fn finish(self) -> BoundProgram {
-        BoundProgram {
-            words: self.words.into(),
-            targets: self.targets.into(),
-        }
+    /// Puts the open segment's named forms in bin order.
+    fn close_segment(&mut self) {
+        self.open()[1..].sort_unstable_by_key(|form| form.key);
     }
 }
 
-/// An edit sequence compiled for BOUNDS under the Conservative rules: the
-/// base it starts from, how many operations of each kind it holds, the
-/// steps that change the bound triple, and the histogram of every merge
-/// target those steps paste into. Independent of the queried bin, and —
-/// because stored sequences, the quantizer, the background and the
-/// histograms and dimensions of the binary images a stored sequence names
-/// never change, those images cannot be deleted while it is stored, and ids
-/// are never reused — valid for as long as the sequence is stored.
-///
-/// One allocation of 32-bit words — 36 header bytes; per run of `Widen` and
-/// `Modify` steps 8 bytes plus 12 per `Modify`; 8–28 per other step —
-/// shared by clones, plus one shared histogram per merge step. Operations
-/// that cannot change any bin's bounds, such as `Define`, leave no step and
-/// do not end a run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BoundProgram {
-    words: Arc<[u32]>,
-    /// `targets[i]` is the histogram of the `i`-th [`Step::MergeTarget`].
-    targets: Box<[Arc<ColorHistogram>]>,
+impl ProgramBlock {
+    /// Appends the program `compose` writes over base `base` of
+    /// `base_total` pixels; on error the block is left as it was.
+    pub(crate) fn write(
+        &mut self,
+        base: (ImageId, u64, u32),
+        compose: impl FnOnce(&mut ProgramWriter<'_>) -> Result<()>,
+    ) -> Result<()> {
+        let head = ProgramWriter::write(&mut self.forms, &mut self.merges, base, compose)?;
+        let ends = (self.forms.len() as u32, self.merges.len() as u32);
+        self.heads.push((head, ends.0, ends.1));
+        Ok(())
+    }
 }
 
 impl BoundProgram {
-    /// The base image the sequence edits; evaluation starts from its
-    /// histogram.
-    pub fn base(&self) -> ImageId {
-        ImageId::new(join(self.words[0], self.words[1]))
-    }
-
-    fn background_bin(&self) -> u32 {
-        self.words[2]
-    }
-
-    /// Operations per kind, in `mmdb_rules_applications_total{op=…}` order:
-    /// define, combine, modify, mutate, merge_null, merge_target.
-    pub fn kind_counts(&self) -> &[u32] {
-        &self.words[KIND_COUNTS]
-    }
-
-    /// Number of operations in the compiled sequence.
-    pub fn op_count(&self) -> usize {
-        self.kind_counts().iter().map(|&n| n as usize).sum()
-    }
-
-    /// True when every operation's rule is bound-widening — the §4
-    /// condition for the BWM Main Component (no `Merge` with a target).
-    pub fn all_widening(&self) -> bool {
-        self.kind_counts()[MERGE_TARGET_SLOT] == 0
-    }
-
-    /// Number of steps evaluation replays: one per run of `Widen` and
-    /// `Modify` steps, one per scale or merge (at most [`Self::op_count`]).
-    pub fn step_count(&self) -> usize {
-        self.items().count()
-    }
-
-    /// Heap bytes this program occupies, allocation header and the shared
-    /// target histograms excluded.
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.words) + std::mem::size_of_val(&*self.targets)
-    }
-
-    /// The merge targets whose histograms the program keeps, in operation
-    /// order.
-    pub fn merge_targets(&self) -> impl Iterator<Item = ImageId> + '_ {
-        self.items().filter_map(|item| match item {
-            Item::Step(Step::MergeTarget { target, .. }) => Some(target),
-            _ => None,
+    /// The program `compose` writes over base `base` of `base_total`
+    /// pixels.
+    pub(crate) fn write(
+        base: (ImageId, u64, u32),
+        compose: impl FnOnce(&mut ProgramWriter<'_>) -> Result<()>,
+    ) -> Result<Self> {
+        let (mut forms, mut merges) = (Vec::new(), Vec::new());
+        let head = ProgramWriter::write(&mut forms, &mut merges, base, compose)?;
+        Ok(BoundProgram {
+            head,
+            forms: forms.into(),
+            merges: merges.into(),
         })
-    }
-
-    fn items(&self) -> Items<'_> {
-        Items(&self.words[HEADER_WORDS..])
-    }
-
-    /// Runs the program for histogram bin `bin`, starting from the base
-    /// image's exact `base_count` of `base_total` pixels: the Conservative
-    /// rules, in integer arithmetic. Reads nothing but the program: every
-    /// merge target's histogram was taken at compile time.
-    pub fn eval(&self, bin: usize, base_count: u64, base_total: u64) -> BoundRange {
-        let mut range = BoundRange::exact(base_count, base_total);
-        let mut targets = self.targets.iter();
-        for item in self.items() {
-            match item {
-                Item::Run(run) => run.apply(&mut range, bin),
-                Item::Step(step) => {
-                    let target = match step {
-                        Step::MergeTarget { .. } => {
-                            let target = targets.next().expect("one histogram per merge step");
-                            (target.count(bin), target.total())
-                        }
-                        _ => (0, 0),
-                    };
-                    step.apply(&mut range, bin, self.background_bin(), target);
-                }
-            }
-        }
-        range
-    }
-
-    /// Runs the program for every bin of `base` at once, step-major. Element
-    /// `bin` equals [`BoundProgram::eval`] for that bin.
-    pub fn eval_vector(&self, base: &ColorHistogram) -> Vec<BoundRange> {
-        let mut ranges = base_ranges(base);
-        let mut targets = self.targets.iter();
-        for item in self.items() {
-            match item {
-                Item::Run(run) => {
-                    for (bin, range) in ranges.iter_mut().enumerate() {
-                        run.apply(range, bin);
-                    }
-                }
-                Item::Step(step) => {
-                    let target = match step {
-                        Step::MergeTarget { .. } => {
-                            Some(&**targets.next().expect("one histogram per merge step"))
-                        }
-                        _ => None,
-                    };
-                    apply_to_all(step, &mut ranges, self.background_bin(), target);
-                }
-            }
-        }
-        ranges
-    }
-}
-
-/// The exact per-bin triples of a binary image: where every walk starts.
-pub(crate) fn base_ranges(base: &ColorHistogram) -> Vec<BoundRange> {
-    let total = base.total();
-    base.counts()
-        .iter()
-        .map(|&count| BoundRange::exact(count, total))
-        .collect()
-}
-
-/// Applies `step` to every bin's range; `target` is the merge target's
-/// histogram, which only a [`Step::MergeTarget`] reads.
-pub(crate) fn apply_to_all(
-    step: Step,
-    ranges: &mut [BoundRange],
-    background_bin: u32,
-    target: Option<&ColorHistogram>,
-) {
-    for (bin, range) in ranges.iter_mut().enumerate() {
-        let target = target.map_or((0, 0), |t| (t.count(bin), t.total()));
-        step.apply(range, bin, background_bin, target);
     }
 }
 
@@ -532,7 +752,7 @@ mod tests {
     use crate::resolver::{ImageInfo, InfoResolver, MapInfoResolver};
     use crate::{RuleEngine, RuleProfile};
     use mmdb_editops::EditSequence;
-    use mmdb_histogram::RgbQuantizer;
+    use mmdb_histogram::{Quantizer, RgbQuantizer};
     use mmdb_imaging::{draw, RasterImage, Rect, Rgb};
 
     fn widen(d: u32) -> Step {
@@ -549,34 +769,50 @@ mod tests {
 
     /// Applies `steps` one at a time to every bin of `base`.
     fn stepwise(steps: &[Step], base: &ColorHistogram, target: &ColorHistogram) -> Vec<BoundRange> {
-        let mut ranges = base_ranges(base);
-        for &step in steps {
-            let target = matches!(step, Step::MergeTarget { .. }).then_some(target);
-            apply_to_all(step, &mut ranges, 0, target);
-        }
-        ranges
+        let total = base.total();
+        let ranges = base.counts().iter().enumerate().map(|(bin, &count)| {
+            let mut range = BoundRange::exact(count, total);
+            for &step in steps {
+                let target = match step {
+                    Step::MergeTarget { .. } => (target.count(bin), target.total()),
+                    _ => (0, 0),
+                };
+                step.apply(&mut range, bin, 0, target);
+            }
+            range
+        });
+        ranges.collect()
     }
 
-    /// Builds a program from `steps` and checks, for every bin of `base`,
-    /// that `eval` and `eval_vector` equal applying the steps one at a time
-    /// with [`Step::apply`].
-    fn fused(steps: &[Step], base: &ColorHistogram, target: &Arc<ColorHistogram>) -> BoundProgram {
-        let mut builder = ProgramBuilder::new(ImageId::new(1), 0);
-        for &step in steps {
-            builder.push(step, Some(target));
-        }
-        let program = builder.finish();
+    /// Composes `steps` into a program over `base` and checks, for every
+    /// bin, that `eval` and `eval_vector` equal applying the steps one at a
+    /// time with [`Step::apply`].
+    fn composed(
+        steps: &[Step],
+        base: &ColorHistogram,
+        target: &Arc<ColorHistogram>,
+    ) -> BoundProgram {
+        let program = BoundProgram::write((ImageId::new(1), base.total(), 0), |writer| {
+            steps
+                .iter()
+                .try_for_each(|&step| writer.push(step, Some(target)))
+        })
+        .unwrap();
         let stepwise = stepwise(steps, base, target);
         let per_bin: Vec<BoundRange> = (0..base.bin_count())
-            .map(|bin| program.eval(bin, base.count(bin), base.total()))
+            .map(|bin| program.view().eval(bin, base.count(bin)))
             .collect();
         assert_eq!(per_bin, stepwise);
-        assert_eq!(program.eval_vector(base), stepwise);
+        assert_eq!(program.view().eval_vector(base), stepwise);
         program
     }
 
+    /// A program is its head, its segments' forms and a merge record per
+    /// paste: the default form of each segment counts the named forms after
+    /// it, a `Define` leaves nothing, and a crop or a scale composes into
+    /// the open segment.
     #[test]
-    fn steps_round_trip_through_words() {
+    fn steps_compile_to_segments_and_merge_records() {
         let steps = [
             widen(4),
             modify(3, 63, 16),
@@ -596,57 +832,72 @@ mod tests {
             widen(3),
         ];
         let target = Arc::new(ColorHistogram::from_counts(vec![300, 100], 400));
-        let mut builder = ProgramBuilder::new(ImageId::new((7 << 32) | 5), 21);
-        for (kind, step) in [1, 2, 3, 4, 5, 1].into_iter().zip(steps) {
-            builder.count_op(kind).unwrap();
-            builder.push(step, Some(&target));
-        }
-        builder.count_op(0).unwrap();
-        let program = builder.finish();
-        assert_eq!(program.base(), ImageId::new((7 << 32) | 5));
-        assert_eq!(program.background_bin(), 21);
-        assert_eq!(program.kind_counts(), &[1, 2, 1, 1, 1, 1]);
-        assert_eq!(program.op_count(), 7);
-        assert!(!program.all_widening());
+        let base = ImageId::new((7 << 32) | 5);
+        let program = BoundProgram::write((base, 100, 21), |writer| {
+            for (kind, step) in [1, 2, 3, 4, 5, 1].into_iter().zip(steps) {
+                writer.count_op(kind)?;
+                writer.push(step, Some(&target))?;
+            }
+            writer.count_op(0)
+        })
+        .unwrap();
+        let view = program.view();
+        assert_eq!(view.base(), base);
+        assert_eq!(view.kind_counts(), &[1, 2, 1, 1, 1, 1]);
+        assert_eq!(view.op_count(), 7);
+        assert!(!view.all_widening());
+        assert_eq!(view.segment_count(), 2);
+        // Segment 1: a default and bins 3 and 63, in bin order; segment 2:
+        // a default.
+        let keys: Vec<u32> = program.forms.iter().map(|f| f.key).collect();
+        assert_eq!(keys, [2, 3, 63, 0]);
+        assert_eq!(view.form_count(), 4);
+        // Bin 63 (raised by 16, then ×4 capped at 225, then cropped to 50)
+        // and every other bin (widened by 4 first).
+        let [default, lowered, raised, after] = *program.forms else {
+            unreachable!("four forms")
+        };
+        assert_eq!((raised.b, raised.r, raised.cap), (4, 80, 50));
+        assert_eq!((lowered.a, lowered.top, lowered.floor), (1, 0, 0));
         assert_eq!(
-            program.items().collect::<Vec<_>>(),
-            vec![
-                Item::Run(Run {
-                    widen: 4,
-                    modifies: &[3, 63, 16],
-                }),
-                Item::Step(steps[2]),
-                Item::Step(steps[3]),
-                Item::Step(steps[4]),
-                Item::Run(Run {
-                    widen: 3,
-                    modifies: &[],
-                }),
-            ]
+            (default.a, default.top, default.b, default.r),
+            (1, 0, 4, 16)
         );
-        assert_eq!(program.step_count(), 5);
+        assert_eq!(after, {
+            let mut form = Form::identity(400);
+            form.widen(3, 400).unwrap();
+            form
+        });
         assert_eq!(
-            program.merge_targets().collect::<Vec<_>>(),
+            view.merge_targets().collect::<Vec<_>>(),
             vec![ImageId::new(u64::MAX - 7)]
         );
-        assert!(Arc::ptr_eq(&program.targets[0], &target));
+        let merge = &program.merges[0];
+        assert!(Arc::ptr_eq(&merge.histogram, &target));
         assert_eq!(
-            program.targets.len(),
-            1,
-            "only the merge step keeps a histogram"
+            (
+                merge.d,
+                merge.before,
+                merge.covered,
+                merge.gap,
+                merge.new_total
+            ),
+            (16, 50, 12, 5, 400)
         );
-        let pointer = std::mem::size_of::<usize>();
+        assert_eq!(merge.background_bin, 21);
         assert_eq!(
-            program.heap_bytes(),
-            4 * (9 + (2 + 3) + 4 + 2 + 7 + 2) + pointer
+            view.heap_bytes(),
+            4 * std::mem::size_of::<Form>() + std::mem::size_of::<Merge>()
         );
+        assert_eq!(std::mem::size_of::<Form>(), 28);
     }
 
-    /// Scale, crop and paste end a run; a `Define`, which leaves no step,
-    /// does not. Checked on a compiled sequence against the stepwise trace.
-    /// The literal profile, which no program holds, walks its own steps.
+    /// Only a paste ends a segment: scales, crops and `Define`s compose into
+    /// the open one. Checked on a compiled sequence against the stepwise
+    /// trace. The literal profile, which no program holds, walks its own
+    /// steps.
     #[test]
-    fn runs_end_at_scales_and_merges_but_not_at_defines() {
+    fn segments_end_only_at_pastes() {
         let quant = RgbQuantizer::default_64();
         let mut resolver = MapInfoResolver::new();
         let mut base = RasterImage::filled(12, 12, Rgb::WHITE).unwrap();
@@ -682,28 +933,27 @@ mod tests {
             .build();
         let engine = RuleEngine::new(&quant, RuleProfile::Conservative);
         let program = engine.compile(&seq, &resolver).unwrap();
-        let kinds: Vec<String> = program
-            .items()
-            .map(|item| match item {
-                Item::Run(run) => format!("run+{}", run.modifies.len() / 3),
-                Item::Step(Step::Scale { .. }) => "scale".into(),
-                Item::Step(Step::MergeNull { .. }) => "crop".into(),
-                Item::Step(Step::MergeTarget { .. }) => "paste".into(),
-                Item::Step(step) => unreachable!("{step:?} outside a run"),
-            })
-            .collect();
-        assert_eq!(
-            kinds,
-            ["run+1", "scale", "run+1", "crop", "run+1", "paste", "run+0"]
-        );
+        let view = program.view();
+        assert_eq!(view.segment_count(), 2);
+        // Every bin a recoloring names before the paste, once, in bin
+        // order; nothing is named after it.
+        let keys: Vec<u32> = program.forms.iter().map(|f| f.key).collect();
+        let mut named =
+            [Rgb::RED, Rgb::GREEN, Rgb::WHITE, Rgb::BLUE].map(|c| quant.bin_of(c) as u32);
+        named.sort_unstable();
+        assert_eq!(keys[..5], [4, named[0], named[1], named[2], named[3]]);
+        assert_eq!(keys[5..], [0]);
         let base = resolver.require(ImageId::new(1)).unwrap();
-        let (counts, total) = (base.histogram.counts(), base.histogram.total());
         let trace = engine.bounds_trace(&seq, &resolver).unwrap();
         let stepwise = trace.last().unwrap();
         for (bin, want) in stepwise.iter().enumerate() {
-            assert_eq!(program.eval(bin, counts[bin], total), *want, "bin {bin}");
+            assert_eq!(
+                view.eval(bin, base.histogram.count(bin)),
+                *want,
+                "bin {bin}"
+            );
         }
-        assert_eq!(program.eval_vector(&base.histogram), *stepwise);
+        assert_eq!(view.eval_vector(&base.histogram), *stepwise);
 
         let literal = RuleEngine::new(&quant, RuleProfile::PaperTable1);
         let trace = literal.bounds_trace(&seq, &resolver).unwrap();
@@ -712,15 +962,15 @@ mod tests {
             assert_eq!(literal.bounds(&seq, bin, &resolver).unwrap(), *want);
         }
         assert_ne!(
-            program.eval_vector(&base.histogram),
+            view.eval_vector(&base.histogram),
             *stepwise,
             "the literal blur widens nothing"
         );
     }
 
     /// A recoloring inside one bin raises that bin's `max` under the literal
-    /// table and changes nothing under the conservative profile, inside a
-    /// run as on its own.
+    /// table and changes nothing under the conservative profile, among
+    /// other widenings as on its own.
     #[test]
     fn a_same_bin_modify_in_a_run_reads_per_profile() {
         let base = ColorHistogram::from_counts(vec![40, 30, 20, 10], 100);
@@ -732,11 +982,11 @@ mod tests {
             modify(0, 0, 70),
             modify(3, 2, 15),
         ];
-        let program = fused(&conservative, &base, &target);
-        assert_eq!(program.step_count(), 1);
-        let range = program.eval(1, 30, 100);
+        let program = composed(&conservative, &base, &target);
+        assert_eq!(program.view().form_count(), 4, "bins 1, 2 and 3 are named");
+        let range = program.view().eval(1, 30);
         assert_eq!((range.min, range.max), (27, 38));
-        assert_eq!(program.eval(0, 40, 100).max, 43);
+        assert_eq!(program.view().eval(0, 40).max, 43);
         // The literal walk's steps for the same operations.
         let literal = [
             Step::Raise { bin: 1, d: 25 },
@@ -751,11 +1001,13 @@ mod tests {
         assert_eq!(paper[0].max, 100);
     }
 
-    /// A widening sum over `u32::MAX` opens a new run instead of wrapping.
+    /// Widening sums past `u32::MAX`, on a base just under 2³² pixels, keep
+    /// the raise at `u32::MAX` and read exactly what the stepwise `u64`
+    /// walk reads.
     #[test]
-    fn a_widening_sum_that_overflows_a_word_opens_a_new_run() {
-        let big = 1u64 << 36;
-        let base = ColorHistogram::from_counts(vec![big / 2, big / 2], big);
+    fn a_widening_sum_over_a_word_saturates_exactly() {
+        let big = u64::from(u32::MAX);
+        let base = ColorHistogram::from_counts(vec![big / 2, big - big / 2], big);
         let target = Arc::new(ColorHistogram::from_counts(vec![1, 1], 2));
         let steps = [
             widen(u32::MAX - 1),
@@ -763,16 +1015,66 @@ mod tests {
             widen(5),
             widen(7),
         ];
-        let program = fused(&steps, &base, &target);
-        assert_eq!(program.step_count(), 2, "the widening sum overflows");
-        let max = u64::from(u32::MAX);
-        let range = program.eval(0, big / 2, big);
-        assert_eq!(range.min, big / 2 - ((max - 1) + max + 5 + 7));
+        let program = composed(&steps, &base, &target);
+        assert_eq!(program.forms[0].r, u32::MAX, "the raise saturates");
+        let range = program.view().eval(0, 3);
+        assert_eq!((range.min, range.max), (0, big));
+        assert_eq!(program.view().eval(1, 0).min, 0);
     }
 
     #[test]
     fn oversized_values_are_refused_not_truncated() {
         assert_eq!(pack(u64::from(u32::MAX)).unwrap(), u32::MAX);
         assert!(matches!(pack(1 << 32), Err(RuleError::InvalidSequence(_))));
+        // A base of 2³² pixels: no form can start from its total.
+        let mut block = ProgramBlock::new();
+        let refused = block.write((ImageId::new(1), 1 << 32, 0), |_| Ok(()));
+        assert!(matches!(refused, Err(RuleError::InvalidSequence(_))));
+        assert!(block.is_empty() && block.forms.is_empty());
+    }
+
+    /// Programs compiled into one block read back in order and equal their
+    /// own compiles; a compile that fails leaves the block as it was.
+    #[test]
+    fn a_block_keeps_programs_back_to_back() {
+        let quant = RgbQuantizer::default_64();
+        let mut resolver = MapInfoResolver::new();
+        for (id, side, color) in [(1, 10, Rgb::RED), (2, 6, Rgb::GREEN)] {
+            let img = RasterImage::filled(side, side, color).unwrap();
+            let info = ImageInfo::new(ColorHistogram::extract(&img, &quant), side, side);
+            resolver.insert(ImageId::new(id), info);
+        }
+        let sequences = [
+            EditSequence::builder(ImageId::new(1)).blur().build(),
+            EditSequence::builder(ImageId::new(1))
+                .define(Rect::new(0, 0, 4, 4))
+                .merge_into(ImageId::new(2), 1, 1)
+                .modify(Rgb::RED, Rgb::BLUE)
+                .build(),
+            EditSequence::builder(ImageId::new(1))
+                .modify(Rgb::RED, Rgb::GREEN)
+                .build(),
+        ];
+        let engine = RuleEngine::new(&quant, RuleProfile::Conservative);
+        let mut block = ProgramBlock::new();
+        for seq in &sequences {
+            engine.compile_into(seq, &resolver, &mut block).unwrap();
+        }
+        let unknown = EditSequence::builder(ImageId::new(1))
+            .blur()
+            .merge_into(ImageId::new(9), 0, 0)
+            .build();
+        let before = block.clone();
+        assert!(engine
+            .compile_into(&unknown, &resolver, &mut block)
+            .is_err());
+        assert_eq!(block, before, "a failed compile leaves nothing");
+        assert_eq!(block.len(), 3);
+        for (i, (kept, seq)) in block.iter().zip(&sequences).enumerate() {
+            let own = engine.compile(seq, &resolver).unwrap();
+            assert_eq!(kept.to_program(), own, "program {i}");
+            assert_eq!(block.get(i), Some(kept));
+        }
+        assert_eq!(block.get(3), None);
     }
 }

@@ -1,6 +1,6 @@
 //! Differential property test against the interpretive walker kept in
 //! `reference/` — random `VariantGenerator`-style sequences, every bin,
-//! error cases included: `RuleEngine::compile` + `BoundProgram::eval` under
+//! error cases included: `RuleEngine::compile` + `ProgramRef::eval` under
 //! the Conservative rules a program holds, and the stepwise
 //! `RuleEngine::bounds` and `bounds_trace` under both rule profiles. The
 //! reference is the specification; the library has no second path to fall
@@ -210,13 +210,19 @@ proptest! {
                 .compile(&seq, &resolver),
         );
         if let Ok(program) = &compiled {
+            let program = program.view();
             prop_assert_eq!(program.base(), seq.base);
             prop_assert_eq!(program.op_count(), seq.len());
             prop_assert_eq!(program.all_widening(), seq.all_bound_widening());
             prop_assert_eq!(program.merge_targets().collect::<Vec<_>>(), seq.merge_targets());
             let kinds: Vec<u32> = seq.kind_histogram().iter().map(|&(_, n)| n as u32).collect();
-            prop_assert_eq!(program.kind_counts(), kinds.as_slice());
-            prop_assert!(program.step_count() <= seq.len());
+            prop_assert_eq!(&program.kind_counts()[..], kinds.as_slice());
+            // One segment per paste plus one; per segment a default form
+            // and at most two named bins per recoloring.
+            let pastes = seq.merge_targets().len();
+            prop_assert_eq!(program.segment_count(), pastes + 1);
+            let recolorings = seq.ops.iter().filter(|op| matches!(op, EditOp::Modify { .. }));
+            prop_assert!(program.form_count() <= pastes + 1 + 2 * recolorings.count());
         }
         for profile in PROFILES {
             let reference = ReferenceEngine::new(&quant, profile, background);
@@ -226,8 +232,8 @@ proptest! {
                 let want = shown(reference.bounds(&seq, bin, &resolver));
                 if profile == RuleProfile::Conservative {
                     let got = compiled.clone().and_then(|program| {
-                        let base = shown(resolver.require(program.base()))?;
-                        Ok(program.eval(bin, base.histogram.count(bin), base.histogram.total()))
+                        let base = shown(resolver.require(program.view().base()))?;
+                        Ok(program.view().eval(bin, base.histogram.count(bin)))
                     });
                     prop_assert_eq!(&got, &want, "eval bin {} of {:?}", bin, seq);
                 }
@@ -243,8 +249,8 @@ proptest! {
             let per_bin: Result<Vec<BoundRange>, String> = per_bin.into_iter().collect();
             if profile == RuleProfile::Conservative {
                 let vector = compiled.clone().and_then(|program| {
-                    let base = shown(resolver.require(program.base()))?;
-                    Ok(program.eval_vector(&base.histogram))
+                    let base = shown(resolver.require(program.view().base()))?;
+                    Ok(program.view().eval_vector(&base.histogram))
                 });
                 prop_assert_eq!(&vector, &per_bin);
             }
@@ -281,20 +287,20 @@ fn compile_captures_merge_targets() {
     let mut without_target = MapInfoResolver::new();
     without_target.insert(BASE, base.clone());
     drop(resolver);
-    let (counts, total) = (base.histogram.counts(), base.histogram.total());
+    let counts = base.histogram.counts();
     let per_bin: Vec<BoundRange> = (0..quant.bin_count())
-        .map(|bin| program.eval(bin, counts[bin], total))
+        .map(|bin| program.view().eval(bin, counts[bin]))
         .collect();
     assert_eq!(per_bin, expected);
-    assert_eq!(program.eval_vector(&base.histogram), expected);
+    assert_eq!(program.view().eval_vector(&base.histogram), expected);
     assert!(matches!(
         engine.compile(&seq, &without_target),
         Err(RuleError::UnknownImage(id)) if id == TARGET
     ));
 }
 
-/// Steps that cannot move any bound are not stored and do not end a run: the
-/// program of a typical augmentation sequence is a few dozen bytes.
+/// Operations that cannot move any bound leave nothing: the program of a
+/// typical augmentation sequence is one segment of one form.
 #[test]
 fn no_op_steps_are_elided() {
     let quant = RgbQuantizer::default_64();
@@ -315,12 +321,14 @@ fn no_op_steps_are_elided() {
     let program = RuleEngine::new(&quant, RuleProfile::Conservative)
         .compile(&seq, &resolver)
         .unwrap();
+    let program = program.view();
     assert_eq!(program.op_count(), 6);
+    assert_eq!(program.segment_count(), 1);
     assert_eq!(
-        program.step_count(),
+        program.form_count(),
         1,
-        "only the first blur can move a bound"
+        "the recoloring's region is empty: no bin is named"
     );
-    // The header and one run: its head word and its widening, no `Modify`.
-    assert_eq!(program.heap_bytes(), 36 + 8);
+    // One form of seven 32-bit values, no merge record.
+    assert_eq!(program.heap_bytes(), 28);
 }

@@ -2,7 +2,7 @@
 //! shipped before BOUNDS became compile-once / evaluate-per-bin. It re-derives
 //! geometry, quantizer bins and error conditions for every `(sequence, bin)`
 //! pair, one rule function per Table 1 row, and is what the differential
-//! tests compare `RuleEngine::compile` + `BoundProgram::eval` against.
+//! tests compare `RuleEngine::compile` + `ProgramRef::eval` against.
 //!
 //! Not a test target of its own (Cargo only builds top-level `tests/*.rs`);
 //! include it with `mod reference;` or a `#[path]` attribute.

@@ -317,8 +317,8 @@ proptest! {
         );
         let rules = RuleEngine::new(&quant, RuleProfile::Conservative);
         let vector = rules.compile(&seq, &info_resolver).map(|program| {
-            let base = info_resolver.require(program.base()).expect("the base compiled");
-            program.eval_vector(&base.histogram)
+            let base = info_resolver.require(program.view().base()).expect("the base compiled");
+            program.view().eval_vector(&base.histogram)
         });
         match vector {
             Ok(vector) => {

@@ -22,7 +22,6 @@ use mmdb_imaging::ppm::{self, PnmFormat};
 use mmdb_imaging::{RasterImage, Rgb};
 use mmdb_rules::{BoundProgram, ImageInfo, InfoResolver, RuleEngine, RuleError, RuleProfile};
 use mmdb_telemetry::{counter, histogram, EventKind};
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,10 +36,10 @@ const CACHE_BYTES: usize = 256 << 20;
 /// blob store of its binary images, and the paper's Figure 1 structure
 /// over the catalog, which live writes and WAL replay alike change only
 /// through [`Inner::admit`] and [`Inner::remove`]. Figure 1 carries what a
-/// scan reads — each cluster its base's histogram, shared with the
-/// catalog, and each edited image the cell its BOUNDS program is compiled
-/// into on first use. Everything else derived from a catalog is built
-/// lazily, outside, against the epoch.
+/// scan reads — every base's counts, one column per bin, and each cluster
+/// the block its members' BOUNDS programs are compiled into on first use
+/// (each Unclassified entry a cell of its own). Everything else derived
+/// from a catalog is built lazily, outside, against the epoch.
 pub(crate) struct Inner {
     pub(crate) catalog: Catalog,
     pub(crate) blobs: BlobStore,
@@ -179,20 +178,24 @@ impl SequenceStore for ReadView<'_> {
         }
     }
 
-    /// The program kept in the image's Figure 1 entry — found from its
-    /// base — compiled on first use by `engine`, which every caller builds
-    /// from this database's quantizer and background, and lent for as long
-    /// as the view lives.
+    /// A copy of the program kept in the image's Figure 1 entry — found
+    /// from its base — compiled on first use by `engine`, which every
+    /// caller builds from this database's quantizer and background, with
+    /// the rest of its cluster's block, as a scan compiles it.
     fn program(
         &self,
         id: ImageId,
         engine: &RuleEngine<'_>,
         resolver: &dyn InfoResolver,
-    ) -> mmdb_rules::Result<Cow<'_, BoundProgram>> {
-        let base = self.0.catalog.base_of(id);
-        let cell = base.and_then(|base| self.0.structure.program_cell(id, base));
-        let cell = cell.ok_or(RuleError::UnknownImage(id))?;
-        mmdb_bwm::kept_program(cell, id, self, engine, resolver).map(Cow::Borrowed)
+    ) -> mmdb_rules::Result<BoundProgram> {
+        let base = self
+            .0
+            .catalog
+            .base_of(id)
+            .ok_or(RuleError::UnknownImage(id))?;
+        let structure = &self.0.structure;
+        let program = structure.program(id, base, self, engine, resolver)?;
+        Ok(program.to_program())
     }
 }
 
@@ -450,11 +453,12 @@ impl StorageEngine {
 
     /// The stored sequence of edited image `id`, compiled for BOUNDS
     /// ([`mmdb_rules::RuleEngine::compile`] with this database's quantizer
-    /// and background). Compiled by the first caller — this, the bound
-    /// index, or an RBM/BWM scan walking the entry — and kept in `id`'s
-    /// Figure 1 entry from then on, the one place a program lives (found
-    /// from the sequence's base, then by binary search on `id`). `open`
-    /// pays nothing, ingest keeps nothing (see
+    /// and background), as a copy. Compiled by the first caller — this, the
+    /// bound index, or an RBM/BWM scan walking the entry — and kept in `id`'s
+    /// Figure 1 entry from then on, the one place a program lives: its
+    /// cluster's block, compiled with every other member's, or its
+    /// Unclassified entry (found from the sequence's base, then by binary
+    /// search on `id`). `open` pays nothing, ingest keeps nothing (see
     /// [`StorageEngine::insert_edited`]), nothing is persisted, and nothing
     /// ever invalidates it: the sequence, the quantizer, the background,
     /// and the dimensions and histograms of the binary images it names —
@@ -467,8 +471,7 @@ impl StorageEngine {
     /// or whatever compilation reports (never cached).
     pub fn bound_program(&self, id: ImageId) -> mmdb_rules::Result<BoundProgram> {
         let view = self.read_view();
-        let program = view.program(id, &self.rule_engine(), &view);
-        program.map(Cow::into_owned)
+        view.program(id, &self.rule_engine(), &view)
     }
 
     /// The instantiated raster for `id` — decoded from the blob store for
@@ -588,10 +591,10 @@ impl SequenceStore for StorageEngine {
         id: ImageId,
         engine: &RuleEngine<'_>,
         _resolver: &dyn InfoResolver,
-    ) -> mmdb_rules::Result<Cow<'_, BoundProgram>> {
+    ) -> mmdb_rules::Result<BoundProgram> {
         debug_assert_eq!(engine.background(), self.background());
         debug_assert_eq!(engine.quantizer().bin_count(), self.quantizer().bin_count());
-        self.bound_program(id).map(Cow::Owned)
+        self.bound_program(id)
     }
 }
 

@@ -570,14 +570,7 @@ fn ingest_keeps_no_program() {
         .build();
     for sequence in [clustered, loose] {
         let id = db.insert_edited(sequence).unwrap();
-        let filled = || {
-            let view = db.read_view();
-            view.structure()
-                .program_cell(id, base)
-                .unwrap()
-                .get()
-                .is_some()
-        };
+        let filled = || db.read_view().structure().holds_program(id, base);
         assert!(!filled(), "ingest keeps no program");
         db.bound_program(id).unwrap();
         assert!(filled(), "the first use keeps it");
